@@ -20,8 +20,6 @@ from . import forms, pgm
 from .factorize import IndexVector, compose, rank, tame_factor, unrank
 from .fields import make_tower, split_prime_power
 from .lscore import (
-    LsError,
-    UnsupportedFamily,
     canonical_ls,
     min_length_bound,
     parabolic_ls,
@@ -195,11 +193,14 @@ def cmd_verify(args):
     desc = ls_file.group
     notes = []
     if args.mode == "sampled":
+        # a canonical file round-trips through its own tables; any other
+        # file is sampled from its own blocks
         ls = canonical_ls(desc)
         if [len(b) for b in ls.blocks] != [len(b) for b in ls_file.blocks] or any(
             a.key != b.key for ba, bb in zip(ls.blocks, ls_file.blocks) for a, b in zip(ba, bb)
         ):
-            notes.append("file does not match the canonical construction; sampling uses the canonical tables")
+            notes.append("file does not match the canonical construction")
+            ls = ls_file
         rep = verify_ls(ls, mode="sampled", samples=args.samples, seed=args.seed, budget=args.budget)
     else:
         rep = verify_ls(ls_file, mode="exhaustive", budget=args.budget)
@@ -407,7 +408,9 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         code = COMMANDS[args.command](args)
-    except (LsError, UnsupportedFamily, ValueError) as exc:
+    except (RuntimeError, ValueError, KeyError, OSError) as exc:
+        # construction failures (LsError, OrderNotFound, ConstructionMismatch,
+        # closure caps) and unreadable or malformed input files
         doc = {"tool": "orthosig", "version": __version__, "command": args.command,
                "error": str(exc)}
         print(json.dumps(doc, sort_keys=True, indent=2))

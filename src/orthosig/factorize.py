@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lscore import LogSignature, LsError
+from . import forms
+from .lscore import LogSignature, LsError, space_for
 from .matgroups import Mat
 
 
@@ -46,11 +47,7 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
     if ls.plan is None:
         raise FactorError("signature carries no decoding tables (not canonical)")
     if ls.group is not None:
-        from . import forms
-        from .lscore import space_for
-
-        space = space_for(ls.group)
-        if not forms.membership(space, g, ls.group.family):
+        if not forms.membership(space_for(ls.group), g, ls.group.family):
             raise FactorError(f"element is not in {ls.group.family}")
     digits = ls.plan.decode(g, stats)
     iv = IndexVector(tuple(int(d) for d in digits))

@@ -110,6 +110,13 @@ def _ppowmod(base, k, m, p):
     return result
 
 
+def _peval(c, x, p):
+    acc = 0
+    for ci in reversed(c):
+        acc = (acc * x + ci) % p
+    return acc
+
+
 def _pgcd(a, b, p):
     a, b = list(a), list(b)
     while b:
@@ -145,9 +152,13 @@ def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree d over F_p.
 
     Coefficient tuples (c0, .., c_{d-1}) are compared low-degree-first.
+    For d >= 2 a candidate with a root in F_p has a linear factor, so the
+    cheap root test skips it before the full irreducibility test.
     """
     for tail in itertools.product(range(p), repeat=d):
         m = list(tail) + [1]
+        if d >= 2 and any(_peval(m, x, p) == 0 for x in range(p)):
+            continue
         if _is_irreducible(m, p):
             return tuple(m)
     raise FieldError(f"no irreducible of degree {d} over F_{p}")  # pragma: no cover
@@ -178,24 +189,30 @@ class GF:
         self.digits = digs
         self._nfac = factorint(n - 1) if n > 1 else {}
         self.alpha = self._find_primitive()
-        # exp[k] = code of alpha^k ; log[code] = k
-        exp = np.empty(n - 1, dtype=np.int64)
-        log = np.full(n, -1, dtype=np.int64)
-        cur = 1
-        for k in range(n - 1):
-            exp[k] = cur
-            log[cur] = k
-            cur = self._slow_mul(cur, self.alpha)
-        if cur != 1:
+        # exp[k] = code of alpha^k ; log[code] = k.  The coefficient vectors
+        # of alpha^0..alpha^(n-1) come from the F_p matrix of x -> alpha x,
+        # doubling the computed run with each matrix power.
+        A = np.array([digs[self._slow_mul(self.alpha, p ** i)] for i in range(d)],
+                     dtype=np.int64).T
+        vecs = np.zeros((1, d), dtype=np.int64)
+        vecs[0, 0] = 1
+        while len(vecs) < n:
+            vecs = np.concatenate([vecs, (vecs @ A.T) % p])
+            A = (A @ A) % p
+        codes = vecs[:n] @ self._pvec
+        if codes[n - 1] != 1:
             raise FieldError("primitive element scan failed")  # pragma: no cover
-        self.exp = exp
-        self.log = log
+        self.exp = codes[:n - 1]
+        self.log = np.full(n, -1, dtype=np.int64)
+        self.log[self.exp] = np.arange(n - 1)
         self.neg_table = np.array(
             [int(((p - digs[c]) % p) @ self._pvec) for c in range(n)], dtype=np.int64
         )
         if n <= _ADD_TABLE_LIMIT:
-            s = (digs[:, None, :] + digs[None, :, :]) % p
-            self.add_table = (s @ self._pvec).astype(np.int64)
+            # digit by digit, so no (n, n, d) temporary is built
+            self.add_table = np.zeros((n, n), dtype=np.int64)
+            for i in range(d):
+                self.add_table += ((digs[:, None, i] + digs[None, :, i]) % p) * p ** i
         else:
             self.add_table = None
 
@@ -358,10 +375,11 @@ class FqContext:
         return m
 
     def mat_mul(self, A, B):
+        """A @ B; stacks of matrices broadcast as in numpy's matmul."""
         if self.fast:
             return ((A.astype(np.int64) @ B.astype(np.int64)) % self.p).astype(np.int16)
-        G = self.MUL[A[:, :, None], B[None, :, :]]  # G[i,k,j]
-        return reduce(lambda X, Y: self.ADD[X, Y], (G[:, k, :] for k in range(A.shape[1])))
+        G = self.MUL[A[..., :, :, None], B[..., None, :, :]]  # G[..., i, k, j]
+        return reduce(lambda X, Y: self.ADD[X, Y], (G[..., k, :] for k in range(A.shape[-1])))
 
     def mat_vec(self, A, v):
         if self.fast:

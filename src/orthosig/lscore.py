@@ -254,28 +254,13 @@ def _default_w0(space: QuadraticSpace, r: int) -> Subspace:
 def _ts_orbit_cached(space_id, r, det1):
     space = forms._SPACES[space_id]
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-    W0 = _default_w0(space, r)
-    reps = spr.schreier_transversal(W0, gens, act_subspace, lambda s: s.key)
-    return reps
+    return spr.schreier_transversal(_default_w0(space, r).basis(), gens)
 
 
 def ts_subspace_transporters(space, r, det1):
     """Transporters from the default base to every totally singular r-space
     reachable in the chosen group (all of them, by Witt transitivity)."""
     return _ts_orbit_cached(forms._space_id(space), r, det1)
-
-
-def _orbit_of(space, g, W0, cap):
-    out = [W0]
-    seen = {W0.key}
-    cur = W0
-    for _ in range(cap):
-        cur = act_subspace(g, cur)
-        if cur.key in seen:
-            break
-        seen.add(cur.key)
-        out.append(cur)
-    return out
 
 
 def _try_partition(space, members, L):
@@ -291,7 +276,7 @@ def _try_partition(space, members, L):
 
 
 def _try_cyclic(space, g, M, W0, L):
-    orbit = _orbit_of(space, g, W0, M + 1)
+    orbit = spr.cyclic_orbit(g, W0, M + 1)
     if len(orbit) != M:
         return None
     sp, rep = _try_partition(space, orbit, L)
@@ -303,7 +288,7 @@ def _try_cyclic(space, g, M, W0, L):
 
 
 def _try_twisted(space, a, M, W0, L, transporters):
-    orbit1 = _orbit_of(space, a, W0, M + 1)
+    orbit1 = spr.cyclic_orbit(a, W0, M + 1)
     s = len(orbit1)
     if s == 0 or 2 * s != M:
         return None
@@ -324,12 +309,11 @@ def _try_twisted(space, a, M, W0, L, transporters):
     for xkey in transporters:
         if xkey in keys1:
             continue
-        X = Subspace(tuple(tuple(int(c) for c in row) for row in
-                           np.frombuffer(xkey, dtype=np.int16).reshape(-1, space.n)), xkey)
+        X = spr.subspace_from_key(xkey, space.n)
         xpts = {v.tobytes() for v in spr.span_points(space.fq, X)} & Lkeys
         if not xpts <= uncovered:
             continue
-        orbit2 = _orbit_of(space, a, X, M + 1)
+        orbit2 = spr.cyclic_orbit(a, X, M + 1)
         if len(orbit2) != s:
             continue
         if {o.key for o in orbit2} & keys1:
@@ -353,15 +337,14 @@ def _try_transversal(space, L, det1):
     fq = space.fq
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
     w0 = L[0]
-    reps = spr.schreier_transversal(
-        w0, gens, lambda g, v: space.canon(g.act(v)), lambda v: v.tobytes()
-    )
+    # a canonical point is the echelon basis of its 1-space
+    reps = spr.schreier_transversal(w0[None, :], gens)
     keys = [v.tobytes() for v in L]
     if set(keys) != set(reps):
         raise LsError("group is not transitive on the singular points")
     order_keys = [w0.tobytes()] + [k for k in keys if k != w0.tobytes()]
     elems = [reps[k] for k in order_keys]
-    members = [subspace(fq, [np.frombuffer(k, dtype=np.int16)]) for k in order_keys]
+    members = [spr.subspace_from_key(k, space.n) for k in order_keys]
     sp = PartialSpread(members, fq)
     rep = spr.verify_partition(sp, L, fq)
     member_index = {m.key: (j,) for j, m in enumerate(members)}
@@ -373,35 +356,51 @@ def _try_transversal(space, L, det1):
 _ELEMENT_SCAN_CAP = 2500
 
 
+def _scan_elements(fq, gens, cap):
+    """The first `cap` distinct non-identity products x * g, in BFS order
+    from the identity over the generators, as a (count, n, n) stack; each
+    frontier element multiplies the whole generator stack at once."""
+    stack = np.stack([g.a for g in gens])
+    start = fq.identity(gens[0].n)
+    seen = {start.tobytes()}
+    out = []
+    frontier = [start]
+    while frontier and len(out) < cap:
+        new = []
+        for x in frontier:
+            for y in fq.mat_mul(x, stack):
+                k = y.tobytes()
+                if k in seen:
+                    continue
+                seen.add(k)
+                new.append(y)
+                out.append(y)
+                if len(out) >= cap:
+                    break
+            if len(out) >= cap:
+                break
+        frontier = new
+    return np.array(out, dtype=np.int16).reshape(-1, *stack.shape[1:])
+
+
 def _scan_for_cyclic(space, M, W0cands, L, det1, notes):
     if M > 32:
         return None
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
     if not gens:
         return None
-    count = 0
-    seen = {identity(space.fq, space.n).key}
-    frontier = [identity(space.fq, space.n)]
-    while frontier and count < _ELEMENT_SCAN_CAP:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y.key in seen:
-                    continue
-                seen.add(y.key)
-                new.append(y)
-                count += 1
-                for W0 in W0cands:
-                    plan = _try_cyclic(space, y, M, W0, L)
-                    if plan:
-                        notes.append("sharply transitive cyclic block found by element scan")
-                        return plan
-                if count >= _ELEMENT_SCAN_CAP:
-                    break
-            if count >= _ELEMENT_SCAN_CAP:
-                break
-        frontier = new
+    fq = space.fq
+    cands = _scan_elements(fq, gens, _ELEMENT_SCAN_CAP)
+    # only an element whose orbit on W0 has exactly M members can pass
+    # _try_cyclic, so the exact check runs on those alone, in scan order
+    returns = [spr.first_return(fq, cands, W0.basis(), M) for W0 in W0cands]
+    for i, y in enumerate(cands):
+        for W0, ret in zip(W0cands, returns):
+            if ret[i] == M:
+                plan = _try_cyclic(space, Mat(fq, y), M, W0, L)
+                if plan:
+                    notes.append("sharply transitive cyclic block found by element scan")
+                    return plan
     return None
 
 
@@ -449,14 +448,14 @@ def _spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
         M = len(L) * (q - 1) // (q ** r - 1)
         transporters = ts_subspace_transporters(space, r, det1)
         W0cands = [_default_w0(space, r)]
-        for key in transporters:
-            if key != W0cands[0].key:
-                W0cands.append(Subspace(
-                    tuple(tuple(int(c) for c in row) for row in
-                          np.frombuffer(key, dtype=np.int16).reshape(-1, space.n)), key))
+        W0cands += [spr.subspace_from_key(key, space.n) for key in transporters
+                    if key != W0cands[0].key]
         if lit is not None:
-            for W0 in W0cands:
-                plan = _try_cyclic(space, lit, M, W0, L)
+            returns = spr.first_return(
+                space.fq, np.broadcast_to(lit.a, (len(W0cands),) + lit.a.shape),
+                np.stack([W0.basis() for W0 in W0cands]), M)
+            for W0, ret in zip(W0cands, returns):
+                plan = _try_cyclic(space, lit, M, W0, L) if ret == M else None
                 if plan:
                     plan.shape = "literal"
                     plan.literal_ok = True
@@ -685,7 +684,10 @@ class _StagePlan:
 _CANONICAL_CACHE: dict = {}
 
 
+@lru_cache(maxsize=None)
 def space_for(desc: GroupDescriptor) -> QuadraticSpace:
+    """The quadratic space of the descriptor, built once per descriptor:
+    decoding and verification look it up for every element."""
     if desc.n == 1:
         return build_line_space(desc.p, desc.e)
     m_tower = desc.m if desc.kind != "odd" else (desc.n - 1) // 2
@@ -1221,10 +1223,10 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         return VerifyReport(valid, mode, length, bound, valid and length == bound,
                             ls.claimed_order, count, collisions, bad, None, notes)
     if mode == "sampled":
-        if ls.plan is None:
-            raise LsError("sampled verification needs a decodable plan")
         rng = random.Random(seed)
         sizes = [len(b) for b in ls.blocks]
+        if ls.plan is None:
+            return _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes)
         failures = []
         for _ in range(samples):
             iv = [rng.randrange(s) for s in sizes]
@@ -1240,6 +1242,44 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         return VerifyReport(valid, mode, length, bound, valid and length == bound,
                             ls.claimed_order, samples, failures, 0, seed, notes)
     raise LsError(f"unknown mode {mode!r}")
+
+
+def _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes):
+    """Sampled check of a signature that carries no decoding tables, such
+    as one read from a file: each sampled product must lie in the group,
+    and distinct index vectors must decode to distinct canonical index
+    vectors (a birthday test for colliding products)."""
+    if ls.group is None:
+        raise LsError("sampled verification needs a decodable plan")
+    ref = canonical_ls(ls.group)
+    if ref.plan is None:
+        raise LsError("sampled verification needs a decodable plan")
+    notes.append("signature has no decoding tables; sampled products are decoded "
+                  "through the canonical construction")
+    if ls.claimed_order != ref.claimed_order:
+        notes.append(f"claimed order {ls.claimed_order} is not the group order {ref.claimed_order}")
+    decoded = {}
+    collisions = []
+    bad = 0
+    for _ in range(samples):
+        iv = [rng.randrange(len(b)) for b in ls.blocks]
+        g = identity(ref.plan.fq, ls.group.n)
+        for b, i in zip(ls.blocks, iv):
+            g = g * b[i]
+        if space is not None and not forms.membership(space, g, fam):
+            bad += 1
+            continue
+        try:
+            other = decoded.setdefault(tuple(ref.plan.decode(g)), iv)
+        except LsError:
+            bad += 1  # the canonical tables cover the whole group
+            continue
+        if other != iv:
+            collisions.append({"iv": iv, "other": other})
+    valid = not collisions and bad == 0 and ls.claimed_order == ref.claimed_order
+    bound = min_length_bound(ls.claimed_order).bound
+    return VerifyReport(valid, "sampled", ls.length, bound, valid and ls.length == bound,
+                        ls.claimed_order, samples, collisions, bad, seed, notes)
 
 
 # ----------------------------------------------------------------------

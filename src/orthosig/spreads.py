@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 
 from .fields import FieldTower, FqContext
-from .matgroups import Mat
+from .matgroups import Mat, identity
 
 
 class NotAPartialSpread(ValueError):
@@ -36,16 +36,108 @@ class Subspace:
         return [list(r) for r in self.rows]
 
 
+def rref_stack(fq: FqContext, A):
+    """Reduced row echelon forms of a (k, r, n) stack of matrices in one
+    pass over the columns; returns the int16 forms and the rank of each.
+
+    A row space has exactly one reduced echelon form, so row for row this
+    agrees with `FqContext.rref`; rows past the rank are zero.
+    """
+    if fq.fast:
+        p = fq.p
+        R = np.array(A, dtype=np.int64) % p
+
+        def mul(a, b):
+            return (a * b) % p
+
+        def sub(a, b):
+            return (a - b) % p
+    else:
+        R = np.array(A, dtype=np.int16)
+
+        def mul(a, b):
+            return fq.MUL[a, b]
+
+        def sub(a, b):
+            return fq.ADD[a, fq.NEG[b]]
+    k, r, n = R.shape
+    rank = np.zeros(k, dtype=np.intp)
+    below = np.arange(r)[None, :]
+    for c in range(n):
+        cand = (R[:, :, c] != 0) & (below >= rank[:, None])
+        hit = np.flatnonzero(cand.any(axis=1))
+        if not len(hit):
+            continue
+        top, sel = rank[hit], cand[hit].argmax(axis=1)
+        prow = R[hit, sel]
+        R[hit, sel] = R[hit, top]
+        prow = mul(fq.INV[prow[:, c]][:, None], prow)
+        R[hit, top] = prow
+        f = R[hit, :, c]
+        f[np.arange(len(hit)), top] = 0
+        R[hit] = sub(R[hit], mul(f[:, :, None], prow[:, None, :]))
+        rank[hit] += 1
+    return R.astype(np.int16), rank
+
+
+def act_rref(fq: FqContext, mats, bases):
+    """Canonical bases of g_i(B_i) for a (k, n, n) stack of matrices g_i:
+    `bases` is one r x n basis shared by all g_i or a (k, r, n) stack, and
+    row v of a basis maps to g v.  Returns `rref_stack` of the images."""
+    return rref_stack(fq, fq.mat_mul(bases, np.swapaxes(mats, -1, -2)))
+
+
+def _subspace_of(rows):
+    rows = np.ascontiguousarray(rows, dtype=np.int16)
+    return Subspace(tuple(map(tuple, rows.tolist())), rows.tobytes())
+
+
+def subspace_from_key(key: bytes, n: int) -> Subspace:
+    """The subspace whose echelon basis has these key bytes."""
+    return _subspace_of(np.frombuffer(key, dtype=np.int16).reshape(-1, n))
+
+
 def subspace(fq: FqContext, vectors) -> Subspace:
     A = np.atleast_2d(np.asarray(vectors, dtype=np.int16))
-    R, piv = fq.rref(A)
-    rows = tuple(tuple(int(c) for c in R[i]) for i in range(len(piv)))
-    return Subspace(rows, np.array(rows, dtype=np.int16).tobytes())
+    R, rank = rref_stack(fq, A[None])
+    return _subspace_of(R[0, :rank[0]])
 
 
 def act_subspace(g: Mat, S: Subspace) -> Subspace:
-    imgs = [g.act(np.asarray(r, dtype=np.int16)) for r in S.rows]
-    return subspace(g.fq, imgs)
+    R, rank = act_rref(g.fq, g.a[None], S.basis().reshape(-1, g.n))
+    return _subspace_of(R[0, :rank[0]])
+
+
+def cyclic_orbit(g: Mat, W: Subspace, cap):
+    """[W, g(W), g^2(W), ..] up to the first repeat, at most cap + 1
+    members: the powers g^0..g^cap meet W in one `act_rref` call."""
+    fq = g.fq
+    pows, step = fq.identity(g.n)[None], g.a
+    while len(pows) <= cap:
+        pows = np.concatenate([pows, fq.mat_mul(pows, step)])
+        step = fq.mat_mul(step, step)
+    imgs, _ = act_rref(fq, pows[:cap + 1], W.basis())
+    back = np.flatnonzero((imgs[1:] == imgs[0]).all(axis=(1, 2)))
+    return [_subspace_of(R) for R in imgs[:back[0] + 1 if len(back) else cap + 1]]
+
+
+def first_return(fq: FqContext, mats, bases, steps):
+    """For each pair (g_i, B_i), the least t in 1..steps with
+    g_i^t(B_i) = B_i, or 0 when there is none; that t is the size of the
+    orbit of the subspace B_i under <g_i>.  Bases are echelon forms."""
+    mats = np.asarray(mats)
+    home = np.broadcast_to(bases, (len(mats),) + np.shape(bases)[-2:])
+    out = np.zeros(len(mats), dtype=np.intp)
+    alive = np.arange(len(mats))
+    cur = home
+    for t in range(1, steps + 1):
+        if not len(alive):
+            break
+        cur, _ = act_rref(fq, mats[alive], cur)
+        back = (cur == home[alive]).all(axis=(1, 2))
+        out[alive[back]] = t
+        alive, cur = alive[~back], cur[~back]
+    return out
 
 
 def subspace_contains(fq: FqContext, S: Subspace, v) -> bool:
@@ -182,26 +274,36 @@ def verify_partition(spread: PartialSpread, points, fq: FqContext):
     }
 
 
-def schreier_transversal(start, gens, act, key, cap=200_000):
-    """BFS transversal for a transitive action: returns {key: transporter}
-    with transporter(start) = node.  Deterministic for fixed generator order.
+def schreier_transversal(start, gens, cap=200_000):
+    """BFS transversal of the orbit of a subspace, given by its echelon
+    basis `start`, under the group generated by `gens`: returns
+    {key: transporter} with transporter(start) = the subspace of that key.
+    Each node meets the whole generator stack in one `act_rref` call;
+    nodes and transporters come in the order of the one-at-a-time BFS,
+    so the result is deterministic for a fixed generator order.
     """
-    I = gens[0].fq if gens else None
-    from .matgroups import identity as _id
-
-    reps = {key(start): _id(gens[0].fq, gens[0].n)}
-    frontier = [(key(start), start)]
+    fq, n = gens[0].fq, gens[0].n
+    stack = np.stack([g.a for g in gens])
+    start = np.ascontiguousarray(start, dtype=np.int16)
+    reps = {start.tobytes(): identity(fq, n)}
+    frontier = [start]
     while frontier:
         new = []
-        for k, node in frontier:
-            g0 = reps[k]
-            for g in gens:
-                nxt = act(g, node)
-                nk = key(nxt)
-                if nk not in reps:
-                    reps[nk] = g * g0
-                    new.append((nk, nxt))
-                    if len(reps) > cap:
-                        raise RuntimeError("transversal exceeded cap")
+        for node in frontier:
+            g0 = reps[node.tobytes()]
+            imgs, _ = act_rref(fq, stack, node)
+            fresh = []
+            for i, img in enumerate(imgs):
+                k = img.tobytes()
+                if k not in reps:
+                    reps[k] = None
+                    fresh.append((i, k))
+                    new.append(img)
+            if len(reps) > cap:
+                raise RuntimeError("transversal exceeded cap")
+            if fresh:
+                prods = fq.mat_mul(stack[[i for i, _ in fresh]], g0.a)
+                for (_, k), a in zip(fresh, prods):
+                    reps[k] = Mat(fq, a)
         frontier = new
     return reps

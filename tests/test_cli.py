@@ -144,3 +144,51 @@ def test_project_writes_loadable_file(tmp_path):
     assert proc2.returncode == 0
     doc, _ = parse_stdout(proc2.stdout)
     assert doc["result"]["valid"] and doc["result"]["claimed_order"] == 360
+
+
+def _swapped_o4_3(tmp_path):
+    """The O-4(3) signature with element 1 of blocks 0 and 1 swapped."""
+    out = tmp_path / "ls.json"
+    run_cli("construct", "--family", "O-", "--q", "3", "--m", "2", "--out", str(out))
+    data = json.loads(out.read_text())
+    data["blocks"][0][1], data["blocks"][1][1] = data["blocks"][1][1], data["blocks"][0][1]
+    bad = tmp_path / "swapped.json"
+    bad.write_text(json.dumps(data))
+    return out, bad
+
+
+def test_sampled_verify_checks_the_file(tmp_path):
+    good, bad = _swapped_o4_3(tmp_path)
+    proc = run_cli("verify", "--in", str(bad), "--mode", "sampled", "--samples", "300")
+    assert proc.returncode == 1
+    doc, summary = parse_stdout(proc.stdout)
+    assert doc["result"]["valid"] is False
+    assert doc["result"]["collisions"] and doc["result"]["not_in_group"] == 0
+    assert summary[0].startswith("# INVALID (sampled)")
+    # the canonical file still round-trips through its own tables
+    proc = run_cli("verify", "--in", str(good), "--mode", "sampled", "--samples", "300")
+    assert proc.returncode == 0
+    doc, _ = parse_stdout(proc.stdout)
+    assert doc["result"]["valid"] is True and doc["result"]["notes"] == []
+
+
+def test_verify_missing_file_exits_2(tmp_path):
+    proc = run_cli("verify", "--in", str(tmp_path / "missing.json"))
+    assert proc.returncode == 2
+    doc, _ = parse_stdout(proc.stdout)
+    assert "No such file" in doc["error"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_file_without_blocks_exits_2(tmp_path):
+    out = tmp_path / "ls.json"
+    run_cli("construct", "--family", "O-", "--q", "3", "--m", "1", "--out", str(out))
+    data = json.loads(out.read_text())
+    del data["blocks"]
+    out.write_text(json.dumps(data))
+    for mode in ("exhaustive", "sampled"):
+        proc = run_cli("verify", "--in", str(out), "--mode", mode)
+        assert proc.returncode == 2
+        doc, _ = parse_stdout(proc.stdout)
+        assert "blocks" in doc["error"]
+        assert "Traceback" not in proc.stderr

@@ -21,6 +21,19 @@ def test_identity_decodes_to_zero():
     assert all(i == 0 for i in iv)
 
 
+def test_membership_space_is_built_once_per_descriptor(monkeypatch):
+    from orthosig import lscore
+
+    ls = canonical_ls(descriptor("O-", 3, n=4))
+    g = compose(unrank(788, ls), ls)
+    calls = []
+    build = lscore.build_space
+    monkeypatch.setattr(lscore, "build_space", lambda *a: calls.append(a) or build(*a))
+    for _ in range(5):
+        tame_factor(g, ls)
+    assert len(calls) <= 1
+
+
 def test_pure_a_block_power():
     # a^3 for the leading cyclic block decodes to (3, 0, 0, ...)
     ls = canonical_ls(descriptor("O-", 3, n=4))

@@ -32,6 +32,36 @@ def test_smallest_irreducible_low_degree_first():
     assert smallest_irreducible(3, 1) == (0, 1)
 
 
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)])
+def test_smallest_irreducible_matches_brute_force_scan(p, d):
+    # the root pre-test only skips reducible candidates
+    import itertools
+
+    from orthosig.fields import _is_irreducible
+
+    first = next(tuple(tail) + (1,) for tail in itertools.product(range(p), repeat=d)
+                 if _is_irreducible(list(tail) + [1], p))
+    assert smallest_irreducible(p, d) == first
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (3, 4), (3, 8)])
+def test_exp_table_matches_repeated_multiplication(p, d):
+    from orthosig.fields import GF
+
+    gf = GF(p, d)
+    rng = random.Random(p * 100 + d)
+    for k in [0, 1, 2, gf.order - 2] + [rng.randrange(gf.order - 1) for _ in range(20)]:
+        code, base, e = 1, gf.alpha, k
+        while e:  # alpha^k by square-and-multiply in polynomial arithmetic
+            if e & 1:
+                code = gf._slow_mul(code, base)
+            base = gf._slow_mul(base, base)
+            e >>= 1
+        assert gf.exp[k] == code
+        assert gf.log[code] == k
+    assert sorted(gf.exp.tolist()) == list(range(1, gf.order))
+
+
 def test_tower_deterministic_constants():
     t = make_tower(3, 1, 1)
     assert t.top.modulus == (1, 0, 1)

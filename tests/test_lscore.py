@@ -414,3 +414,29 @@ def test_so5_transversal_valid():
     assert ls.meta["shape"] == "transversal"
     rep = verify_ls(ls, "sampled", samples=400, seed=3)
     assert rep.valid
+
+
+# SHA-256 of json.dumps(canonical_ls(...).to_json(), sort_keys=True),
+# recorded before the subspace-orbit work was batched: every rung of the
+# construction ladder must keep producing the same blocks, in the same order.
+GOLDEN_SHA256 = {
+    ("O-", 3, 4): "9746ebc30dd2c080e75d247b2b620904e5c3f02f2bbbe1ac070e10cfeb319f8b",
+    ("O+", 3, 4): "b02c4e3eaf63cfa9898a88f00cf52a07fe4dae484776b452654fdd9df7797fe0",
+    ("SO-", 3, 4): "08dad9affbcc5cfb55e4028cea4143ac7411d83d95188bbf01d80a579da23e28",
+    ("O-", 5, 4): "39d8e6e148d6a689208bca5377c527d5e2e142167d866a82b5c476ec641f6b3f",
+    ("O+", 5, 4): "70691c476877a7d0951e0718868053c1d037ea13cbf1ac47e9cbd422ee0fca49",
+    ("O-", 9, 4): "72256145b42c38963c607b5175e59225f06905a7e1b9221832ce2f6bda6c3561",
+    ("Oodd", 3, 5): "a1d34687e2de5560e4a2d52d3833b17aad79f2acdb8cd4412e408e3b85921191",
+    ("O+", 3, 6): "b50b3d9ca445bb5a5cc3a6f74880425317220f408b7517564a7b83fc7f28317e",
+    ("PSO-", 3, 4): "d4f731d12d165b1a4e7db3c497045cbf0d5a66f67d075c4ca36a91c56bd4ef90",
+}
+
+
+@pytest.mark.parametrize("fam,q,n", sorted(GOLDEN_SHA256))
+def test_canonical_signatures_match_golden_hashes(fam, q, n):
+    import hashlib
+    import json
+
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    doc = json.dumps(ls.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == GOLDEN_SHA256[(fam, q, n)]

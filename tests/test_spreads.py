@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orthosig.fields import make_tower
+from orthosig.fields import fq_context, make_tower
 from orthosig.forms import _projective_reps, build_space, enumerate_isotropic_points
-from orthosig.matgroups import descriptor, identity, standard_generators
+from orthosig.matgroups import Mat, descriptor, identity, standard_generators
 from orthosig.spreads import (
     NotAPartialSpread,
     PartialSpread,
     classical_spread,
+    act_rref,
     act_subspace,
+    cyclic_orbit,
+    first_return,
     orbit_partial_spread,
+    schreier_transversal,
     span_points,
     subspace,
     subspace_contains,
@@ -131,3 +136,81 @@ def test_act_subspace():
     W = subspace(s.fq, [s.e_vec(0), s.e_vec(1)])
     g = identity(s.fq, 4)
     assert act_subspace(g, W).key == W.key
+
+
+# ---------------------------------------------------------------- batched kernel
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]),
+       st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=4), st.data())
+def test_hypothesis_batched_act_matches_one_at_a_time(pe, n, r, k, data):
+    # q = 3, 5, 7, 9, 25: the einsum path and the table path
+    fq = fq_context(*pe)
+    entries = st.integers(min_value=0, max_value=fq.q - 1)
+    mats = np.array(data.draw(st.lists(entries, min_size=k * n * n, max_size=k * n * n)),
+                    dtype=np.int16).reshape(k, n, n)
+    rows = np.array(data.draw(st.lists(entries, min_size=r * n, max_size=r * n)),
+                    dtype=np.int16).reshape(r, n)
+    R, rank = act_rref(fq, mats, rows)
+    for i in range(k):
+        imgs = np.array([fq.mat_vec(mats[i], v) for v in rows], dtype=np.int16)
+        R1, piv = fq.rref(imgs)
+        assert np.array_equal(R[i], R1)
+        assert rank[i] == len(piv)
+        S = act_subspace(Mat(fq, mats[i]), subspace(fq, rows))
+        assert S.rows == tuple(tuple(int(c) for c in row) for row in R1[:len(piv)])
+        assert S.key == R[i, :rank[i]].tobytes()
+
+
+def _reference_orbit(g, W, cap):
+    out, cur = [W], W
+    for _ in range(cap):
+        cur = act_subspace(g, cur)
+        if cur.key in {o.key for o in out}:
+            break
+        out.append(cur)
+    return out
+
+
+def test_cyclic_orbit_and_first_return_match_stepping():
+    s = build_space("minus", make_tower(3, 1, 2))
+    a, _, _ = standard_generators(descriptor("O-", 3, n=4), s)
+    pts = enumerate_isotropic_points(s)
+    gens = [a, a.pow(2), a * a.transpose(), identity(s.fq, 4)]
+    for W in (subspace(s.fq, [v]) for v in pts[:4]):
+        for g in gens:
+            for cap in (1, 3, 11):
+                want = _reference_orbit(g, W, cap)
+                assert [o.key for o in cyclic_orbit(g, W, cap)] == [o.key for o in want]
+        ret = first_return(s.fq, np.stack([g.a for g in gens]), W.basis(), 11)
+        for g, t in zip(gens, ret):
+            orbit = _reference_orbit(g, W, 12)
+            assert t == (len(orbit) if len(orbit) <= 11 else 0)
+
+
+@pytest.mark.parametrize("kind,p,e,m,r", [("minus", 3, 1, 2, 1), ("plus", 3, 1, 2, 2),
+                                          ("minus", 3, 2, 2, 1)])
+def test_schreier_transversal_keeps_bfs_order(kind, p, e, m, r):
+    # the batched BFS inserts nodes and transporters exactly as the
+    # one-generator-at-a-time BFS does
+    from orthosig.forms import o_generators
+
+    s = build_space(kind, make_tower(p, e, m))
+    gens = o_generators(s)
+    W0 = subspace(s.fq, [s.e_vec(i) for i in range(r)])
+    want = {W0.key: identity(s.fq, s.n)}
+    frontier = [W0]
+    while frontier:
+        new = []
+        for node in frontier:
+            for g in gens:
+                img = act_subspace(g, node)
+                if img.key not in want:
+                    want[img.key] = g * want[node.key]
+                    new.append(img)
+        frontier = new
+    got = schreier_transversal(W0.basis(), gens)
+    assert list(got) == list(want)
+    assert all(got[k].key == want[k].key for k in want)
