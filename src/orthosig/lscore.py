@@ -1249,10 +1249,8 @@ def _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes):
     as one read from a file: each sampled product must lie in the group,
     and distinct index vectors must decode to distinct canonical index
     vectors (a birthday test for colliding products)."""
-    if ls.group is None:
-        raise LsError("sampled verification needs a decodable plan")
-    ref = canonical_ls(ls.group)
-    if ref.plan is None:
+    ref = canonical_ls(ls.group) if ls.group is not None else None
+    if ref is None or ref.plan is None:
         raise LsError("sampled verification needs a decodable plan")
     notes.append("signature has no decoding tables; sampled products are decoded "
                   "through the canonical construction")

@@ -125,7 +125,6 @@ def first_return(fq: FqContext, mats, bases, steps):
     """For each pair (g_i, B_i), the least t in 1..steps with
     g_i^t(B_i) = B_i, or 0 when there is none; that t is the size of the
     orbit of the subspace B_i under <g_i>.  Bases are echelon forms."""
-    mats = np.asarray(mats)
     home = np.broadcast_to(bases, (len(mats),) + np.shape(bases)[-2:])
     out = np.zeros(len(mats), dtype=np.intp)
     alive = np.arange(len(mats))
