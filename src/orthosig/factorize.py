@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import forms
-from .lscore import LogSignature, LsError, space_for
+from .lscore import LogSignature, LsError, block_product, space_for
 from .matgroups import Mat
 
 
@@ -58,9 +58,7 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
 def compose(iv: IndexVector, ls: LogSignature) -> Mat:
     """Product of the indexed block elements."""
     check_bounds(iv, ls)
-    g = None
-    for b, i in zip(ls.blocks, iv.indices):
-        g = b[i] if g is None else g * b[i]
+    g = block_product(ls.blocks, iv.indices)
     if g is None:
         raise FactorError("signature has no blocks")
     return g

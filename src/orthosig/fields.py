@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -299,7 +299,7 @@ class GF:
             yield int(sum(c * self.p ** i for i, c in enumerate(tail)))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _gf(p: int, d: int) -> GF:
     return GF(p, d)
 
@@ -361,7 +361,8 @@ class FqContext:
 
     def v_scale(self, s, u):
         if self.fast:
-            return (s * u) % self.p
+            # s * u overflows int16 once p > 181
+            return ((s * u.astype(np.int64)) % self.p).astype(np.int16)
         return self.MUL[s, u]
 
     def v_neg(self, u):
@@ -477,7 +478,7 @@ class FqContext:
         return s
 
 
-@lru_cache(maxsize=None)
+@cache
 def fq_context(p: int, e: int) -> FqContext:
     return FqContext(p, e)
 
@@ -727,7 +728,7 @@ class FieldTower:
         return f"FieldTower(p={self.p}, e={self.e}, m={self.m})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def make_tower(p: int, e: int, m: int) -> FieldTower:
     """Tower F_p < F_{p^e} < F_{p^em} < F_{p^2em}; rejects even/composite p."""
     return FieldTower(p, e, m)

@@ -1,5 +1,5 @@
 """Trace-defined quadratic geometries of minus, plus and odd kind, point
-classification, Witt bases, reflections, Siegel unipotents and the
+classification, Witt bases, reflections, Eichler (Siegel) maps and the
 isometry / special / commutator-subgroup membership tests.
 
 Working coordinates: every space carries a deterministic Witt basis and
@@ -11,7 +11,7 @@ anisotropic block.  Q(v) = f(v, v) / 2 throughout (odd characteristic).
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -151,10 +151,16 @@ def _projective_reps(fq, n):
             yield v
 
 
-def _witt_decompose(fq, G):
-    """Greedy hyperbolic-pair extraction; returns (C, witt_index, anis_rows)."""
+def _witt_decompose(fq, G, prescribed=()):
+    """Greedy hyperbolic-pair extraction; returns (C, witt_index, anis_rows).
+
+    The singular vectors of the leading pairs are the prescribed rows, in
+    order (they must span a totally singular subspace); the remaining pairs
+    come from the deterministic scan of the complement.
+    """
     n = G.shape[0]
     comp = [np.eye(n, dtype=np.int16)[i] for i in range(n)]
+    pres = [np.asarray(v, dtype=np.int16) for v in prescribed]
     pairs = []
 
     def bil(u, v):
@@ -163,16 +169,25 @@ def _witt_decompose(fq, G):
     def quad(v):
         return fq.quad(G, v)
 
+    def project(w, sing, partner):
+        w2 = fq.v_add(w, fq.v_scale(fq.neg(bil(w, partner)), sing))
+        return fq.v_add(w2, fq.v_scale(fq.neg(bil(w2, sing)), partner))
+
     while True:
         k = len(comp)
-        sing = None
-        for coeffs in _canonical_coeffs(fq.q, k):
-            v = _combo(fq, coeffs, comp)
-            if quad(v) == 0:
-                sing = v
+        if pres:
+            sing = pres.pop(0)
+            if quad(sing) != 0:
+                raise GeometryError("prescribed vector is not singular")
+        else:
+            sing = None
+            for coeffs in _canonical_coeffs(fq.q, k):
+                v = _combo(fq, coeffs, comp)
+                if quad(v) == 0:
+                    sing = v
+                    break
+            if sing is None:
                 break
-        if sing is None:
-            break
         partner = None
         for coeffs in _canonical_coeffs(fq.q, k):
             u = _combo(fq, coeffs, comp)
@@ -187,13 +202,9 @@ def _witt_decompose(fq, G):
         if qq:
             partner = fq.v_add(partner, fq.v_scale(fq.neg(qq), sing))
         pairs.append((sing, partner))
-        new_comp = []
-        for w in comp:
-            w2 = fq.v_add(w, fq.v_scale(fq.neg(bil(w, partner)), sing))
-            w2 = fq.v_add(w2, fq.v_scale(fq.neg(bil(w2, sing)), partner))
-            new_comp.append(w2)
-        R, piv = fq.rref(np.array(new_comp, dtype=np.int16))
+        R, piv = fq.rref(np.array([project(w, sing, partner) for w in comp], dtype=np.int16))
         comp = [R[i] for i in range(len(piv))]
+        pres = [project(w, sing, partner) for w in pres]
     R = len(pairs)
     cols = [p[0] for p in pairs] + [p[1] for p in pairs] + comp
     C = np.ascontiguousarray(np.array(cols, dtype=np.int16).T)
@@ -220,7 +231,7 @@ def _combo(fq, coeffs, basis):
 # space constructors
 
 
-@lru_cache(maxsize=None)
+@cache
 def build_space(kind: str, tower: FieldTower) -> QuadraticSpace:
     """The trace-defined geometry of the given kind on the tower's top field.
 
@@ -392,42 +403,43 @@ def membership(space: QuadraticSpace, g: Mat, family: str) -> bool:
     return omega_rank_criterion(space, g)
 
 
+def _rank_update(fq, X, Y):
+    """I + X Y for X of shape (n, k) and Y of shape (k, n)."""
+    return fq.v_add(fq.identity(X.shape[0]), fq.mat_mul(X, Y))
+
+
 def reflection(space: QuadraticSpace, v) -> Mat:
-    """r_v(u) = u - f(u,v)/Q(v) * v; needs Q(v) != 0."""
+    """r_v(u) = u - f(u,v)/Q(v) * v, the matrix I - Q(v)^-1 v (Gv)^T;
+    needs Q(v) != 0."""
     v = np.asarray(v, dtype=np.int16)
     qv = space.Q(v)
     if qv == 0:
         raise GeometryError("reflection in a singular vector divides by zero")
     fq = space.fq
-    qinv = fq.inv(qv)
-    cols = []
-    for j in range(space.n):
-        b = np.zeros(space.n, dtype=np.int16)
-        b[j] = 1
-        coef = fq.mul(space.f(b, v), qinv)
-        cols.append(fq.v_add(b, fq.v_scale(fq.neg(coef), v)))
-    return Mat(fq, np.array(cols, dtype=np.int16).T)
+    col = fq.v_scale(fq.neg(fq.inv(qv)), v)
+    return Mat(fq, _rank_update(fq, col[:, None], fq.mat_vec(space.gram, v)[None, :]))
+
+
+def eichler(fq: FqContext, gram, i, u):
+    """The Eichler (Siegel) map of the hyperbolic pair (e_i, f_i) of a Witt
+    frame along u orthogonal to that pair,
+    v -> v + f(v,e_i) u - f(v,u) e_i - Q(u) f(v,e_i) e_i,
+    as the matrix I + u (G e_i)^T - e_i (G u + Q(u) G e_i)^T."""
+    u = np.asarray(u, dtype=np.int16)
+    ge = gram[:, i]
+    e = np.zeros(len(u), dtype=np.int16)
+    e[i] = fq.neg(1)
+    w = fq.v_add(fq.mat_vec(gram, u), fq.v_scale(fq.quad(gram, u), ge))
+    return _rank_update(fq, np.stack([u, e], axis=1), np.stack([ge, w]))
 
 
 def siegel_unipotent(space: QuadraticSpace, u) -> Mat:
-    """v -> v + f(v,e1) u - f(v,u) e1 - Q(u) f(v,e1) e1 for u in <e1,f1>-perp."""
+    """The Eichler map of the first hyperbolic pair (e1, f1) along u in
+    <e1,f1>-perp."""
     u = np.asarray(u, dtype=np.int16)
-    fq = space.fq
-    e1 = space.e_vec(0)
-    f1 = space.f_vec(0)
-    if space.f(u, e1) != 0 or space.f(u, f1) != 0:
+    if space.f(u, space.e_vec(0)) != 0 or space.f(u, space.f_vec(0)) != 0:
         raise GeometryError("u must be orthogonal to the first hyperbolic pair")
-    qu = space.Q(u)
-    cols = []
-    for j in range(space.n):
-        b = np.zeros(space.n, dtype=np.int16)
-        b[j] = 1
-        fbe = space.f(b, e1)
-        img = fq.v_add(b, fq.v_scale(fbe, u))
-        img = fq.v_add(img, fq.v_scale(fq.neg(space.f(b, u)), e1))
-        img = fq.v_add(img, fq.v_scale(fq.neg(fq.mul(qu, fbe)), e1))
-        cols.append(img)
-    return Mat(fq, np.array(cols, dtype=np.int16).T)
+    return Mat(space.fq, eichler(space.fq, space.gram, 0, u))
 
 
 def witt_basis(space: QuadraticSpace):
@@ -439,28 +451,10 @@ def witt_basis(space: QuadraticSpace):
 # isometry group generators and oracles
 
 
-@lru_cache(maxsize=None)
-def _reflections_cached(space_id):
-    space = _SPACES[space_id]
-    out = []
-    for v in space.points():
-        if space.Q(v) != 0:
-            out.append(reflection(space, v))
-    return out
-
-
-_SPACES: dict[int, QuadraticSpace] = {}
-
-
-def _space_id(space):
-    sid = id(space)
-    _SPACES[sid] = space
-    return sid
-
-
+@cache
 def reflections(space: QuadraticSpace):
     """All reflections, one per non-singular projective point."""
-    return _reflections_cached(_space_id(space))
+    return [reflection(space, v) for v in space.points() if space.Q(v) != 0]
 
 
 def o_generators(space: QuadraticSpace):
@@ -475,33 +469,22 @@ def so_generators(space: QuadraticSpace):
     return [r0 * r for r in refl[1:]]
 
 
-@lru_cache(maxsize=None)
-def _o_group_cached(space_id):
-    space = _SPACES[space_id]
-    return mulclose(reflections(space))
-
-
+@cache
 def enumerate_isometry_group(space: QuadraticSpace, family="O"):
     """Full enumeration by closure (desk scale only)."""
-    els = _o_group_cached(_space_id(space))
     if family == "O":
-        return els
+        return mulclose(reflections(space))
     if family == "SO":
-        return [g for g in els if g.det() == 1]
+        return [g for g in enumerate_isometry_group(space, "O") if g.det() == 1]
     raise ValueError(family)
 
 
-@lru_cache(maxsize=None)
-def _omega_oracle_cached(space_id):
-    space = _SPACES[space_id]
-    els = derived_subgroup(o_generators(space))
-    return {g.key for g in els}, els
-
-
+@cache
 def omega_oracle(space: QuadraticSpace):
     """Key set and elements of the commutator subgroup of the full isometry
     group, computed as a normal closure of generator commutators."""
-    return _omega_oracle_cached(_space_id(space))
+    els = derived_subgroup(o_generators(space))
+    return {g.key for g in els}, els
 
 
 def omega_audit(space: QuadraticSpace):
@@ -628,7 +611,7 @@ def _match_anisotropic(fq, At, Am, ad):
     if ad == 0:
         return 1, np.zeros((0, 0), dtype=np.int16)
     for lam in [1] + list(range(2, fq.q)):
-        target = fq.MUL[lam, Am] if not fq.fast else (lam * Am) % fq.p
+        target = fq.v_scale(lam, Am)
         if ad == 1:
             for c in range(1, fq.q):
                 if fq.mul(fq.mul(c, c), int(At[0, 0])) == int(target[0, 0]):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .matgroups import (
 from . import forms
 from .forms import QuadraticSpace, build_line_space, build_space
 from . import spreads as spr
-from .spreads import PartialSpread, Subspace, act_subspace, subspace
+from .spreads import PartialSpread, Subspace, subspace
 
 
 class LsError(RuntimeError):
@@ -51,10 +51,6 @@ class InjectivityFail(LsError):
     def __init__(self, msg, witnesses=None):
         super().__init__(msg)
         self.witnesses = witnesses or []
-
-
-class SearchNotFound(LsError):
-    pass
 
 
 class UnsupportedFamily(LsError):
@@ -114,6 +110,38 @@ class LogSignature:
 
 def _jsonable(v):
     return isinstance(v, (str, int, float, bool, list, dict, type(None)))
+
+
+def block_product(blocks, iv):
+    """The left-to-right product of the indexed block elements (None for
+    no blocks)."""
+    g = None
+    for b, i in zip(blocks, iv):
+        g = b[i] if g is None else g * b[i]
+    return g
+
+
+def block_products(blocks):
+    """(index vector, block product) for every index vector, in
+    itertools.product order (the last block varies fastest).  Each product
+    extends the cached product of its prefix, so a step costs about one
+    multiplication."""
+    sizes = [len(b) for b in blocks]
+    iv = [0] * len(blocks)
+    prefix = [None] * len(blocks)
+    start = 0  # first position whose prefix product is stale
+    while True:
+        for t in range(start, len(blocks)):
+            x = blocks[t][iv[t]]
+            prefix[t] = x if t == 0 else prefix[t - 1] * x
+        yield tuple(iv), prefix[-1] if blocks else None
+        for start in range(len(blocks) - 1, -1, -1):
+            iv[start] += 1
+            if iv[start] < sizes[start]:
+                break
+            iv[start] = 0
+        else:
+            return
 
 
 # ----------------------------------------------------------------------
@@ -185,10 +213,7 @@ def semidirect_ls(A: list[Mat], B: list[Mat]) -> LogSignature:
     ident = identity(A[0].fq, A[0].n) if A else identity(B[0].fq, B[0].n)
     if inter - {ident.key}:
         raise LsError("blocks share a nonidentity element")
-    prods = set()
-    for a in A:
-        for b in B:
-            prods.add((a * b).key)
+    prods = {g.key for _, g in block_products([A, B])}
     if len(prods) != len(A) * len(B):
         raise LsError("product set collapses; not a semidirect factorization")
     blocks = [blk for blk in (list(A), list(B)) if len(blk) > 1]
@@ -200,25 +225,6 @@ def semidirect_ls(A: list[Mat], B: list[Mat]) -> LogSignature:
 
 # ----------------------------------------------------------------------
 # stabilizer machinery (working coordinates, standard Witt frame)
-
-
-def _siegel_np(fq, gram, R, u):
-    """Siegel unipotent for the pair (unit_0, unit_R) of a standard frame."""
-    n = gram.shape[0]
-    u = np.asarray(u, dtype=np.int16)
-    qu = fq.quad(gram, u)
-    cols = []
-    e1 = np.zeros(n, dtype=np.int16)
-    e1[0] = 1
-    for j in range(n):
-        b = np.zeros(n, dtype=np.int16)
-        b[j] = 1
-        fbe = fq.bil(gram, b, e1)
-        img = fq.v_add(b, fq.v_scale(fbe, u))
-        img = fq.v_add(img, fq.v_scale(fq.neg(fq.bil(gram, b, u)), e1))
-        img = fq.v_add(img, fq.v_scale(fq.neg(fq.mul(qu, fbe)), e1))
-        cols.append(img)
-    return np.ascontiguousarray(np.array(cols, dtype=np.int16).T)
 
 
 def _gl1_np(fq, n, R, lam):
@@ -250,17 +256,12 @@ def _default_w0(space: QuadraticSpace, r: int) -> Subspace:
     return subspace(space.fq, rows)
 
 
-@lru_cache(maxsize=None)
-def _ts_orbit_cached(space_id, r, det1):
-    space = forms._SPACES[space_id]
-    gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-    return spr.schreier_transversal(_default_w0(space, r).basis(), gens)
-
-
+@cache
 def ts_subspace_transporters(space, r, det1):
     """Transporters from the default base to every totally singular r-space
     reachable in the chosen group (all of them, by Witt transitivity)."""
-    return _ts_orbit_cached(forms._space_id(space), r, det1)
+    gens = forms.so_generators(space) if det1 else forms.o_generators(space)
+    return spr.schreier_transversal(_default_w0(space, r).basis(), gens)
 
 
 def _try_partition(space, members, L):
@@ -404,29 +405,23 @@ def _scan_for_cyclic(space, M, W0cands, L, det1, notes):
     return None
 
 
-_SPREAD_CACHE: dict = {}
-
-
 def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
     """Verified partial-spread layer for the given family on this space.
 
     Tries the literal cyclic block first, then a cyclic block found by a
     bounded deterministic scan, then the twisted half-orbit layering, and
     finally the always-valid transversal over the trivial point spread.
+    Only the determinant condition of the family matters, so the plan is
+    built once per space for O and once for SO.
     """
-    cache_key = (id(space), family.startswith("SO"))
-    if cache_key in _SPREAD_CACHE:
-        return _SPREAD_CACHE[cache_key]
-    plan = _spread_construction(space, family)
-    _SPREAD_CACHE[cache_key] = plan
-    return plan
+    return _spread_construction(space, family.startswith("SO"))
 
 
-def _spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
+@cache
+def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     kind = space.kind
     q, m = space.q, space.m
     L = space.isotropic_points()
-    det1 = family.startswith("SO")
     notes = []
     if not L:
         return SpreadPlan("empty", None, None, [], {}, {}, True, notes, None)
@@ -503,74 +498,6 @@ def _point_member_map(space, plan):
 
 
 # ----------------------------------------------------------------------
-# frame adaptation
-
-
-def _witt_with_prescribed(fq, G, prescribed):
-    """Witt frame whose leading e-slots span the prescribed totally singular
-    rows; returns the basis matrix (columns)."""
-    n = G.shape[0]
-    comp = [np.eye(n, dtype=np.int16)[i] for i in range(n)]
-    pres = [np.array(v, dtype=np.int16, copy=True) for v in prescribed]
-
-    def bil(u, v):
-        return fq.bil(G, u, v)
-
-    def quad(v):
-        return fq.quad(G, v)
-
-    pairs = []
-    while True:
-        k = len(comp)
-        if pres:
-            sing = pres.pop(0)
-            if quad(sing) != 0:
-                raise LsError("prescribed vector is not singular")
-        else:
-            sing = None
-            for coeffs in forms._canonical_coeffs(fq.q, k):
-                v = forms._combo(fq, coeffs, comp)
-                if quad(v) == 0:
-                    sing = v
-                    break
-            if sing is None:
-                break
-        partner = None
-        for coeffs in forms._canonical_coeffs(fq.q, k):
-            u = forms._combo(fq, coeffs, comp)
-            if bil(sing, u) != 0:
-                partner = u
-                break
-        if partner is None:
-            raise LsError("cannot complete hyperbolic pair")
-        s = fq.inv(bil(sing, partner))
-        partner = fq.v_scale(s, partner)
-        qq = quad(partner)
-        if qq:
-            partner = fq.v_add(partner, fq.v_scale(fq.neg(qq), sing))
-        pairs.append((sing, partner))
-        new_comp = []
-        for w in comp:
-            w2 = fq.v_add(w, fq.v_scale(fq.neg(bil(w, partner)), sing))
-            w2 = fq.v_add(w2, fq.v_scale(fq.neg(bil(w2, sing)), partner))
-            new_comp.append(w2)
-        R, piv = fq.rref(np.array(new_comp, dtype=np.int16))
-        comp = [R[i] for i in range(len(piv))]
-        new_pres = []
-        for w in pres:
-            w2 = fq.v_add(w, fq.v_scale(fq.neg(bil(w, partner)), sing))
-            w2 = fq.v_add(w2, fq.v_scale(fq.neg(bil(w2, sing)), partner))
-            new_pres.append(w2)
-        pres = new_pres
-    R = len(pairs)
-    cols = [p[0] for p in pairs] + [p[1] for p in pairs] + comp
-    T = np.ascontiguousarray(np.array(cols, dtype=np.int16).T)
-    if fq.rank(T) != n:
-        raise LsError("adapted frame is degenerate")  # pragma: no cover
-    return T, R
-
-
-# ----------------------------------------------------------------------
 # canonical signatures
 
 
@@ -581,11 +508,7 @@ class _TablePlan:
         self.blocks = blocks
         self.fq = fq
         self.table = {}
-        sizes = [len(b) for b in blocks]
-        for iv in itertools.product(*[range(s) for s in sizes]):
-            g = None
-            for b, i in zip(blocks, iv):
-                g = b[i] if g is None else g * b[i]
+        for iv, g in block_products(blocks):
             if g is None:
                 continue
             key = g.key
@@ -664,7 +587,7 @@ class _StagePlan:
         for pos in self.SP:
             out.extend(self.fq.gf.coeffs(int(u[pos])))
         out.extend(digits_of(gidx, self.gl1_radices))
-        rho_inv = _siegel_np(fq, self.work_gram, R, fq.v_neg(u))
+        rho_inv = forms.eichler(fq, self.work_gram, 0, fq.v_neg(u))
         d_inv = _gl1_np(fq, n, R, fq.inv(lam))
         yw = fq.mat_mul(d_inv, fq.mat_mul(rho_inv, hw))
         if stats is not None:
@@ -681,10 +604,7 @@ class _StagePlan:
         return out
 
 
-_CANONICAL_CACHE: dict = {}
-
-
-@lru_cache(maxsize=None)
+@cache
 def space_for(desc: GroupDescriptor) -> QuadraticSpace:
     """The quadratic space of the descriptor, built once per descriptor:
     decoding and verification look it up for every element."""
@@ -695,6 +615,7 @@ def space_for(desc: GroupDescriptor) -> QuadraticSpace:
     return build_space(desc.kind, make_tower(desc.p, desc.e, m_tower))
 
 
+@cache
 def canonical_ls(desc: GroupDescriptor) -> LogSignature:
     """The canonical tame signature for the descriptor.
 
@@ -703,9 +624,6 @@ def canonical_ls(desc: GroupDescriptor) -> LogSignature:
     construction succeeds; the transversal fallback stays valid and tame
     but leaves one unrefined block (reported in meta).
     """
-    key = (desc.family, desc.q, desc.n)
-    if key in _CANONICAL_CACHE:
-        return _CANONICAL_CACHE[key]
     base = desc.base_family()
     if base == "PSO":
         inner = canonical_ls(descriptor("SO" + desc.family[3:], desc.q, n=desc.n))
@@ -719,7 +637,6 @@ def canonical_ls(desc: GroupDescriptor) -> LogSignature:
             ls = LogSignature(descriptor("P" + inner.group.family, desc.q, n=desc.n),
                               ls.blocks, ls.claimed_order, meta=dict(ls.meta))
             ls.plan = inner.plan
-        _CANONICAL_CACHE[key] = ls
         return ls
     if base not in ("O", "SO"):
         raise UnsupportedFamily(
@@ -731,7 +648,6 @@ def canonical_ls(desc: GroupDescriptor) -> LogSignature:
         ls = _staged_ls(desc)
     if ls.claimed_order != group_order(desc):
         raise LsError("constructed signature does not match the group order")  # pragma: no cover
-    _CANONICAL_CACHE[key] = ls
     return ls
 
 
@@ -797,7 +713,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
 
     # adapted frame
     W0 = sp_plan.W0
-    T0, Rw = _witt_with_prescribed(fq, space.gram, [np.asarray(r, dtype=np.int16) for r in W0.rows])
+    T0, Rw, _ = forms._witt_decompose(fq, space.gram, W0.rows)
     if Rw != space.witt_index:
         raise LsError("adapted frame lost hyperbolic pairs")  # pragma: no cover
     T, Tinv = T0, fq.mat_inv(T0)
@@ -858,7 +774,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
             for c in range(fq.p):
                 u = np.zeros(n, dtype=np.int16)
                 u[pos] = fq.mul(c % fq.q, th)
-                blk.append(globalize(_siegel_np(fq, work_gram, Rwork, u)))
+                blk.append(globalize(forms.eichler(fq, work_gram, 0, u)))
             blocks.append(blk)
 
     # GL1 block
@@ -947,7 +863,7 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
             for th in [fq.gf.from_coeffs([0] * t + [1]) for t in range(fq.e)]:
                 u = np.zeros(n, dtype=np.int16)
                 u[pos] = th
-                gens.append(Mat(fq, _siegel_pair_np(fq, space.gram, R, i, u)))
+                gens.append(Mat(fq, forms.eichler(fq, space.gram, i, u)))
     Rgrp = mulclose(gens) if gens else [identity(fq, n)]
     expected_R = q ** (k * (k - 1) // 2 + k * (n - 2 * k))
     if len(Rgrp) != expected_R:
@@ -989,25 +905,6 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
                       meta={"shape": "parabolic", "k": k, "family": family,
                             "R_size": len(Rgrp), "Q_size": len(Qblk)})
     return ls
-
-
-def _siegel_pair_np(fq, gram, R, i, u):
-    """Eichler map for the pair (unit_i, unit_{R+i})."""
-    n = gram.shape[0]
-    u = np.asarray(u, dtype=np.int16)
-    ei = np.zeros(n, dtype=np.int16)
-    ei[i] = 1
-    qu = fq.quad(gram, u)
-    cols = []
-    for j in range(n):
-        b = np.zeros(n, dtype=np.int16)
-        b[j] = 1
-        fbe = fq.bil(gram, b, ei)
-        img = fq.v_add(b, fq.v_scale(fbe, u))
-        img = fq.v_add(img, fq.v_scale(fq.neg(fq.bil(gram, b, u)), ei))
-        img = fq.v_add(img, fq.v_scale(fq.neg(fq.mul(qu, fbe)), ei))
-        cols.append(img)
-    return np.ascontiguousarray(np.array(cols, dtype=np.int16).T)
 
 
 def _all_gl(fq, k):
@@ -1081,11 +978,7 @@ def project_ls(ls: LogSignature, center: list[Mat]) -> LogSignature:
         blocks2 = _fold_singletons(blocks2, fq, n)
         seen = {}
         ok = True
-        sizes = [len(b) for b in blocks2]
-        for iv in itertools.product(*[range(s) for s in sizes]):
-            g = None
-            for b, i in zip(blocks2, iv):
-                g = b[i] if g is None else g * b[i]
+        for iv, g in block_products(blocks2):
             key = canonical_lift(g).key
             if key in seen:
                 ok = False
@@ -1182,7 +1075,6 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
     if mode == "exhaustive":
         if ls.claimed_order > budget:
             raise LsError(f"exhaustive verification needs claimed_order <= {budget}")
-        sizes = [len(b) for b in ls.blocks]
         if ls.blocks:
             ident = identity(ls.blocks[0][0].fq, ls.blocks[0][0].n)
         elif ls.group is not None:
@@ -1193,12 +1085,7 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         collisions = []
         bad = 0
         count = 0
-        iv = [0] * len(sizes)
-        done = False
-        while not done:
-            g = None
-            for b, i in zip(ls.blocks, iv):
-                g = b[i] if g is None else g * b[i]
+        for iv, g in block_products(ls.blocks):
             if g is None:
                 g = ident
             key = canonical_lift(g).key if projective else g.key
@@ -1210,15 +1097,6 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
             if space is not None and fam is not None:
                 if not forms.membership(space, g, fam):
                     bad += 1
-            for pos in range(len(sizes) - 1, -1, -1):
-                iv[pos] += 1
-                if iv[pos] < sizes[pos]:
-                    break
-                iv[pos] = 0
-            else:
-                done = True
-            if not sizes:
-                done = True
         valid = not collisions and bad == 0 and len(seen) == ls.claimed_order
         return VerifyReport(valid, mode, length, bound, valid and length == bound,
                             ls.claimed_order, count, collisions, bad, None, notes)
@@ -1230,10 +1108,7 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         failures = []
         for _ in range(samples):
             iv = [rng.randrange(s) for s in sizes]
-            g = None
-            for b, i in zip(ls.blocks, iv):
-                g = b[i] if g is None else g * b[i]
-            got = ls.plan.decode(g)
+            got = ls.plan.decode(block_product(ls.blocks, iv))
             if got != iv:
                 failures.append({"iv": iv, "got": got})
                 if len(failures) > 5:
@@ -1261,9 +1136,9 @@ def _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes):
     bad = 0
     for _ in range(samples):
         iv = [rng.randrange(len(b)) for b in ls.blocks]
-        g = identity(ref.plan.fq, ls.group.n)
-        for b, i in zip(ls.blocks, iv):
-            g = g * b[i]
+        g = block_product(ls.blocks, iv)
+        if g is None:
+            g = identity(ref.plan.fq, ls.group.n)
         if space is not None and not forms.membership(space, g, fam):
             bad += 1
             continue
@@ -1278,80 +1153,3 @@ def _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes):
     bound = min_length_bound(ls.claimed_order).bound
     return VerifyReport(valid, "sampled", ls.length, bound, valid and ls.length == bound,
                         ls.claimed_order, samples, collisions, bad, seed, notes)
-
-
-# ----------------------------------------------------------------------
-# strict fallback search (cyclic targets only)
-
-
-def fallback_search(space: QuadraticSpace, family: str, target_orders,
-                    seed=42, budget=4000):
-    """Search for a literal cyclic pair (a, b) with the given orders and
-    sharp actions.  Raises SearchNotFound when the budget is exhausted;
-    the layered construction in spread_construction is the general
-    recovery path.
-    """
-    ta, tb = target_orders
-    L = space.isotropic_points()
-    if not L:
-        raise SearchNotFound("no singular points to act on")
-    det1 = family.startswith("SO")
-    kind = space.kind
-    r = {"minus": space.m - 1, "plus": space.m, "odd": space.m}[kind]
-    M = len(L) * (space.q - 1) // (space.q ** r - 1)
-    gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-    W0 = _default_w0(space, r)
-    a_found = None
-    b_found = None
-    count = 0
-    seen = {identity(space.fq, space.n).key}
-    frontier = [identity(space.fq, space.n)]
-    t = (space.q ** r - 1) // (space.q - 1)
-    while frontier and count < budget and (a_found is None or b_found is None):
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y.key in seen:
-                    continue
-                seen.add(y.key)
-                new.append(y)
-                count += 1
-                try:
-                    o = element_order(y, max(ta, tb))
-                except Exception:
-                    o = -1
-                if a_found is None and o == ta and M == ta:
-                    if _try_cyclic(space, y, M, W0, L):
-                        a_found = y
-                if b_found is None and o == tb:
-                    if _sharp_on_base(space, y, W0, t):
-                        b_found = y
-                if count >= budget:
-                    break
-            if count >= budget:
-                break
-        frontier = new
-    if a_found is None or b_found is None:
-        missing = "a" if a_found is None else "b"
-        raise SearchNotFound(
-            f"no cyclic {missing}-block with target orders {target_orders} "
-            f"within budget {budget}"
-        )
-    return a_found, b_found
-
-
-def _sharp_on_base(space, g, W0, t):
-    if act_subspace(g, W0).key != W0.key:
-        return False
-    w = np.asarray(W0.rows[0], dtype=np.int16)
-    seenp = set()
-    cur = w
-    for _ in range(t):
-        k = space.canon(cur).tobytes()
-        if k in seenp:
-            return False
-        seenp.add(k)
-        cur = g.act(cur)
-    wpts = {v.tobytes() for v in spr.span_points(space.fq, W0)}
-    return seenp == wpts

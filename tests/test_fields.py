@@ -193,3 +193,16 @@ def test_fq_context_tables():
     fq9 = fq_context(3, 2)
     for a in range(1, 9):
         assert fq9.mul(a, fq9.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p", [181, 191, 193])
+def test_v_scale_matches_scalar_mul_for_large_p(p):
+    # s * u no longer fits int16 once p > 181: 190 * 190 mod 191 is 1
+    import numpy as np
+
+    fq = fq_context(p, 1)
+    u = np.arange(p, dtype=np.int16)
+    for s in range(p):
+        got = fq.v_scale(s, u)
+        assert got.dtype == np.int16
+        assert got.tolist() == [fq.mul(s, x) for x in range(p)]

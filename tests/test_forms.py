@@ -2,13 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from orthosig.fields import make_tower
+from orthosig.fields import fq_context, make_tower
 from orthosig.forms import (
     GeometryError,
     build_line_space,
     build_space,
     classify_point,
+    eichler,
     enumerate_isotropic_points,
     find_anisotropic_plane,
     gram_restriction,
@@ -256,3 +258,45 @@ def test_omega_oracle_is_closed(minus32):
         g, h = rng.choice(els), rng.choice(els)
         assert (g * h).key in keys
         assert g.inv().key in keys
+
+
+def _eichler_by_columns(fq, gram, i, u):
+    """Reference: the image of each unit vector b under
+    v -> v + f(v,e_i) u - f(v,u) e_i - Q(u) f(v,e_i) e_i, one column at a time."""
+    n = gram.shape[0]
+    ei = np.zeros(n, dtype=np.int16)
+    ei[i] = 1
+    qu = fq.quad(gram, u)
+    cols = []
+    for j in range(n):
+        b = np.zeros(n, dtype=np.int16)
+        b[j] = 1
+        fbe = fq.bil(gram, b, ei)
+        img = fq.v_add(b, fq.v_scale(fbe, u))
+        img = fq.v_add(img, fq.v_scale(fq.neg(fq.bil(gram, b, u)), ei))
+        img = fq.v_add(img, fq.v_scale(fq.neg(fq.mul(qu, fbe)), ei))
+        cols.append(img)
+    return np.array(cols, dtype=np.int16).T
+
+
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]),
+       st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_eichler_closed_form_matches_columns(pe, R, anis, seed):
+    # standard Witt frame [[0, I, 0], [I, 0, 0], [0, 0, A]] with a random
+    # non-singular diagonal A, and u orthogonal to the pair (e_i, f_i)
+    fq = fq_context(*pe)
+    rng = np.random.default_rng(seed)
+    n = 2 * R + anis
+    gram = np.zeros((n, n), dtype=np.int16)
+    for j in range(R):
+        gram[j, R + j] = gram[R + j, j] = 1
+    for j in range(2 * R, n):
+        gram[j, j] = rng.integers(1, fq.q)
+    i = int(rng.integers(0, R))
+    u = rng.integers(0, fq.q, n).astype(np.int16)
+    u[i] = u[R + i] = 0
+    g = eichler(fq, gram, i, u)
+    assert g.dtype == np.int16
+    assert np.array_equal(g, _eichler_by_columns(fq, gram, i, u))
+    assert np.array_equal(fq.mat_mul(fq.mat_mul(np.ascontiguousarray(g.T), gram), g), gram)

@@ -11,11 +11,11 @@ from orthosig.lscore import (
     InjectivityFail,
     LogSignature,
     LsError,
-    SearchNotFound,
     UnsupportedFamily,
+    block_product,
+    block_products,
     canonical_ls,
     cyclic_set_mls,
-    fallback_search,
     min_length_bound,
     parabolic_ls,
     project_ls,
@@ -277,31 +277,6 @@ def test_spread_empty_for_anisotropic():
     assert plan.shape == "empty"
 
 
-# ---------------------------------------------------------------- fallback
-
-
-def test_fallback_search_plus_succeeds():
-    s = build_space("plus", make_tower(3, 1, 2))
-    a, b = fallback_search(s, "O+", (4, 8))
-    from orthosig.matgroups import element_order
-
-    assert element_order(a, 5) == 4
-    assert element_order(b, 9) == 8
-
-
-def test_fallback_search_impossible_cyclic_target():
-    # no order-10 cyclic block can be sharply transitive for minus type
-    s = build_space("minus", make_tower(3, 1, 2))
-    with pytest.raises(SearchNotFound):
-        fallback_search(s, "O-", (10, 2), budget=2500)
-
-
-def test_fallback_search_impossible_order():
-    s = build_space("plus", make_tower(3, 1, 2))
-    with pytest.raises(SearchNotFound):
-        fallback_search(s, "O+", (7, 8), budget=800)
-
-
 # ---------------------------------------------------------------- projection
 
 
@@ -362,13 +337,6 @@ def test_bound_additivity(s):
     assert min_length_bound(a * b).bound == min_length_bound(a).bound + min_length_bound(b).bound
 
 
-def test_fallback_search_deterministic():
-    s = build_space("plus", make_tower(3, 1, 2))
-    a1, b1 = fallback_search(s, "O+", (4, 8), seed=42)
-    a2, b2 = fallback_search(s, "O+", (4, 8), seed=42)
-    assert a1 == a2 and b1 == b2
-
-
 def test_parabolic_so_variant():
     space = build_space("minus", make_tower(3, 1, 2))
     ls = parabolic_ls(space, 1, "SO")
@@ -417,8 +385,10 @@ def test_so5_transversal_valid():
 
 
 # SHA-256 of json.dumps(canonical_ls(...).to_json(), sort_keys=True),
-# recorded before the subspace-orbit work was batched: every rung of the
-# construction ladder must keep producing the same blocks, in the same order.
+# recorded before the subspace-orbit work was batched (the first nine) and
+# before the Eichler maps, Witt frames and block-product loops were merged
+# (the last three): every rung of the construction ladder must keep
+# producing the same blocks, in the same order.
 GOLDEN_SHA256 = {
     ("O-", 3, 4): "9746ebc30dd2c080e75d247b2b620904e5c3f02f2bbbe1ac070e10cfeb319f8b",
     ("O+", 3, 4): "b02c4e3eaf63cfa9898a88f00cf52a07fe4dae484776b452654fdd9df7797fe0",
@@ -429,6 +399,9 @@ GOLDEN_SHA256 = {
     ("Oodd", 3, 5): "a1d34687e2de5560e4a2d52d3833b17aad79f2acdb8cd4412e408e3b85921191",
     ("O+", 3, 6): "b50b3d9ca445bb5a5cc3a6f74880425317220f408b7517564a7b83fc7f28317e",
     ("PSO-", 3, 4): "d4f731d12d165b1a4e7db3c497045cbf0d5a66f67d075c4ca36a91c56bd4ef90",
+    ("SO-", 5, 4): "3b31476699de4b35aeffb1239d69232eb04ed46ce32e0210af0e114d25f309ae",
+    ("PSO+", 5, 4): "486476f4e0da7d9d0368f6c56cc7f5b6a0ec807966929818cd22489f8ba2ece7",
+    ("Oodd", 5, 3): "452b1905ea1cfbc840e68e552758b245a1ecdeeb15d090dafaade80c3d209264",
 }
 
 
@@ -440,3 +413,41 @@ def test_canonical_signatures_match_golden_hashes(fam, q, n):
     ls = canonical_ls(descriptor(fam, q, n=n))
     doc = json.dumps(ls.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == GOLDEN_SHA256[(fam, q, n)]
+
+
+# SHA-256 of json.dumps(parabolic_ls(build_space(kind, make_tower(p, 1, m)),
+# k).to_json(), sort_keys=True), recorded before the Eichler maps were
+# merged: the unipotent radical is the closure of those maps.
+PARABOLIC_SHA256 = {
+    ("plus", 3, 2, 1): "0b94aa00e0d95357e6609ff9b86f8676d33319f9c8a2944121a8f560fa3d47ca",
+    ("plus", 3, 2, 2): "234f4825075a867c0ea2e706fe17eeb2427afb4fe9769e72668e9035caf5a693",
+    ("minus", 3, 2, 1): "25e3a027a8af7e46be1d05867e524e1ac6c2de74f0edce5707111647b48c3f07",
+    ("odd", 3, 2, 1): "e126dfd735ca392a45e2f39781b1b5ae31fc330164c0effd889da02ed91ec15a",
+    ("plus", 5, 2, 1): "7fa9d5473a46f28cd4425794c1836ec82f361fc2b345ce1d46a53627835d6408",
+}
+
+
+@pytest.mark.parametrize("kind,p,m,k", sorted(PARABOLIC_SHA256))
+def test_parabolic_signatures_match_golden_hashes(kind, p, m, k):
+    import hashlib
+    import json
+
+    ls = parabolic_ls(build_space(kind, make_tower(p, 1, m)), k)
+    doc = json.dumps(ls.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == PARABOLIC_SHA256[(kind, p, m, k)]
+
+
+@given(st.sampled_from([(3, 1), (3, 2), (5, 1)]),
+       st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_block_products_walk_in_product_order(pe, sizes, seed):
+    fq = fq_context(*pe)
+    rng = np.random.default_rng(seed)
+    blocks = [[Mat(fq, rng.integers(0, fq.q, (3, 3))) for _ in range(s)] for s in sizes]
+    walked = list(block_products(blocks))
+    assert [iv for iv, _ in walked] == list(itertools.product(*[range(s) for s in sizes]))
+    for iv, g in walked:
+        want = blocks[0][iv[0]]
+        for b, i in zip(blocks[1:], iv[1:]):
+            want = want * b[i]
+        assert g == want == block_product(blocks, iv)
