@@ -188,6 +188,14 @@ def cmd_construct(args):
     return _report(args, payload, lines, 0)
 
 
+def _is_canonical(ls, ls_file):
+    """Whether a signature read from a file is the canonical construction
+    ls, block for block and element for element."""
+    return [len(b) for b in ls.blocks] == [len(b) for b in ls_file.blocks] and all(
+        a.key == b.key for ba, bb in zip(ls.blocks, ls_file.blocks) for a, b in zip(ba, bb)
+    )
+
+
 def cmd_verify(args):
     ls_file = load_ls(args.infile)
     desc = ls_file.group
@@ -196,9 +204,7 @@ def cmd_verify(args):
         # a canonical file round-trips through its own tables; any other
         # file is sampled from its own blocks
         ls = canonical_ls(desc)
-        if [len(b) for b in ls.blocks] != [len(b) for b in ls_file.blocks] or any(
-            a.key != b.key for ba, bb in zip(ls.blocks, ls_file.blocks) for a, b in zip(ba, bb)
-        ):
+        if not _is_canonical(ls, ls_file):
             notes.append("file does not match the canonical construction")
             ls = ls_file
         rep = verify_ls(ls, mode="sampled", samples=args.samples, seed=args.seed, budget=args.budget)
@@ -220,7 +226,7 @@ def cmd_factor(args):
     ls_file = load_ls(args.infile)
     desc = ls_file.group
     ls = canonical_ls(desc)
-    mismatch = [len(b) for b in ls.blocks] != [len(b) for b in ls_file.blocks]
+    mismatch = not _is_canonical(ls, ls_file)
     if args.rank is None and args.element_file is None:
         return _report(args, {"error": "need --rank or --element-file"}, ["nothing to factor"], 2)
     if args.rank is not None:

@@ -362,6 +362,8 @@ class FqContext:
     def v_scale(self, s, u):
         if self.fast:
             # s * u overflows int16 once p > 181
+            if self.p <= 181 and u.dtype == np.int16 and getattr(s, "dtype", np.int16) == np.int16:
+                return (s * u) % self.p
             return ((s * u.astype(np.int64)) % self.p).astype(np.int16)
         return self.MUL[s, u]
 
@@ -378,6 +380,9 @@ class FqContext:
     def mat_mul(self, A, B):
         """A @ B; stacks of matrices broadcast as in numpy's matmul."""
         if self.fast:
+            if A.dtype == B.dtype == np.int16 and A.shape[-1] * (self.p - 1) ** 2 < 2 ** 15:
+                # every sum of products of codes fits int16, so no widening
+                return (A @ B) % self.p
             return ((A.astype(np.int64) @ B.astype(np.int64)) % self.p).astype(np.int16)
         G = self.MUL[A[..., :, :, None], B[..., None, :, :]]  # G[..., i, k, j]
         return reduce(lambda X, Y: self.ADD[X, Y], (G[..., k, :] for k in range(A.shape[-1])))
@@ -420,6 +425,17 @@ class FqContext:
         return len(self.rref(A)[1])
 
     def det(self, A):
+        """Determinant of an (n, n) matrix (an int), or of every matrix of
+        a (k, n, n) stack (an int16 array).  One matrix is eliminated row by
+        row; a stack of several is eliminated in one sweep over the columns,
+        which costs more numpy calls than the row loop for one matrix."""
+        if np.ndim(A) == 2:
+            return self._det_one(A)
+        if len(A) == 1:
+            return np.array([self._det_one(A[0])], dtype=np.int16)
+        return self._det_stack(A)
+
+    def _det_one(self, A):
         R = np.array(A, dtype=np.int16, copy=True)
         n = R.shape[0]
         d = 1
@@ -441,6 +457,45 @@ class FqContext:
                 if R[i, c]:
                     R[i] = self.v_add(R[i], self.v_scale(self.neg(int(R[i, c])), R[c]))
         return d
+
+    def _det_stack(self, A):
+        """In the style of spreads.rref_stack: at column c each matrix
+        swaps up to row c its first row at or below c that is nonzero there
+        (negating the determinant) and clears that column below; a column
+        with no such row zeroes the determinant."""
+        if self.fast:
+            p = self.p
+            R = np.array(A, dtype=np.int64) % p
+
+            def mul(a, b):
+                return (a * b) % p
+
+            def sub(a, b):
+                return (a - b) % p
+        else:
+            R = np.array(A, dtype=np.int16)
+
+            def mul(a, b):
+                return self.MUL[a, b]
+
+            def sub(a, b):
+                return self.ADD[a, self.NEG[b]]
+        k, n = R.shape[0], R.shape[-1]
+        d = np.ones(k, dtype=R.dtype)
+        for c in range(n):
+            sel = c + (R[:, c:, c] != 0).argmax(axis=1)
+            swap = np.flatnonzero(sel != c)
+            if len(swap):
+                top = R[swap, c]
+                R[swap, c] = R[swap, sel[swap]]
+                R[swap, sel[swap]] = top
+                d[swap] = sub(0, d[swap])
+            piv = R[:, c, c]
+            d = mul(piv, d)
+            if c + 1 < n:
+                row = mul(self.INV[piv][:, None], R[:, c])
+                R[:, c + 1:] = sub(R[:, c + 1:], mul(R[:, c + 1:, c, None], row[:, None, :]))
+        return d.astype(np.int16)
 
     def mat_inv(self, A):
         n = A.shape[0]

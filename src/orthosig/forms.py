@@ -22,7 +22,6 @@ from .matgroups import (
     identity,
     isotropic_point_count,
     mulclose,
-    neg_identity,
 )
 
 
@@ -365,11 +364,15 @@ def enumerate_isotropic_points(space: QuadraticSpace, check_count=True):
     return pts
 
 
+def preserves_form(fq: FqContext, G, A):
+    """Whether A^T G A = G, for one matrix or for each of a (k, n, n) stack."""
+    lhs = fq.mat_mul(fq.mat_mul(np.swapaxes(A, -1, -2), G), A)
+    return (lhs == G).all(axis=(-2, -1))
+
+
 def is_isometry(space: QuadraticSpace, g: Mat, frame="witt") -> bool:
     G = space.gram if frame == "witt" else space.gram_model
-    fq = space.fq
-    lhs = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(g.a.T), G), g.a)
-    return bool(np.array_equal(lhs, G))
+    return bool(preserves_form(space.fq, G, g.a))
 
 
 def omega_rank_criterion(space: QuadraticSpace, g: Mat) -> bool:
@@ -380,27 +383,34 @@ def omega_rank_criterion(space: QuadraticSpace, g: Mat) -> bool:
 
 
 def membership(space: QuadraticSpace, g: Mat, family: str) -> bool:
+    return bool(membership_many(space, g.a[None], family)[0])
+
+
+def membership_many(space: QuadraticSpace, A, family: str):
+    """Membership of each matrix of a (k, n, n) stack in the family's group,
+    as a boolean array: one stacked isometry test, one stacked determinant,
+    and the Omega criterion per remaining element."""
     base = family
     for pre in ("POmega", "PSO", "SO", "Omega", "O"):
         if family.startswith(pre):
             base = pre
             break
-    projective = base in ("PSO", "POmega")
-    if projective:
-        return membership(space, g, family[1:]) or membership(
-            space, neg_identity(space.fq, space.n) * g, family[1:]
-        )
-    if not is_isometry(space, g):
-        return False
+    fq = space.fq
+    A = np.asarray(A, dtype=np.int16)
+    if base in ("PSO", "POmega"):
+        return membership_many(space, A, family[1:]) | membership_many(space, fq.v_neg(A), family[1:])
+    ok = preserves_form(fq, space.gram, A)
     if base == "O":
-        return True
-    if g.det() != 1:
-        return False
+        return ok
+    idx = np.flatnonzero(ok)
+    ok[idx] = fq.det(A[idx]) == 1
     if base == "SO":
-        return True
+        return ok
     # Omega via the even-rank criterion; audits compare it with the
     # commutator-closure oracle, see omega_audit.
-    return omega_rank_criterion(space, g)
+    for i in np.flatnonzero(ok):
+        ok[i] = omega_rank_criterion(space, Mat(fq, A[i]))
+    return ok
 
 
 def _rank_update(fq, X, Y):
@@ -424,13 +434,16 @@ def eichler(fq: FqContext, gram, i, u):
     """The Eichler (Siegel) map of the hyperbolic pair (e_i, f_i) of a Witt
     frame along u orthogonal to that pair,
     v -> v + f(v,e_i) u - f(v,u) e_i - Q(u) f(v,e_i) e_i,
-    as the matrix I + u (G e_i)^T - e_i (G u + Q(u) G e_i)^T."""
+    as the matrix I + u (G e_i)^T - e_i (G u + Q(u) G e_i)^T.  A (k, n)
+    stack of u gives the (k, n, n) stack of maps."""
     u = np.asarray(u, dtype=np.int16)
     ge = gram[:, i]
-    e = np.zeros(len(u), dtype=np.int16)
-    e[i] = fq.neg(1)
-    w = fq.v_add(fq.mat_vec(gram, u), fq.v_scale(fq.quad(gram, u), ge))
-    return _rank_update(fq, np.stack([u, e], axis=1), np.stack([ge, w]))
+    gu = fq.mat_mul(u[..., None, :], gram.T)
+    qu = fq.v_scale(fq.two_inv, fq.mat_mul(gu, u[..., :, None]))
+    w = fq.v_add(gu[..., 0, :], fq.v_scale(qu[..., 0], ge))
+    E = fq.v_add(fq.identity(len(ge)), fq.v_scale(u[..., :, None], ge))
+    E[..., i, :] = fq.v_add(E[..., i, :], fq.v_neg(w))
+    return E
 
 
 def siegel_unipotent(space: QuadraticSpace, u) -> Mat:

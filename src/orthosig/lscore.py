@@ -15,14 +15,13 @@ point set (always valid and tame, no longer minimal).
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cache
 
 import numpy as np
 
-from .fields import factorint, fq_context, make_tower
+from .fields import FqContext, factorint, fq_context, make_tower
 from .matgroups import (
     ConstructionMismatch,
     GroupDescriptor,
@@ -38,7 +37,7 @@ from .matgroups import (
     standard_generators,
 )
 from . import forms
-from .forms import QuadraticSpace, build_line_space, build_space
+from .forms import GeometryError, QuadraticSpace, build_line_space, build_space
 from . import spreads as spr
 from .spreads import PartialSpread, Subspace, subspace
 
@@ -112,13 +111,23 @@ def _jsonable(v):
     return isinstance(v, (str, int, float, bool, list, dict, type(None)))
 
 
+def block_product_many(blocks, ivs):
+    """The left-to-right products of the indexed block elements for each
+    index vector of ivs, as a (k, n, n) stack built with one stacked
+    product per block (None for no blocks)."""
+    P = None
+    for t, blk in enumerate(blocks):
+        # one row is a view, which saves the copy of a stack
+        X = blk[ivs[0][t]].a[None] if len(ivs) == 1 else np.stack([blk[iv[t]].a for iv in ivs])
+        P = X if P is None else blk[0].fq.mat_mul(P, X)
+    return P
+
+
 def block_product(blocks, iv):
     """The left-to-right product of the indexed block elements (None for
     no blocks)."""
-    g = None
-    for b, i in zip(blocks, iv):
-        g = b[i] if g is None else g * b[i]
-    return g
+    P = block_product_many(blocks, [iv])
+    return None if P is None else Mat(blocks[0][0].fq, P[0])
 
 
 def block_products(blocks):
@@ -501,107 +510,190 @@ def _point_member_map(space, plan):
 # canonical signatures
 
 
-class _TablePlan:
-    """Base-case decoder: full product table (tiny groups only)."""
+@cache
+def _key_weights(q, m):
+    if q ** m >= 2 ** 63:
+        raise LsError(f"base-{q} keys of length {m} overflow 64 bits")
+    return q ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
-    def __init__(self, blocks, fq, quotient=False):
-        self.blocks = blocks
-        self.fq = fq
-        self.table = {}
-        for iv, g in block_products(blocks):
-            if g is None:
-                continue
-            key = g.key
-            if key in self.table:
-                raise LsError("base-case products collide")
-            self.table[key] = list(iv)
-        if not blocks:
-            self.table[identity(fq, 1).key] = []
+
+def _row_keys(fq, X):
+    """The base-q integer of each row of a (k, m) array of field codes."""
+    return X.astype(np.int64) @ _key_weights(fq.q, X.shape[-1])
+
+
+def _find(sorted_keys, keys):
+    """Positions of keys in a sorted key array, and which are present."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys
+
+
+def _reject(errors, rows, bad, exc_type, msg):
+    """Record an exc_type(msg) for each row flagged in bad; returns bad."""
+    for r in rows[bad]:
+        errors[int(r)] = exc_type(msg)
+    return bad
+
+
+class _Plan:
+    """A tame decoder.  Every plan decodes a whole (k, n, n) stack of
+    elements at once, one stage step at a time; decode is the one-element
+    case.  Plans are framed: a plan for the input frame C decodes Z where
+    C^-1 Z C is the element in the coordinates of its own space."""
+
+    def decode_many(self, A, stats=None):
+        """Index vectors of a (k, n, n) stack, as (digits, errors): digits
+        is a (k, blocks) int64 array and errors maps the position of each
+        element that cannot be decoded to its exception (an LsError, or the
+        GeometryError of a singular matrix); the digit rows of those
+        elements are meaningless.  A failing element does not stop the
+        others.  stats, when given, accumulates the per-element counts:
+        `mults` (matrix products) and `lookups` (base-case table lookups)."""
+        A = np.asarray(A, dtype=np.int16)
+        if A.ndim != 3 or A.shape[1:] != (self.n, self.n):
+            raise LsError(f"expected a stack of {self.n}x{self.n} matrices, got shape {A.shape}")
+        out = np.zeros((len(A), self.width), dtype=np.int64)
+        errors = {}
+        self._decode_into(A, np.arange(len(A)), out, errors, 0, stats)
+        return out, errors
 
     def decode(self, g: Mat, stats=None):
+        out, errors = self.decode_many(g.a[None], stats)
+        if errors:
+            raise errors[0]
+        return out[0].tolist()
+
+
+@dataclass
+class _TablePlan(_Plan):
+    """Base-case decoder: the full product table (tiny groups only), keyed
+    by the base-q integers of the products in the input frame."""
+
+    fq: FqContext
+    n: int
+    width: int
+    keys: np.ndarray   # sorted
+    mats: np.ndarray   # (N, n, n) products in key order
+    ivs: np.ndarray    # (N, width) their index vectors
+
+    @staticmethod
+    def build(blocks, fq):
+        walk = list(block_products(blocks)) if blocks else [((), identity(fq, 1))]
+        mats = np.stack([g.a for _, g in walk])
+        ivs = np.array([iv for iv, _ in walk], dtype=np.int64).reshape(len(walk), len(blocks))
+        plan = _TablePlan(fq, mats.shape[-1], len(blocks), None, mats, ivs)._sorted()
+        if (plan.keys[1:] == plan.keys[:-1]).any():
+            raise LsError("base-case products collide")
+        return plan
+
+    def _sorted(self):
+        keys = _row_keys(self.fq, self.mats.reshape(len(self.mats), -1))
+        order = np.argsort(keys, kind="stable")
+        return replace(self, keys=keys[order], mats=self.mats[order], ivs=self.ivs[order])
+
+    def framed(self, C, Cinv):
+        mats = self.fq.mat_mul(self.fq.mat_mul(C, self.mats), Cinv)
+        return replace(self, mats=mats)._sorted()
+
+    def _decode_into(self, Z, rows, out, errors, col, stats):
+        if not len(rows):
+            return
         if stats is not None:
-            stats["lookups"] = stats.get("lookups", 0) + 1
-        try:
-            return list(self.table[g.key])
-        except KeyError:
-            raise LsError("element is not covered by this signature")
+            stats["lookups"] = stats.get("lookups", 0) + len(rows)
+        pos, hit = _find(self.keys, _row_keys(self.fq, Z.reshape(len(Z), -1)))
+        _reject(errors, rows, ~hit, LsError, "element is not covered by this signature")
+        out[rows[hit], col:col + self.width] = self.ivs[pos[hit]]
 
 
-class _StagePlan:
-    """Decoder for one geometric stage plus its recursive tail."""
+@dataclass
+class _StagePlan(_Plan):
+    """Decoder for one geometric stage plus its recursive tail.
 
-    def __init__(self, space, desc, sp_plan, stage):
-        self.space = space
-        self.desc = desc
-        self.fq = space.fq
-        self.sp = sp_plan
-        for k, v in stage.items():
-            setattr(self, k, v)
+    Each singular point p of the space has a strip T^-1 b^-j a^-i C^-1 and
+    the digits (i, j) of the A and B blocks that carry the base point w to
+    p; the table is keyed by the nonzero vectors of the line C p.  With
+    `enter` = C T, an element Z for which C^-1 Z C sends w to p becomes
+    strip(p) Z C T = T^-1 (b^-j a^-i C^-1 Z C) T, which fixes the line of
+    e_0 in the working Witt frame T of the stage.  The rest is read off
+    that matrix: the GL1 discrete log from its corner, the Siegel
+    coordinates from column R, and the residue on the span SP of the other
+    basis vectors, decoded by `sub` in the frame phi of the model of that
+    span.
+    """
 
-    def decode(self, g: Mat, stats=None):
-        fq = self.fq
+    space: QuadraticSpace
+    sp: SpreadPlan
+    layers: list         # [("cyc", (gen, size, radices, inverse powers))] or [("trans", (elems, inverses))]
+    b: Mat | None        # Singer coset generator of the B block
+    b_point_to_j: dict   # canonical point of the base subspace -> power of b
+    vectors: np.ndarray  # every nonzero vector on a singular line, input frame, in key order
+    keys: np.ndarray     # their base-q keys
+    point: np.ndarray    # the index of each vector's line in strips and head
+    strips: np.ndarray   # (|L|, n, n)
+    head: np.ndarray     # (|L|, A and B digits)
+    enter: np.ndarray    # C T
+    R: int               # Witt index; e_0 and f_0 are basis vectors 0 and R
+    SP: np.ndarray       # positions of the basis vectors other than e_0 and f_0
+    border: np.ndarray   # rows and columns 0 and R
+    work_gram: np.ndarray
+    gl1_digits: np.ndarray   # digits of the discrete log of each unit (row 0 unused)
+    sub: _Plan
+
+    @property
+    def n(self):
+        return self.space.n
+
+    @property
+    def width(self):
+        return self.head.shape[1] + len(self.SP) * self.space.e + self.gl1_digits.shape[1] + self.sub.width
+
+    def _sorted(self):
+        keys = _row_keys(self.space.fq, self.vectors)
+        order = np.argsort(keys, kind="stable")
+        return replace(self, vectors=self.vectors[order], keys=keys[order], point=self.point[order])
+
+    def framed(self, C, Cinv):
+        fq = self.space.fq
+        return replace(self, vectors=fq.mat_mul(self.vectors, np.ascontiguousarray(C.T)),
+                       strips=fq.mat_mul(self.strips, Cinv), enter=fq.mat_mul(C, self.enter))._sorted()
+
+    def _decode_into(self, Z, rows, out, errors, col, stats):
+        # a failing row goes on through the arithmetic (every gather stays in
+        # range) and is dropped before the recursion; it keeps its first error
+        if not len(rows):
+            return
+        fq, R, SP = self.space.fq, self.R, self.SP
+        ZT = fq.mat_mul(Z, self.enter)
+        keys = _row_keys(fq, ZT[:, :, 0])
+        pos, alive = _find(self.keys, keys)
+        for r, key in zip(rows[~alive].tolist(), keys[~alive].tolist()):
+            errors[r] = (GeometryError("zero vector has no projective point") if key == 0 else
+                         LsError("element does not move the base point inside the singular set"))
+        pt = self.point[pos]
+        hw = fq.mat_mul(self.strips[pt], ZT)
+        lam = hw[:, 0, 0]
         if stats is not None:
-            stats["mults"] = stats.get("mults", 0)
-        out = []
-        h = g
-        pt = self.space.canon(g.act(self.w_gl))
-        mk = self.sp.point_member.get(pt.tobytes())
-        if mk is None:
-            raise LsError("element does not move the base point inside the singular set")
-        coarse = self.sp.member_index[mk]
-        for (layer, idx) in zip(self.layers, coarse):
-            kind, data = layer
-            if kind == "cyc":
-                gen, size, radices, inv_pows = data
-                out.extend(digits_of(idx, radices))
-                h = inv_pows[idx] * h
-            else:
-                elems, invs = data
-                out.append(idx)
-                h = invs[idx] * h
-            if stats is not None:
-                stats["mults"] += 1
-        if self.b is not None:
-            ptb = self.space.canon(h.act(self.w_gl))
-            j = self.b_point_to_j.get(ptb.tobytes())
-            if j is None:
-                raise LsError("stripped element leaves the base subspace")
-            out.extend(digits_of(j, self.b_radices))
-            h = self.b_inv_pows[j] * h
-            if stats is not None:
-                stats["mults"] += 1
-        hw = h.a if self.T is None else fq.mat_mul(fq.mat_mul(self.Tinv, h.a), self.T)
-        n, R = self.space.n, self.Rwork
-        lam = int(hw[0, 0])
-        if lam == 0:
-            raise LsError("element does not stabilize the base point")
-        col0 = np.zeros(n, dtype=np.int16)
-        col0[0] = lam
-        if not np.array_equal(hw[:, 0], col0):
-            raise LsError("element does not stabilize the base point")
-        gidx = self.gl1_dlog[lam]
-        y0 = fq.v_scale(lam, np.ascontiguousarray(hw[:, R]))
-        u = np.zeros(n, dtype=np.int16)
-        for pos in self.SP:
-            u[pos] = y0[pos]
-        for pos in self.SP:
-            out.extend(self.fq.gf.coeffs(int(u[pos])))
-        out.extend(digits_of(gidx, self.gl1_radices))
-        rho_inv = forms.eichler(fq, self.work_gram, 0, fq.v_neg(u))
-        d_inv = _gl1_np(fq, n, R, fq.inv(lam))
-        yw = fq.mat_mul(d_inv, fq.mat_mul(rho_inv, hw))
+            stats["mults"] = stats.get("mults", 0) + len(rows) + int(alive.sum())
+        alive &= ~_reject(errors, rows, alive & ((lam == 0) | hw[:, 1:, 0].any(axis=1)), LsError,
+                          "element does not stabilize the base point")
+        u = fq.v_scale(lam[:, None], hw[:, :, R])
+        u[:, [0, R]] = 0
+        digits = np.concatenate(
+            [self.head[pt], fq.gf.digits[u[:, SP]].reshape(len(rows), -1), self.gl1_digits[lam]],
+            axis=1)
+        out[rows, col:col + digits.shape[1]] = digits
+        # hw = E(u) d(lam) y with y = 1 + 1 + ysub on (e_0, f_0, SP): E(-u) hw
+        # must agree with d(lam) = diag(lam at 0, lam^-1 at R) on the border,
+        # and its SP block is ysub, as d(lam) leaves those rows alone
+        yw = fq.mat_mul(forms.eichler(fq, self.work_gram, 0, fq.v_neg(u)), hw)
+        d = np.broadcast_to(fq.identity(self.n), yw.shape).copy()
+        d[:, 0, 0], d[:, R, R] = lam, fq.INV[lam]
         if stats is not None:
-            stats["mults"] += 3
-        unit_rows = np.zeros(n, dtype=np.int16)
-        for probe in (0, R):
-            col = np.zeros(n, dtype=np.int16)
-            col[probe] = 1
-            if not np.array_equal(yw[:, probe], col) or not np.array_equal(yw[probe, :], col):
-                raise LsError("stabilizer residue is not block diagonal")
-        ysub = np.ascontiguousarray(yw[np.ix_(self.SP, self.SP)])
-        ymodel = fq.mat_mul(fq.mat_mul(self.phi_inv, ysub), self.phi)
-        out.extend(self.sub.plan.decode(Mat(fq, ymodel), stats))
-        return out
+            stats["mults"] += 2 * int(alive.sum())
+        alive &= ~_reject(errors, rows, alive & ((yw != d) & self.border).any(axis=(1, 2)),
+                          LsError, "stabilizer residue is not block diagonal")
+        self.sub._decode_into(yw[alive][:, SP[:, None], SP], rows[alive], out, errors,
+                              col + digits.shape[1], stats)
 
 
 @cache
@@ -659,7 +751,7 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
         blocks = [[identity(fq, 1), neg_identity(fq, 1)]] if base == "O" else []
         claimed = 2 if base == "O" else 1
         ls = LogSignature(desc, blocks, claimed, meta={"shape": "base", "kind": desc.kind, "minimal": True})
-        ls.plan = _TablePlan(blocks, fq)
+        ls.plan = _TablePlan.build(blocks, fq)
         return ls
     els = forms.enumerate_isometry_group(space, "O")
     so = [g for g in els if g.det() == 1]
@@ -681,7 +773,7 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
         blocks = blocks + [[identity(fq, 2), refl[0]]]
     claimed = target * (2 if base == "O" else 1)
     ls = LogSignature(desc, blocks, claimed, meta={"shape": "base", "kind": desc.kind, "minimal": True})
-    ls.plan = _TablePlan(blocks, fq)
+    ls.plan = _TablePlan.build(blocks, fq)
     return ls
 
 
@@ -701,29 +793,27 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
             _, gen, size = layer
             cyc, radices = cyclic_blocks(gen, size)
             blocks.extend(cyc)
-            inv_pows = [gen.pow(-j) for j in range(size)]
+            inv_pows = np.stack([gen.pow(-j).a for j in range(size)])
             stage_layers.append(("cyc", (gen, size, radices, inv_pows)))
             layers_meta.append({"type": "cyclic", "size": size, "radices": radices})
         else:
             _, elems = layer
             blocks.append(list(elems))
-            invs = [g.inv() for g in elems]
+            invs = np.stack([g.inv().a for g in elems])
             stage_layers.append(("trans", (elems, invs)))
             layers_meta.append({"type": "transversal", "size": len(elems)})
 
     # adapted frame
     W0 = sp_plan.W0
-    T0, Rw, _ = forms._witt_decompose(fq, space.gram, W0.rows)
+    T, Rw, _ = forms._witt_decompose(fq, space.gram, W0.rows)
     if Rw != space.witt_index:
         raise LsError("adapted frame lost hyperbolic pairs")  # pragma: no cover
-    T, Tinv = T0, fq.mat_inv(T0)
-    work_gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(T0.T), space.gram), T0)
+    Tinv = fq.mat_inv(T)
+    work_gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(T.T), space.gram), T)
     Rwork = space.witt_index
     n = space.n
 
     def globalize(mw):
-        if T is None:
-            return Mat(fq, mw)
         return Mat(fq, fq.mat_mul(fq.mat_mul(T, mw), Tinv))
 
     w_gl = np.asarray(W0.rows[0], dtype=np.int16)
@@ -733,7 +823,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     t = (space.q ** r_dim - 1) // (space.q - 1)
     b_gl = None
     b_radices = []
-    b_inv_pows = []
+    b_inv_pows = fq.identity(n)[None]
     b_point_to_j = {}
     if t > 1:
         D = singer_generator(r_dim, fq)
@@ -751,7 +841,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
             raise LsError("Singer block has the wrong order")
         cycb, b_radices = cyclic_blocks(b_gl, t)
         blocks.extend(cycb)
-        b_inv_pows = [b_gl.pow(-j) for j in range(t)]
+        b_inv_pows = np.stack([b_gl.pow(-j).a for j in range(t)])
         cur = w_gl
         for j in range(t):
             keyp = space.canon(cur).tobytes()
@@ -782,10 +872,10 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     d_mu = globalize(_gl1_np(fq, n, Rwork, mu))
     gcyc, gl1_radices = cyclic_blocks(d_mu, space.q - 1)
     blocks.extend(gcyc)
-    gl1_dlog = {}
+    gl1_digits = np.zeros((space.q, len(gl1_radices)), dtype=np.int64)
     cur = 1
     for k in range(space.q - 1):
-        gl1_dlog[cur] = k
+        gl1_digits[cur] = digits_of(k, gl1_radices)
         cur = fq.mul(cur, mu)
 
     # recursive tail on the model space of dimension n - 2
@@ -819,25 +909,33 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         "similarity_scale": int(lam),
         "minimal": sp_plan.shape != "transversal" and bool(sub_ls.meta.get("minimal")),
     })
-    stage = dict(
-        layers=stage_layers,
-        w_gl=w_gl,
-        b=b_gl,
-        b_radices=b_radices,
-        b_inv_pows=b_inv_pows,
-        b_point_to_j=b_point_to_j,
-        T=T,
-        Tinv=Tinv,
-        work_gram=work_gram,
-        Rwork=Rwork,
-        SP=SP,
-        gl1_dlog=gl1_dlog,
-        gl1_radices=gl1_radices,
-        phi=phi,
-        phi_inv=phi_inv,
-        sub=sub_ls,
-    )
-    ls.plan = _StagePlan(space, desc, sp_plan, stage)
+    # decoding tables, one row per singular point p: the A layers strip
+    # p's spread member back to W0, then a power of b moves the image to w
+    points = np.array(space.isotropic_points(), dtype=np.int16).reshape(-1, n)
+    coarse = [sp_plan.member_index[sp_plan.point_member[p.tobytes()]] for p in points]
+    strip = np.broadcast_to(fq.identity(n), (len(points), n, n))
+    head = []
+    for li, (kind, data) in enumerate(stage_layers):
+        idx = [c[li] for c in coarse]
+        inverses = data[3] if kind == "cyc" else data[1]
+        strip = fq.mat_mul(inverses[idx], strip)
+        head.append([digits_of(i, data[2]) if kind == "cyc" else [i] for i in idx])
+    images = fq.mat_mul(strip, points[:, :, None])[:, :, 0]
+    js = [b_point_to_j.get(space.canon(v).tobytes()) for v in images]
+    if None in js:
+        raise LsError("stripped element leaves the base subspace")  # pragma: no cover
+    head.append([digits_of(j, b_radices) for j in js])
+    head = np.array([sum(parts, []) for parts in zip(*head)], dtype=np.int64).reshape(len(points), -1)
+    border = np.zeros((n, n), dtype=bool)
+    border[[0, Rwork]] = border[:, [0, Rwork]] = True
+    ls.plan = _StagePlan(
+        space=space, sp=sp_plan, layers=stage_layers, b=b_gl, b_point_to_j=b_point_to_j,
+        vectors=np.concatenate([fq.v_scale(c, points) for c in range(1, fq.q)]),
+        keys=None, point=np.tile(np.arange(len(points)), fq.q - 1),
+        strips=fq.mat_mul(Tinv, fq.mat_mul(b_inv_pows[js], strip)), head=head, enter=T,
+        R=Rwork, SP=np.array(SP), border=border, work_gram=work_gram, gl1_digits=gl1_digits,
+        sub=sub_ls.plan.framed(phi, phi_inv),
+    )._sorted()
     return ls
 
 
@@ -856,7 +954,7 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
     q = space.q
     # unipotent radical: closure of pairwise Eichler maps
     gens = []
-    mid_pos = list(range(k, R)) + list(range(R + k, 2 * R)) + list(range(2 * R, n))
+    mid_pos, mid_space = _middle_space(space, k)
     for i in range(k):
         upos = [j for j in range(k) if j != i] + mid_pos
         for pos in upos:
@@ -870,8 +968,6 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
         raise LsError(f"unipotent radical has size {len(Rgrp)}, expected {expected_R}")
     # Levi: GL_k x O(middle)
     gl = _all_gl(fq, k)
-    mid_gram = np.ascontiguousarray(space.gram[np.ix_(mid_pos, mid_pos)])
-    mid_space = QuadraticSpace(space.kind, space.tower, fq, mid_gram) if len(mid_pos) >= 2 else None
     if len(mid_pos) == 0:
         mids = [fq.identity(0)]
         mid_mats = [identity(fq, n)]
@@ -907,12 +1003,28 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
     return ls
 
 
+@cache
+def _middle_space(space: QuadraticSpace, k: int):
+    """The positions of the Witt vectors outside the first k hyperbolic
+    pairs and the space they span (None below dimension 2), built once per
+    space and k so that its isometry group is enumerated once."""
+    R, n = space.witt_index, space.n
+    mid_pos = list(range(k, R)) + list(range(R + k, 2 * R)) + list(range(2 * R, n))
+    if len(mid_pos) < 2:
+        return mid_pos, None
+    mid_gram = np.ascontiguousarray(space.gram[np.ix_(mid_pos, mid_pos)])
+    return mid_pos, QuadraticSpace(space.kind, space.tower, space.fq, mid_gram)
+
+
 def _all_gl(fq, k):
+    """Every invertible k x k matrix, in lexicographic order of entries,
+    tested 4096 at a time with one stacked determinant."""
+    m = k * k
     out = []
-    for entries in itertools.product(range(fq.q), repeat=k * k):
-        D = np.array(entries, dtype=np.int16).reshape(k, k)
-        if fq.det(D) != 0:
-            out.append(D)
+    for start in range(0, fq.q ** m, 4096):
+        idx = np.arange(start, min(start + 4096, fq.q ** m), dtype=np.int64)
+        mats = ((idx[:, None] // _key_weights(fq.q, m)) % fq.q).astype(np.int16).reshape(-1, k, k)
+        out.extend(mats[fq.det(mats) != 0])
     return out
 
 
@@ -1085,6 +1197,7 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         collisions = []
         bad = 0
         count = 0
+        pending = []
         for iv, g in block_products(ls.blocks):
             if g is None:
                 g = ident
@@ -1094,29 +1207,58 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
                 collisions.append({"iv": list(iv), "other": list(seen[key])})
             else:
                 seen[key] = list(iv)
-            if space is not None and fam is not None:
-                if not forms.membership(space, g, fam):
-                    bad += 1
+            if space is not None:
+                pending.append(g.a)
+                if len(pending) == _CHUNK:
+                    bad += _count_outside(space, pending, fam)
+                    pending = []
+        if space is not None and pending:
+            bad += _count_outside(space, pending, fam)
         valid = not collisions and bad == 0 and len(seen) == ls.claimed_order
         return VerifyReport(valid, mode, length, bound, valid and length == bound,
                             ls.claimed_order, count, collisions, bad, None, notes)
     if mode == "sampled":
         rng = random.Random(seed)
-        sizes = [len(b) for b in ls.blocks]
         if ls.plan is None:
             return _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes)
         failures = []
-        for _ in range(samples):
-            iv = [rng.randrange(s) for s in sizes]
-            got = ls.plan.decode(block_product(ls.blocks, iv))
-            if got != iv:
-                failures.append({"iv": iv, "got": got})
-                if len(failures) > 5:
-                    break
+        for ivs, A in _sampled_products(rng, ls, samples):
+            digits, errors = ls.plan.decode_many(A)
+            for r, iv in enumerate(ivs):
+                if r in errors:
+                    raise errors[r]
+                got = digits[r].tolist()
+                if got != iv:
+                    failures.append({"iv": iv, "got": got})
+                    if len(failures) > 5:
+                        break
+            if len(failures) > 5:
+                break
         valid = not failures
         return VerifyReport(valid, mode, length, bound, valid and length == bound,
                             ls.claimed_order, samples, failures, 0, seed, notes)
     raise LsError(f"unknown mode {mode!r}")
+
+
+# products are checked in stacks of this many
+_CHUNK = 256
+
+
+def _count_outside(space, mats, fam):
+    return int(len(mats) - forms.membership_many(space, np.stack(mats), fam).sum())
+
+
+def _sampled_products(rng, ls, samples):
+    """Uniform index vectors and their products, in chunks of _CHUNK; rng
+    is drawn one vector at a time, in sample order."""
+    sizes = [len(b) for b in ls.blocks]
+    for start in range(0, samples, _CHUNK):
+        ivs = [[rng.randrange(s) for s in sizes] for _ in range(min(_CHUNK, samples - start))]
+        A = block_product_many(ls.blocks, ivs)
+        if A is None:
+            n = ls.group.n
+            A = np.broadcast_to(fq_context(ls.group.p, ls.group.e).identity(n), (len(ivs), n, n))
+        yield ivs, A
 
 
 def _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes):
@@ -1134,21 +1276,23 @@ def _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes):
     decoded = {}
     collisions = []
     bad = 0
-    for _ in range(samples):
-        iv = [rng.randrange(len(b)) for b in ls.blocks]
-        g = block_product(ls.blocks, iv)
-        if g is None:
-            g = identity(ref.plan.fq, ls.group.n)
-        if space is not None and not forms.membership(space, g, fam):
-            bad += 1
-            continue
-        try:
-            other = decoded.setdefault(tuple(ref.plan.decode(g)), iv)
-        except LsError:
-            bad += 1  # the canonical tables cover the whole group
-            continue
-        if other != iv:
-            collisions.append({"iv": iv, "other": other})
+    for ivs, A in _sampled_products(rng, ls, samples):
+        member = (forms.membership_many(space, A, fam) if space is not None
+                  else np.ones(len(ivs), dtype=bool))
+        digits, errors = ref.plan.decode_many(A[member])
+        # row r of digits belongs to the r-th member of the chunk
+        for iv, is_member, r in zip(ivs, member, (np.cumsum(member) - 1).tolist()):
+            if not is_member:
+                bad += 1
+                continue
+            if r in errors:
+                if not isinstance(errors[r], LsError):
+                    raise errors[r]
+                bad += 1  # the canonical tables cover the whole group
+                continue
+            other = decoded.setdefault(tuple(digits[r].tolist()), iv)
+            if other != iv:
+                collisions.append({"iv": iv, "other": other})
     valid = not collisions and bad == 0 and ls.claimed_order == ref.claimed_order
     bound = min_length_bound(ls.claimed_order).bound
     return VerifyReport(valid, "sampled", ls.length, bound, valid and ls.length == bound,

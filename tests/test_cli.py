@@ -192,3 +192,15 @@ def test_verify_file_without_blocks_exits_2(tmp_path):
         doc, _ = parse_stdout(proc.stdout)
         assert "blocks" in doc["error"]
         assert "Traceback" not in proc.stderr
+
+
+def test_factor_flags_a_file_that_is_not_canonical(tmp_path):
+    # the swapped file has the canonical block sizes, so only the element
+    # comparison can tell it apart
+    good, bad = _swapped_o4_3(tmp_path)
+    for path, mismatch in ((good, False), (bad, True)):
+        proc = run_cli("factor", "--in", str(path), "--rank", "5")
+        assert proc.returncode == 0
+        doc, _ = parse_stdout(proc.stdout)
+        assert doc["result"]["canonical_mismatch"] is mismatch
+        assert doc["result"]["rank"] == 5 and doc["result"]["recomposes"] is True

@@ -140,3 +140,108 @@ def test_hypothesis_rank_unrank_roundtrip(sizes, seedval):
     iv = unrank(v, ls)
     assert rank(iv, ls) == v
     assert all(0 <= x < s for x, s in zip(iv.indices, sizes))
+
+
+# groups over q = 3, 5, 7, 9, 25 in the O, SO and PSOodd families; O-2(25)
+# decodes through the base-case table alone
+DECODE_GROUPS = [("O-", 3, 4), ("SO+", 3, 4), ("O+", 5, 4), ("SO-", 5, 4), ("O-", 7, 4),
+                 ("O-", 9, 4), ("Oodd", 7, 3), ("Oodd", 9, 3), ("SOodd", 25, 3),
+                 ("PSOodd", 3, 5), ("PSOodd", 25, 3), ("O-", 25, 2)]
+
+
+def _mixed_elements(ls, seed, k):
+    """Members, scalar multiples, members with one entry changed, garbage,
+    zero matrices and negatives, in a fixed rotation."""
+    import numpy as np
+
+    fq = ls.blocks[0][0].fq
+    n = ls.group.n
+    rng = random.Random(seed)
+    nrng = np.random.default_rng(seed)
+    out = []
+    for i in range(k):
+        g = compose(unrank(rng.randrange(ls.claimed_order), ls), ls).a.copy()
+        kind = i % 5
+        if kind == 1:
+            g = fq.v_scale(rng.randrange(1, fq.q), g)
+        elif kind == 2:
+            r, c = rng.randrange(n), rng.randrange(n)
+            g[r, c] = fq.add(int(g[r, c]), rng.randrange(1, fq.q))
+        elif kind == 3:
+            g = nrng.integers(0, fq.q, (n, n)).astype(np.int16)
+        elif kind == 4:
+            g = np.zeros((n, n), dtype=np.int16) if i % 10 == 4 else fq.v_neg(g)
+        out.append(g)
+    return out
+
+
+def _decode_one(plan, fq, a, stats):
+    """The digits of one element, or the exception decoding it raises."""
+    from orthosig.lscore import LsError
+    from orthosig.matgroups import Mat
+
+    try:
+        return plan.decode(Mat(fq, a), stats)
+    except (LsError, ValueError) as exc:
+        return exc
+
+
+@given(st.sampled_from(DECODE_GROUPS), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=12))
+def test_decode_many_matches_decoding_one_at_a_time(group, seed, k):
+    import numpy as np
+
+    ls = canonical_ls(descriptor(group[0], group[1], n=group[2]))
+    fq = ls.blocks[0][0].fq
+    stack = np.stack(_mixed_elements(ls, seed, k))
+    many_stats = {}
+    digits, errors = ls.plan.decode_many(stack, many_stats)
+    one_stats = {}
+    for r, a in enumerate(stack):
+        one = _decode_one(ls.plan, fq, a, one_stats)
+        if isinstance(one, Exception):
+            assert type(errors[r]) is type(one) and str(errors[r]) == str(one)
+        else:
+            assert r not in errors and digits[r].tolist() == one
+    assert many_stats == one_stats
+
+
+def test_decode_many_of_members_round_trips():
+    import numpy as np
+
+    for group in DECODE_GROUPS:
+        ls = canonical_ls(descriptor(group[0], group[1], n=group[2]))
+        rng = random.Random(11)
+        ivs = [unrank(rng.randrange(ls.claimed_order), ls) for _ in range(40)]
+        digits, errors = ls.plan.decode_many(np.stack([compose(iv, ls).a for iv in ivs]))
+        assert not errors
+        assert [tuple(row) for row in digits.tolist()] == [iv.indices for iv in ivs]
+
+
+# SHA-256 of json.dumps of the decode result of each of 60 _mixed_elements
+# (seed 2024): the digits, or "<exception type>: <message>".  Recorded
+# before decoding was batched; every error message must stay the same.
+DECODE_SHA256 = {
+    ("O-", 3, 4): "d75157d859792bbb4c29a4efd73419ae8690a71c86bbeca6617a11fb0770f528",
+    ("SO+", 3, 4): "1103989fc5d742270ad5c814f907a2188e5c1ac499a69415398b87a5a858f7fb",
+    ("O-", 9, 4): "fa91365f69fe17cc1e8f408cb37866537c008e323cc4c7c0ab2420bd31d938f0",
+    ("Oodd", 3, 5): "0c51d867f242e43085c0905c5b4152debc7a675d1b7be43d805bda8f0e87cf43",
+    ("O+", 3, 6): "4b6d0896e4916a1a868805b980cb5c0d67da23106278da46d4357667f9c440b5",
+    ("SOodd", 25, 3): "b50cee0fb6d618090d086633f32fadfe4322761f275aebc6caf55b5addab54f8",
+    ("O-", 25, 2): "c4b2e5525da93fb49c3f28a4679f70991413a1aca9572170a6326e85bfef02eb",
+}
+
+
+@pytest.mark.parametrize("fam,q,n", sorted(DECODE_SHA256))
+def test_decode_results_match_golden_hashes(fam, q, n):
+    import hashlib
+    import json
+
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    fq = ls.blocks[0][0].fq
+    res = []
+    for g in _mixed_elements(ls, 2024, 60):
+        one = _decode_one(ls.plan, fq, g, None)
+        res.append(f"{type(one).__name__}: {one}" if isinstance(one, Exception) else one)
+    doc = json.dumps(res).encode()
+    assert hashlib.sha256(doc).hexdigest() == DECODE_SHA256[(fam, q, n)]

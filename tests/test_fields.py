@@ -206,3 +206,57 @@ def test_v_scale_matches_scalar_mul_for_large_p(p):
         got = fq.v_scale(s, u)
         assert got.dtype == np.int16
         assert got.tolist() == [fq.mul(s, x) for x in range(p)]
+    # an array of scalars multiplies row by row
+    table = fq.v_scale(u[:, None], u)
+    assert table.dtype == np.int16
+    assert table.tolist() == [[fq.mul(s, x) for x in range(p)] for s in range(p)]
+
+
+def _det_by_permutations(fq, a):
+    """The Leibniz expansion, one signed product per permutation."""
+    import itertools
+
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = 1 if inversions % 2 == 0 else fq.neg(1)
+        for i, j in enumerate(perm):
+            term = fq.mul(term, int(a[i][j]))
+        total = fq.add(total, term)
+    return total
+
+
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_det_of_a_stack_matches_the_leibniz_expansion(pe, n, seed):
+    import numpy as np
+
+    fq = fq_context(*pe)
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, fq.q, (6, n, n)).astype(np.int16)
+    stack[1, -1] = 0                                   # a zero row
+    stack[2, :, 0] = fq.v_scale(2, stack[2, :, -1])    # dependent columns
+    stack[3] = np.triu(stack[3])                       # pivots on the diagonal
+    got = fq.det(stack)
+    assert got.dtype == np.int16
+    want = [_det_by_permutations(fq, a) for a in stack]
+    assert got.tolist() == want == [fq.det(a) for a in stack]
+    assert fq.det(stack[:1]).tolist() == want[:1]
+
+
+@pytest.mark.parametrize("p,n", [(3, 8), (73, 6), (79, 6), (181, 1), (181, 2), (191, 3)])
+def test_mat_mul_is_exact_at_the_largest_codes(p, n):
+    # products of codes add up to n * (p - 1)^2, which fits int16 only for
+    # the smaller cases; every case must agree with wide integer arithmetic
+    import numpy as np
+
+    fq = fq_context(p, 1)
+    rng = np.random.default_rng(p * n)
+    A = np.full((2, n, n), p - 1, dtype=np.int16)
+    A[1] = rng.integers(0, p, (n, n))
+    B = np.full((n, n), p - 1, dtype=np.int16)
+    got = fq.mat_mul(A, B)
+    assert got.dtype == np.int16
+    want = (A.astype(object) @ B.astype(object)) % p
+    assert got.tolist() == want.tolist()

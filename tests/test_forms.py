@@ -16,6 +16,7 @@ from orthosig.forms import (
     gram_restriction,
     is_isometry,
     membership,
+    membership_many,
     omega_audit,
     omega_rank_criterion,
     perp_basis,
@@ -300,3 +301,62 @@ def test_eichler_closed_form_matches_columns(pe, R, anis, seed):
     assert g.dtype == np.int16
     assert np.array_equal(g, _eichler_by_columns(fq, gram, i, u))
     assert np.array_equal(fq.mat_mul(fq.mat_mul(np.ascontiguousarray(g.T), gram), g), gram)
+    # a stack of u gives the stack of maps
+    us = rng.integers(0, fq.q, (3, n)).astype(np.int16)
+    us[:, [i, R + i]] = 0
+    us[0] = u
+    assert [a.tolist() for a in eichler(fq, gram, i, us)] == \
+        [_eichler_by_columns(fq, gram, i, v).tolist() for v in us]
+
+
+def _member_by_definition(space, g, family):
+    """Membership one element at a time from the definitions: an isometry,
+    of determinant 1 below O, of even rank(I + g) below SO, and up to -I
+    for the projective families."""
+    fq = space.fq
+    if family.startswith("P"):
+        return (_member_by_definition(space, g, family[1:])
+                or _member_by_definition(space, neg_identity(fq, space.n) * g, family[1:]))
+    G = Mat(fq, space.gram)
+    if (g.transpose() * G * g).key != G.key:
+        return False
+    if family.startswith("O-") or family.startswith("O+") or family.startswith("Oodd"):
+        return True
+    from test_fields import _det_by_permutations
+
+    if _det_by_permutations(fq, g.a) != 1:
+        return False
+    return family.startswith("SO") or omega_rank_criterion(space, g)
+
+
+@given(st.sampled_from([("minus", 3, 1, 2), ("plus", 5, 1, 2), ("odd", 3, 1, 2), ("minus", 3, 2, 1),
+                        ("plus", 3, 2, 2)]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_membership_of_a_stack_matches_one_at_a_time(spec, seed):
+    kind, p, e, m = spec
+    space = build_space(kind, make_tower(p, e, m))
+    fq, n = space.fq, space.n
+    refl = reflections(space)
+    rng = random.Random(seed)
+    elems = []
+    for _ in range(10):
+        g = identity(fq, n)
+        for _ in range(rng.randrange(4)):
+            g = g * refl[rng.randrange(len(refl))]
+        a = g.a.copy()
+        kind_of = rng.randrange(4)
+        if kind_of == 1:
+            a = fq.v_neg(a)
+        elif kind_of == 2:
+            a = fq.v_scale(rng.randrange(1, fq.q), a)
+        elif kind_of == 3:
+            i, j = rng.randrange(n), rng.randrange(n)
+            a[i, j] = fq.add(int(a[i, j]), rng.randrange(1, fq.q))
+        elems.append(Mat(fq, a))
+    stack = np.stack([g.a for g in elems])
+    tag = {"minus": "-", "plus": "+", "odd": "odd"}[kind]
+    for family in ("O", "SO", "Omega", "PSO", "POmega"):
+        got = membership_many(space, stack, family + tag)
+        assert got.dtype == bool
+        assert got.tolist() == [membership(space, g, family + tag) for g in elems] == \
+            [_member_by_definition(space, g, family + tag) for g in elems]

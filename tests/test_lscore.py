@@ -451,3 +451,122 @@ def test_block_products_walk_in_product_order(pe, sizes, seed):
         for b, i in zip(blocks[1:], iv[1:]):
             want = want * b[i]
         assert g == want == block_product(blocks, iv)
+
+
+def _report_variants(fam, q, n):
+    """A plan-less copy of the canonical signature of each kind a file can
+    hold: the canonical blocks, element 1 of blocks 0 and 1 swapped, and
+    element 1 of block 0 replaced by a shear outside the group."""
+    ref = canonical_ls(descriptor(fam, q, n=n))
+    swapped = [list(b) for b in ref.blocks]
+    swapped[0][1], swapped[1][1] = swapped[1][1], swapped[0][1]
+    shear = np.eye(n, dtype=np.int16)
+    shear[0, n - 1] = 1
+    foreign = [list(b) for b in ref.blocks]
+    foreign[0][1] = Mat(ref.blocks[0][0].fq, shear)
+    variants = {"plan": ref}
+    for name, blocks in (("canonical", ref.blocks), ("swapped", swapped), ("foreign", foreign)):
+        variants[name] = LogSignature(ref.group, [list(b) for b in blocks], ref.claimed_order)
+    return variants
+
+
+# SHA-256 of json.dumps(verify_ls(...).to_json(), sort_keys=True), recorded
+# before decoding and membership were batched: the sampled and exhaustive
+# reports (counts, failures and collisions in sample order, not_in_group)
+# must not change.  "plan" is the canonical signature with its tables.
+VERIFY_REPORT_SHA256 = {
+    ("O-", 3, 4, "canonical", "sampled", 42):
+        "54cd8b4fcdaad6e0364a6895dc0bb827835bcfcf370fd148492d30bfc71bdec8",
+    ("O-", 3, 4, "canonical", "sampled", 7):
+        "086c39650b8b5fe9d01b2d079bd035c35857071246876a0f91ea3e26e892fef5",
+    ("O-", 3, 4, "canonical", "exhaustive", None):
+        "aaba1ac9485079d224c50d085f57792bc77743f9e4091b5742ab1da598a96c2b",
+    ("O-", 3, 4, "swapped", "sampled", 42):
+        "6b2ed0dfb22ce6341ecd26371ebee32aa3f0cfce14d163ec88c5dce2605cb15e",
+    ("O-", 3, 4, "swapped", "sampled", 7):
+        "bed61782919e45b7c72f31165727273083601d1435147a550ca4b93ca5b16fac",
+    ("O-", 3, 4, "swapped", "exhaustive", None):
+        "5bdda61fb0b75d68b7c1fc1ded983c05a00ff536210ec860b0e5bdc3b3ec5468",
+    ("O-", 3, 4, "foreign", "sampled", 42):
+        "a76298ab42796272c6e289f0271ce5ac1cf0a798b8f18d15f48beef4741c8bda",
+    ("O-", 3, 4, "foreign", "sampled", 7):
+        "51ff0be4adfed01eb911262df8b656f16d2ee58335e8b08a51df0966961c59ec",
+    ("O-", 3, 4, "foreign", "exhaustive", None):
+        "df5423d30352e66d2bc30241927faa9d868b8aac7db18cfddfc0da890a5f4362",
+    ("O-", 3, 4, "plan", "sampled", 42):
+        "b6cbb39325d7b624e8e59eef8ddc5dee3ed4dea93540f6eabee2939174df6543",
+    ("O+", 5, 4, "canonical", "sampled", 42):
+        "9ebe2b243bcd66a7c4c548b156a6ae5b58c24df80942ee96e90824fc09baff95",
+    ("O+", 5, 4, "canonical", "sampled", 7):
+        "5ba0dbe26e26eaf6654f85726d59af9dbe9ec1c4b8b7ba842e0adcadcd0df993",
+    ("O+", 5, 4, "canonical", "exhaustive", None):
+        "27edf948ba5b80ea64f7991addbfcc2f861ae616a19e9666ab29c874a92f6f66",
+    ("O+", 5, 4, "swapped", "sampled", 42):
+        "dd5a88a61949ff9896fe3493ca5d6e45b89d88d4250ecb67bcb043a5adab3a03",
+    ("O+", 5, 4, "swapped", "sampled", 7):
+        "5ba0dbe26e26eaf6654f85726d59af9dbe9ec1c4b8b7ba842e0adcadcd0df993",
+    ("O+", 5, 4, "swapped", "exhaustive", None):
+        "0d6a69f1d56f44d801b56531edcd50cb2f9955db0fdabf31ba1e2e9b6f92f676",
+    ("O+", 5, 4, "foreign", "sampled", 42):
+        "16392649c0b6ff526f32cf6cbeb47aaed6e08ab0a12b6ce995cf9bf47725901c",
+    ("O+", 5, 4, "foreign", "sampled", 7):
+        "9ccb6a2181e088e8facedff158feec97ab148893c38df172c5efb0a9acf44f90",
+    ("O+", 5, 4, "foreign", "exhaustive", None):
+        "dd5b900dc3785574b25f67a1872017bb5838d65853736119feb754b5b41b665d",
+    ("O+", 5, 4, "plan", "sampled", 42):
+        "0e4cce1a58ff9ce93de2678908a1fa73d286037e28b410b845a0ee2b96cafea4",
+    ("O+", 3, 6, "canonical", "sampled", 42):
+        "38d4ab574edfcba1082c6c5697868868f43661ce087a5104cb40872c35d67bbf",
+    ("O+", 3, 6, "canonical", "sampled", 7):
+        "93985acca96ca6d10ba81bab7c9d23a027d2056258818e97fcf87f9035b9d798",
+    ("O+", 3, 6, "swapped", "sampled", 42):
+        "38d4ab574edfcba1082c6c5697868868f43661ce087a5104cb40872c35d67bbf",
+    ("O+", 3, 6, "swapped", "sampled", 7):
+        "93985acca96ca6d10ba81bab7c9d23a027d2056258818e97fcf87f9035b9d798",
+    ("O+", 3, 6, "foreign", "sampled", 42):
+        "c83e91f31bfa7e301b9358e9943b7e5d15ca35148b0e4657005d954f47ceaf3a",
+    ("O+", 3, 6, "foreign", "sampled", 7):
+        "0e8966fa16a869171cb8e83316c527b3b41a41367313afacf14ff671d220c0b1",
+    ("O+", 3, 6, "plan", "sampled", 42):
+        "8793b06ba07dd35533446469841d48c53affe3bb2e05c38278094cb058c20599",
+    ("PSO-", 3, 4, "canonical", "exhaustive", None):
+        "6bef42caf68cd11bae120cefa527187cd61019493f0b8ea72efe1f33abd50442",
+    ("PSO-", 3, 4, "swapped", "exhaustive", None):
+        "1497b7bf95a91576029b163324e4450d3e9271ada0de6330470950180079f0f2",
+    ("PSO-", 3, 4, "foreign", "exhaustive", None):
+        "101b28c89e25b0558451e0d3cddeeb0572fde997f11b27bfdf270f7e6348f9a4",
+}
+
+
+@pytest.mark.parametrize("fam,q,n,variant,mode,seed", sorted(VERIFY_REPORT_SHA256, key=str))
+def test_verify_reports_match_golden_hashes(fam, q, n, variant, mode, seed):
+    import hashlib
+    import json
+
+    ls = _report_variants(fam, q, n)[variant]
+    kw = {"samples": 300 if seed == 42 else 200, "seed": seed} if mode == "sampled" else {}
+    doc = json.dumps(verify_ls(ls, mode, **kw).to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == VERIFY_REPORT_SHA256[(fam, q, n, variant, mode, seed)]
+
+
+def test_verify_reports_that_cannot_be_made():
+    for ls in _report_variants("O+", 3, 6).values():
+        with pytest.raises(LsError, match="exhaustive verification needs"):
+            verify_ls(ls, "exhaustive")
+    # the projective quotient carries no decoding tables
+    for ls in _report_variants("PSO-", 3, 4).values():
+        with pytest.raises(LsError, match="sampled verification needs a decodable plan"):
+            verify_ls(ls, "sampled", samples=300, seed=42)
+
+
+def test_parabolic_reuses_its_middle_space():
+    # a new space, so that no earlier call has filled the caches for it
+    from orthosig.forms import QuadraticSpace, reflections
+
+    s = build_space("minus", make_tower(3, 1, 2))
+    space = QuadraticSpace(s.kind, s.tower, s.fq, s.gram_model)
+    before = (enumerate_isometry_group.cache_info().currsize, reflections.cache_info().currsize)
+    for _ in range(3):
+        parabolic_ls(space, 1)
+    after = (enumerate_isometry_group.cache_info().currsize, reflections.cache_info().currsize)
+    assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
