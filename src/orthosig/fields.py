@@ -11,6 +11,7 @@ across runs and machines.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from functools import cache, reduce
 
@@ -166,11 +167,16 @@ def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
 
 # ----------------------------------------------------------------------
 
-_ADD_TABLE_LIMIT = 2100  # full addition table only for small fields
-
 
 class GF:
-    """F_{p^d} with elements as integer codes; log/exp tables for mul."""
+    """F_{p^d} with elements as integer codes.
+
+    Every table is linear in the order n = p^d: `digits` (n x d int16, the
+    base-p digits of each code), `exp` (n - 1 int64, the powers of the
+    primitive element `alpha`), `log` (n int64, -1 at 0) and `neg_table`
+    (n int64).  Addition goes through the digits; multiplication, inversion
+    and powers through `log`/`exp`.
+    """
 
     def __init__(self, p: int, d: int):
         if not is_prime(p):
@@ -205,16 +211,7 @@ class GF:
         self.exp = codes[:n - 1]
         self.log = np.full(n, -1, dtype=np.int64)
         self.log[self.exp] = np.arange(n - 1)
-        self.neg_table = np.array(
-            [int(((p - digs[c]) % p) @ self._pvec) for c in range(n)], dtype=np.int64
-        )
-        if n <= _ADD_TABLE_LIMIT:
-            # digit by digit, so no (n, n, d) temporary is built
-            self.add_table = np.zeros((n, n), dtype=np.int64)
-            for i in range(d):
-                self.add_table += ((digs[:, None, i] + digs[None, :, i]) % p) * p ** i
-        else:
-            self.add_table = None
+        self.neg_table = ((p - digs) % p) @ self._pvec
 
     # -- construction helpers
 
@@ -250,8 +247,6 @@ class GF:
     # -- arithmetic on codes
 
     def add(self, a, b):
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
         return int(((self.digits[a] + self.digits[b]) % self.p) @ self._pvec)
 
     def neg(self, a):
@@ -310,25 +305,32 @@ def _gf(p: int, d: int) -> GF:
 class FqContext:
     """Matrix/vector arithmetic context over F_q = F_{p^e}.
 
-    Entry codes are ints in [0, q).  For e = 1 matrices multiply with
-    plain mod-p numpy; otherwise gather tables are used.
+    Entry codes are ints in [0, q).  The gather tables are int16: `ADD` and
+    `MUL` are q x q, `NEG` and `INV` (0 at 0) have q entries; all four are
+    built with numpy from the digits and log/exp tables of `gf`.  For
+    e = 1 vectors and matrices use plain mod-p numpy; otherwise they gather
+    from these tables.
     """
 
     def __init__(self, p: int, e: int):
         self.p = p
         self.e = e
         self.q = p ** e
-        self.gf = _gf(p, e)
+        self.gf = gf = _gf(p, e)
         self.fast = (e == 1)
         q = self.q
-        self.ADD = np.empty((q, q), dtype=np.int16)
-        self.MUL = np.empty((q, q), dtype=np.int16)
-        for a in range(q):
-            for b in range(q):
-                self.ADD[a, b] = self.gf.add(a, b)
-                self.MUL[a, b] = self.gf.mul(a, b)
-        self.NEG = np.array([self.gf.neg(a) for a in range(q)], dtype=np.int16)
-        self.INV = np.array([0] + [self.gf.inv(a) for a in range(1, q)], dtype=np.int16)
+        digs = gf.digits
+        # digit by digit, so no (q, q, e) temporary is built
+        self.ADD = np.zeros((q, q), dtype=np.int16)
+        for i in range(e):
+            self.ADD += ((digs[:, None, i] + digs[None, :, i]) % p) * np.int16(p ** i)
+        log = gf.log.astype(np.int32)
+        exp = gf.exp.astype(np.int16)
+        self.MUL = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        self.MUL[0] = self.MUL[:, 0] = 0
+        self.NEG = gf.neg_table.astype(np.int16)
+        self.INV = exp[-log % (q - 1)]
+        self.INV[0] = 0
         self.two_inv = self.gf.inv(2 % q if self.p != 2 else 1)
         self.generator = self._find_generator()
 
@@ -744,12 +746,12 @@ class FieldTower:
         return self.top.mul(code, self.bar_code(code)) if code else 0
 
     def _spot_check(self):
-        rng = np.random.default_rng(20240311)
+        rng = random.Random(20240311)
         n = self.top.order
         for _ in range(8):
             for lvl in (1, 2):
-                a = int(rng.integers(0, self.p ** self.level_degree[lvl]))
-                b = int(rng.integers(0, self.p ** self.level_degree[lvl]))
+                a = rng.randrange(self.p ** self.level_degree[lvl])
+                b = rng.randrange(self.p ** self.level_degree[lvl])
                 fa = FieldElement(lvl, self.fq.gf.coeffs(a) if lvl == 1 and self.e == self.level_degree[lvl] else self._codes_to_coeffs(a, lvl), self)
                 fb = FieldElement(lvl, self._codes_to_coeffs(b, lvl), self)
                 ea, eb = self.embed(fa), self.embed(fb)

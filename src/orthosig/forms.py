@@ -11,6 +11,7 @@ anisotropic block.  Q(v) = f(v, v) / 2 throughout (odd characteristic).
 from __future__ import annotations
 
 import itertools
+import random
 from functools import cache
 
 import numpy as np
@@ -324,12 +325,15 @@ def _plus_gram(tower: FieldTower):
 
 
 def _spot_check_quadratic_law(space):
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     fq = space.fq
+
+    def draw():
+        return np.array([rng.randrange(fq.q) for _ in range(space.n)], dtype=np.int16)
+
     for _ in range(6):
-        u = np.asarray(rng.integers(0, fq.q, space.n), dtype=np.int16)
-        v = np.asarray(rng.integers(0, fq.q, space.n), dtype=np.int16)
-        lam = int(rng.integers(0, fq.q))
+        u, v = draw(), draw()
+        lam = rng.randrange(fq.q)
         lhs = space.Q(fq.v_add(fq.v_scale(lam, u), v))
         rhs = fq.add(
             fq.add(fq.mul(fq.mul(lam, lam), space.Q(u)), fq.mul(lam, space.f(u, v))),

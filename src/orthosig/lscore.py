@@ -297,7 +297,9 @@ def _try_cyclic(space, g, M, W0, L):
                       False, [], rep)
 
 
-def _try_twisted(space, a, M, W0, L, transporters):
+def _try_twisted(space, a, M, W0, L, transporters, points):
+    """`points` maps each transporter key to the keys of the singular points
+    of its subspace; the orbit of W0 under `a` stays among those keys."""
     orbit1 = spr.cyclic_orbit(a, W0, M + 1)
     s = len(orbit1)
     if s == 0 or 2 * s != M:
@@ -308,21 +310,13 @@ def _try_twisted(space, a, M, W0, L, transporters):
         sp1.check_pairwise()
     except spr.NotAPartialSpread:
         return None
-    Lkeys = {v.tobytes() for v in L}
-    covered = set()
-    for memb in orbit1:
-        for v in spr.span_points(space.fq, memb):
-            k = v.tobytes()
-            if k in Lkeys:
-                covered.add(k)
-    uncovered = Lkeys - covered
+    uncovered = {v.tobytes() for v in L}.difference(*(points[k] for k in keys1))
     for xkey in transporters:
         if xkey in keys1:
             continue
-        X = spr.subspace_from_key(xkey, space.n)
-        xpts = {v.tobytes() for v in spr.span_points(space.fq, X)} & Lkeys
-        if not xpts <= uncovered:
+        if not points[xkey] <= uncovered:
             continue
+        X = spr.subspace_from_key(xkey, space.n)
         orbit2 = spr.cyclic_orbit(a, X, M + 1)
         if len(orbit2) != s:
             continue
@@ -472,8 +466,13 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
         if plan is None:
             plan = _scan_for_cyclic(space, M, W0cands[:2], L, det1, notes)
         if plan is None and lit is not None:
+            Lkeys = {v.tobytes() for v in L}
+            points = {}
+            for key in transporters:
+                X = spr.subspace_from_key(key, space.n)
+                points[key] = {v.tobytes() for v in spr.span_points(space.fq, X)} & Lkeys
             for W0 in W0cands:
-                plan = _try_twisted(space, lit, M, W0, L, transporters)
+                plan = _try_twisted(space, lit, M, W0, L, transporters, points)
                 if plan:
                     notes.append(
                         "using twisted layering: half torus orbit times an "

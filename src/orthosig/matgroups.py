@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .fields import FieldError, FieldTower, FqContext, factorint, fq_context, make_tower, split_prime_power
+from .fields import FieldError, FieldTower, FqContext, _gf, factorint, fq_context, make_tower, split_prime_power
 
 
 class ConstructionMismatch(RuntimeError):
@@ -258,7 +258,7 @@ def singer_generator(k: int, fq: FqContext) -> Mat:
 
 def _singer_via_extension(k: int, fq: FqContext) -> Mat:
     # F_{q^k} realized over F_p, then re-coordinatized over F_q
-    big = fq_context(fq.p, fq.e * k).gf
+    big = _gf(fq.p, fq.e * k)
     # F_p-basis b_{j,i} = gamma^j * theta^i with gamma a generator of big
     # and theta embedding F_q; solve as in FieldTower but standalone.
     p = fq.p

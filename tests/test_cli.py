@@ -204,3 +204,20 @@ def test_factor_flags_a_file_that_is_not_canonical(tmp_path):
         doc, _ = parse_stdout(proc.stdout)
         assert doc["result"]["canonical_mismatch"] is mismatch
         assert doc["result"]["rank"] == 5 and doc["result"]["recomposes"] is True
+
+
+def test_cli_commands_never_import_numpy_random(tmp_path):
+    # the self-checks of the field tower and the quadratic spaces draw
+    # their probes from the stdlib generator
+    out = tmp_path / "ls.json"
+    code = (
+        "import sys\n"
+        "from orthosig import cli\n"
+        f"assert cli.main(['construct', '--family', 'O+', '--q', '5', '--m', '2', '--out', {str(out)!r}]) == 0\n"
+        f"assert cli.main(['verify', '--in', {str(out)!r}, '--mode', 'sampled', '--samples', '50']) == 0\n"
+        "assert cli.main(['pgm-demo', '--family', 'O+', '--q', '5', '--m', '2', '--samples', '20']) == 0\n"
+        "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"

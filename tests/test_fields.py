@@ -195,6 +195,74 @@ def test_fq_context_tables():
         assert fq9.mul(a, fq9.inv(a)) == 1
 
 
+def _assert_tables_match_gf(fq, rows):
+    gf = fq.gf
+    for t in (fq.ADD, fq.MUL, fq.NEG, fq.INV):
+        assert t.dtype.name == "int16"
+    assert fq.NEG.tolist() == [gf.neg(a) for a in range(fq.q)]
+    assert fq.INV.tolist() == [0] + [gf.inv(a) for a in range(1, fq.q)]
+    for a in rows:
+        assert fq.ADD[a].tolist() == [gf.add(a, b) for b in range(fq.q)]
+        assert fq.MUL[a].tolist() == [gf.mul(a, b) for b in range(fq.q)]
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_fq_context_tables_match_scalar_gf_on_every_pair(p, e):
+    fq = fq_context(p, e)
+    _assert_tables_match_gf(fq, range(fq.q))
+
+
+def test_fq_context_tables_match_scalar_gf_on_sampled_rows_at_191():
+    rng = random.Random(191)
+    _assert_tables_match_gf(fq_context(191, 1), [0, 1, 190] + rng.sample(range(2, 190), 12))
+
+
+def _coeff_add(p, x, y):
+    return [(a + b) % p for a, b in zip(x, y)]
+
+
+def _coeff_mul(p, modulus, x, y):
+    """Schoolbook product of coefficient lists, reduced by the monic modulus."""
+    d = len(modulus) - 1
+    prod = [0] * (2 * d - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] = (prod[i + j] + a * b) % p
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        if c:
+            for i, mi in enumerate(modulus):
+                prod[k - d + i] = (prod[k - d + i] - c * mi) % p
+    return prod[:d]
+
+
+@given(st.sampled_from([(3, 2), (3, 4), (3, 6), (5, 4), (7, 2), (3, 8)]),
+       st.integers(min_value=0), st.integers(min_value=0))
+def test_gf_scalar_ops_match_coefficient_arithmetic(pd, a, b):
+    from orthosig.fields import _gf
+
+    p, d = pd
+    gf = _gf(p, d)
+    a, b = a % gf.order, b % gf.order
+    x, y = list(gf.coeffs(a)), list(gf.coeffs(b))
+    assert list(gf.coeffs(gf.add(a, b))) == _coeff_add(p, x, y)
+    assert list(gf.coeffs(gf.neg(a))) == [(-c) % p for c in x]
+    assert list(gf.coeffs(gf.sub(a, b))) == _coeff_add(p, x, [(-c) % p for c in y])
+    assert list(gf.coeffs(gf.mul(a, b))) == _coeff_mul(p, gf.modulus, x, y)
+
+
+@pytest.mark.parametrize("p,d", [(3, 6), (5, 4)])
+def test_gf_holds_no_table_beyond_order_times_degree(p, d):
+    import numpy as np
+
+    from orthosig.fields import GF
+
+    gf = GF(p, d)
+    arrays = [v for v in vars(gf).values() if isinstance(v, np.ndarray)]
+    assert arrays
+    assert max(a.size for a in arrays) <= gf.order * d
+
+
 @pytest.mark.parametrize("p", [181, 191, 193])
 def test_v_scale_matches_scalar_mul_for_large_p(p):
     # s * u no longer fits int16 once p > 181: 190 * 190 mod 191 is 1
