@@ -299,6 +299,32 @@ def _gf(p: int, d: int) -> GF:
     return GF(p, d)
 
 
+def subfield_root(big: GF, modulus, deg: int) -> int:
+    """Code of the lex-smallest root in `big` of `modulus`, an irreducible
+    of degree `deg` over F_p (coefficients low degree first).  The roots lie
+    in the subfield F_{p^deg}, whose codes are 0 and every step-th power of
+    the primitive element; they are tried in the order of their
+    coefficient vectors."""
+    step = (big.order - 1) // (big.p ** deg - 1)
+    for c in sorted({0, *big.exp[::step].tolist()}, key=big.coeffs):
+        acc = 0
+        for i, co in enumerate(modulus):
+            if co:
+                acc = big.add(acc, big.mul(co, big.pow(c, i)))
+        if acc == 0:
+            return c
+    raise FieldError("modulus has no root in the field")  # pragma: no cover
+
+
+def power_basis(big: GF, gamma: int, theta: int, k: int, e: int) -> np.ndarray:
+    """The F_p-basis gamma^j theta^i (j < k major, i < e) of `big` as the
+    columns of a digit matrix.  With theta a root of the modulus of F_q and
+    1, gamma, .., gamma^{k-1} an F_q-basis, solving against it gives the
+    F_q-coordinates of an element, e base-p digits per coordinate."""
+    return np.array([big.digits[big.mul(big.pow(gamma, j), big.pow(theta, i))]
+                     for j in range(k) for i in range(e)], dtype=np.int16).T
+
+
 # ----------------------------------------------------------------------
 
 
@@ -588,54 +614,14 @@ class FieldTower:
                 self._solvers[lvl] = None
                 continue
             self.moduli[lvl] = smallest_irreducible(p, deg)
-            self._theta[lvl] = self._embed_root(self.moduli[lvl], deg)
-            self._solvers[lvl] = self._basis_solver(self._theta[lvl], deg)
+            self._theta[lvl] = subfield_root(self.top, self.moduli[lvl], deg)
+            self._solvers[lvl] = power_basis(self.top, 1, self._theta[lvl], 1, deg)  # theta^i, i < deg
         self.fq = fq_context(p, e)
-        self._vec_solver = self._power_basis_solver()
-        self._spot_check()
-
-    # -- embeddings
-
-    def _subfield_codes(self, deg):
-        n1 = self.top.order - 1
-        sub = p_pow = self.p ** deg
-        step = n1 // (sub - 1)
-        codes = [0] + [int(self.top.exp[(k * step) % n1]) for k in range(sub - 1)]
-        return codes
-
-    def _embed_root(self, modulus, deg):
-        """Lex-smallest root of the level modulus inside the top field."""
-        cands = sorted(set(self._subfield_codes(deg)), key=lambda c: self.top.coeffs(c))
-        for c in cands:
-            acc = 0
-            for i, co in enumerate(modulus):
-                if co:
-                    term = self.top.mul(co % self.p, self.top.pow(c, i)) if i else co % self.p
-                    acc = self.top.add(acc, term)
-            if acc == 0:
-                return c
-        raise FieldError("modulus has no root in the top field")  # pragma: no cover
-
-    def _basis_solver(self, theta, deg):
-        cols = []
-        for i in range(deg):
-            cols.append(self.top.digits[self.top.pow(theta, i)])
-        B = np.array(cols, dtype=np.int16).T  # dtop x deg over F_p
-        return B
-
-    def _power_basis_solver(self):
         # F_p basis of the top field: alpha^j * theta_q^i, j < 2m, i < e
-        theta = self._theta[1]
-        cols = []
-        for j in range(2 * self.m):
-            aj = self.top.pow(self.alpha, j)
-            for i in range(self.e):
-                cols.append(self.top.digits[self.top.mul(aj, self.top.pow(theta, i))])
-        B = np.array(cols, dtype=np.int16).T
-        fp = fq_context(self.p, 1)
-        if fp.rank(B) != self.dtop:
+        self._vec_solver = power_basis(self.top, self.alpha, self._theta[1], 2 * m, e)
+        if fq_context(p, 1).rank(self._vec_solver) != self.dtop:
             raise FieldError("power basis over F_q is degenerate")  # pragma: no cover
-        return B
+        self._spot_check()
 
     def _solve_fp(self, B, target):
         fp = fq_context(self.p, 1)

@@ -26,7 +26,7 @@ from .matgroups import (
     ConstructionMismatch,
     GroupDescriptor,
     Mat,
-    block_diag,
+    closure,
     descriptor,
     element_order,
     group_order,
@@ -360,41 +360,18 @@ def _try_transversal(space, L, det1):
 _ELEMENT_SCAN_CAP = 2500
 
 
-def _scan_elements(fq, gens, cap):
-    """The first `cap` distinct non-identity products x * g, in BFS order
-    from the identity over the generators, as a (count, n, n) stack; each
-    frontier element multiplies the whole generator stack at once."""
-    stack = np.stack([g.a for g in gens])
-    start = fq.identity(gens[0].n)
-    seen = {start.tobytes()}
-    out = []
-    frontier = [start]
-    while frontier and len(out) < cap:
-        new = []
-        for x in frontier:
-            for y in fq.mat_mul(x, stack):
-                k = y.tobytes()
-                if k in seen:
-                    continue
-                seen.add(k)
-                new.append(y)
-                out.append(y)
-                if len(out) >= cap:
-                    break
-            if len(out) >= cap:
-                break
-        frontier = new
-    return np.array(out, dtype=np.int16).reshape(-1, *stack.shape[1:])
-
-
 def _scan_for_cyclic(space, M, W0cands, L, det1, notes):
     if M > 32:
         return None
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
     if not gens:
         return None
-    fq = space.fq
-    cands = _scan_elements(fq, gens, _ELEMENT_SCAN_CAP)
+    fq, n = space.fq, space.n
+    stack = np.stack([g.a for g in gens])
+    # the first _ELEMENT_SCAN_CAP non-identity elements of the BFS from the
+    # identity, as one (count, n, n) stack
+    cands = np.array(closure([fq.identity(n)], lambda x: fq.mat_mul(x, stack),
+                             _ELEMENT_SCAN_CAP + 1)[0][1:], dtype=np.int16).reshape(-1, n, n)
     # only an element whose orbit on W0 has exactly M members can pass
     # _try_cyclic, so the exact check runs on those alone, in scan order
     returns = [spr.first_return(fq, cands, W0.basis(), M) for W0 in W0cands]
@@ -434,7 +411,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
         try:
             fam_tag = {"minus": "-", "plus": "+", "odd": "odd"}[kind]
             desc = descriptor(("SO" if det1 else "O") + fam_tag, q, n=space.n)
-            lit_a, _lit_b, gnotes = standard_generators(desc, space)
+            lit_a, gnotes = standard_generators(desc, space)
             notes.extend(gnotes)
             lit = lit_a
         except ConstructionMismatch as exc:

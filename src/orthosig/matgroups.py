@@ -1,5 +1,6 @@
 """Dense matrices over F_q, multiplication-operator matrices, Singer cycles,
-and the block generators used by the signature constructions.
+the one breadth-first closure, and the literal block generator used by the
+signature constructions.
 
 All matrices are immutable value objects hashed on their entry bytes, so
 they can key dictionaries during closure enumeration and tame decoding.
@@ -7,13 +8,15 @@ they can key dictionaries during closure enumeration and tame decoding.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import reduce
-import math
 
 import numpy as np
 
-from .fields import FieldError, FieldTower, FqContext, _gf, factorint, fq_context, make_tower, split_prime_power
+from .fields import (
+    FieldError, FieldTower, FqContext, _gf, fq_context, make_tower, power_basis, split_prime_power,
+    subfield_root,
+)
 
 
 class ConstructionMismatch(RuntimeError):
@@ -257,49 +260,18 @@ def singer_generator(k: int, fq: FqContext) -> Mat:
 
 
 def _singer_via_extension(k: int, fq: FqContext) -> Mat:
-    # F_{q^k} realized over F_p, then re-coordinatized over F_q
+    # the generator gamma of F_{q^k}, realized over F_p, acts on the F_q-basis
+    # 1, gamma, .., gamma^{k-1}; its images are read off in the F_p-basis
+    # gamma^j theta^i, theta the root of the modulus of F_q
     big = _gf(fq.p, fq.e * k)
-    # F_p-basis b_{j,i} = gamma^j * theta^i with gamma a generator of big
-    # and theta embedding F_q; solve as in FieldTower but standalone.
-    p = fq.p
-    theta = _embed_subfield_root(big, fq.gf.modulus, fq.e)
+    gamma = big.alpha
+    B = power_basis(big, gamma, subfield_root(big, fq.gf.modulus, fq.e), k, fq.e)
+    fp = fq_context(fq.p, 1)
     cols = []
-    gamma = big.alpha  # primitive, order q^k - 1? big has order p^{ek}: q^k - 1 == p^{ek} - 1
-    basis_codes = []
-    for j in range(k):
-        gj = big.pow(gamma, j)
-        for i in range(fq.e):
-            basis_codes.append(big.mul(gj, big.pow(theta, i)))
-    B = np.array([big.digits[c] for c in basis_codes], dtype=np.int16).T
-    fp = fq_context(p, 1)
-    cols = []
-    for j in range(k):
-        img = big.mul(gamma, big.pow(gamma, j))
-        sol = fp.solve(B, np.asarray(big.digits[img], dtype=np.int16))
-        col = np.empty(k, dtype=np.int16)
-        for jj in range(k):
-            chunk = sol[jj * fq.e:(jj + 1) * fq.e]
-            col[jj] = fq.gf.from_coeffs([int(c) for c in chunk])
-        cols.append(col)
-    M = Mat(fq, np.array(cols, dtype=np.int16).T)
-    return M
-
-
-def _embed_subfield_root(big, modulus, deg):
-    p = big.p
-    n1 = big.order - 1
-    sub = p ** deg
-    step = n1 // (sub - 1)
-    cands = sorted({0} | {int(big.exp[(kk * step) % n1]) for kk in range(sub - 1)},
-                   key=lambda c: big.coeffs(c))
-    for c in cands:
-        acc = 0
-        for i, co in enumerate(modulus):
-            if co:
-                acc = big.add(acc, big.mul(co % p, big.pow(c, i)) if i else co % p)
-        if acc == 0:
-            return c
-    raise FieldError("no subfield root")  # pragma: no cover
+    for j in range(1, k + 1):
+        sol = fp.solve(B, np.asarray(big.digits[big.pow(gamma, j)], dtype=np.int16))
+        cols.append([fq.gf.from_coeffs(sol[i * fq.e:(i + 1) * fq.e].tolist()) for i in range(k)])
+    return Mat(fq, np.array(cols, dtype=np.int16).T)
 
 
 def element_order(g: Mat, cap: int) -> int:
@@ -394,91 +366,94 @@ def isotropic_point_count(kind: str, q: int, m: int) -> int:
 # closure enumeration
 
 
-def mulclose(gens, maxsize=None, cap=2_000_000):
+_CLOSURE_CAP = 2_000_000
+
+
+def closure(starts, images, limit):
+    """Breadth-first closure of the arrays `starts` under `images`, the one
+    BFS of the package.
+
+    `images(x)` gives the images of node x as a sequence of arrays.  Nodes
+    are deduplicated by their bytes and kept in first-seen order, and the
+    walk stops once `limit` nodes are known.  Returns (nodes, parent, via):
+    node t is images(nodes[parent[t]])[via[t]], and a start node has
+    parent and via -1.  Nodes found as images are copies, so they do not
+    keep their image stacks alive.
+    """
+    nodes, seen = [], set()
+    parent, via = array("l"), array("l")
+    for x in starts:
+        key = x.tobytes()
+        if key not in seen and len(nodes) < limit:
+            seen.add(key)
+            nodes.append(x)
+            parent.append(-1)
+            via.append(-1)
+    t = 0
+    while t < len(nodes) < limit:
+        for i, y in enumerate(images(nodes[t])):
+            key = y.tobytes()
+            if key not in seen:
+                seen.add(key)
+                nodes.append(y.copy())
+                parent.append(t)
+                via.append(i)
+                if len(nodes) == limit:
+                    break
+        t += 1
+    return nodes, parent, via
+
+
+def mulclose(gens):
     """Multiplicative closure of a generator list, BFS order, deterministic."""
-    gens = [g for g in gens]
+    gens = list(gens)
     if not gens:
         return []
-    I = identity(gens[0].fq, gens[0].n)
-    seen = {I.key: I}
-    order = [I]
-    frontier = [I]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y.key not in seen:
-                    seen[y.key] = y
-                    order.append(y)
-                    new.append(y)
-                    if maxsize and len(seen) >= maxsize:
-                        return order
-                    if len(seen) > cap:
-                        raise RuntimeError("closure exceeded cap")
-        frontier = new
-    return order
+    fq = gens[0].fq
+    stack = np.stack([g.a for g in gens])
+    nodes = closure([fq.identity(gens[0].n)], lambda x: fq.mat_mul(x, stack), _CLOSURE_CAP + 1)[0]
+    if len(nodes) > _CLOSURE_CAP:
+        raise RuntimeError("closure exceeded cap")
+    return [Mat(fq, a) for a in nodes]
 
 
-def derived_subgroup(gens, cap=2_000_000):
+def derived_subgroup(gens):
     """Derived subgroup of <gens>: normal closure of generator commutators."""
     gens = list(gens)
     if not gens:
         return []
-    fq, n = gens[0].fq, gens[0].n
+    fq = gens[0].fq
     ginvs = [g.inv() for g in gens]
-    comms = []
-    for i, a in enumerate(gens):
-        for j, b in enumerate(gens):
-            c = a * b * ginvs[i] * ginvs[j]
-            comms.append(c)
-    I = identity(fq, n)
-    seen = {I.key: I}
-    order = [I]
-    frontier = []
-    def push(x):
-        if x.key not in seen:
-            seen[x.key] = x
-            order.append(x)
-            frontier.append(x)
-    for c in comms:
-        push(c)
+    comms = np.stack([(a * b * ai * bi).a for a, ai in zip(gens, ginvs) for b, bi in zip(gens, ginvs)])
+    gstack = np.stack([g.a for g in gens])
+    istack = np.stack([g.a for g in ginvs])
+
     # close under multiplication and conjugation by the ambient generators
-    while frontier:
-        work = frontier
-        frontier = []
-        for x in work:
-            for c in comms:
-                push(x * c)
-            for g, gi in zip(gens, ginvs):
-                push(g * x * gi)
-            if len(seen) > cap:
-                raise RuntimeError("derived subgroup exceeded cap")
-    return order
+    def images(x):
+        return np.concatenate([fq.mat_mul(x, comms), fq.mat_mul(fq.mat_mul(gstack, x), istack)])
+
+    nodes = closure([fq.identity(gens[0].n), *comms], images, _CLOSURE_CAP + 1)[0]
+    if len(nodes) > _CLOSURE_CAP:
+        raise RuntimeError("derived subgroup exceeded cap")
+    return [Mat(fq, a) for a in nodes]
 
 
 # ----------------------------------------------------------------------
 # literal block generators
 
 
-def block_diag(fq: FqContext, blocks) -> Mat:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=np.int16)
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[at:at + k, at:at + k] = b
-        at += k
-    return Mat(fq, out)
-
-
 def standard_generators(desc: GroupDescriptor, space):
-    """The literal cyclic-block generator pair (a, b) for a staged
-    signature, in the space's Witt coordinates.
+    """The literal cyclic-block generator a for a staged signature, in the
+    space's Witt coordinates: a torus element of order q^m + 1 (minus, odd)
+    or q^{m-1} + 1 (plus), checked to be an isometry of determinant 1.
 
-    Returns (a, b, notes).  Raises ConstructionMismatch when a literal
-    recipe fails its isometry or order assertion; callers may fall back to
-    the search in lscore.
+    Returns (a, notes).  The B block is built by the stage itself, as
+    D + D^{-T} with D a Singer cycle of order q^r - 1 on the base subspace.
+    For SO the notes record why that form is used: a starred D* from the
+    dot-product orthogonal group must be an involution, so it has order
+    q^r - 1 only when q^r - 1 <= 2 (q = 3, r = 1).  Raises
+    ConstructionMismatch when the literal recipe for a fails its isometry or
+    order assertion; callers may fall back to the search in lscore.
     """
     from . import forms  # deferred; forms imports this module
 
@@ -486,7 +461,6 @@ def standard_generators(desc: GroupDescriptor, space):
     if base not in ("O", "SO"):
         raise ValueError("standard_generators covers the O and SO families")
     kind, q, m = desc.kind, desc.q, space.m
-    notes = []
     a = _literal_a(kind, space)
     expected_a = {"minus": q ** m + 1, "plus": q ** (m - 1) + 1, "odd": q ** m + 1}[kind]
     ord_a = element_order(a, expected_a + 1)
@@ -496,22 +470,14 @@ def standard_generators(desc: GroupDescriptor, space):
         raise ConstructionMismatch("a is not an isometry")
     if a.det() != 1:
         raise ConstructionMismatch("a has determinant != 1")
-
-    r = space.witt_index
-    b = None
-    if base == "SO":
-        b = _starred_b(space, r, q, notes)
-    if b is None:
-        b = _plain_b(space, r)
-        if base == "SO":
-            notes.append("orthogonal-subgroup b variant unavailable; using the inverse-transpose block form (det 1)")
-    expected_b = q ** r - 1
-    ord_b = element_order(b, expected_b + 1)
-    if ord_b != expected_b:
-        raise ConstructionMismatch(f"b has order {ord_b}, expected {expected_b}")
-    if not forms.is_isometry(space, b):
-        raise ConstructionMismatch("b is not an isometry")
-    return a, b, notes
+    target = q ** space.witt_index - 1
+    if base == "SO" and target > 2:
+        return a, [
+            "starred b requires an involutory orthogonal D* of order "
+            f"{target}; impossible, falling back",
+            "orthogonal-subgroup b variant unavailable; using the inverse-transpose block form (det 1)",
+        ]
+    return a, []
 
 
 def _literal_a(kind: str, space) -> Mat:
@@ -562,58 +528,3 @@ def _plus_literal_a(space) -> Mat:
     big[:n - 2, :n - 2] = t_U
     big[n - 2:, n - 2:] = fq.identity(2)
     return Mat(fq, fq.mat_mul(fq.mat_mul(C, big), Cinv))
-
-
-def _plain_b(space, r: int) -> Mat:
-    fq = space.fq
-    D = singer_generator(r, fq)
-    Dti = D.transpose_inv()
-    rest = space.n - 2 * r
-    blocks = [D.a, Dti.a]
-    if rest:
-        blocks.append(fq.identity(rest))
-    return block_diag(fq, blocks)
-
-
-def _starred_b(space, r: int, q: int, notes) -> Mat | None:
-    """Literal starred variant: D* from the dot-product orthogonal group,
-    with D*^t in the dual block.  Only consistent when D*^2 = I."""
-    from . import forms
-
-    fq = space.fq
-    target = q ** r - 1
-    if target > 2:
-        notes.append(
-            "starred b requires an involutory orthogonal D* of order "
-            f"{target}; impossible, falling back"
-        )
-        return None
-    rest = space.n - 2 * r
-    found = None
-    for codes in _lex_matrices(fq, r):
-        D = Mat(fq, codes)
-        if D.det() == 0:
-            continue
-        Dt = D.transpose()
-        if (Dt * D) != identity(fq, r):
-            continue
-        blocks = [D.a, Dt.a] + ([fq.identity(rest)] if rest else [])
-        b = block_diag(fq, blocks)
-        if not forms.is_isometry(space, b):
-            continue
-        try:
-            if element_order(b, target) == target:
-                found = b
-                break
-        except OrderNotFound:
-            continue
-    if found is None:
-        notes.append("no starred D* satisfied the order and isometry assertions; falling back")
-    return found
-
-
-def _lex_matrices(fq, r):
-    import itertools as it
-
-    for entries in it.product(range(fq.q), repeat=r * r):
-        yield np.array(entries, dtype=np.int16).reshape(r, r)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .factorize import IndexVector, compose, rank, tame_factor, unrank
-from .lscore import LogSignature, LsError, canonical_ls, verify_ls
+from .lscore import LogSignature, LsError, canonical_ls
 from .matgroups import GroupDescriptor, Mat, identity
 
 
@@ -113,8 +113,3 @@ def decrypt(key: PgmKey, ct: int) -> int:
     g = compose(unrank(ct, key.beta_ls), key.beta_ls)
     return rank(tame_factor(g, key.alpha_ls), key.alpha_ls)
 
-
-def verify_key(key: PgmKey, mode="exhaustive", **kw):
-    ra = verify_ls(key.alpha_ls, mode=mode, **kw)
-    rb = verify_ls(key.beta_ls, mode="exhaustive", **kw) if mode == "exhaustive" else None
-    return ra, rb

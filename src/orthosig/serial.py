@@ -25,8 +25,3 @@ def load_ls(path: str) -> LogSignature:
     blocks = [[Mat.from_json(fq, m) for m in b] for b in d["blocks"]]
     return LogSignature(desc, blocks, d["claimed_order"], meta=d.get("meta", {}))
 
-
-def save_json(obj, path: str):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")

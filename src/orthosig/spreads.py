@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 
 from .fields import FieldTower, FqContext
-from .matgroups import Mat, identity
+from .matgroups import Mat, closure, identity
 
 
 class NotAPartialSpread(ValueError):
@@ -273,36 +273,29 @@ def verify_partition(spread: PartialSpread, points, fq: FqContext):
     }
 
 
-def schreier_transversal(start, gens, cap=200_000):
-    """BFS transversal of the orbit of a subspace, given by its echelon
-    basis `start`, under the group generated by `gens`: returns
-    {key: transporter} with transporter(start) = the subspace of that key.
-    Each node meets the whole generator stack in one `act_rref` call;
-    nodes and transporters come in the order of the one-at-a-time BFS,
-    so the result is deterministic for a fixed generator order.
+_TRANSVERSAL_CAP = 200_000
+
+
+def schreier_transversal(start, gens):
+    """Transversal of the orbit of a subspace, given by its echelon basis
+    `start`, under the group generated by `gens`: returns {key:
+    transporter} with transporter(start) = the subspace of that key.
+
+    The orbit is the `matgroups.closure` of `start` under `act_rref` with
+    the whole generator stack, so keys come in BFS order; the transporter
+    of a node is the generator that found it times the transporter of its
+    parent, one stacked product per parent.  The result is deterministic
+    for a fixed generator order.
     """
     fq, n = gens[0].fq, gens[0].n
     stack = np.stack([g.a for g in gens])
-    start = np.ascontiguousarray(start, dtype=np.int16)
-    reps = {start.tobytes(): identity(fq, n)}
-    frontier = [start]
-    while frontier:
-        new = []
-        for node in frontier:
-            g0 = reps[node.tobytes()]
-            imgs, _ = act_rref(fq, stack, node)
-            fresh = []
-            for i, img in enumerate(imgs):
-                k = img.tobytes()
-                if k not in reps:
-                    reps[k] = None
-                    fresh.append((i, k))
-                    new.append(img)
-            if len(reps) > cap:
-                raise RuntimeError("transversal exceeded cap")
-            if fresh:
-                prods = fq.mat_mul(stack[[i for i, _ in fresh]], g0.a)
-                for (_, k), a in zip(fresh, prods):
-                    reps[k] = Mat(fq, a)
-        frontier = new
-    return reps
+    nodes, parent, via = closure([np.ascontiguousarray(start, dtype=np.int16)],
+                                 lambda x: act_rref(fq, stack, x)[0], _TRANSVERSAL_CAP + 1)
+    if len(nodes) > _TRANSVERSAL_CAP:
+        raise RuntimeError("transversal exceeded cap")
+    move = [identity(fq, n)]
+    for t, run in itertools.groupby(range(1, len(nodes)), parent.__getitem__):
+        run = list(run)
+        prods = fq.mat_mul(stack[[via[u] for u in run]], move[t].a)
+        move.extend(Mat(fq, a) for a in prods)
+    return {x.tobytes(): g for x, g in zip(nodes, move)}

@@ -1,6 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+
+import orthosig
+
+# the subprocesses import the package from the same directory as this
+# interpreter, with or without PYTHONPATH in the caller's environment
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(orthosig.__file__)), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args):
@@ -8,6 +16,7 @@ def run_cli(*args):
         [sys.executable, "-m", "orthosig", *args],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     return proc
 
@@ -218,6 +227,6 @@ def test_cli_commands_never_import_numpy_random(tmp_path):
         "assert cli.main(['pgm-demo', '--family', 'O+', '--q', '5', '--m', '2', '--samples', '20']) == 0\n"
         "print('numpy.random' in sys.modules, file=sys.stderr)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "False"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
+from leibniz import det_by_permutations
 
 from orthosig.fields import (
     FieldError,
@@ -280,21 +281,6 @@ def test_v_scale_matches_scalar_mul_for_large_p(p):
     assert table.tolist() == [[fq.mul(s, x) for x in range(p)] for s in range(p)]
 
 
-def _det_by_permutations(fq, a):
-    """The Leibniz expansion, one signed product per permutation."""
-    import itertools
-
-    n = len(a)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = 1 if inversions % 2 == 0 else fq.neg(1)
-        for i, j in enumerate(perm):
-            term = fq.mul(term, int(a[i][j]))
-        total = fq.add(total, term)
-    return total
-
-
 @given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]),
        st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_det_of_a_stack_matches_the_leibniz_expansion(pe, n, seed):
@@ -308,7 +294,7 @@ def test_det_of_a_stack_matches_the_leibniz_expansion(pe, n, seed):
     stack[3] = np.triu(stack[3])                       # pivots on the diagonal
     got = fq.det(stack)
     assert got.dtype == np.int16
-    want = [_det_by_permutations(fq, a) for a in stack]
+    want = [det_by_permutations(fq, a) for a in stack]
     assert got.tolist() == want == [fq.det(a) for a in stack]
     assert fq.det(stack[:1]).tolist() == want[:1]
 
@@ -328,3 +314,22 @@ def test_mat_mul_is_exact_at_the_largest_codes(p, n):
     assert got.dtype == np.int16
     want = (A.astype(object) @ B.astype(object)) % p
     assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p,d,deg", [(3, 2, 1), (3, 2, 2), (3, 4, 2), (3, 6, 2), (3, 6, 3),
+                                     (5, 2, 1), (5, 4, 2), (7, 2, 2), (3, 8, 4)])
+def test_subfield_root_is_the_lex_smallest_root(p, d, deg):
+    from orthosig.fields import _gf, subfield_root
+
+    big = _gf(p, d)
+    modulus = smallest_irreducible(p, deg)
+
+    def value(c):  # Horner's rule over every code of the field
+        acc = 0
+        for co in reversed(modulus):
+            acc = big.add(big.mul(acc, c), co)
+        return acc
+
+    roots = [c for c in range(big.order) if value(c) == 0]
+    assert len(roots) == deg
+    assert subfield_root(big, modulus, deg) == min(roots, key=big.coeffs)

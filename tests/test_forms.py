@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from leibniz import det_by_permutations
 
 from orthosig.fields import fq_context, make_tower
 from orthosig.forms import (
@@ -322,9 +323,7 @@ def _member_by_definition(space, g, family):
         return False
     if family.startswith("O-") or family.startswith("O+") or family.startswith("Oodd"):
         return True
-    from test_fields import _det_by_permutations
-
-    if _det_by_permutations(fq, g.a) != 1:
+    if det_by_permutations(fq, g.a) != 1:
         return False
     return family.startswith("SO") or omega_rank_criterion(space, g)
 

@@ -387,8 +387,11 @@ def test_so5_transversal_valid():
 # SHA-256 of json.dumps(canonical_ls(...).to_json(), sort_keys=True),
 # recorded before the subspace-orbit work was batched (the first nine) and
 # before the Eichler maps, Witt frames and block-product loops were merged
-# (the last three): every rung of the construction ladder must keep
-# producing the same blocks, in the same order.
+# (the next three), and before the literal b was dropped and the BFS loops
+# became one closure (the last four: the SO notes of the dropped b, a
+# signature without notes, and the element scan): every rung of the
+# construction ladder must keep producing the same blocks, in the same
+# order.
 GOLDEN_SHA256 = {
     ("O-", 3, 4): "9746ebc30dd2c080e75d247b2b620904e5c3f02f2bbbe1ac070e10cfeb319f8b",
     ("O+", 3, 4): "b02c4e3eaf63cfa9898a88f00cf52a07fe4dae484776b452654fdd9df7797fe0",
@@ -402,6 +405,10 @@ GOLDEN_SHA256 = {
     ("SO-", 5, 4): "3b31476699de4b35aeffb1239d69232eb04ed46ce32e0210af0e114d25f309ae",
     ("PSO+", 5, 4): "486476f4e0da7d9d0368f6c56cc7f5b6a0ec807966929818cd22489f8ba2ece7",
     ("Oodd", 5, 3): "452b1905ea1cfbc840e68e552758b245a1ecdeeb15d090dafaade80c3d209264",
+    ("SO+", 3, 4): "e1e3b6c350bc710e112376fb3d4a2464c40e68cd8a84e77626482804eb011a7e",
+    ("SOodd", 3, 5): "f831af935425a27c270b1b82b9864cd2645e995d451f680ffd803aa3ec2375e2",
+    ("SOodd", 3, 3): "33ec9f7f48ce7c32dbb5283867911ecefab57fb0273367fb5b84a47ded6beff3",
+    ("O-", 3, 6): "0d7d60918774df77473f495a7a9c28d49c4688f103ad8969c2622be4a7ecc6c6",
 }
 
 
@@ -570,3 +577,36 @@ def test_parabolic_reuses_its_middle_space():
         parabolic_ls(space, 1)
     after = (enumerate_isometry_group.cache_info().currsize, reflections.cache_info().currsize)
     assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+
+
+def test_element_scan_takes_the_first_bfs_elements(monkeypatch):
+    # the scan's candidates are the first 2,500 non-identity elements of
+    # the BFS from the identity over the generators, in that order
+    from orthosig import lscore, spreads
+    from orthosig.forms import o_generators
+
+    class Scanned(Exception):
+        pass
+
+    def capture(fq, cands, basis, M):
+        raise Scanned(cands)
+
+    space = build_space("minus", make_tower(3, 1, 3))
+    gens = o_generators(space)
+    monkeypatch.setattr(spreads, "first_return", capture)
+    with pytest.raises(Scanned) as got:
+        lscore._scan_for_cyclic(space, 28, [lscore._default_w0(space, 2)], None, False, [])
+    cands = got.value.args[0]
+    want, seen = [], {identity(space.fq, space.n).key}
+    queue = [identity(space.fq, space.n)]
+    for x in queue:
+        if len(want) == 2500:
+            break
+        for g in gens:
+            y = x * g
+            if y.key not in seen and len(want) < 2500:
+                seen.add(y.key)
+                want.append(y)
+                queue.append(y)
+    assert cands.shape == (2500, 6, 6)
+    assert [y.tobytes() for y in cands] == [y.key for y in want]

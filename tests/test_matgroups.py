@@ -5,10 +5,13 @@ import pytest
 
 from orthosig.fields import FieldError, fq_context, make_tower
 from orthosig.forms import build_space, is_isometry
+from orthosig.lscore import canonical_ls
 from orthosig.matgroups import (
     GroupDescriptor,
     Mat,
     OrderNotFound,
+    closure,
+    derived_subgroup,
     descriptor,
     element_order,
     field_norm_to_fq,
@@ -109,27 +112,48 @@ def test_descriptor_validation():
 
 
 def test_standard_generator_orders_minus():
-    # order of the a block is q^m + 1 = 10
+    # order of the a block is q^m + 1 = 10; the stage's base subspace is a
+    # point, one Singer coset, so the stage has no B block
     space = build_space("minus", make_tower(3, 1, 2))
-    a, b, notes = standard_generators(descriptor("O-", 3, n=4), space)
+    a, notes = standard_generators(descriptor("O-", 3, n=4), space)
     assert element_order(a, 11) == 10
-    assert is_isometry(space, a) and is_isometry(space, b)
+    assert is_isometry(space, a) and notes == []
+    plan = canonical_ls(descriptor("O-", 3, n=4)).plan
+    assert plan.sp.W0.dim == 1 and plan.b is None
 
 
 def test_standard_generator_orders_plus():
-    # order of the b block is q^m - 1 = 8
+    # order of the stage's B block is q^r - 1 = 8, r = 2
     space = build_space("plus", make_tower(3, 1, 2))
-    a, b, notes = standard_generators(descriptor("O+", 3, n=4), space)
-    assert element_order(b, 9) == 8
+    a, notes = standard_generators(descriptor("O+", 3, n=4), space)
     assert element_order(a, 5) == 4  # q^{m-1} + 1
-    assert is_isometry(space, a)
+    assert is_isometry(space, a) and notes == []
+    for fam in ("O+", "SO+"):
+        plan = canonical_ls(descriptor(fam, 3, n=4)).plan
+        assert plan.sp.W0.dim == 2
+        assert element_order(plan.b, 9) == 8
+        assert is_isometry(plan.space, plan.b) and plan.b.det() == 1
 
 
 def test_standard_generator_orders_odd():
     # order of the a block is q^m + 1 = 4
     space = build_space("odd", make_tower(3, 1, 1))
-    a, b, notes = standard_generators(descriptor("Oodd", 3, n=3), space)
+    a, notes = standard_generators(descriptor("Oodd", 3, n=3), space)
     assert element_order(a, 5) == 4
+
+
+def test_standard_generator_notes_of_so():
+    # the starred D* of an SO signature exists only for q^r - 1 <= 2
+    def fallback(order):
+        return [f"starred b requires an involutory orthogonal D* of order {order}; impossible, falling back",
+                "orthogonal-subgroup b variant unavailable; using the inverse-transpose block form (det 1)"]
+
+    for fam, kind, q, m, want in [("SO+", "plus", 3, 2, fallback(8)), ("SO-", "minus", 3, 2, []),
+                                  ("SOodd", "odd", 3, 1, []), ("O+", "plus", 3, 2, []),
+                                  ("SO-", "minus", 5, 2, fallback(4))]:
+        space = build_space(kind, make_tower(q, 1, m))
+        _, notes = standard_generators(descriptor(fam, q, n=space.n), space)
+        assert notes == want
 
 
 def test_mulclose_dihedral():
@@ -138,6 +162,88 @@ def test_mulclose_dihedral():
 
     els = mulclose(reflections(space))
     assert len(els) == 8  # dihedral of order 2(q+1)
+
+
+def _bfs_one_at_a_time(starts, images):
+    """Reference closure: a queue of Mat nodes, one image at a time."""
+    order, seen = [], set()
+    for x in starts:
+        if x.key not in seen:
+            seen.add(x.key)
+            order.append(x)
+    for x in order:  # the list grows while it is walked
+        for y in images(x):
+            if y.key not in seen:
+                seen.add(y.key)
+                order.append(y)
+    return order
+
+
+CLOSURE_SPACES = [("minus", 3, 1, 1), ("minus", 3, 1, 2), ("plus", 3, 1, 2), ("odd", 3, 1, 1),
+                  ("odd", 5, 1, 1), ("minus", 3, 2, 1), ("plus", 3, 2, 1)]
+
+
+@pytest.mark.parametrize("kind,p,e,m", CLOSURE_SPACES)
+def test_mulclose_keeps_bfs_order(kind, p, e, m):
+    from orthosig.forms import reflections
+
+    space = build_space(kind, make_tower(p, e, m))
+    gens = reflections(space)
+    want = _bfs_one_at_a_time([identity(space.fq, space.n)], lambda x: [x * g for g in gens])
+    assert [g.key for g in mulclose(gens)] == [g.key for g in want]
+
+
+@pytest.mark.parametrize("kind,p,e,m", CLOSURE_SPACES)
+def test_derived_subgroup_keeps_bfs_order(kind, p, e, m):
+    # the SO generators are not involutions, so they tell g x g^-1 from
+    # g^-1 x g
+    from orthosig.forms import o_generators, so_generators
+
+    space = build_space(kind, make_tower(p, e, m))
+    for gens in (o_generators(space), so_generators(space)):
+        invs = [g.inv() for g in gens]
+        comms = [a * b * ai * bi for a, ai in zip(gens, invs) for b, bi in zip(gens, invs)]
+        want = _bfs_one_at_a_time(
+            [identity(space.fq, space.n)] + comms,
+            lambda x: [x * c for c in comms] + [g * x * gi for g, gi in zip(gens, invs)])
+        assert [g.key for g in derived_subgroup(gens)] == [g.key for g in want]
+
+
+def test_closure_records_parents_and_stops_at_the_limit():
+    fq = fq_context(5, 1)
+    S = singer_generator(2, fq)  # order 24, and -I = S^12
+    stack = np.stack([S.a, (S * S).a, neg_identity(fq, 2).a])
+
+    def images(x):
+        return fq.mat_mul(x, stack)
+
+    nodes, parent, via = closure([fq.identity(2), stack[2]], images, 10 ** 6)
+    assert len(nodes) == 24 == len({x.tobytes() for x in nodes})
+    assert list(parent[:2]) == list(via[:2]) == [-1, -1]
+    for t in range(2, len(nodes)):
+        assert parent[t] < t
+        assert nodes[t].tobytes() == images(nodes[parent[t]])[via[t]].tobytes()
+    for limit in range(1, 26):
+        head = closure([fq.identity(2), stack[2]], images, limit)
+        assert [x.tobytes() for x in head[0]] == [x.tobytes() for x in nodes[:limit]]
+        assert head[1] == parent[:limit] and head[2] == via[:limit]
+
+
+def test_closures_raise_beyond_the_cap(monkeypatch):
+    from orthosig import matgroups
+    from orthosig.forms import o_generators, reflections
+
+    space = build_space("odd", make_tower(3, 1, 1))  # O_3(3) of order 48, derived subgroup 12
+    monkeypatch.setattr(matgroups, "_CLOSURE_CAP", 48)
+    assert len(mulclose(reflections(space))) == 48
+    monkeypatch.setattr(matgroups, "_CLOSURE_CAP", 47)
+    with pytest.raises(RuntimeError, match="^closure exceeded cap$"):
+        mulclose(reflections(space))
+    monkeypatch.setattr(matgroups, "_CLOSURE_CAP", 12)
+    assert len(derived_subgroup(o_generators(space))) == 12
+    monkeypatch.setattr(matgroups, "_CLOSURE_CAP", 11)
+    with pytest.raises(RuntimeError, match="^derived subgroup exceeded cap$"):
+        derived_subgroup(o_generators(space))
 
 
 def test_mat_serialization_roundtrip():

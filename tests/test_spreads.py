@@ -73,7 +73,7 @@ def test_orbit_partial_spread_minus_torus_collapses():
     # fifth power is -I, which fixes every subspace
     t = make_tower(3, 1, 2)
     s = build_space("minus", t)
-    a, b, _ = standard_generators(descriptor("O-", 3, n=4), s)
+    a, _ = standard_generators(descriptor("O-", 3, n=4), s)
     W0 = None
     for v in enumerate_isotropic_points(s):
         W0 = subspace(s.fq, [v])
@@ -176,7 +176,7 @@ def _reference_orbit(g, W, cap):
 
 def test_cyclic_orbit_and_first_return_match_stepping():
     s = build_space("minus", make_tower(3, 1, 2))
-    a, _, _ = standard_generators(descriptor("O-", 3, n=4), s)
+    a, _ = standard_generators(descriptor("O-", 3, n=4), s)
     pts = enumerate_isotropic_points(s)
     gens = [a, a.pow(2), a * a.transpose(), identity(s.fq, 4)]
     for W in (subspace(s.fq, [v]) for v in pts[:4]):
@@ -214,3 +214,16 @@ def test_schreier_transversal_keeps_bfs_order(kind, p, e, m, r):
     got = schreier_transversal(W0.basis(), gens)
     assert list(got) == list(want)
     assert all(got[k].key == want[k].key for k in want)
+
+
+def test_schreier_transversal_raises_beyond_the_cap(monkeypatch):
+    from orthosig import spreads
+    from orthosig.forms import o_generators
+
+    s = build_space("minus", make_tower(3, 1, 2))  # 10 singular points
+    w0 = enumerate_isotropic_points(s)[0]
+    monkeypatch.setattr(spreads, "_TRANSVERSAL_CAP", 10)
+    assert len(schreier_transversal(w0[None, :], o_generators(s))) == 10
+    monkeypatch.setattr(spreads, "_TRANSVERSAL_CAP", 9)
+    with pytest.raises(RuntimeError, match="^transversal exceeded cap$"):
+        schreier_transversal(w0[None, :], o_generators(s))
