@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from . import forms, pgm
-from .factorize import IndexVector, compose, rank, tame_factor, unrank
+from .factorize import compose, rank, tame_factor, unrank
 from .fields import make_tower, split_prime_power
 from .lscore import (
     canonical_ls,
@@ -28,11 +28,10 @@ from .lscore import (
     spread_construction,
     verify_ls,
 )
-from .matgroups import GroupDescriptor, descriptor, group_order, neg_identity, identity
+from .matgroups import descriptor, group_order, neg_identity, identity
 from .fields import fq_context
 from .serial import load_ls, save_ls
 from .spreads import classical_spread, verify_partition
-from . import spreads as spr
 
 
 FAMILY_CHOICES = [

@@ -546,12 +546,12 @@ class FqContext:
         return x
 
     def quad(self, G, v):
-        """v^T G v / 2 (the quadratic form of the polar form G)."""
-        w = self.mat_vec(G, v)
-        s = 0
-        for a, b in zip(v, w):
-            s = self.add(s, self.mul(int(a), int(b)))
-        return self.mul(self.two_inv, s)
+        """v^T G v / 2 (the quadratic form of the polar form G) of a vector
+        (an int), or of every row of a (k, n) stack (an int16 array)."""
+        v = np.asarray(v, dtype=np.int16)
+        w = self.mat_mul(v[..., None, :], G)
+        out = self.v_scale(self.two_inv, self.mat_mul(w, v[..., :, None])[..., 0, 0])
+        return int(out) if v.ndim == 1 else out
 
     def bil(self, G, u, v):
         w = self.mat_vec(G, v)
@@ -564,6 +564,14 @@ class FqContext:
 @cache
 def fq_context(p: int, e: int) -> FqContext:
     return FqContext(p, e)
+
+
+def fq_coordinates(fq: FqContext, basis, digits) -> np.ndarray:
+    """F_q-coordinates of an element of a larger field, given by its base-p
+    `digits`: solves over F_p against a `power_basis` with e digits per
+    coordinate and reads every e solution digits as one F_q code."""
+    sol = fq_context(fq.p, 1).solve(basis, np.asarray(digits, dtype=np.int16))
+    return (sol.reshape(-1, fq.e) @ fq.gf._pvec).astype(np.int16)
 
 
 # ----------------------------------------------------------------------
@@ -674,12 +682,7 @@ class FieldTower:
 
     # F_q-coordinates of the top field in the basis 1, alpha, .., alpha^{2m-1}
     def top_to_vec(self, code: int) -> np.ndarray:
-        sol = self._solve_fp(self._vec_solver, self.top.digits[code])
-        out = np.empty(2 * self.m, dtype=np.int16)
-        for j in range(2 * self.m):
-            chunk = sol[j * self.e:(j + 1) * self.e]
-            out[j] = self.fq.gf.from_coeffs([int(c) for c in chunk])
-        return out
+        return fq_coordinates(self.fq, self._vec_solver, self.top.digits[code])
 
     def vec_to_top(self, vec) -> int:
         theta = self._theta[1]

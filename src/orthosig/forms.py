@@ -16,11 +16,10 @@ from functools import cache
 
 import numpy as np
 
-from .fields import FieldError, FieldTower, FqContext, fq_context, make_tower
+from .fields import FieldTower, FqContext, fq_context
 from .matgroups import (
     Mat,
     derived_subgroup,
-    identity,
     isotropic_point_count,
     mulclose,
 )
@@ -115,7 +114,8 @@ class QuadraticSpace:
     def isotropic_points(self):
         """All singular projective points, canonical reps, deterministic order."""
         if self._isotropic is None:
-            self._isotropic = [v for v in self.points() if self.Q(v) == 0]
+            pts = self.points()
+            self._isotropic = [v for v, z in zip(pts, self.Q(pts) == 0) if z]
         return self._isotropic
 
     def serialize(self):
@@ -417,21 +417,23 @@ def membership_many(space: QuadraticSpace, A, family: str):
     return ok
 
 
-def _rank_update(fq, X, Y):
-    """I + X Y for X of shape (n, k) and Y of shape (k, n)."""
-    return fq.v_add(fq.identity(X.shape[0]), fq.mat_mul(X, Y))
-
-
 def reflection(space: QuadraticSpace, v) -> Mat:
     """r_v(u) = u - f(u,v)/Q(v) * v, the matrix I - Q(v)^-1 v (Gv)^T;
     needs Q(v) != 0."""
     v = np.asarray(v, dtype=np.int16)
-    qv = space.Q(v)
-    if qv == 0:
+    qv = space.Q(v[None])
+    if qv[0] == 0:
         raise GeometryError("reflection in a singular vector divides by zero")
+    return Mat(space.fq, _reflection_stack(space, v[None], qv)[0])
+
+
+def _reflection_stack(space, V, qv):
+    """The (k, n, n) stack of reflections in the rows of V, with qv = Q(V)
+    nonzero: one rank update I + (-qv^-1 v) (Gv)^T per row."""
     fq = space.fq
-    col = fq.v_scale(fq.neg(fq.inv(qv)), v)
-    return Mat(fq, _rank_update(fq, col[:, None], fq.mat_vec(space.gram, v)[None, :]))
+    col = fq.v_scale(fq.NEG[fq.INV[qv]][:, None], V)
+    row = fq.mat_mul(V, space.gram)
+    return fq.v_add(fq.identity(space.n), fq.mat_mul(col[:, :, None], row[:, None, :]))
 
 
 def eichler(fq: FqContext, gram, i, u):
@@ -471,7 +473,10 @@ def witt_basis(space: QuadraticSpace):
 @cache
 def reflections(space: QuadraticSpace):
     """All reflections, one per non-singular projective point."""
-    return [reflection(space, v) for v in space.points() if space.Q(v) != 0]
+    V = np.array(space.points(), dtype=np.int16)
+    qv = space.Q(V)
+    keep = qv != 0
+    return [Mat(space.fq, a) for a in _reflection_stack(space, V[keep], qv[keep])]
 
 
 def o_generators(space: QuadraticSpace):
@@ -536,7 +541,7 @@ def find_anisotropic_plane(space: QuadraticSpace):
     which Q has no nonzero singular vector; rows are witt coordinates."""
     fq = space.fq
     pts = space.points()
-    nonsing = [v for v in pts if space.Q(v) != 0]
+    nonsing = [v for v, z in zip(pts, space.Q(pts) != 0) if z]
     for v1 in nonsing:
         for v2 in nonsing:
             if space.f(v1, v2) != 0:

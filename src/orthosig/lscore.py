@@ -31,6 +31,7 @@ from .matgroups import (
     element_order,
     group_order,
     identity,
+    maximal_ts_count,
     mulclose,
     neg_identity,
     singer_generator,
@@ -268,9 +269,14 @@ def _default_w0(space: QuadraticSpace, r: int) -> Subspace:
 @cache
 def ts_subspace_transporters(space, r, det1):
     """Transporters from the default base to every totally singular r-space
-    reachable in the chosen group (all of them, by Witt transitivity)."""
+    reachable in the chosen group, r the Witt index: all of them by Witt
+    transitivity, except that on the plus type SO has two orbits of equal
+    size."""
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-    return spr.schreier_transversal(_default_w0(space, r).basis(), gens)
+    size = maximal_ts_count(space.kind, space.q, r)
+    if det1 and space.kind == "plus":
+        size //= 2
+    return spr.schreier_transversal(_default_w0(space, r).basis(), gens, size)
 
 
 def _try_partition(space, members, L):
@@ -342,7 +348,7 @@ def _try_transversal(space, L, det1):
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
     w0 = L[0]
     # a canonical point is the echelon basis of its 1-space
-    reps = spr.schreier_transversal(w0[None, :], gens)
+    reps = spr.schreier_transversal(w0[None, :], gens, len(L))
     keys = [v.tobytes() for v in L]
     if set(keys) != set(reps):
         raise LsError("group is not transitive on the singular points")
@@ -442,13 +448,16 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
                 )
         if plan is None:
             plan = _scan_for_cyclic(space, M, W0cands[:2], L, det1, notes)
-        if plan is None and lit is not None:
+        # only a base whose orbit under lit has M / 2 members can start a
+        # twisted layering
+        halves = [] if lit is None else [W0 for W0, ret in zip(W0cands, returns) if 2 * ret == M]
+        if plan is None and halves:
             Lkeys = {v.tobytes() for v in L}
             points = {}
             for key in transporters:
                 X = spr.subspace_from_key(key, space.n)
                 points[key] = {v.tobytes() for v in spr.span_points(space.fq, X)} & Lkeys
-            for W0 in W0cands:
+            for W0 in halves:
                 plan = _try_twisted(space, lit, M, W0, L, transporters, points)
                 if plan:
                     notes.append(

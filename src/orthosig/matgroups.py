@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    FieldError, FieldTower, FqContext, _gf, fq_context, make_tower, power_basis, split_prime_power,
-    subfield_root,
+    FieldError, FieldTower, FqContext, _gf, fq_coordinates, make_tower, power_basis,
+    split_prime_power, subfield_root,
 )
 
 
@@ -266,11 +266,7 @@ def _singer_via_extension(k: int, fq: FqContext) -> Mat:
     big = _gf(fq.p, fq.e * k)
     gamma = big.alpha
     B = power_basis(big, gamma, subfield_root(big, fq.gf.modulus, fq.e), k, fq.e)
-    fp = fq_context(fq.p, 1)
-    cols = []
-    for j in range(1, k + 1):
-        sol = fp.solve(B, np.asarray(big.digits[big.pow(gamma, j)], dtype=np.int16))
-        cols.append([fq.gf.from_coeffs(sol[i * fq.e:(i + 1) * fq.e].tolist()) for i in range(k)])
+    cols = [fq_coordinates(fq, B, big.digits[big.pow(gamma, j)]) for j in range(1, k + 1)]
     return Mat(fq, np.array(cols, dtype=np.int16).T)
 
 
@@ -360,6 +356,17 @@ def isotropic_point_count(kind: str, q: int, m: int) -> int:
     if kind == "odd":
         return (q ** m - 1) * (q ** m + 1) // (q - 1)
     raise ValueError(kind)
+
+
+def maximal_ts_count(kind: str, q: int, r: int) -> int:
+    """Number of totally singular subspaces of the Witt index r, the
+    largest dimension: the product of q^i + 1 over r consecutive i, from
+    i = 0 (plus), 1 (odd) or 2 (minus)."""
+    lo = {"plus": 0, "odd": 1, "minus": 2}[kind]
+    out = 1
+    for i in range(lo, lo + r):
+        out *= q ** i + 1
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -165,9 +165,7 @@ def span_points(fq: FqContext, S: Subspace):
     return out
 
 
-def intersect_trivially(fq: FqContext, A: Subspace, B: Subspace) -> bool:
-    stacked = np.concatenate([A.basis(), B.basis()], axis=0)
-    return fq.rank(stacked) == A.dim + B.dim
+_PAIR_CHUNK = 4096
 
 
 @dataclass
@@ -185,13 +183,28 @@ class PartialSpread:
         return len(self.members)
 
     def check_pairwise(self):
-        for i in range(len(self.members)):
-            for j in range(i + 1, len(self.members)):
-                if not intersect_trivially(self.fq, self.members[i], self.members[j]):
-                    raise NotAPartialSpread(
-                        f"members {i} and {j} intersect nontrivially",
-                        witness=(i, j),
-                    )
+        """Raises NotAPartialSpread at the first pair (i, j), i < j in
+        row-major order, whose members meet nontrivially: the bases of all
+        pairs are stacked, zero-padded to one height, and ranked by
+        `rref_stack` in chunks of _PAIR_CHUNK pairs."""
+        dims = np.array([s.dim for s in self.members], dtype=np.intp)
+        if not dims.any():
+            return
+        n = len(next(s.rows[0] for s in self.members if s.dim))
+        B = np.zeros((len(dims), dims.max(), n), dtype=np.int16)
+        for i, s in enumerate(self.members):
+            B[i, :s.dim] = s.basis().reshape(-1, n)
+        I, J = np.triu_indices(len(dims), 1)
+        for lo in range(0, len(I), _PAIR_CHUNK):
+            i, j = I[lo:lo + _PAIR_CHUNK], J[lo:lo + _PAIR_CHUNK]
+            _, rank = rref_stack(self.fq, np.concatenate([B[i], B[j]], axis=1))
+            bad = np.flatnonzero(rank != dims[i] + dims[j])
+            if len(bad):
+                i, j = int(i[bad[0]]), int(j[bad[0]])
+                raise NotAPartialSpread(
+                    f"members {i} and {j} intersect nontrivially",
+                    witness=(i, j),
+                )
 
     def to_json(self):
         return [m.to_json() for m in self.members]
@@ -276,23 +289,28 @@ def verify_partition(spread: PartialSpread, points, fq: FqContext):
 _TRANSVERSAL_CAP = 200_000
 
 
-def schreier_transversal(start, gens):
+def schreier_transversal(start, gens, size):
     """Transversal of the orbit of a subspace, given by its echelon basis
-    `start`, under the group generated by `gens`: returns {key:
-    transporter} with transporter(start) = the subspace of that key.
+    `start`, under the group generated by `gens`, when that orbit has
+    `size` members: returns {key: transporter} with transporter(start) =
+    the subspace of that key.
 
     The orbit is the `matgroups.closure` of `start` under `act_rref` with
-    the whole generator stack, so keys come in BFS order; the transporter
-    of a node is the generator that found it times the transporter of its
-    parent, one stacked product per parent.  The result is deterministic
-    for a fixed generator order.
+    the whole generator stack, so keys come in BFS order; the walk stops
+    once `size` keys are known, which skips expanding the nodes found last.
+    The transporter of a node is the generator that found it times the
+    transporter of its parent, one stacked product per parent.  The result
+    is deterministic for a fixed generator order.  Raises RuntimeError when
+    `size` exceeds _TRANSVERSAL_CAP or the orbit is smaller than `size`.
     """
+    if size > _TRANSVERSAL_CAP:
+        raise RuntimeError("transversal exceeded cap")
     fq, n = gens[0].fq, gens[0].n
     stack = np.stack([g.a for g in gens])
     nodes, parent, via = closure([np.ascontiguousarray(start, dtype=np.int16)],
-                                 lambda x: act_rref(fq, stack, x)[0], _TRANSVERSAL_CAP + 1)
-    if len(nodes) > _TRANSVERSAL_CAP:
-        raise RuntimeError("transversal exceeded cap")
+                                 lambda x: act_rref(fq, stack, x)[0], size)
+    if len(nodes) < size:
+        raise RuntimeError(f"orbit has {len(nodes)} members, expected {size}")
     move = [identity(fq, n)]
     for t, run in itertools.groupby(range(1, len(nodes)), parent.__getitem__):
         run = list(run)

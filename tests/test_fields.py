@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from leibniz import det_by_permutations
@@ -185,6 +186,16 @@ def test_e2_tower():
     assert t.top.element_order(t.alpha) == 80
     v = t.top_to_vec(t.alpha)
     assert t.vec_to_top(v) == t.alpha
+
+
+@pytest.mark.parametrize("p,e,m", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 2), (3, 2, 1),
+                                   (5, 2, 1), (3, 3, 1)])
+def test_top_to_vec_inverts_vec_to_top_on_every_code(p, e, m):
+    # the F_q read-off of the solved digits is a bijection onto F_q^2m
+    t = make_tower(p, e, m)
+    vecs = [t.top_to_vec(c) for c in range(t.top.order)]
+    assert all(v.dtype == np.int16 and v.shape == (2 * m,) for v in vecs)
+    assert [t.vec_to_top(v) for v in vecs] == list(range(t.top.order))
 
 
 def test_fq_context_tables():

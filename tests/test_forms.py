@@ -359,3 +359,51 @@ def test_membership_of_a_stack_matches_one_at_a_time(spec, seed):
         assert got.dtype == bool
         assert got.tolist() == [membership(space, g, family + tag) for g in elems] == \
             [_member_by_definition(space, g, family + tag) for g in elems]
+
+
+def _quad_by_entries(fq, G, v):
+    # v^T G v / 2 one scalar product at a time
+    s = 0
+    for i in range(len(v)):
+        for j in range(len(v)):
+            s = fq.add(s, fq.mul(fq.mul(int(v[i]), int(G[i, j])), int(v[j])))
+    return fq.mul(fq.two_inv, s)
+
+
+@given(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2)]), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=6), st.data())
+def test_hypothesis_stacked_quad_matches_rows(pe, n, k, data):
+    # q = 3, 5, 9, 25: the stack gives each row's form, and a row alone
+    # gives the same value as an int
+    fq = fq_context(*pe)
+    entries = st.integers(min_value=0, max_value=fq.q - 1)
+    G = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)),
+                 dtype=np.int16).reshape(n, n)
+    G = fq.v_add(G, np.ascontiguousarray(G.T))
+    V = np.array(data.draw(st.lists(entries, min_size=k * n, max_size=k * n)),
+                 dtype=np.int16).reshape(k, n)
+    want = [_quad_by_entries(fq, G, v) for v in V]
+    got = fq.quad(G, V)
+    assert got.dtype == np.int16 and got.shape == (k,)
+    assert got.tolist() == want
+    assert [fq.quad(G, v) for v in V] == want
+    assert all(type(fq.quad(G, v)) is int for v in V)
+
+
+@pytest.mark.parametrize("kind,p,e,m", [("minus", 3, 1, 2), ("plus", 5, 1, 2), ("odd", 3, 2, 1),
+                                        ("minus", 3, 2, 2), ("odd", 3, 1, 2)])
+def test_reflections_match_the_closed_form_per_vector(kind, p, e, m):
+    # one reflection per non-singular point, in point order, with the bytes
+    # of I - Q(v)^-1 v (Gv)^T built entry by entry
+    s = build_space(kind, make_tower(p, e, m))
+    fq = s.fq
+    nonsing = [v for v in s.points() if _quad_by_entries(fq, s.gram, v)]
+    got = reflections(s)
+    assert len(got) == len(nonsing)
+    for v, r in zip(nonsing, got):
+        c = fq.neg(fq.inv(_quad_by_entries(fq, s.gram, v)))
+        gv = fq.mat_vec(s.gram, v)
+        want = np.array([[fq.add(int(i == j), fq.mul(fq.mul(c, int(v[i])), int(gv[j])))
+                          for j in range(s.n)] for i in range(s.n)], dtype=np.int16)
+        assert r.a.tobytes() == want.tobytes()
+        assert reflection(s, v).key == r.key

@@ -108,6 +108,13 @@ def test_overlapping_members_raise():
     sp = PartialSpread([W1, W2], s.fq)
     with pytest.raises(NotAPartialSpread):
         sp.check_pairwise()
+    # pairs (0, 3) and (1, 2) meet; the first in row-major order is the witness
+    e0, e1, f0, f1 = s.e_vec(0), s.e_vec(1), s.f_vec(0), s.f_vec(1)
+    sp = PartialSpread([subspace(s.fq, [e0]), subspace(s.fq, [e1]), subspace(s.fq, [e1, f0]),
+                        subspace(s.fq, [e0, f1])], s.fq)
+    with pytest.raises(NotAPartialSpread, match="^members 0 and 3 intersect nontrivially$") as exc:
+        sp.check_pairwise()
+    assert exc.value.witness == (0, 3)
 
 
 def test_duplicate_member_violation():
@@ -211,7 +218,7 @@ def test_schreier_transversal_keeps_bfs_order(kind, p, e, m, r):
                     want[img.key] = g * want[node.key]
                     new.append(img)
         frontier = new
-    got = schreier_transversal(W0.basis(), gens)
+    got = schreier_transversal(W0.basis(), gens, len(want))
     assert list(got) == list(want)
     assert all(got[k].key == want[k].key for k in want)
 
@@ -223,7 +230,91 @@ def test_schreier_transversal_raises_beyond_the_cap(monkeypatch):
     s = build_space("minus", make_tower(3, 1, 2))  # 10 singular points
     w0 = enumerate_isotropic_points(s)[0]
     monkeypatch.setattr(spreads, "_TRANSVERSAL_CAP", 10)
-    assert len(schreier_transversal(w0[None, :], o_generators(s))) == 10
+    assert len(schreier_transversal(w0[None, :], o_generators(s), 10)) == 10
     monkeypatch.setattr(spreads, "_TRANSVERSAL_CAP", 9)
     with pytest.raises(RuntimeError, match="^transversal exceeded cap$"):
-        schreier_transversal(w0[None, :], o_generators(s))
+        schreier_transversal(w0[None, :], o_generators(s), 10)
+
+
+def _unbounded_transversal(start, gens):
+    # the walk without a size: every node is expanded with every generator
+    fq, n = gens[0].fq, gens[0].n
+    stack = np.stack([g.a for g in gens])
+    want = {start.tobytes(): identity(fq, n)}
+    queue = [start]
+    for node in queue:
+        for g, img in zip(gens, act_rref(fq, stack, node)[0]):
+            if img.tobytes() not in want:
+                want[img.tobytes()] = g * want[node.tobytes()]
+                queue.append(img)
+    return want
+
+
+@pytest.mark.parametrize("det1", [False, True])
+@pytest.mark.parametrize("kind,q,m", [("minus", 3, 2), ("minus", 5, 2), ("minus", 9, 2),
+                                      ("plus", 3, 2), ("plus", 5, 2), ("plus", 9, 2),
+                                      ("odd", 3, 1), ("odd", 5, 1), ("odd", 9, 1), ("odd", 3, 2)])
+def test_schreier_transversal_stops_at_the_closed_form_size(kind, q, m, det1):
+    # the orbits of the maximal totally singular subspaces and of the
+    # singular points have their closed-form sizes, and the walk bounded
+    # by that size returns the unbounded walk's keys, order and transporters
+    from orthosig.forms import o_generators, so_generators
+    from orthosig.lscore import ts_subspace_transporters
+    from orthosig.fields import split_prime_power
+    from orthosig.matgroups import isotropic_point_count, maximal_ts_count
+
+    s = build_space(kind, make_tower(*split_prime_power(q), m))
+    gens = so_generators(s) if det1 else o_generators(s)
+    r = s.witt_index
+    ts_size = maximal_ts_count(kind, q, r) // (2 if det1 and kind == "plus" else 1)
+    W0 = subspace(s.fq, [s.e_vec(i) for i in range(r)]).basis()
+    for start, size in [(W0, ts_size),
+                        (s.isotropic_points()[0][None, :], isotropic_point_count(kind, q, m))]:
+        want = _unbounded_transversal(start, gens)
+        assert len(want) == size
+        got = schreier_transversal(start, gens, size)
+        assert list(got) == list(want)
+        assert [g.key for g in got.values()] == [g.key for g in want.values()]
+        with pytest.raises(RuntimeError, match=f"^orbit has {size} members, expected {size + 1}$"):
+            schreier_transversal(start, gens, size + 1)
+    assert list(ts_subspace_transporters(s, r, det1)) == list(_unbounded_transversal(W0, gens))
+
+
+def _pairwise_reference(fq, members):
+    # the one-pair-at-a-time check: (message, witness) of the first
+    # intersecting pair in row-major order, or None
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            A, B = members[i], members[j]
+            n = len(A.rows[0]) if A.dim else len(B.rows[0]) if B.dim else 0
+            stacked = np.concatenate([A.basis().reshape(-1, n), B.basis().reshape(-1, n)])
+            if fq.rank(stacked) != A.dim + B.dim:
+                return f"members {i} and {j} intersect nontrivially", (i, j)
+    return None
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([(3, 1), (5, 1), (3, 2)]), st.integers(min_value=2, max_value=5),
+       st.integers(min_value=0, max_value=7), st.sampled_from([1, 2, 5, 4096]), st.data())
+def test_hypothesis_stacked_check_pairwise_matches_the_pair_loop(pe, n, count, chunk, data):
+    from orthosig import spreads
+
+    fq = fq_context(*pe)
+    entries = st.integers(min_value=0, max_value=fq.q - 1)
+    members = {}
+    for _ in range(count):
+        r = data.draw(st.integers(min_value=1, max_value=3))
+        S = subspace(fq, np.array(data.draw(st.lists(entries, min_size=r * n, max_size=r * n)),
+                                  dtype=np.int16).reshape(r, n))
+        members.setdefault(S.key, S)
+    members = list(members.values())
+    want = _pairwise_reference(fq, members)
+    old, spreads._PAIR_CHUNK = spreads._PAIR_CHUNK, chunk
+    try:
+        PartialSpread(members, fq).check_pairwise()
+        got = None
+    except NotAPartialSpread as exc:
+        got = str(exc), exc.witness
+    finally:
+        spreads._PAIR_CHUNK = old
+    assert got == want
