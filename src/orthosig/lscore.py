@@ -26,7 +26,6 @@ from .matgroups import (
     ConstructionMismatch,
     GroupDescriptor,
     Mat,
-    closure,
     descriptor,
     element_order,
     group_order,
@@ -291,54 +290,48 @@ def _try_partition(space, members, L):
     return sp, rep
 
 
-def _try_cyclic(space, g, M, W0, L):
-    orbit = spr.cyclic_orbit(g, W0, M + 1)
-    if len(orbit) != M:
-        return None
+def _walked(imgs, i, size):
+    """The orbit [B, gB, .., g^{size-1}B] of base i of an `orbit_walk`."""
+    return [spr.subspace_from_key(R.tobytes(), imgs.shape[-1]) for R in imgs[i, :size]]
+
+
+def _spread_orbits(fq, ret, imgs, size):
+    """Indices, in walk order, of the bases whose orbit has `size` members
+    and is a partial spread."""
+    full = np.flatnonzero(ret == size)
+    return full[spr.orbits_are_partial_spreads(fq, imgs[full, :size])]
+
+
+def _try_cyclic(space, g, orbit, L):
     sp, rep = _try_partition(space, orbit, L)
     if sp is None:
         return None
     member_index = {s.key: (j,) for j, s in enumerate(orbit)}
-    return SpreadPlan("cyclic", W0, sp, [("cyc", g, M)], member_index, {},
+    return SpreadPlan("cyclic", orbit[0], sp, [("cyc", g, len(orbit))], member_index, {},
                       False, [], rep)
 
 
-def _try_twisted(space, a, M, W0, L, transporters, points):
-    """`points` maps each transporter key to the keys of the singular points
-    of its subspace; the orbit of W0 under `a` stays among those keys."""
-    orbit1 = spr.cyclic_orbit(a, W0, M + 1)
-    s = len(orbit1)
-    if s == 0 or 2 * s != M:
-        return None
+def _try_twisted(space, a, i, ret, imgs, L, transporters, points):
+    """Layers the half orbit of base i under `a` with a second one: the
+    bases are the transporter keys, in order, walked under `a` into
+    `ret`/`imgs`, and `points` maps each key to the keys of the singular
+    points of its subspace."""
+    s = int(ret[i])
+    orbit1 = _walked(imgs, i, s)
     keys1 = {o.key for o in orbit1}
-    try:
-        sp1 = PartialSpread(list(orbit1), space.fq)
-        sp1.check_pairwise()
-    except spr.NotAPartialSpread:
-        return None
     uncovered = {v.tobytes() for v in L}.difference(*(points[k] for k in keys1))
-    for xkey in transporters:
-        if xkey in keys1:
+    # the orbits of <a> are disjoint, so no X outside orbit1 moves into it
+    for j, (xkey, kappa) in enumerate(transporters.items()):
+        if xkey in keys1 or ret[j] != s or not points[xkey] <= uncovered:
             continue
-        if not points[xkey] <= uncovered:
-            continue
-        X = spr.subspace_from_key(xkey, space.n)
-        orbit2 = spr.cyclic_orbit(a, X, M + 1)
-        if len(orbit2) != s:
-            continue
-        if {o.key for o in orbit2} & keys1:
-            continue
+        orbit2 = _walked(imgs, j, s)
         sp, rep = _try_partition(space, orbit1 + orbit2, L)
         if sp is None:
             continue
-        kappa = transporters[xkey]
-        member_index = {}
-        for j, o in enumerate(orbit1):
-            member_index[o.key] = (j, 0)
-        for j, o in enumerate(orbit2):
-            member_index[o.key] = (j, 1)
+        member_index = {o.key: (t, 0) for t, o in enumerate(orbit1)}
+        member_index.update({o.key: (t, 1) for t, o in enumerate(orbit2)})
         layers = [("cyc", a, s), ("cyc", kappa, 2)]
-        return SpreadPlan("twisted", W0, sp, layers, member_index, {},
+        return SpreadPlan("twisted", orbit1[0], sp, layers, member_index, {},
                           False, [], rep)
     return None
 
@@ -350,8 +343,6 @@ def _try_transversal(space, L, det1):
     # a canonical point is the echelon basis of its 1-space
     reps = spr.schreier_transversal(w0[None, :], gens, len(L))
     keys = [v.tobytes() for v in L]
-    if set(keys) != set(reps):
-        raise LsError("group is not transitive on the singular points")
     order_keys = [w0.tobytes()] + [k for k in keys if k != w0.tobytes()]
     elems = [reps[k] for k in order_keys]
     members = [spr.subspace_from_key(k, space.n) for k in order_keys]
@@ -363,42 +354,18 @@ def _try_transversal(space, L, det1):
                       {}, False, [], rep)
 
 
-_ELEMENT_SCAN_CAP = 2500
-
-
-def _scan_for_cyclic(space, M, W0cands, L, det1, notes):
-    if M > 32:
-        return None
-    gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-    if not gens:
-        return None
-    fq, n = space.fq, space.n
-    stack = np.stack([g.a for g in gens])
-    # the first _ELEMENT_SCAN_CAP non-identity elements of the BFS from the
-    # identity, as one (count, n, n) stack
-    cands = np.array(closure([fq.identity(n)], lambda x: fq.mat_mul(x, stack),
-                             _ELEMENT_SCAN_CAP + 1)[0][1:], dtype=np.int16).reshape(-1, n, n)
-    # only an element whose orbit on W0 has exactly M members can pass
-    # _try_cyclic, so the exact check runs on those alone, in scan order
-    returns = [spr.first_return(fq, cands, W0.basis(), M) for W0 in W0cands]
-    for i, y in enumerate(cands):
-        for W0, ret in zip(W0cands, returns):
-            if ret[i] == M:
-                plan = _try_cyclic(space, Mat(fq, y), M, W0, L)
-                if plan:
-                    notes.append("sharply transitive cyclic block found by element scan")
-                    return plan
-    return None
-
-
 def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
     """Verified partial-spread layer for the given family on this space.
 
-    Tries the literal cyclic block first, then a cyclic block found by a
-    bounded deterministic scan, then the twisted half-orbit layering, and
-    finally the always-valid transversal over the trivial point spread.
-    Only the determinant condition of the family matters, so the plan is
-    built once per space for O and once for SO.
+    One walk moves every totally singular base subspace under the literal
+    cyclic block.  The first base whose orbit is a partition of the
+    singular points gives the literal plan; otherwise the half orbits of
+    that walk are tried as twisted layerings, and finally the always-valid
+    transversal over the trivial point spread is taken.  On the hyperbolic
+    plane, where no literal recipe applies, the first generator of the
+    family that swaps the two singular points is the cyclic block.  Only
+    the determinant condition of the family matters, so the plan is built
+    once per space for O and once for SO.
     """
     return _spread_construction(space, family.startswith("SO"))
 
@@ -406,17 +373,17 @@ def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
 @cache
 def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     kind = space.kind
-    q, m = space.q, space.m
+    q, m, n = space.q, space.m, space.n
     L = space.isotropic_points()
     notes = []
     if not L:
         return SpreadPlan("empty", None, None, [], {}, {}, True, notes, None)
     r = {"minus": m - 1, "plus": m, "odd": m}[kind]
     lit = None
-    if r >= 1 and space.n >= 3:
+    if r >= 1 and n >= 3:
         try:
             fam_tag = {"minus": "-", "plus": "+", "odd": "odd"}[kind]
-            desc = descriptor(("SO" if det1 else "O") + fam_tag, q, n=space.n)
+            desc = descriptor(("SO" if det1 else "O") + fam_tag, q, n=n)
             lit_a, gnotes = standard_generators(desc, space)
             notes.extend(gnotes)
             lit = lit_a
@@ -427,16 +394,13 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     plan = None
     if r >= 1:
         M = len(L) * (q - 1) // (q ** r - 1)
-        transporters = ts_subspace_transporters(space, r, det1)
-        W0cands = [_default_w0(space, r)]
-        W0cands += [spr.subspace_from_key(key, space.n) for key in transporters
-                    if key != W0cands[0].key]
         if lit is not None:
-            returns = spr.first_return(
-                space.fq, np.broadcast_to(lit.a, (len(W0cands),) + lit.a.shape),
-                np.stack([W0.basis() for W0 in W0cands]), M)
-            for W0, ret in zip(W0cands, returns):
-                plan = _try_cyclic(space, lit, M, W0, L) if ret == M else None
+            transporters = ts_subspace_transporters(space, r, det1)
+            bases = np.frombuffer(b"".join(transporters), dtype=np.int16).reshape(-1, r, n)
+            ret, imgs = spr.orbit_walk(space.fq, np.broadcast_to(lit.a, (len(bases), n, n)),
+                                       bases, M)
+            for i in _spread_orbits(space.fq, ret, imgs, M):
+                plan = _try_cyclic(space, lit, _walked(imgs, i, M), L)
                 if plan:
                     plan.shape = "literal"
                     plan.literal_ok = True
@@ -446,25 +410,33 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
                     "literal cyclic block is not sharply transitive on any "
                     "totally singular base orbit (construction mismatch)"
                 )
-        if plan is None:
-            plan = _scan_for_cyclic(space, M, W0cands[:2], L, det1, notes)
-        # only a base whose orbit under lit has M / 2 members can start a
-        # twisted layering
-        halves = [] if lit is None else [W0 for W0, ret in zip(W0cands, returns) if 2 * ret == M]
-        if plan is None and halves:
-            Lkeys = {v.tobytes() for v in L}
-            points = {}
-            for key in transporters:
-                X = spr.subspace_from_key(key, space.n)
-                points[key] = {v.tobytes() for v in spr.span_points(space.fq, X)} & Lkeys
-            for W0 in halves:
-                plan = _try_twisted(space, lit, M, W0, L, transporters, points)
-                if plan:
-                    notes.append(
-                        "using twisted layering: half torus orbit times an "
-                        "orbit-moving twist element"
-                    )
-                    break
+                # M = q^k + 1 is even; a twisted layering starts from a base
+                # whose orbit is a partial spread of M / 2 members
+                halves = _spread_orbits(space.fq, ret, imgs, M // 2)
+                points = {}
+                if len(halves):
+                    Lkeys = {v.tobytes() for v in L}
+                    for key in transporters:
+                        X = spr.subspace_from_key(key, n)
+                        points[key] = {v.tobytes() for v in spr.span_points(space.fq, X)} & Lkeys
+                for i in halves:
+                    plan = _try_twisted(space, lit, i, ret, imgs, L, transporters, points)
+                    if plan:
+                        notes.append(
+                            "using twisted layering: half torus orbit times an "
+                            "orbit-moving twist element"
+                        )
+                        break
+        elif n < 3:
+            # the hyperbolic plane: M = 2, and a generator whose orbit on W0
+            # has two members swaps the two singular points
+            gens = forms.so_generators(space) if det1 else forms.o_generators(space)
+            ret, imgs = spr.orbit_walk(space.fq, np.stack([g.a for g in gens]),
+                                       _default_w0(space, r).basis(), M)
+            hit = np.flatnonzero(ret == M)
+            if len(hit):
+                plan = _try_cyclic(space, gens[hit[0]], _walked(imgs, hit[0], M), L)
+                notes.append("sharply transitive cyclic block found by element scan")
         if plan is None:
             notes.append(
                 f"no {M}-member spread of {r}-dimensional totally singular "
@@ -474,21 +446,9 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     if plan is None:
         plan = _try_transversal(space, L, det1)
     plan.notes = notes + plan.notes
-    plan.point_member = _point_member_map(space, plan)
+    keys = [s.key for s in plan.members.members]
+    plan.point_member = {k: keys[i] for k, i in plan.partition["owner"].items()}
     return plan
-
-
-def _point_member_map(space, plan):
-    out = {}
-    if plan.members is None:
-        return out
-    Lkeys = {v.tobytes() for v in space.isotropic_points()}
-    for memb in plan.members.members:
-        for v in spr.span_points(space.fq, memb):
-            k = v.tobytes()
-            if k in Lkeys:
-                out[k] = memb.key
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Subspaces in canonical echelon form, classical field spreads, orbit
-partial spreads and partition verification against point sets."""
+walks under cyclic groups and partition verification against point sets."""
 
 from __future__ import annotations
 
@@ -108,25 +108,20 @@ def act_subspace(g: Mat, S: Subspace) -> Subspace:
     return _subspace_of(R[0, :rank[0]])
 
 
-def cyclic_orbit(g: Mat, W: Subspace, cap):
-    """[W, g(W), g^2(W), ..] up to the first repeat, at most cap + 1
-    members: the powers g^0..g^cap meet W in one `act_rref` call."""
-    fq = g.fq
-    pows, step = fq.identity(g.n)[None], g.a
-    while len(pows) <= cap:
-        pows = np.concatenate([pows, fq.mat_mul(pows, step)])
-        step = fq.mat_mul(step, step)
-    imgs, _ = act_rref(fq, pows[:cap + 1], W.basis())
-    back = np.flatnonzero((imgs[1:] == imgs[0]).all(axis=(1, 2)))
-    return [_subspace_of(R) for R in imgs[:back[0] + 1 if len(back) else cap + 1]]
+def orbit_walk(fq: FqContext, mats, bases, steps):
+    """Walks each pair (g_i, B_i) of a (k, n, n) stack of matrices and one
+    shared or a (k, r, n) stack of echelon bases through the images
+    g_i^t(B_i), t = 1..steps, all pairs together, one `act_rref` a step.
 
-
-def first_return(fq: FqContext, mats, bases, steps):
-    """For each pair (g_i, B_i), the least t in 1..steps with
-    g_i^t(B_i) = B_i, or 0 when there is none; that t is the size of the
-    orbit of the subspace B_i under <g_i>.  Bases are echelon forms."""
+    Returns (ret, imgs): ret[i] is the least t with g_i^t(B_i) = B_i, the
+    size of the orbit of B_i under <g_i>, or 0 when it exceeds `steps`;
+    imgs is a (k, steps, r, n) stack with imgs[i, t] = g_i^t(B_i) for
+    t < ret[i] (for every t < steps when ret[i] = 0).
+    """
     home = np.broadcast_to(bases, (len(mats),) + np.shape(bases)[-2:])
-    out = np.zeros(len(mats), dtype=np.intp)
+    ret = np.zeros(len(mats), dtype=np.intp)
+    imgs = np.zeros((len(mats), steps) + home.shape[1:], dtype=np.int16)
+    imgs[:, 0] = home
     alive = np.arange(len(mats))
     cur = home
     for t in range(1, steps + 1):
@@ -134,18 +129,11 @@ def first_return(fq: FqContext, mats, bases, steps):
             break
         cur, _ = act_rref(fq, mats[alive], cur)
         back = (cur == home[alive]).all(axis=(1, 2))
-        out[alive[back]] = t
+        ret[alive[back]] = t
         alive, cur = alive[~back], cur[~back]
-    return out
-
-
-def subspace_contains(fq: FqContext, S: Subspace, v) -> bool:
-    v = np.array(v, dtype=np.int16, copy=True)
-    for row in S.rows:
-        lead = next(i for i, c in enumerate(row) if c)
-        if v[lead]:
-            v = fq.v_add(v, fq.v_scale(fq.neg(int(v[lead])), np.asarray(row, dtype=np.int16)))
-    return not v.any()
+        if t < steps:
+            imgs[alive, t] = cur
+    return ret, imgs
 
 
 def span_points(fq: FqContext, S: Subspace):
@@ -210,6 +198,23 @@ class PartialSpread:
         return [m.to_json() for m in self.members]
 
 
+def orbits_are_partial_spreads(fq: FqContext, orbits):
+    """For a (k, s, r, n) stack of orbits [W, gW, .., g^{s-1}W] of
+    r-spaces, each of s members, whether each orbit is a partial spread.
+
+    g^iW and g^jW meet as g^i(W ∩ g^{j-i}W), so an orbit is one exactly
+    when W meets no g^tW, t = 1..s-1; those k(s-1) pairs are ranked in
+    stacks of _PAIR_CHUNK pairs.
+    """
+    k, s, r, n = orbits.shape
+    pairs = np.concatenate([np.broadcast_to(orbits[:, :1], (k, s - 1, r, n)), orbits[:, 1:]],
+                           axis=2).reshape(-1, 2 * r, n)
+    ok = np.empty(len(pairs), dtype=bool)
+    for lo in range(0, len(pairs), _PAIR_CHUNK):
+        ok[lo:lo + _PAIR_CHUNK] = rref_stack(fq, pairs[lo:lo + _PAIR_CHUNK])[1] == 2 * r
+    return ok.reshape(k, s - 1).all(axis=1)
+
+
 def classical_spread(tower: FieldTower) -> PartialSpread:
     """The q^m + 1 multiplicative translates of W = F_{q^m} inside F_{q^2m},
     one per coset of F_{q^m}^* (representatives 1, a, .., a^{q^m}).
@@ -230,27 +235,11 @@ def classical_spread(tower: FieldTower) -> PartialSpread:
     return sp
 
 
-def orbit_partial_spread(A, W0: Subspace):
-    """Deduplicated orbit {a(W0) : a in A}; raises NotAPartialSpread when two
-    distinct members intersect nontrivially.  Also reports sharpness, i.e.
-    whether |orbit| equals |A|.
-    """
-    members = []
-    seen = {}
-    for a in A:
-        S = act_subspace(a, W0)
-        if S.key not in seen:
-            seen[S.key] = len(members)
-            members.append(S)
-    sp = PartialSpread(members, A[0].fq if A else W0 and None)
-    sp.check_pairwise()
-    sharp = len(members) == len(A)
-    return sp, sharp
-
-
 def verify_partition(spread: PartialSpread, points, fq: FqContext):
     """Checks every point lies in exactly one member and the members carry
-    equally many points.  Violations are report content, not exceptions.
+    equally many points.  Violations are report content, not exceptions;
+    "owner" maps the key of each covered point to the index of the first
+    member that contains it.
     """
     point_keys = [np.asarray(p, dtype=np.int16).tobytes() for p in points]
     pt_set = set(point_keys)
@@ -283,6 +272,7 @@ def verify_partition(spread: PartialSpread, points, fq: FqContext):
         "points_per_member": counts[0] if counts and equal else counts,
         "uncovered": uncovered,
         "violations": violations[:5],
+        "owner": owner,
     }
 
 

@@ -247,6 +247,14 @@ def test_spread_construction_shapes():
     plan2 = spread_construction(sp, "O+")
     assert plan2.shape == "literal" and plan2.literal_ok
     assert plan2.partition["points_per_member"] == 4
+    # every singular point is mapped to the member that contains it
+    from orthosig.spreads import span_points
+
+    for space, p in ((s, plan), (sp, plan2)):
+        pts = {v.tobytes() for v in space.isotropic_points()}
+        owner = {v.tobytes(): m.key for m in p.members.members for v in span_points(space.fq, m)}
+        assert p.point_member == {k: m for k, m in owner.items() if k in pts}
+        assert list(p.point_member) == [k for k in owner if k in pts]
 
 
 def test_spread_construction_a_block_bijects():
@@ -579,34 +587,38 @@ def test_parabolic_reuses_its_middle_space():
     assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
 
 
-def test_element_scan_takes_the_first_bfs_elements(monkeypatch):
-    # the scan's candidates are the first 2,500 non-identity elements of
-    # the BFS from the identity over the generators, in that order
-    from orthosig import lscore, spreads
+# sha256 of `spread-check --kind plus --q q --m 1` stdout
+PLANE_SPREAD_CHECK_SHA256 = {
+    3: "5d4da88be3c64a4183be39d5cd32c45b5031d1bbce3f58a42bf7f1910763ba18",
+    5: "f5c5eb8f71961f02488b8c736fcf4f5b44e5bae3cd84762ab6aceb1d588b1c99",
+    7: "bed9568530d390e7c3904503a8b0490376447a62574e198abd2887d81b0082e7",
+    9: "fd2b95b9d0ec42a5b29ba79eb11da4ca3ceec6b1fb06c6b5a51542e0093a75ee",
+}
+
+
+@pytest.mark.parametrize("q", sorted(PLANE_SPREAD_CHECK_SHA256))
+def test_plane_block_is_the_first_swapping_generator(q, capsys):
+    # on the hyperbolic plane no literal recipe applies; the first O
+    # generator swaps the two singular points and is the cyclic block
+    import hashlib
+
+    from orthosig import cli
+    from orthosig.fields import split_prime_power
     from orthosig.forms import o_generators
 
-    class Scanned(Exception):
-        pass
+    s = build_space("plus", make_tower(*split_prime_power(q), 1))
+    plan = spread_construction(s, "O+")
+    (kind, gen, size), = plan.layers
+    assert (plan.shape, kind, size) == ("cyclic", "cyc", 2)
+    assert gen.key == o_generators(s)[0].key
+    assert cli.main(["spread-check", "--kind", "plus", "--q", str(q), "--m", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PLANE_SPREAD_CHECK_SHA256[q]
 
-    def capture(fq, cands, basis, M):
-        raise Scanned(cands)
 
-    space = build_space("minus", make_tower(3, 1, 3))
-    gens = o_generators(space)
-    monkeypatch.setattr(spreads, "first_return", capture)
-    with pytest.raises(Scanned) as got:
-        lscore._scan_for_cyclic(space, 28, [lscore._default_w0(space, 2)], None, False, [])
-    cands = got.value.args[0]
-    want, seen = [], {identity(space.fq, space.n).key}
-    queue = [identity(space.fq, space.n)]
-    for x in queue:
-        if len(want) == 2500:
-            break
-        for g in gens:
-            y = x * g
-            if y.key not in seen and len(want) < 2500:
-                seen.add(y.key)
-                want.append(y)
-                queue.append(y)
-    assert cands.shape == (2500, 6, 6)
-    assert [y.tobytes() for y in cands] == [y.key for y in want]
+def test_plane_so_has_no_transitive_block():
+    # SO fixes both singular points of the plane, so even the point
+    # transversal cannot be built
+    s = build_space("plus", make_tower(3, 1, 1))
+    with pytest.raises(RuntimeError, match="^orbit has 1 members, expected 2$"):
+        spread_construction(s, "SO+")

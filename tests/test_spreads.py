@@ -11,13 +11,12 @@ from orthosig.spreads import (
     classical_spread,
     act_rref,
     act_subspace,
-    cyclic_orbit,
-    first_return,
-    orbit_partial_spread,
+    orbit_walk,
+    orbits_are_partial_spreads,
     schreier_transversal,
     span_points,
     subspace,
-    subspace_contains,
+    subspace_from_key,
     verify_partition,
 )
 
@@ -47,7 +46,7 @@ def test_classical_spread_w0_is_subfield():
     w0 = sp.members[0]
     # the first member is F_{q^m} itself: contains the vector of 1
     one = t.top_to_vec(1)
-    assert subspace_contains(t.fq, w0, one)
+    assert subspace(t.fq, [*w0.rows, one]).dim == w0.dim
 
 
 @pytest.mark.parametrize("p,e,m", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 1), (5, 1, 2), (7, 1, 1), (3, 2, 1)])
@@ -59,12 +58,21 @@ def test_classical_spread_partitions_V(p, e, m):
     assert rep["ok"]
 
 
+def _walked_spread(fq, imgs, i, size):
+    members = [subspace_from_key(R.tobytes(), imgs.shape[-1]) for R in imgs[i, :size]]
+    sp = PartialSpread(members, fq)
+    sp.check_pairwise()
+    return sp
+
+
 def test_orbit_partial_spread_identity():
     t = make_tower(3, 1, 2)
     s = build_space("minus", t)
     W0 = subspace(s.fq, [s.e_vec(0)])
-    sp, sharp = orbit_partial_spread([identity(s.fq, 4)], W0)
-    assert len(sp) == 1 and sharp
+    ret, imgs = orbit_walk(s.fq, identity(s.fq, 4).a[None], W0.basis(), 1)
+    assert ret.tolist() == [1]
+    sp = _walked_spread(s.fq, imgs, 0, ret[0])
+    assert len(sp) == 1
     assert sp.members[0].key == W0.key
 
 
@@ -74,14 +82,10 @@ def test_orbit_partial_spread_minus_torus_collapses():
     t = make_tower(3, 1, 2)
     s = build_space("minus", t)
     a, _ = standard_generators(descriptor("O-", 3, n=4), s)
-    W0 = None
-    for v in enumerate_isotropic_points(s):
-        W0 = subspace(s.fq, [v])
-        break
-    A = [a.pow(i) for i in range(10)]
-    sp, sharp = orbit_partial_spread(A, W0)
-    assert len(sp) == 5
-    assert sharp is False
+    W0 = subspace(s.fq, [enumerate_isotropic_points(s)[0]])
+    ret, imgs = orbit_walk(s.fq, a.a[None], W0.basis(), 10)
+    assert ret.tolist() == [5]
+    assert len(_walked_spread(s.fq, imgs, 0, 5)) == 5
 
 
 def test_orbit_partial_spread_plus_sharp():
@@ -95,9 +99,9 @@ def test_orbit_partial_spread_plus_sharp():
     layer = plan.layers[0]
     gen, size, _, _ = layer[1]
     W0 = plan.sp.W0
-    A = [gen.pow(i) for i in range(size)]
-    sp, sharp = orbit_partial_spread(A, W0)
-    assert len(sp) == 4 and sharp
+    ret, imgs = orbit_walk(gen.fq, gen.a[None], W0.basis(), size)
+    assert ret.tolist() == [size] == [4]
+    assert len(_walked_spread(gen.fq, imgs, 0, size)) == 4
 
 
 def test_overlapping_members_raise():
@@ -181,20 +185,50 @@ def _reference_orbit(g, W, cap):
     return out
 
 
-def test_cyclic_orbit_and_first_return_match_stepping():
+def test_orbit_walk_matches_stepping():
+    # return times (0 past `steps`) and every image the walk keeps, for one
+    # shared base and for a stack of bases
     s = build_space("minus", make_tower(3, 1, 2))
     a, _ = standard_generators(descriptor("O-", 3, n=4), s)
     pts = enumerate_isotropic_points(s)
     gens = [a, a.pow(2), a * a.transpose(), identity(s.fq, 4)]
-    for W in (subspace(s.fq, [v]) for v in pts[:4]):
-        for g in gens:
-            for cap in (1, 3, 11):
-                want = _reference_orbit(g, W, cap)
-                assert [o.key for o in cyclic_orbit(g, W, cap)] == [o.key for o in want]
-        ret = first_return(s.fq, np.stack([g.a for g in gens]), W.basis(), 11)
-        for g, t in zip(gens, ret):
-            orbit = _reference_orbit(g, W, 12)
-            assert t == (len(orbit) if len(orbit) <= 11 else 0)
+    mats = np.stack([g.a for g in gens])
+    Ws = [subspace(s.fq, [v]) for v in pts[:4]]
+    for steps in (1, 3, 11):
+        walks = [([W] * 4, orbit_walk(s.fq, mats, W.basis(), steps)) for W in Ws]
+        walks.append((Ws, orbit_walk(s.fq, mats, np.stack([W.basis() for W in Ws]), steps)))
+        for bases, (ret, imgs) in walks:
+            assert imgs.shape == (4, steps, 1, 4)
+            for g, W, t, rows in zip(gens, bases, ret, imgs):
+                want = _reference_orbit(g, W, steps)
+                assert t == (len(want) if len(want) <= steps else 0)
+                assert [R.tobytes() for R in rows[:t or steps]] == [o.key for o in want[:steps]]
+
+
+def test_orbit_precheck_matches_check_pairwise():
+    # every base of the literal rung's walk: the stacked test of W against
+    # its images agrees with the full pairwise check of the orbit (whole
+    # orbits on O-4(3), none on O+6(3) or Oodd5(3))
+    from orthosig.lscore import ts_subspace_transporters
+
+    seen = set()
+    for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 3), ("odd", "Oodd", 2)]:
+        s = build_space(kind, make_tower(3, 1, m))
+        lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
+        keys = ts_subspace_transporters(s, s.witt_index, False)
+        bases = np.stack([subspace_from_key(k, s.n).basis() for k in keys])
+        ret, imgs = orbit_walk(s.fq, np.broadcast_to(lit.a, (len(bases), s.n, s.n)), bases, 12)
+        for size in set(ret.tolist()) - {0}:
+            idx = np.flatnonzero(ret == size)
+            for i, ok in zip(idx, orbits_are_partial_spreads(s.fq, imgs[idx, :size])):
+                try:
+                    _walked_spread(s.fq, imgs, i, size)
+                    want = True
+                except NotAPartialSpread:
+                    want = False
+                assert ok == want
+                seen.add(want)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("kind,p,e,m,r", [("minus", 3, 1, 2, 1), ("plus", 3, 1, 2, 2),
