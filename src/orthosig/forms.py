@@ -440,16 +440,40 @@ def eichler(fq: FqContext, gram, i, u):
     """The Eichler (Siegel) map of the hyperbolic pair (e_i, f_i) of a Witt
     frame along u orthogonal to that pair,
     v -> v + f(v,e_i) u - f(v,u) e_i - Q(u) f(v,e_i) e_i,
-    as the matrix I + u (G e_i)^T - e_i (G u + Q(u) G e_i)^T.  A (k, n)
-    stack of u gives the (k, n, n) stack of maps."""
+    as the matrix I + u (G e_i)^T - e_i (G u + Q(u) G e_i)^T: the action
+    `eichler_act` on X = I.  A (k, n) stack of u gives the (k, n, n) stack
+    of maps."""
+    return eichler_act(fq, gram, i, u, fq.identity(len(gram)))
+
+
+def eichler_act(fq: FqContext, gram, i, u, X):
+    """E(u) X for the Eichler map E(u) of `eichler`, as two rank-one
+    updates: X gains u (G e_i)^T X, and its row i loses
+    (G u + Q(u) G e_i)^T X.  A (k, n) stack of u and an (n, n) or
+    (k, n, n) X broadcast as in numpy's matmul."""
     u = np.asarray(u, dtype=np.int16)
     ge = gram[:, i]
     gu = fq.mat_mul(u[..., None, :], gram.T)
     qu = fq.v_scale(fq.two_inv, fq.mat_mul(gu, u[..., :, None]))
-    w = fq.v_add(gu[..., 0, :], fq.v_scale(qu[..., 0], ge))
-    E = fq.v_add(fq.identity(len(ge)), fq.v_scale(u[..., :, None], ge))
-    E[..., i, :] = fq.v_add(E[..., i, :], fq.v_neg(w))
-    return E
+    w = fq.v_add(gu, fq.v_scale(qu, ge))
+    # rows (G e_i)^T X and w^T X, in one product
+    WX = fq.mat_mul(np.concatenate([np.broadcast_to(ge, w.shape), w], axis=-2), X)
+    Y = fq.v_add(X, fq.v_scale(u[..., :, None], WX[..., 0, None, :]))
+    Y[..., i, :] = fq.v_add(Y[..., i, :], fq.v_neg(WX[..., 1, :]))
+    return Y
+
+
+def isometry_inverse(space: QuadraticSpace, A):
+    """The inverses G^-1 A^T G of a (k, n, n) stack of isometries A of the
+    Witt form G of the space, with one elimination (G^-1) for the stack.
+    One stacked product A A^-1 = I checks them; raises GeometryError when
+    some A is not an isometry."""
+    fq = space.fq
+    A = np.asarray(A, dtype=np.int16)
+    Ainv = fq.mat_mul(fq.mat_mul(fq.mat_inv(space.gram), np.swapaxes(A, -1, -2)), space.gram)
+    if not (fq.mat_mul(A, Ainv) == fq.identity(space.n)).all():
+        raise GeometryError("matrix is not an isometry of the form")
+    return Ainv
 
 
 def siegel_unipotent(space: QuadraticSpace, u) -> Mat:

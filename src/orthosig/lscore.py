@@ -164,18 +164,38 @@ def _mixed_radices(s: int) -> list[int]:
     return out
 
 
+def powers(fq: FqContext, x, s: int):
+    """The (s, n, n) stack x^0, .., x^(s-1) of an (n, n) array: a running
+    product that doubles the table with one stacked product a step,
+    x^(j+k) = x^j x^k for j < k = the current length."""
+    P = fq.identity(len(x))[None]
+    xk = x
+    while len(P) < s:
+        P = np.concatenate([P, fq.mat_mul(P[:s - len(P)], xk)])
+        if len(P) < s:
+            xk = fq.mat_mul(P[-1], x)
+    return P
+
+
+def inverse_powers(x: Mat, s: int):
+    """The (s, n, n) stack x^0, x^-1, .., x^-(s-1): one inversion and the
+    running powers of the inverse."""
+    return powers(x.fq, x.inv().a, s)
+
+
 def cyclic_blocks(x: Mat, s: int) -> tuple[list, list[int]]:
-    """Prime-size blocks {x^(j*M_t)} realizing the cyclic set {x^i : i < s}."""
+    """Prime-size blocks {x^(j*M_t)} realizing the cyclic set {x^i : i < s},
+    read from one table of the running powers of x."""
     if s <= 0:
         raise LsError("cyclic set size must be positive")
     if s == 1:
         return [], []
     radices = _mixed_radices(s)
+    P = powers(x.fq, x.a, s)
     blocks = []
     M = 1
     for r in radices:
-        step = x.pow(M)
-        blocks.append([step.pow(j) for j in range(r)])
+        blocks.append([Mat(x.fq, P[j * M]) for j in range(r)])
         M *= r
     return blocks, radices
 
@@ -579,7 +599,6 @@ class _StagePlan(_Plan):
     enter: np.ndarray    # C T
     R: int               # Witt index; e_0 and f_0 are basis vectors 0 and R
     SP: np.ndarray       # positions of the basis vectors other than e_0 and f_0
-    border: np.ndarray   # rows and columns 0 and R
     work_gram: np.ndarray
     gl1_digits: np.ndarray   # digits of the discrete log of each unit (row 0 unused)
     sub: _Plan
@@ -629,13 +648,16 @@ class _StagePlan(_Plan):
         out[rows, col:col + digits.shape[1]] = digits
         # hw = E(u) d(lam) y with y = 1 + 1 + ysub on (e_0, f_0, SP): E(-u) hw
         # must agree with d(lam) = diag(lam at 0, lam^-1 at R) on the border,
-        # and its SP block is ysub, as d(lam) leaves those rows alone
-        yw = fq.mat_mul(forms.eichler(fq, self.work_gram, 0, fq.v_neg(u)), hw)
-        d = np.broadcast_to(fq.identity(self.n), yw.shape).copy()
-        d[:, 0, 0], d[:, R, R] = lam, fq.INV[lam]
+        # and its SP block is ysub, as d(lam) leaves those rows alone.  Its
+        # column 0 is lam e_0 already (E fixes e_0), and with row R equal to
+        # lam^-1 e_R the SP rows of column R vanish, as u = lam hw[SP, R];
+        # so rows 0 and R are the whole border check
+        yw = forms.eichler_act(fq, self.work_gram, 0, fq.v_neg(u), hw)
+        d = np.zeros((len(rows), 2, self.n), dtype=np.int16)
+        d[:, 0, 0], d[:, 1, R] = lam, fq.INV[lam]
         if stats is not None:
             stats["mults"] += 2 * int(alive.sum())
-        alive &= ~_reject(errors, rows, alive & ((yw != d) & self.border).any(axis=(1, 2)),
+        alive &= ~_reject(errors, rows, alive & (yw[:, [0, R]] != d).any(axis=(1, 2)),
                           LsError, "stabilizer residue is not block diagonal")
         self.sub._decode_into(yw[alive][:, SP[:, None], SP], rows[alive], out, errors,
                               col + digits.shape[1], stats)
@@ -738,13 +760,15 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
             _, gen, size = layer
             cyc, radices = cyclic_blocks(gen, size)
             blocks.extend(cyc)
-            inv_pows = np.stack([gen.pow(-j).a for j in range(size)])
-            stage_layers.append(("cyc", (gen, size, radices, inv_pows)))
+            stage_layers.append(("cyc", (gen, size, radices, inverse_powers(gen, size))))
             layers_meta.append({"type": "cyclic", "size": size, "radices": radices})
         else:
             _, elems = layer
             blocks.append(list(elems))
-            invs = np.stack([g.inv().a for g in elems])
+            try:
+                invs = forms.isometry_inverse(space, np.stack([g.a for g in elems]))
+            except GeometryError as exc:
+                raise LsError(f"transversal layer: {exc}") from exc
             stage_layers.append(("trans", (elems, invs)))
             layers_meta.append({"type": "transversal", "size": len(elems)})
 
@@ -759,7 +783,8 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     n = space.n
 
     def globalize(mw):
-        return Mat(fq, fq.mat_mul(fq.mat_mul(T, mw), Tinv))
+        """T mw T^-1 of one working-frame matrix or of a stack of them."""
+        return fq.mat_mul(fq.mat_mul(T, mw), Tinv)
 
     w_gl = np.asarray(W0.rows[0], dtype=np.int16)
 
@@ -781,12 +806,12 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
             fq.mat_mul(fq.mat_mul(np.ascontiguousarray(bw.T), work_gram), bw), work_gram
         ):
             raise LsError("Singer block is not an isometry of the working frame")
-        b_gl = globalize(bw)
+        b_gl = Mat(fq, globalize(bw))
         if element_order(b_gl, space.q ** r_dim) != space.q ** r_dim - 1:
             raise LsError("Singer block has the wrong order")
         cycb, b_radices = cyclic_blocks(b_gl, t)
         blocks.extend(cycb)
-        b_inv_pows = np.stack([b_gl.pow(-j).a for j in range(t)])
+        b_inv_pows = inverse_powers(b_gl, t)
         cur = w_gl
         for j in range(t):
             keyp = space.canon(cur).tobytes()
@@ -802,19 +827,19 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
 
     # Siegel blocks
     SP = list(range(1, Rwork)) + list(range(Rwork + 1, 2 * Rwork)) + list(range(2 * Rwork, n))
+    # block (pos, theta) holds the maps along u = c theta e_pos, c < p; all
+    # of them come from one stacked Eichler map
     theta_codes = [fq.gf.from_coeffs([0] * i + [1]) for i in range(fq.e)]
-    for pos in SP:
-        for th in theta_codes:
-            blk = []
-            for c in range(fq.p):
-                u = np.zeros(n, dtype=np.int16)
-                u[pos] = fq.mul(c % fq.q, th)
-                blk.append(globalize(forms.eichler(fq, work_gram, 0, u)))
-            blocks.append(blk)
+    U = np.zeros((len(SP), fq.e, fq.p, n), dtype=np.int16)
+    for i, pos in enumerate(SP):
+        U[i, :, :, pos] = fq.MUL[np.ix_(theta_codes, range(fq.p))]
+    siegel = globalize(forms.eichler(fq, work_gram, 0, U.reshape(-1, n)))
+    for lo in range(0, len(siegel), fq.p):
+        blocks.append([Mat(fq, a) for a in siegel[lo:lo + fq.p]])
 
     # GL1 block
     mu = fq.generator
-    d_mu = globalize(_gl1_np(fq, n, Rwork, mu))
+    d_mu = Mat(fq, globalize(_gl1_np(fq, n, Rwork, mu)))
     gcyc, gl1_radices = cyclic_blocks(d_mu, space.q - 1)
     blocks.extend(gcyc)
     gl1_digits = np.zeros((space.q, len(gl1_radices)), dtype=np.int64)
@@ -830,14 +855,15 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     sub_gram = np.ascontiguousarray(work_gram[np.ix_(SP, SP)])
     phi, lam = forms.align_spaces(sub_space, sub_gram, fq)
     phi_inv = fq.mat_inv(phi)
-    for blk in sub_ls.blocks:
-        emb = []
-        for x in blk:
-            xs = fq.mat_mul(fq.mat_mul(phi, x.a), phi_inv)
-            full = fq.identity(n)
-            full[np.ix_(SP, SP)] = xs
-            emb.append(globalize(np.ascontiguousarray(full)))
-        blocks.append(emb)
+    # every element of the tail: phi x phi^-1 on SP, the identity on e_0
+    # and f_0, in one stacked product each way
+    if sub_ls.blocks:
+        X = np.stack([x.a for blk in sub_ls.blocks for x in blk])
+        full = np.broadcast_to(fq.identity(n), (len(X), n, n)).copy()
+        full[:, np.array(SP)[:, None], SP] = fq.mat_mul(fq.mat_mul(phi, X), phi_inv)
+        emb = iter(globalize(full))
+        for blk in sub_ls.blocks:
+            blocks.append([Mat(fq, next(emb)) for _ in blk])
 
     claimed = 1
     for b in blocks:
@@ -871,14 +897,12 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         raise LsError("stripped element leaves the base subspace")  # pragma: no cover
     head.append([digits_of(j, b_radices) for j in js])
     head = np.array([sum(parts, []) for parts in zip(*head)], dtype=np.int64).reshape(len(points), -1)
-    border = np.zeros((n, n), dtype=bool)
-    border[[0, Rwork]] = border[:, [0, Rwork]] = True
     ls.plan = _StagePlan(
         space=space, sp=sp_plan, layers=stage_layers, b=b_gl, b_point_to_j=b_point_to_j,
         vectors=np.concatenate([fq.v_scale(c, points) for c in range(1, fq.q)]),
         keys=None, point=np.tile(np.arange(len(points)), fq.q - 1),
         strips=fq.mat_mul(Tinv, fq.mat_mul(b_inv_pows[js], strip)), head=head, enter=T,
-        R=Rwork, SP=np.array(SP), border=border, work_gram=work_gram, gl1_digits=gl1_digits,
+        R=Rwork, SP=np.array(SP), work_gram=work_gram, gl1_digits=gl1_digits,
         sub=sub_ls.plan.framed(phi, phi_inv),
     )._sorted()
     return ls

@@ -14,8 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .factorize import IndexVector, compose, rank, tame_factor, unrank
-from .lscore import LogSignature, LsError, canonical_ls
+from .forms import isometry_inverse
+from .lscore import LogSignature, LsError, canonical_ls, space_for
 from .matgroups import GroupDescriptor, Mat, identity
 
 
@@ -79,9 +82,11 @@ def keygen(desc: GroupDescriptor, seed: int, translate: bool = True) -> PgmKey:
     else:
         translations.extend(identity(fq, n) for _ in range(len(alpha.blocks) - 1))
     translations.append(identity(fq, n))
+    # the translations are isometries: one stacked isometry inverse
+    invs = isometry_inverse(space_for(desc), np.stack([g.a for g in translations[:-1]]))
     beta_blocks = []
     for i, (blk, perm) in enumerate(zip(alpha.blocks, perms)):
-        gprev_inv = translations[i].inv()
+        gprev_inv = Mat(fq, invs[i])
         gnext = translations[i + 1]
         beta_blocks.append([gprev_inv * blk[j] * gnext for j in perm])
     beta = LogSignature(desc, beta_blocks, alpha.claimed_order,

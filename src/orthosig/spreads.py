@@ -37,45 +37,61 @@ class Subspace:
 
 
 def rref_stack(fq: FqContext, A):
-    """Reduced row echelon forms of a (k, r, n) stack of matrices in one
-    pass over the columns; returns the int16 forms and the rank of each.
+    """Reduced row echelon forms of a (k, r, n) stack of matrices in at
+    most r elimination steps; returns the int16 forms and the rank of each.
 
-    A row space has exactly one reduced echelon form, so row for row this
+    Step t moves, in each matrix, the row at or below t whose first nonzero
+    entry lies furthest left to row t, scales that entry to 1 and clears its
+    column in every other row.  A matrix whose rows from t on are zero is
+    done, so the sweep stops once no matrix has a row left to pivot on.  A
+    row space has exactly one reduced echelon form, so row for row this
     agrees with `FqContext.rref`; rows past the rank are zero.
     """
     if fq.fast:
         p = fq.p
-        R = np.array(A, dtype=np.int64) % p
+        # below p = 182 every a - f x of codes fits int16
+        R = np.array(A, dtype=np.int16 if p <= 181 else np.int64) % p
 
-        def mul(a, b):
-            return (a * b) % p
+        def scale(s, x):
+            return (s * x) % p
 
-        def sub(a, b):
-            return (a - b) % p
+        def axpy(a, f, x):
+            return (a - f * x) % p
     else:
         R = np.array(A, dtype=np.int16)
 
-        def mul(a, b):
-            return fq.MUL[a, b]
+        def scale(s, x):
+            return fq.MUL[s, x]
 
-        def sub(a, b):
-            return fq.ADD[a, fq.NEG[b]]
+        def axpy(a, f, x):
+            return fq.ADD[a, fq.NEG[fq.MUL[f, x]]]
     k, r, n = R.shape
     rank = np.zeros(k, dtype=np.intp)
-    below = np.arange(r)[None, :]
-    for c in range(n):
-        cand = (R[:, :, c] != 0) & (below >= rank[:, None])
-        hit = np.flatnonzero(cand.any(axis=1))
+    # the nonzero pattern, with a last column that marks a zero row
+    nz = np.ones((k, r, n + 1), dtype=bool)
+    for t in range(r):
+        np.not_equal(R[:, t:], 0, out=nz[:, t:, :n])
+        lead = nz[:, t:].argmax(axis=2)
+        j = lead.argmin(axis=1)
+        c = lead[np.arange(k), j]
+        hit = np.flatnonzero(c < n)
         if not len(hit):
-            continue
-        top, sel = rank[hit], cand[hit].argmax(axis=1)
-        prow = R[hit, sel]
-        R[hit, sel] = R[hit, top]
-        prow = mul(fq.INV[prow[:, c]][:, None], prow)
-        R[hit, top] = prow
-        f = R[hit, :, c]
-        f[np.arange(len(hit)), top] = 0
-        R[hit] = sub(R[hit], mul(f[:, :, None], prow[:, None, :]))
+            break
+        whole = len(hit) == k
+        S = R if whole else R[hit]
+        i = np.arange(len(hit))
+        j, c = j[hit] + t, c[hit]
+        prow = S[i, j]
+        S[i, j] = S[:, t]
+        prow = scale(fq.INV[prow[i, c]][:, None], prow)
+        S[:, t] = prow
+        f = S[i[:, None], np.arange(r), c[:, None]]
+        f[:, t] = 0
+        S = axpy(S, f[:, :, None], prow[:, None, :])
+        if whole:
+            R = S
+        else:
+            R[hit] = S
         rank[hit] += 1
     return R.astype(np.int16), rank
 

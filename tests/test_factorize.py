@@ -245,3 +245,72 @@ def test_decode_results_match_golden_hashes(fam, q, n):
         res.append(f"{type(one).__name__}: {one}" if isinstance(one, Exception) else one)
     doc = json.dumps(res).encode()
     assert hashlib.sha256(doc).hexdigest() == DECODE_SHA256[(fam, q, n)]
+
+
+def _matrix_path_decode_into(plan, Z, rows, out, errors, col, stats):
+    """The stage decode with the full Eichler matrix E(-u) multiplied into
+    hw and the border of E(-u) hw compared with d(lam) entry by entry, as
+    it was before the residue went to closed form; the reference for
+    `_StagePlan._decode_into`."""
+    import numpy as np
+
+    from orthosig import forms
+    from orthosig.lscore import LsError, _StagePlan, _find, _reject, _row_keys
+
+    if not isinstance(plan, _StagePlan):
+        return plan._decode_into(Z, rows, out, errors, col, stats)
+    if not len(rows):
+        return
+    fq, R, SP, n = plan.space.fq, plan.R, plan.SP, plan.n
+    ZT = fq.mat_mul(Z, plan.enter)
+    keys = _row_keys(fq, ZT[:, :, 0])
+    pos, alive = _find(plan.keys, keys)
+    for r, key in zip(rows[~alive].tolist(), keys[~alive].tolist()):
+        errors[r] = (forms.GeometryError("zero vector has no projective point") if key == 0 else
+                     LsError("element does not move the base point inside the singular set"))
+    pt = plan.point[pos]
+    hw = fq.mat_mul(plan.strips[pt], ZT)
+    lam = hw[:, 0, 0]
+    if stats is not None:
+        stats["mults"] = stats.get("mults", 0) + len(rows) + int(alive.sum())
+    alive &= ~_reject(errors, rows, alive & ((lam == 0) | hw[:, 1:, 0].any(axis=1)), LsError,
+                      "element does not stabilize the base point")
+    u = fq.v_scale(lam[:, None], hw[:, :, R])
+    u[:, [0, R]] = 0
+    digits = np.concatenate(
+        [plan.head[pt], fq.gf.digits[u[:, SP]].reshape(len(rows), -1), plan.gl1_digits[lam]], axis=1)
+    out[rows, col:col + digits.shape[1]] = digits
+    yw = fq.mat_mul(forms.eichler(fq, plan.work_gram, 0, fq.v_neg(u)), hw)
+    d = np.broadcast_to(fq.identity(n), yw.shape).copy()
+    d[:, 0, 0], d[:, R, R] = lam, fq.INV[lam]
+    border = np.zeros((n, n), dtype=bool)
+    border[[0, R]] = border[:, [0, R]] = True
+    if stats is not None:
+        stats["mults"] += 2 * int(alive.sum())
+    alive &= ~_reject(errors, rows, alive & ((yw != d) & border).any(axis=(1, 2)),
+                      LsError, "stabilizer residue is not block diagonal")
+    _matrix_path_decode_into(plan.sub, yw[alive][:, SP[:, None], SP], rows[alive], out, errors,
+                             col + digits.shape[1], stats)
+
+
+@pytest.mark.parametrize("fam,q,n", [
+    ("O-", 3, 4), ("O+", 3, 4), ("O-", 5, 4), ("O+", 5, 4), ("O-", 9, 4), ("O+", 9, 4),
+    ("O-", 25, 4), ("O+", 25, 4), ("Oodd", 3, 5), ("O+", 3, 6), ("O+", 3, 8),
+    ("SO-", 3, 4), ("SO+", 5, 4), ("SO-", 9, 4), ("SOodd", 3, 5), ("SO+", 3, 6), ("PSOodd", 3, 5)])
+def test_closed_form_residue_matches_the_matrix_path(fam, q, n):
+    # members, scalar multiples, one-entry perturbations, random matrices,
+    # zeros and negatives: the same digits (failing rows included), errors
+    # and stats as multiplying the whole Eichler matrix in
+    import numpy as np
+
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    A = np.stack(_mixed_elements(ls, 7, 40))
+    stats = {}
+    digits, errors = ls.plan.decode_many(A, stats)
+    want, want_errors, want_stats = np.zeros_like(digits), {}, {}
+    _matrix_path_decode_into(ls.plan, A, np.arange(len(A)), want, want_errors, 0, want_stats)
+    assert np.array_equal(digits, want)
+    assert {r: (type(e), str(e)) for r, e in errors.items()} == \
+        {r: (type(e), str(e)) for r, e in want_errors.items()}
+    assert stats == want_stats
+    assert len(errors) < len(A)

@@ -116,6 +116,100 @@ def test_cyclic_set_uniqueness_small_exhaustive():
         assert len(seen) == (s if s > 1 else 1)
 
 
+def _power_cases():
+    # the einsum path (q = 3, 5) and the table path (q = 9)
+    return [singer_generator(2, fq_context(3, 1)), singer_generator(3, fq_context(5, 1)),
+            singer_generator(2, fq_context(3, 2))]
+
+
+def test_running_powers_and_cyclic_blocks_match_pow():
+    from orthosig.lscore import cyclic_blocks, inverse_powers, powers
+
+    for x in _power_cases():
+        for s in [1, 2, 3, 4, 5, 7, 8, 12, 13, 30, 64]:
+            assert [a.tobytes() for a in powers(x.fq, x.a, s)] == [x.pow(j).key for j in range(s)]
+            assert [a.tobytes() for a in inverse_powers(x, s)] == [x.pow(-j).key for j in range(s)]
+            blocks, radices = cyclic_blocks(x, s)
+            want, M = [], 1
+            for r in radices:
+                step = x.pow(M)
+                want.append([step.pow(j).key for j in range(r)])
+                M *= r
+            assert [[g.key for g in blk] for blk in blocks] == want
+
+
+@pytest.mark.parametrize("fam,q,n", [("O-", 5, 4), ("O+", 3, 4), ("O-", 9, 4), ("Oodd", 3, 5),
+                                     ("SO+", 3, 6)])
+def test_stage_inverse_power_tables_match_pow(fam, q, n):
+    # the A-layer tables of every stage, and the Singer table from the same
+    # helper, are the inverse powers byte for byte
+    from orthosig.lscore import _StagePlan, inverse_powers
+
+    plan = canonical_ls(descriptor(fam, q, n=n)).plan
+    while isinstance(plan, _StagePlan):
+        for kind, data in plan.layers:
+            if kind == "cyc":
+                gen, size, _, inv_pows = data
+                assert [a.tobytes() for a in inv_pows] == [gen.pow(-j).key for j in range(size)]
+        if plan.b is not None:
+            t = len(plan.b_point_to_j)
+            assert [a.tobytes() for a in inverse_powers(plan.b, t)] == \
+                [plan.b.pow(-j).key for j in range(t)]
+        plan = plan.sub
+
+
+@pytest.mark.parametrize("fam,q,n", [("O+", 3, 6), ("SO+", 3, 6), ("Oodd", 3, 5), ("SOodd", 3, 5)])
+def test_transversal_inverses_are_isometry_inverses(fam, q, n):
+    from orthosig.forms import GeometryError, isometry_inverse, preserves_form
+    from orthosig.lscore import space_for
+
+    desc = descriptor(fam, q, n=n)
+    ls = canonical_ls(desc)
+    (kind, (elems, invs)), = ls.plan.layers
+    assert kind == "trans"
+    want = np.stack([g.inv().a for g in elems])
+    assert np.array_equal(invs, want)
+    space = space_for(desc)
+    A = np.stack([g.a for g in elems])
+    assert np.array_equal(isometry_inverse(space, A), want)
+    # a shear of one Witt vector is invertible but moves the form
+    shear = space.fq.identity(n)
+    shear[0, 1] = 1
+    assert not preserves_form(space.fq, space.gram, shear)
+    A[len(A) // 2] = shear
+    with pytest.raises(GeometryError, match="not an isometry"):
+        isometry_inverse(space, A)
+
+
+def test_stage_assembly_inverts_once_per_cyclic_generator(monkeypatch):
+    # built cold, a stage inverts each cyclic generator (A layer and Singer
+    # block) once and takes no powers one at a time; a per-element loop
+    # would cost hundreds of calls
+    from orthosig.lscore import _spread_construction, _StagePlan, ts_subspace_transporters
+
+    calls = {"inv": 0, "pow": 0}
+
+    def counted(name, f):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return f(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(Mat, "inv", counted("inv", Mat.inv))
+    monkeypatch.setattr(Mat, "pow", counted("pow", Mat.pow))
+    for fam, q, n in [("O+", 3, 6), ("Oodd", 3, 5)]:
+        for cached in (canonical_ls, _spread_construction, ts_subspace_transporters):
+            cached.cache_clear()
+        calls.update(inv=0, pow=0)
+        plan = canonical_ls(descriptor(fam, q, n=n)).plan
+        gens = 0
+        while isinstance(plan, _StagePlan):
+            gens += sum(kind == "cyc" for kind, _ in plan.layers) + (plan.b is not None)
+            plan = plan.sub
+        assert gens >= 1
+        assert calls["inv"] <= gens and calls["pow"] <= gens, (fam, calls, gens)
+
+
 def test_cyclic_set_rejects_oversize():
     fq = fq_context(3, 1)
     x = singer_generator(2, fq)  # order 8

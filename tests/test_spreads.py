@@ -13,6 +13,7 @@ from orthosig.spreads import (
     act_subspace,
     orbit_walk,
     orbits_are_partial_spreads,
+    rref_stack,
     schreier_transversal,
     span_points,
     subspace,
@@ -352,3 +353,30 @@ def test_hypothesis_stacked_check_pairwise_matches_the_pair_loop(pe, n, count, c
     finally:
         spreads._PAIR_CHUNK = old
     assert got == want
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([(3, 1), (5, 1), (3, 2)]), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=4), st.data())
+def test_hypothesis_rref_stack_matches_rref_with_dependent_rows(pe, r, n, k, data):
+    # q = 3, 5, 9; some columns are zero, so pivots move right, and some
+    # rows are combinations of the other rows, so a stack mixes full and
+    # deficient row ranks and a dependent row can sit above the pivot rows
+    fq = fq_context(*pe)
+    entries = st.integers(min_value=0, max_value=fq.q - 1)
+    A = np.array(data.draw(st.lists(entries, min_size=k * r * n, max_size=k * r * n)),
+                 dtype=np.int16).reshape(k, r, n)
+    for i in range(k):
+        A[i, :, data.draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0
+        for j in range(r):
+            if data.draw(st.booleans()):
+                row = np.zeros(n, dtype=np.int16)
+                for t in set(range(r)) - {j}:
+                    row = fq.v_add(row, fq.v_scale(data.draw(entries), A[i, t]))
+                A[i, j] = row
+    R, rank = rref_stack(fq, A)
+    assert R.dtype == np.int16 and R.shape == A.shape
+    for i in range(k):
+        R1, piv = fq.rref(A[i])
+        assert np.array_equal(R[i], R1)
+        assert rank[i] == len(piv)
