@@ -46,11 +46,13 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
     """The unique index vector whose block product equals g."""
     if ls.plan is None:
         raise FactorError("signature carries no decoding tables (not canonical)")
+    n = ls.plan.n
+    if g.n != n:
+        raise FactorError(f"element is {g.n}x{g.n}, signature acts on {n}x{n} matrices")
     if ls.group is not None:
         if not forms.membership(space_for(ls.group), g, ls.group.family):
             raise FactorError(f"element is not in {ls.group.family}")
-    digits = ls.plan.decode(g, stats)
-    iv = IndexVector(tuple(int(d) for d in digits))
+    iv = IndexVector(tuple(ls.plan.decode(g, stats)))
     check_bounds(iv, ls)
     return iv
 

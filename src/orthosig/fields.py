@@ -554,11 +554,11 @@ class FqContext:
         return int(out) if v.ndim == 1 else out
 
     def bil(self, G, u, v):
-        w = self.mat_vec(G, v)
-        s = 0
-        for a, b in zip(u, w):
-            s = self.add(s, self.mul(int(a), int(b)))
-        return s
+        """u^T G v of two vectors (an int), or of the rows of two (k, n)
+        stacks (an int16 array)."""
+        u, v = np.asarray(u, dtype=np.int16), np.asarray(v, dtype=np.int16)
+        out = self.mat_mul(self.mat_mul(u[..., None, :], G), v[..., :, None])[..., 0, 0]
+        return int(out) if out.ndim == 0 else out
 
 
 @cache

@@ -440,27 +440,17 @@ def eichler(fq: FqContext, gram, i, u):
     """The Eichler (Siegel) map of the hyperbolic pair (e_i, f_i) of a Witt
     frame along u orthogonal to that pair,
     v -> v + f(v,e_i) u - f(v,u) e_i - Q(u) f(v,e_i) e_i,
-    as the matrix I + u (G e_i)^T - e_i (G u + Q(u) G e_i)^T: the action
-    `eichler_act` on X = I.  A (k, n) stack of u gives the (k, n, n) stack
-    of maps."""
-    return eichler_act(fq, gram, i, u, fq.identity(len(gram)))
-
-
-def eichler_act(fq: FqContext, gram, i, u, X):
-    """E(u) X for the Eichler map E(u) of `eichler`, as two rank-one
-    updates: X gains u (G e_i)^T X, and its row i loses
-    (G u + Q(u) G e_i)^T X.  A (k, n) stack of u and an (n, n) or
-    (k, n, n) X broadcast as in numpy's matmul."""
+    as the matrix I + u (G e_i)^T - e_i (G u + Q(u) G e_i)^T: a rank-one
+    update of I, and then of its row i.  A (k, n) stack of u gives the
+    (k, n, n) stack of maps."""
     u = np.asarray(u, dtype=np.int16)
     ge = gram[:, i]
     gu = fq.mat_mul(u[..., None, :], gram.T)
     qu = fq.v_scale(fq.two_inv, fq.mat_mul(gu, u[..., :, None]))
     w = fq.v_add(gu, fq.v_scale(qu, ge))
-    # rows (G e_i)^T X and w^T X, in one product
-    WX = fq.mat_mul(np.concatenate([np.broadcast_to(ge, w.shape), w], axis=-2), X)
-    Y = fq.v_add(X, fq.v_scale(u[..., :, None], WX[..., 0, None, :]))
-    Y[..., i, :] = fq.v_add(Y[..., i, :], fq.v_neg(WX[..., 1, :]))
-    return Y
+    E = fq.v_add(fq.identity(len(gram)), fq.v_scale(u[..., :, None], ge))
+    E[..., i, :] = fq.v_add(E[..., i, :], fq.v_neg(w[..., 0, :]))
+    return E
 
 
 def isometry_inverse(space: QuadraticSpace, A):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -580,10 +580,12 @@ class _StagePlan(_Plan):
     `enter` = C T, an element Z for which C^-1 Z C sends w to p becomes
     strip(p) Z C T = T^-1 (b^-j a^-i C^-1 Z C) T, which fixes the line of
     e_0 in the working Witt frame T of the stage.  The rest is read off
-    that matrix: the GL1 discrete log from its corner, the Siegel
-    coordinates from column R, and the residue on the span SP of the other
-    basis vectors, decoded by `sub` in the frame phi of the model of that
-    span.
+    that matrix hw: the GL1 discrete log lam from its corner and the Siegel
+    coordinates u = lam hw[SP, R] from column R, on the span SP of the
+    basis vectors other than e_0 and f_0.  A closed-form check of the
+    border (column 0, rows R and 0) shows hw = E(u) d(lam) (1 + 1 + ysub)
+    without forming E(u), and the residue ysub is then hw[SP, SP] itself,
+    decoded by `sub` in the frame phi of the model of SP.
     """
 
     space: QuadraticSpace
@@ -599,7 +601,8 @@ class _StagePlan(_Plan):
     enter: np.ndarray    # C T
     R: int               # Witt index; e_0 and f_0 are basis vectors 0 and R
     SP: np.ndarray       # positions of the basis vectors other than e_0 and f_0
-    work_gram: np.ndarray
+    work_gram: np.ndarray    # G, the form in the working frame: G e_0 = e_R, G e_R = e_0
+    sp_gram: np.ndarray      # the SP rows of G: u^T sp_gram = (G u)^T for u on SP
     gl1_digits: np.ndarray   # digits of the discrete log of each unit (row 0 unused)
     sub: _Plan
 
@@ -607,7 +610,7 @@ class _StagePlan(_Plan):
     def n(self):
         return self.space.n
 
-    @property
+    @cached_property
     def width(self):
         return self.head.shape[1] + len(self.SP) * self.space.e + self.gl1_digits.shape[1] + self.sub.width
 
@@ -626,40 +629,59 @@ class _StagePlan(_Plan):
         # range) and is dropped before the recursion; it keeps its first error
         if not len(rows):
             return
-        fq, R, SP = self.space.fq, self.R, self.SP
+        fq, R, SP, n, k = self.space.fq, self.R, self.SP, self.n, len(rows)
         ZT = fq.mat_mul(Z, self.enter)
         keys = _row_keys(fq, ZT[:, :, 0])
         pos, alive = _find(self.keys, keys)
-        for r, key in zip(rows[~alive].tolist(), keys[~alive].tolist()):
-            errors[r] = (GeometryError("zero vector has no projective point") if key == 0 else
-                         LsError("element does not move the base point inside the singular set"))
+        failed = not alive.all()
+        if failed:
+            for r, key in zip(rows[~alive].tolist(), keys[~alive].tolist()):
+                errors[r] = (GeometryError("zero vector has no projective point") if key == 0 else
+                             LsError("element does not move the base point inside the singular set"))
         pt = self.point[pos]
         hw = fq.mat_mul(self.strips[pt], ZT)
         lam = hw[:, 0, 0]
-        if stats is not None:
-            stats["mults"] = stats.get("mults", 0) + len(rows) + int(alive.sum())
-        alive &= ~_reject(errors, rows, alive & ((lam == 0) | hw[:, 1:, 0].any(axis=1)), LsError,
-                          "element does not stabilize the base point")
-        u = fq.v_scale(lam[:, None], hw[:, :, R])
-        u[:, [0, R]] = 0
+        u = fq.v_scale(lam[:, None], hw[:, SP, R])
         digits = np.concatenate(
-            [self.head[pt], fq.gf.digits[u[:, SP]].reshape(len(rows), -1), self.gl1_digits[lam]],
-            axis=1)
+            [self.head[pt], fq.gf.digits[u].reshape(k, -1), self.gl1_digits[lam]], axis=1)
         out[rows, col:col + digits.shape[1]] = digits
-        # hw = E(u) d(lam) y with y = 1 + 1 + ysub on (e_0, f_0, SP): E(-u) hw
-        # must agree with d(lam) = diag(lam at 0, lam^-1 at R) on the border,
-        # and its SP block is ysub, as d(lam) leaves those rows alone.  Its
-        # column 0 is lam e_0 already (E fixes e_0), and with row R equal to
-        # lam^-1 e_R the SP rows of column R vanish, as u = lam hw[SP, R];
-        # so rows 0 and R are the whole border check
-        yw = forms.eichler_act(fq, self.work_gram, 0, fq.v_neg(u), hw)
-        d = np.zeros((len(rows), 2, self.n), dtype=np.int16)
-        d[:, 0, 0], d[:, 1, R] = lam, fq.INV[lam]
+        # hw = E(u) d(lam) y with y = 1 + 1 + ysub on (e_0, f_0, SP), and
+        # E(-u) hw must be d(lam) = diag(lam at 0, lam^-1 at R) on the
+        # border, with no Eichler matrix formed.  As G e_0 = e_R and
+        # G e_R = e_0 (checked at build) and u lies on SP:
+        # - row R of E(-u) hw is row R of hw, which must be lam^-1 e_R;
+        # - row 0 is hw[0] + s - Q(u) hw[R] with s = (G u)^T hw, and once
+        #   row R passes, Q(u) lam^-1 = s[R] / 2 (s[R] = lam^-1 u^T G u); so
+        #   row 0 passes when hw[0] + s = (e_0 + G u)^T hw, one product, is
+        #   lam e_0 - hw[0, R] e_R;
+        # - column 0 must be lam e_0 (E fixes e_0), and the SP rows of
+        #   column R vanish once row R passes, as u = lam hw[SP, R].
+        # So column 0, row R and row 0 are the whole border, in one compare.
+        # On the rows that pass, (G e_0)^T hw = hw[R] is 0 on SP, so the SP
+        # block of E(-u) hw, the residue ysub, is hw[SP, SP]
+        v = fq.mat_mul(u[:, None, :], self.sp_gram)
+        v[:, 0, 0] = 1
+        border = np.concatenate([hw[:, :, 0], hw[:, R], fq.mat_mul(v, hw)[:, 0]], axis=1)
+        want = np.zeros((k, 3 * n), dtype=np.int16)
+        want[:, 0] = want[:, 2 * n] = lam
+        want[:, n + R] = fq.INV[lam]
+        want[:, 2 * n + R] = fq.NEG[hw[:, 0, R]]
+        bad = border != want
         if stats is not None:
-            stats["mults"] += 2 * int(alive.sum())
-        alive &= ~_reject(errors, rows, alive & (yw[:, [0, R]] != d).any(axis=(1, 2)),
-                          LsError, "stabilizer residue is not block diagonal")
-        self.sub._decode_into(yw[alive][:, SP[:, None], SP], rows[alive], out, errors,
+            # the products of the matrix path: into the frame, hw for each
+            # element on a singular line, and E(-u) and E(-u) hw for each
+            # one that fixes the line of e_0
+            fixes = alive & ~bad[:, :n].any(axis=1)
+            stats["mults"] = stats.get("mults", 0) + k + int(alive.sum()) + 2 * int(fixes.sum())
+        if bad.any():
+            failed = True
+            alive &= ~_reject(errors, rows, alive & bad[:, :n].any(axis=1), LsError,
+                              "element does not stabilize the base point")
+            alive &= ~_reject(errors, rows, alive & bad[:, n:].any(axis=1), LsError,
+                              "stabilizer residue is not block diagonal")
+        if failed:
+            hw, rows = hw[alive], rows[alive]
+        self.sub._decode_into(hw[:, SP[:, None], SP], rows, out, errors,
                               col + digits.shape[1], stats)
 
 
@@ -781,6 +803,9 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     work_gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(T.T), space.gram), T)
     Rwork = space.witt_index
     n = space.n
+    # the decoder's closed-form border rests on G e_0 = e_R and G e_R = e_0
+    if not np.array_equal(work_gram[:, [0, Rwork]], fq.identity(n)[:, [Rwork, 0]]):
+        raise LsError("working frame: (e_0, f_0) is not a hyperbolic pair apart from the rest")  # pragma: no cover
 
     def globalize(mw):
         """T mw T^-1 of one working-frame matrix or of a stack of them."""
@@ -902,7 +927,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         vectors=np.concatenate([fq.v_scale(c, points) for c in range(1, fq.q)]),
         keys=None, point=np.tile(np.arange(len(points)), fq.q - 1),
         strips=fq.mat_mul(Tinv, fq.mat_mul(b_inv_pows[js], strip)), head=head, enter=T,
-        R=Rwork, SP=np.array(SP), work_gram=work_gram, gl1_digits=gl1_digits,
+        R=Rwork, SP=np.array(SP), work_gram=work_gram, sp_gram=work_gram[SP], gl1_digits=gl1_digits,
         sub=sub_ls.plan.framed(phi, phi_inv),
     )._sorted()
     return ls

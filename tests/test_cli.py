@@ -94,6 +94,18 @@ def test_factor_roundtrip(tmp_path):
     assert doc["result"]["recomposes"] is True
 
 
+def test_factor_rejects_an_element_of_the_wrong_size(tmp_path):
+    out = tmp_path / "ls.json"
+    run_cli("construct", "--family", "O-", "--q", "3", "--m", "2", "--out", str(out))
+    elem = tmp_path / "elem.json"
+    elem.write_text(json.dumps({"n": 3, "entries": [[[int(i == j)] for j in range(3)] for i in range(3)]}))
+    proc = run_cli("factor", "--in", str(out), "--element-file", str(elem))
+    assert proc.returncode == 2
+    doc, _ = parse_stdout(proc.stdout)
+    assert "3x3" in doc["error"] and "4x4" in doc["error"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_spread_check():
     proc = run_cli("spread-check", "--kind", "minus", "--q", "3", "--m", "2")
     assert proc.returncode == 0
@@ -230,3 +242,17 @@ def test_cli_commands_never_import_numpy_random(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_demo_pipeline_script_runs_end_to_end():
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "demo_pipeline.py")
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    factored = [ln for ln in lines if ln.startswith("rank ")]
+    assert len(factored) == 3 and all(ln.endswith("factored back: True") for ln in factored)
+    cipher = [ln for ln in lines if ln.startswith("cipher demo: ")]
+    assert len(cipher) == 1
+    msgs, cts, back = cipher[0][len("cipher demo: "):].split(" -> ")
+    assert msgs == back and cts != msgs

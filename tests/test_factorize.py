@@ -293,24 +293,71 @@ def _matrix_path_decode_into(plan, Z, rows, out, errors, col, stats):
                              col + digits.shape[1], stats)
 
 
+def _border_perturbed(plan, members, seed):
+    """Members changed in one entry of row R (f_0) or of row 0 (e_0) of the
+    stage matrix hw = S Z E, in alternation, at a column of SP: Z + S^-1 D E^-1
+    for the strip S of Z's point and E = plan.enter.  Column 0 of hw, and
+    with it the point, stays; a row-R change leaves row 0 of hw and the
+    Siegel coordinates alone, and a row-0 change leaves row R alone."""
+    import numpy as np
+
+    from orthosig.lscore import _find, _row_keys
+
+    fq, rng = plan.space.fq, random.Random(seed)
+    Einv = fq.mat_inv(plan.enter)
+    out = []
+    for i, Z in enumerate(members):
+        pos, _ = _find(plan.keys, _row_keys(fq, fq.mat_mul(Z, plan.enter)[None, :, 0]))
+        D = np.zeros_like(Z)
+        D[(plan.R, 0)[i % 2], rng.choice(plan.SP.tolist())] = rng.randrange(1, fq.q)
+        S_inv = fq.mat_inv(plan.strips[plan.point[pos[0]]])
+        out.append(fq.v_add(Z, fq.mat_mul(fq.mat_mul(S_inv, D), Einv)))
+    return out
+
+
+def _mislabeled_points(plan):
+    """The plan with every other singular line's vectors filed under the
+    next line: a stage matrix read through the wrong strip moves the line
+    of e_0, which no element does through a consistent table, so this is
+    the one way to fail column 0 alone."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    lines = plan.strips.shape[0]
+    return replace(plan, point=np.where(plan.point % 2 == 0, (plan.point + 1) % lines, plan.point))
+
+
 @pytest.mark.parametrize("fam,q,n", [
     ("O-", 3, 4), ("O+", 3, 4), ("O-", 5, 4), ("O+", 5, 4), ("O-", 9, 4), ("O+", 9, 4),
     ("O-", 25, 4), ("O+", 25, 4), ("Oodd", 3, 5), ("O+", 3, 6), ("O+", 3, 8),
     ("SO-", 3, 4), ("SO+", 5, 4), ("SO-", 9, 4), ("SOodd", 3, 5), ("SO+", 3, 6), ("PSOodd", 3, 5)])
 def test_closed_form_residue_matches_the_matrix_path(fam, q, n):
     # members, scalar multiples, one-entry perturbations, random matrices,
-    # zeros and negatives: the same digits (failing rows included), errors
-    # and stats as multiplying the whole Eichler matrix in
+    # zeros and negatives, members that fail only row f_0 or only row e_0
+    # of the border, and everything again through a table that fails only
+    # column 0: the same digits (failing rows included), errors and stats
+    # as multiplying the whole Eichler matrix in
     import numpy as np
 
     ls = canonical_ls(descriptor(fam, q, n=n))
-    A = np.stack(_mixed_elements(ls, 7, 40))
-    stats = {}
-    digits, errors = ls.plan.decode_many(A, stats)
-    want, want_errors, want_stats = np.zeros_like(digits), {}, {}
-    _matrix_path_decode_into(ls.plan, A, np.arange(len(A)), want, want_errors, 0, want_stats)
-    assert np.array_equal(digits, want)
-    assert {r: (type(e), str(e)) for r, e in errors.items()} == \
-        {r: (type(e), str(e)) for r, e in want_errors.items()}
-    assert stats == want_stats
-    assert len(errors) < len(A)
+    mixed = _mixed_elements(ls, 7, 40)
+    rows_only = _border_perturbed(ls.plan, [compose(unrank(v, ls), ls).a for v in range(0, 400, 10)], 7)
+    A = np.stack(mixed + rows_only)
+    messages = set()
+    for plan in (ls.plan, _mislabeled_points(ls.plan)):
+        stats = {}
+        digits, errors = plan.decode_many(A, stats)
+        want, want_errors, want_stats = np.zeros_like(digits), {}, {}
+        _matrix_path_decode_into(plan, A, np.arange(len(A)), want, want_errors, 0, want_stats)
+        assert np.array_equal(digits, want)
+        assert {r: (type(e), str(e)) for r, e in errors.items()} == \
+            {r: (type(e), str(e)) for r, e in want_errors.items()}
+        assert stats == want_stats
+        assert len(errors) < len(A)
+        messages |= {str(e) for e in errors.values()}
+        if plan is ls.plan:
+            assert all(str(errors.get(r)) == "stabilizer residue is not block diagonal"
+                       for r in range(len(mixed), len(A)))
+    assert {"element does not stabilize the base point",
+            "stabilizer residue is not block diagonal"} <= messages

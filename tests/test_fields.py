@@ -310,6 +310,29 @@ def test_det_of_a_stack_matches_the_leibniz_expansion(pe, n, seed):
     assert fq.det(stack[:1]).tolist() == want[:1]
 
 
+@given(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2)]),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_bil_matches_the_entry_loop(pe, n, seed):
+    # u^T G v summed entry by entry in the field, for single vectors and
+    # for the rows of a stack
+    fq = fq_context(*pe)
+    rng = np.random.default_rng(seed)
+    G = rng.integers(0, fq.q, (n, n)).astype(np.int16)
+    U, V = rng.integers(0, fq.q, (2, 5, n)).astype(np.int16)
+
+    def entry_loop(u, v):
+        s = 0
+        for a in range(n):
+            for b in range(n):
+                s = fq.add(s, fq.mul(fq.mul(int(u[a]), int(G[a, b])), int(v[b])))
+        return s
+
+    want = [entry_loop(u, v) for u, v in zip(U, V)]
+    got = [fq.bil(G, u, v) for u, v in zip(U, V)]
+    assert all(type(x) is int for x in got)
+    assert got == want == fq.bil(G, U, V).tolist()
+
+
 @pytest.mark.parametrize("p,n", [(3, 8), (73, 6), (79, 6), (181, 1), (181, 2), (191, 3)])
 def test_mat_mul_is_exact_at_the_largest_codes(p, n):
     # products of codes add up to n * (p - 1)^2, which fits int16 only for
