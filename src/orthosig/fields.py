@@ -5,7 +5,8 @@ digits of a code, low degree first, are the coefficients in the power
 basis of that field's modulus.  Moduli, primitive elements and subfield
 embeddings are chosen by deterministic lexicographic scans (coefficient
 vectors compared low-degree-first) so serialized artifacts reproduce
-across runs and machines.
+across runs and machines.  Every Gaussian elimination over F_q is
+`FqContext.rref`, stacked.
 """
 
 from __future__ import annotations
@@ -284,9 +285,12 @@ class GF:
         return tuple(int(c) for c in self.digits[a])
 
     def from_coeffs(self, coeffs) -> int:
+        """The code of sum c_i x^i; every c_i must lie in [0, p)."""
         if len(coeffs) > self.d:
             raise FieldError("coefficient vector too long")
-        return int(sum((c % self.p) * self.p ** i for i, c in enumerate(coeffs)))
+        if not all(0 <= c < self.p for c in coeffs):
+            raise FieldError(f"coefficients must lie in [0, {self.p}), got {list(coeffs)}")
+        return int(sum(c * self.p ** i for i, c in enumerate(coeffs)))
 
     def lex_codes(self):
         """All codes ordered by low-degree-first lexicographic coefficients."""
@@ -336,6 +340,10 @@ class FqContext:
     built with numpy from the digits and log/exp tables of `gf`.  For
     e = 1 vectors and matrices use plain mod-p numpy; otherwise they gather
     from these tables.
+
+    `rref` is the one Gaussian elimination: it works on a stack of matrices
+    at once and carries the signed pivot product, and `rank`, `det`,
+    `solve` and `mat_inv` are its cases.
     """
 
     def __init__(self, p: int, e: int):
@@ -422,127 +430,102 @@ class FqContext:
         return reduce(lambda x, y: self.ADD[x, y], (G[:, k] for k in range(len(v))))
 
     def rref(self, A):
-        """Reduced row echelon form; returns (R, pivot columns)."""
-        R = np.array(A, dtype=np.int16, copy=True)
-        rows, cols = R.shape
-        piv = []
-        r = 0
-        for c in range(cols):
-            if r >= rows:
-                break
-            sel = None
-            for i in range(r, rows):
-                if R[i, c]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            if sel != r:
-                R[[r, sel]] = R[[sel, r]]
-            s = self.inv(int(R[r, c]))
-            R[r] = self.v_scale(s, R[r])
-            for i in range(rows):
-                if i != r and R[i, c]:
-                    factor = self.neg(int(R[i, c]))
-                    R[i] = self.v_add(R[i], self.v_scale(factor, R[r]))
-            piv.append(c)
-            r += 1
-        return R, piv
+        """The one Gaussian elimination of the package.
 
-    def rank(self, A):
-        return len(self.rref(A)[1])
+        Takes an (r, n) matrix or a (k, r, n) stack and returns (R, rank,
+        d): the int16 reduced row echelon forms, the ranks and the signed
+        pivot products (an int each for one matrix, arrays for a stack).
+        The signed pivot product is the determinant of a square matrix;
+        it is 0 when the rank is less than r.
 
-    def det(self, A):
-        """Determinant of an (n, n) matrix (an int), or of every matrix of
-        a (k, n, n) stack (an int16 array).  One matrix is eliminated row by
-        row; a stack of several is eliminated in one sweep over the columns,
-        which costs more numpy calls than the row loop for one matrix."""
-        if np.ndim(A) == 2:
-            return self._det_one(A)
-        if len(A) == 1:
-            return np.array([self._det_one(A[0])], dtype=np.int16)
-        return self._det_stack(A)
-
-    def _det_one(self, A):
-        R = np.array(A, dtype=np.int16, copy=True)
-        n = R.shape[0]
-        d = 1
-        for c in range(n):
-            sel = None
-            for i in range(c, n):
-                if R[i, c]:
-                    sel = i
-                    break
-            if sel is None:
-                return 0
-            if sel != c:
-                R[[c, sel]] = R[[sel, c]]
-                d = self.mul(d, self.neg(1))
-            d = self.mul(d, int(R[c, c]))
-            s = self.inv(int(R[c, c]))
-            R[c] = self.v_scale(s, R[c])
-            for i in range(c + 1, n):
-                if R[i, c]:
-                    R[i] = self.v_add(R[i], self.v_scale(self.neg(int(R[i, c])), R[c]))
-        return d
-
-    def _det_stack(self, A):
-        """In the style of spreads.rref_stack: at column c each matrix
-        swaps up to row c its first row at or below c that is nonzero there
-        (negating the determinant) and clears that column below; a column
-        with no such row zeroes the determinant."""
+        At most r steps: step t moves, in each matrix, the row at or below
+        t whose first nonzero entry lies furthest left to row t (a swap
+        negates d), multiplies d by that entry, scales it to 1 and clears
+        its column in every other row.  A matrix whose rows from t on are
+        zero pivots on its zero row t, which changes no row and zeroes d;
+        the sweep stops once every matrix is done.  Rows past the rank are
+        zero, and the rank is the number of nonzero rows.
+        """
+        one = np.ndim(A) == 2
         if self.fast:
             p = self.p
-            R = np.array(A, dtype=np.int64) % p
+            # below p = 182 every a - f x of codes fits int16
+            R = np.array(A, dtype=np.int16 if p <= 181 else np.int64, ndmin=3) % p
 
-            def mul(a, b):
-                return (a * b) % p
+            def mul(s, x):
+                return (s * x) % p
 
-            def sub(a, b):
-                return (a - b) % p
+            def axpy(a, f, x):
+                return (a - f * x) % p
         else:
-            R = np.array(A, dtype=np.int16)
+            R = np.array(A, dtype=np.int16, ndmin=3)
 
-            def mul(a, b):
-                return self.MUL[a, b]
+            def mul(s, x):
+                return self.MUL[s, x]
 
-            def sub(a, b):
-                return self.ADD[a, self.NEG[b]]
-        k, n = R.shape[0], R.shape[-1]
+            def axpy(a, f, x):
+                return self.ADD[a, self.NEG[self.MUL[f, x]]]
+        k, r, n = R.shape
+        ks, rows = np.arange(k), np.arange(r)
         d = np.ones(k, dtype=R.dtype)
-        for c in range(n):
-            sel = c + (R[:, c:, c] != 0).argmax(axis=1)
-            swap = np.flatnonzero(sel != c)
-            if len(swap):
-                top = R[swap, c]
-                R[swap, c] = R[swap, sel[swap]]
-                R[swap, sel[swap]] = top
-                d[swap] = sub(0, d[swap])
-            piv = R[:, c, c]
-            d = mul(piv, d)
-            if c + 1 < n:
-                row = mul(self.INV[piv][:, None], R[:, c])
-                R[:, c + 1:] = sub(R[:, c + 1:], mul(R[:, c + 1:, c, None], row[:, None, :]))
-        return d.astype(np.int16)
+        swaps = np.zeros(k, dtype=bool)
+        # the nonzero pattern, with a last column that marks a zero row
+        nz = np.ones((k, r, n + 1), dtype=bool)
+        for t in range(r):
+            np.not_equal(R[:, t:], 0, out=nz[:, t:, :n])
+            lead = nz[:, t:].argmax(axis=2)
+            j = lead.argmin(axis=1)
+            c = lead[ks, j]
+            if c.min(initial=n) == n:  # every matrix is done, short of rank r
+                d[:] = 0
+                break
+            np.minimum(c, n - 1, out=c)  # a done matrix: any column of row t
+            j += t
+            prow = R[ks, j]
+            R[ks, j] = R[:, t]
+            swaps ^= j != t
+            piv = prow[ks, c]
+            d = mul(d, piv)
+            prow = mul(self.INV[piv][:, None], prow)
+            R[:, t] = prow
+            f = R[ks[:, None], rows, c[:, None]]
+            f[:, t] = 0
+            R = axpy(R, f[:, :, None], prow[:, None, :])
+        rank = (R != 0).any(axis=2).sum(axis=1)
+        d = np.where(swaps, self.NEG[d], d).astype(np.int16, copy=False)
+        R = R.astype(np.int16, copy=False)
+        return (R[0], int(rank[0]), int(d[0])) if one else (R, rank, d)
+
+    def rank(self, A):
+        """The rank of a matrix (an int) or of each matrix of a stack."""
+        return self.rref(A)[1]
+
+    def det(self, A):
+        """The determinant of an (n, n) matrix (an int), or of each matrix
+        of a (k, n, n) stack (an int16 array)."""
+        return self.rref(A)[2]
 
     def mat_inv(self, A):
-        n = A.shape[0]
-        aug = np.concatenate([A, self.identity(n)], axis=1)
-        R, piv = self.rref(aug)
-        if piv != list(range(n)):
+        """The inverse of a matrix, or of each matrix of a stack, from the
+        reduced form of [A | I]; raises on a singular matrix."""
+        n = A.shape[-1]
+        I = self.identity(n)
+        R = self.rref(np.concatenate([A, np.broadcast_to(I, A.shape)], axis=-1))[0]
+        if not (R[..., :n] == I).all():
             raise FieldError("singular matrix")
-        return np.ascontiguousarray(R[:, n:])
+        return np.ascontiguousarray(R[..., n:])
 
     def solve(self, A, b):
-        """One solution x of A x = b, or raises."""
+        """One solution x of A x = b, or raises when A x = b has none.  A
+        (rows, k) right-hand side b gives the (n, k) solutions of its k
+        columns, from one elimination; it raises when any column has none."""
         n = A.shape[1]
-        aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
-        R, piv = self.rref(aug)
-        if n in piv:
+        R, rank, _ = self.rref(np.concatenate([A, b.reshape(len(b), -1)], axis=1))
+        lead = (R[:rank] != 0).argmax(axis=1)
+        if (lead >= n).any():
             raise FieldError("inconsistent linear system")
-        x = np.zeros(n, dtype=np.int16)
-        for i, c in enumerate(piv):
-            x[c] = R[i, -1]
+        x = np.zeros((n,) + b.shape[1:], dtype=np.int16)
+        x[lead] = R[:rank, n:].reshape((rank,) + b.shape[1:])
         return x
 
     def quad(self, G, v):
@@ -568,10 +551,13 @@ def fq_context(p: int, e: int) -> FqContext:
 
 def fq_coordinates(fq: FqContext, basis, digits) -> np.ndarray:
     """F_q-coordinates of an element of a larger field, given by its base-p
-    `digits`: solves over F_p against a `power_basis` with e digits per
-    coordinate and reads every e solution digits as one F_q code."""
-    sol = fq_context(fq.p, 1).solve(basis, np.asarray(digits, dtype=np.int16))
-    return (sol.reshape(-1, fq.e) @ fq.gf._pvec).astype(np.int16)
+    `digits`, or of each element of an array of digit vectors (digits on the
+    last axis): solves over F_p against a `power_basis` with e digits per
+    coordinate, all elements in one elimination, and reads every e solution
+    digits as one F_q code."""
+    digits = np.asarray(digits, dtype=np.int16)
+    sol = np.moveaxis(fq_context(fq.p, 1).solve(basis, np.moveaxis(digits, -1, 0)), 0, -1)
+    return (sol.reshape(digits.shape[:-1] + (-1, fq.e)) @ fq.gf._pvec).astype(np.int16)
 
 
 # ----------------------------------------------------------------------
@@ -631,10 +617,6 @@ class FieldTower:
             raise FieldError("power basis over F_q is degenerate")  # pragma: no cover
         self._spot_check()
 
-    def _solve_fp(self, B, target):
-        fp = fq_context(self.p, 1)
-        return fp.solve(B, np.asarray(target, dtype=np.int16))
-
     # -- conversions
 
     def embed(self, x: FieldElement) -> int:
@@ -657,9 +639,8 @@ class FieldTower:
         deg = self.level_degree[level]
         if level == 3:
             return FieldElement(3, self.top.coeffs(code), self)
-        B = self._solvers[level]
         try:
-            sol = self._solve_fp(B, self.top.digits[code])
+            sol = fq_context(self.p, 1).solve(self._solvers[level], self.top.digits[code])
         except FieldError:
             raise LevelMismatch(f"element is not in {LEVEL_NAMES[level]}")
         return FieldElement(level, tuple(int(c) for c in sol), self)
@@ -680,37 +661,30 @@ class FieldTower:
     def alpha_fe(self) -> FieldElement:
         return FieldElement(3, self.top.coeffs(self.alpha), self)
 
-    # F_q-coordinates of the top field in the basis 1, alpha, .., alpha^{2m-1}
-    def top_to_vec(self, code: int) -> np.ndarray:
+    def top_to_vec(self, code):
+        """F_q-coordinates in the basis 1, alpha, .., alpha^{2m-1} of a top
+        code, or of each code of an array (one row each)."""
         return fq_coordinates(self.fq, self._vec_solver, self.top.digits[code])
 
     def vec_to_top(self, vec) -> int:
-        theta = self._theta[1]
         acc = 0
         for j, cj in enumerate(vec):
-            cj = int(cj)
-            if cj == 0:
-                continue
-            aj = self.top.pow(self.alpha, j)
-            poly = self.fq.gf.coeffs(cj)
-            lifted = 0
-            for i, c in enumerate(poly):
-                if c:
-                    lifted = self.top.add(lifted, self.top.mul(c, self.top.pow(theta, i)))
-            acc = self.top.add(acc, self.top.mul(aj, lifted))
+            if cj:
+                aj = self.top.pow(self.alpha, j)
+                acc = self.top.add(acc, self.top.mul(aj, self.fq_code_to_top(int(cj))))
         return acc
 
     def fq_code_to_top(self, c: int) -> int:
-        theta = self._theta[1]
-        acc = 0
-        for i, co in enumerate(self.fq.gf.coeffs(c)):
-            if co:
-                acc = self.top.add(acc, self.top.mul(co, self.top.pow(theta, i)))
-        return acc
+        return self.embed(FieldElement(1, self.fq.gf.coeffs(c)))
 
-    def top_to_fq_code(self, code: int) -> int:
-        fe = self.project(code, 1)
-        return self.fq.gf.from_coeffs(fe.coeffs)
+    def top_to_fq_code(self, code):
+        """The F_q code of a top code that lies in F_q (an int), or of each
+        code of an array (an int16 array); LevelMismatch otherwise."""
+        try:
+            out = fq_coordinates(self.fq, self._solvers[1], self.top.digits[code])[..., 0]
+        except FieldError:
+            raise LevelMismatch(f"element is not in {LEVEL_NAMES[1]}")
+        return int(out) if np.ndim(code) == 0 else out
 
     # -- the tower maps
 
@@ -737,18 +711,17 @@ class FieldTower:
     def _spot_check(self):
         rng = random.Random(20240311)
         n = self.top.order
+        closed = {1: [], 2: []}
         for _ in range(8):
             for lvl in (1, 2):
                 a = rng.randrange(self.p ** self.level_degree[lvl])
                 b = rng.randrange(self.p ** self.level_degree[lvl])
-                fa = FieldElement(lvl, self.fq.gf.coeffs(a) if lvl == 1 and self.e == self.level_degree[lvl] else self._codes_to_coeffs(a, lvl), self)
-                fb = FieldElement(lvl, self._codes_to_coeffs(b, lvl), self)
-                ea, eb = self.embed(fa), self.embed(fb)
-                s = self.top.add(ea, eb)
-                m_ = self.top.mul(ea, eb)
-                # sums and products stay in the subfield
-                self.project(s, lvl)
-                self.project(m_, lvl)
+                ea = self.embed(FieldElement(lvl, self._codes_to_coeffs(a, lvl)))
+                eb = self.embed(FieldElement(lvl, self._codes_to_coeffs(b, lvl)))
+                closed[lvl] += [self.top.add(ea, eb), self.top.mul(ea, eb)]
+        # sums and products stay in the subfield: one solve per level
+        for lvl, codes in closed.items():
+            fq_context(self.p, 1).solve(self._solvers[lvl], self.top.digits[codes].T)
         a_ord = self.top.element_order(self.alpha)
         if a_ord != n - 1:
             raise FieldError("primitive element order check failed")  # pragma: no cover

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .fields import FieldTower, FqContext, fq_context
+from .fields import FieldError, FieldTower, FqContext, fq_context
 from .matgroups import (
     Mat,
     derived_subgroup,
@@ -44,9 +44,8 @@ class QuadraticSpace:
         self.p, self.e, self.q = fq.p, fq.e, fq.q
         if fq.rank(self.gram_model) != self.n:
             raise GeometryError("bilinear form is singular")
-        C, R, anis = _witt_decompose(fq, self.gram_model)
+        C, self.Cinv, R, anis = _witt_decompose(fq, self.gram_model)
         self.C = C  # columns: witt vectors in model coordinates
-        self.Cinv = fq.mat_inv(C)
         self.gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(C.T), self.gram_model), C)
         self.witt_index = R
         self.anis_dim = self.n - 2 * R
@@ -152,7 +151,8 @@ def _projective_reps(fq, n):
 
 
 def _witt_decompose(fq, G, prescribed=()):
-    """Greedy hyperbolic-pair extraction; returns (C, witt_index, anis_rows).
+    """Greedy hyperbolic-pair extraction; returns (C, C^-1, witt_index,
+    anis_rows), C with the Witt vectors as columns.
 
     The singular vectors of the leading pairs are the prescribed rows, in
     order (they must span a totally singular subspace); the remaining pairs
@@ -202,15 +202,16 @@ def _witt_decompose(fq, G, prescribed=()):
         if qq:
             partner = fq.v_add(partner, fq.v_scale(fq.neg(qq), sing))
         pairs.append((sing, partner))
-        R, piv = fq.rref(np.array([project(w, sing, partner) for w in comp], dtype=np.int16))
-        comp = [R[i] for i in range(len(piv))]
+        R, rank, _ = fq.rref(np.array([project(w, sing, partner) for w in comp], dtype=np.int16))
+        comp = list(R[:rank])
         pres = [project(w, sing, partner) for w in pres]
     R = len(pairs)
     cols = [p[0] for p in pairs] + [p[1] for p in pairs] + comp
     C = np.ascontiguousarray(np.array(cols, dtype=np.int16).T)
-    if fq.rank(C) != n:
+    try:
+        return C, fq.mat_inv(C), R, comp
+    except FieldError:
         raise GeometryError("witt basis is not a basis")  # pragma: no cover
-    return C, R, comp
 
 
 def _canonical_coeffs(q, k):
@@ -267,61 +268,39 @@ def build_line_space(p: int, e: int) -> QuadraticSpace:
     return QuadraticSpace("odd", None, fq, np.array([[2 % fq.q]], dtype=np.int16))
 
 
-def _minus_gram(tower: FieldTower):
-    n = 2 * tower.m
-    top = tower.top
-    basis = [top.pow(tower.alpha, j) for j in range(n)]
-    G = np.zeros((n, n), dtype=np.int16)
-    for i in range(n):
-        for j in range(i, n):
-            x, y = basis[i], basis[j]
-            v = top.add(top.mul(x, tower.bar_code(y)), top.mul(tower.bar_code(x), y))
-            code = tower.top_to_fq_code(tower.trace_code(v, 2) if tower.m > 1 else v)
-            G[i, j] = G[j, i] = code
+def _trace_gram(tower: FieldTower, parts, form):
+    """The symmetric F_q matrix of tr(form(parts[i], parts[j])), tr the
+    trace down to F_q, with one `top_to_fq_code` for all its entries."""
+    I, J = np.triu_indices(len(parts))
+    vals = [form(parts[i], parts[j]) for i, j in zip(I.tolist(), J.tolist())]
+    if tower.m > 1:
+        vals = [tower.trace_code(v, 2) for v in vals]
+    G = np.zeros((len(parts),) * 2, dtype=np.int16)
+    G[I, J] = G[J, I] = tower.top_to_fq_code(np.array(vals))
     return G
+
+
+def _minus_gram(tower: FieldTower):
+    top, bar = tower.top, tower.bar_code
+    basis = [top.pow(tower.alpha, j) for j in range(2 * tower.m)]
+    return _trace_gram(tower, basis, lambda x, y: top.add(top.mul(x, bar(y)), top.mul(bar(x), y)))
 
 
 def _plus_gram(tower: FieldTower):
-    n = 2 * tower.m
     top = tower.top
-    p = tower.p
     beta = top.pow(tower.alpha, tower.q ** tower.m - 1)
-    theta2 = tower._theta[2]
+    d = tower.level_degree[2]
     # F_p basis: theta2^i and theta2^i * beta
-    cols = []
-    for i in range(tower.level_degree[2]):
-        cols.append(top.digits[top.pow(theta2, i)])
-    for i in range(tower.level_degree[2]):
-        cols.append(top.digits[top.mul(top.pow(theta2, i), beta)])
-    B = np.array(cols, dtype=np.int16).T
-    fp = fq_context(p, 1)
+    theta2 = [top.pow(tower._theta[2], i) for i in range(d)]
+    B = top.digits[theta2 + [top.mul(t, beta) for t in theta2]].T
+    fp = fq_context(tower.p, 1)
     if fp.rank(B) != tower.dtop:
         raise GeometryError("beta decomposition is degenerate")
-
-    def split(code):
-        sol = fp.solve(B, np.asarray(top.digits[code], dtype=np.int16))
-        d = tower.level_degree[2]
-        x1 = 0
-        for i in range(d):
-            if sol[i]:
-                x1 = top.add(x1, top.mul(int(sol[i]), top.pow(theta2, i)))
-        x2 = 0
-        for i in range(d):
-            if sol[d + i]:
-                x2 = top.add(x2, top.mul(int(sol[d + i]), top.pow(theta2, i)))
-        return x1, x2
-
-    basis = [top.pow(tower.alpha, j) for j in range(n)]
-    parts = [split(b) for b in basis]
-    G = np.zeros((n, n), dtype=np.int16)
-    for i in range(n):
-        for j in range(i, n):
-            x1, x2 = parts[i]
-            y1, y2 = parts[j]
-            v = top.add(top.mul(x1, y2), top.mul(x2, y1))
-            code = tower.top_to_fq_code(tower.trace_code(v, 2)) if tower.m > 1 else tower.top_to_fq_code(v)
-            G[i, j] = G[j, i] = code
-    return G
+    # every basis element x = x1 + x2 beta, x1 and x2 in F_{q^m}, in one solve
+    basis = [top.pow(tower.alpha, j) for j in range(2 * tower.m)]
+    sol = fp.solve(B, top.digits[basis].T).T
+    parts = [(tower.embed(tower.fe(2, s[:d])), tower.embed(tower.fe(2, s[d:]))) for s in sol]
+    return _trace_gram(tower, parts, lambda x, y: top.add(top.mul(x[0], y[1]), top.mul(x[1], y[0])))
 
 
 def _spot_check_quadratic_law(space):
@@ -379,11 +358,14 @@ def is_isometry(space: QuadraticSpace, g: Mat, frame="witt") -> bool:
     return bool(preserves_form(space.fq, G, g.a))
 
 
-def omega_rank_criterion(space: QuadraticSpace, g: Mat) -> bool:
-    """Even-rank test for membership in the commutator subgroup."""
+def omega_rank_criterion(space: QuadraticSpace, g):
+    """Even-rank test for membership in the commutator subgroup: whether
+    I + g has even rank, for a Mat (a bool) or for each matrix of a
+    (k, n, n) stack (a boolean array, from one stacked rank)."""
     fq = space.fq
-    s = fq.v_add(fq.identity(space.n), g.a)
-    return fq.rank(np.ascontiguousarray(s)) % 2 == 0
+    one = isinstance(g, Mat)
+    even = fq.rank(fq.v_add(fq.identity(space.n), g.a if one else g)) % 2 == 0
+    return bool(even) if one else even
 
 
 def membership(space: QuadraticSpace, g: Mat, family: str) -> bool:
@@ -392,8 +374,8 @@ def membership(space: QuadraticSpace, g: Mat, family: str) -> bool:
 
 def membership_many(space: QuadraticSpace, A, family: str):
     """Membership of each matrix of a (k, n, n) stack in the family's group,
-    as a boolean array: one stacked isometry test, one stacked determinant,
-    and the Omega criterion per remaining element."""
+    as a boolean array: one stacked isometry test, one stacked determinant
+    and, for Omega, one stacked rank for the even-rank criterion."""
     base = family
     for pre in ("POmega", "PSO", "SO", "Omega", "O"):
         if family.startswith(pre):
@@ -412,8 +394,8 @@ def membership_many(space: QuadraticSpace, A, family: str):
         return ok
     # Omega via the even-rank criterion; audits compare it with the
     # commutator-closure oracle, see omega_audit.
-    for i in np.flatnonzero(ok):
-        ok[i] = omega_rank_criterion(space, Mat(fq, A[i]))
+    idx = np.flatnonzero(ok)
+    ok[idx] = omega_rank_criterion(space, A[idx])
     return ok
 
 
@@ -511,7 +493,8 @@ def enumerate_isometry_group(space: QuadraticSpace, family="O"):
     if family == "O":
         return mulclose(reflections(space))
     if family == "SO":
-        return [g for g in enumerate_isometry_group(space, "O") if g.det() == 1]
+        els = enumerate_isometry_group(space, "O")
+        return [g for g, d in zip(els, space.fq.det(np.stack([g.a for g in els]))) if d == 1]
     raise ValueError(family)
 
 
@@ -529,8 +512,7 @@ def omega_audit(space: QuadraticSpace):
     keys, _ = omega_oracle(space)
     so = enumerate_isometry_group(space, "SO")
     disagreements = []
-    for g in so:
-        crit = omega_rank_criterion(space, g)
+    for g, crit in zip(so, omega_rank_criterion(space, np.stack([g.a for g in so]))):
         truth = g.key in keys
         if crit != truth:
             disagreements.append({
@@ -553,18 +535,16 @@ def omega_audit(space: QuadraticSpace):
 def find_anisotropic_plane(space: QuadraticSpace):
     """First 2-dimensional subspace (by the deterministic scan order) on
     which Q has no nonzero singular vector; rows are witt coordinates."""
-    fq = space.fq
     pts = space.points()
     nonsing = [v for v, z in zip(pts, space.Q(pts) != 0) if z]
     for v1 in nonsing:
         for v2 in nonsing:
+            # f(v, v) = 2 Q(v) is nonzero, so v2 != v1 here, and distinct
+            # canonical reps span a plane
             if space.f(v1, v2) != 0:
                 continue
-            rows = np.array([v1, v2], dtype=np.int16)
-            if fq.rank(rows) != 2:
-                continue
             if _plane_is_anisotropic(space, v1, v2):
-                return rows
+                return np.array([v1, v2], dtype=np.int16)
     raise GeometryError("no anisotropic plane found")
 
 
@@ -587,20 +567,22 @@ def perp_basis(space: QuadraticSpace, rows):
 
 
 def nullspace(fq: FqContext, M):
-    rows, cols = M.shape
-    R, piv = fq.rref(M)
-    free = [c for c in range(cols) if c not in piv]
-    base = []
-    for fcol in free:
-        v = np.zeros(cols, dtype=np.int16)
-        v[fcol] = 1
-        for i, pc in enumerate(piv):
-            v[pc] = fq.neg(int(R[i, fcol]))
-        base.append(v)
-    if not base:
+    """Reduced basis (rows) of the vectors v with M v = 0: one per free
+    column of the echelon form of M, set to 1, with the pivot columns read
+    off the first `rank` rows."""
+    cols = M.shape[1]
+    R, rank, _ = fq.rref(M)
+    lead = (R[:rank] != 0).argmax(axis=1)
+    free = np.ones(cols, dtype=bool)
+    free[lead] = False
+    free = np.flatnonzero(free)
+    if not len(free):
         return np.zeros((0, cols), dtype=np.int16)
-    B, piv2 = fq.rref(np.array(base, dtype=np.int16))
-    return np.ascontiguousarray(B[: len(piv2)])
+    base = np.zeros((len(free), cols), dtype=np.int16)
+    base[np.arange(len(free)), free] = 1
+    base[:, lead] = fq.v_neg(R[:rank, free].T)
+    B, rank, _ = fq.rref(base)
+    return np.ascontiguousarray(B[:rank])
 
 
 def gram_restriction(space: QuadraticSpace, rows):
@@ -621,7 +603,7 @@ def align_spaces(model: QuadraticSpace, gram_target, fq: FqContext):
     Returns (phi, lam).
     """
     gram_target = np.ascontiguousarray(gram_target, dtype=np.int16)
-    Ct, R, anis_rows = _witt_decompose(fq, gram_target)
+    Ct, _, R, anis_rows = _witt_decompose(fq, gram_target)
     std = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(Ct.T), gram_target), Ct)
     At = np.ascontiguousarray(std[2 * R:, 2 * R:])
     Am = model.anis_gram

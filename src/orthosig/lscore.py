@@ -39,7 +39,7 @@ from .matgroups import (
 from . import forms
 from .forms import GeometryError, QuadraticSpace, build_line_space, build_space
 from . import spreads as spr
-from .spreads import PartialSpread, Subspace, subspace
+from .spreads import PartialSpread, Subspace
 
 
 class LsError(RuntimeError):
@@ -281,8 +281,8 @@ class SpreadPlan:
 
 
 def _default_w0(space: QuadraticSpace, r: int) -> Subspace:
-    rows = [space.e_vec(i) for i in range(r)]
-    return subspace(space.fq, rows)
+    """The span of e_0, .., e_{r-1}; these rows are already reduced."""
+    return spr.subspace_from_key(np.eye(r, space.n, dtype=np.int16).tobytes(), space.n)
 
 
 @cache
@@ -743,7 +743,8 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
         ls.plan = _TablePlan.build(blocks, fq)
         return ls
     els = forms.enumerate_isometry_group(space, "O")
-    so = [g for g in els if g.det() == 1]
+    dets = fq.det(np.stack([g.a for g in els]))
+    so = [g for g, d in zip(els, dets) if d == 1]
     target = len(so)
     gen = None
     for g in sorted(so, key=lambda x: x.key):
@@ -758,7 +759,7 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
     cyc, radices = cyclic_blocks(gen, target)
     blocks = list(cyc)
     if base == "O":
-        refl = sorted((g for g in els if g.det() != 1), key=lambda x: x.key)
+        refl = sorted((g for g, d in zip(els, dets) if d != 1), key=lambda x: x.key)
         blocks = blocks + [[identity(fq, 2), refl[0]]]
     claimed = target * (2 if base == "O" else 1)
     ls = LogSignature(desc, blocks, claimed, meta={"shape": "base", "kind": desc.kind, "minimal": True})
@@ -796,10 +797,9 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
 
     # adapted frame
     W0 = sp_plan.W0
-    T, Rw, _ = forms._witt_decompose(fq, space.gram, W0.rows)
+    T, Tinv, Rw, _ = forms._witt_decompose(fq, space.gram, W0.rows)
     if Rw != space.witt_index:
         raise LsError("adapted frame lost hyperbolic pairs")  # pragma: no cover
-    Tinv = fq.mat_inv(T)
     work_gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(T.T), space.gram), T)
     Rwork = space.witt_index
     n = space.n
@@ -971,18 +971,17 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
         else:
             mid_els = [identity(fq, 1), neg_identity(fq, 1)]
         if family.startswith("SO"):
-            mid_els = [g for g in mid_els if g.det() == 1]
+            mid_els = [g for g, d in zip(mid_els, fq.det(np.stack([g.a for g in mid_els]))) if d == 1]
         mid_mats = []
         for g in mid_els:
             full = fq.identity(n)
             full[np.ix_(mid_pos, mid_pos)] = g.a
             mid_mats.append(Mat(fq, np.ascontiguousarray(full)))
     Qblk = []
-    for D in gl:
-        Dti = Mat(fq, fq.mat_inv(np.ascontiguousarray(D.T)))
+    for D, Dti in zip(gl, fq.mat_inv(np.swapaxes(np.stack(gl), -1, -2))):
         DM = fq.identity(n)
         DM[:k, :k] = D
-        DM[R:R + k, R:R + k] = Dti.a
+        DM[R:R + k, R:R + k] = Dti
         DMm = Mat(fq, np.ascontiguousarray(DM))
         for mm in mid_mats:
             Qblk.append(DMm * mm)

@@ -51,6 +51,8 @@ class GroupDescriptor:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.q >= 2 ** 15:
+            raise ValueError(f"q = {self.q} is past the limit q < 2^15 = 32768 of int16 field codes")
         p, e = split_prime_power(self.q)
         if p == 2:
             raise ValueError("q must be odd")
@@ -186,7 +188,11 @@ class Mat:
 
     @staticmethod
     def from_json(fq: FqContext, d):
+        """The matrix of a `to_json` dict: every entry a list of e
+        coefficients in [0, p), FieldError otherwise."""
         gf = fq.gf
+        if any(len(c) != gf.d for row in d["entries"] for c in row):
+            raise FieldError(f"every entry needs {gf.d} coefficients")
         a = [[gf.from_coeffs(c) for c in row] for row in d["entries"]]
         return Mat(fq, np.array(a, dtype=np.int16))
 
@@ -232,12 +238,8 @@ def mult_matrix(s_code: int, tower: FieldTower) -> Mat:
     """
     if s_code == 0:
         raise ValueError("s = 0 is not invertible")
-    n = 2 * tower.m
-    cols = []
-    for j in range(n):
-        img = tower.top.mul(s_code, tower.top.pow(tower.alpha, j))
-        cols.append(tower.top_to_vec(img))
-    return Mat(tower.fq, np.array(cols, dtype=np.int16).T)
+    imgs = [tower.top.mul(s_code, tower.top.pow(tower.alpha, j)) for j in range(2 * tower.m)]
+    return Mat(tower.fq, tower.top_to_vec(np.array(imgs)).T)
 
 
 def field_norm_to_fq(tower: FieldTower, s_code: int) -> int:
@@ -266,20 +268,22 @@ def _singer_via_extension(k: int, fq: FqContext) -> Mat:
     big = _gf(fq.p, fq.e * k)
     gamma = big.alpha
     B = power_basis(big, gamma, subfield_root(big, fq.gf.modulus, fq.e), k, fq.e)
-    cols = [fq_coordinates(fq, B, big.digits[big.pow(gamma, j)]) for j in range(1, k + 1)]
-    return Mat(fq, np.array(cols, dtype=np.int16).T)
+    cols = fq_coordinates(fq, B, big.digits[[big.pow(gamma, j) for j in range(1, k + 1)]])
+    return Mat(fq, cols.T)
 
 
 def element_order(g: Mat, cap: int) -> int:
-    """Least t <= cap with g^t = I; raises OrderNotFound beyond cap."""
-    if g.det() == 0:
-        raise FieldError("singular matrix has no order")
+    """Least t <= cap with g^t = I; raises OrderNotFound beyond cap, or
+    FieldError when g is singular (no power of it is I, so the determinant
+    is only taken once the walk has failed)."""
     I = identity(g.fq, g.n)
     cur = g
     for t in range(1, cap + 1):
         if cur == I:
             return t
         cur = cur * g
+    if g.det() == 0:
+        raise FieldError("singular matrix has no order")
     raise OrderNotFound(f"order exceeds cap {cap}")
 
 

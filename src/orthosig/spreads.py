@@ -36,71 +36,12 @@ class Subspace:
         return [list(r) for r in self.rows]
 
 
-def rref_stack(fq: FqContext, A):
-    """Reduced row echelon forms of a (k, r, n) stack of matrices in at
-    most r elimination steps; returns the int16 forms and the rank of each.
-
-    Step t moves, in each matrix, the row at or below t whose first nonzero
-    entry lies furthest left to row t, scales that entry to 1 and clears its
-    column in every other row.  A matrix whose rows from t on are zero is
-    done, so the sweep stops once no matrix has a row left to pivot on.  A
-    row space has exactly one reduced echelon form, so row for row this
-    agrees with `FqContext.rref`; rows past the rank are zero.
-    """
-    if fq.fast:
-        p = fq.p
-        # below p = 182 every a - f x of codes fits int16
-        R = np.array(A, dtype=np.int16 if p <= 181 else np.int64) % p
-
-        def scale(s, x):
-            return (s * x) % p
-
-        def axpy(a, f, x):
-            return (a - f * x) % p
-    else:
-        R = np.array(A, dtype=np.int16)
-
-        def scale(s, x):
-            return fq.MUL[s, x]
-
-        def axpy(a, f, x):
-            return fq.ADD[a, fq.NEG[fq.MUL[f, x]]]
-    k, r, n = R.shape
-    rank = np.zeros(k, dtype=np.intp)
-    # the nonzero pattern, with a last column that marks a zero row
-    nz = np.ones((k, r, n + 1), dtype=bool)
-    for t in range(r):
-        np.not_equal(R[:, t:], 0, out=nz[:, t:, :n])
-        lead = nz[:, t:].argmax(axis=2)
-        j = lead.argmin(axis=1)
-        c = lead[np.arange(k), j]
-        hit = np.flatnonzero(c < n)
-        if not len(hit):
-            break
-        whole = len(hit) == k
-        S = R if whole else R[hit]
-        i = np.arange(len(hit))
-        j, c = j[hit] + t, c[hit]
-        prow = S[i, j]
-        S[i, j] = S[:, t]
-        prow = scale(fq.INV[prow[i, c]][:, None], prow)
-        S[:, t] = prow
-        f = S[i[:, None], np.arange(r), c[:, None]]
-        f[:, t] = 0
-        S = axpy(S, f[:, :, None], prow[:, None, :])
-        if whole:
-            R = S
-        else:
-            R[hit] = S
-        rank[hit] += 1
-    return R.astype(np.int16), rank
-
-
 def act_rref(fq: FqContext, mats, bases):
-    """Canonical bases of g_i(B_i) for a (k, n, n) stack of matrices g_i:
-    `bases` is one r x n basis shared by all g_i or a (k, r, n) stack, and
-    row v of a basis maps to g v.  Returns `rref_stack` of the images."""
-    return rref_stack(fq, fq.mat_mul(bases, np.swapaxes(mats, -1, -2)))
+    """Canonical bases of g_i(B_i) for a (k, n, n) stack of matrices g_i,
+    or of g(B) for one matrix g: `bases` is one r x n basis shared by all
+    g_i or a (k, r, n) stack, and row v of a basis maps to g v.  Returns
+    `FqContext.rref` of the images: echelon forms, ranks, pivot products."""
+    return fq.rref(fq.mat_mul(bases, np.swapaxes(mats, -1, -2)))
 
 
 def _subspace_of(rows):
@@ -114,14 +55,13 @@ def subspace_from_key(key: bytes, n: int) -> Subspace:
 
 
 def subspace(fq: FqContext, vectors) -> Subspace:
-    A = np.atleast_2d(np.asarray(vectors, dtype=np.int16))
-    R, rank = rref_stack(fq, A[None])
-    return _subspace_of(R[0, :rank[0]])
+    R, rank, _ = fq.rref(np.atleast_2d(np.asarray(vectors, dtype=np.int16)))
+    return _subspace_of(R[:rank])
 
 
 def act_subspace(g: Mat, S: Subspace) -> Subspace:
-    R, rank = act_rref(g.fq, g.a[None], S.basis().reshape(-1, g.n))
-    return _subspace_of(R[0, :rank[0]])
+    R, rank, _ = act_rref(g.fq, g.a, S.basis().reshape(-1, g.n))
+    return _subspace_of(R[:rank])
 
 
 def orbit_walk(fq: FqContext, mats, bases, steps):
@@ -143,7 +83,7 @@ def orbit_walk(fq: FqContext, mats, bases, steps):
     for t in range(1, steps + 1):
         if not len(alive):
             break
-        cur, _ = act_rref(fq, mats[alive], cur)
+        cur = act_rref(fq, mats[alive], cur)[0]
         back = (cur == home[alive]).all(axis=(1, 2))
         ret[alive[back]] = t
         alive, cur = alive[~back], cur[~back]
@@ -190,7 +130,7 @@ class PartialSpread:
         """Raises NotAPartialSpread at the first pair (i, j), i < j in
         row-major order, whose members meet nontrivially: the bases of all
         pairs are stacked, zero-padded to one height, and ranked by
-        `rref_stack` in chunks of _PAIR_CHUNK pairs."""
+        `FqContext.rref` in chunks of _PAIR_CHUNK pairs."""
         dims = np.array([s.dim for s in self.members], dtype=np.intp)
         if not dims.any():
             return
@@ -201,7 +141,7 @@ class PartialSpread:
         I, J = np.triu_indices(len(dims), 1)
         for lo in range(0, len(I), _PAIR_CHUNK):
             i, j = I[lo:lo + _PAIR_CHUNK], J[lo:lo + _PAIR_CHUNK]
-            _, rank = rref_stack(self.fq, np.concatenate([B[i], B[j]], axis=1))
+            rank = self.fq.rank(np.concatenate([B[i], B[j]], axis=1))
             bad = np.flatnonzero(rank != dims[i] + dims[j])
             if len(bad):
                 i, j = int(i[bad[0]]), int(j[bad[0]])
@@ -227,7 +167,7 @@ def orbits_are_partial_spreads(fq: FqContext, orbits):
                            axis=2).reshape(-1, 2 * r, n)
     ok = np.empty(len(pairs), dtype=bool)
     for lo in range(0, len(pairs), _PAIR_CHUNK):
-        ok[lo:lo + _PAIR_CHUNK] = rref_stack(fq, pairs[lo:lo + _PAIR_CHUNK])[1] == 2 * r
+        ok[lo:lo + _PAIR_CHUNK] = fq.rank(pairs[lo:lo + _PAIR_CHUNK]) == 2 * r
     return ok.reshape(k, s - 1).all(axis=1)
 
 
@@ -238,15 +178,13 @@ def classical_spread(tower: FieldTower) -> PartialSpread:
     Partitions the nonzero vectors of V.
     """
     fq = tower.fq
-    m, top = tower.m, tower.top
-    theta2 = tower._theta[2]
-    wbasis = [top.pow(theta2, i) for i in range(tower.level_degree[2])]
-    members = []
-    for i in range(tower.q ** m + 1):
-        rep = top.pow(tower.alpha, i)
-        vecs = [tower.top_to_vec(top.mul(wb, rep)) for wb in wbasis]
-        members.append(subspace(fq, vecs))
-    sp = PartialSpread(members, fq)
+    top = tower.top
+    wbasis = [top.pow(tower._theta[2], i) for i in range(tower.level_degree[2])]
+    reps = [top.pow(tower.alpha, i) for i in range(tower.q ** tower.m + 1)]
+    # the F_q-coordinates of every spanning vector, then every echelon basis
+    vecs = tower.top_to_vec(np.array([[top.mul(wb, rep) for wb in wbasis] for rep in reps]))
+    R, rank, _ = fq.rref(vecs)
+    sp = PartialSpread([_subspace_of(B[:r]) for B, r in zip(R, rank)], fq)
     sp.check_pairwise()
     return sp
 

@@ -106,6 +106,46 @@ def test_factor_rejects_an_element_of_the_wrong_size(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_factor_rejects_entries_that_are_not_codes(tmp_path):
+    # 7 and -1 are not coefficients of F_3 (they are not reduced mod 3 into
+    # I or -I), and an entry of F_3 has exactly one coefficient
+    out = tmp_path / "ls.json"
+    run_cli("construct", "--family", "O-", "--q", "3", "--m", "2", "--out", str(out))
+    elem = tmp_path / "elem.json"
+    for diag in ([7], [-1], [1, 0], []):
+        entries = [[diag if i == j else [0] for j in range(4)] for i in range(4)]
+        elem.write_text(json.dumps({"n": 4, "entries": entries}))
+        proc = run_cli("factor", "--in", str(out), "--element-file", str(elem))
+        assert proc.returncode == 2, diag
+        doc, _ = parse_stdout(proc.stdout)
+        assert "coefficient" in doc["error"]
+        assert "Traceback" not in proc.stderr
+
+
+def test_verify_rejects_a_signature_with_an_entry_out_of_range(tmp_path):
+    out = tmp_path / "ls.json"
+    run_cli("construct", "--family", "O-", "--q", "3", "--m", "1", "--out", str(out))
+    data = json.loads(out.read_text())
+    data["blocks"][0][1]["entries"][0][0] = [3]
+    out.write_text(json.dumps(data))
+    for mode in ("exhaustive", "sampled"):
+        proc = run_cli("verify", "--in", str(out), "--mode", mode)
+        assert proc.returncode == 2
+        doc, _ = parse_stdout(proc.stdout)
+        assert "[0, 3)" in doc["error"]
+        assert "Traceback" not in proc.stderr
+
+
+def test_construct_rejects_q_past_the_int16_code_limit(tmp_path):
+    # 32771 is prime; the descriptor rejects it before any table is built
+    proc = run_cli("construct", "--family", "O-", "--q", "32771", "--n", "2", "--out", str(tmp_path / "x.json"))
+    assert proc.returncode == 2
+    doc, _ = parse_stdout(proc.stdout)
+    assert "2^15" in doc["error"]
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_spread_check():
     proc = run_cli("spread-check", "--kind", "minus", "--q", "3", "--m", "2")
     assert proc.returncode == 0

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from leibniz import det_by_permutations
+from leibniz import det_by_permutations, rref_by_rows
 
 from orthosig.fields import (
     FieldError,
@@ -308,6 +308,67 @@ def test_det_of_a_stack_matches_the_leibniz_expansion(pe, n, seed):
     want = [det_by_permutations(fq, a) for a in stack]
     assert got.tolist() == want == [fq.det(a) for a in stack]
     assert fq.det(stack[:1]).tolist() == want[:1]
+
+
+ELIMINATION_FIELDS = st.sampled_from([(3, 1), (5, 1), (3, 2)])  # q = 3, 5, 9
+
+
+@given(ELIMINATION_FIELDS, st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_solve_with_many_right_hand_sides_matches_one_column_solves(pe, rows, n, k, seed):
+    # some columns of A are zero and some columns of b are images A x, so
+    # the draws mix consistent and inconsistent columns
+    fq = fq_context(*pe)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, fq.q, (rows, n)).astype(np.int16)
+    A[:, rng.random(n) < 0.4] = 0
+    b = rng.integers(0, fq.q, (rows, k)).astype(np.int16)
+    images = rng.random(k) < 0.7
+    b[:, images] = fq.mat_mul(A, rng.integers(0, fq.q, (n, k)).astype(np.int16))[:, images]
+    cols = []
+    for j in range(k):
+        try:
+            cols.append(fq.solve(A, b[:, j]))
+        except FieldError:
+            cols.append(None)
+    if any(x is None for x in cols):
+        with pytest.raises(FieldError):
+            fq.solve(A, b)
+        return
+    X = fq.solve(A, b)
+    assert X.shape == (n, k) and X.dtype == np.int16
+    assert np.array_equal(X, np.stack(cols, axis=1))
+    assert np.array_equal(fq.mat_mul(A, X), b)
+
+
+@given(ELIMINATION_FIELDS, st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_rank_of_a_stack_matches_the_rank_of_each_matrix(pe, r, n, seed):
+    fq = fq_context(*pe)
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, fq.q, (6, r, n)).astype(np.int16)
+    stack[1] = 0                                            # rank 0
+    stack[2, -1] = fq.v_scale(2, stack[2, 0])               # a dependent row
+    stack[3, :, rng.random(n) < 0.5] = 0                    # zero columns
+    got = fq.rank(stack)
+    assert got.tolist() == [fq.rank(a) for a in stack] == [len(rref_by_rows(fq, a)[1]) for a in stack]
+    R, rank, d = fq.rref(stack[:0])  # an empty stack
+    assert R.shape == (0, r, n) and rank.shape == d.shape == (0,)
+
+
+@given(ELIMINATION_FIELDS, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_mat_inv_inverts_or_raises_on_a_singular_matrix(pe, n, seed):
+    fq = fq_context(*pe)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, fq.q, (n, n)).astype(np.int16)
+    if det_by_permutations(fq, A) == 0:
+        with pytest.raises(FieldError):
+            fq.mat_inv(A)
+    else:
+        assert np.array_equal(fq.mat_mul(A, fq.mat_inv(A)), fq.identity(n))
+    A[-1] = fq.v_scale(int(rng.integers(0, fq.q)), A[0]) if n > 1 else 0
+    with pytest.raises(FieldError):
+        fq.mat_inv(A)
 
 
 @given(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2)]),

@@ -85,6 +85,8 @@ def test_element_order():
     assert element_order(neg_identity(fq, 3), 5) == 2
     with pytest.raises(OrderNotFound):
         element_order(singer_generator(2, fq), 7)
+    with pytest.raises(FieldError):  # singular: no power is I
+        element_order(Mat(fq, np.array([[1, 1], [2, 2]], dtype=np.int16)), 7)
 
 
 def test_group_orders():
@@ -109,6 +111,11 @@ def test_descriptor_validation():
         GroupDescriptor("Oodd", 3, 4)
     d = descriptor("SOodd", 3, m=1)
     assert d.n == 3 and d.kind == "odd" and d.base_family() == "SO"
+    # the int16-code limit: 32749 is the largest prime below 2^15, 32771
+    # the smallest above it; neither builds a table here
+    assert GroupDescriptor("O-", 32749, 2).q == 32749
+    with pytest.raises(ValueError, match="2\\^15"):
+        GroupDescriptor("O-", 32771, 2)
 
 
 def test_standard_generator_orders_minus():

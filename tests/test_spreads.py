@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from leibniz import det_by_permutations, rref_by_rows
 
 from orthosig.fields import fq_context, make_tower
 from orthosig.forms import _projective_reps, build_space, enumerate_isotropic_points
@@ -13,7 +14,6 @@ from orthosig.spreads import (
     act_subspace,
     orbit_walk,
     orbits_are_partial_spreads,
-    rref_stack,
     schreier_transversal,
     span_points,
     subspace,
@@ -165,10 +165,10 @@ def test_hypothesis_batched_act_matches_one_at_a_time(pe, n, r, k, data):
                     dtype=np.int16).reshape(k, n, n)
     rows = np.array(data.draw(st.lists(entries, min_size=r * n, max_size=r * n)),
                     dtype=np.int16).reshape(r, n)
-    R, rank = act_rref(fq, mats, rows)
+    R, rank, _ = act_rref(fq, mats, rows)
     for i in range(k):
         imgs = np.array([fq.mat_vec(mats[i], v) for v in rows], dtype=np.int16)
-        R1, piv = fq.rref(imgs)
+        R1, piv = rref_by_rows(fq, imgs)
         assert np.array_equal(R[i], R1)
         assert rank[i] == len(piv)
         S = act_subspace(Mat(fq, mats[i]), subspace(fq, rows))
@@ -361,7 +361,8 @@ def test_hypothesis_stacked_check_pairwise_matches_the_pair_loop(pe, n, count, c
 def test_hypothesis_rref_stack_matches_rref_with_dependent_rows(pe, r, n, k, data):
     # q = 3, 5, 9; some columns are zero, so pivots move right, and some
     # rows are combinations of the other rows, so a stack mixes full and
-    # deficient row ranks and a dependent row can sit above the pivot rows
+    # deficient row ranks and a dependent row can sit above the pivot rows;
+    # the reference is the row-by-row loop of leibniz.rref_by_rows
     fq = fq_context(*pe)
     entries = st.integers(min_value=0, max_value=fq.q - 1)
     A = np.array(data.draw(st.lists(entries, min_size=k * r * n, max_size=k * r * n)),
@@ -374,9 +375,15 @@ def test_hypothesis_rref_stack_matches_rref_with_dependent_rows(pe, r, n, k, dat
                 for t in set(range(r)) - {j}:
                     row = fq.v_add(row, fq.v_scale(data.draw(entries), A[i, t]))
                 A[i, j] = row
-    R, rank = rref_stack(fq, A)
+    R, rank, d = fq.rref(A)
     assert R.dtype == np.int16 and R.shape == A.shape
     for i in range(k):
-        R1, piv = fq.rref(A[i])
+        R1, piv = rref_by_rows(fq, A[i])
         assert np.array_equal(R[i], R1)
         assert rank[i] == len(piv)
+        R0, rank0, _ = fq.rref(A[i])  # one matrix, as the stack
+        assert np.array_equal(R0, R1) and rank0 == len(piv)
+        if r == n:
+            assert d[i] == det_by_permutations(fq, A[i])
+        elif rank[i] < r:
+            assert d[i] == 0
