@@ -43,16 +43,32 @@ def check_bounds(iv, ls: LogSignature):
 
 
 def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVector:
-    """The unique index vector whose block product equals g."""
+    """The unique index vector whose block product equals g.
+
+    g is decoded first, and group membership is consulted only when the
+    decode fails, to choose between "element is not in <family>" and the
+    decode's own error.  A successful decode proves membership: a table hit
+    matches a product of block elements exactly, and at a stage the border
+    check fixes every entry of the stage matrix hw outside hw[SP, SP],
+    which the sub-plan then matches in turn, so g is the product of the
+    block elements its digits index.  stats gets the decode's counts,
+    except for a non-member, which leaves it as it was."""
     if ls.plan is None:
         raise FactorError("signature carries no decoding tables (not canonical)")
     n = ls.plan.n
     if g.n != n:
         raise FactorError(f"element is {g.n}x{g.n}, signature acts on {n}x{n} matrices")
-    if ls.group is not None:
-        if not forms.membership(space_for(ls.group), g, ls.group.family):
-            raise FactorError(f"element is not in {ls.group.family}")
-    iv = IndexVector(tuple(ls.plan.decode(g, stats)))
+    before = None if stats is None else dict(stats)
+    try:
+        digits = ls.plan.decode(g, stats)
+    except (LsError, ValueError):
+        if ls.group is not None and not forms.membership(space_for(ls.group), g, ls.group.family):
+            if stats is not None:
+                stats.clear()
+                stats.update(before)
+            raise FactorError(f"element is not in {ls.group.family}") from None
+        raise
+    iv = IndexVector(tuple(digits))
     check_bounds(iv, ls)
     return iv
 

@@ -12,6 +12,7 @@ across runs and machines.  Every Gaussian elimination over F_q is
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cache, reduce
@@ -330,6 +331,33 @@ def power_basis(big: GF, gamma: int, theta: int, k: int, e: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# the parameter envelope of F_q
+
+def table_bytes_per_entry(e: int) -> int:
+    """Bytes per entry of the q x q tables of an FqContext over F_{p^e}:
+    ADD and MUL (int16) always, and PM (int32) and UN (int16) for e > 1."""
+    return 4 if e == 1 else 10
+
+
+# the q x q tables of one field may take at most this many bytes: q <= 4096
+# for prime q and q <= 2590 for e > 1
+TABLE_BUDGET = 64 * 2 ** 20
+
+
+def check_field_size(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, or raises FieldError when F_q lies outside the
+    envelope: codes are int16, so q < 2^15, and the q x q tables of its
+    FqContext must fit TABLE_BUDGET.  Nothing is allocated."""
+    if q >= 2 ** 15:
+        raise FieldError(f"q = {q} is past the limit q < 2^15 = 32768 of int16 field codes")
+    p, e = split_prime_power(q)
+    per_entry = table_bytes_per_entry(e)
+    if q * q * per_entry > TABLE_BUDGET:
+        top = math.isqrt(TABLE_BUDGET // per_entry)
+        raise FieldError(f"q = {q} is past the limit q <= {top} for {'prime q' if e == 1 else 'e > 1'} "
+                         f"of the {TABLE_BUDGET // 2 ** 20} MiB field-table budget (its q x q tables would take "
+                         f"{q * q * per_entry / 2 ** 20:.1f} MiB)")
+    return p, e
 
 
 class FqContext:
@@ -339,7 +367,11 @@ class FqContext:
     `MUL` are q x q, `NEG` and `INV` (0 at 0) have q entries; all four are
     built with numpy from the digits and log/exp tables of `gf`.  For
     e = 1 vectors and matrices use plain mod-p numpy; otherwise they gather
-    from these tables.
+    from these tables.  For e > 1 a matrix product also uses two more q^2
+    tables: `PM` (q x q int32) packs the digits of a product ab in base
+    p^2, PM[a, b] = sum_i digit_i(ab) p^(2i), so that p + 1 packed
+    products add without a carry between digits, and `UN` (q^2 int16)
+    reads such a sum back to the code of its digits mod p.
 
     `rref` is the one Gaussian elimination: it works on a stack of matrices
     at once and carries the signed pivot product, and `rank`, `det`,
@@ -347,6 +379,7 @@ class FqContext:
     """
 
     def __init__(self, p: int, e: int):
+        check_field_size(p ** e)
         self.p = p
         self.e = e
         self.q = p ** e
@@ -365,6 +398,14 @@ class FqContext:
         self.NEG = gf.neg_table.astype(np.int16)
         self.INV = exp[-log % (q - 1)]
         self.INV[0] = 0
+        if e > 1:
+            packed = (digs.astype(np.int32) @ (p ** (2 * np.arange(e)))).astype(np.int32)
+            self.PM = packed[self.MUL]
+            self.UN = np.zeros(q * q, dtype=np.int16)
+            sums = np.arange(q * q, dtype=np.int32)
+            for i in range(e):
+                self.UN += (sums % (p * p) % p).astype(np.int16) * np.int16(p ** i)
+                sums //= p * p
         self.two_inv = self.gf.inv(2 % q if self.p != 2 else 1)
         self.generator = self._find_generator()
 
@@ -420,14 +461,17 @@ class FqContext:
                 # every sum of products of codes fits int16, so no widening
                 return (A @ B) % self.p
             return ((A.astype(np.int64) @ B.astype(np.int64)) % self.p).astype(np.int16)
-        G = self.MUL[A[..., :, :, None], B[..., None, :, :]]  # G[..., i, k, j]
-        return reduce(lambda X, Y: self.ADD[X, Y], (G[..., k, :] for k in range(A.shape[-1])))
+        # each digit of a sum of p + 1 packed products is at most
+        # (p + 1)(p - 1) < p^2, so a chunk of p + 1 terms sums without carry
+        G = self.PM[A[..., :, :, None], B[..., None, :, :]]  # G[..., i, k, j]
+        c = self.p + 1
+        chunks = (self.UN[G[..., k:k + c, :].sum(axis=-2)] for k in range(0, A.shape[-1], c))
+        return reduce(lambda X, Y: self.ADD[X, Y], chunks)
 
     def mat_vec(self, A, v):
         if self.fast:
             return ((A.astype(np.int64) @ v.astype(np.int64)) % self.p).astype(np.int16)
-        G = self.MUL[A, v[None, :]]
-        return reduce(lambda x, y: self.ADD[x, y], (G[:, k] for k in range(len(v))))
+        return self.mat_mul(A, v[:, None])[:, 0]
 
     def rref(self, A):
         """The one Gaussian elimination of the package.
@@ -591,6 +635,7 @@ class FieldTower:
             raise FieldError(f"p must be an odd prime, got {p}")
         if e < 1 or m < 1:
             raise FieldError("degenerate tower: need e >= 1 and m >= 1")
+        check_field_size(p ** e)
         self.p, self.e, self.m = p, e, m
         self.q = p ** e
         self.dtop = 2 * e * m

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -114,13 +114,24 @@ def _jsonable(v):
 def block_product_many(blocks, ivs):
     """The left-to-right products of the indexed block elements for each
     index vector of ivs, as a (k, n, n) stack built with one stacked
-    product per block (None for no blocks)."""
-    P = None
-    for t, blk in enumerate(blocks):
-        # one row is a view, which saves the copy of a stack
-        X = blk[ivs[0][t]].a[None] if len(ivs) == 1 else np.stack([blk[iv[t]].a for iv in ivs])
-        P = X if P is None else blk[0].fq.mat_mul(P, X)
-    return P
+    product per block (None for no blocks).  For prime q the running
+    product is an int64 stack reduced mod p only when the next product
+    could overflow 63 bits."""
+    if not blocks:
+        return None
+    fq = blocks[0][0].fq
+    # one row is a view, which saves the copy of a stack
+    stacks = [blk[ivs[0][t]].a[None] if len(ivs) == 1 else np.stack([blk[iv[t]].a for iv in ivs])
+              for t, blk in enumerate(blocks)]
+    if not fq.fast:
+        return reduce(fq.mat_mul, stacks)
+    p, n = fq.p, stacks[0].shape[-1]
+    P, top = stacks[0], p - 1  # top bounds every entry of P
+    for X in stacks[1:]:
+        if top * n * (p - 1) >= 2 ** 63:
+            P, top = P % p, p - 1
+        P, top = np.matmul(P, X, dtype=np.int64), top * n * (p - 1)
+    return (P % p).astype(np.int16)
 
 
 def block_product(blocks, iv):
@@ -529,10 +540,16 @@ class _Plan:
         return out[0].tolist()
 
 
+# a stage whose group has at most this many elements also keeps the table
+# of all its products, which answers a member with one lookup
+FRONT_ORDER = 4096
+
+
 @dataclass
 class _TablePlan(_Plan):
-    """Base-case decoder: the full product table (tiny groups only), keyed
-    by the base-q integers of the products in the input frame."""
+    """Base-case decoder, and the front of a small stage: the full product
+    table (small groups only), keyed by the base-q integers of the products
+    in the input frame."""
 
     fq: FqContext
     n: int
@@ -543,9 +560,14 @@ class _TablePlan(_Plan):
 
     @staticmethod
     def build(blocks, fq):
-        walk = list(block_products(blocks)) if blocks else [((), identity(fq, 1))]
-        mats = np.stack([g.a for _, g in walk])
-        ivs = np.array([iv for iv, _ in walk], dtype=np.int64).reshape(len(walk), len(blocks))
+        """The table of every product of blocks, with one stacked product
+        per block (a single 1 x 1 identity for no blocks)."""
+        mats = fq.identity(1)[None]
+        for t, blk in enumerate(blocks):
+            X = np.stack([g.a for g in blk])
+            mats = X if t == 0 else fq.mat_mul(mats[:, None], X[None]).reshape(-1, *X.shape[1:])
+        # itertools.product order: the last block varies fastest
+        ivs = np.indices([len(b) for b in blocks]).reshape(len(blocks), len(mats)).T
         plan = _TablePlan(fq, mats.shape[-1], len(blocks), None, mats, ivs)._sorted()
         if (plan.keys[1:] == plan.keys[:-1]).any():
             raise LsError("base-case products collide")
@@ -560,14 +582,20 @@ class _TablePlan(_Plan):
         mats = self.fq.mat_mul(self.fq.mat_mul(C, self.mats), Cinv)
         return replace(self, mats=mats)._sorted()
 
+    def _answer(self, Z, rows, out, col):
+        """Writes the index vectors of the rows of Z found in the table;
+        returns which were found."""
+        pos, hit = _find(self.keys, _row_keys(self.fq, Z.reshape(len(Z), -1)))
+        out[rows[hit], col:col + self.width] = self.ivs[pos[hit]]
+        return hit
+
     def _decode_into(self, Z, rows, out, errors, col, stats):
         if not len(rows):
             return
         if stats is not None:
             stats["lookups"] = stats.get("lookups", 0) + len(rows)
-        pos, hit = _find(self.keys, _row_keys(self.fq, Z.reshape(len(Z), -1)))
-        _reject(errors, rows, ~hit, LsError, "element is not covered by this signature")
-        out[rows[hit], col:col + self.width] = self.ivs[pos[hit]]
+        _reject(errors, rows, ~self._answer(Z, rows, out, col), LsError,
+                "element is not covered by this signature")
 
 
 @dataclass
@@ -586,6 +614,11 @@ class _StagePlan(_Plan):
     border (column 0, rows R and 0) shows hw = E(u) d(lam) (1 + 1 + ysub)
     without forming E(u), and the residue ysub is then hw[SP, SP] itself,
     decoded by `sub` in the frame phi of the model of SP.
+
+    A stage whose group has at most FRONT_ORDER elements carries the
+    `front` table of all its products: the elements found there are
+    answered with one lookup each, and the rest go down the stage path, so
+    a non-member fails with the same error as without the table.
     """
 
     space: QuadraticSpace
@@ -605,6 +638,7 @@ class _StagePlan(_Plan):
     sp_gram: np.ndarray      # the SP rows of G: u^T sp_gram = (G u)^T for u on SP
     gl1_digits: np.ndarray   # digits of the discrete log of each unit (row 0 unused)
     sub: _Plan
+    front: _TablePlan | None  # every product of the stage, for a small group
 
     @property
     def n(self):
@@ -622,13 +656,21 @@ class _StagePlan(_Plan):
     def framed(self, C, Cinv):
         fq = self.space.fq
         return replace(self, vectors=fq.mat_mul(self.vectors, np.ascontiguousarray(C.T)),
-                       strips=fq.mat_mul(self.strips, Cinv), enter=fq.mat_mul(C, self.enter))._sorted()
+                       strips=fq.mat_mul(self.strips, Cinv), enter=fq.mat_mul(C, self.enter),
+                       front=self.front.framed(C, Cinv) if self.front else None)._sorted()
 
     def _decode_into(self, Z, rows, out, errors, col, stats):
         # a failing row goes on through the arithmetic (every gather stays in
         # range) and is dropped before the recursion; it keeps its first error
         if not len(rows):
             return
+        if self.front is not None:
+            hit = self.front._answer(Z, rows, out, col)
+            if stats is not None:
+                stats["lookups"] = stats.get("lookups", 0) + int(hit.sum())
+            if hit.all():
+                return
+            Z, rows = Z[~hit], rows[~hit]
         fq, R, SP, n, k = self.space.fq, self.R, self.SP, self.n, len(rows)
         ZT = fq.mat_mul(Z, self.enter)
         keys = _row_keys(fq, ZT[:, :, 0])
@@ -929,6 +971,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         strips=fq.mat_mul(Tinv, fq.mat_mul(b_inv_pows[js], strip)), head=head, enter=T,
         R=Rwork, SP=np.array(SP), work_gram=work_gram, sp_gram=work_gram[SP], gl1_digits=gl1_digits,
         sub=sub_ls.plan.framed(phi, phi_inv),
+        front=_TablePlan.build(blocks, fq) if claimed <= FRONT_ORDER else None,
     )._sorted()
     return ls
 

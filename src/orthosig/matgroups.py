@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    FieldError, FieldTower, FqContext, _gf, fq_coordinates, make_tower, power_basis,
-    split_prime_power, subfield_root,
+    FieldError, FieldTower, FqContext, _gf, check_field_size, fq_coordinates, make_tower,
+    power_basis, split_prime_power, subfield_root,
 )
 
 
@@ -51,9 +51,7 @@ class GroupDescriptor:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.q >= 2 ** 15:
-            raise ValueError(f"q = {self.q} is past the limit q < 2^15 = 32768 of int16 field codes")
-        p, e = split_prime_power(self.q)
+        p, e = check_field_size(self.q)
         if p == 2:
             raise ValueError("q must be odd")
         if self.family.endswith("odd"):

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import orthosig
 
 # the subprocesses import the package from the same directory as this
@@ -143,6 +145,37 @@ def test_construct_rejects_q_past_the_int16_code_limit(tmp_path):
     doc, _ = parse_stdout(proc.stdout)
     assert "2^15" in doc["error"]
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "O-", "--q", "4099", "--n", "2"],
+    ["construct", "--family", "O-", "--q", "2809", "--n", "4"],
+    ["counts", "--kind", "minus", "--q", "4099", "--m", "1"],
+    ["spread-check", "--kind", "plus", "--q", "4099", "--m", "1"],
+    ["spread-check", "--kind", "minus", "--q", "2809", "--m", "1"],
+])
+def test_q_past_the_table_budget_exits_2_before_any_table_is_built(argv, tmp_path, capsys):
+    # 4099 is the first prime past q <= 4096, 2809 = 53^2 the first q = p^e
+    # with e > 1 past q <= 2590; spread-check builds its tower without a
+    # descriptor.  Run in this process, so that tracemalloc sees every array
+    import tracemalloc
+
+    from orthosig.cli import main
+
+    if argv[0] == "construct":
+        argv = argv + ["--out", str(tmp_path / "x.json")]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    doc, summary = parse_stdout(capsys.readouterr().out)
+    assert "64 MiB" in doc["error"] and f"q = {argv[argv.index('--q') + 1]}" in doc["error"]
+    assert peak < 2 ** 20
     assert not (tmp_path / "x.json").exists()
 
 

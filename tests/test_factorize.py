@@ -247,6 +247,117 @@ def test_decode_results_match_golden_hashes(fam, q, n):
     assert hashlib.sha256(doc).hexdigest() == DECODE_SHA256[(fam, q, n)]
 
 
+# SHA-256 of json.dumps of what tame_factor gives for each of the same 60
+# _mixed_elements: the digits, or "<exception type>: <message>".  Recorded
+# while membership was still tested before decoding; deciding it only on a
+# failed decode must name every failure the same way.
+TAME_FACTOR_SHA256 = {
+    ("O-", 3, 4): "5510e2bbf3b2e5c185b18de7bc7e06675e7181e5bfb45813bfe6787924d00e15",
+    ("SO+", 3, 4): "700395e9ad22f1ebb525bd959d814897c32a4c4b181841ec049d8265f1350677",
+    ("O-", 9, 4): "4e792af3ef1617e8d9101e2211ef3adac5b0f394418fd78cd53e9b38a474b835",
+    ("Oodd", 3, 5): "4a203f8365467fc257fe320a7934ca58ad444de5f52b3fb418e7e5332af1f238",
+    ("O+", 3, 6): "0360a8869a9470f0b1b3fe009acfd06b3047a1b7d82f19cfdb44a03424009b02",
+    ("SOodd", 25, 3): "f629cbaa0e7a3804820e4b91935462adbea0f8c9759f3acb7178b45a11ad2cf6",
+    ("O-", 25, 2): "7241c5ff7263c05496ec47f6dcd89958f6ff6cbd582d4386b6cf0916463a23b0",
+}
+
+
+@pytest.mark.parametrize("fam,q,n", sorted(TAME_FACTOR_SHA256))
+def test_tame_factor_results_match_golden_hashes(fam, q, n):
+    import hashlib
+    import json
+
+    from orthosig.matgroups import Mat
+
+    assert set(TAME_FACTOR_SHA256) == set(DECODE_SHA256)
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    fq = ls.blocks[0][0].fq
+    res = []
+    for g in _mixed_elements(ls, 2024, 60):
+        try:
+            res.append(list(tame_factor(Mat(fq, g), ls).indices))
+        except Exception as exc:
+            res.append(f"{type(exc).__name__}: {exc}")
+    doc = json.dumps(res).encode()
+    assert hashlib.sha256(doc).hexdigest() == TAME_FACTOR_SHA256[(fam, q, n)]
+
+
+@pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("O-", 5, 4), ("Oodd", 3, 5), ("SO-", 9, 4)])
+def test_a_rejected_non_member_leaves_stats_as_it_was(fam, q, n):
+    # a non-member is decoded before membership names the failure; the
+    # counts of that decode must not reach the caller's stats
+    from orthosig.matgroups import Mat
+
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    fq = ls.blocks[0][0].fq
+    rejected = 0
+    for g in _mixed_elements(ls, 5, 30):
+        stats = {"mults": 7, "other": 1}
+        try:
+            tame_factor(Mat(fq, g), ls, stats)
+        except FactorError as exc:
+            if str(exc) == f"element is not in {fam}":
+                rejected += 1
+                assert stats == {"mults": 7, "other": 1}
+                assert list(stats) == ["mults", "other"]
+    assert rejected
+
+
+def _without_fronts(plan):
+    """The plan with the product-table front of every stage taken off, so
+    that every element goes down the stage path."""
+    from dataclasses import replace
+
+    from orthosig.lscore import _StagePlan
+
+    if not isinstance(plan, _StagePlan):
+        return plan
+    return replace(plan, front=None, sub=_without_fronts(plan.sub))
+
+
+def _fronts(plan):
+    """Whether each stage of the plan, top first, carries a front."""
+    from orthosig.lscore import _StagePlan
+
+    out = []
+    while isinstance(plan, _StagePlan):
+        out.append(plan.front is not None)
+        plan = plan.sub
+    return out
+
+
+def test_small_stages_carry_a_product_table_front():
+    # O-4(3) has 1440 elements; O+6(3) and Oodd5(3) have tails O+4(3)
+    # (1152) and Oodd3(3) (48); O-4(5) has 31200
+    assert _fronts(canonical_ls(descriptor("O-", 3, n=4)).plan) == [True]
+    assert _fronts(canonical_ls(descriptor("O+", 3, n=6)).plan) == [False, True]
+    assert _fronts(canonical_ls(descriptor("Oodd", 3, n=5)).plan) == [False, True]
+    assert _fronts(canonical_ls(descriptor("O-", 5, n=4)).plan) == [False]
+    front = canonical_ls(descriptor("O-", 3, n=4)).plan.front
+    assert len(front.keys) == 1440 and front.ivs.shape == (1440, front.width)
+
+
+@pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("SO+", 3, 4), ("O+", 3, 6), ("Oodd", 3, 5),
+                                     ("Oodd", 9, 3), ("PSOodd", 3, 5)])
+def test_the_front_answers_as_the_stage_path_does(fam, q, n):
+    # members are answered by one lookup at the first stage with a front;
+    # everything else goes down the stage path, with its digits and errors
+    import numpy as np
+
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    rng = random.Random(3)
+    members = [compose(unrank(rng.randrange(ls.claimed_order), ls), ls).a for _ in range(20)]
+    A = np.stack(members + _mixed_elements(ls, 3, 40))
+    stats, bare_stats = {}, {}
+    digits, errors = ls.plan.decode_many(A, stats)
+    bare, bare_errors = _without_fronts(ls.plan).decode_many(A, bare_stats)
+    assert np.array_equal(digits, bare)
+    assert {r: (type(e), str(e)) for r, e in errors.items()} == \
+        {r: (type(e), str(e)) for r, e in bare_errors.items()}
+    assert not set(range(20)) & set(errors)
+    assert stats["lookups"] >= 20 and stats.get("mults", 0) < bare_stats["mults"]
+
+
 def _matrix_path_decode_into(plan, Z, rows, out, errors, col, stats):
     """The stage decode with the full Eichler matrix E(-u) multiplied into
     hw and the border of E(-u) hw compared with d(lam) entry by entry, as
@@ -337,15 +448,17 @@ def test_closed_form_residue_matches_the_matrix_path(fam, q, n):
     # zeros and negatives, members that fail only row f_0 or only row e_0
     # of the border, and everything again through a table that fails only
     # column 0: the same digits (failing rows included), errors and stats
-    # as multiplying the whole Eichler matrix in
+    # as multiplying the whole Eichler matrix in.  Both run without the
+    # product-table fronts, so that every element takes the stage path
     import numpy as np
 
     ls = canonical_ls(descriptor(fam, q, n=n))
+    bare = _without_fronts(ls.plan)
     mixed = _mixed_elements(ls, 7, 40)
-    rows_only = _border_perturbed(ls.plan, [compose(unrank(v, ls), ls).a for v in range(0, 400, 10)], 7)
+    rows_only = _border_perturbed(bare, [compose(unrank(v, ls), ls).a for v in range(0, 400, 10)], 7)
     A = np.stack(mixed + rows_only)
     messages = set()
-    for plan in (ls.plan, _mislabeled_points(ls.plan)):
+    for plan in (bare, _mislabeled_points(bare)):
         stats = {}
         digits, errors = plan.decode_many(A, stats)
         want, want_errors, want_stats = np.zeros_like(digits), {}, {}
@@ -356,7 +469,7 @@ def test_closed_form_residue_matches_the_matrix_path(fam, q, n):
         assert stats == want_stats
         assert len(errors) < len(A)
         messages |= {str(e) for e in errors.values()}
-        if plan is ls.plan:
+        if plan is bare:
             assert all(str(errors.get(r)) == "stabilizer residue is not block diagonal"
                        for r in range(len(mixed), len(A)))
     assert {"element does not stabilize the base point",

@@ -428,3 +428,73 @@ def test_subfield_root_is_the_lex_smallest_root(p, d, deg):
     roots = [c for c in range(big.order) if value(c) == 0]
     assert len(roots) == deg
     assert subfield_root(big, modulus, deg) == min(roots, key=big.coeffs)
+
+
+# q = 9, 25, 27, 49, 81, 121, 125: chunks of p + 1 terms, so n > p + 1
+# combines chunks for p = 3, 5, 7
+PACKED_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3)]
+
+
+def _gf_mat_mul(gf, A, B):
+    """A @ B of two matrices, entry by entry in the scalar arithmetic of gf."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int16)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for k in range(A.shape[1]):
+                acc = gf.add(acc, gf.mul(int(A[i, k]), int(B[k, j])))
+            out[i, j] = acc
+    return out
+
+
+@given(st.sampled_from(PACKED_FIELDS), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_packed_mat_mul_matches_the_gf_reference(pe, n, k, seed):
+    fq = fq_context(*pe)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, fq.q, (k, n, n)).astype(np.int16)
+    B = rng.integers(0, fq.q, (k, n, n)).astype(np.int16)
+    A[0, 0] = B[0, :, 0] = fq.q - 1  # the largest codes meet in entry (0, 0)
+    # one matrix, (k, 1, n) @ (n, n) and (k, n, n) @ (k, n, n)
+    assert fq.mat_mul(A[0], B[0]).tolist() == _gf_mat_mul(fq.gf, A[0], B[0]).tolist()
+    rows = fq.mat_mul(A[:, :1], B[0])
+    assert rows.shape == (k, 1, n) and rows.dtype == np.int16
+    assert rows.tolist() == [_gf_mat_mul(fq.gf, a[:1], B[0]).tolist() for a in A]
+    assert fq.mat_mul(A, B).tolist() == [_gf_mat_mul(fq.gf, a, b).tolist() for a, b in zip(A, B)]
+    assert fq.mat_vec(A[0], B[0, :, 0]).tolist() == _gf_mat_mul(fq.gf, A[0], B[0, :, :1])[:, 0].tolist()
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_packed_tables_have_q_squared_entries_and_only_for_e_above_1(p, e):
+    fq = fq_context(p, e)
+    if e == 1:
+        assert not hasattr(fq, "PM") and not hasattr(fq, "UN")
+        return
+    assert fq.PM.size == fq.UN.size == fq.q ** 2
+    assert fq.PM.dtype == np.int32 and fq.UN.dtype == np.int16
+    digits = fq.gf.digits[fq.MUL].astype(np.int64)
+    assert (fq.PM == digits @ (p ** (2 * np.arange(e)))).all()
+
+
+def test_the_table_budget_bounds_q_before_any_table_is_built():
+    import tracemalloc
+
+    from orthosig.fields import TABLE_BUDGET, FieldTower, FqContext, check_field_size, table_bytes_per_entry
+
+    # 2 B each for ADD and MUL, and 4 B for PM and 2 B for UN when e > 1
+    assert (table_bytes_per_entry(1), table_bytes_per_entry(2), TABLE_BUDGET) == (4, 10, 2 ** 26)
+    assert check_field_size(4093) == (4093, 1)  # the largest prime inside it
+    assert check_field_size(2401) == (7, 4)     # 7^4 <= 2590
+    assert check_field_size(2197) == (13, 3)
+    tracemalloc.start()
+    try:
+        for q, build in [(4099, lambda: FqContext(4099, 1)), (2809, lambda: FqContext(53, 2)),
+                         (4099, lambda: FieldTower(4099, 1, 1)), (2809, lambda: FieldTower(53, 2, 1))]:
+            for attempt in (lambda: check_field_size(q), build):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                with pytest.raises(FieldError, match="64 MiB"):
+                    attempt()
+                assert tracemalloc.get_traced_memory()[1] - before < 2 ** 20
+    finally:
+        tracemalloc.stop()

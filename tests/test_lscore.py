@@ -562,6 +562,29 @@ def test_block_products_walk_in_product_order(pe, sizes, seed):
         assert g == want == block_product(blocks, iv)
 
 
+@pytest.mark.parametrize("p,n,length", [(3, 6, 40), (181, 3, 30), (191, 4, 12), (7, 8, 25)])
+def test_block_product_many_is_exact_across_deferred_reductions(p, n, length):
+    # the int64 running product is reduced mod p only before a product that
+    # could overflow; long chains of the largest codes cross several
+    # reductions, and every product must agree with exact integers
+    from orthosig.lscore import block_product_many
+
+    fq = fq_context(p, 1)
+    rng = np.random.default_rng(p * n)
+    mats = rng.integers(0, p, (length, 2, n, n)).astype(np.int16)
+    mats[:, 0] = p - 1
+    blocks = [[Mat(fq, a) for a in pair] for pair in mats]
+    ivs = [[0] * length, [1] * length, rng.integers(0, 2, length).tolist()]
+    got = block_product_many(blocks, ivs)
+    assert got.dtype == np.int16 and got.shape == (3, n, n)
+    for iv, g in zip(ivs, got):
+        want = np.eye(n, dtype=object)
+        for pair, i in zip(mats, iv):
+            want = (want @ pair[i].astype(object)) % p
+        assert g.tolist() == want.tolist()
+    assert block_product_many(blocks, ivs[2:])[0].tolist() == got[2].tolist()
+
+
 def _report_variants(fam, q, n):
     """A plan-less copy of the canonical signature of each kind a file can
     hold: the canonical blocks, element 1 of blocks 0 and 1 swapped, and

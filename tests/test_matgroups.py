@@ -111,9 +111,13 @@ def test_descriptor_validation():
         GroupDescriptor("Oodd", 3, 4)
     d = descriptor("SOodd", 3, m=1)
     assert d.n == 3 and d.kind == "odd" and d.base_family() == "SO"
-    # the int16-code limit: 32749 is the largest prime below 2^15, 32771
-    # the smallest above it; neither builds a table here
-    assert GroupDescriptor("O-", 32749, 2).q == 32749
+    # the int16-code limit: 32771 is the smallest prime above 2^15.  The
+    # 64 MiB table budget: 4093 is the largest prime inside it, and 4099 and
+    # 32749 (the largest prime below 2^15) are past it.  None builds a table
+    assert GroupDescriptor("O-", 4093, 2).q == 4093
+    for q in (4099, 32749):
+        with pytest.raises(ValueError, match="64 MiB"):
+            GroupDescriptor("O-", q, 2)
     with pytest.raises(ValueError, match="2\\^15"):
         GroupDescriptor("O-", 32771, 2)
 
