@@ -173,7 +173,7 @@ def test_q_past_the_table_budget_exits_2_before_any_table_is_built(argv, tmp_pat
     finally:
         tracemalloc.stop()
     assert code == 2
-    doc, summary = parse_stdout(capsys.readouterr().out)
+    doc, _ = parse_stdout(capsys.readouterr().out)
     assert "64 MiB" in doc["error"] and f"q = {argv[argv.index('--q') + 1]}" in doc["error"]
     assert peak < 2 ** 20
     assert not (tmp_path / "x.json").exists()
