@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Survey the construction ladder over a grid of groups: which shape each
 family lands on, the signature length against the minimal bound, the
-verification outcome, and the median time of one tame factorization of
-200 seeded members (`-` where the signature has no decoding tables)."""
+verification outcome (exhaustive, membership included, within the default
+budget of `verify_ls`; sampled above it), and the median time of one tame
+factorization of 200 seeded members (`-` where the signature has no
+decoding tables)."""
 
 import random
 import statistics
 import time
 
 from orthosig.factorize import compose, tame_factor, unrank
-from orthosig.lscore import canonical_ls, min_length_bound, verify_ls
+from orthosig.lscore import EXHAUSTIVE_BUDGET, canonical_ls, min_length_bound, verify_ls
 from orthosig.matgroups import descriptor
 
 CASES = [
@@ -41,8 +43,8 @@ for fam, q, n in CASES:
     t0 = time.monotonic()
     ls = canonical_ls(descriptor(fam, q, n=n))
     bound = min_length_bound(ls.claimed_order).bound
-    if ls.claimed_order <= 50_000:
-        rep = verify_ls(ls, "exhaustive", check_membership=ls.claimed_order <= 5000)
+    if ls.claimed_order <= EXHAUSTIVE_BUDGET:
+        rep = verify_ls(ls, "exhaustive")
         verdict = "exact" if rep.valid else "INVALID"
     elif ls.plan is not None:
         rep = verify_ls(ls, "sampled", samples=2000, seed=42)

@@ -18,8 +18,9 @@ import time
 from . import __version__
 from . import forms, pgm
 from .factorize import compose, rank, tame_factor, unrank
-from .fields import make_tower, split_prime_power
+from .fields import fq_context, make_tower, projective_points, split_prime_power
 from .lscore import (
+    EXHAUSTIVE_BUDGET,
     canonical_ls,
     min_length_bound,
     parabolic_ls,
@@ -28,8 +29,7 @@ from .lscore import (
     spread_construction,
     verify_ls,
 )
-from .matgroups import descriptor, group_order, neg_identity, identity
-from .fields import fq_context
+from .matgroups import Mat, descriptor, group_order, identity, isotropic_point_count, neg_identity
 from .serial import load_ls, save_ls
 from .spreads import classical_spread, verify_partition
 
@@ -55,7 +55,7 @@ def _add_group_args(sp, need_family=True):
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--samples", type=int, default=10_000)
-    sp.add_argument("--budget", type=int, default=1_000_000)
+    sp.add_argument("--budget", type=int, default=EXHAUSTIVE_BUDGET)
 
 
 def build_parser():
@@ -148,18 +148,14 @@ def _kind_to_family(kind):
 
 
 def cmd_counts(args):
-    from .matgroups import isotropic_point_count
-
     kind = args.kind
     m = args.m if args.m is not None else (args.n - 1) // 2 if kind == "odd" else args.n // 2
-    p, e = split_prime_power(args.q)
     space = space_for(descriptor(_kind_to_family(kind), args.q, m=m))
     pts = forms.enumerate_isotropic_points(space, check_count=False)
     expected = isotropic_point_count(kind, args.q, m)
     match = len(pts) == expected
     payload = {"kind": kind, "q": args.q, "m": m, "count": len(pts), "closed_form": expected, "match": match}
-    print_count = f"{len(pts)}"
-    return _report(args, payload, [f"isotropic points: {print_count} (closed form {expected})"],
+    return _report(args, payload, [f"isotropic points: {len(pts)} (closed form {expected})"],
                    0 if match else 1)
 
 
@@ -232,13 +228,8 @@ def cmd_factor(args):
         iv = unrank(args.rank, ls)
         g = compose(iv, ls)
     else:
-        import json as _json
-
-        from .fields import fq_context
-        from .matgroups import Mat
-
         with open(args.element_file) as fh:
-            g = Mat.from_json(fq_context(desc.p, desc.e), _json.load(fh))
+            g = Mat.from_json(fq_context(desc.p, desc.e), json.load(fh))
     got = tame_factor(g, ls)
     back = compose(got, ls)
     payload = {
@@ -258,8 +249,7 @@ def cmd_spread_check(args):
     p, e = split_prime_power(args.q)
     tower = make_tower(p, e, m)
     cls = classical_spread(tower)
-    allpts = list(forms._projective_reps(tower.fq, 2 * m))
-    cls_rep = verify_partition(cls, allpts, tower.fq)
+    cls_rep = verify_partition(cls, projective_points(tower.fq, tower.fq.identity(2 * m)), tower.fq)
     space = space_for(descriptor(_kind_to_family(kind), args.q, m=m))
     plan = spread_construction(space, "O" + {"minus": "-", "plus": "+", "odd": "odd"}[kind])
     payload = {

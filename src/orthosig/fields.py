@@ -331,7 +331,7 @@ def power_basis(big: GF, gamma: int, theta: int, k: int, e: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# the parameter envelope of F_q
+# the parameter envelope: F_q and the top field of its tower
 
 def table_bytes_per_entry(e: int) -> int:
     """Bytes per entry of the q x q tables of an FqContext over F_{p^e}:
@@ -339,8 +339,15 @@ def table_bytes_per_entry(e: int) -> int:
     return 4 if e == 1 else 10
 
 
-# the q x q tables of one field may take at most this many bytes: q <= 4096
-# for prime q and q <= 2590 for e > 1
+def top_bytes_per_element(d: int) -> int:
+    """Bytes per element of the tables of a `GF` of degree d: d int16
+    digits and the int64 `exp`, `log` and `neg_table` entries."""
+    return d * np.dtype(np.int16).itemsize + 3 * np.dtype(np.int64).itemsize
+
+
+# the tables of one field may take at most this many bytes: the q x q
+# tables of F_q (q <= 4096 for prime q and q <= 2590 for e > 1), and the
+# tables of the top field F_{q^2m} of a tower, linear in its order
 TABLE_BUDGET = 64 * 2 ** 20
 
 
@@ -357,6 +364,21 @@ def check_field_size(q: int) -> tuple[int, int]:
         raise FieldError(f"q = {q} is past the limit q <= {top} for {'prime q' if e == 1 else 'e > 1'} "
                          f"of the {TABLE_BUDGET // 2 ** 20} MiB field-table budget (its q x q tables would take "
                          f"{q * q * per_entry / 2 ** 20:.1f} MiB)")
+    return p, e
+
+
+def check_tower_size(q: int, m: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, or raises FieldError when the tower F_q <
+    F_{q^m} < F_{q^2m} lies outside the envelope: F_q must pass
+    `check_field_size`, and the tables of the top field F_{q^2m} must fit
+    TABLE_BUDGET.  Nothing is allocated."""
+    p, e = check_field_size(q)
+    per_element = top_bytes_per_element(2 * e * m)
+    if q ** (2 * m) * per_element > TABLE_BUDGET:
+        raise FieldError(f"q = {q}, m = {m} is past the limit q^2m <= {TABLE_BUDGET // per_element} of the "
+                         f"{TABLE_BUDGET // 2 ** 20} MiB field-table budget (the top field F_(q^2m) has "
+                         f"{q ** (2 * m)} elements of {per_element} B each, "
+                         f"{q ** (2 * m) * per_element / 2 ** 20:.1f} MiB)")
     return p, e
 
 
@@ -604,6 +626,30 @@ def fq_coordinates(fq: FqContext, basis, digits) -> np.ndarray:
     return (sol.reshape(digits.shape[:-1] + (-1, fq.e)) @ fq.gf._pvec).astype(np.int16)
 
 
+def projective_points(fq: FqContext, basis, lead=None):
+    """The canonical points of the row span of a (k, n) basis in reduced
+    echelon form, as an (N, n) array: the combinations c B for every
+    coefficient row c whose first nonzero entry is 1, lead-major (first
+    c_0 = 1, then c_0 = 0 and c_1 = 1, ..) and within one lead in
+    lexicographic order of the later entries, the last fastest.  As B is
+    reduced, the first nonzero entry of c B is that 1, so each point of
+    the span comes once, as its canonical representative.  One product of
+    the coefficient table with B makes them all; with `lead`, only the
+    q^(k-1-lead) points whose coefficient row starts there."""
+    basis = np.asarray(basis, dtype=np.int16)
+    k, n = basis.shape
+    blocks = []
+    for i in range(k) if lead is None else [lead]:
+        c = np.zeros((fq.q ** (k - 1 - i), k), dtype=np.int16)
+        c[:, i] = 1
+        if i < k - 1:
+            c[:, i + 1:] = np.indices((fq.q,) * (k - 1 - i), dtype=np.int16).reshape(k - 1 - i, -1).T
+        blocks.append(c)
+    if not blocks:
+        return np.zeros((0, n), dtype=np.int16)
+    return fq.mat_mul(np.concatenate(blocks), basis)
+
+
 # ----------------------------------------------------------------------
 
 
@@ -635,7 +681,7 @@ class FieldTower:
             raise FieldError(f"p must be an odd prime, got {p}")
         if e < 1 or m < 1:
             raise FieldError("degenerate tower: need e >= 1 and m >= 1")
-        check_field_size(p ** e)
+        check_tower_size(p ** e, m)
         self.p, self.e, self.m = p, e, m
         self.q = p ** e
         self.dtop = 2 * e * m
@@ -748,10 +794,6 @@ class FieldTower:
             acc = self.top.add(acc, cur)
             cur = self.top.pow(cur, b) if cur else 0
         return acc
-
-    def norm_to_mid(self, code: int) -> int:
-        """x * bar(x), lands in F_{q^m}."""
-        return self.top.mul(code, self.bar_code(code)) if code else 0
 
     def _spot_check(self):
         rng = random.Random(20240311)

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .fields import FieldError, FieldTower, FqContext, fq_context
+from .fields import FieldError, FieldTower, FqContext, fq_context, projective_points
 from .matgroups import (
     Mat,
     derived_subgroup,
@@ -44,7 +44,7 @@ class QuadraticSpace:
         self.p, self.e, self.q = fq.p, fq.e, fq.q
         if fq.rank(self.gram_model) != self.n:
             raise GeometryError("bilinear form is singular")
-        C, self.Cinv, R, anis = _witt_decompose(fq, self.gram_model)
+        C, self.Cinv, R = _witt_decompose(fq, self.gram_model)
         self.C = C  # columns: witt vectors in model coordinates
         self.gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(C.T), self.gram_model), C)
         self.witt_index = R
@@ -70,9 +70,6 @@ class QuadraticSpace:
     def f(self, u, v):
         return self.fq.bil(self.gram, np.asarray(u, dtype=np.int16), np.asarray(v, dtype=np.int16))
 
-    def Q_model(self, v):
-        return self.fq.quad(self.gram_model, np.asarray(v, dtype=np.int16))
-
     def e_vec(self, i):
         v = np.zeros(self.n, dtype=np.int16)
         v[i] = 1
@@ -87,10 +84,6 @@ class QuadraticSpace:
         fq = self.fq
         return Mat(fq, fq.mat_mul(fq.mat_mul(self.Cinv, g.a), self.C))
 
-    def witt_to_model(self, g: Mat) -> Mat:
-        fq = self.fq
-        return Mat(fq, fq.mat_mul(fq.mat_mul(self.C, g.a), self.Cinv))
-
     # -- projective points (canonical reps: first nonzero coordinate is 1)
 
     def canon(self, v):
@@ -101,31 +94,20 @@ class QuadraticSpace:
         s = self.fq.inv(int(v[nz[0]]))
         return np.ascontiguousarray(self.fq.v_scale(s, v))
 
-    def point_key(self, v):
-        return self.canon(v).tobytes()
-
     def points(self):
+        """Every projective point as an (N, n) array of canonical reps, in
+        `projective_points` order of the unit basis."""
         if self._points is None:
             check_enumeration_budget(self.q, self.n)
-            self._points = list(_projective_reps(self.fq, self.n))
+            self._points = projective_points(self.fq, self.fq.identity(self.n))
         return self._points
 
     def isotropic_points(self):
         """All singular projective points, canonical reps, deterministic order."""
         if self._isotropic is None:
             pts = self.points()
-            self._isotropic = [v for v, z in zip(pts, self.Q(pts) == 0) if z]
+            self._isotropic = list(pts[self.Q(pts) == 0])
         return self._isotropic
-
-    def serialize(self):
-        return {
-            "kind": self.kind,
-            "tower": self.tower.to_json() if self.tower else None,
-            "n": self.n,
-            "gram_model": self.gram_model.tolist(),
-            "witt_basis": self.C.tolist(),
-            "witt_index": self.witt_index,
-        }
 
 
 ENUM_BUDGET = 10 ** 8
@@ -138,94 +120,65 @@ def check_enumeration_budget(q, n):
         )
 
 
-def _projective_reps(fq, n):
-    q = fq.q
-    for lead in range(n):
-        free = n - lead - 1
-        for tail in itertools.product(range(q), repeat=free):
-            v = np.zeros(n, dtype=np.int16)
-            v[lead] = 1
-            for i, c in enumerate(tail):
-                v[lead + 1 + i] = c
-            yield v
-
-
 def _witt_decompose(fq, G, prescribed=()):
-    """Greedy hyperbolic-pair extraction; returns (C, C^-1, witt_index,
-    anis_rows), C with the Witt vectors as columns.
+    """Greedy hyperbolic-pair extraction; returns (C, C^-1, witt_index),
+    C with the Witt vectors as columns.
 
     The singular vectors of the leading pairs are the prescribed rows, in
     order (they must span a totally singular subspace); the remaining pairs
-    come from the deterministic scan of the complement.
+    come from the deterministic scan of the complement: the first singular
+    point of its reduced basis in `projective_points` order, and the first
+    point there that pairs with it.
     """
     n = G.shape[0]
-    comp = [np.eye(n, dtype=np.int16)[i] for i in range(n)]
-    pres = [np.asarray(v, dtype=np.int16) for v in prescribed]
-    pairs = []
+    comp = fq.identity(n)
+    pres = np.asarray(prescribed, dtype=np.int16).reshape(-1, n)
+    sings, partners = [], []
 
-    def bil(u, v):
-        return fq.bil(G, u, v)
-
-    def quad(v):
-        return fq.quad(G, v)
-
-    def project(w, sing, partner):
-        w2 = fq.v_add(w, fq.v_scale(fq.neg(bil(w, partner)), sing))
-        return fq.v_add(w2, fq.v_scale(fq.neg(bil(w2, sing)), partner))
+    def project(W, sing, partner):
+        """The rows of W moved into the perp of the pair, all at once."""
+        W = fq.v_add(W, fq.v_scale(fq.NEG[fq.bil(G, W, partner)][:, None], sing))
+        return fq.v_add(W, fq.v_scale(fq.NEG[fq.bil(G, W, sing)][:, None], partner))
 
     while True:
-        k = len(comp)
-        if pres:
-            sing = pres.pop(0)
-            if quad(sing) != 0:
+        if len(pres):
+            sing, pres = pres[0], pres[1:]
+            if fq.quad(G, sing) != 0:
                 raise GeometryError("prescribed vector is not singular")
         else:
-            sing = None
-            for coeffs in _canonical_coeffs(fq.q, k):
-                v = _combo(fq, coeffs, comp)
-                if quad(v) == 0:
-                    sing = v
-                    break
+            sing = _first_point(fq, comp, lambda V: fq.quad(G, V) == 0)
             if sing is None:
                 break
-        partner = None
-        for coeffs in _canonical_coeffs(fq.q, k):
-            u = _combo(fq, coeffs, comp)
-            if bil(sing, u) != 0:
-                partner = u
-                break
+        partner = _first_point(fq, comp, lambda V: fq.bil(G, V, sing) != 0)
         if partner is None:
             raise GeometryError("degenerate complement during Witt decomposition")
-        s = fq.inv(bil(sing, partner))
-        partner = fq.v_scale(s, partner)
-        qq = quad(partner)
+        partner = fq.v_scale(fq.inv(fq.bil(G, sing, partner)), partner)
+        qq = fq.quad(G, partner)
         if qq:
             partner = fq.v_add(partner, fq.v_scale(fq.neg(qq), sing))
-        pairs.append((sing, partner))
-        R, rank, _ = fq.rref(np.array([project(w, sing, partner) for w in comp], dtype=np.int16))
-        comp = list(R[:rank])
-        pres = [project(w, sing, partner) for w in pres]
-    R = len(pairs)
-    cols = [p[0] for p in pairs] + [p[1] for p in pairs] + comp
-    C = np.ascontiguousarray(np.array(cols, dtype=np.int16).T)
+        sings.append(sing)
+        partners.append(partner)
+        R, rank, _ = fq.rref(project(comp, sing, partner))
+        comp = R[:rank]
+        pres = project(pres, sing, partner)
+    C = np.ascontiguousarray(np.concatenate([np.array(sings + partners, dtype=np.int16).reshape(-1, n),
+                                             comp]).T)
     try:
-        return C, fq.mat_inv(C), R, comp
+        return C, fq.mat_inv(C), len(sings)
     except FieldError:
         raise GeometryError("witt basis is not a basis")  # pragma: no cover
 
 
-def _canonical_coeffs(q, k):
-    for lead in range(k):
-        for tail in itertools.product(range(q), repeat=k - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
-def _combo(fq, coeffs, basis):
-    v = np.zeros(len(basis[0]), dtype=np.int16)
-    for c, b in zip(coeffs, basis):
-        if c:
-            v = fq.v_add(v, fq.v_scale(c, b))
-    return v
+def _first_point(fq, basis, hit):
+    """The first point of the row span of a reduced basis, in
+    `projective_points` order, on which hit (a test of an (N, n) stack)
+    holds, or None: one lead block of candidates at a time."""
+    for lead in range(len(basis)):
+        V = projective_points(fq, basis, lead)
+        found = np.flatnonzero(hit(V))
+        if len(found):
+            return V[found[0]]
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -603,7 +556,7 @@ def align_spaces(model: QuadraticSpace, gram_target, fq: FqContext):
     Returns (phi, lam).
     """
     gram_target = np.ascontiguousarray(gram_target, dtype=np.int16)
-    Ct, _, R, anis_rows = _witt_decompose(fq, gram_target)
+    Ct, _, R = _witt_decompose(fq, gram_target)
     std = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(Ct.T), gram_target), Ct)
     At = np.ascontiguousarray(std[2 * R:, 2 * R:])
     Am = model.anis_gram

@@ -15,6 +15,7 @@ point set (always valid and tame, no longer minimal).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, cached_property, reduce
@@ -26,6 +27,7 @@ from .matgroups import (
     ConstructionMismatch,
     GroupDescriptor,
     Mat,
+    OrderNotFound,
     descriptor,
     element_order,
     group_order,
@@ -141,27 +143,47 @@ def block_product(blocks, iv):
     return None if P is None else Mat(blocks[0][0].fq, P[0])
 
 
-def block_products(blocks):
-    """(index vector, block product) for every index vector, in
-    itertools.product order (the last block varies fastest).  Each product
-    extends the cached product of its prefix, so a step costs about one
-    multiplication."""
-    sizes = [len(b) for b in blocks]
-    iv = [0] * len(blocks)
-    prefix = [None] * len(blocks)
-    start = 0  # first position whose prefix product is stale
-    while True:
-        for t in range(start, len(blocks)):
-            x = blocks[t][iv[t]]
-            prefix[t] = x if t == 0 else prefix[t - 1] * x
-        yield tuple(iv), prefix[-1] if blocks else None
-        for start in range(len(blocks) - 1, -1, -1):
-            iv[start] += 1
-            if iv[start] < sizes[start]:
-                break
-            iv[start] = 0
-        else:
-            return
+# block products are made and checked in stacks of at most this many
+PRODUCT_CHUNK = 4096
+
+
+def product_chunks(fq: FqContext, blocks, n):
+    """Every left-to-right block product, in itertools.product order (the
+    last block varies fastest), as consecutive (k, n, n) stacks; no blocks
+    give the one product I.  The trailing blocks whose sizes multiply to at
+    most PRODUCT_CHUNK (the last block at least) make a table T, one
+    stacked product per block.  Each stack is a run of the products of the
+    leading blocks, walked the same way, times T, so it holds at most
+    PRODUCT_CHUNK products, or T alone when the last block is larger."""
+    t, size = len(blocks), 1
+    while t and (t == len(blocks) or size * len(blocks[t - 1]) <= PRODUCT_CHUNK):
+        t -= 1
+        size *= len(blocks[t])
+    T = fq.identity(n)[None]
+    for j, blk in enumerate(blocks[t:]):
+        X = np.stack([g.a for g in blk])
+        T = X if j == 0 else fq.mat_mul(T[:, None], X[None]).reshape(-1, n, n)
+    if not t:
+        yield T
+        return
+    step = max(1, PRODUCT_CHUNK // size)
+    for L in product_chunks(fq, blocks[:t], n):
+        for lo in range(0, len(L), step):
+            yield fq.mat_mul(L[lo:lo + step, None], T[None]).reshape(-1, n, n)
+
+
+def _keys(A):
+    """The entry bytes (`Mat.key`) of each matrix of a stack, as one numpy
+    void scalar each, so that np.unique compares them."""
+    A = np.ascontiguousarray(A, dtype=np.int16).reshape(len(A), -1)
+    return A.view(np.dtype((np.void, A.shape[1] * A.itemsize)))[:, 0]
+
+
+def _distinct_products(fq, blocks, n, lift=False):
+    """How many distinct block products (distinct canonical lifts with
+    lift) the blocks make."""
+    keys = [_keys(canonical_lift(fq, A) if lift else A) for A in product_chunks(fq, blocks, n)]
+    return len(np.unique(np.concatenate(keys)))
 
 
 # ----------------------------------------------------------------------
@@ -253,8 +275,7 @@ def semidirect_ls(A: list[Mat], B: list[Mat]) -> LogSignature:
     ident = identity(A[0].fq, A[0].n) if A else identity(B[0].fq, B[0].n)
     if inter - {ident.key}:
         raise LsError("blocks share a nonidentity element")
-    prods = {g.key for _, g in block_products([A, B])}
-    if len(prods) != len(A) * len(B):
+    if _distinct_products(ident.fq, [A, B], ident.n) != len(A) * len(B):
         raise LsError("product set collapses; not a semidirect factorization")
     blocks = [blk for blk in (list(A), list(B)) if len(blk) > 1]
     if not blocks:
@@ -559,13 +580,10 @@ class _TablePlan(_Plan):
     ivs: np.ndarray    # (N, width) their index vectors
 
     @staticmethod
-    def build(blocks, fq):
-        """The table of every product of blocks, with one stacked product
-        per block (a single 1 x 1 identity for no blocks)."""
-        mats = fq.identity(1)[None]
-        for t, blk in enumerate(blocks):
-            X = np.stack([g.a for g in blk])
-            mats = X if t == 0 else fq.mat_mul(mats[:, None], X[None]).reshape(-1, *X.shape[1:])
+    def build(blocks, fq, n):
+        """The table of every product of n x n blocks (the identity for no
+        blocks), from `product_chunks`."""
+        mats = np.concatenate(list(product_chunks(fq, blocks, n)))
         # itertools.product order: the last block varies fastest
         ivs = np.indices([len(b) for b in blocks]).reshape(len(blocks), len(mats)).T
         plan = _TablePlan(fq, mats.shape[-1], len(blocks), None, mats, ivs)._sorted()
@@ -782,7 +800,7 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
         blocks = [[identity(fq, 1), neg_identity(fq, 1)]] if base == "O" else []
         claimed = 2 if base == "O" else 1
         ls = LogSignature(desc, blocks, claimed, meta={"shape": "base", "kind": desc.kind, "minimal": True})
-        ls.plan = _TablePlan.build(blocks, fq)
+        ls.plan = _TablePlan.build(blocks, fq, desc.n)
         return ls
     els = forms.enumerate_isometry_group(space, "O")
     dets = fq.det(np.stack([g.a for g in els]))
@@ -794,7 +812,7 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
             if element_order(g, target) == target:
                 gen = g
                 break
-        except Exception:
+        except OrderNotFound:
             continue
     if gen is None:
         raise LsError("rank-1 special orthogonal group is not cyclic here")  # pragma: no cover
@@ -805,7 +823,7 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
         blocks = blocks + [[identity(fq, 2), refl[0]]]
     claimed = target * (2 if base == "O" else 1)
     ls = LogSignature(desc, blocks, claimed, meta={"shape": "base", "kind": desc.kind, "minimal": True})
-    ls.plan = _TablePlan.build(blocks, fq)
+    ls.plan = _TablePlan.build(blocks, fq, desc.n)
     return ls
 
 
@@ -839,7 +857,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
 
     # adapted frame
     W0 = sp_plan.W0
-    T, Tinv, Rw, _ = forms._witt_decompose(fq, space.gram, W0.rows)
+    T, Tinv, Rw = forms._witt_decompose(fq, space.gram, W0.rows)
     if Rw != space.witt_index:
         raise LsError("adapted frame lost hyperbolic pairs")  # pragma: no cover
     work_gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(T.T), space.gram), T)
@@ -971,7 +989,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         strips=fq.mat_mul(Tinv, fq.mat_mul(b_inv_pows[js], strip)), head=head, enter=T,
         R=Rwork, SP=np.array(SP), work_gram=work_gram, sp_gram=work_gram[SP], gl1_digits=gl1_digits,
         sub=sub_ls.plan.framed(phi, phi_inv),
-        front=_TablePlan.build(blocks, fq) if claimed <= FRONT_ORDER else None,
+        front=_TablePlan.build(blocks, fq, n) if claimed <= FRONT_ORDER else None,
     )._sorted()
     return ls
 
@@ -1068,9 +1086,15 @@ def _all_gl(fq, k):
 # projection to projective quotients
 
 
-def canonical_lift(g: Mat) -> Mat:
-    h = neg_identity(g.fq, g.n) * g
-    return g if g.key <= h.key else h
+def canonical_lift(fq: FqContext, A):
+    """For each matrix g of a (k, n, n) stack, whichever of g and -g has
+    the first entry bytes (`Mat.key`): the element that stands for the
+    class of g in the quotient by {I, -I}."""
+    A = np.ascontiguousarray(A, dtype=np.int16)
+    neg = fq.v_neg(A)
+    a, b = (X.reshape(len(X), -1).view(np.uint8) for X in (A, neg))
+    rows, first = np.arange(len(A)), (a != b).argmax(axis=1)
+    return np.where((a[rows, first] <= b[rows, first])[:, None, None], A, neg)
 
 
 def project_ls(ls: LogSignature, center: list[Mat]) -> LogSignature:
@@ -1124,16 +1148,9 @@ def project_ls(ls: LogSignature, center: list[Mat]) -> LogSignature:
         blocks2 = [list(b) for b in ls.blocks]
         blocks2[t] = list(half)
         blocks2 = _fold_singletons(blocks2, fq, n)
-        seen = {}
-        ok = True
-        for iv, g in block_products(blocks2):
-            key = canonical_lift(g).key
-            if key in seen:
-                ok = False
-                break
-            seen[key] = iv
-        if ok and len(seen) == target:
-            qblocks = [[canonical_lift(g) for g in b] for b in blocks2]
+        if math.prod(len(b) for b in blocks2) == target == _distinct_products(fq, blocks2, n, lift=True):
+            qblocks = [[Mat(fq, a) for a in canonical_lift(fq, np.stack([g.a for g in b]))]
+                       for b in blocks2]
             fam = ls.group.family if ls.group else None
             qdesc = None
             if fam and fam.startswith("SO"):
@@ -1202,11 +1219,20 @@ class VerifyReport:
         }
 
 
+# exhaustive verification walks at most this many products by default
+EXHAUSTIVE_BUDGET = 1_000_000
+
+
 def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
-              budget=1_000_000, check_membership=True) -> VerifyReport:
+              budget=EXHAUSTIVE_BUDGET, check_membership=True) -> VerifyReport:
     """Exhaustive: every index-vector product is distinct, lies in the
-    group, and the count equals the claimed order.  Sampled: random index
-    vectors round-trip through tame factorization.
+    group, and the count equals the claimed order.  The products come from
+    `product_chunks`, one stack at a time: each stack is tested for
+    membership, and the keys of all of them (of the canonical lifts for a
+    projective group) go through one np.unique, whose first indices name
+    the first index vector of each key.  Collisions are listed in product
+    order.  Sampled: random index vectors round-trip through tame
+    factorization.
     """
     bound = min_length_bound(ls.claimed_order).bound
     length = ls.length
@@ -1224,35 +1250,29 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         if ls.claimed_order > budget:
             raise LsError(f"exhaustive verification needs claimed_order <= {budget}")
         if ls.blocks:
-            ident = identity(ls.blocks[0][0].fq, ls.blocks[0][0].n)
+            fq, n = ls.blocks[0][0].fq, ls.blocks[0][0].n
         elif ls.group is not None:
-            ident = identity(fq_context(ls.group.p, ls.group.e), ls.group.n)
+            fq, n = fq_context(ls.group.p, ls.group.e), ls.group.n
         else:
             raise LsError("cannot verify an empty signature without a descriptor")
-        seen = {}
-        collisions = []
+        keys = []
         bad = 0
-        count = 0
-        pending = []
-        for iv, g in block_products(ls.blocks):
-            if g is None:
-                g = ident
-            key = canonical_lift(g).key if projective else g.key
-            count += 1
-            if key in seen:
-                collisions.append({"iv": list(iv), "other": list(seen[key])})
-            else:
-                seen[key] = list(iv)
+        for A in product_chunks(fq, ls.blocks, n):
             if space is not None:
-                pending.append(g.a)
-                if len(pending) == _CHUNK:
-                    bad += _count_outside(space, pending, fam)
-                    pending = []
-        if space is not None and pending:
-            bad += _count_outside(space, pending, fam)
-        valid = not collisions and bad == 0 and len(seen) == ls.claimed_order
+                bad += len(A) - int(forms.membership_many(space, A, fam).sum())
+            keys.append(_keys(canonical_lift(fq, A) if projective else A))
+        _, first, inverse = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
+        # every product whose key came earlier, in product order, with the
+        # first index vector of that key
+        again = np.flatnonzero(first[inverse] != np.arange(len(inverse)))
+        collisions = []
+        if len(again):
+            ivs, others = (np.stack(np.unravel_index(x, ls.block_sizes()), axis=1).tolist()
+                           for x in (again, first[inverse[again]]))
+            collisions = [{"iv": iv, "other": other} for iv, other in zip(ivs, others)]
+        valid = not collisions and bad == 0 and len(first) == ls.claimed_order
         return VerifyReport(valid, mode, length, bound, valid and length == bound,
-                            ls.claimed_order, count, collisions, bad, None, notes)
+                            ls.claimed_order, len(inverse), collisions, bad, None, notes)
     if mode == "sampled":
         rng = random.Random(seed)
         if ls.plan is None:
@@ -1276,12 +1296,9 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
     raise LsError(f"unknown mode {mode!r}")
 
 
-# products are checked in stacks of this many
+# sampled index vectors are multiplied, tested and decoded in stacks of
+# this many
 _CHUNK = 256
-
-
-def _count_outside(space, mats, fam):
-    return int(len(mats) - forms.membership_many(space, np.stack(mats), fam).sum())
 
 
 def _sampled_products(rng, ls, samples):

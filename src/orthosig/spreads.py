@@ -8,7 +8,7 @@ import itertools
 
 import numpy as np
 
-from .fields import FieldTower, FqContext
+from .fields import FieldTower, FqContext, projective_points
 from .matgroups import Mat, closure, identity
 
 
@@ -93,20 +93,11 @@ def orbit_walk(fq: FqContext, mats, bases, steps):
 
 
 def span_points(fq: FqContext, S: Subspace):
-    """Canonical reps of all projective points inside the subspace."""
-    B = S.basis()
-    out = []
-    for lead in range(S.dim):
-        for tail in itertools.product(range(fq.q), repeat=S.dim - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            v = np.zeros(B.shape[1], dtype=np.int16)
-            for c, row in zip(coeffs, B):
-                if c:
-                    v = fq.v_add(v, fq.v_scale(c, row))
-            nz = np.nonzero(v)[0][0]
-            v = fq.v_scale(fq.inv(int(v[nz])), v)
-            out.append(np.ascontiguousarray(v))
-    return out
+    """Canonical reps of all projective points inside the subspace, as an
+    (N, n) array in `fields.projective_points` order of its reduced basis."""
+    if not S.dim:
+        return np.zeros((0, 0), dtype=np.int16)
+    return projective_points(fq, S.basis())
 
 
 _PAIR_CHUNK = 4096
@@ -216,8 +207,7 @@ def verify_partition(spread: PartialSpread, points, fq: FqContext):
             if k not in owner:
                 violations.append({"kind": "uncovered", "point": np.frombuffer(k, dtype=np.int16).tolist()})
                 break
-    nonempty = [c for c in counts]
-    equal = len(set(nonempty)) <= 1 and (not counts or counts[0] > 0)
+    equal = len(set(counts)) <= 1 and (not counts or counts[0] > 0)
     ok = not violations and equal and uncovered == 0
     return {
         "ok": bool(ok),

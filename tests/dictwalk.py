@@ -1,0 +1,33 @@
+"""Reference exhaustive verification shared by the test modules, written
+apart from the package's stacked product walk: one product per index
+vector, one membership test per product and a dict of keys."""
+
+import itertools
+
+from orthosig import forms
+from orthosig.lscore import space_for
+from orthosig.matgroups import identity, neg_identity
+
+
+def verify_by_dict_walk(ls):
+    """(collisions, not_in_group, distinct keys) of a walk over every index
+    vector in itertools.product order; a collision names the index vector
+    of a repeated key and the first one that had it.  For a projective
+    group the key of g is the smaller of the keys of g and -g."""
+    desc = ls.group
+    space = space_for(desc)
+    one = identity(space.fq, desc.n)
+    minus = neg_identity(space.fq, desc.n)
+    projective = desc.family.startswith("PSO")
+    seen, collisions, outside = {}, [], 0
+    for iv in itertools.product(*[range(len(b)) for b in ls.blocks]):
+        g = one
+        for blk, i in zip(ls.blocks, iv):
+            g = g * blk[i]
+        key = min(g.key, (minus * g).key) if projective else g.key
+        if key in seen:
+            collisions.append({"iv": list(iv), "other": seen[key]})
+        else:
+            seen[key] = list(iv)
+        outside += not forms.membership(space, g, desc.family)
+    return collisions, outside, len(seen)

@@ -14,9 +14,8 @@ import pytest
 
 from orthosig import forms, pgm
 from orthosig.factorize import compose, tame_factor, unrank
-from orthosig.fields import fq_context, make_tower
+from orthosig.fields import fq_context, make_tower, projective_points
 from orthosig.forms import (
-    _projective_reps,
     build_space,
     enumerate_isometry_group,
     enumerate_isotropic_points,
@@ -78,7 +77,7 @@ def test_criterion_2_spread_partitions():
         t = make_tower(p, e, m)
         assert t.q ** (2 * m) <= 6561
         sp = classical_spread(t)
-        rep = verify_partition(sp, list(_projective_reps(t.fq, 2 * m)), t.fq)
+        rep = verify_partition(sp, projective_points(t.fq, t.fq.identity(2 * m)), t.fq)
         ok = rep["ok"] and len(sp) == t.q ** m + 1
         all_ok &= ok
         details.append(f"classical q={t.q},m={m}:{'ok' if ok else 'VIOLATION'}")

@@ -179,6 +179,39 @@ def test_q_past_the_table_budget_exits_2_before_any_table_is_built(argv, tmp_pat
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "O-", "--q", "1549", "--n", "2"],
+    ["construct", "--family", "PSO+", "--q", "1681", "--n", "2"],
+    ["counts", "--kind", "minus", "--q", "41", "--m", "2"],
+    ["parabolic", "--family", "Oodd", "--q", "41", "--n", "5"],
+    ["spread-check", "--kind", "plus", "--q", "49", "--m", "2"],
+])
+def test_a_top_field_past_the_table_budget_exits_2_before_any_table_is_built(argv, tmp_path, capsys):
+    # the tower's top field F_(q^2m) has tables linear in its order: 1549
+    # and 41^2 are the first prime and e > 1 values of q past the budget
+    # for m = 1, 41 and 7^2 for m = 2.  Run in this process, so that
+    # tracemalloc sees every array
+    import tracemalloc
+
+    from orthosig.cli import main
+
+    if argv[0] == "construct":
+        argv = argv + ["--out", str(tmp_path / "x.json")]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    doc, _ = parse_stdout(capsys.readouterr().out)
+    assert "64 MiB" in doc["error"] and "q^2m" in doc["error"]
+    assert f"q = {argv[argv.index('--q') + 1]}" in doc["error"]
+    assert peak < 2 ** 20
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_spread_check():
     proc = run_cli("spread-check", "--kind", "minus", "--q", "3", "--m", "2")
     assert proc.returncode == 0

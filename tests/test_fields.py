@@ -498,3 +498,30 @@ def test_the_table_budget_bounds_q_before_any_table_is_built():
                 assert tracemalloc.get_traced_memory()[1] - before < 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def test_the_table_budget_bounds_the_top_field_before_any_table_is_built():
+    import tracemalloc
+
+    from orthosig.fields import FieldTower, check_tower_size, top_bytes_per_element
+
+    # d int16 digits and the int64 exp, log and negation entries of F_(p^d)
+    assert [top_bytes_per_element(d) for d in (1, 2, 4)] == [26, 28, 32]
+    # the last groups inside the budget for m = 1 and m = 2
+    assert check_tower_size(1543, 1) == (1543, 1)
+    assert check_tower_size(37 ** 2, 1) == (37, 2)
+    assert check_tower_size(37, 2) == (37, 1)
+    assert check_tower_size(5 ** 2, 2) == (5, 2)
+    tracemalloc.start()
+    try:
+        # 1549 and 41^2 are the first prime and e > 1 values of q past it
+        # for m = 1, 41 and 7^2 for m = 2; each passes the q x q bound
+        for p, e, m in [(1549, 1, 1), (41, 2, 1), (41, 1, 2), (7, 2, 2)]:
+            for attempt in (lambda: check_tower_size(p ** e, m), lambda: FieldTower(p, e, m)):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                with pytest.raises(FieldError, match=f"q = {p ** e}, m = {m} is past .* 64 MiB"):
+                    attempt()
+                assert tracemalloc.get_traced_memory()[1] - before < 2 ** 20
+    finally:
+        tracemalloc.stop()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from leibniz import det_by_permutations
 
-from orthosig.fields import fq_context, make_tower
+from orthosig.fields import fq_context, make_tower, projective_points
 from orthosig.forms import (
     GeometryError,
     build_line_space,
@@ -407,3 +408,69 @@ def test_reflections_match_the_closed_form_per_vector(kind, p, e, m):
                           for j in range(s.n)] for i in range(s.n)], dtype=np.int16)
         assert r.a.tobytes() == want.tobytes()
         assert reflection(s, v).key == r.key
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+@pytest.mark.parametrize("k", range(5))
+def test_projective_points_match_an_itertools_walk(p, e, k):
+    # a random reduced basis of a k-space of F_q^4; the reference walks the
+    # coefficient rows lead by lead, later entries lexicographic, the last
+    # fastest, one scalar combination per row
+    fq = fq_context(p, e)
+    n = 4
+    rng = np.random.default_rng(10 * p + k)
+    while True:
+        R, rank, _ = fq.rref(rng.integers(0, fq.q, (k, n)).astype(np.int16))
+        if rank == k:
+            break
+    B = R[:k]
+    want = []
+    for lead in range(k):
+        for tail in itertools.product(range(fq.q), repeat=k - lead - 1):
+            v = np.zeros(n, dtype=np.int16)
+            for c, row in zip((1,) + tail, B[lead:]):
+                v = fq.v_add(v, fq.v_scale(c, row))
+            want.append(v)
+    got = projective_points(fq, B)
+    assert got.shape == (len(want), n) == ((fq.q ** k - 1) // (fq.q - 1), n)
+    assert got.dtype == np.int16 and got.tobytes() == np.array(want, dtype=np.int16).reshape(-1, n).tobytes()
+    # canonical: the first nonzero entry of every point is 1
+    assert (got[np.arange(len(got)), (got != 0).argmax(axis=1)] == 1).all()
+    for lead in range(k):
+        start = sum(fq.q ** (k - 1 - i) for i in range(lead))
+        assert projective_points(fq, B, lead).tobytes() == got[start:start + fq.q ** (k - 1 - lead)].tobytes()
+
+
+# SHA-256 of space.C.tobytes(), the Witt basis of the space of each group
+# of scripts/survey_constructions.py, recorded before the Witt scan was
+# stacked: the frames must not change
+SPACE_C_SHA256 = {
+    ("O-", 3, 2): "f9d10b77126ab15bc3488ce712403813f59b1dc4781f4cf22bef2feacd0a2868",
+    ("O+", 3, 2): "6a2d8d4e6d667083ae2ee78fe0c7f5f707696b1b0f0fd44ca3ed06c807cb59e8",
+    ("SO-", 3, 2): "f9d10b77126ab15bc3488ce712403813f59b1dc4781f4cf22bef2feacd0a2868",
+    ("SO+", 3, 2): "6a2d8d4e6d667083ae2ee78fe0c7f5f707696b1b0f0fd44ca3ed06c807cb59e8",
+    ("Oodd", 3, 1): "47dc540c94ceb704a23875c11273e16bb0b8a87aed84de911f2133568115f254",
+    ("Oodd", 3, 3): "24eb0af378724c5d9169e2a09636db7330ff7ae1b519f47f1cbb465761eab0dd",
+    ("Oodd", 3, 5): "f55875f41353b14f88557cba065adfb8b3bc61180f782006eb2d8fc13c2b7533",
+    ("O-", 3, 4): "a86e4b907d72df50d4237077783cc5b120b5977e9dc205d8824155552db3cc48",
+    ("O+", 3, 4): "2b027cf1c1e4176dfcb2aa6ae4431af9bada4d8798171ee1e0d0d4b62d5d4726",
+    ("SO-", 3, 4): "a86e4b907d72df50d4237077783cc5b120b5977e9dc205d8824155552db3cc48",
+    ("SO+", 3, 4): "2b027cf1c1e4176dfcb2aa6ae4431af9bada4d8798171ee1e0d0d4b62d5d4726",
+    ("PSO-", 3, 4): "a86e4b907d72df50d4237077783cc5b120b5977e9dc205d8824155552db3cc48",
+    ("PSO+", 3, 4): "2b027cf1c1e4176dfcb2aa6ae4431af9bada4d8798171ee1e0d0d4b62d5d4726",
+    ("O-", 5, 4): "42feb5251e5aada25ff935eee1b79e19b1dcb5fc103112ca82abf397a113ef07",
+    ("O+", 5, 4): "f6d7fcbce594ebc7193c34c99b2cf8c93f2735f33ef736ebb9f9b213d93d122f",
+    ("Oodd", 5, 3): "b94377ec64e0dce3ee419ed451e5cd901b5ec77b3857a8a5fce9e240c21ef2ab",
+    ("O-", 3, 6): "0df5cb544d2bcbc54b67519fd0511f44e78dfd566bbeb7e7391d12e61ed02a61",
+    ("O+", 3, 6): "2898308735e186e37238c27ce969d7f0a77fba8428d0603620740397a4fce315",
+}
+
+
+@pytest.mark.parametrize("fam,q,n", sorted(SPACE_C_SHA256))
+def test_witt_bases_of_the_survey_grid_match_golden_hashes(fam, q, n):
+    import hashlib
+
+    from orthosig.lscore import space_for
+
+    C = space_for(descriptor(fam, q, n=n)).C
+    assert hashlib.sha256(C.tobytes()).hexdigest() == SPACE_C_SHA256[(fam, q, n)]

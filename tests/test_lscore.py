@@ -13,11 +13,11 @@ from orthosig.lscore import (
     LsError,
     UnsupportedFamily,
     block_product,
-    block_products,
     canonical_ls,
     cyclic_set_mls,
     min_length_bound,
     parabolic_ls,
+    product_chunks,
     project_ls,
     semidirect_ls,
     spread_construction,
@@ -547,19 +547,33 @@ def test_parabolic_signatures_match_golden_hashes(kind, p, m, k):
 
 
 @given(st.sampled_from([(3, 1), (3, 2), (5, 1)]),
-       st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
+       st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=4),
+       st.sampled_from([1, 2, 3, 5, 8, 4096]),
        st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_block_products_walk_in_product_order(pe, sizes, seed):
+def test_product_chunks_walk_in_product_order(pe, sizes, chunk, seed):
+    # small chunk sizes put chunk boundaries inside every block and split
+    # the trailing table from the leading walk at every position
+    from orthosig import lscore
+
     fq = fq_context(*pe)
     rng = np.random.default_rng(seed)
     blocks = [[Mat(fq, rng.integers(0, fq.q, (3, 3))) for _ in range(s)] for s in sizes]
-    walked = list(block_products(blocks))
-    assert [iv for iv, _ in walked] == list(itertools.product(*[range(s) for s in sizes]))
-    for iv, g in walked:
-        want = blocks[0][iv[0]]
-        for b, i in zip(blocks[1:], iv[1:]):
+    old, lscore.PRODUCT_CHUNK = lscore.PRODUCT_CHUNK, chunk
+    try:
+        chunks = list(product_chunks(fq, blocks, 3))
+    finally:
+        lscore.PRODUCT_CHUNK = old
+    assert all(0 < len(c) <= max(chunk, sizes[-1] if sizes else 1) for c in chunks)
+    walked = np.concatenate(chunks)
+    ivs = list(itertools.product(*[range(s) for s in sizes]))
+    assert walked.dtype == np.int16 and len(walked) == len(ivs)
+    for iv, g in zip(ivs, walked):
+        want = identity(fq, 3)
+        for b, i in zip(blocks, iv):
             want = want * b[i]
-        assert g == want == block_product(blocks, iv)
+        assert g.tobytes() == want.key
+        if blocks:
+            assert block_product(blocks, iv) == want
 
 
 @pytest.mark.parametrize("p,n,length", [(3, 6, 40), (181, 3, 30), (191, 4, 12), (7, 8, 25)])
@@ -681,6 +695,36 @@ def test_verify_reports_match_golden_hashes(fam, q, n, variant, mode, seed):
     assert hashlib.sha256(doc).hexdigest() == VERIFY_REPORT_SHA256[(fam, q, n, variant, mode, seed)]
 
 
+@pytest.mark.parametrize("chunk", [4096, 100])
+@pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("PSO-", 3, 4), ("SO+", 3, 4)])
+def test_exhaustive_reports_list_every_collision_as_a_dict_walk_does(fam, q, n, chunk, monkeypatch):
+    # the golden report hashes see only the first three collisions; the
+    # whole list, in product order with the first index vector of each key,
+    # comes from the reference walk (chunk 100 splits the walk mid-block)
+    from orthosig import lscore
+    from dictwalk import verify_by_dict_walk
+
+    monkeypatch.setattr(lscore, "PRODUCT_CHUNK", chunk)
+    for name, ls in _report_variants(fam, q, n).items():
+        rep = verify_ls(ls, "exhaustive")
+        collisions, outside, distinct = verify_by_dict_walk(ls)
+        assert (rep.collisions, rep.not_in_group) == (collisions, outside)
+        assert rep.valid == (not collisions and not outside and distinct == ls.claimed_order)
+        assert rep.products_checked == ls.claimed_order
+        if name == "swapped" and fam != "SO+":
+            assert len(collisions) > 3
+
+
+def test_the_no_block_signature_checks_one_product():
+    # SO_1 is the trivial group: no blocks, and the one product is I
+    ls = canonical_ls(descriptor("SOodd", 3, n=1))
+    assert (ls.blocks, ls.claimed_order) == ([], 1)
+    for sig in (ls, LogSignature(ls.group, [], 1)):
+        rep = verify_ls(sig, "exhaustive")
+        assert (rep.valid, rep.mls, rep.products_checked, rep.collisions, rep.not_in_group) == \
+            (True, True, 1, [], 0)
+
+
 def test_verify_reports_that_cannot_be_made():
     for ls in _report_variants("O+", 3, 6).values():
         with pytest.raises(LsError, match="exhaustive verification needs"):
@@ -739,3 +783,46 @@ def test_plane_so_has_no_transitive_block():
     s = build_space("plus", make_tower(3, 1, 1))
     with pytest.raises(RuntimeError, match="^orbit has 1 members, expected 2$"):
         spread_construction(s, "SO+")
+
+
+def test_key_weights_stay_below_2_63_inside_the_envelope():
+    # _key_weights(q, m) weighs m field codes as one base-q integer.  Its
+    # callers key vectors of a stage (m = n <= 2 tower_m + 1), whole n x n
+    # matrices of a base case (n <= 2) or of a stage front (group order at
+    # most FRONT_ORDER), and k x k matrices in _all_gl (k at most the Witt
+    # index, so at most tower_m).  Walk every q and tower_m the envelope
+    # accepts and check each bound
+    from orthosig.fields import FieldError, check_field_size, check_tower_size, factorint
+    from orthosig.lscore import FRONT_ORDER
+
+    def accepted(q, m):
+        try:
+            check_tower_size(q, m)
+            return True
+        except FieldError:
+            return False
+
+    for q in range(3, 2 ** 15, 2):
+        if len(factorint(q)) != 1 or not accepted(q, 1):
+            continue
+        check_field_size(q)
+        assert q ** 4 < 2 ** 63  # base cases, n <= 2
+        m = 1
+        while accepted(q, m):
+            assert q ** (2 * m + 1) < 2 ** 63 and q ** (m * m) < 2 ** 63
+            m += 1
+    fronts = 0
+    for fam in ("O", "SO"):
+        for kind in ("-", "+", "odd"):
+            for n in range(3, 9):
+                if (n % 2 == 1) != (kind == "odd"):
+                    continue
+                for q in (3, 5, 7, 9, 11, 13, 17):
+                    if group_order(descriptor(fam + kind, q, n=n)) <= FRONT_ORDER:
+                        assert q ** (n * n) < 2 ** 63
+                        fronts += 1
+    # the fronts are O/SO_3(q) for small q and O/SO^+-_4(3); groups grow with q and n
+    assert group_order(descriptor("SOodd", 17, n=3)) > FRONT_ORDER
+    assert group_order(descriptor("SO+", 5, n=4)) > FRONT_ORDER
+    assert group_order(descriptor("SOodd", 3, n=5)) > FRONT_ORDER
+    assert fronts > 0

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from leibniz import det_by_permutations, rref_by_rows
 
-from orthosig.fields import fq_context, make_tower
-from orthosig.forms import _projective_reps, build_space, enumerate_isotropic_points
+from orthosig.fields import fq_context, make_tower, projective_points
+from orthosig.forms import build_space, enumerate_isotropic_points
 from orthosig.matgroups import Mat, descriptor, identity, standard_generators
 from orthosig.spreads import (
     NotAPartialSpread,
@@ -23,7 +23,7 @@ from orthosig.spreads import (
 
 
 def all_points(fq, n):
-    return list(_projective_reps(fq, n))
+    return projective_points(fq, fq.identity(n))
 
 
 def test_classical_spread_31():
