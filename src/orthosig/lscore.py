@@ -1241,11 +1241,12 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
     space = None
     fam = None
     if check_membership and ls.group is not None:
-        try:
+        # a group past the parameter envelope raises here, before any check
+        if ls.group.family in ("GL", "parabolic"):
+            notes.append("membership space unavailable; skipping membership checks")
+        else:
             space = space_for(ls.group)
             fam = ls.group.family
-        except Exception:
-            notes.append("membership space unavailable; skipping membership checks")
     if mode == "exhaustive":
         if ls.claimed_order > budget:
             raise LsError(f"exhaustive verification needs claimed_order <= {budget}")

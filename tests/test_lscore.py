@@ -725,6 +725,20 @@ def test_the_no_block_signature_checks_one_product():
             (True, True, 1, [], 0)
 
 
+def test_verify_rejects_a_group_past_the_envelope_instead_of_skipping_membership():
+    # O-2(1549) passes the q x q bound, but its top field does not; a
+    # hand-made signature of it must not come out VALID unchecked
+    from orthosig.fields import FieldError
+
+    fq = fq_context(1549, 1)
+    shear = np.eye(2, dtype=np.int16)
+    shear[0, 1] = 1
+    ls = LogSignature(descriptor("O-", 1549, n=2), [[identity(fq, 2), Mat(fq, shear)]], 2)
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(FieldError, match="q\\^2m"):
+            verify_ls(ls, mode, samples=10)
+
+
 def test_verify_reports_that_cannot_be_made():
     for ls in _report_variants("O+", 3, 6).values():
         with pytest.raises(LsError, match="exhaustive verification needs"):
