@@ -539,13 +539,9 @@ def nullspace(fq: FqContext, M):
 
 
 def gram_restriction(space: QuadraticSpace, rows):
+    """The matrix of f(r_i, r_j) over the rows r_i, one product R G R^T."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int16))
-    k = rows.shape[0]
-    G = np.zeros((k, k), dtype=np.int16)
-    for i in range(k):
-        for j in range(k):
-            G[i, j] = space.f(rows[i], rows[j])
-    return G
+    return space.fq.mat_mul(space.fq.mat_mul(rows, space.gram), np.ascontiguousarray(rows.T))
 
 
 def align_spaces(model: QuadraticSpace, gram_target, fq: FqContext):

@@ -95,8 +95,6 @@ def orbit_walk(fq: FqContext, mats, bases, steps):
 def span_points(fq: FqContext, S: Subspace):
     """Canonical reps of all projective points inside the subspace, as an
     (N, n) array in `fields.projective_points` order of its reduced basis."""
-    if not S.dim:
-        return np.zeros((0, 0), dtype=np.int16)
     return projective_points(fq, S.basis())
 
 
