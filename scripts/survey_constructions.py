@@ -2,9 +2,9 @@
 """Survey the construction ladder over a grid of groups: which shape each
 family lands on, the signature length against the minimal bound, the
 verification outcome (exhaustive, membership included, within the default
-budget of `verify_ls`; sampled above it), and the median time of one tame
-factorization of 200 seeded members (`-` where the signature has no
-decoding tables)."""
+budget of `verify_ls`; sampled above it), the median time of one `compose`
+of 200 seeded index vectors, and the median time of one tame factorization
+of their products (`-` where the signature has no decoding tables)."""
 
 import random
 import statistics
@@ -25,20 +25,27 @@ CASES = [
 DECODE_MEMBERS = 200
 
 
-def decode_us(ls):
-    """Median microseconds of tame_factor over seeded members of the group."""
+def timed_us(f, *args):
+    t0 = time.perf_counter()
+    out = f(*args)
+    return out, (time.perf_counter() - t0) * 1e6
+
+
+def compose_decode_us(ls):
+    """Median microseconds of compose over seeded index vectors, and of
+    tame_factor over their products (None without decoding tables)."""
     rng = random.Random(0)
-    times = []
+    compose_us, decode_us = [], []
     for _ in range(DECODE_MEMBERS):
-        g = compose(unrank(rng.randrange(ls.claimed_order), ls), ls)
-        t0 = time.perf_counter()
-        tame_factor(g, ls)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e6
+        g, us = timed_us(compose, unrank(rng.randrange(ls.claimed_order), ls), ls)
+        compose_us.append(us)
+        if ls.plan is not None:
+            decode_us.append(timed_us(tame_factor, g, ls)[1])
+    return statistics.median(compose_us), statistics.median(decode_us) if decode_us else None
 
 
 print(f"{'group':>12} {'order':>10} {'len':>5} {'bound':>5} {'shape':>12} {'verified':>9} {'s':>6} "
-      f"{'decode µs':>9}")
+      f"{'compose µs':>10} {'decode µs':>9}")
 for fam, q, n in CASES:
     t0 = time.monotonic()
     ls = canonical_ls(descriptor(fam, q, n=n))
@@ -52,7 +59,8 @@ for fam, q, n in CASES:
     else:
         verdict = "-"
     dt = time.monotonic() - t0
-    decode = f"{decode_us(ls):.0f}" if ls.plan is not None else "-"
+    compose_us, decode_us = compose_decode_us(ls)
+    decode = f"{decode_us:.0f}" if decode_us is not None else "-"
     shape = ls.meta.get("shape", "projected" if ls.meta.get("projected") else "?")
     print(f"{fam + str(n) + '(' + str(q) + ')':>12} {ls.claimed_order:>10} {ls.length:>5} "
-          f"{bound:>5} {shape:>12} {verdict:>9} {dt:>6.1f} {decode:>9}")
+          f"{bound:>5} {shape:>12} {verdict:>9} {dt:>6.1f} {compose_us:>10.1f} {decode:>9}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import forms
-from .lscore import LogSignature, LsError, block_product, space_for
+from .lscore import LogSignature, LsError, space_for
 from .matgroups import Mat
 
 
@@ -74,12 +74,12 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
 
 
 def compose(iv: IndexVector, ls: LogSignature) -> Mat:
-    """Product of the indexed block elements."""
+    """Product of the indexed block elements: one row of each product
+    table, multiplied across the segments."""
     check_bounds(iv, ls)
-    g = block_product(ls.blocks, iv.indices)
-    if g is None:
+    if not ls.blocks:
         raise FactorError("signature has no blocks")
-    return g
+    return Mat(ls.blocks[0][0].fq, ls.product_tables().products([iv.indices])[0])
 
 
 def rank(iv: IndexVector, ls: LogSignature) -> int:

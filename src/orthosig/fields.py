@@ -743,30 +743,13 @@ class FieldTower:
             raise LevelMismatch(f"level {level} expects {deg} coefficients, got {len(cs)}")
         return FieldElement(level, cs, self)
 
-    def zero(self, level=3):
-        return self.fe(level, (0,) * self.level_degree[level])
-
     def one(self, level=3):
         return self.fe(level, (1,) + (0,) * (self.level_degree[level] - 1))
-
-    def alpha_fe(self) -> FieldElement:
-        return FieldElement(3, self.top.coeffs(self.alpha), self)
 
     def top_to_vec(self, code):
         """F_q-coordinates in the basis 1, alpha, .., alpha^{2m-1} of a top
         code, or of each code of an array (one row each)."""
         return fq_coordinates(self.fq, self._vec_solver, self.top.digits[code])
-
-    def vec_to_top(self, vec) -> int:
-        acc = 0
-        for j, cj in enumerate(vec):
-            if cj:
-                aj = self.top.pow(self.alpha, j)
-                acc = self.top.add(acc, self.top.mul(aj, self.fq_code_to_top(int(cj))))
-        return acc
-
-    def fq_code_to_top(self, c: int) -> int:
-        return self.embed(FieldElement(1, self.fq.gf.coeffs(c)))
 
     def top_to_fq_code(self, code):
         """The F_q code of a top code that lies in F_q (an int), or of each

@@ -276,17 +276,7 @@ def _spot_check_quadratic_law(space):
 
 
 # ----------------------------------------------------------------------
-# classification and membership
-
-
-def classify_point(space: QuadraticSpace, v) -> dict:
-    v = np.asarray(v, dtype=np.int16)
-    if not v.any():
-        raise GeometryError("zero vector")
-    return {
-        "isotropic": space.f(v, v) == 0,
-        "singular": space.Q(v) == 0,
-    }
+# membership
 
 
 def enumerate_isotropic_points(space: QuadraticSpace, check_count=True):
@@ -352,16 +342,6 @@ def membership_many(space: QuadraticSpace, A, family: str):
     return ok
 
 
-def reflection(space: QuadraticSpace, v) -> Mat:
-    """r_v(u) = u - f(u,v)/Q(v) * v, the matrix I - Q(v)^-1 v (Gv)^T;
-    needs Q(v) != 0."""
-    v = np.asarray(v, dtype=np.int16)
-    qv = space.Q(v[None])
-    if qv[0] == 0:
-        raise GeometryError("reflection in a singular vector divides by zero")
-    return Mat(space.fq, _reflection_stack(space, v[None], qv)[0])
-
-
 def _reflection_stack(space, V, qv):
     """The (k, n, n) stack of reflections in the rows of V, with qv = Q(V)
     nonzero: one rank update I + (-qv^-1 v) (Gv)^T per row."""
@@ -399,20 +379,6 @@ def isometry_inverse(space: QuadraticSpace, A):
     if not (fq.mat_mul(A, Ainv) == fq.identity(space.n)).all():
         raise GeometryError("matrix is not an isometry of the form")
     return Ainv
-
-
-def siegel_unipotent(space: QuadraticSpace, u) -> Mat:
-    """The Eichler map of the first hyperbolic pair (e1, f1) along u in
-    <e1,f1>-perp."""
-    u = np.asarray(u, dtype=np.int16)
-    if space.f(u, space.e_vec(0)) != 0 or space.f(u, space.f_vec(0)) != 0:
-        raise GeometryError("u must be orthogonal to the first hyperbolic pair")
-    return Mat(space.fq, eichler(space.fq, space.gram, 0, u))
-
-
-def witt_basis(space: QuadraticSpace):
-    """Witt frame data: (basis matrix columns, witt index, anisotropic gram)."""
-    return space.C, space.witt_index, space.anis_gram
 
 
 # ----------------------------------------------------------------------

@@ -83,6 +83,9 @@ class LogSignature:
     claimed_order: int
     meta: dict = dc_field(default_factory=dict)
     plan: object = None  # decoder, not serialized
+    # products, not serialized; set only where the program finishes the
+    # signature, as a file or a caller may still edit the blocks in place
+    tables: ProductTables | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         prod = 1
@@ -100,6 +103,19 @@ class LogSignature:
     def block_sizes(self):
         return [len(b) for b in self.blocks]
 
+    def product_tables(self) -> ProductTables:
+        """The tables built with the signature, else tables built now from
+        the blocks it holds."""
+        if self.tables is not None:
+            return self.tables
+        if self.blocks:
+            fq, n = self.blocks[0][0].fq, self.blocks[0][0].n
+        elif self.group is not None:
+            fq, n = fq_context(self.group.p, self.group.e), self.group.n
+        else:
+            raise LsError("cannot multiply the blocks of an empty signature without a descriptor")
+        return ProductTables.build(fq, n, self.blocks)
+
     def to_json(self):
         return {
             "group": self.group.to_json() if self.group else None,
@@ -113,61 +129,83 @@ def _jsonable(v):
     return isinstance(v, (str, int, float, bool, list, dict, type(None)))
 
 
-def block_product_many(blocks, ivs):
-    """The left-to-right products of the indexed block elements for each
-    index vector of ivs, as a (k, n, n) stack built with one stacked
-    product per block (None for no blocks).  For prime q the running
-    product is an int64 stack reduced mod p only when the next product
-    could overflow 63 bits."""
-    if not blocks:
-        return None
-    fq = blocks[0][0].fq
-    # one row is a view, which saves the copy of a stack
-    stacks = [blk[ivs[0][t]].a[None] if len(ivs) == 1 else np.stack([blk[iv[t]].a for iv in ivs])
-              for t, blk in enumerate(blocks)]
-    if not fq.fast:
-        return reduce(fq.mat_mul, stacks)
-    p, n = fq.p, stacks[0].shape[-1]
-    P, top = stacks[0], p - 1  # top bounds every entry of P
-    for X in stacks[1:]:
-        if top * n * (p - 1) >= 2 ** 63:
-            P, top = P % p, p - 1
-        P, top = np.matmul(P, X, dtype=np.int64), top * n * (p - 1)
-    return (P % p).astype(np.int16)
-
-
-def block_product(blocks, iv):
-    """The left-to-right product of the indexed block elements (None for
-    no blocks)."""
-    P = block_product_many(blocks, [iv])
-    return None if P is None else Mat(blocks[0][0].fq, P[0])
-
-
 # block products are made and checked in stacks of at most this many
 PRODUCT_CHUNK = 4096
 
 
-def product_chunks(fq: FqContext, blocks, n):
-    """Every left-to-right block product, in itertools.product order (the
-    last block varies fastest), as consecutive (k, n, n) stacks; no blocks
-    give the one product I.  The trailing blocks whose sizes multiply to at
-    most PRODUCT_CHUNK (the last block at least) make a table T, one
-    stacked product per block.  Each stack is a run of the products of the
-    leading blocks, walked the same way, times T, so it holds at most
-    PRODUCT_CHUNK products, or T alone when the last block is larger."""
-    t, size = len(blocks), 1
-    while t and (t == len(blocks) or size * len(blocks[t - 1]) <= PRODUCT_CHUNK):
-        t -= 1
-        size *= len(blocks[t])
-    T = reduce(lambda P, X: fq.mat_mul(P[:, None], X[None]).reshape(-1, n, n),
-               (np.stack([g.a for g in blk]) for blk in blocks[t:]), fq.identity(n)[None])
-    if not t:
-        yield T
-        return
-    step = max(1, PRODUCT_CHUNK // size)
-    for L in product_chunks(fq, blocks[:t], n):
-        for lo in range(0, len(L), step):
-            yield fq.mat_mul(L[lo:lo + step, None], T[None]).reshape(-1, n, n)
+@dataclass(frozen=True, eq=False)
+class ProductTables:
+    """The block products of a signature, by segments.  From the end, each
+    run of blocks whose sizes multiply to at most PRODUCT_CHUNK (one block
+    at least) is a segment, and its table holds every product of one
+    element per block of the run, in itertools.product order (the last
+    block varies fastest).  No blocks make one empty segment, whose table
+    is the identity.  Every product of the signature is one row of each
+    table, multiplied across the segments."""
+
+    fq: FqContext
+    n: int
+    sizes: tuple
+    tables: list           # the (N, n, n) int16 table of each segment, left to right
+    weights: np.ndarray    # (blocks, segments): ivs @ weights are the table rows
+
+    @staticmethod
+    def build(fq: FqContext, n: int, blocks) -> ProductTables:
+        """The tables of the blocks, one stacked product per block."""
+        sizes = tuple(len(b) for b in blocks)
+        bounds, t = [], len(sizes)
+        while t or not bounds:
+            stop, size = t, 1
+            while t and (t == stop or size * sizes[t - 1] <= PRODUCT_CHUNK):
+                t -= 1
+                size *= sizes[t]
+            bounds.insert(0, (t, stop))
+        weights = np.zeros((len(sizes), len(bounds)), dtype=np.int64)
+        tables = []
+        for s, (lo, hi) in enumerate(bounds):
+            weights[lo:hi, s] = [math.prod(sizes[b + 1:hi]) for b in range(lo, hi)]
+            tables.append(reduce(lambda P, X: fq.mat_mul(P[:, None], X[None]).reshape(-1, n, n),
+                                 (np.stack([g.a for g in blk]) for blk in blocks[lo:hi]),
+                                 fq.identity(n)[None]))
+        return ProductTables(fq, n, sizes, tables, weights)
+
+    def products(self, ivs):
+        """The left-to-right block products of the index vectors of ivs, a
+        (k, blocks) array, as a (k, n, n) int16 stack: one gathered row per
+        segment and one stacked product per segment after the first.  For
+        prime q the running product is an int64 stack reduced mod p only
+        when the next product could overflow 63 bits."""
+        rows = np.asarray(ivs, dtype=np.int64) @ self.weights
+        stacks = [T[r] for T, r in zip(self.tables, rows.T)]
+        if len(stacks) == 1:
+            return stacks[0]
+        if not self.fq.fast:
+            return reduce(self.fq.mat_mul, stacks)
+        p, n = self.fq.p, self.n
+        P, top = stacks[0], p - 1  # top bounds every entry of P
+        for X in stacks[1:]:
+            if top * n * (p - 1) >= 2 ** 63:
+                P, top = P % p, p - 1
+            P, top = np.matmul(P, X, dtype=np.int64), top * n * (p - 1)
+        return (P % p).astype(np.int16)
+
+    def walk(self):
+        """Every block product, in itertools.product order, as consecutive
+        (k, n, n) stacks.  Each stack is a run of the products of the
+        segments before the last, walked the same way, times the last
+        table, so it holds at most PRODUCT_CHUNK products, or the last
+        table alone when that is larger; the first segment's table is the
+        first stack."""
+        chunks = iter(self.tables[:1])
+        for T in self.tables[1:]:
+            chunks = self._times(chunks, T)
+        return chunks
+
+    def _times(self, chunks, T):
+        step = max(1, PRODUCT_CHUNK // len(T))
+        for L in chunks:
+            for lo in range(0, len(L), step):
+                yield self.fq.mat_mul(L[lo:lo + step, None], T[None]).reshape(-1, self.n, self.n)
 
 
 def _keys(A):
@@ -189,10 +227,9 @@ def _first_indices(keys):
     return first
 
 
-def _distinct_products(fq, blocks, n, lift=False):
-    """How many distinct block products (distinct canonical lifts with
-    lift) the blocks make."""
-    keys = [_keys(canonical_lift(fq, A) if lift else A) for A in product_chunks(fq, blocks, n)]
+def _distinct_products(fq, blocks, n):
+    """How many distinct canonical lifts the block products make."""
+    keys = [_keys(canonical_lift(fq, A)) for A in ProductTables.build(fq, n, blocks).walk()]
     first = _first_indices(np.concatenate(keys))
     return int((first == np.arange(len(first))).sum())
 
@@ -264,35 +301,6 @@ def digits_of(j: int, radices) -> list[int]:
         out.append(j % r)
         j //= r
     return out
-
-
-def undigits(digs, radices) -> int:
-    j = 0
-    M = 1
-    for d, r in zip(digs, radices):
-        j += d * M
-        M *= r
-    return j
-
-
-# ----------------------------------------------------------------------
-
-
-def semidirect_ls(A: list[Mat], B: list[Mat]) -> LogSignature:
-    """Two-block signature [A, B] for a product with A and B meeting in 1."""
-    akeys = {a.key for a in A}
-    bkeys = {b.key for b in B}
-    inter = akeys & bkeys
-    ident = identity(A[0].fq, A[0].n) if A else identity(B[0].fq, B[0].n)
-    if inter - {ident.key}:
-        raise LsError("blocks share a nonidentity element")
-    if _distinct_products(ident.fq, [A, B], ident.n) != len(A) * len(B):
-        raise LsError("product set collapses; not a semidirect factorization")
-    blocks = [blk for blk in (list(A), list(B)) if len(blk) > 1]
-    if not blocks:
-        blocks = [[ident]]
-        return LogSignature(None, blocks, 1, meta={"set": "semidirect"})
-    return LogSignature(None, blocks, len(A) * len(B), meta={"set": "semidirect"})
 
 
 # ----------------------------------------------------------------------
@@ -591,13 +599,14 @@ class _TablePlan(_Plan):
     ivs: np.ndarray    # (N, width) their index vectors
 
     @staticmethod
-    def build(blocks, fq, n):
-        """The table of every product of n x n blocks (the identity for no
-        blocks), from `product_chunks`."""
-        mats = np.concatenate(list(product_chunks(fq, blocks, n)))
+    def build(tables: ProductTables):
+        """The table of every block product (the identity for no blocks),
+        from the walk of the product tables."""
+        mats = np.concatenate(list(tables.walk()))
         # itertools.product order: the last block varies fastest
-        ivs = np.indices([len(b) for b in blocks]).reshape(len(blocks), len(mats)).T
-        plan = _TablePlan(fq, mats.shape[-1], len(blocks), None, mats, ivs)._sorted()
+        sizes = tables.sizes
+        ivs = np.indices(sizes).reshape(len(sizes), len(mats)).T
+        plan = _TablePlan(tables.fq, tables.n, len(sizes), None, mats, ivs)._sorted()
         if (plan.keys[1:] == plan.keys[:-1]).any():
             raise LsError("base-case products collide")
         return plan
@@ -787,8 +796,10 @@ def canonical_ls(desc: GroupDescriptor) -> LogSignature:
         ls = project_ls(inner, center)
         if desc.n % 2 == 1:
             ls = LogSignature(descriptor("P" + inner.group.family, desc.q, n=desc.n),
-                              ls.blocks, ls.claimed_order, meta=dict(ls.meta))
-            ls.plan = inner.plan
+                              ls.blocks, ls.claimed_order, meta=dict(ls.meta),
+                              plan=inner.plan, tables=ls.tables)
+        else:
+            ls.tables = ProductTables.build(fqc, desc.n, ls.blocks)
         return ls
     if base not in ("O", "SO"):
         raise UnsupportedFamily(
@@ -810,9 +821,7 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
     if desc.n == 1:
         blocks = [[identity(fq, 1), neg_identity(fq, 1)]] if base == "O" else []
         claimed = 2 if base == "O" else 1
-        ls = LogSignature(desc, blocks, claimed, meta={"shape": "base", "kind": desc.kind, "minimal": True})
-        ls.plan = _TablePlan.build(blocks, fq, desc.n)
-        return ls
+        return _table_ls(desc, blocks, claimed)
     els = forms.enumerate_isometry_group(space, "O")
     dets = fq.det(np.stack([g.a for g in els]))
     so = [g for g, d in zip(els, dets) if d == 1]
@@ -832,10 +841,14 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
     if base == "O":
         refl = sorted((g for g, d in zip(els, dets) if d != 1), key=lambda x: x.key)
         blocks = blocks + [[identity(fq, 2), refl[0]]]
-    claimed = target * (2 if base == "O" else 1)
-    ls = LogSignature(desc, blocks, claimed, meta={"shape": "base", "kind": desc.kind, "minimal": True})
-    ls.plan = _TablePlan.build(blocks, fq, desc.n)
-    return ls
+    return _table_ls(desc, blocks, target * (2 if base == "O" else 1))
+
+
+def _table_ls(desc, blocks, claimed):
+    """A base-case signature, decoded by the table of all its products."""
+    tables = ProductTables.build(fq_context(desc.p, desc.e), desc.n, blocks)
+    return LogSignature(desc, blocks, claimed, meta={"shape": "base", "kind": desc.kind, "minimal": True},
+                        plan=_TablePlan.build(tables), tables=tables)
 
 
 def _staged_ls(desc: GroupDescriptor) -> LogSignature:
@@ -968,7 +981,8 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     if claimed != expected:
         raise LsError(f"stage sizes multiply to {claimed}, group order is {expected}")
 
-    ls = LogSignature(desc, blocks, claimed, meta={
+    tables = ProductTables.build(fq, n, blocks)
+    ls = LogSignature(desc, blocks, claimed, tables=tables, meta={
         "shape": sp_plan.shape,
         "literal_block_ok": sp_plan.literal_ok,
         "notes": notes,
@@ -1000,7 +1014,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         strips=fq.mat_mul(Tinv, fq.mat_mul(b_inv_pows[js], strip)), head=head, enter=T,
         R=Rwork, SP=np.array(SP), work_gram=work_gram, sp_gram=work_gram[SP], gl1_digits=gl1_digits,
         sub=sub_ls.plan.framed(phi, phi_inv),
-        front=_TablePlan.build(blocks, fq, n) if claimed <= FRONT_ORDER else None,
+        front=_TablePlan.build(tables) if claimed <= FRONT_ORDER else None,
     )._sorted()
     return ls
 
@@ -1113,10 +1127,8 @@ def project_ls(ls: LogSignature, center: list[Mat]) -> LogSignature:
     at most two, with one block halved so sizes match the quotient order.
     """
     if len(center) == 1:
-        out = LogSignature(ls.group, [list(b) for b in ls.blocks], ls.claimed_order,
-                           meta=dict(ls.meta))
-        out.plan = ls.plan
-        return out
+        return LogSignature(ls.group, [list(b) for b in ls.blocks], ls.claimed_order,
+                            meta=dict(ls.meta), plan=ls.plan, tables=ls.tables)
     if len(center) != 2:
         raise LsError("only central subgroups of order <= 2 are supported")
     fq = ls.blocks[0][0].fq
@@ -1159,7 +1171,7 @@ def project_ls(ls: LogSignature, center: list[Mat]) -> LogSignature:
         blocks2 = [list(b) for b in ls.blocks]
         blocks2[t] = list(half)
         blocks2 = _fold_singletons(blocks2, fq, n)
-        if math.prod(len(b) for b in blocks2) == target == _distinct_products(fq, blocks2, n, lift=True):
+        if math.prod(len(b) for b in blocks2) == target == _distinct_products(fq, blocks2, n):
             qblocks = [[Mat(fq, a) for a in canonical_lift(fq, np.stack([g.a for g in b]))]
                        for b in blocks2]
             fam = ls.group.family if ls.group else None
@@ -1238,12 +1250,13 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
               budget=EXHAUSTIVE_BUDGET, check_membership=True) -> VerifyReport:
     """Exhaustive: every index-vector product is distinct, lies in the
     group, and the count equals the claimed order.  The products come from
-    `product_chunks`, one stack at a time: each stack is tested for
-    membership, and the keys of all of them (of the canonical lifts for a
-    projective group) go through one stable sort, which names the first
-    index vector of each key.  Collisions are listed in product
+    the walk of the product tables, one stack at a time: each stack is
+    tested for membership, and the keys of all of them (of the canonical
+    lifts for a projective group) go through one stable sort, which names
+    the first index vector of each key.  Collisions are listed in product
     order.  Sampled: random index vectors round-trip through tame
-    factorization.
+    factorization.  In both modes a signature that names a group of
+    closed-form order must claim that order.
     """
     bound = min_length_bound(ls.claimed_order).bound
     length = ls.length
@@ -1261,18 +1274,13 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
     if mode == "exhaustive":
         if ls.claimed_order > budget:
             raise LsError(f"exhaustive verification needs claimed_order <= {budget}")
-        if ls.blocks:
-            fq, n = ls.blocks[0][0].fq, ls.blocks[0][0].n
-        elif ls.group is not None:
-            fq, n = fq_context(ls.group.p, ls.group.e), ls.group.n
-        else:
-            raise LsError("cannot verify an empty signature without a descriptor")
+        tables = ls.product_tables()
         keys = []
         bad = 0
-        for A in product_chunks(fq, ls.blocks, n):
+        for A in tables.walk():
             if space is not None:
                 bad += len(A) - int(forms.membership_many(space, A, fam).sum())
-            keys.append(_keys(canonical_lift(fq, A) if projective else A))
+            keys.append(_keys(canonical_lift(tables.fq, A) if projective else A))
         first = _first_indices(np.concatenate(keys))
         # every product whose key came earlier, in product order, with the
         # first index vector of that key
@@ -1282,7 +1290,8 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
             ivs, others = (np.stack(np.unravel_index(x, ls.block_sizes()), axis=1).tolist()
                            for x in (again, first[again]))
             collisions = [{"iv": iv, "other": other} for iv, other in zip(ivs, others)]
-        valid = not collisions and bad == 0 and len(first) == ls.claimed_order
+        order_ok = _claims_group_order(ls, notes)
+        valid = not collisions and bad == 0 and len(first) == ls.claimed_order and order_ok
         return VerifyReport(valid, mode, length, bound, valid and length == bound,
                             ls.claimed_order, len(first), collisions, bad, None, notes)
     if mode == "sampled":
@@ -1302,10 +1311,29 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
                         break
             if len(failures) > 5:
                 break
-        valid = not failures
+        order_ok = _claims_group_order(ls, notes)
+        valid = not failures and order_ok
         return VerifyReport(valid, mode, length, bound, valid and length == bound,
                             ls.claimed_order, samples, failures, 0, seed, notes)
     raise LsError(f"unknown mode {mode!r}")
+
+
+def _claims_group_order(ls, notes):
+    """Whether the signature claims the order of the group it names; a note
+    says why when it does not, or when that group has no closed-form order
+    (POmega, whose order depends on whether -I lies in Omega), which then
+    leaves the claim to the other checks."""
+    if ls.group is None:
+        return True
+    try:
+        order = group_order(ls.group)
+    except ValueError as exc:
+        notes.append(f"claimed order not compared with the group order: {exc}")
+        return True
+    if ls.claimed_order != order:
+        notes.append(f"claimed order {ls.claimed_order} is not the group order {order}")
+        return False
+    return True
 
 
 # sampled index vectors are multiplied, tested and decoded in stacks of
@@ -1316,14 +1344,10 @@ _CHUNK = 256
 def _sampled_products(rng, ls, samples):
     """Uniform index vectors and their products, in chunks of _CHUNK; rng
     is drawn one vector at a time, in sample order."""
-    sizes = [len(b) for b in ls.blocks]
+    tables = ls.product_tables()
     for start in range(0, samples, _CHUNK):
-        ivs = [[rng.randrange(s) for s in sizes] for _ in range(min(_CHUNK, samples - start))]
-        A = block_product_many(ls.blocks, ivs)
-        if A is None:
-            n = ls.group.n
-            A = np.broadcast_to(fq_context(ls.group.p, ls.group.e).identity(n), (len(ivs), n, n))
-        yield ivs, A
+        ivs = [[rng.randrange(s) for s in tables.sizes] for _ in range(min(_CHUNK, samples - start))]
+        yield ivs, tables.products(ivs)
 
 
 def _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes):
@@ -1336,8 +1360,7 @@ def _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes):
         raise LsError("sampled verification needs a decodable plan")
     notes.append("signature has no decoding tables; sampled products are decoded "
                   "through the canonical construction")
-    if ls.claimed_order != ref.claimed_order:
-        notes.append(f"claimed order {ls.claimed_order} is not the group order {ref.claimed_order}")
+    order_ok = _claims_group_order(ls, notes)
     decoded = {}
     collisions = []
     bad = 0
@@ -1358,7 +1381,7 @@ def _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes):
             other = decoded.setdefault(tuple(digits[r].tolist()), iv)
             if other != iv:
                 collisions.append({"iv": iv, "other": other})
-    valid = not collisions and bad == 0 and ls.claimed_order == ref.claimed_order
+    valid = not collisions and bad == 0 and order_ok
     bound = min_length_bound(ls.claimed_order).bound
     return VerifyReport(valid, "sampled", ls.length, bound, valid and ls.length == bound,
                         ls.claimed_order, samples, collisions, bad, seed, notes)

@@ -155,9 +155,6 @@ class Mat:
     def rank(self):
         return self.fq.rank(self.a)
 
-    def transpose(self):
-        return Mat(self.fq, np.ascontiguousarray(self.a.T))
-
     def transpose_inv(self):
         return Mat(self.fq, self.fq.mat_inv(np.ascontiguousarray(self.a.T)))
 
@@ -209,23 +206,6 @@ def scalar_mat(fq: FqContext, n: int, c: int) -> Mat:
     return Mat(fq, m)
 
 
-def mat_arith(op: str, A: Mat, B: Mat | None = None):
-    """Dispatcher for the basic exact matrix operations."""
-    if op == "mul":
-        if B is None or A.n != B.n:
-            raise ValueError("mul needs two conformable matrices")
-        return A * B
-    if op == "inv":
-        return A.inv()
-    if op == "det":
-        return A.det()
-    if op == "rank":
-        return A.rank()
-    if op == "transpose_inv":
-        return A.transpose_inv()
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ----------------------------------------------------------------------
 
 
@@ -238,12 +218,6 @@ def mult_matrix(s_code: int, tower: FieldTower) -> Mat:
         raise ValueError("s = 0 is not invertible")
     imgs = [tower.top.mul(s_code, tower.top.pow(tower.alpha, j)) for j in range(2 * tower.m)]
     return Mat(tower.fq, tower.top_to_vec(np.array(imgs)).T)
-
-
-def field_norm_to_fq(tower: FieldTower, s_code: int) -> int:
-    """Norm of the top field down to F_q, as an F_q code."""
-    exp = (tower.top.order - 1) // (tower.q - 1)
-    return tower.top_to_fq_code(tower.top.pow(s_code, exp))
 
 
 def singer_generator(k: int, fq: FqContext) -> Mat:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .factorize import IndexVector, compose, rank, tame_factor, unrank
 from .forms import isometry_inverse
-from .lscore import LogSignature, LsError, canonical_ls, space_for
+from .lscore import LogSignature, LsError, ProductTables, canonical_ls, space_for
 from .matgroups import GroupDescriptor, Mat, identity
 
 
@@ -90,7 +90,8 @@ def keygen(desc: GroupDescriptor, seed: int, translate: bool = True) -> PgmKey:
         gnext = translations[i + 1]
         beta_blocks.append([gprev_inv * blk[j] * gnext for j in perm])
     beta = LogSignature(desc, beta_blocks, alpha.claimed_order,
-                        meta={"derived_from": "canonical", "seed": seed})
+                        meta={"derived_from": "canonical", "seed": seed},
+                        tables=ProductTables.build(fq, n, beta_blocks))
     key = PgmKey(desc, alpha, beta, perms, seed)
     return key
 

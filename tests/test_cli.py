@@ -362,3 +362,44 @@ def test_demo_pipeline_script_runs_end_to_end():
     assert len(cipher) == 1
     msgs, cts, back = cipher[0][len("cipher demo: "):].split(" -> ")
     assert msgs == back and cts != msgs
+
+
+def test_verify_checks_the_claimed_order(tmp_path):
+    # two blocks of the canonical O-4(3) claim an order of 10: every product
+    # is distinct and lies in the group, but the group has 1,440 elements
+    from orthosig.lscore import LogSignature, canonical_ls
+    from orthosig.matgroups import descriptor
+    from orthosig.serial import save_ls
+
+    ls = canonical_ls(descriptor("O-", 3, n=4))
+    out = tmp_path / "two_blocks.json"
+    save_ls(LogSignature(ls.group, ls.blocks[:2], 10), str(out))
+    for mode in ("exhaustive", "sampled"):
+        proc = run_cli("verify", "--in", str(out), "--mode", mode)
+        assert proc.returncode == 1
+        doc, summary = parse_stdout(proc.stdout)
+        assert doc["result"]["valid"] is False
+        assert "claimed order 10 is not the group order 1440" in doc["result"]["notes"]
+        assert summary[0].startswith(f"# INVALID ({mode})")
+
+
+def test_a_loaded_signature_edited_in_place_fails_verification(tmp_path):
+    # compose through the canonical signature and through the loaded copy
+    # first: a loaded signature keeps no tables, so the in-place swap is seen
+    from orthosig.factorize import compose, unrank
+    from orthosig.lscore import canonical_ls, verify_ls
+    from orthosig.matgroups import descriptor
+    from orthosig.serial import load_ls, save_ls
+
+    ls = canonical_ls(descriptor("O-", 3, n=4))
+    compose(unrank(5, ls), ls)
+    path = tmp_path / "ls.json"
+    save_ls(ls, str(path))
+    loaded = load_ls(str(path))
+    assert compose(unrank(5, loaded), loaded) == compose(unrank(5, ls), ls)
+    assert verify_ls(loaded, "exhaustive").valid
+    loaded.blocks[0][1], loaded.blocks[1][1] = loaded.blocks[1][1], loaded.blocks[0][1]
+    assert compose(unrank(1, loaded), loaded) == loaded.blocks[0][1]
+    assert not verify_ls(loaded, "exhaustive").valid
+    save_ls(loaded, str(path))
+    assert run_cli("verify", "--in", str(path), "--mode", "sampled").returncode == 1

@@ -474,3 +474,32 @@ def test_closed_form_residue_matches_the_matrix_path(fam, q, n):
                        for r in range(len(mixed), len(A)))
     assert {"element does not stabilize the base point",
             "stabilizer residue is not block diagonal"} <= messages
+
+
+# the survey grid of scripts/survey_constructions.py, O-4(9) (e > 1) and
+# both parities of PSO
+COMPOSE_GROUPS = [
+    ("O-", 3, 2), ("O+", 3, 2), ("SO-", 3, 2), ("SO+", 3, 2),
+    ("Oodd", 3, 1), ("Oodd", 3, 3), ("Oodd", 3, 5),
+    ("O-", 3, 4), ("O+", 3, 4), ("SO-", 3, 4), ("SO+", 3, 4),
+    ("PSO-", 3, 4), ("PSO+", 3, 4),
+    ("O-", 5, 4), ("O+", 5, 4), ("Oodd", 5, 3),
+    ("O-", 3, 6), ("O+", 3, 6),
+    ("O-", 9, 4), ("PSOodd", 3, 3), ("PSOodd", 5, 3),
+]
+
+
+@pytest.mark.parametrize("fam,q,n", COMPOSE_GROUPS)
+def test_compose_is_the_left_to_right_product(fam, q, n):
+    # through the tables built with the signature, and through tables built
+    # per call from the blocks of a plain copy
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    assert ls.tables is not None
+    copy = LogSignature(ls.group, [list(b) for b in ls.blocks], ls.claimed_order)
+    rng = random.Random(f"compose/{fam}{n}({q})")
+    for _ in range(25):
+        iv = unrank(rng.randrange(ls.claimed_order), ls)
+        want = identity(ls.blocks[0][0].fq, n)
+        for blk, i in zip(ls.blocks, iv):
+            want = want * blk[i]
+        assert compose(iv, ls) == want == compose(iv, copy)

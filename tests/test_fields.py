@@ -102,23 +102,23 @@ def test_field_arith_examples():
 def test_field_arith_errors():
     t = make_tower(3, 1, 2)
     with pytest.raises(FieldError):
-        field_arith("inv", t.zero(3))
+        field_arith("inv", t.fe(3, (0, 0, 0, 0)))
     with pytest.raises(LevelMismatch):
         field_arith("add", t.one(1), t.one(2))
 
 
 def test_trace_examples():
     t = make_tower(3, 1, 2)
-    assert trace_to_base(t.zero(2)) == t.zero(1)
+    assert trace_to_base(t.fe(2, (0, 0))) == t.fe(1, (0,))
     # tr_{F9/F3}(1) = 1 + 1^3 = 2
     assert trace_to_base(t.one(2)) == t.fe(1, (2,))
     # tr(x) = x + x^3 = 0 with modulus x^2 + 1
-    assert trace_to_base(t.fe(2, (0, 1))) == t.zero(1)
+    assert trace_to_base(t.fe(2, (0, 1))) == t.fe(1, (0,))
 
 
 def test_bar_examples():
     t = make_tower(3, 1, 2)
-    a = t.alpha_fe()
+    a = t.fe(3, t.top.coeffs(t.alpha))
     assert bar(bar(a)) == a
     # subfield elements are fixed
     c = t.project(t.embed(t.fe(2, (1, 2))), 3)
@@ -151,7 +151,7 @@ def test_trace_linearity_and_bar_automorphism():
         assert top.mul(t.bar_code(x), t.bar_code(y)) == t.bar_code(top.mul(x, y))
     # F_q-linearity of the trace on the middle level
     sub = [t.embed(t.fe(2, (i, j))) for i in range(3) for j in range(3)]
-    lams = [t.fq_code_to_top(c) for c in range(3)]
+    lams = [t.embed(t.fe(1, (c,))) for c in range(3)]
     for _ in range(300):
         x, y = rng.choice(sub), rng.choice(sub)
         lam = rng.choice(lams)
@@ -184,18 +184,27 @@ def test_e2_tower():
     assert t.q == 9
     assert t.top.order == 81
     assert t.top.element_order(t.alpha) == 80
-    v = t.top_to_vec(t.alpha)
-    assert t.vec_to_top(v) == t.alpha
+    assert t.top_to_vec(t.alpha).tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("p,e,m", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 2), (3, 2, 1),
                                    (5, 2, 1), (3, 3, 1)])
 def test_top_to_vec_inverts_vec_to_top_on_every_code(p, e, m):
-    # the F_q read-off of the solved digits is a bijection onto F_q^2m
+    # the F_q read-off of the solved digits is a bijection onto F_q^2m,
+    # inverted by the sum of the coordinates times the powers of alpha
     t = make_tower(p, e, m)
-    vecs = [t.top_to_vec(c) for c in range(t.top.order)]
+    top = t.top
+
+    def vec_to_top(vec):
+        acc = 0
+        for j, c in enumerate(vec):
+            coord = t.embed(t.fe(1, t.fq.gf.coeffs(int(c))))
+            acc = top.add(acc, top.mul(top.pow(t.alpha, j), coord))
+        return acc
+
+    vecs = [t.top_to_vec(c) for c in range(top.order)]
     assert all(v.dtype == np.int16 and v.shape == (2 * m,) for v in vecs)
-    assert [t.vec_to_top(v) for v in vecs] == list(range(t.top.order))
+    assert [vec_to_top(v) for v in vecs] == list(range(top.order))
 
 
 def test_fq_context_tables():

@@ -1,8 +1,11 @@
-"""Every name a module of the package imports is used in that module, and
-every private function or class of the package is used somewhere in it."""
+"""Every name a module of the package imports is used in that module,
+every private function or class of the package is used somewhere in it,
+and every public function is used by the program, a script, the README or
+the acceptance tests."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -65,3 +68,48 @@ def test_the_scan_finds_an_unreferenced_private_helper():
 
 def test_every_private_helper_is_referenced():
     assert unreferenced_private_defs({p.name: p.read_text() for p in SOURCES}) == []
+
+
+ROOT = SOURCES[0].parents[2]
+# the acceptance tests state the paper's criteria, so what they call is
+# used as much as what the program and the README name
+USERS = [*(ROOT / "src" / "orthosig").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+         ROOT / "tests" / "test_acceptance.py"]
+
+
+def unreferenced_public_defs(sources: dict[str, str], users: dict[str, str], text: str) -> list[str]:
+    """Public functions and methods defined in the sources that no user
+    names (as a bare name, an attribute or an imported name) and no word of
+    the text mentions.  A name that `__init__` re-exports is one it
+    imports, so it counts as used."""
+    defined, used = [], set(re.findall(r"\w+", text))
+    for label, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                defined.append((node.name, f"{label}:{node.lineno}"))
+    for source in users.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{where}: {name}" for name, where in defined if name not in used]
+
+
+def test_the_scan_finds_an_unreferenced_public_function():
+    sources = {
+        "a": "def used():\n    pass\ndef left():\n    pass\nclass K:\n    def meth(self):\n        pass\n"
+             "    def told(self):\n        pass\n    def _private(self):\n        pass\n",
+        "__init__": "from .a import exported\n",
+    }
+    users = {**sources, "b": "from a import used\nused()\nx = obj.meth\n"}
+    sources["c"] = "def exported():\n    pass\n"
+    assert unreferenced_public_defs(sources, users, "call `K.told` first") == ["a:3: left"]
+
+
+def test_every_public_function_is_referenced():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    users = {str(p): p.read_text() for p in USERS}
+    assert unreferenced_public_defs(sources, users, (ROOT / "README.md").read_text()) == []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -12,14 +13,12 @@ from orthosig.lscore import (
     LogSignature,
     LsError,
     UnsupportedFamily,
-    block_product,
     canonical_ls,
     cyclic_set_mls,
     min_length_bound,
     parabolic_ls,
-    product_chunks,
+    ProductTables,
     project_ls,
-    semidirect_ls,
     spread_construction,
     verify_ls,
 )
@@ -104,14 +103,14 @@ def test_cyclic_set_index_sum_property_bulk():
 
 def test_cyclic_set_uniqueness_small_exhaustive():
     # integer model: digits map bijectively onto {0..s-1}
-    from orthosig.lscore import _mixed_radices, digits_of, undigits
+    from orthosig.lscore import _mixed_radices, digits_of
 
     for s in range(1, 65):
         radices = _mixed_radices(s) if s > 1 else []
         seen = set()
         for iv in itertools.product(*[range(r) for r in radices]):
-            val = undigits(list(iv), radices)
-            assert val not in seen
+            val = sum(d * math.prod(radices[:i]) for i, d in enumerate(iv))
+            assert val not in seen and digits_of(val, radices) == list(iv)
             seen.add(val)
         assert len(seen) == (s if s > 1 else 1)
 
@@ -220,24 +219,11 @@ def test_cyclic_set_rejects_oversize():
 # ---------------------------------------------------------------- semidirect
 
 
-def test_semidirect_examples():
-    fq = fq_context(3, 1)
-    space = build_space("minus", make_tower(3, 1, 1))
-    G = enumerate_isometry_group(space, "O")
-    I = identity(fq, 2)
-    ls = semidirect_ls([I], G)
-    assert len(ls.blocks) == 1 and ls.claimed_order == 8
-    r = next(g for g in G if g.det() != 1)
-    with pytest.raises(LsError):
-        semidirect_ls([I, r], [I, r])
-
-
 def test_semidirect_parabolic_o4minus():
     space = build_space("minus", make_tower(3, 1, 2))
     ls = parabolic_ls(space, 1)
     R, Q = ls.blocks
-    ls2 = semidirect_ls(R, Q)
-    assert ls2.claimed_order == 144
+    assert len(R) * len(Q) == ls.claimed_order == 144
     rep = verify_ls(ls, "exhaustive", check_membership=False)
     assert rep.valid
 
@@ -550,9 +536,9 @@ def test_parabolic_signatures_match_golden_hashes(kind, p, m, k):
        st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=4),
        st.sampled_from([1, 2, 3, 5, 8, 4096]),
        st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_product_chunks_walk_in_product_order(pe, sizes, chunk, seed):
-    # small chunk sizes put chunk boundaries inside every block and split
-    # the trailing table from the leading walk at every position
+def test_product_tables_walk_in_product_order(pe, sizes, chunk, seed):
+    # small chunk sizes put segment and chunk boundaries inside every block
+    # and split the last table from the leading walk at every position
     from orthosig import lscore
 
     fq = fq_context(*pe)
@@ -560,43 +546,49 @@ def test_product_chunks_walk_in_product_order(pe, sizes, chunk, seed):
     blocks = [[Mat(fq, rng.integers(0, fq.q, (3, 3))) for _ in range(s)] for s in sizes]
     old, lscore.PRODUCT_CHUNK = lscore.PRODUCT_CHUNK, chunk
     try:
-        chunks = list(product_chunks(fq, blocks, 3))
+        tables = ProductTables.build(fq, 3, blocks)
+        chunks = list(tables.walk())
     finally:
         lscore.PRODUCT_CHUNK = old
+    # a segment is one block or has at most chunk products
+    assert math.prod(len(T) for T in tables.tables) == math.prod(sizes)
+    assert all(len(T) <= chunk or len(T) in sizes for T in tables.tables)
     assert all(0 < len(c) <= max(chunk, sizes[-1] if sizes else 1) for c in chunks)
     walked = np.concatenate(chunks)
     ivs = list(itertools.product(*[range(s) for s in sizes]))
     assert walked.dtype == np.int16 and len(walked) == len(ivs)
-    for iv, g in zip(ivs, walked):
+    gathered = tables.products(ivs)
+    for iv, g, h in zip(ivs, walked, gathered):
         want = identity(fq, 3)
         for b, i in zip(blocks, iv):
             want = want * b[i]
-        assert g.tobytes() == want.key
-        if blocks:
-            assert block_product(blocks, iv) == want
+        assert g.tobytes() == h.tobytes() == want.key
 
 
 @pytest.mark.parametrize("p,n,length", [(3, 6, 40), (181, 3, 30), (191, 4, 12), (7, 8, 25)])
-def test_block_product_many_is_exact_across_deferred_reductions(p, n, length):
+def test_compose_is_exact_across_deferred_reductions(p, n, length, monkeypatch):
     # the int64 running product is reduced mod p only before a product that
-    # could overflow; long chains of the largest codes cross several
-    # reductions, and every product must agree with exact integers
-    from orthosig.lscore import block_product_many
+    # could overflow; with one segment per block, long chains of the
+    # largest codes cross several reductions, and every product, from
+    # compose and from the sampled products, must agree with exact integers
+    from orthosig import lscore
+    from orthosig.factorize import IndexVector, compose
 
+    monkeypatch.setattr(lscore, "PRODUCT_CHUNK", 1)
     fq = fq_context(p, 1)
     rng = np.random.default_rng(p * n)
     mats = rng.integers(0, p, (length, 2, n, n)).astype(np.int16)
     mats[:, 0] = p - 1
-    blocks = [[Mat(fq, a) for a in pair] for pair in mats]
+    ls = LogSignature(None, [[Mat(fq, a) for a in pair] for pair in mats], 2 ** length)
     ivs = [[0] * length, [1] * length, rng.integers(0, 2, length).tolist()]
-    got = block_product_many(blocks, ivs)
-    assert got.dtype == np.int16 and got.shape == (3, n, n)
-    for iv, g in zip(ivs, got):
+    assert len(ls.product_tables().tables) == length
+    samples = [(iv, A) for chunk_ivs, A in lscore._sampled_products(random.Random(p), ls, 20)
+               for iv, A in zip(chunk_ivs, A)]
+    for iv, g in [(iv, compose(IndexVector(tuple(iv)), ls).a) for iv in ivs] + samples:
         want = np.eye(n, dtype=object)
         for pair, i in zip(mats, iv):
             want = (want @ pair[i].astype(object)) % p
-        assert g.tolist() == want.tolist()
-    assert block_product_many(blocks, ivs[2:])[0].tolist() == got[2].tolist()
+        assert g.dtype == np.int16 and g.tolist() == want.tolist()
 
 
 def _report_variants(fam, q, n):
@@ -737,6 +729,20 @@ def test_verify_rejects_a_group_past_the_envelope_instead_of_skipping_membership
     for mode in ("exhaustive", "sampled"):
         with pytest.raises(FieldError, match="q\\^2m"):
             verify_ls(ls, mode, samples=10)
+
+
+def test_verify_compares_the_claimed_order_where_a_closed_form_exists():
+    ref = canonical_ls(descriptor("O-", 3, n=4))
+    short = LogSignature(ref.group, ref.blocks[:2], 10)
+    for mode in ("exhaustive", "sampled"):
+        rep = verify_ls(short, mode, samples=50)
+        assert not rep.valid and "claimed order 10 is not the group order 1440" in rep.notes
+    # POmega has no closed-form order, so the claim stands on the other checks
+    fq = fq_context(3, 1)
+    rep = verify_ls(LogSignature(descriptor("POmega-", 3, n=4), [[identity(fq, 4)]], 1), "exhaustive")
+    assert rep.valid and rep.notes == [
+        "claimed order not compared with the group order: "
+        "POmega order depends on whether -I is in Omega; use enumeration"]
 
 
 def test_verify_reports_that_cannot_be_made():

@@ -192,7 +192,7 @@ def test_orbit_walk_matches_stepping():
     s = build_space("minus", make_tower(3, 1, 2))
     a, _ = standard_generators(descriptor("O-", 3, n=4), s)
     pts = enumerate_isotropic_points(s)
-    gens = [a, a.pow(2), a * a.transpose(), identity(s.fq, 4)]
+    gens = [a, a.pow(2), a * Mat(s.fq, np.ascontiguousarray(a.a.T)), identity(s.fq, 4)]
     mats = np.stack([g.a for g in gens])
     Ws = [subspace(s.fq, [v]) for v in pts[:4]]
     for steps in (1, 3, 11):
