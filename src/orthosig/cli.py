@@ -18,7 +18,7 @@ import time
 from . import __version__
 from . import forms, pgm
 from .factorize import compose, rank, tame_factor, unrank
-from .fields import fq_context, make_tower, projective_points, split_prime_power
+from .fields import fq_context, make_tower, projective_points
 from .lscore import (
     EXHAUSTIVE_BUDGET,
     canonical_ls,
@@ -29,23 +29,17 @@ from .lscore import (
     spread_construction,
     verify_ls,
 )
-from .matgroups import Mat, descriptor, group_order, identity, isotropic_point_count, neg_identity
+from .matgroups import (
+    FAMILIES, SUFFIXES, Mat, descriptor, family_of, group_order, identity, isotropic_point_count,
+    neg_identity,
+)
 from .serial import load_ls, save_ls
 from .spreads import classical_spread, verify_partition
 
 
-FAMILY_CHOICES = [
-    "O-", "O+", "Oodd", "SO-", "SO+", "SOodd",
-    "Omega-", "Omega+", "Omegaodd",
-    "PSO-", "PSO+", "PSOodd", "POmega-", "POmega+", "POmegaodd",
-]
-
-KIND_CHOICES = ["minus", "plus", "odd"]
-
-
 def _add_group_args(sp, need_family=True):
     if need_family:
-        sp.add_argument("--family", required=True, choices=FAMILY_CHOICES)
+        sp.add_argument("--family", required=True, choices=FAMILIES)
     sp.add_argument("--q", type=int, required=True)
     g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--m", type=int)
@@ -66,7 +60,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("counts", help="singular point count vs closed form")
-    c.add_argument("--kind", required=True, choices=KIND_CHOICES)
+    c.add_argument("--kind", required=True, choices=list(SUFFIXES))
     _add_group_args(c, need_family=False)
     _add_common(c)
 
@@ -87,7 +81,7 @@ def build_parser():
     _add_common(c)
 
     c = sub.add_parser("spread-check", help="classical spread and construction spread reports")
-    c.add_argument("--kind", required=True, choices=KIND_CHOICES)
+    c.add_argument("--kind", required=True, choices=list(SUFFIXES))
     _add_group_args(c, need_family=False)
     _add_common(c)
 
@@ -143,18 +137,14 @@ def _namable(v):
     return isinstance(v, (str, int, float, bool, type(None)))
 
 
-def _kind_to_family(kind):
-    return {"minus": "O-", "plus": "O+", "odd": "Oodd"}[kind]
-
-
 def cmd_counts(args):
-    kind = args.kind
-    m = args.m if args.m is not None else (args.n - 1) // 2 if kind == "odd" else args.n // 2
-    space = space_for(descriptor(_kind_to_family(kind), args.q, m=m))
+    desc = _descriptor(args, family_of("O", args.kind))
+    space = space_for(desc)
     pts = forms.enumerate_isotropic_points(space, check_count=False)
-    expected = isotropic_point_count(kind, args.q, m)
+    expected = isotropic_point_count(args.kind, args.q, desc.m)
     match = len(pts) == expected
-    payload = {"kind": kind, "q": args.q, "m": m, "count": len(pts), "closed_form": expected, "match": match}
+    payload = {"kind": args.kind, "q": args.q, "m": desc.m, "count": len(pts), "closed_form": expected,
+               "match": match}
     return _report(args, payload, [f"isotropic points: {len(pts)} (closed form {expected})"],
                    0 if match else 1)
 
@@ -244,14 +234,11 @@ def cmd_factor(args):
 
 
 def cmd_spread_check(args):
-    kind = args.kind
-    m = args.m if args.m is not None else ((args.n - 1) // 2 if kind == "odd" else args.n // 2)
-    p, e = split_prime_power(args.q)
-    tower = make_tower(p, e, m)
+    desc = _descriptor(args, family_of("O", args.kind))
+    tower = make_tower(desc.p, desc.e, desc.m)
     cls = classical_spread(tower)
-    cls_rep = verify_partition(cls, projective_points(tower.fq, tower.fq.identity(2 * m)), tower.fq)
-    space = space_for(descriptor(_kind_to_family(kind), args.q, m=m))
-    plan = spread_construction(space, "O" + {"minus": "-", "plus": "+", "odd": "odd"}[kind])
+    cls_rep = verify_partition(cls, projective_points(tower.fq, tower.fq.identity(2 * desc.m)), tower.fq)
+    plan = spread_construction(space_for(desc), desc.family)
     payload = {
         "classical": {"members": len(cls), "partition_of_V": cls_rep["ok"],
                       "points_per_member": cls_rep["points_per_member"]},
@@ -297,7 +284,7 @@ def cmd_parabolic(args):
 
 def cmd_project(args):
     desc = _descriptor(args)
-    if not desc.family.startswith("SO"):
+    if desc.base_family() != "SO":
         return _report(args, {"error": "project starts from an SO family"}, ["unsupported"], 2)
     ls = canonical_ls(desc)
     fqc = fq_context(desc.p, desc.e)
@@ -305,14 +292,12 @@ def cmd_project(args):
     if desc.n % 2 == 0:
         center.append(neg_identity(fqc, desc.n))
     pls = project_ls(ls, center)
-    if pls.group is None:
-        pls.group = descriptor("P" + desc.family, desc.q, n=desc.n)
     rep = verify_ls(pls, mode="exhaustive", budget=args.budget)
     if args.out:
         save_ls(pls, args.out)
     payload = {
         "from": desc.to_json(),
-        "to": pls.group.to_json() if pls.group else None,
+        "to": pls.group.to_json(),
         "order": pls.claimed_order,
         "length": pls.length,
         "bound": rep.bound,

@@ -293,11 +293,6 @@ class GF:
             raise FieldError(f"coefficients must lie in [0, {self.p}), got {list(coeffs)}")
         return int(sum(c * self.p ** i for i, c in enumerate(coeffs)))
 
-    def lex_codes(self):
-        """All codes ordered by low-degree-first lexicographic coefficients."""
-        for tail in itertools.product(range(self.p), repeat=self.d):
-            yield int(sum(c * self.p ** i for i, c in enumerate(tail)))
-
 
 @cache
 def _gf(p: int, d: int) -> GF:
@@ -429,13 +424,7 @@ class FqContext:
                 self.UN += (sums % (p * p) % p).astype(np.int16) * np.int16(p ** i)
                 sums //= p * p
         self.two_inv = self.gf.inv(2 % q if self.p != 2 else 1)
-        self.generator = self._find_generator()
-
-    def _find_generator(self):
-        for code in self.gf.lex_codes():
-            if code and self.gf.element_order(code) == self.q - 1:
-                return code
-        return 1  # q == 2, unused here (p odd throughout)
+        self.generator = gf.alpha
 
     # -- scalars
     def add(self, a, b):

@@ -20,8 +20,10 @@ from .fields import FieldError, FieldTower, FqContext, fq_context, projective_po
 from .matgroups import (
     Mat,
     derived_subgroup,
+    family_of,
     isotropic_point_count,
     mulclose,
+    split_family,
 )
 
 
@@ -58,8 +60,6 @@ class QuadraticSpace:
 
     @property
     def m(self):
-        if self.kind == "odd":
-            return (self.n - 1) // 2
         return self.n // 2
 
     # -- forms in witt coordinates
@@ -318,16 +318,15 @@ def membership(space: QuadraticSpace, g: Mat, family: str) -> bool:
 def membership_many(space: QuadraticSpace, A, family: str):
     """Membership of each matrix of a (k, n, n) stack in the family's group,
     as a boolean array: one stacked isometry test, one stacked determinant
-    and, for Omega, one stacked rank for the even-rank criterion."""
-    base = family
-    for pre in ("POmega", "PSO", "SO", "Omega", "O"):
-        if family.startswith(pre):
-            base = pre
-            break
+    and, for Omega, one stacked rank for the even-rank criterion.  For PSO
+    and POmega a matrix is a member when it or its negative lies in SO or
+    Omega."""
+    projective, base, kind = split_family(family)
     fq = space.fq
     A = np.asarray(A, dtype=np.int16)
-    if base in ("PSO", "POmega"):
-        return membership_many(space, A, family[1:]) | membership_many(space, fq.v_neg(A), family[1:])
+    if projective:
+        linear = family_of(base, kind)
+        return membership_many(space, A, linear) | membership_many(space, fq.v_neg(A), linear)
     ok = preserves_form(fq, space.gram, A)
     if base == "O":
         return ok

@@ -28,14 +28,15 @@ from .matgroups import (
     GroupDescriptor,
     Mat,
     OrderNotFound,
-    descriptor,
     element_order,
+    family_of,
     group_order,
     identity,
     maximal_ts_count,
     mulclose,
     neg_identity,
     singer_generator,
+    split_family,
     standard_generators,
 )
 from . import forms
@@ -438,23 +439,22 @@ def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
     the determinant condition of the family matters, so the plan is built
     once per space for O and once for SO.
     """
-    return _spread_construction(space, family.startswith("SO"))
+    return _spread_construction(space, split_family(family)[1] == "SO")
 
 
 @cache
 def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     kind = space.kind
-    q, m, n = space.q, space.m, space.n
+    q, n = space.q, space.n
     L = space.isotropic_points()
     notes = []
     if not L:
         return SpreadPlan("empty", None, None, [], {}, {}, True, notes, None)
-    r = {"minus": m - 1, "plus": m, "odd": m}[kind]
+    r = space.witt_index
     lit = None
     if r >= 1 and n >= 3:
         try:
-            fam_tag = {"minus": "-", "plus": "+", "odd": "odd"}[kind]
-            desc = descriptor(("SO" if det1 else "O") + fam_tag, q, n=n)
+            desc = GroupDescriptor(family_of("SO" if det1 else "O", kind), q, n)
             lit_a, gnotes = standard_generators(desc, space)
             notes.extend(gnotes)
             lit = lit_a
@@ -771,9 +771,7 @@ def space_for(desc: GroupDescriptor) -> QuadraticSpace:
     decoding and verification look it up for every element."""
     if desc.n == 1:
         return build_line_space(desc.p, desc.e)
-    m_tower = desc.m if desc.kind != "odd" else (desc.n - 1) // 2
-    m_tower = max(m_tower, 1)
-    return build_space(desc.kind, make_tower(desc.p, desc.e, m_tower))
+    return build_space(desc.kind, make_tower(desc.p, desc.e, desc.m))
 
 
 @cache
@@ -787,7 +785,7 @@ def canonical_ls(desc: GroupDescriptor) -> LogSignature:
     """
     base = desc.base_family()
     if base == "PSO":
-        inner = canonical_ls(descriptor("SO" + desc.family[3:], desc.q, n=desc.n))
+        inner = canonical_ls(desc.with_base("SO"))
         fqc = fq_context(desc.p, desc.e)
         center = [identity(fqc, desc.n)]
         if desc.n % 2 == 0:
@@ -795,8 +793,7 @@ def canonical_ls(desc: GroupDescriptor) -> LogSignature:
             center.append(neg_identity(fqc, desc.n))
         ls = project_ls(inner, center)
         if desc.n % 2 == 1:
-            ls = LogSignature(descriptor("P" + inner.group.family, desc.q, n=desc.n),
-                              ls.blocks, ls.claimed_order, meta=dict(ls.meta),
+            ls = LogSignature(desc, ls.blocks, ls.claimed_order, meta=dict(ls.meta),
                               plan=inner.plan, tables=ls.tables)
         else:
             ls.tables = ProductTables.build(fqc, desc.n, ls.blocks)
@@ -854,8 +851,7 @@ def _table_ls(desc, blocks, claimed):
 def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     space = space_for(desc)
     fq = space.fq
-    base = desc.base_family()
-    sp_plan = spread_construction(space, base + {"minus": "-", "plus": "+", "odd": "odd"}[desc.kind])
+    sp_plan = spread_construction(space, desc.family)
     notes = list(sp_plan.notes)
     blocks: list = []
     layers_meta = []
@@ -958,7 +954,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         cur = fq.mul(cur, mu)
 
     # recursive tail on the model space of dimension n - 2
-    sub_desc = descriptor(desc.family, desc.q, n=desc.n - 2)
+    sub_desc = replace(desc, n=desc.n - 2)
     sub_ls = canonical_ls(sub_desc)
     sub_space = space_for(sub_desc)
     sub_gram = np.ascontiguousarray(work_gram[np.ix_(SP, SP)])
@@ -1056,7 +1052,7 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
             mid_els = forms.enumerate_isometry_group(mid_space, "O")
         else:
             mid_els = [identity(fq, 1), neg_identity(fq, 1)]
-        if family.startswith("SO"):
+        if family == "SO":
             mid_els = [g for g, d in zip(mid_els, fq.det(np.stack([g.a for g in mid_els]))) if d == 1]
         mid_mats = []
         for g in mid_els:
@@ -1174,10 +1170,9 @@ def project_ls(ls: LogSignature, center: list[Mat]) -> LogSignature:
         if math.prod(len(b) for b in blocks2) == target == _distinct_products(fq, blocks2, n):
             qblocks = [[Mat(fq, a) for a in canonical_lift(fq, np.stack([g.a for g in b]))]
                        for b in blocks2]
-            fam = ls.group.family if ls.group else None
             qdesc = None
-            if fam and fam.startswith("SO"):
-                qdesc = descriptor("P" + fam, ls.group.q, n=ls.group.n)
+            if ls.group is not None and ls.group.base_family() == "SO":
+                qdesc = ls.group.with_base("PSO")
             meta = dict(ls.meta)
             meta.update({"projected": True, "halved_block": t,
                          "minimal": ls.meta.get("minimal", False)})
@@ -1247,7 +1242,7 @@ EXHAUSTIVE_BUDGET = 1_000_000
 
 
 def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
-              budget=EXHAUSTIVE_BUDGET, check_membership=True) -> VerifyReport:
+              budget=EXHAUSTIVE_BUDGET) -> VerifyReport:
     """Exhaustive: every index-vector product is distinct, lies in the
     group, and the count equals the claimed order.  The products come from
     the walk of the product tables, one stack at a time: each stack is
@@ -1261,16 +1256,9 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
     bound = min_length_bound(ls.claimed_order).bound
     length = ls.length
     notes = []
-    projective = bool(ls.group and ls.group.family.startswith(("PSO", "POmega")))
-    space = None
-    fam = None
-    if check_membership and ls.group is not None:
-        # a group past the parameter envelope raises here, before any check
-        if ls.group.family in ("GL", "parabolic"):
-            notes.append("membership space unavailable; skipping membership checks")
-        else:
-            space = space_for(ls.group)
-            fam = ls.group.family
+    projective = ls.group is not None and ls.group.projective
+    # a group past the parameter envelope raises here, before any check
+    space = space_for(ls.group) if ls.group is not None else None
     if mode == "exhaustive":
         if ls.claimed_order > budget:
             raise LsError(f"exhaustive verification needs claimed_order <= {budget}")
@@ -1279,7 +1267,7 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         bad = 0
         for A in tables.walk():
             if space is not None:
-                bad += len(A) - int(forms.membership_many(space, A, fam).sum())
+                bad += len(A) - int(forms.membership_many(space, A, ls.group.family).sum())
             keys.append(_keys(canonical_lift(tables.fq, A) if projective else A))
         first = _first_indices(np.concatenate(keys))
         # every product whose key came earlier, in product order, with the
@@ -1297,7 +1285,7 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
     if mode == "sampled":
         rng = random.Random(seed)
         if ls.plan is None:
-            return _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes)
+            return _sampled_through_canonical(ls, samples, seed, rng, space, notes)
         failures = []
         for ivs, A in _sampled_products(rng, ls, samples):
             digits, errors = ls.plan.decode_many(A)
@@ -1350,7 +1338,7 @@ def _sampled_products(rng, ls, samples):
         yield ivs, tables.products(ivs)
 
 
-def _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes):
+def _sampled_through_canonical(ls, samples, seed, rng, space, notes):
     """Sampled check of a signature that carries no decoding tables, such
     as one read from a file: each sampled product must lie in the group,
     and distinct index vectors must decode to distinct canonical index
@@ -1365,8 +1353,7 @@ def _sampled_through_canonical(ls, samples, seed, rng, space, fam, notes):
     collisions = []
     bad = 0
     for ivs, A in _sampled_products(rng, ls, samples):
-        member = (forms.membership_many(space, A, fam) if space is not None
-                  else np.ones(len(ivs), dtype=bool))
+        member = forms.membership_many(space, A, ls.group.family)
         digits, errors = ref.plan.decode_many(A[member])
         # row r of digits belongs to the r-th member of the chunk
         for iv, is_member, r in zip(ivs, member, (np.cumsum(member) - 1).tolist()):

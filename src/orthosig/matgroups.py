@@ -27,39 +27,53 @@ class OrderNotFound(RuntimeError):
     pass
 
 
-FAMILIES = (
-    "O-", "O+", "Oodd",
-    "SO-", "SO+", "SOodd",
-    "Omega-", "Omega+", "Omegaodd",
-    "PSO-", "PSO+", "PSOodd",
-    "POmega-", "POmega+", "POmegaodd",
-    "GL", "parabolic",
-)
+# A family name is a base followed by the suffix of a form kind, such as
+# "PSO-" or "Oodd".  This module is the only one that reads or spells one.
+BASES = ("O", "SO", "Omega", "PSO", "POmega")
+SUFFIXES = {"minus": "-", "plus": "+", "odd": "odd"}
 
-_KIND_SUFFIX = {"-": "minus", "+": "plus", "odd": "odd"}
+# name -> (projective, linear base, kind): PSO and POmega are the quotients
+# of SO and Omega by the scalars +-I
+_PARTS = {base + suffix: (base.startswith("P"), base.removeprefix("P"), kind)
+          for base in BASES for kind, suffix in SUFFIXES.items()}
+FAMILIES = tuple(_PARTS)
+
+
+def split_family(name: str) -> tuple[bool, str, str]:
+    """(projective, base, kind) of a family name: whether the group is a
+    quotient by +-I, the linear group O, SO or Omega it is taken from, and
+    the form kind.  Raises ValueError on any name outside FAMILIES."""
+    try:
+        return _PARTS[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None
+
+
+def family_of(base: str, kind: str) -> str:
+    """The family name of a base in BASES and a form kind."""
+    return base + SUFFIXES[kind]
 
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """Which group: family tag, field size q = p^e, matrix dimension n."""
+    """Which group: family name, field size q = p^e, matrix dimension n."""
 
     family: str
     q: int
     n: int
-    k: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        split_family(self.family)
         p, e = check_field_size(self.q)
         if p == 2:
             raise ValueError("q must be odd")
-        if self.family.endswith("odd"):
-            if self.n % 2 != 1:
-                raise ValueError(f"odd-dimension family needs odd n, got {self.n}")
-        elif self.family not in ("GL", "parabolic"):
+        if self.kind != "odd":
             if self.n % 2 != 0 or self.n < 2:
                 raise ValueError(f"family {self.family} needs even n >= 2, got {self.n}")
+        elif self.n % 2 != 1:
+            raise ValueError(f"odd-dimension family needs odd n, got {self.n}")
+        elif self.n < 1:
+            raise ValueError(f"odd-dimension family needs n >= 1, got {self.n}")
 
     @property
     def p(self):
@@ -71,36 +85,41 @@ class GroupDescriptor:
 
     @property
     def m(self):
+        """The rank: n = 2m, or 2m + 1 for the odd kind."""
         return self.n // 2
 
     @property
     def kind(self):
-        for suffix, kind in _KIND_SUFFIX.items():
-            if self.family.endswith(suffix) and self.family != "GL":
-                return kind
-        raise ValueError(f"family {self.family} has no form kind")
+        return split_family(self.family)[2]
+
+    @property
+    def projective(self):
+        return split_family(self.family)[0]
 
     def base_family(self):
-        """O/SO/Omega prefix of the family."""
-        for pre in ("POmega", "PSO", "SO", "Omega", "O"):
-            if self.family.startswith(pre):
-                return pre
-        raise ValueError(self.family)
+        """The family name without its kind suffix, one of BASES."""
+        projective, base, _ = split_family(self.family)
+        return "P" + base if projective else base
+
+    def with_base(self, base: str) -> GroupDescriptor:
+        """The group of another base in BASES with the same kind, q and n."""
+        return GroupDescriptor(family_of(base, self.kind), self.q, self.n)
 
     def to_json(self):
-        return {"family": self.family, "q": self.q, "n": self.n, "k": self.k}
+        # "k" is kept so that every file written keeps its bytes
+        return {"family": self.family, "q": self.q, "n": self.n, "k": 0}
 
     @staticmethod
     def from_json(d):
-        return GroupDescriptor(d["family"], d["q"], d["n"], d.get("k", 0))
+        return GroupDescriptor(d["family"], d["q"], d["n"])
 
 
-def descriptor(family: str, q: int, m: int | None = None, n: int | None = None, k: int = 0) -> GroupDescriptor:
+def descriptor(family: str, q: int, m: int | None = None, n: int | None = None) -> GroupDescriptor:
     if n is None:
         if m is None:
             raise ValueError("need m or n")
-        n = 2 * m + 1 if family.endswith("odd") else 2 * m
-    return GroupDescriptor(family, q, n, k)
+        n = 2 * m + 1 if split_family(family)[2] == "odd" else 2 * m
+    return GroupDescriptor(family, q, n)
 
 
 # ----------------------------------------------------------------------
@@ -263,13 +282,6 @@ def element_order(g: Mat, cap: int) -> int:
 # group orders, closed forms
 
 
-def order_gl(k: int, q: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= q ** k - q ** i
-    return out
-
-
 def order_sp(n: int, q: int) -> int:
     if n % 2:
         raise ValueError("symplectic groups need even dimension")
@@ -302,8 +314,6 @@ def order_orthogonal(kind: str, n: int, q: int) -> int:
 
 def group_order(desc: GroupDescriptor) -> int:
     base = desc.base_family()
-    if desc.family == "GL":
-        return order_gl(desc.n, desc.q)
     if desc.n == 1:
         o = 2
     else:
@@ -319,9 +329,7 @@ def group_order(desc: GroupDescriptor) -> int:
         if desc.n <= 2:
             raise ValueError("Omega order not defined here for n <= 2")
         return o // 4
-    if base == "POmega":
-        raise ValueError("POmega order depends on whether -I is in Omega; use enumeration")
-    raise ValueError(desc.family)
+    raise ValueError("POmega order depends on whether -I is in Omega; use enumeration")
 
 
 def isotropic_point_count(kind: str, q: int, m: int) -> int:

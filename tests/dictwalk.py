@@ -18,13 +18,12 @@ def verify_by_dict_walk(ls):
     space = space_for(desc)
     one = identity(space.fq, desc.n)
     minus = neg_identity(space.fq, desc.n)
-    projective = desc.family.startswith("PSO")
     seen, collisions, outside = {}, [], 0
     for iv in itertools.product(*[range(len(b)) for b in ls.blocks]):
         g = one
         for blk, i in zip(ls.blocks, iv):
             g = g * blk[i]
-        key = min(g.key, (minus * g).key) if projective else g.key
+        key = min(g.key, (minus * g).key) if desc.projective else g.key
         if key in seen:
             collisions.append({"iv": list(iv), "other": seen[key]})
         else:

@@ -157,8 +157,8 @@ def test_construct_rejects_q_past_the_int16_code_limit(tmp_path):
 ])
 def test_q_past_the_table_budget_exits_2_before_any_table_is_built(argv, tmp_path, capsys):
     # 4099 is the first prime past q <= 4096, 2809 = 53^2 the first q = p^e
-    # with e > 1 past q <= 2590; spread-check builds its tower without a
-    # descriptor.  Run in this process, so that tracemalloc sees every array
+    # with e > 1 past q <= 2590.  Run in this process, so that tracemalloc
+    # sees every array
     import tracemalloc
 
     from orthosig.cli import main
@@ -256,6 +256,36 @@ def test_omega_check_command():
 def test_unknown_family_exits_2():
     proc = run_cli("construct", "--family", "Omega-", "--q", "3", "--m", "2", "--out", "/tmp/x.json")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["counts", "--kind", "odd", "--q", "3", "--n", "4"], "odd-dimension family needs odd n, got 4"),
+    (["spread-check", "--kind", "plus", "--q", "3", "--n", "5"], "family O+ needs even n >= 2, got 5"),
+    (["counts", "--kind", "odd", "--q", "3", "--m", "-1"], "odd-dimension family needs n >= 1, got -1"),
+])
+def test_a_dimension_the_kind_cannot_have_exits_2(argv, error, capsys):
+    # these once reported the next smaller space, or a space of the wrong size
+    from orthosig.cli import main
+
+    assert main(argv) == 2
+    doc, _ = parse_stdout(capsys.readouterr().out)
+    assert doc["error"] == error
+
+
+@pytest.mark.parametrize("family", ["GL", "parabolic"])
+def test_a_file_naming_a_family_nothing_builds_exits_2(family, tmp_path, capsys):
+    from orthosig.cli import main
+    from orthosig.lscore import canonical_ls
+    from orthosig.matgroups import descriptor
+
+    doc = canonical_ls(descriptor("O-", 3, n=4)).to_json()
+    doc["group"]["family"] = family
+    path = tmp_path / "ls.json"
+    path.write_text(json.dumps(doc))
+    for mode in ("exhaustive", "sampled"):
+        assert main(["verify", "--in", str(path), "--mode", mode]) == 2
+        doc_out, _ = parse_stdout(capsys.readouterr().out)
+        assert doc_out["error"] == f"unknown family {family!r}"
 
 
 def test_usage_error_exits_2():

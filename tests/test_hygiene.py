@@ -113,3 +113,57 @@ def test_every_public_function_is_referenced():
     sources = {p.name: p.read_text() for p in SOURCES}
     users = {str(p): p.read_text() for p in USERS}
     assert unreferenced_public_defs(sources, users, (ROOT / "README.md").read_text()) == []
+
+
+KIND_NAMES = {"minus", "plus"}
+SUFFIX_NAMES = {"-", "+"}
+
+
+def _is_family(node) -> bool:
+    """A `family` or `fam` name, or a `.family` attribute."""
+    return (isinstance(node, ast.Name) and node.id in ("family", "fam")) or \
+        (isinstance(node, ast.Attribute) and node.attr == "family")
+
+
+def family_name_parsing(source: str) -> list[str]:
+    """Lines that read a family name apart by hand: an index or slice of a
+    family value, a prefix or suffix method called on one, or a dict
+    literal that spells out a map between form kinds and kind suffixes (or
+    whole family names).  `matgroups` answers these through `split_family`,
+    `family_of`, `FAMILIES` and `SUFFIXES`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and _is_family(node.value):
+            found.append((node.lineno, "subscript"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("startswith", "endswith", "removeprefix", "removesuffix") \
+                and _is_family(node.func.value):
+            found.append((node.lineno, node.func.attr))
+        elif isinstance(node, ast.Dict):
+            words = {n.value for n in [*node.keys, *node.values]
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+            if words & KIND_NAMES and any(w[-1:] in SUFFIX_NAMES for w in words):
+                found.append((node.lineno, "kind map"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_scan_finds_a_family_name_parsed_by_hand():
+    src = (
+        "a = family[3:]\n"
+        "b = desc.family.startswith('SO')\n"
+        "c = fam.removeprefix('P')\n"
+        "d = {'minus': '-', 'plus': '+', 'odd': 'odd'}[kind]\n"
+        "e = {'minus': 'O-', 'plus': 'O+'}\n"
+        "f = {'+': 'plus'}\n"
+        "g = {'minus': 1, 'plus': 0}[kind]\n"
+        "h = family == 'SO' and split_family(fam)[1] and ls.group.family\n"
+    )
+    assert family_name_parsing(src) == [
+        "line 1: subscript", "line 2: startswith", "line 3: removeprefix",
+        "line 4: kind map", "line 5: kind map", "line 6: kind map",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "matgroups.py"], ids=lambda p: p.name)
+def test_only_matgroups_parses_family_names(path):
+    assert family_name_parsing(path.read_text()) == []

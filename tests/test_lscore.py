@@ -224,7 +224,7 @@ def test_semidirect_parabolic_o4minus():
     ls = parabolic_ls(space, 1)
     R, Q = ls.blocks
     assert len(R) * len(Q) == ls.claimed_order == 144
-    rep = verify_ls(ls, "exhaustive", check_membership=False)
+    rep = verify_ls(ls, "exhaustive")
     assert rep.valid
 
 
@@ -430,7 +430,7 @@ def test_parabolic_so_variant():
     ls = parabolic_ls(space, 1, "SO")
     # q^{2m-2} : (GL_1 x SO_2^-(3)) = 9 * 2 * 4
     assert ls.meta["R_size"] == 9 and ls.meta["Q_size"] == 8
-    rep = verify_ls(ls, "exhaustive", check_membership=False)
+    rep = verify_ls(ls, "exhaustive")
     assert rep.valid
 
 
@@ -743,6 +743,96 @@ def test_verify_compares_the_claimed_order_where_a_closed_form_exists():
     assert rep.valid and rep.notes == [
         "claimed order not compared with the group order: "
         "POmega order depends on whether -I is in Omega; use enumeration"]
+
+
+TAMPER_GROUPS = [("O-", 3, 4), ("SO+", 3, 4), ("PSO-", 3, 4), ("Oodd", 5, 3)]
+TAMPERS = ["drop", "repeat", "swap", "entry", "order", "rename"]
+
+
+def _tamper(data, doc):
+    """Apply one drawn tamper to a signature file's JSON document; returns
+    its name and, for a repeat or a swap, whether both elements came from
+    one block."""
+    from orthosig.matgroups import FAMILIES
+
+    blocks = doc["blocks"]
+    how = data.draw(st.sampled_from(TAMPERS))
+    if how == "drop":
+        del blocks[data.draw(st.integers(0, len(blocks) - 1))]
+    elif how in ("repeat", "swap"):
+        spots = [(i, j) for i, b in enumerate(blocks) for j in range(len(b))]
+        (i, j), (k, l) = data.draw(st.lists(st.sampled_from(spots), min_size=2, max_size=2, unique=True)
+                                   .filter(lambda s: blocks[s[0][0]][s[0][1]] != blocks[s[1][0]][s[1][1]]))
+        if how == "repeat":
+            blocks[i][j] = blocks[k][l]
+        else:
+            blocks[i][j], blocks[k][l] = blocks[k][l], blocks[i][j]
+        return how, i == k
+    elif how == "entry":
+        i = data.draw(st.integers(0, len(blocks) - 1))
+        entries = blocks[i][data.draw(st.integers(0, len(blocks[i]) - 1))]["entries"]
+        r, c = data.draw(st.integers(0, len(entries) - 1)), data.draw(st.integers(0, len(entries) - 1))
+        p = doc["group"]["q"]  # the inputs are prime fields
+        entries[r][c] = [data.draw(st.integers(0, p - 1).filter(lambda x: [x] != entries[r][c]))]
+    elif how == "order":
+        old = doc["claimed_order"]
+        doc["claimed_order"] = data.draw(st.integers(1, 2 * 10 ** 6).filter(lambda x: x != old))
+    else:
+        old = doc["group"]["family"]
+        doc["group"]["family"] = data.draw(st.sampled_from([f for f in (*FAMILIES, "GL") if f != old]))
+    return how, False
+
+
+@given(group=st.sampled_from(TAMPER_GROUPS), data=st.data())
+def test_a_tampered_file_verifies_as_the_dict_walk_says_or_exits_2(group, data, tmp_path_factory):
+    import contextlib
+    import io
+    import json
+
+    from dictwalk import verify_by_dict_walk
+    from orthosig import cli
+    from orthosig.serial import load_ls
+
+    doc = json.loads(json.dumps(canonical_ls(descriptor(group[0], group[1], n=group[2])).to_json()))
+    how, one_block = _tamper(data, doc)
+    path = tmp_path_factory.mktemp("tamper") / "ls.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", "--in", str(path), "--mode", "exhaustive"])
+    if code == 2:
+        assert "error" in json.loads(out.getvalue().split("\n# ")[0])
+        return
+    ls = load_ls(str(path))
+    rep = verify_ls(ls, "exhaustive")
+    collisions, outside, distinct = verify_by_dict_walk(ls)
+    try:
+        order_ok = ls.claimed_order == group_order(ls.group)
+    except ValueError:  # POmega has no closed-form order
+        order_ok = True
+    assert (rep.collisions, rep.not_in_group) == (collisions, outside)
+    assert rep.valid == (not collisions and not outside and distinct == ls.claimed_order and order_ok)
+    assert code == (0 if rep.valid else 1)
+    # a swap inside one block keeps the product set; a dropped block, a
+    # repeat inside one block and a wrong order always break the signature.
+    # A rename can name the same group: PSO-4(3) is POmega-4(3), since -I
+    # is not in Omega-4(3)
+    if how == "swap":
+        assert rep.valid or not one_block
+    if how in ("drop", "order") or (how == "repeat" and one_block):
+        assert not rep.valid
+
+
+def test_every_o_minus_2_inside_the_envelope_builds_and_verifies():
+    # O-2(q) is dihedral of order 2(q + 1); every odd prime power up to 200
+    from orthosig.fields import factorint
+
+    qs = [q for q in range(3, 201, 2) if len(factorint(q)) == 1]
+    assert len(qs) == 53
+    for q in qs:
+        ls = canonical_ls(descriptor("O-", q, n=2))
+        rep = verify_ls(ls, "exhaustive")
+        assert ls.claimed_order == 2 * (q + 1) and rep.valid and rep.products_checked == 2 * (q + 1), q
 
 
 def test_verify_reports_that_cannot_be_made():

@@ -7,6 +7,7 @@ from orthosig.fields import FieldError, fq_context, make_tower
 from orthosig.forms import build_space, is_isometry
 from orthosig.lscore import canonical_ls
 from orthosig.matgroups import (
+    FAMILIES,
     GroupDescriptor,
     Mat,
     OrderNotFound,
@@ -19,9 +20,9 @@ from orthosig.matgroups import (
     mulclose,
     mult_matrix,
     neg_identity,
-    order_gl,
     order_sp,
     singer_generator,
+    split_family,
     standard_generators,
 )
 
@@ -89,7 +90,6 @@ def test_element_order():
 
 
 def test_group_orders():
-    assert order_gl(2, 3) == 48
     assert order_sp(2, 3) == 24
     assert order_sp(2, 5) == 120
     assert group_order(descriptor("O-", 3, n=4)) == 1440
@@ -108,6 +108,8 @@ def test_descriptor_validation():
         GroupDescriptor("O-", 3, 3)
     with pytest.raises(ValueError):
         GroupDescriptor("Oodd", 3, 4)
+    with pytest.raises(ValueError, match="n >= 1"):
+        GroupDescriptor("Oodd", 3, -1)
     d = descriptor("SOodd", 3, m=1)
     assert d.n == 3 and d.kind == "odd" and d.base_family() == "SO"
     # the int16-code limit: 32771 is the smallest prime above 2^15.  The
@@ -119,6 +121,24 @@ def test_descriptor_validation():
             GroupDescriptor("O-", q, 2)
     with pytest.raises(ValueError, match="2\\^15"):
         GroupDescriptor("O-", 32771, 2)
+
+
+def test_family_names_are_a_base_and_a_kind_suffix():
+    assert FAMILIES == (
+        "O-", "O+", "Oodd", "SO-", "SO+", "SOodd", "Omega-", "Omega+", "Omegaodd",
+        "PSO-", "PSO+", "PSOodd", "POmega-", "POmega+", "POmegaodd",
+    )
+    assert split_family("Oodd") == (False, "O", "odd")
+    assert split_family("POmega+") == (True, "Omega", "plus")
+    for name in ("GL", "parabolic", "SO", "PSO-x", "O-+"):
+        with pytest.raises(ValueError, match="unknown family"):
+            split_family(name)
+        with pytest.raises(ValueError, match="unknown family"):
+            GroupDescriptor(name, 3, 4)
+    d = descriptor("PSO-", 3, m=2)
+    assert (d.projective, d.base_family(), d.kind, d.m) == (True, "PSO", "minus", 2)
+    assert d.with_base("SO") == descriptor("SO-", 3, n=4)
+    assert descriptor("SOodd", 5, m=3).with_base("PSO").family == "PSOodd"
 
 
 def test_standard_generator_orders_minus():
