@@ -24,15 +24,11 @@ from .lscore import (
     canonical_ls,
     min_length_bound,
     parabolic_ls,
-    project_ls,
     space_for,
     spread_construction,
     verify_ls,
 )
-from .matgroups import (
-    FAMILIES, SUFFIXES, Mat, descriptor, family_of, group_order, identity, isotropic_point_count,
-    neg_identity,
-)
+from .matgroups import FAMILIES, SUFFIXES, Mat, descriptor, family_of, group_order, isotropic_point_count
 from .serial import load_ls, save_ls
 from .spreads import classical_spread, verify_partition
 
@@ -173,14 +169,6 @@ def cmd_construct(args):
     return _report(args, payload, lines, 0)
 
 
-def _is_canonical(ls, ls_file):
-    """Whether a signature read from a file is the canonical construction
-    ls, block for block and element for element."""
-    return [len(b) for b in ls.blocks] == [len(b) for b in ls_file.blocks] and all(
-        a.key == b.key for ba, bb in zip(ls.blocks, ls_file.blocks) for a, b in zip(ba, bb)
-    )
-
-
 def cmd_verify(args):
     ls_file = load_ls(args.infile)
     desc = ls_file.group
@@ -189,7 +177,7 @@ def cmd_verify(args):
         # a canonical file round-trips through its own tables; any other
         # file is sampled from its own blocks
         ls = canonical_ls(desc)
-        if not _is_canonical(ls, ls_file):
+        if ls.blocks != ls_file.blocks:
             notes.append("file does not match the canonical construction")
             ls = ls_file
         rep = verify_ls(ls, mode="sampled", samples=args.samples, seed=args.seed, budget=args.budget)
@@ -211,7 +199,7 @@ def cmd_factor(args):
     ls_file = load_ls(args.infile)
     desc = ls_file.group
     ls = canonical_ls(desc)
-    mismatch = not _is_canonical(ls, ls_file)
+    mismatch = ls.blocks != ls_file.blocks
     if args.rank is None and args.element_file is None:
         return _report(args, {"error": "need --rank or --element-file"}, ["nothing to factor"], 2)
     if args.rank is not None:
@@ -286,12 +274,7 @@ def cmd_project(args):
     desc = _descriptor(args)
     if desc.base_family() != "SO":
         return _report(args, {"error": "project starts from an SO family"}, ["unsupported"], 2)
-    ls = canonical_ls(desc)
-    fqc = fq_context(desc.p, desc.e)
-    center = [identity(fqc, desc.n)]
-    if desc.n % 2 == 0:
-        center.append(neg_identity(fqc, desc.n))
-    pls = project_ls(ls, center)
+    pls = canonical_ls(desc.with_base("PSO"))
     rep = verify_ls(pls, mode="exhaustive", budget=args.budget)
     if args.out:
         save_ls(pls, args.out)

@@ -296,9 +296,8 @@ def preserves_form(fq: FqContext, G, A):
     return (lhs == G).all(axis=(-2, -1))
 
 
-def is_isometry(space: QuadraticSpace, g: Mat, frame="witt") -> bool:
-    G = space.gram if frame == "witt" else space.gram_model
-    return bool(preserves_form(space.fq, G, g.a))
+def is_isometry(space: QuadraticSpace, g: Mat) -> bool:
+    return bool(preserves_form(space.fq, space.gram, g.a))
 
 
 def omega_rank_criterion(space: QuadraticSpace, g):

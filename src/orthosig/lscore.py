@@ -338,11 +338,12 @@ def _default_w0(space: QuadraticSpace, r: int) -> Subspace:
 
 
 @cache
-def ts_subspace_transporters(space, r, det1):
+def ts_subspace_transporters(space, det1):
     """Transporters from the default base to every totally singular r-space
     reachable in the chosen group, r the Witt index: all of them by Witt
     transitivity, except that on the plus type SO has two orbits of equal
     size."""
+    r = space.witt_index
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
     size = maximal_ts_count(space.kind, space.q, r)
     if det1 and space.kind == "plus":
@@ -466,7 +467,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     if r >= 1:
         M = len(L) * (q - 1) // (q ** r - 1)
         if lit is not None:
-            transporters = ts_subspace_transporters(space, r, det1)
+            transporters = ts_subspace_transporters(space, det1)
             bases = np.frombuffer(b"".join(transporters), dtype=np.int16).reshape(-1, r, n)
             ret, imgs = spr.orbit_walk(space.fq, np.broadcast_to(lit.a, (len(bases), n, n)),
                                        bases, M)
@@ -785,19 +786,7 @@ def canonical_ls(desc: GroupDescriptor) -> LogSignature:
     """
     base = desc.base_family()
     if base == "PSO":
-        inner = canonical_ls(desc.with_base("SO"))
-        fqc = fq_context(desc.p, desc.e)
-        center = [identity(fqc, desc.n)]
-        if desc.n % 2 == 0:
-            # -I lies in SO only in even dimension
-            center.append(neg_identity(fqc, desc.n))
-        ls = project_ls(inner, center)
-        if desc.n % 2 == 1:
-            ls = LogSignature(desc, ls.blocks, ls.claimed_order, meta=dict(ls.meta),
-                              plan=inner.plan, tables=ls.tables)
-        else:
-            ls.tables = ProductTables.build(fqc, desc.n, ls.blocks)
-        return ls
+        return project_ls(canonical_ls(desc.with_base("SO")))
     if base not in ("O", "SO"):
         raise UnsupportedFamily(
             f"canonical construction covers O, SO and PSO families, not {desc.family}"
@@ -1118,20 +1107,22 @@ def canonical_lift(fq: FqContext, A):
     return np.where((a[rows, first] <= b[rows, first])[:, None, None], A, neg)
 
 
-def project_ls(ls: LogSignature, center: list[Mat]) -> LogSignature:
-    """Blockwise image under the quotient by a central subgroup of order
-    at most two, with one block halved so sizes match the quotient order.
+def project_ls(ls: LogSignature) -> LogSignature:
+    """Blockwise image of a signature of SO under the quotient by the
+    scalars of SO, relabelled PSO.  In odd dimension -I is not in SO, so
+    the image is the signature itself with its plan and tables.  In even
+    dimension the quotient is by {I, -I}, and one block is halved so the
+    sizes match the quotient order.
     """
-    if len(center) == 1:
-        return LogSignature(ls.group, [list(b) for b in ls.blocks], ls.claimed_order,
+    qdesc = None
+    if ls.group is not None and ls.group.base_family() == "SO":
+        qdesc = ls.group.with_base("PSO")
+    n = ls.group.n if ls.group is not None else ls.blocks[0][0].n
+    if n % 2 == 1:
+        return LogSignature(qdesc, [list(b) for b in ls.blocks], ls.claimed_order,
                             meta=dict(ls.meta), plan=ls.plan, tables=ls.tables)
-    if len(center) != 2:
-        raise LsError("only central subgroups of order <= 2 are supported")
     fq = ls.blocks[0][0].fq
-    n = ls.blocks[0][0].n
     minus = neg_identity(fq, n)
-    if not any(c.key == minus.key for c in center):
-        raise LsError("center must be {I, -I}")
     target = ls.claimed_order // 2
 
     aliased = []
@@ -1170,13 +1161,11 @@ def project_ls(ls: LogSignature, center: list[Mat]) -> LogSignature:
         if math.prod(len(b) for b in blocks2) == target == _distinct_products(fq, blocks2, n):
             qblocks = [[Mat(fq, a) for a in canonical_lift(fq, np.stack([g.a for g in b]))]
                        for b in blocks2]
-            qdesc = None
-            if ls.group is not None and ls.group.base_family() == "SO":
-                qdesc = ls.group.with_base("PSO")
             meta = dict(ls.meta)
             meta.update({"projected": True, "halved_block": t,
                          "minimal": ls.meta.get("minimal", False)})
-            return LogSignature(qdesc, qblocks, target, meta=meta)
+            return LogSignature(qdesc, qblocks, target, meta=meta,
+                                tables=ProductTables.build(fq, n, qblocks))
     raise InjectivityFail("no single-block halving yields a transversal of the center")
 
 

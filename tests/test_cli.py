@@ -303,6 +303,22 @@ def test_project_writes_loadable_file(tmp_path):
     assert doc["result"]["valid"] and doc["result"]["claimed_order"] == 360
 
 
+@pytest.mark.parametrize("family,q,m", [
+    ("SO-", 3, 2), ("SO+", 5, 2), ("SO+", 3, 1), ("SOodd", 3, 1), ("SOodd", 5, 0),
+])
+def test_project_writes_the_signature_construct_writes(family, q, m, tmp_path, capsys):
+    # one projection serves both commands; for odd n it only relabels the SO signature
+    from orthosig.cli import main
+
+    group = ["--q", str(q), "--m", str(m)]
+    projected, constructed = tmp_path / "project.json", tmp_path / "construct.json"
+    assert main(["project", "--family", family, *group, "--out", str(projected)]) == 0
+    doc, _ = parse_stdout(capsys.readouterr().out)
+    assert doc["result"]["to"]["family"] == "P" + family
+    assert main(["construct", "--family", "P" + family, *group, "--out", str(constructed)]) == 0
+    assert projected.read_bytes() == constructed.read_bytes()
+
+
 def _swapped_o4_3(tmp_path):
     """The O-4(3) signature with element 1 of blocks 0 and 1 swapped."""
     out = tmp_path / "ls.json"

@@ -216,7 +216,7 @@ def test_orbit_precheck_matches_check_pairwise():
     for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 3), ("odd", "Oodd", 2)]:
         s = build_space(kind, make_tower(3, 1, m))
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
-        keys = ts_subspace_transporters(s, s.witt_index, False)
+        keys = ts_subspace_transporters(s, False)
         bases = np.stack([subspace_from_key(k, s.n).basis() for k in keys])
         ret, imgs = orbit_walk(s.fq, np.broadcast_to(lit.a, (len(bases), s.n, s.n)), bases, 12)
         for size in set(ret.tolist()) - {0}:
@@ -312,7 +312,7 @@ def test_schreier_transversal_stops_at_the_closed_form_size(kind, q, m, det1):
         assert [g.key for g in got.values()] == [g.key for g in want.values()]
         with pytest.raises(RuntimeError, match=f"^orbit has {size} members, expected {size + 1}$"):
             schreier_transversal(start, gens, size + 1)
-    assert list(ts_subspace_transporters(s, r, det1)) == list(_unbounded_transversal(W0, gens))
+    assert list(ts_subspace_transporters(s, det1)) == list(_unbounded_transversal(W0, gens))
 
 
 def _pairwise_reference(fq, members):
