@@ -5,7 +5,7 @@ through it, and run the signature-keyed cipher, all on one small group."""
 import random
 
 from orthosig import pgm
-from orthosig.factorize import compose, rank, tame_factor, unrank
+from orthosig.factorize import compose, tame_factor, unrank
 from orthosig.lscore import canonical_ls, min_length_bound, verify_ls
 from orthosig.matgroups import descriptor
 

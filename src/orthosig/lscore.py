@@ -565,7 +565,7 @@ class _Plan:
         GeometryError of a singular matrix); the digit rows of those
         elements are meaningless.  A failing element does not stop the
         others.  stats, when given, accumulates the per-element counts:
-        `mults` (matrix products) and `lookups` (base-case table lookups)."""
+        `mults` (matrix products) and `lookups` (product-table hits)."""
         A = np.asarray(A, dtype=np.int16)
         if A.ndim != 3 or A.shape[1:] != (self.n, self.n):
             raise LsError(f"expected a stack of {self.n}x{self.n} matrices, got shape {A.shape}")
@@ -582,22 +582,24 @@ class _Plan:
 
 
 # a stage whose group has at most this many elements also keeps the table
-# of all its products, which answers a member with one lookup
+# of all its products, which answers a member with one lookup; a larger
+# stage whose point stabilizer has at most this many keeps that table
 FRONT_ORDER = 4096
 
 
 @dataclass
 class _TablePlan(_Plan):
-    """Base-case decoder, and the front of a small stage: the full product
-    table (small groups only), keyed by the base-q integers of the products
-    in the input frame."""
+    """Base-case decoder, and the front or stabilizer table of a stage: the
+    full product table (small groups only), keyed by the base-q integers of
+    the products in the frame they are looked up in."""
 
     fq: FqContext
     n: int
     width: int
     keys: np.ndarray   # sorted
     mats: np.ndarray   # (N, n, n) products in key order
-    ivs: np.ndarray    # (N, width) their index vectors
+    ivs: np.ndarray    # (N, width) their index vectors, int16: no block of a table
+                       # has more than max(FRONT_ORDER, q + 1) < 2^15 elements
 
     @staticmethod
     def build(tables: ProductTables):
@@ -606,7 +608,7 @@ class _TablePlan(_Plan):
         mats = np.concatenate(list(tables.walk()))
         # itertools.product order: the last block varies fastest
         sizes = tables.sizes
-        ivs = np.indices(sizes).reshape(len(sizes), len(mats)).T
+        ivs = np.indices(sizes, dtype=np.int16).reshape(len(sizes), len(mats)).T
         plan = _TablePlan(tables.fq, tables.n, len(sizes), None, mats, ivs)._sorted()
         if (plan.keys[1:] == plan.keys[:-1]).any():
             raise LsError("base-case products collide")
@@ -657,7 +659,11 @@ class _StagePlan(_Plan):
     A stage whose group has at most FRONT_ORDER elements carries the
     `front` table of all its products: the elements found there are
     answered with one lookup each, and the rest go down the stage path, so
-    a non-member fails with the same error as without the table.
+    a non-member fails with the same error as without the table.  A larger
+    stage whose point stabilizer (the Siegel, GL1 and tail blocks) has at
+    most FRONT_ORDER elements carries instead the `stab` table of the
+    stabilizer products in the working frame, which answers hw with one
+    lookup; hw does not depend on the input frame, so neither does `stab`.
     """
 
     space: QuadraticSpace
@@ -678,6 +684,7 @@ class _StagePlan(_Plan):
     gl1_digits: np.ndarray   # digits of the discrete log of each unit (row 0 unused)
     sub: _Plan
     front: _TablePlan | None  # every product of the stage, for a small group
+    stab: _TablePlan | None   # every stabilizer product, working frame, for a small stabilizer
 
     @property
     def n(self):
@@ -710,7 +717,7 @@ class _StagePlan(_Plan):
             if hit.all():
                 return
             Z, rows = Z[~hit], rows[~hit]
-        fq, R, SP, n, k = self.space.fq, self.R, self.SP, self.n, len(rows)
+        fq, R, SP, n = self.space.fq, self.R, self.SP, self.n
         ZT = fq.mat_mul(Z, self.enter)
         keys = _row_keys(fq, ZT[:, :, 0])
         pos, alive = _find(self.keys, keys)
@@ -721,10 +728,25 @@ class _StagePlan(_Plan):
                              LsError("element does not move the base point inside the singular set"))
         pt = self.point[pos]
         hw = fq.mat_mul(self.strips[pt], ZT)
+        if stats is not None:
+            # the products into the frame and hw for each element on a
+            # singular line
+            stats["mults"] = stats.get("mults", 0) + len(rows) + int(alive.sum())
+        head = self.head[pt]
+        if self.stab is not None:
+            # a hit is an exact product of the stabilizer blocks, so the
+            # element is a member; only the misses go on for their errors
+            out[rows, col:col + head.shape[1]] = head
+            hit = self.stab._answer(hw, rows, out, col + head.shape[1])
+            if stats is not None:
+                stats["lookups"] = stats.get("lookups", 0) + int(hit.sum())
+            if hit.all():
+                return
+            hw, rows, alive, head = hw[~hit], rows[~hit], alive[~hit], head[~hit]
+        k = len(rows)
         lam = hw[:, 0, 0]
         u = fq.v_scale(lam[:, None], hw[:, SP, R])
-        digits = np.concatenate(
-            [self.head[pt], fq.gf.digits[u].reshape(k, -1), self.gl1_digits[lam]], axis=1)
+        digits = np.concatenate([head, fq.gf.digits[u].reshape(k, -1), self.gl1_digits[lam]], axis=1)
         out[rows, col:col + digits.shape[1]] = digits
         # hw = E(u) d(lam) y with y = 1 + 1 + ysub on (e_0, f_0, SP), and
         # E(-u) hw must be d(lam) = diag(lam at 0, lam^-1 at R) on the
@@ -749,11 +771,10 @@ class _StagePlan(_Plan):
         want[:, 2 * n + R] = fq.NEG[hw[:, 0, R]]
         bad = border != want
         if stats is not None:
-            # the products of the matrix path: into the frame, hw for each
-            # element on a singular line, and E(-u) and E(-u) hw for each
-            # one that fixes the line of e_0
+            # the products of the matrix path after hw: E(-u) and E(-u) hw
+            # for each element that fixes the line of e_0
             fixes = alive & ~bad[:, :n].any(axis=1)
-            stats["mults"] = stats.get("mults", 0) + k + int(alive.sum()) + 2 * int(fixes.sum())
+            stats["mults"] += 2 * int(fixes.sum())
         if bad.any():
             failed = True
             alive &= ~_reject(errors, rows, alive & bad[:, :n].any(axis=1), LsError,
@@ -919,6 +940,9 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     else:
         b_point_to_j = {space.canon(w_gl).tobytes(): 0}
 
+    # the blocks from here on multiply to the stabilizer of the point of w
+    nhead = len(blocks)
+
     # Siegel blocks
     SP = list(range(1, Rwork)) + list(range(Rwork + 1, 2 * Rwork)) + list(range(2 * Rwork, n))
     # block (pos, theta) holds the maps along u = c theta e_pos, c < p; all
@@ -1000,6 +1024,9 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         R=Rwork, SP=np.array(SP), work_gram=work_gram, sp_gram=work_gram[SP], gl1_digits=gl1_digits,
         sub=sub_ls.plan.framed(phi, phi_inv),
         front=_TablePlan.build(tables) if claimed <= FRONT_ORDER else None,
+        stab=(_TablePlan.build(ProductTables.build(fq, n, blocks[nhead:])).framed(Tinv, T)
+              if claimed > FRONT_ORDER and math.prod(map(len, blocks[nhead:])) <= FRONT_ORDER
+              else None),
     )._sorted()
     return ls
 

@@ -33,6 +33,7 @@ class PgmKey:
     beta_ls: LogSignature
     perms: list          # per block: permutation applied to alpha indices
     seed: int
+    inverse_perms: list  # per block: the beta index of each alpha index
 
     @property
     def order(self):
@@ -92,18 +93,15 @@ def keygen(desc: GroupDescriptor, seed: int, translate: bool = True) -> PgmKey:
     beta = LogSignature(desc, beta_blocks, alpha.claimed_order,
                         meta={"derived_from": "canonical", "seed": seed},
                         tables=ProductTables.build(fq, n, beta_blocks))
-    key = PgmKey(desc, alpha, beta, perms, seed)
-    return key
+    inverse_perms = [np.argsort(perm).tolist() for perm in perms]
+    return PgmKey(desc, alpha, beta, perms, seed, inverse_perms)
 
 
 def _beta_factor(key: PgmKey, g: Mat) -> IndexVector:
     """Tame factorization through beta: beta products with indices j equal
     alpha products with indices perm[j], so decode via alpha and unmap."""
     alpha_iv = tame_factor(g, key.alpha_ls)
-    out = []
-    for perm, ai in zip(key.perms, alpha_iv):
-        out.append(perm.index(ai))
-    return IndexVector(tuple(out))
+    return IndexVector(tuple(inv[ai] for inv, ai in zip(key.inverse_perms, alpha_iv)))
 
 
 def encrypt(key: PgmKey, msg: int) -> int:

@@ -10,9 +10,7 @@ faithfully and is left red on purpose.
 import random
 import time
 
-import pytest
-
-from orthosig import forms, pgm
+from orthosig import pgm
 from orthosig.factorize import compose, tame_factor, unrank
 from orthosig.fields import make_tower, projective_points
 from orthosig.forms import (

@@ -303,59 +303,89 @@ def test_a_rejected_non_member_leaves_stats_as_it_was(fam, q, n):
     assert rejected
 
 
-def _without_fronts(plan):
-    """The plan with the product-table front of every stage taken off, so
-    that every element goes down the stage path."""
+def _without_tables(plan):
+    """The plan with the product-table front and stabilizer table of every
+    stage taken off, so that every element goes down the stage path."""
     from dataclasses import replace
 
     from orthosig.lscore import _StagePlan
 
     if not isinstance(plan, _StagePlan):
         return plan
-    return replace(plan, front=None, sub=_without_fronts(plan.sub))
+    return replace(plan, front=None, stab=None, sub=_without_tables(plan.sub))
 
 
-def _fronts(plan):
-    """Whether each stage of the plan, top first, carries a front."""
+def _tables(plan):
+    """Which product table each stage of the plan, top first, carries:
+    "front", "stab" or None."""
     from orthosig.lscore import _StagePlan
 
     out = []
     while isinstance(plan, _StagePlan):
-        out.append(plan.front is not None)
+        assert plan.front is None or plan.stab is None
+        out.append("front" if plan.front is not None else "stab" if plan.stab is not None else None)
         plan = plan.sub
     return out
 
 
 def test_small_stages_carry_a_product_table_front():
-    # O-4(3) has 1440 elements; O+6(3) and Oodd5(3) have tails O+4(3)
-    # (1152) and Oodd3(3) (48); O-4(5) has 31200
-    assert _fronts(canonical_ls(descriptor("O-", 3, n=4)).plan) == [True]
-    assert _fronts(canonical_ls(descriptor("O+", 3, n=6)).plan) == [False, True]
-    assert _fronts(canonical_ls(descriptor("Oodd", 3, n=5)).plan) == [False, True]
-    assert _fronts(canonical_ls(descriptor("O-", 5, n=4)).plan) == [False]
+    # a front when the stage has at most FRONT_ORDER elements, else a stab
+    # table when its point stabilizer has, else neither.  O-4(3) has 1440
+    # elements; O-4(5) has 31200 and a stabilizer of 1200; Oodd5(3) has a
+    # stabilizer of 2592 and the tail Oodd3(3) (48); O+6(3) has a
+    # stabilizer of 186624 and the tail O+4(3) (1152); O-4(9) has a
+    # stabilizer of 12960
+    assert _tables(canonical_ls(descriptor("O-", 3, n=4)).plan) == ["front"]
+    assert _tables(canonical_ls(descriptor("O-", 5, n=4)).plan) == ["stab"]
+    assert _tables(canonical_ls(descriptor("Oodd", 3, n=5)).plan) == ["stab", "front"]
+    assert _tables(canonical_ls(descriptor("O+", 3, n=6)).plan) == [None, "front"]
+    assert _tables(canonical_ls(descriptor("O-", 9, n=4)).plan) == [None]
     front = canonical_ls(descriptor("O-", 3, n=4)).plan.front
     assert len(front.keys) == 1440 and front.ivs.shape == (1440, front.width)
+    plan = canonical_ls(descriptor("O-", 5, n=4)).plan
+    assert len(plan.stab.keys) == 1200
+    assert plan.stab.ivs.shape == (1200, plan.width - plan.head.shape[1])
 
 
 @pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("SO+", 3, 4), ("O+", 3, 6), ("Oodd", 3, 5),
-                                     ("Oodd", 9, 3), ("PSOodd", 3, 5)])
+                                     ("Oodd", 9, 3), ("PSOodd", 3, 5), ("O-", 5, 4), ("O+", 5, 4),
+                                     ("O+", 7, 4), ("Oodd", 3, 7)])
 def test_the_front_answers_as_the_stage_path_does(fam, q, n):
-    # members are answered by one lookup at the first stage with a front;
-    # everything else goes down the stage path, with its digits and errors
+    # members are answered by one lookup, at the first stage with a front
+    # or stabilizer table; everything else goes down the stage path, with
+    # its digits and errors
     import numpy as np
 
     ls = canonical_ls(descriptor(fam, q, n=n))
     rng = random.Random(3)
     members = [compose(unrank(rng.randrange(ls.claimed_order), ls), ls).a for _ in range(20)]
-    A = np.stack(members + _mixed_elements(ls, 3, 40))
+    bare_plan = _without_tables(ls.plan)
+    A = np.stack(members + _mixed_elements(ls, 3, 40) + _border_perturbed(bare_plan, members, 3))
     stats, bare_stats = {}, {}
     digits, errors = ls.plan.decode_many(A, stats)
-    bare, bare_errors = _without_fronts(ls.plan).decode_many(A, bare_stats)
+    bare, bare_errors = bare_plan.decode_many(A, bare_stats)
     assert np.array_equal(digits, bare)
     assert {r: (type(e), str(e)) for r, e in errors.items()} == \
         {r: (type(e), str(e)) for r, e in bare_errors.items()}
     assert not set(range(20)) & set(errors)
     assert stats["lookups"] >= 20 and stats.get("mults", 0) < bare_stats["mults"]
+
+
+@pytest.mark.parametrize("fam,q,n,want", [
+    ("O-", 5, 4, {"mults": 2, "lookups": 1}), ("O+", 5, 4, {"mults": 2, "lookups": 1}),
+    ("Oodd", 3, 5, {"mults": 2, "lookups": 1}), ("O-", 9, 4, {"mults": 4, "lookups": 1}),
+    ("O+", 3, 6, {"mults": 4, "lookups": 1})])
+def test_a_member_decode_counts_its_products_and_lookups(fam, q, n, want):
+    # below a stabilizer table: into the frame and hw, then one lookup;
+    # without one the border adds E(-u) and E(-u) hw, and the tail its own
+    # lookup
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    rng = random.Random(5)
+    for _ in range(10):
+        iv = unrank(rng.randrange(ls.claimed_order), ls)
+        stats = {}
+        assert tame_factor(compose(iv, ls), ls, stats) == iv
+        assert stats == want
 
 
 def _matrix_path_decode_into(plan, Z, rows, out, errors, col, stats):
@@ -449,11 +479,11 @@ def test_closed_form_residue_matches_the_matrix_path(fam, q, n):
     # of the border, and everything again through a table that fails only
     # column 0: the same digits (failing rows included), errors and stats
     # as multiplying the whole Eichler matrix in.  Both run without the
-    # product-table fronts, so that every element takes the stage path
+    # product tables, so that every element takes the stage path
     import numpy as np
 
     ls = canonical_ls(descriptor(fam, q, n=n))
-    bare = _without_fronts(ls.plan)
+    bare = _without_tables(ls.plan)
     mixed = _mixed_elements(ls, 7, 40)
     rows_only = _border_perturbed(bare, [compose(unrank(v, ls), ls).a for v in range(0, 400, 10)], 7)
     A = np.stack(mixed + rows_only)

@@ -1,7 +1,7 @@
-"""Every name a module of the package imports is used in that module,
-every private function or class of the package is used somewhere in it,
-and every public function is used by the program, a script, the README or
-the acceptance tests."""
+"""Every name a module of the package, a test or a script imports is used
+in that file, every private function or class of the package is used
+somewhere in it, and every public function is used by the program, a
+script, the README or the acceptance tests."""
 
 import ast
 import pathlib
@@ -13,6 +13,8 @@ import orthosig
 
 SOURCES = sorted(pathlib.Path(orthosig.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]  # __init__ imports to re-export
+ROOT = SOURCES[0].parents[2]
+IMPORTERS = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +36,7 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(src) == ["line 2: c"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -70,7 +72,6 @@ def test_every_private_helper_is_referenced():
     assert unreferenced_private_defs({p.name: p.read_text() for p in SOURCES}) == []
 
 
-ROOT = SOURCES[0].parents[2]
 # the acceptance tests state the paper's criteria, so what they call is
 # used as much as what the program and the README name
 USERS = [*(ROOT / "src" / "orthosig").glob("*.py"), *(ROOT / "scripts").glob("*.py"),

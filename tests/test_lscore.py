@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orthosig.fields import fq_context, make_tower
-from orthosig.forms import build_space, enumerate_isotropic_points, enumerate_isometry_group
+from orthosig.forms import build_space, enumerate_isometry_group
 from orthosig.lscore import (
     InjectivityFail,
     LogSignature,
@@ -891,12 +891,14 @@ def test_plane_so_has_no_transitive_block():
 def test_key_weights_stay_below_2_63_inside_the_envelope():
     # _key_weights(q, m) weighs m field codes as one base-q integer.  Its
     # callers key vectors of a stage (m = n <= 2 tower_m + 1), whole n x n
-    # matrices of a base case (n <= 2) or of a stage front (group order at
-    # most FRONT_ORDER), and k x k matrices in _all_gl (k at most the Witt
-    # index, so at most tower_m).  Walk every q and tower_m the envelope
-    # accepts and check each bound
+    # matrices of a base case (n <= 2), of a stage front (group order at
+    # most FRONT_ORDER) or of a stage's stabilizer table (the group order
+    # over the number of singular points at most FRONT_ORDER), and k x k
+    # matrices in _all_gl (k at most the Witt index, so at most tower_m).
+    # Walk every q and tower_m the envelope accepts and check each bound
     from orthosig.fields import FieldError, check_field_size, check_tower_size, factorint
     from orthosig.lscore import FRONT_ORDER
+    from orthosig.matgroups import isotropic_point_count
 
     def accepted(q, m):
         try:
@@ -914,17 +916,25 @@ def test_key_weights_stay_below_2_63_inside_the_envelope():
         while accepted(q, m):
             assert q ** (2 * m + 1) < 2 ** 63 and q ** (m * m) < 2 ** 63
             m += 1
-    fronts = 0
+    fronts, widest = 0, {}
     for fam in ("O", "SO"):
         for kind in ("-", "+", "odd"):
             for n in range(3, 9):
                 if (n % 2 == 1) != (kind == "odd"):
                     continue
-                for q in (3, 5, 7, 9, 11, 13, 17):
-                    if group_order(descriptor(fam + kind, q, n=n)) <= FRONT_ORDER:
+                for q in range(3, 128, 2):  # from q = 67 every stabilizer is larger
+                    if len(factorint(q)) != 1:
+                        continue
+                    desc = descriptor(fam + kind, q, n=n)
+                    order = group_order(desc)
+                    if order // isotropic_point_count(desc.kind, q, desc.m) <= FRONT_ORDER:
                         assert q ** (n * n) < 2 ** 63
-                        fronts += 1
-    # the fronts are O/SO_3(q) for small q and O/SO^+-_4(3); groups grow with q and n
+                        fronts += order <= FRONT_ORDER
+                        widest[n] = max(widest.get(n, 0), q ** (n * n))
+    # the fronts are O/SO_3(q) for small q and O/SO^+-_4(3); the stabilizer
+    # tables reach SO_3(61), O^+_4(7) and O_5(3), and stabilizers grow with
+    # q and n
+    assert widest == {3: 61 ** 9, 4: 7 ** 16, 5: 3 ** 25}
     assert group_order(descriptor("SOodd", 17, n=3)) > FRONT_ORDER
     assert group_order(descriptor("SO+", 5, n=4)) > FRONT_ORDER
     assert group_order(descriptor("SOodd", 3, n=5)) > FRONT_ORDER
