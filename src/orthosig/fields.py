@@ -480,9 +480,10 @@ class FqContext:
         return reduce(lambda X, Y: self.ADD[X, Y], chunks)
 
     def mat_vec(self, A, v):
+        """A v for a vector v and a matrix A, or each matrix of a stack."""
         if self.fast:
             return ((A.astype(np.int64) @ v.astype(np.int64)) % self.p).astype(np.int16)
-        return self.mat_mul(A, v[:, None])[:, 0]
+        return self.mat_mul(A, v[:, None])[..., 0]
 
     def rref(self, A):
         """The one Gaussian elimination of the package.

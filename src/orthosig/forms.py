@@ -87,12 +87,14 @@ class QuadraticSpace:
     # -- projective points (canonical reps: first nonzero coordinate is 1)
 
     def canon(self, v):
+        """The canonical rep of the point of a vector, or of each row of a
+        (k, n) stack."""
         v = np.asarray(v, dtype=np.int16)
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
+        nz = v != 0
+        if not nz.any(axis=-1).all():
             raise GeometryError("zero vector has no projective point")
-        s = self.fq.inv(int(v[nz[0]]))
-        return np.ascontiguousarray(self.fq.v_scale(s, v))
+        lead = np.take_along_axis(v, nz.argmax(axis=-1)[..., None], axis=-1)
+        return np.ascontiguousarray(self.fq.v_scale(self.fq.INV[lead], v))
 
     def points(self):
         """Every projective point as an (N, n) array of canonical reps, in

@@ -259,12 +259,6 @@ def powers(fq: FqContext, x, s: int):
     return P
 
 
-def inverse_powers(x: Mat, s: int):
-    """The (s, n, n) stack x^0, x^-1, .., x^-(s-1): one inversion and the
-    running powers of the inverse."""
-    return powers(x.fq, x.inv().a, s)
-
-
 def cyclic_blocks(x: Mat, s: int) -> tuple[list, list[int]]:
     """Prime-size blocks {x^(j*M_t)} realizing the cyclic set {x^i : i < s},
     read from one table of the running powers of x."""
@@ -325,11 +319,12 @@ class SpreadPlan:
     W0: Subspace | None
     members: PartialSpread | None
     layers: list                 # [("cyc", Mat gen, size)] or [("trans", [Mat])]
-    member_index: dict           # member key -> coarse index tuple
-    point_member: dict           # point key -> member key
-    literal_ok: bool
     notes: list
     partition: dict | None
+
+    @property
+    def literal_ok(self):
+        return self.shape in ("empty", "literal")
 
 
 def _default_w0(space: QuadraticSpace, r: int) -> Subspace:
@@ -379,9 +374,7 @@ def _try_cyclic(space, g, orbit, L):
     sp, rep = _try_partition(space, orbit, L)
     if sp is None:
         return None
-    member_index = {s.key: (j,) for j, s in enumerate(orbit)}
-    return SpreadPlan("cyclic", orbit[0], sp, [("cyc", g, len(orbit))], member_index, {},
-                      False, [], rep)
+    return SpreadPlan("cyclic", orbit[0], sp, [("cyc", g, len(orbit))], [], rep)
 
 
 def _try_twisted(space, a, i, ret, imgs, L, transporters, points):
@@ -401,11 +394,7 @@ def _try_twisted(space, a, i, ret, imgs, L, transporters, points):
         sp, rep = _try_partition(space, orbit1 + orbit2, L)
         if sp is None:
             continue
-        member_index = {o.key: (t, 0) for t, o in enumerate(orbit1)}
-        member_index.update({o.key: (t, 1) for t, o in enumerate(orbit2)})
-        layers = [("cyc", a, s), ("cyc", kappa, 2)]
-        return SpreadPlan("twisted", orbit1[0], sp, layers, member_index, {},
-                          False, [], rep)
+        return SpreadPlan("twisted", orbit1[0], sp, [("cyc", a, s), ("cyc", kappa, 2)], [], rep)
     return None
 
 
@@ -421,10 +410,7 @@ def _try_transversal(space, L, det1):
     members = [spr.subspace_from_key(k, space.n) for k in order_keys]
     sp = PartialSpread(members, fq)
     rep = spr.verify_partition(sp, L, fq)
-    member_index = {m.key: (j,) for j, m in enumerate(members)}
-    W0 = members[0]
-    return SpreadPlan("transversal", W0, sp, [("trans", elems)], member_index,
-                      {}, False, [], rep)
+    return SpreadPlan("transversal", members[0], sp, [("trans", elems)], [], rep)
 
 
 def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
@@ -450,7 +436,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     L = space.isotropic_points()
     notes = []
     if not L:
-        return SpreadPlan("empty", None, None, [], {}, {}, True, notes, None)
+        return SpreadPlan("empty", None, None, [], notes, None)
     r = space.witt_index
     lit = None
     if r >= 1 and n >= 3:
@@ -475,7 +461,6 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
                 plan = _try_cyclic(space, lit, _walked(imgs, i, M), L)
                 if plan:
                     plan.shape = "literal"
-                    plan.literal_ok = True
                     break
             if plan is None:
                 notes.append(
@@ -518,8 +503,6 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     if plan is None:
         plan = _try_transversal(space, L, det1)
     plan.notes = notes + plan.notes
-    keys = [s.key for s in plan.members.members]
-    plan.point_member = {k: keys[i] for k, i in plan.partition["owner"].items()}
     return plan
 
 
@@ -667,10 +650,6 @@ class _StagePlan(_Plan):
     """
 
     space: QuadraticSpace
-    sp: SpreadPlan
-    layers: list         # [("cyc", (gen, size, radices, inverse powers))] or [("trans", (elems, inverses))]
-    b: Mat | None        # Singer coset generator of the B block
-    b_point_to_j: dict   # canonical point of the base subspace -> power of b
     vectors: np.ndarray  # every nonzero vector on a singular line, input frame, in key order
     keys: np.ndarray     # their base-q keys
     point: np.ndarray    # the index of each vector's line in strips and head
@@ -867,23 +846,15 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     layers_meta = []
 
     # A layers
-    stage_layers = []
     for layer in sp_plan.layers:
         if layer[0] == "cyc":
             _, gen, size = layer
             cyc, radices = cyclic_blocks(gen, size)
             blocks.extend(cyc)
-            stage_layers.append(("cyc", (gen, size, radices, inverse_powers(gen, size))))
             layers_meta.append({"type": "cyclic", "size": size, "radices": radices})
         else:
-            _, elems = layer
-            blocks.append(list(elems))
-            try:
-                invs = forms.isometry_inverse(space, np.stack([g.a for g in elems]))
-            except GeometryError as exc:
-                raise LsError(f"transversal layer: {exc}") from exc
-            stage_layers.append(("trans", (elems, invs)))
-            layers_meta.append({"type": "transversal", "size": len(elems)})
+            blocks.append(list(layer[1]))
+            layers_meta.append({"type": "transversal", "size": len(layer[1])})
 
     # adapted frame
     W0 = sp_plan.W0
@@ -901,15 +872,9 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         """T mw T^-1 of one working-frame matrix or of a stack of them."""
         return fq.mat_mul(fq.mat_mul(T, mw), Tinv)
 
-    w_gl = np.asarray(W0.rows[0], dtype=np.int16)
-
     # B block: Singer coset representatives acting on W0
     r_dim = W0.dim
     t = (space.q ** r_dim - 1) // (space.q - 1)
-    b_gl = None
-    b_radices = []
-    b_inv_pows = fq.identity(n)[None]
-    b_point_to_j = {}
     if t > 1:
         D = singer_generator(r_dim, fq)
         bw = fq.identity(n)
@@ -924,21 +889,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         b_gl = Mat(fq, globalize(bw))
         if element_order(b_gl, space.q ** r_dim) != space.q ** r_dim - 1:
             raise LsError("Singer block has the wrong order")
-        cycb, b_radices = cyclic_blocks(b_gl, t)
-        blocks.extend(cycb)
-        b_inv_pows = inverse_powers(b_gl, t)
-        cur = w_gl
-        for j in range(t):
-            keyp = space.canon(cur).tobytes()
-            if keyp in b_point_to_j:
-                raise LsError("Singer coset block is not sharply transitive")
-            b_point_to_j[keyp] = j
-            cur = b_gl.act(cur)
-        wpts = {v.tobytes() for v in spr.span_points(fq, W0)}
-        if set(b_point_to_j) != wpts:
-            raise LsError("Singer coset block misses points of the base subspace")
-    else:
-        b_point_to_j = {space.canon(w_gl).tobytes(): 0}
+        blocks.extend(cyclic_blocks(b_gl, t)[0])
 
     # the blocks from here on multiply to the stabilizer of the point of w
     nhead = len(blocks)
@@ -960,11 +911,9 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     d_mu = Mat(fq, globalize(_gl1_np(fq, n, Rwork, mu)))
     gcyc, gl1_radices = cyclic_blocks(d_mu, space.q - 1)
     blocks.extend(gcyc)
+    # d(mu)^k has corner mu^k, and mu generates F_q^*: k is the log of the corner
     gl1_digits = np.zeros((space.q, len(gl1_radices)), dtype=np.int64)
-    cur = 1
-    for k in range(space.q - 1):
-        gl1_digits[cur] = digits_of(k, gl1_radices)
-        cur = fq.mul(cur, mu)
+    gl1_digits[1:] = [digits_of(int(k), gl1_radices) for k in fq.gf.log[1:]]
 
     # recursive tail on the model space of dimension n - 2
     sub_desc = replace(desc, n=desc.n - 2)
@@ -999,28 +948,26 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         "similarity_scale": int(lam),
         "minimal": sp_plan.shape != "transversal" and bool(sub_ls.meta.get("minimal")),
     })
-    # decoding tables, one row per singular point p: the A layers strip
-    # p's spread member back to W0, then a power of b moves the image to w
+    # the head table, one row per singular point p: the index vector of the
+    # one product h of the A and B blocks whose image of w lies on p, and
+    # the strip T^-1 h^-1
     points = np.array(space.isotropic_points(), dtype=np.int16).reshape(-1, n)
-    coarse = [sp_plan.member_index[sp_plan.point_member[p.tobytes()]] for p in points]
-    strip = np.broadcast_to(fq.identity(n), (len(points), n, n))
-    head = []
-    for li, (kind, data) in enumerate(stage_layers):
-        idx = [c[li] for c in coarse]
-        inverses = data[3] if kind == "cyc" else data[1]
-        strip = fq.mat_mul(inverses[idx], strip)
-        head.append([digits_of(i, data[2]) if kind == "cyc" else [i] for i in idx])
-    images = fq.mat_mul(strip, points[:, :, None])[:, :, 0]
-    js = [b_point_to_j.get(space.canon(v).tobytes()) for v in images]
-    if None in js:
-        raise LsError("stripped element leaves the base subspace")  # pragma: no cover
-    head.append([digits_of(j, b_radices) for j in js])
-    head = np.array([sum(parts, []) for parts in zip(*head)], dtype=np.int64).reshape(len(points), -1)
+    heads = np.concatenate(list(ProductTables.build(fq, n, blocks[:nhead]).walk()))
+    point_keys = _row_keys(fq, points)
+    by_key = np.argsort(point_keys)
+    pos, found = _find(point_keys[by_key], _row_keys(fq, space.canon(fq.mat_vec(heads, W0.basis()[0]))))
+    if not (found.all() and (np.bincount(pos, minlength=len(points)) == 1).all()):
+        raise LsError("the A and B blocks do not carry the base point once to each singular point")
+    which = np.empty(len(points), dtype=np.intp)
+    which[by_key[pos]] = np.arange(len(heads))
+    # itertools.product order, as the walk
+    ivs = np.indices([len(b) for b in blocks[:nhead]], dtype=np.int64).reshape(nhead, len(heads)).T
     ls.plan = _StagePlan(
-        space=space, sp=sp_plan, layers=stage_layers, b=b_gl, b_point_to_j=b_point_to_j,
+        space=space,
         vectors=np.concatenate([fq.v_scale(c, points) for c in range(1, fq.q)]),
         keys=None, point=np.tile(np.arange(len(points)), fq.q - 1),
-        strips=fq.mat_mul(Tinv, fq.mat_mul(b_inv_pows[js], strip)), head=head, enter=T,
+        strips=fq.mat_mul(Tinv, forms.isometry_inverse(space, heads[which])),
+        head=ivs[which], enter=T,
         R=Rwork, SP=np.array(SP), work_gram=work_gram, sp_gram=work_gram[SP], gl1_digits=gl1_digits,
         sub=sub_ls.plan.framed(phi, phi_inv),
         front=_TablePlan.build(tables) if claimed <= FRONT_ORDER else None,

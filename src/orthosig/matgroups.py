@@ -162,9 +162,6 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.a.tolist()})"
 
-    def act(self, v):
-        return self.fq.mat_vec(self.a, v)
-
     def inv(self):
         return Mat(self.fq, self.fq.mat_inv(self.a))
 

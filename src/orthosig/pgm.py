@@ -31,7 +31,6 @@ class PgmKey:
     group: GroupDescriptor
     alpha_ls: LogSignature
     beta_ls: LogSignature
-    perms: list          # per block: permutation applied to alpha indices
     seed: int
     inverse_perms: list  # per block: the beta index of each alpha index
 
@@ -48,41 +47,26 @@ class PgmKey:
         }
 
 
-def keygen(desc: GroupDescriptor, seed: int, translate: bool = True) -> PgmKey:
+def keygen(desc: GroupDescriptor, seed: int) -> PgmKey:
     """Derive a key pair: the canonical signature and a seeded variant.
 
-    The variant shuffles elements inside each block and, when translate is
-    set, conjoins telescoping left translations g_{i-1}^-1 B_i g_i (with
-    g_0 = g_s = 1), both of which keep the unique-product property.  With
-    translate off, shuffles fix slot 0, so the identity keeps index zero.
+    The variant shuffles elements inside each block and conjoins
+    telescoping left translations g_{i-1}^-1 B_i g_i (with g_0 = g_s = 1),
+    both of which keep the unique-product property.
     """
     alpha = canonical_ls(desc)
-    rng = random.Random(seed)
-    fq = None
-    for b in alpha.blocks:
-        fq = b[0].fq
-        n = b[0].n
-        break
-    if fq is None:
+    if not alpha.blocks:
         raise PgmError("group is trivial; nothing to key")
+    fq, n = alpha.blocks[0][0].fq, alpha.blocks[0][0].n
+    rng = random.Random(seed)
     perms = []
     for blk in alpha.blocks:
         idx = list(range(len(blk)))
-        if translate:
-            rng.shuffle(idx)
-        else:
-            tail = idx[1:]
-            rng.shuffle(tail)
-            idx = [0] + tail
+        rng.shuffle(idx)
         perms.append(idx)
-    translations = [identity(fq, n)]
-    if translate:
-        pool = [g for blk in alpha.blocks for g in blk]
-        for _ in range(len(alpha.blocks) - 1):
-            translations.append(pool[rng.randrange(len(pool))])
-    else:
-        translations.extend(identity(fq, n) for _ in range(len(alpha.blocks) - 1))
-    translations.append(identity(fq, n))
+    pool = [g for blk in alpha.blocks for g in blk]
+    one = identity(fq, n)
+    translations = [one] + [pool[rng.randrange(len(pool))] for _ in alpha.blocks[1:]] + [one]
     # the translations are isometries: one stacked isometry inverse
     invs = isometry_inverse(space_for(desc), np.stack([g.a for g in translations[:-1]]))
     beta_blocks = []
@@ -94,7 +78,7 @@ def keygen(desc: GroupDescriptor, seed: int, translate: bool = True) -> PgmKey:
                         meta={"derived_from": "canonical", "seed": seed},
                         tables=ProductTables.build(fq, n, beta_blocks))
     inverse_perms = [np.argsort(perm).tolist() for perm in perms]
-    return PgmKey(desc, alpha, beta, perms, seed, inverse_perms)
+    return PgmKey(desc, alpha, beta, seed, inverse_perms)
 
 
 def _beta_factor(key: PgmKey, g: Mat) -> IndexVector:

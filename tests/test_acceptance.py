@@ -7,8 +7,12 @@ the verification report it cites); the test asserts the stated equality
 faithfully and is left red on purpose.
 """
 
+import itertools
 import random
 import time
+from functools import reduce
+
+from headblocks import head_blocks
 
 from orthosig import pgm
 from orthosig.factorize import compose, tame_factor, unrank
@@ -103,7 +107,8 @@ def test_criterion_3_sharp_transitivity():
             details.append(f"{kind}({q},{m}):vacuous")
             continue
         # the A block (product set of its layers) must biject onto the spread
-        elems = [identity(space.fq, space.n)]
+        one = identity(space.fq, space.n)
+        elems = [one]
         for layer in plan.layers:
             if layer[0] == "cyc":
                 _, gen, size = layer
@@ -111,16 +116,16 @@ def test_criterion_3_sharp_transitivity():
             else:
                 elems = [x * t for x in elems for t in layer[1]]
         images = {act_subspace(g, plan.W0).key for g in elems}
-        a_ok = len(elems) == len(plan.members) and images == set(plan.member_index)
-        # the B' block must biject onto the singular points of the base
-        ls = canonical_ls(descriptor(fam, q, m=m)) if space.n >= 3 else None
-        if ls is not None and ls.plan is not None and hasattr(ls.plan, "b_point_to_j"):
-            wpts = {v.tobytes() for v in span_points(space.fq, ls.plan.sp.W0)}
-            b_ok = set(ls.plan.b_point_to_j) <= wpts and (
-                len(ls.plan.b_point_to_j) == len(wpts) or ls.plan.b is None and len(wpts) == 1
-            )
-        else:
-            b_ok = True
+        a_ok = len(elems) == len(plan.members) and images == {m.key for m in plan.members.members}
+        # the products of the B blocks of the stage must carry the base
+        # point to each point of W0 once (the plane has no stage)
+        b_ok = True
+        if space.n >= 3:
+            ls = canonical_ls(descriptor(fam, q, m=m))
+            w = plan.W0.basis()[0]
+            reached = sorted(space.canon(space.fq.mat_vec(reduce(lambda x, y: x * y, g, one).a, w)).tobytes()
+                             for g in itertools.product(*head_blocks(ls)[1]))
+            b_ok = reached == sorted(v.tobytes() for v in span_points(space.fq, plan.W0))
         # literal failure must be visible in the report, and the fallback
         # must have succeeded (a failed fallback would mean no plan at all)
         mismatch_ok = plan.literal_ok or any(

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from headblocks import stage_spread
 
 from orthosig.factorize import (
     FactorError,
@@ -37,8 +38,8 @@ def test_membership_space_is_built_once_per_descriptor(monkeypatch):
 def test_pure_a_block_power():
     # a^3 for the leading cyclic block decodes to (3, 0, 0, ...)
     ls = canonical_ls(descriptor("O-", 3, n=4))
-    layer_kind, (gen, size, radices, _) = ls.plan.layers[0]
-    assert layer_kind == "cyc" and size == 5 and radices == [5]
+    layer_kind, gen, size = stage_spread(ls).layers[0]
+    assert layer_kind == "cyc" and size == 5 and ls.meta["a_layers"][0]["radices"] == [5]
     g = gen.pow(3)
     iv = tame_factor(g, ls)
     assert iv.indices[0] == 3

@@ -473,6 +473,19 @@ def test_packed_mat_mul_matches_the_gf_reference(pe, n, k, seed):
     assert fq.mat_vec(A[0], B[0, :, 0]).tolist() == _gf_mat_mul(fq.gf, A[0], B[0, :, :1])[:, 0].tolist()
 
 
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+def test_mat_vec_of_a_stack_is_a_stack_of_vectors(p, e):
+    # prime fields and packed tables alike give (k, n) for a (k, n, n) stack
+    fq = fq_context(p, e)
+    rng = np.random.default_rng(p * 10 + e)
+    A = rng.integers(0, fq.q, (4, 3, 3)).astype(np.int16)
+    v = rng.integers(0, fq.q, 3).astype(np.int16)
+    got = fq.mat_vec(A, v)
+    assert got.shape == (4, 3) and got.dtype == np.int16
+    assert got.tolist() == [_gf_mat_mul(fq.gf, a, v[:, None])[:, 0].tolist() for a in A]
+    assert fq.mat_vec(A[1], v).tolist() == got[1].tolist()
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
 def test_packed_tables_have_q_squared_entries_and_only_for_e_above_1(p, e):
     fq = fq_context(p, e)

@@ -111,9 +111,26 @@ def test_reflection_properties():
         s = build_space(kind, make_tower(3, 1, 1))
         nonsing = [v for v in s.points() if s.Q(v) != 0]
         for v, r in list(zip(nonsing, reflections(s)))[:10]:
-            assert r.act(v).tolist() == s.fq.v_neg(v).tolist()
+            assert s.fq.mat_vec(r.a, v).tolist() == s.fq.v_neg(v).tolist()
             assert (r * r).is_identity()
             assert r.det() == s.fq.neg(1)
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+def test_canon_of_a_stack_is_the_canon_of_each_row(p, e):
+    # the first nonzero entry of each row is scaled to 1; a zero row raises
+    s = build_space("odd", make_tower(p, e, 1))
+    V = np.array([[0, 2, 1], [1, 0, 0], [0, 0, s.q - 1], [s.q - 1, 1, 2]], dtype=np.int16)
+    got = s.canon(V)
+    assert got.shape == V.shape and got.dtype == np.int16
+    for v, c in zip(V, got):
+        lead = v[np.flatnonzero(v)[0]]
+        assert c.tolist() == s.fq.v_scale(s.fq.inv(int(lead)), v).tolist()
+        assert c.tolist() == s.canon(v).tolist() and c[np.flatnonzero(c)[0]] == 1
+    with pytest.raises(GeometryError, match="zero vector"):
+        s.canon(np.concatenate([V, np.zeros((1, 3), dtype=np.int16)]))
+    with pytest.raises(GeometryError, match="zero vector"):
+        s.canon(np.zeros(3, dtype=np.int16))
 
 
 def test_siegel_properties(minus32):

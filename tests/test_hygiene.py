@@ -1,9 +1,12 @@
 """Every name a module of the package, a test or a script imports is used
 in that file, every private function or class of the package is used
-somewhere in it, and every public function is used by the program, a
-script, the README or the acceptance tests."""
+somewhere in it, every public function is used by the program, a script,
+the README or the acceptance tests, and every trace target of the
+benchmark names a function the package defines."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -168,3 +171,18 @@ def test_the_scan_finds_a_family_name_parsed_by_hand():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "matgroups.py"], ids=lambda p: p.name)
 def test_only_matgroups_parses_family_names(path):
     assert family_name_parsing(path.read_text()) == []
+
+
+def test_every_trace_target_resolves():
+    # perfbench/layers.py wraps each (module, path) of TARGETS by reading
+    # vars(owner)[attr]; a renamed or deleted function would break the
+    # traced run, not the tests
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.TARGETS
+    for _, mod_name, path in layers.TARGETS:
+        owners = layers._resolve(importlib.import_module(f"orthosig.{mod_name}"), path)
+        assert owners, (mod_name, path)
+        for owner, attr in owners:
+            assert attr in vars(owner), (mod_name, path)

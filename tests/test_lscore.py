@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from headblocks import head_blocks, stage_spread
 from orthosig.fields import fq_context, make_tower
 from orthosig.forms import build_space, enumerate_isometry_group
 from orthosig.lscore import (
@@ -122,12 +125,11 @@ def _power_cases():
 
 
 def test_running_powers_and_cyclic_blocks_match_pow():
-    from orthosig.lscore import cyclic_blocks, inverse_powers, powers
+    from orthosig.lscore import cyclic_blocks, powers
 
     for x in _power_cases():
         for s in [1, 2, 3, 4, 5, 7, 8, 12, 13, 30, 64]:
             assert [a.tobytes() for a in powers(x.fq, x.a, s)] == [x.pow(j).key for j in range(s)]
-            assert [a.tobytes() for a in inverse_powers(x, s)] == [x.pow(-j).key for j in range(s)]
             blocks, radices = cyclic_blocks(x, s)
             want, M = [], 1
             for r in radices:
@@ -140,21 +142,25 @@ def test_running_powers_and_cyclic_blocks_match_pow():
 @pytest.mark.parametrize("fam,q,n", [("O-", 5, 4), ("O+", 3, 4), ("O-", 9, 4), ("Oodd", 3, 5),
                                      ("SO+", 3, 6)])
 def test_stage_inverse_power_tables_match_pow(fam, q, n):
-    # the A-layer tables of every stage, and the Singer table from the same
-    # helper, are the inverse powers byte for byte
-    from orthosig.lscore import _StagePlan, inverse_powers
+    # the strips of every stage are its inverse powers T^-1 b^-j a^-i: for
+    # the head row of each singular point p, the product h of the A and B
+    # blocks it names carries the base point to p, and the strip is
+    # (h T)^-1 byte for byte, T the working frame (enter, at the top stage)
+    from orthosig.lscore import space_for
 
-    plan = canonical_ls(descriptor(fam, q, n=n)).plan
-    while isinstance(plan, _StagePlan):
-        for kind, data in plan.layers:
-            if kind == "cyc":
-                gen, size, _, inv_pows = data
-                assert [a.tobytes() for a in inv_pows] == [gen.pow(-j).key for j in range(size)]
-        if plan.b is not None:
-            t = len(plan.b_point_to_j)
-            assert [a.tobytes() for a in inverse_powers(plan.b, t)] == \
-                [plan.b.pow(-j).key for j in range(t)]
-        plan = plan.sub
+    desc = descriptor(fam, q, n=n)
+    while desc.n >= 3:
+        ls = canonical_ls(desc)
+        space, plan = space_for(desc), ls.plan
+        A, B = head_blocks(ls)
+        w = stage_spread(ls).W0.basis()[0]
+        T = Mat(space.fq, plan.enter)
+        for pt, row in enumerate(plan.head.tolist()):
+            h = reduce(lambda x, y: x * y, [blk[i] for blk, i in zip(A + B, row)])
+            assert plan.strips[pt].tobytes() == (h * T).pow(-1).key
+            v = plan.vectors[np.flatnonzero(plan.point == pt)[0]]
+            assert space.canon(space.fq.mat_vec(h.a, w)).tobytes() == space.canon(v).tobytes()
+        desc = replace(desc, n=desc.n - 2)
 
 
 @pytest.mark.parametrize("fam,q,n", [("O+", 3, 6), ("SO+", 3, 6), ("Oodd", 3, 5), ("SOodd", 3, 5)])
@@ -164,10 +170,10 @@ def test_transversal_inverses_are_isometry_inverses(fam, q, n):
 
     desc = descriptor(fam, q, n=n)
     ls = canonical_ls(desc)
-    (kind, (elems, invs)), = ls.plan.layers
-    assert kind == "trans"
+    (layer,) = ls.meta["a_layers"]
+    assert layer["type"] == "transversal"
+    elems = ls.blocks[0]
     want = np.stack([g.inv().a for g in elems])
-    assert np.array_equal(invs, want)
     space = space_for(desc)
     A = np.stack([g.a for g in elems])
     assert np.array_equal(isometry_inverse(space, A), want)
@@ -181,10 +187,10 @@ def test_transversal_inverses_are_isometry_inverses(fam, q, n):
 
 
 def test_stage_assembly_inverts_once_per_cyclic_generator(monkeypatch):
-    # built cold, a stage inverts each cyclic generator (A layer and Singer
-    # block) once and takes no powers one at a time; a per-element loop
-    # would cost hundreds of calls
-    from orthosig.lscore import _spread_construction, _StagePlan, ts_subspace_transporters
+    # built cold, a stage inverts no generator and takes no powers one at a
+    # time: the strips come from one stacked isometry inverse of the head
+    # products, and the cyclic blocks from running powers
+    from orthosig.lscore import _spread_construction, ts_subspace_transporters
 
     calls = {"inv": 0, "pow": 0}
 
@@ -196,17 +202,12 @@ def test_stage_assembly_inverts_once_per_cyclic_generator(monkeypatch):
 
     monkeypatch.setattr(Mat, "inv", counted("inv", Mat.inv))
     monkeypatch.setattr(Mat, "pow", counted("pow", Mat.pow))
-    for fam, q, n in [("O+", 3, 6), ("Oodd", 3, 5)]:
+    for fam, q, n in [("O+", 3, 6), ("Oodd", 3, 5), ("O+", 5, 4), ("O-", 9, 4)]:
         for cached in (canonical_ls, _spread_construction, ts_subspace_transporters):
             cached.cache_clear()
         calls.update(inv=0, pow=0)
-        plan = canonical_ls(descriptor(fam, q, n=n)).plan
-        gens = 0
-        while isinstance(plan, _StagePlan):
-            gens += sum(kind == "cyc" for kind, _ in plan.layers) + (plan.b is not None)
-            plan = plan.sub
-        assert gens >= 1
-        assert calls["inv"] <= gens and calls["pow"] <= gens, (fam, calls, gens)
+        canonical_ls(descriptor(fam, q, n=n))
+        assert calls == {"inv": 0, "pow": 0}, (fam, q, n)
 
 
 def test_cyclic_set_rejects_oversize():
@@ -327,14 +328,15 @@ def test_spread_construction_shapes():
     plan2 = spread_construction(sp, "O+")
     assert plan2.shape == "literal" and plan2.literal_ok
     assert plan2.partition["points_per_member"] == 4
-    # every singular point is mapped to the member that contains it
+    # every singular point is mapped to the index of the member that
+    # contains it, in member order
     from orthosig.spreads import span_points
 
     for space, p in ((s, plan), (sp, plan2)):
         pts = {v.tobytes() for v in space.isotropic_points()}
-        owner = {v.tobytes(): m.key for m in p.members.members for v in span_points(space.fq, m)}
-        assert p.point_member == {k: m for k, m in owner.items() if k in pts}
-        assert list(p.point_member) == [k for k in owner if k in pts]
+        owner = {v.tobytes(): i for i, m in enumerate(p.members.members) for v in span_points(space.fq, m)}
+        assert p.partition["owner"] == {k: i for k, i in owner.items() if k in pts}
+        assert list(p.partition["owner"]) == [k for k in owner if k in pts]
 
 
 def test_spread_construction_a_block_bijects():
@@ -348,7 +350,7 @@ def test_spread_construction_a_block_bijects():
     for j in range(size):
         images.add(cur.key)
         cur = act_subspace(gen, cur)
-    assert images == set(plan.member_index)
+    assert images == {m.key for m in plan.members.members}
 
 
 def test_spread_construction_odd_m2_degrades():
@@ -430,22 +432,17 @@ def test_parabolic_so_variant():
 def test_a_and_b_blocks_meet_only_in_identity():
     # the product set of the leading layers and the Singer coset block
     # share only the identity
+    met = 0
     for fam, q, n in [("O+", 3, 4), ("O-", 3, 4), ("Oodd", 3, 3)]:
         ls = canonical_ls(descriptor(fam, q, n=n))
-        plan = ls.plan
-        elems = [identity(ls.blocks[0][0].fq, n)]
-        for kind, data in plan.layers:
-            if kind == "cyc":
-                gen, size, _, _ = data
-                elems = [x * gen.pow(j) for x in elems for j in range(size)]
-            else:
-                elems = [x * t for x in elems for t in data[0]]
-        akeys = {g.key for g in elems}
-        if plan.b is not None:
-            t = len(plan.b_point_to_j)
-            bkeys = {plan.b.pow(j).key for j in range(t)}
-            inter = akeys & bkeys
-            assert inter == {identity(ls.blocks[0][0].fq, n).key}
+        one = identity(ls.blocks[0][0].fq, n)
+        A, B = head_blocks(ls)
+        akeys, bkeys = ({reduce(lambda x, y: x * y, g, one).key for g in itertools.product(*blocks)}
+                        for blocks in (A, B))
+        if B:
+            assert akeys & bkeys == {one.key}
+            met += 1
+    assert met
 
 
 def test_pso_odd_dimension_equals_so():
@@ -501,6 +498,48 @@ def test_canonical_signatures_match_golden_hashes(fam, q, n):
     ls = canonical_ls(descriptor(fam, q, n=n))
     doc = json.dumps(ls.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == GOLDEN_SHA256[(fam, q, n)]
+
+
+# SHA-256 of every array of the decode plan (`_plan_digest`), recorded
+# while the head table was still built from per-layer inverse powers and a
+# walk of the Singer generator: the strips, digits and tables a stage
+# decodes through must stay the same to the byte.
+PLAN_SHA256 = {
+    ("O-", 3, 4): "589bf8609d2e37706b25c83436eb1084126a0f985318663adc11937d2c286cc0",
+    ("O+", 5, 4): "3d67ded445d7b81737153b578476a8467908f03df3c1c7c319703321cf0a337e",
+    ("O-", 9, 4): "0b03df4b955929bdd72a0d216e17677db3f0d48ae8c655e98b42ae2dc520de11",
+    ("Oodd", 3, 5): "23b096a05c6f5f87a691cef16b733315b5157d7c483544ae971dcbfd37242de7",
+    ("PSOodd", 3, 5): "0892d20aae036b0b6b5fe1b6a72991f2e4da1493b6a0c011f3015fd69c97ff87",
+    ("O+", 3, 6): "2c0b9bc1ca919e13fdd1cbdd35e9ea973e728ce621dc9dacdf0e6c455bebdcb8",
+    ("SOodd", 17, 3): "04f2d9fd850440c716afc5b89fddfbc5e46deed66ec2c524a1683c9c8ff197fd",
+    ("Oodd", 3, 7): "2ab42dfc1b3519fcc555cc334642fa32808715cd63d1244adf9b290e7463f641",
+}
+
+
+def _plan_digest(h, plan, path="plan"):
+    """Feeds the name, dtype, shape and bytes of each array of the plan to
+    the hash h, then those of its sub-plan, front and stabilizer table."""
+    from orthosig.lscore import _StagePlan
+
+    stage = isinstance(plan, _StagePlan)
+    names = (("vectors", "keys", "point", "strips", "head", "enter", "SP", "sp_gram",
+              "gl1_digits", "work_gram") if stage else ("keys", "mats", "ivs"))
+    for name in names:
+        a = np.ascontiguousarray(getattr(plan, name))
+        h.update(f"{path}.{name} {a.dtype.str} {a.shape}\n".encode())
+        h.update(a.tobytes())
+    for name in ("sub", "front", "stab") if stage else ():
+        if getattr(plan, name) is not None:
+            _plan_digest(h, getattr(plan, name), f"{path}.{name}")
+
+
+@pytest.mark.parametrize("fam,q,n", sorted(PLAN_SHA256))
+def test_decode_plans_match_golden_hashes(fam, q, n):
+    import hashlib
+
+    h = hashlib.sha256()
+    _plan_digest(h, canonical_ls(descriptor(fam, q, n=n)).plan)
+    assert h.hexdigest() == PLAN_SHA256[(fam, q, n)]
 
 
 # SHA-256 of json.dumps(parabolic_ls(build_space(kind, make_tower(p, 1, m)),

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from headblocks import singer_b, stage_spread
 
 from orthosig.fields import FieldError, fq_context, make_tower
 from orthosig.forms import build_space, is_isometry
@@ -148,8 +149,8 @@ def test_standard_generator_orders_minus():
     a, notes = standard_generators(descriptor("O-", 3, n=4), space)
     assert element_order(a, 11) == 10
     assert is_isometry(space, a) and notes == []
-    plan = canonical_ls(descriptor("O-", 3, n=4)).plan
-    assert plan.sp.W0.dim == 1 and plan.b is None
+    ls = canonical_ls(descriptor("O-", 3, n=4))
+    assert stage_spread(ls).W0.dim == 1 and singer_b(ls) is None
 
 
 def test_standard_generator_orders_plus():
@@ -159,10 +160,11 @@ def test_standard_generator_orders_plus():
     assert element_order(a, 5) == 4  # q^{m-1} + 1
     assert is_isometry(space, a) and notes == []
     for fam in ("O+", "SO+"):
-        plan = canonical_ls(descriptor(fam, 3, n=4)).plan
-        assert plan.sp.W0.dim == 2
-        assert element_order(plan.b, 9) == 8
-        assert is_isometry(plan.space, plan.b) and plan.b.det() == 1
+        ls = canonical_ls(descriptor(fam, 3, n=4))
+        assert stage_spread(ls).W0.dim == 2
+        b = singer_b(ls)
+        assert element_order(b, 9) == 8
+        assert is_isometry(space, b) and b.det() == 1
 
 
 def test_standard_generator_orders_odd():

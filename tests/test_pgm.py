@@ -49,12 +49,6 @@ def test_encrypt_bijection_o4minus():
         assert pgm.decrypt(key, pgm.encrypt(key, m)) == m
 
 
-def test_untranslated_key_fixes_zero():
-    d = descriptor("O-", 3, n=4)
-    key = pgm.keygen(d, seed=11, translate=False)
-    assert pgm.encrypt(key, 0) == 0
-
-
 def test_out_of_range():
     d = descriptor("O-", 3, n=2)
     key = pgm.keygen(d, seed=1)

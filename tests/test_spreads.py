@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from headblocks import stage_spread
 from leibniz import det_by_permutations, rref_by_rows
 
 from orthosig.fields import fq_context, make_tower, projective_points
@@ -96,10 +97,9 @@ def test_orbit_partial_spread_plus_sharp():
 
     ls = canonical_ls(descriptor("O+", 3, n=4))
     assert ls.meta["shape"] == "literal"
-    plan = ls.plan
-    layer = plan.layers[0]
-    gen, size, _, _ = layer[1]
-    W0 = plan.sp.W0
+    plan = stage_spread(ls)
+    _, gen, size = plan.layers[0]
+    W0 = plan.W0
     ret, imgs = orbit_walk(gen.fq, gen.a[None], W0.basis(), size)
     assert ret.tolist() == [size] == [4]
     assert len(_walked_spread(gen.fq, imgs, 0, size)) == 4
