@@ -113,13 +113,6 @@ def _ppowmod(base, k, m, p):
     return result
 
 
-def _peval(c, x, p):
-    acc = 0
-    for ci in reversed(c):
-        acc = (acc * x + ci) % p
-    return acc
-
-
 def _pgcd(a, b, p):
     a, b = list(a), list(b)
     while b:
@@ -151,19 +144,40 @@ def _is_irreducible(m, p):
     return True
 
 
+def product_rows(base: int, width: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of itertools.product(range(base), repeat=width), as a
+    (hi - lo, width) int64 array: the base-`base` digits of lo..hi-1, the
+    most significant first."""
+    weights = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.arange(lo, hi, dtype=np.int64)[:, None] // weights % base
+
+
+# candidates times points of F_p in one stacked root test
+_ROOT_CHUNK = 4096
+
+
+@cache
 def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree d over F_p.
 
     Coefficient tuples (c0, .., c_{d-1}) are compared low-degree-first.
-    For d >= 2 a candidate with a root in F_p has a linear factor, so the
-    cheap root test skips it before the full irreducibility test.
+    For d >= 2 a candidate with a root in F_p has a linear factor: the
+    candidates are evaluated at every point of F_p in stacks, in order, and
+    only those without a root get the full irreducibility test.
     """
-    for tail in itertools.product(range(p), repeat=d):
-        m = list(tail) + [1]
-        if d >= 2 and any(_peval(m, x, p) == 0 for x in range(p)):
-            continue
-        if _is_irreducible(m, p):
-            return tuple(m)
+    x = np.arange(p, dtype=np.int64)
+    X = np.ones((d + 1, p), dtype=np.int64)  # X[i] = x^i mod p
+    for i in range(1, d + 1):
+        X[i] = X[i - 1] * x % p
+    total, step = p ** d, max(1, _ROOT_CHUNK // p)
+    for lo in range(0, total, step):
+        tails = product_rows(p, d, lo, min(lo + step, total))
+        if d >= 2:
+            tails = tails[((tails @ X[:d] + X[d]) % p != 0).all(axis=1)]
+        for tail in tails.tolist():
+            m = tail + [1]
+            if _is_irreducible(m, p):
+                return tuple(m)
     raise FieldError(f"no irreducible of degree {d} over F_{p}")  # pragma: no cover
 
 
@@ -769,30 +783,27 @@ class FieldTower:
         return acc
 
     def _spot_check(self):
+        """Sums and products of eight random pairs of elements of F_q and of
+        F_{q^m}, embedded through their power bases, stay in that subfield:
+        one stacked embedding and one solve per level."""
         rng = random.Random(20240311)
-        n = self.top.order
-        closed = {1: [], 2: []}
+        top, p = self.top, self.p
+        draws = {1: [], 2: []}
         for _ in range(8):
             for lvl in (1, 2):
-                a = rng.randrange(self.p ** self.level_degree[lvl])
-                b = rng.randrange(self.p ** self.level_degree[lvl])
-                ea = self.embed(FieldElement(lvl, self._codes_to_coeffs(a, lvl)))
-                eb = self.embed(FieldElement(lvl, self._codes_to_coeffs(b, lvl)))
-                closed[lvl] += [self.top.add(ea, eb), self.top.mul(ea, eb)]
-        # sums and products stay in the subfield: one solve per level
-        for lvl, codes in closed.items():
-            fq_context(self.p, 1).solve(self._solvers[lvl], self.top.digits[codes].T)
-        a_ord = self.top.element_order(self.alpha)
-        if a_ord != n - 1:
+                draws[lvl] += [rng.randrange(p ** self.level_degree[lvl]) for _ in range(2)]
+        for lvl, codes in draws.items():
+            codes = np.array(codes, dtype=np.int64)
+            coeffs = codes[:, None] // p ** np.arange(self.level_degree[lvl]) % p
+            emb = (coeffs @ self._solvers[lvl].T.astype(np.int64)) % p @ top._pvec
+            a, b = emb[0::2], emb[1::2]
+            sums = (top.digits[a] + top.digits[b]) % p
+            prods = np.where((a == 0) | (b == 0), 0,
+                             top.exp[(top.log[a] + top.log[b]) % (top.order - 1)])
+            closed = np.stack([sums, top.digits[prods]], axis=1).reshape(-1, self.dtop)
+            fq_context(p, 1).solve(self._solvers[lvl], closed.T)
+        if top.element_order(self.alpha) != top.order - 1:
             raise FieldError("primitive element order check failed")  # pragma: no cover
-
-    def _codes_to_coeffs(self, packed: int, lvl: int):
-        deg = self.level_degree[lvl]
-        out = []
-        for _ in range(deg):
-            out.append(packed % self.p)
-            packed //= self.p
-        return tuple(out)
 
     def to_json(self):
         return {

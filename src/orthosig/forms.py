@@ -10,13 +10,12 @@ anisotropic block.  Q(v) = f(v, v) / 2 throughout (odd characteristic).
 
 from __future__ import annotations
 
-import itertools
 import random
 from functools import cache
 
 import numpy as np
 
-from .fields import FieldError, FieldTower, FqContext, fq_context, projective_points
+from .fields import FieldError, FieldTower, FqContext, fq_context, product_rows, projective_points
 from .matgroups import (
     Mat,
     derived_subgroup,
@@ -259,22 +258,17 @@ def _plus_gram(tower: FieldTower):
 
 
 def _spot_check_quadratic_law(space):
+    """Q(lam u + v) = lam^2 Q(u) + lam f(u, v) + Q(v) on six random
+    triples, drawn u, v, lam in turn and checked in one stacked pass."""
     rng = random.Random(7)
-    fq = space.fq
-
-    def draw():
-        return np.array([rng.randrange(fq.q) for _ in range(space.n)], dtype=np.int16)
-
-    for _ in range(6):
-        u, v = draw(), draw()
-        lam = rng.randrange(fq.q)
-        lhs = space.Q(fq.v_add(fq.v_scale(lam, u), v))
-        rhs = fq.add(
-            fq.add(fq.mul(fq.mul(lam, lam), space.Q(u)), fq.mul(lam, space.f(u, v))),
-            space.Q(v),
-        )
-        if lhs != rhs:
-            raise GeometryError("quadratic form law failed")  # pragma: no cover
+    fq, n = space.fq, space.n
+    D = np.array([[rng.randrange(fq.q) for _ in range(2 * n + 1)] for _ in range(6)], dtype=np.int16)
+    u, v, lam = D[:, :n], D[:, n:2 * n], D[:, 2 * n]
+    lhs = space.Q(fq.v_add(fq.v_scale(lam[:, None], u), v))
+    rhs = fq.v_add(fq.v_add(fq.v_scale(fq.v_scale(lam, lam), space.Q(u)), fq.v_scale(lam, space.f(u, v))),
+                   space.Q(v))
+    if (lhs != rhs).any():
+        raise GeometryError("quadratic form law failed")  # pragma: no cover
 
 
 # ----------------------------------------------------------------------
@@ -540,20 +534,26 @@ def align_spaces(model: QuadraticSpace, gram_target, fq: FqContext):
     return np.ascontiguousarray(phi), lam
 
 
+# the anisotropic match tries its candidate matrices in stacks of at most
+# this many
+_MATCH_CHUNK = 4096
+
+
 def _match_anisotropic(fq, At, Am, ad):
+    """The first (lam, M) with M^T At M = lam Am and det M != 0, lam in
+    1, .., q - 1 and, for each lam, M in itertools.product order of its
+    entries; None when there is none.  Each stack of at most _MATCH_CHUNK
+    candidates takes one stacked product M^T At M."""
     if ad == 0:
         return 1, np.zeros((0, 0), dtype=np.int16)
-    for lam in [1] + list(range(2, fq.q)):
+    total = fq.q ** (ad * ad)
+    for lam in range(1, fq.q):
         target = fq.v_scale(lam, Am)
-        if ad == 1:
-            for c in range(1, fq.q):
-                if fq.mul(fq.mul(c, c), int(At[0, 0])) == int(target[0, 0]):
-                    return lam, np.array([[c]], dtype=np.int16)
-            continue
-        for entries in itertools.product(range(fq.q), repeat=ad * ad):
-            M = np.array(entries, dtype=np.int16).reshape(ad, ad)
-            got = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(M.T), At), M)
-            if np.array_equal(got, target):
-                if fq.det(M) != 0:
-                    return lam, M
+        for lo in range(0, total, _MATCH_CHUNK):
+            M = product_rows(fq.q, ad * ad, lo, min(lo + _MATCH_CHUNK, total))
+            M = M.astype(np.int16).reshape(-1, ad, ad)
+            hit = M[(fq.mat_mul(fq.mat_mul(np.swapaxes(M, 1, 2), At), M) == target).all(axis=(1, 2))]
+            hit = hit[fq.det(hit) != 0] if len(hit) else hit
+            if len(hit):
+                return lam, hit[0]
     return None

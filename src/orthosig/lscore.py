@@ -358,16 +358,21 @@ def _try_partition(space, members, L):
     return sp, rep
 
 
-def _walked(imgs, i, size):
-    """The orbit [B, gB, .., g^{size-1}B] of base i of an `orbit_walk`."""
-    return [spr.subspace_from_key(R.tobytes(), imgs.shape[-1]) for R in imgs[i, :size]]
+def _members(walk):
+    """The subspaces of an (s, r, n) stack of echelon bases, in order."""
+    return [spr.subspace_from_key(R.tobytes(), R.shape[-1]) for R in walk]
 
 
-def _spread_orbits(fq, ret, imgs, size):
+def _spread_orbits(fq, orbits, size):
     """Indices, in walk order, of the bases whose orbit has `size` members
-    and is a partial spread."""
-    full = np.flatnonzero(ret == size)
-    return full[spr.orbits_are_partial_spreads(fq, imgs[full, :size])]
+    and is a partial spread: one test for each such orbit, which holds for
+    all its members alike."""
+    full = np.flatnonzero(orbits.ret == size)
+    walks = sorted(set(orbits.orbit[full].tolist()))
+    ok = np.zeros(len(orbits.walks), dtype=bool)
+    if walks:
+        ok[walks] = spr.orbits_are_partial_spreads(fq, np.stack([orbits.walks[w] for w in walks]))
+    return full[ok[orbits.orbit[full]]]
 
 
 def _try_cyclic(space, g, orbit, L):
@@ -377,20 +382,20 @@ def _try_cyclic(space, g, orbit, L):
     return SpreadPlan("cyclic", orbit[0], sp, [("cyc", g, len(orbit))], [], rep)
 
 
-def _try_twisted(space, a, i, ret, imgs, L, transporters, points):
+def _try_twisted(space, a, i, orbits, L, transporters, points):
     """Layers the half orbit of base i under `a` with a second one: the
     bases are the transporter keys, in order, walked under `a` into
-    `ret`/`imgs`, and `points` maps each key to the keys of the singular
-    points of its subspace."""
-    s = int(ret[i])
-    orbit1 = _walked(imgs, i, s)
+    `orbits`, and `points` maps each key to the keys of the singular points
+    of its subspace."""
+    s = int(orbits.ret[i])
+    orbit1 = _members(orbits.walk(i, s))
     keys1 = {o.key for o in orbit1}
     uncovered = {v.tobytes() for v in L}.difference(*(points[k] for k in keys1))
     # the orbits of <a> are disjoint, so no X outside orbit1 moves into it
     for j, (xkey, kappa) in enumerate(transporters.items()):
-        if xkey in keys1 or ret[j] != s or not points[xkey] <= uncovered:
+        if xkey in keys1 or orbits.ret[j] != s or not points[xkey] <= uncovered:
             continue
-        orbit2 = _walked(imgs, j, s)
+        orbit2 = _members(orbits.walk(j, s))
         sp, rep = _try_partition(space, orbit1 + orbit2, L)
         if sp is None:
             continue
@@ -455,10 +460,10 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
         if lit is not None:
             transporters = ts_subspace_transporters(space, det1)
             bases = np.frombuffer(b"".join(transporters), dtype=np.int16).reshape(-1, r, n)
-            ret, imgs = spr.orbit_walk(space.fq, np.broadcast_to(lit.a, (len(bases), n, n)),
-                                       bases, M)
-            for i in _spread_orbits(space.fq, ret, imgs, M):
-                plan = _try_cyclic(space, lit, _walked(imgs, i, M), L)
+            pows = powers(space.fq, lit.a, M + 1)[1:]
+            orbits = spr.cyclic_orbits(space.fq, pows, bases, PRODUCT_CHUNK)
+            for i in _spread_orbits(space.fq, orbits, M):
+                plan = _try_cyclic(space, lit, _members(orbits.walk(i, M)), L)
                 if plan:
                     plan.shape = "literal"
                     break
@@ -469,7 +474,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
                 )
                 # M = q^k + 1 is even; a twisted layering starts from a base
                 # whose orbit is a partial spread of M / 2 members
-                halves = _spread_orbits(space.fq, ret, imgs, M // 2)
+                halves = _spread_orbits(space.fq, orbits, M // 2)
                 points = {}
                 if len(halves):
                     Lkeys = {v.tobytes() for v in L}
@@ -477,7 +482,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
                         X = spr.subspace_from_key(key, n)
                         points[key] = {v.tobytes() for v in spr.span_points(space.fq, X)} & Lkeys
                 for i in halves:
-                    plan = _try_twisted(space, lit, i, ret, imgs, L, transporters, points)
+                    plan = _try_twisted(space, lit, i, orbits, L, transporters, points)
                     if plan:
                         notes.append(
                             "using twisted layering: half torus orbit times an "
@@ -492,7 +497,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
                                        _default_w0(space, r).basis(), M)
             hit = np.flatnonzero(ret == M)
             if len(hit):
-                plan = _try_cyclic(space, gens[hit[0]], _walked(imgs, hit[0], M), L)
+                plan = _try_cyclic(space, gens[hit[0]], _members(imgs[hit[0], :M]), L)
                 notes.append("sharply transitive cyclic block found by element scan")
         if plan is None:
             notes.append(

@@ -92,6 +92,62 @@ def orbit_walk(fq: FqContext, mats, bases, steps):
     return ret, imgs
 
 
+# a plain class: as a dataclass it would add about 0.3 ms to the import of
+# every command
+class CyclicOrbits:
+    """The orbits of k distinct echelon bases under one cyclic group <a>,
+    each walked once: base i lies at position shift[i] of walks[orbit[i]],
+    an (s, r, n) stack [W, aW, .., a^(s-1)W].  ret[i] is the size of the
+    orbit of base i, or 0 when it exceeds the steps walked; then the walk
+    is base i's alone, starts there and holds as many images as steps."""
+
+    def __init__(self, ret, orbit, shift, walks):
+        self.ret, self.orbit, self.shift, self.walks = ret, orbit, shift, walks
+
+    def walk(self, i, size):
+        """The images a^t(B_i), t < size, of base i, as a (size, r, n)
+        stack: its orbit's walk, rotated to start at B_i."""
+        return np.roll(self.walks[self.orbit[i]], -int(self.shift[i]), axis=0)[:size]
+
+
+def cyclic_orbits(fq: FqContext, pows, bases, chunk) -> CyclicOrbits:
+    """The orbits of the distinct echelon bases of a (k, r, n) stack under
+    <a>, from the (steps, n, n) stack a^1, .., a^steps.
+
+    The next bases on no walk yet, in order, are moved by every power at
+    once, at most `chunk` images to one `act_rref`.  The orbit of a base
+    that returns home within `steps` is the walk of each of its members
+    among the bases, at its position; one that does not is the walk of that
+    base alone.  A base that an earlier one's orbit reached in the same
+    call is skipped.  Every walk holds the images `orbit_walk` gives for
+    g_i = a.
+    """
+    steps, (k, r, n) = len(pows), bases.shape
+    index = {B.tobytes(): i for i, B in enumerate(bases)}
+    ret = np.zeros(k, dtype=np.intp)
+    orbit = np.full(k, -1, dtype=np.intp)
+    shift = np.zeros(k, dtype=np.intp)
+    walks = []
+    per = max(1, chunk // steps)  # bases one call walks
+    while len(todo := np.flatnonzero(orbit < 0)[:per]):
+        mats = np.tile(pows, (len(todo), 1, 1))
+        homes = np.repeat(bases[todo], steps, axis=0)
+        imgs = np.concatenate([act_rref(fq, mats[lo:lo + chunk], homes[lo:lo + chunk])[0]
+                               for lo in range(0, len(mats), chunk)]).reshape(len(todo), steps, r, n)
+        for i, I in zip(todo, imgs):
+            if orbit[i] >= 0:
+                continue
+            back = (I == bases[i]).all(axis=(1, 2))
+            t = int(back.argmax()) + 1 if back.any() else 0
+            walk = np.concatenate([bases[i][None], I[:(t or steps) - 1]])
+            for s, X in enumerate(walk if t else walk[:1]):
+                j = index.get(X.tobytes())
+                if j is not None:
+                    ret[j], orbit[j], shift[j] = t, len(walks), s
+            walks.append(walk)
+    return CyclicOrbits(ret, orbit, shift, walks)
+
+
 def span_points(fq: FqContext, S: Subspace):
     """Canonical reps of all projective points inside the subspace, as an
     (N, n) array in `fields.projective_points` order of its reduced basis."""

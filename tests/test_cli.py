@@ -396,6 +396,26 @@ def test_cli_commands_never_import_numpy_random(tmp_path):
     assert proc.stderr.splitlines()[-1] == "False"
 
 
+def test_set_up_and_exhaustive_verify_never_import_numpy_ma():
+    # np.unique imports numpy.ma, about 1 MB and 17 ms a command; the
+    # construction ladder and the exhaustive verification find repeated keys
+    # without it
+    code = (
+        "import sys\n"
+        "from orthosig import pgm\n"
+        "from orthosig.lscore import canonical_ls, verify_ls\n"
+        "from orthosig.matgroups import descriptor\n"
+        "sigs = [canonical_ls(descriptor(f, q, m=m)) for f, q, m in "
+        "[('O-', 5, 2), ('O-', 9, 2), ('Oodd', 3, 2), ('O+', 3, 3)]]\n"
+        "keys = [pgm.keygen(descriptor('O-', 3, m=2), 1), pgm.keygen(descriptor('O+', 5, m=2), 1)]\n"
+        "assert verify_ls(keys[0].alpha_ls, 'exhaustive').valid\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
 def test_demo_pipeline_script_runs_end_to_end():
     script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "scripts", "demo_pipeline.py")

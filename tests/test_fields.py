@@ -46,6 +46,18 @@ def test_smallest_irreducible_matches_brute_force_scan(p, d):
     assert smallest_irreducible(p, d) == first
 
 
+def test_smallest_irreducible_does_not_depend_on_the_root_test_stack(monkeypatch):
+    # stacks from one candidate up, cut anywhere across the candidates the
+    # root test rejects, give the result of a single stack
+    from orthosig import fields
+
+    for p, d in [(3, 4), (3, 8), (5, 3), (7, 2)]:
+        want = smallest_irreducible(p, d)
+        for chunk in (1, 7, 50):
+            monkeypatch.setattr(fields, "_ROOT_CHUNK", chunk)
+            assert smallest_irreducible.__wrapped__(p, d) == want
+
+
 @pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (3, 4), (3, 8)])
 def test_exp_table_matches_repeated_multiplication(p, d):
     from orthosig.fields import GF

@@ -22,6 +22,7 @@ from orthosig.lscore import (
     parabolic_ls,
     ProductTables,
     project_ls,
+    space_for,
     spread_construction,
     verify_ls,
 )
@@ -33,6 +34,7 @@ from orthosig.matgroups import (
     neg_identity,
     singer_generator,
 )
+from orthosig.spreads import CyclicOrbits, NotAPartialSpread, PartialSpread, act_rref, subspace_from_key
 
 
 def test_min_length_bound():
@@ -367,6 +369,59 @@ def test_spread_empty_for_anisotropic():
     assert plan.shape == "empty"
 
 
+def _per_base_orbits(fq, pows, bases, chunk):
+    """Reference for `spreads.cyclic_orbits`: every base stepped on its own
+    walk with `act_rref`, one power of the generator at a time."""
+    steps, a = len(pows), np.broadcast_to(pows[0], (len(bases),) + pows[0].shape)
+    imgs = [bases]
+    for _ in range(steps):
+        imgs.append(act_rref(fq, a, imgs[-1])[0])
+    imgs = np.stack(imgs, axis=1)
+    home = (imgs[:, 1:] == bases[:, None]).all(axis=(2, 3))
+    ret = np.where(home.any(axis=1), home.argmax(axis=1) + 1, 0)
+    return CyclicOrbits(ret, np.arange(len(bases)), np.zeros(len(bases), dtype=np.intp),
+                        [imgs[i, :t or steps] for i, t in enumerate(ret)])
+
+
+def _every_orbit_tested(fq, orbits, size):
+    """Reference for `lscore._spread_orbits`: the full pairwise check of the
+    orbit of every base of that size."""
+    out = []
+    for i in np.flatnonzero(orbits.ret == size):
+        try:
+            PartialSpread([subspace_from_key(R.tobytes(), R.shape[-1]) for R in orbits.walk(i, size)],
+                          fq).check_pairwise()
+        except NotAPartialSpread:
+            continue
+        out.append(i)
+    return np.array(out, dtype=np.intp)
+
+
+def _layer_keys(layers):
+    return [(kind, *[[g.key for g in x] if isinstance(x, list) else getattr(x, "key", x) for x in rest])
+            for kind, *rest in layers]
+
+
+@pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("O-", 5, 4), ("O-", 9, 4), ("O+", 5, 4),
+                                     ("Oodd", 3, 5), ("O-", 3, 6), ("O+", 3, 6)])
+def test_ladder_walks_each_orbit_once_to_the_plan_a_per_base_walk_gives(fam, q, n, monkeypatch):
+    # the literal, twisted and transversal rungs: the same plan, notes and
+    # member order as when every base walks its own orbit and every orbit
+    # is checked pair by pair
+    from orthosig import lscore, spreads
+
+    space = space_for(descriptor(fam, q, n=n))
+    got = spread_construction(space, fam)
+    monkeypatch.setattr(spreads, "cyclic_orbits", _per_base_orbits)
+    monkeypatch.setattr(lscore, "_spread_orbits", _every_orbit_tested)
+    want = lscore._spread_construction.__wrapped__(space, False)
+    assert got.shape == want.shape
+    assert got.notes == want.notes
+    assert got.W0.key == want.W0.key
+    assert [m.key for m in got.members.members] == [m.key for m in want.members.members]
+    assert _layer_keys(got.layers) == _layer_keys(want.layers)
+
+
 # ---------------------------------------------------------------- projection
 
 
@@ -467,9 +522,10 @@ def test_so5_transversal_valid():
 # before the Eichler maps, Witt frames and block-product loops were merged
 # (the next three), and before the literal b was dropped and the BFS loops
 # became one closure (the last four: the SO notes of the dropped b, a
-# signature without notes, and the element scan): every rung of the
-# construction ladder must keep producing the same blocks, in the same
-# order.
+# signature without notes, and the element scan), and before the
+# anisotropic match was stacked (O-4(7) and O-4(25), whose match scans run
+# far past the others'): every rung of the construction ladder must keep
+# producing the same blocks, in the same order.
 GOLDEN_SHA256 = {
     ("O-", 3, 4): "9746ebc30dd2c080e75d247b2b620904e5c3f02f2bbbe1ac070e10cfeb319f8b",
     ("O+", 3, 4): "b02c4e3eaf63cfa9898a88f00cf52a07fe4dae484776b452654fdd9df7797fe0",
@@ -487,6 +543,8 @@ GOLDEN_SHA256 = {
     ("SOodd", 3, 5): "f831af935425a27c270b1b82b9864cd2645e995d451f680ffd803aa3ec2375e2",
     ("SOodd", 3, 3): "33ec9f7f48ce7c32dbb5283867911ecefab57fb0273367fb5b84a47ded6beff3",
     ("O-", 3, 6): "0d7d60918774df77473f495a7a9c28d49c4688f103ad8969c2622be4a7ecc6c6",
+    ("O-", 7, 4): "1398ce6543be2faf02ea4d649cde8d2f2f2f36415ae5c73c91098491928ff3bd",
+    ("O-", 25, 4): "ea07905be8ccc9241d6b17bcbc68831f1ef93c9ef8b0115b4f3099a21a58509f",
 }
 
 
@@ -502,8 +560,9 @@ def test_canonical_signatures_match_golden_hashes(fam, q, n):
 
 # SHA-256 of every array of the decode plan (`_plan_digest`), recorded
 # while the head table was still built from per-layer inverse powers and a
-# walk of the Singer generator: the strips, digits and tables a stage
-# decodes through must stay the same to the byte.
+# walk of the Singer generator (O-4(7) and O-4(25): before the anisotropic
+# match was stacked): the strips, digits and tables a stage decodes through
+# must stay the same to the byte.
 PLAN_SHA256 = {
     ("O-", 3, 4): "589bf8609d2e37706b25c83436eb1084126a0f985318663adc11937d2c286cc0",
     ("O+", 5, 4): "3d67ded445d7b81737153b578476a8467908f03df3c1c7c319703321cf0a337e",
@@ -513,6 +572,8 @@ PLAN_SHA256 = {
     ("O+", 3, 6): "2c0b9bc1ca919e13fdd1cbdd35e9ea973e728ce621dc9dacdf0e6c455bebdcb8",
     ("SOodd", 17, 3): "04f2d9fd850440c716afc5b89fddfbc5e46deed66ec2c524a1683c9c8ff197fd",
     ("Oodd", 3, 7): "2ab42dfc1b3519fcc555cc334642fa32808715cd63d1244adf9b290e7463f641",
+    ("O-", 7, 4): "502ee77d83e6784621bcfb2738dc8fc37c4984da2b960e27f022fa882d272a98",
+    ("O-", 25, 4): "21840f7acf0ce5ec0d95a24aabde0d016d375b58fb7f92d4c19ad6d908987e2e",
 }
 
 

@@ -13,6 +13,7 @@ from orthosig.spreads import (
     classical_spread,
     act_rref,
     act_subspace,
+    cyclic_orbits,
     orbit_walk,
     orbits_are_partial_spreads,
     schreier_transversal,
@@ -230,6 +231,28 @@ def test_orbit_precheck_matches_check_pairwise():
                 assert ok == want
                 seen.add(want)
     assert seen == {True, False}
+
+
+def test_cyclic_orbits_walk_each_orbit_once_with_orbit_walks_images():
+    # every base of the literal rung: the return time and images that
+    # orbit_walk gives, for orbits that close within the steps and ones
+    # that do not, with chunks from one image up; a closed orbit is one
+    # walk for all its members
+    from orthosig.lscore import powers, ts_subspace_transporters
+
+    for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 3), ("odd", "Oodd", 2)]:
+        s = build_space(kind, make_tower(3, 1, m))
+        lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
+        bases = np.stack([subspace_from_key(k, s.n).basis() for k in ts_subspace_transporters(s, False)])
+        for steps in (3, 12):
+            ret, imgs = orbit_walk(s.fq, np.broadcast_to(lit.a, (len(bases), s.n, s.n)), bases, steps)
+            closed = {frozenset(R.tobytes() for R in imgs[i, :t]) for i, t in enumerate(ret) if t}
+            for chunk in (1, 7, 4096):
+                orbits = cyclic_orbits(s.fq, powers(s.fq, lit.a, steps + 1)[1:], bases, chunk)
+                assert orbits.ret.tolist() == ret.tolist()
+                for i, t in enumerate(ret):
+                    assert np.array_equal(orbits.walk(i, t or steps), imgs[i, :t or steps])
+                assert len(orbits.walks) == len(closed) + (ret == 0).sum()
 
 
 @pytest.mark.parametrize("kind,p,e,m,r", [("minus", 3, 1, 2, 1), ("plus", 3, 1, 2, 2),
