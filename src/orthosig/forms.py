@@ -336,15 +336,6 @@ def membership_many(space: QuadraticSpace, A, family: str):
     return ok
 
 
-def _reflection_stack(space, V, qv):
-    """The (k, n, n) stack of reflections in the rows of V, with qv = Q(V)
-    nonzero: one rank update I + (-qv^-1 v) (Gv)^T per row."""
-    fq = space.fq
-    col = fq.v_scale(fq.NEG[fq.INV[qv]][:, None], V)
-    row = fq.mat_mul(V, space.gram)
-    return fq.v_add(fq.identity(space.n), fq.mat_mul(col[:, :, None], row[:, None, :]))
-
-
 def eichler(fq: FqContext, gram, i, u):
     """The Eichler (Siegel) map of the hyperbolic pair (e_i, f_i) of a Witt
     frame along u orthogonal to that pair,
@@ -381,30 +372,38 @@ def isometry_inverse(space: QuadraticSpace, A):
 
 @cache
 def reflections(space: QuadraticSpace):
-    """All reflections, one per non-singular projective point."""
-    V = np.array(space.points(), dtype=np.int16)
+    """All reflections, one per non-singular projective point v in point
+    order, as one read-only (k, n, n) int16 stack shared by every caller:
+    one rank update I + (-Q(v)^-1 v) (Gv)^T per point."""
+    fq = space.fq
+    V = space.points()
     qv = space.Q(V)
     keep = qv != 0
-    return [Mat(space.fq, a) for a in _reflection_stack(space, V[keep], qv[keep])]
+    V, qv = V[keep], qv[keep]
+    col = fq.v_scale(fq.NEG[fq.INV[qv]][:, None], V)
+    row = fq.mat_mul(V, space.gram)
+    R = fq.v_add(fq.identity(space.n), fq.mat_mul(col[:, :, None], row[:, None, :]))
+    R.setflags(write=False)
+    return R
 
 
 def o_generators(space: QuadraticSpace):
+    """The generators of O: the stack of all reflections."""
     return reflections(space)
 
 
 def so_generators(space: QuadraticSpace):
-    refl = reflections(space)
-    if len(refl) < 2:
-        return []
-    r0 = refl[0]
-    return [r0 * r for r in refl[1:]]
+    """The generators r_0 r_i, i >= 1, of SO, r_i the reflections, as one
+    stacked product: a (0, n, n) stack when there are fewer than two."""
+    R = reflections(space)
+    return space.fq.mat_mul(R[:1], R[1:])
 
 
 @cache
 def enumerate_isometry_group(space: QuadraticSpace, family="O"):
     """Full enumeration by closure (desk scale only)."""
     if family == "O":
-        return mulclose(reflections(space))
+        return mulclose(space.fq, reflections(space))
     if family == "SO":
         els = enumerate_isometry_group(space, "O")
         return [g for g, d in zip(els, space.fq.det(np.stack([g.a for g in els]))) if d == 1]
@@ -415,7 +414,7 @@ def enumerate_isometry_group(space: QuadraticSpace, family="O"):
 def omega_oracle(space: QuadraticSpace):
     """Key set and elements of the commutator subgroup of the full isometry
     group, computed as a normal closure of generator commutators."""
-    els = derived_subgroup(o_generators(space))
+    els = derived_subgroup(space.fq, o_generators(space))
     return {g.key for g in els}, els
 
 
@@ -447,29 +446,23 @@ def omega_audit(space: QuadraticSpace):
 
 def find_anisotropic_plane(space: QuadraticSpace):
     """First 2-dimensional subspace (by the deterministic scan order) on
-    which Q has no nonzero singular vector; rows are witt coordinates."""
-    pts = space.points()
-    nonsing = [v for v, z in zip(pts, space.Q(pts) != 0) if z]
-    for v1 in nonsing:
-        for v2 in nonsing:
-            # f(v, v) = 2 Q(v) is nonzero, so v2 != v1 here, and distinct
-            # canonical reps span a plane
-            if space.f(v1, v2) != 0:
-                continue
-            if _plane_is_anisotropic(space, v1, v2):
-                return np.array([v1, v2], dtype=np.int16)
-    raise GeometryError("no anisotropic plane found")
+    which Q has no nonzero singular vector; rows are witt coordinates.
 
-
-def _plane_is_anisotropic(space, v1, v2):
+    Pairs (v1, v2) of non-singular points are scanned in point order, v2
+    fastest.  For each v1, one stacked f(v1, .) keeps the v2 orthogonal to
+    v1 (so v2 != v1, as f(v, v) = 2 Q(v) != 0), and one stacked Q over
+    v1 + c v2, c < q, keeps those whose plane is anisotropic: its other
+    vectors are multiples of v2, where Q is nonzero."""
     fq = space.fq
-    for c in range(fq.q):
-        w = fq.v_add(v1, fq.v_scale(c, v2))
-        if space.Q(w) == 0:
-            return False
-    if space.Q(v2) == 0:
-        return False
-    return True
+    pts = space.points()
+    nonsing = pts[space.Q(pts) != 0]
+    cs = np.arange(fq.q, dtype=np.int16)[None, :, None]
+    for v1 in nonsing:
+        v2 = nonsing[space.f(v1, nonsing) == 0]
+        aniso = (space.Q(fq.v_add(v1, fq.v_scale(cs, v2[:, None, :]))) != 0).all(axis=1)
+        if aniso.any():
+            return np.array([v1, v2[aniso.argmax()]], dtype=np.int16)
+    raise GeometryError("no anisotropic plane found")
 
 
 def perp_basis(space: QuadraticSpace, rows):

@@ -35,6 +35,7 @@ from .matgroups import (
     maximal_ts_count,
     mulclose,
     neg_identity,
+    powers,
     singer_generator,
     split_family,
     standard_generators,
@@ -246,19 +247,6 @@ def _mixed_radices(s: int) -> list[int]:
     return out
 
 
-def powers(fq: FqContext, x, s: int):
-    """The (s, n, n) stack x^0, .., x^(s-1) of an (n, n) array: a running
-    product that doubles the table with one stacked product a step,
-    x^(j+k) = x^j x^k for j < k = the current length."""
-    P = fq.identity(len(x))[None]
-    xk = x
-    while len(P) < s:
-        P = np.concatenate([P, fq.mat_mul(P[:s - len(P)], xk)])
-        if len(P) < s:
-            xk = fq.mat_mul(P[-1], x)
-    return P
-
-
 def cyclic_blocks(x: Mat, s: int) -> tuple[list, list[int]]:
     """Prime-size blocks {x^(j*M_t)} realizing the cyclic set {x^i : i < s},
     read from one table of the running powers of x."""
@@ -343,13 +331,15 @@ def ts_subspace_transporters(space, det1):
     size = maximal_ts_count(space.kind, space.q, r)
     if det1 and space.kind == "plus":
         size //= 2
-    return spr.schreier_transversal(_default_w0(space, r).basis(), gens, size)
+    return spr.schreier_transversal(space.fq, _default_w0(space, r).basis(), gens, size)
 
 
 def _try_partition(space, members, L):
+    # members are images of a totally singular subspace under isometries,
+    # so two that meet share a singular point, which the partition check
+    # reports as covered twice: it also checks that they meet trivially
     try:
         sp = PartialSpread(list(members), space.fq)
-        sp.check_pairwise()
     except spr.NotAPartialSpread:
         return None, None
     rep = spr.verify_partition(sp, L, space.fq)
@@ -408,7 +398,7 @@ def _try_transversal(space, L, det1):
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
     w0 = L[0]
     # a canonical point is the echelon basis of its 1-space
-    reps = spr.schreier_transversal(w0[None, :], gens, len(L))
+    reps = spr.schreier_transversal(fq, w0[None, :], gens, len(L))
     keys = [v.tobytes() for v in L]
     order_keys = [w0.tobytes()] + [k for k in keys if k != w0.tobytes()]
     elems = [reps[k] for k in order_keys]
@@ -493,11 +483,12 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
             # the hyperbolic plane: M = 2, and a generator whose orbit on W0
             # has two members swaps the two singular points
             gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-            ret, imgs = spr.orbit_walk(space.fq, np.stack([g.a for g in gens]),
-                                       _default_w0(space, r).basis(), M)
-            hit = np.flatnonzero(ret == M)
+            W0 = _default_w0(space, r).basis()
+            img = spr.act_rref(space.fq, gens, W0)[0]
+            back = spr.act_rref(space.fq, gens, img)[0]
+            hit = np.flatnonzero((img != W0).any(axis=(1, 2)) & (back == W0).all(axis=(1, 2)))
             if len(hit):
-                plan = _try_cyclic(space, gens[hit[0]], _members(imgs[hit[0], :M]), L)
+                plan = _try_cyclic(space, Mat(space.fq, gens[hit[0]]), _members([W0, img[hit[0]]]), L)
                 notes.append("sharply transitive cyclic block found by element scan")
         if plan is None:
             notes.append(
@@ -996,17 +987,20 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
     fq = space.fq
     n, R = space.n, space.witt_index
     q = space.q
-    # unipotent radical: closure of pairwise Eichler maps
+    # unipotent radical: closure of pairwise Eichler maps, along u = theta
+    # e_pos for each pair i, each other position pos and each basis
+    # element theta of F_q over F_p, one stacked Eichler map per pair
     gens = []
     mid_pos, mid_space = _middle_space(space, k)
+    thetas = [fq.gf.from_coeffs([0] * t + [1]) for t in range(fq.e)]
     for i in range(k):
         upos = [j for j in range(k) if j != i] + mid_pos
-        for pos in upos:
-            for th in [fq.gf.from_coeffs([0] * t + [1]) for t in range(fq.e)]:
-                u = np.zeros(n, dtype=np.int16)
-                u[pos] = th
-                gens.append(Mat(fq, forms.eichler(fq, space.gram, i, u)))
-    Rgrp = mulclose(gens) if gens else [identity(fq, n)]
+        U = np.zeros((len(upos), fq.e, n), dtype=np.int16)
+        for a, pos in enumerate(upos):
+            U[a, :, pos] = thetas
+        gens.append(forms.eichler(fq, space.gram, i, U.reshape(-1, n)))
+    gens = np.concatenate(gens)
+    Rgrp = mulclose(fq, gens) if len(gens) else [identity(fq, n)]
     expected_R = q ** (k * (k - 1) // 2 + k * (n - 2 * k))
     if len(Rgrp) != expected_R:
         raise LsError(f"unipotent radical has size {len(Rgrp)}, expected {expected_R}")

@@ -260,16 +260,27 @@ def _singer_via_extension(k: int, fq: FqContext) -> Mat:
     return Mat(fq, cols.T)
 
 
+def powers(fq: FqContext, x, s: int):
+    """The (s, n, n) stack x^0, .., x^(s-1) of an (n, n) array: a running
+    product that doubles the table with one stacked product a step,
+    x^(j+k) = x^j x^k for j < k = the current length."""
+    P = fq.identity(len(x))[None]
+    xk = x
+    while len(P) < s:
+        P = np.concatenate([P, fq.mat_mul(P[:s - len(P)], xk)])
+        if len(P) < s:
+            xk = fq.mat_mul(P[-1], x)
+    return P
+
+
 def element_order(g: Mat, cap: int) -> int:
-    """Least t <= cap with g^t = I; raises OrderNotFound beyond cap, or
-    FieldError when g is singular (no power of it is I, so the determinant
-    is only taken once the walk has failed)."""
-    I = identity(g.fq, g.n)
-    cur = g
-    for t in range(1, cap + 1):
-        if cur == I:
-            return t
-        cur = cur * g
+    """Least t <= cap with g^t = I, read off the table `powers` of g^0, ..,
+    g^cap; raises OrderNotFound beyond cap, or FieldError when g is
+    singular (no power of it is I, so the determinant is only taken once
+    the table has no hit)."""
+    hit = np.flatnonzero((powers(g.fq, g.a, cap + 1)[1:] == g.fq.identity(g.n)).all(axis=(1, 2)))
+    if len(hit):
+        return int(hit[0]) + 1
     if g.det() == 0:
         raise FieldError("singular matrix has no order")
     raise OrderNotFound(f"order exceeds cap {cap}")
@@ -392,35 +403,33 @@ def closure(starts, images, limit):
     return nodes, parent, via
 
 
-def mulclose(gens):
-    """Multiplicative closure of a generator list, BFS order, deterministic."""
-    gens = list(gens)
-    if not gens:
+def mulclose(fq: FqContext, gens):
+    """Multiplicative closure of a (k, n, n) generator stack, BFS order,
+    deterministic."""
+    if not len(gens):
         return []
-    fq = gens[0].fq
-    stack = np.stack([g.a for g in gens])
-    nodes = closure([fq.identity(gens[0].n)], lambda x: fq.mat_mul(x, stack), _CLOSURE_CAP + 1)[0]
+    nodes = closure([fq.identity(gens.shape[-1])], lambda x: fq.mat_mul(x, gens), _CLOSURE_CAP + 1)[0]
     if len(nodes) > _CLOSURE_CAP:
         raise RuntimeError("closure exceeded cap")
     return [Mat(fq, a) for a in nodes]
 
 
-def derived_subgroup(gens):
-    """Derived subgroup of <gens>: normal closure of generator commutators."""
-    gens = list(gens)
-    if not gens:
+def derived_subgroup(fq: FqContext, gens):
+    """Derived subgroup of the group a (k, n, n) generator stack generates:
+    the normal closure of the k^2 commutators a b a^-1 b^-1, in (a, b)
+    order, from one stacked inverse and three stacked products."""
+    if not len(gens):
         return []
-    fq = gens[0].fq
-    ginvs = [g.inv() for g in gens]
-    comms = np.stack([(a * b * ai * bi).a for a, ai in zip(gens, ginvs) for b, bi in zip(gens, ginvs)])
-    gstack = np.stack([g.a for g in gens])
-    istack = np.stack([g.a for g in ginvs])
+    n = gens.shape[-1]
+    invs = fq.mat_inv(gens)
+    ab = fq.mat_mul(gens[:, None], gens[None])
+    comms = fq.mat_mul(fq.mat_mul(ab, invs[:, None]), invs[None]).reshape(-1, n, n)
 
     # close under multiplication and conjugation by the ambient generators
     def images(x):
-        return np.concatenate([fq.mat_mul(x, comms), fq.mat_mul(fq.mat_mul(gstack, x), istack)])
+        return np.concatenate([fq.mat_mul(x, comms), fq.mat_mul(fq.mat_mul(gens, x), invs)])
 
-    nodes = closure([fq.identity(gens[0].n), *comms], images, _CLOSURE_CAP + 1)[0]
+    nodes = closure([fq.identity(n), *comms], images, _CLOSURE_CAP + 1)[0]
     if len(nodes) > _CLOSURE_CAP:
         raise RuntimeError("derived subgroup exceeded cap")
     return [Mat(fq, a) for a in nodes]

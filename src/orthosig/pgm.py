@@ -19,7 +19,7 @@ import numpy as np
 from .factorize import IndexVector, compose, rank, tame_factor, unrank
 from .forms import isometry_inverse
 from .lscore import LogSignature, LsError, ProductTables, canonical_ls, space_for
-from .matgroups import GroupDescriptor, Mat, identity
+from .matgroups import GroupDescriptor, Mat
 
 
 class PgmError(LsError):
@@ -65,15 +65,14 @@ def keygen(desc: GroupDescriptor, seed: int) -> PgmKey:
         rng.shuffle(idx)
         perms.append(idx)
     pool = [g for blk in alpha.blocks for g in blk]
-    one = identity(fq, n)
-    translations = [one] + [pool[rng.randrange(len(pool))] for _ in alpha.blocks[1:]] + [one]
+    one = fq.identity(n)
+    translations = np.stack([one] + [pool[rng.randrange(len(pool))].a for _ in alpha.blocks[1:]] + [one])
     # the translations are isometries: one stacked isometry inverse
-    invs = isometry_inverse(space_for(desc), np.stack([g.a for g in translations[:-1]]))
+    invs = isometry_inverse(space_for(desc), translations[:-1])
     beta_blocks = []
     for i, (blk, perm) in enumerate(zip(alpha.blocks, perms)):
-        gprev_inv = Mat(fq, invs[i])
-        gnext = translations[i + 1]
-        beta_blocks.append([gprev_inv * blk[j] * gnext for j in perm])
+        B = np.stack([blk[j].a for j in perm])
+        beta_blocks.append([Mat(fq, a) for a in fq.mat_mul(fq.mat_mul(invs[i], B), translations[i + 1])])
     beta = LogSignature(desc, beta_blocks, alpha.claimed_order,
                         meta={"derived_from": "canonical", "seed": seed},
                         tables=ProductTables.build(fq, n, beta_blocks))

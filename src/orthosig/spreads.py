@@ -64,34 +64,6 @@ def act_subspace(g: Mat, S: Subspace) -> Subspace:
     return _subspace_of(R[:rank])
 
 
-def orbit_walk(fq: FqContext, mats, bases, steps):
-    """Walks each pair (g_i, B_i) of a (k, n, n) stack of matrices and one
-    shared or a (k, r, n) stack of echelon bases through the images
-    g_i^t(B_i), t = 1..steps, all pairs together, one `act_rref` a step.
-
-    Returns (ret, imgs): ret[i] is the least t with g_i^t(B_i) = B_i, the
-    size of the orbit of B_i under <g_i>, or 0 when it exceeds `steps`;
-    imgs is a (k, steps, r, n) stack with imgs[i, t] = g_i^t(B_i) for
-    t < ret[i] (for every t < steps when ret[i] = 0).
-    """
-    home = np.broadcast_to(bases, (len(mats),) + np.shape(bases)[-2:])
-    ret = np.zeros(len(mats), dtype=np.intp)
-    imgs = np.zeros((len(mats), steps) + home.shape[1:], dtype=np.int16)
-    imgs[:, 0] = home
-    alive = np.arange(len(mats))
-    cur = home
-    for t in range(1, steps + 1):
-        if not len(alive):
-            break
-        cur = act_rref(fq, mats[alive], cur)[0]
-        back = (cur == home[alive]).all(axis=(1, 2))
-        ret[alive[back]] = t
-        alive, cur = alive[~back], cur[~back]
-        if t < steps:
-            imgs[alive, t] = cur
-    return ret, imgs
-
-
 # a plain class: as a dataclass it would add about 0.3 ms to the import of
 # every command
 class CyclicOrbits:
@@ -119,8 +91,7 @@ def cyclic_orbits(fq: FqContext, pows, bases, chunk) -> CyclicOrbits:
     that returns home within `steps` is the walk of each of its members
     among the bases, at its position; one that does not is the walk of that
     base alone.  A base that an earlier one's orbit reached in the same
-    call is skipped.  Every walk holds the images `orbit_walk` gives for
-    g_i = a.
+    call is skipped.
     """
     steps, (k, r, n) = len(pows), bases.shape
     index = {B.tobytes(): i for i, B in enumerate(bases)}
@@ -236,9 +207,7 @@ def classical_spread(tower: FieldTower) -> PartialSpread:
 
 def verify_partition(spread: PartialSpread, points, fq: FqContext):
     """Checks every point lies in exactly one member and the members carry
-    equally many points.  Violations are report content, not exceptions;
-    "owner" maps the key of each covered point to the index of the first
-    member that contains it.
+    equally many points.  Violations are report content, not exceptions.
     """
     point_keys = [np.asarray(p, dtype=np.int16).tobytes() for p in points]
     pt_set = set(point_keys)
@@ -270,18 +239,17 @@ def verify_partition(spread: PartialSpread, points, fq: FqContext):
         "points_per_member": counts[0] if counts and equal else counts,
         "uncovered": uncovered,
         "violations": violations[:5],
-        "owner": owner,
     }
 
 
 _TRANSVERSAL_CAP = 200_000
 
 
-def schreier_transversal(start, gens, size):
+def schreier_transversal(fq: FqContext, start, gens, size):
     """Transversal of the orbit of a subspace, given by its echelon basis
-    `start`, under the group generated by `gens`, when that orbit has
-    `size` members: returns {key: transporter} with transporter(start) =
-    the subspace of that key.
+    `start`, under the group generated by the (k, n, n) stack `gens`, when
+    that orbit has `size` members: returns {key: transporter} with
+    transporter(start) = the subspace of that key.
 
     The orbit is the `matgroups.closure` of `start` under `act_rref` with
     the whole generator stack, so keys come in BFS order; the walk stops
@@ -293,15 +261,13 @@ def schreier_transversal(start, gens, size):
     """
     if size > _TRANSVERSAL_CAP:
         raise RuntimeError("transversal exceeded cap")
-    fq, n = gens[0].fq, gens[0].n
-    stack = np.stack([g.a for g in gens])
     nodes, parent, via = closure([np.ascontiguousarray(start, dtype=np.int16)],
-                                 lambda x: act_rref(fq, stack, x)[0], size)
+                                 lambda x: act_rref(fq, gens, x)[0], size)
     if len(nodes) < size:
         raise RuntimeError(f"orbit has {len(nodes)} members, expected {size}")
-    move = [identity(fq, n)]
+    move = [identity(fq, gens.shape[-1])]
     for t, run in itertools.groupby(range(1, len(nodes)), parent.__getitem__):
         run = list(run)
-        prods = fq.mat_mul(stack[[via[u] for u in run]], move[t].a)
+        prods = fq.mat_mul(gens[[via[u] for u in run]], move[t].a)
         move.extend(Mat(fq, a) for a in prods)
     return {x.tobytes(): g for x, g in zip(nodes, move)}

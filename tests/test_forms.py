@@ -23,6 +23,7 @@ from orthosig.forms import (
     perp_basis,
     preserves_form,
     reflections,
+    so_generators,
     enumerate_isometry_group,
 )
 from orthosig.matgroups import (
@@ -100,7 +101,7 @@ def test_isometries_closed_under_product(minus32):
     refl = reflections(s)
     rng = random.Random(1)
     for _ in range(40):
-        g, h = rng.choice(refl), rng.choice(refl)
+        g, h = Mat(s.fq, rng.choice(refl)), Mat(s.fq, rng.choice(refl))
         assert is_isometry(s, g * h)
         assert is_isometry(s, g.inv())
 
@@ -110,7 +111,8 @@ def test_reflection_properties():
     for kind in ("minus", "plus", "odd"):
         s = build_space(kind, make_tower(3, 1, 1))
         nonsing = [v for v in s.points() if s.Q(v) != 0]
-        for v, r in list(zip(nonsing, reflections(s)))[:10]:
+        for v, a in list(zip(nonsing, reflections(s)))[:10]:
+            r = Mat(s.fq, a)
             assert s.fq.mat_vec(r.a, v).tolist() == s.fq.v_neg(v).tolist()
             assert (r * r).is_identity()
             assert r.det() == s.fq.neg(1)
@@ -177,7 +179,7 @@ def test_membership_families(minus32):
     s = minus32
     I = identity(s.fq, 4)
     assert membership(s, I, "SO-")
-    r = reflections(s)[0]
+    r = Mat(s.fq, reflections(s)[0])
     assert membership(s, r, "O-") and not membership(s, r, "SO-")
     # -I has even rank(I + -I) = 0, the criterion places it in Omega
     assert membership(s, neg_identity(s.fq, 4), "Omega-")
@@ -202,6 +204,23 @@ def test_enumerate_isometry_group_sizes():
         s = build_space(kind, make_tower(q, 1, m))
         n = 2 * m + (1 if kind == "odd" else 0)
         assert len(enumerate_isometry_group(s, "O")) == group_order(descriptor(fam, q, n=n))
+
+
+def _first_anisotropic_plane(s):
+    # the pair scan one pair and one scalar at a time: v1, then v2, over the
+    # non-singular points in point order
+    nonsing = [v for v in s.points() if s.Q(v) != 0]
+    for v1 in nonsing:
+        for v2 in nonsing:
+            if s.f(v1, v2) == 0 and all(s.Q(s.fq.v_add(v1, s.fq.v_scale(c, v2))) for c in range(s.q)):
+                return [v1.tolist(), v2.tolist()]
+
+
+@pytest.mark.parametrize("kind,p,e,m", [("plus", 3, 1, 2), ("plus", 5, 1, 2), ("plus", 3, 2, 2),
+                                        ("plus", 3, 1, 3), ("minus", 3, 1, 2), ("odd", 5, 1, 1)])
+def test_anisotropic_plane_is_the_first_of_the_pair_scan(kind, p, e, m):
+    s = build_space(kind, make_tower(p, e, m))
+    assert find_anisotropic_plane(s).tolist() == _first_anisotropic_plane(s)
 
 
 def test_anisotropic_plane_and_perp(plus32):
@@ -322,7 +341,7 @@ def test_membership_of_a_stack_matches_one_at_a_time(spec, seed):
     for _ in range(10):
         g = identity(fq, n)
         for _ in range(rng.randrange(4)):
-            g = g * refl[rng.randrange(len(refl))]
+            g = g * Mat(fq, refl[rng.randrange(len(refl))])
         a = g.a.copy()
         kind_of = rng.randrange(4)
         if kind_of == 1:
@@ -386,7 +405,25 @@ def test_reflections_match_the_closed_form_per_vector(kind, p, e, m):
         gv = fq.mat_vec(s.gram, v)
         want = np.array([[fq.add(int(i == j), fq.mul(fq.mul(c, int(v[i])), int(gv[j])))
                           for j in range(s.n)] for i in range(s.n)], dtype=np.int16)
-        assert r.a.tobytes() == want.tobytes()
+        assert r.tobytes() == want.tobytes()
+
+
+def test_reflections_are_one_read_only_stack():
+    # every caller shares the cached stack, so it cannot be edited in place
+    s = build_space("minus", make_tower(3, 1, 2))
+    R = reflections(s)
+    assert R is reflections(s)
+    assert R.dtype == np.int16 and R.shape == (len(s.points()) - len(s.isotropic_points()), 4, 4)
+    with pytest.raises(ValueError):
+        R[0, 0, 0] = 2
+
+
+def test_so_generators_are_the_first_reflection_times_each_other():
+    s = build_space("odd", make_tower(3, 1, 1))
+    R = [Mat(s.fq, a) for a in reflections(s)]
+    assert [a.tobytes() for a in so_generators(s)] == [(R[0] * r).key for r in R[1:]]
+    # the line has one reflection, -1, and SO_1 is trivial
+    assert so_generators(build_line_space(3, 1)).shape == (0, 1, 1)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])

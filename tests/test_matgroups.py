@@ -192,7 +192,7 @@ def test_mulclose_dihedral():
     space = build_space("minus", make_tower(3, 1, 1))
     from orthosig.forms import reflections
 
-    els = mulclose(reflections(space))
+    els = mulclose(space.fq, reflections(space))
     assert len(els) == 8  # dihedral of order 2(q+1)
 
 
@@ -221,8 +221,9 @@ def test_mulclose_keeps_bfs_order(kind, p, e, m):
 
     space = build_space(kind, make_tower(p, e, m))
     gens = reflections(space)
-    want = _bfs_one_at_a_time([identity(space.fq, space.n)], lambda x: [x * g for g in gens])
-    assert [g.key for g in mulclose(gens)] == [g.key for g in want]
+    mats = [Mat(space.fq, a) for a in gens]
+    want = _bfs_one_at_a_time([identity(space.fq, space.n)], lambda x: [x * g for g in mats])
+    assert [g.key for g in mulclose(space.fq, gens)] == [g.key for g in want]
 
 
 @pytest.mark.parametrize("kind,p,e,m", CLOSURE_SPACES)
@@ -233,12 +234,13 @@ def test_derived_subgroup_keeps_bfs_order(kind, p, e, m):
 
     space = build_space(kind, make_tower(p, e, m))
     for gens in (o_generators(space), so_generators(space)):
-        invs = [g.inv() for g in gens]
-        comms = [a * b * ai * bi for a, ai in zip(gens, invs) for b, bi in zip(gens, invs)]
+        mats = [Mat(space.fq, a) for a in gens]
+        invs = [g.inv() for g in mats]
+        comms = [a * b * ai * bi for a, ai in zip(mats, invs) for b, bi in zip(mats, invs)]
         want = _bfs_one_at_a_time(
             [identity(space.fq, space.n)] + comms,
-            lambda x: [x * c for c in comms] + [g * x * gi for g, gi in zip(gens, invs)])
-        assert [g.key for g in derived_subgroup(gens)] == [g.key for g in want]
+            lambda x: [x * c for c in comms] + [g * x * gi for g, gi in zip(mats, invs)])
+        assert [g.key for g in derived_subgroup(space.fq, gens)] == [g.key for g in want]
 
 
 def test_closure_records_parents_and_stops_at_the_limit():
@@ -267,15 +269,15 @@ def test_closures_raise_beyond_the_cap(monkeypatch):
 
     space = build_space("odd", make_tower(3, 1, 1))  # O_3(3) of order 48, derived subgroup 12
     monkeypatch.setattr(matgroups, "_CLOSURE_CAP", 48)
-    assert len(mulclose(reflections(space))) == 48
+    assert len(mulclose(space.fq, reflections(space))) == 48
     monkeypatch.setattr(matgroups, "_CLOSURE_CAP", 47)
     with pytest.raises(RuntimeError, match="^closure exceeded cap$"):
-        mulclose(reflections(space))
+        mulclose(space.fq, reflections(space))
     monkeypatch.setattr(matgroups, "_CLOSURE_CAP", 12)
-    assert len(derived_subgroup(o_generators(space))) == 12
+    assert len(derived_subgroup(space.fq, o_generators(space))) == 12
     monkeypatch.setattr(matgroups, "_CLOSURE_CAP", 11)
     with pytest.raises(RuntimeError, match="^derived subgroup exceeded cap$"):
-        derived_subgroup(o_generators(space))
+        derived_subgroup(space.fq, o_generators(space))
 
 
 def test_mat_serialization_roundtrip():

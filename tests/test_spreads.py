@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from leibniz import det_by_permutations, rref_by_rows
 
 from orthosig.fields import fq_context, make_tower, projective_points
 from orthosig.forms import build_space, enumerate_isotropic_points
-from orthosig.matgroups import Mat, descriptor, identity, standard_generators
+from orthosig.matgroups import Mat, descriptor, element_order, identity, powers, standard_generators
 from orthosig.spreads import (
     NotAPartialSpread,
     PartialSpread,
@@ -14,7 +16,6 @@ from orthosig.spreads import (
     act_rref,
     act_subspace,
     cyclic_orbits,
-    orbit_walk,
     orbits_are_partial_spreads,
     schreier_transversal,
     span_points,
@@ -61,20 +62,26 @@ def test_classical_spread_partitions_V(p, e, m):
     assert rep["ok"]
 
 
-def _walked_spread(fq, imgs, i, size):
-    members = [subspace_from_key(R.tobytes(), imgs.shape[-1]) for R in imgs[i, :size]]
+def _walked_spread(fq, walk):
+    members = [subspace_from_key(R.tobytes(), walk.shape[-1]) for R in walk]
     sp = PartialSpread(members, fq)
     sp.check_pairwise()
     return sp
+
+
+def _orbits(g, bases, steps):
+    """`cyclic_orbits` of a (k, r, n) stack of bases under <g>, walked up
+    to g^steps."""
+    return cyclic_orbits(g.fq, powers(g.fq, g.a, steps + 1)[1:], bases, 4096)
 
 
 def test_orbit_partial_spread_identity():
     t = make_tower(3, 1, 2)
     s = build_space("minus", t)
     W0 = subspace(s.fq, [s.e_vec(0)])
-    ret, imgs = orbit_walk(s.fq, identity(s.fq, 4).a[None], W0.basis(), 1)
-    assert ret.tolist() == [1]
-    sp = _walked_spread(s.fq, imgs, 0, ret[0])
+    orbits = _orbits(identity(s.fq, 4), W0.basis()[None], 1)
+    assert orbits.ret.tolist() == [1]
+    sp = _walked_spread(s.fq, orbits.walk(0, 1))
     assert len(sp) == 1
     assert sp.members[0].key == W0.key
 
@@ -86,9 +93,9 @@ def test_orbit_partial_spread_minus_torus_collapses():
     s = build_space("minus", t)
     a, _ = standard_generators(descriptor("O-", 3, n=4), s)
     W0 = subspace(s.fq, [enumerate_isotropic_points(s)[0]])
-    ret, imgs = orbit_walk(s.fq, a.a[None], W0.basis(), 10)
-    assert ret.tolist() == [5]
-    assert len(_walked_spread(s.fq, imgs, 0, 5)) == 5
+    orbits = _orbits(a, W0.basis()[None], 10)
+    assert orbits.ret.tolist() == [5]
+    assert len(_walked_spread(s.fq, orbits.walk(0, 5))) == 5
 
 
 def test_orbit_partial_spread_plus_sharp():
@@ -101,9 +108,9 @@ def test_orbit_partial_spread_plus_sharp():
     plan = stage_spread(ls)
     _, gen, size = plan.layers[0]
     W0 = plan.W0
-    ret, imgs = orbit_walk(gen.fq, gen.a[None], W0.basis(), size)
-    assert ret.tolist() == [size] == [4]
-    assert len(_walked_spread(gen.fq, imgs, 0, size)) == 4
+    orbits = _orbits(gen, W0.basis()[None], size)
+    assert orbits.ret.tolist() == [size] == [4]
+    assert len(_walked_spread(gen.fq, orbits.walk(0, size))) == 4
 
 
 def test_overlapping_members_raise():
@@ -178,6 +185,9 @@ def test_hypothesis_batched_act_matches_one_at_a_time(pe, n, r, k, data):
 
 
 def _reference_orbit(g, W, cap):
+    """The orbit of a subspace under <g>, stepped one `act_subspace` at a
+    time: W, gW, .. up to the first repeat, or cap + 1 images when no
+    image within cap steps repeats."""
     out, cur = [W], W
     for _ in range(cap):
         cur = act_subspace(g, cur)
@@ -185,26 +195,6 @@ def _reference_orbit(g, W, cap):
             break
         out.append(cur)
     return out
-
-
-def test_orbit_walk_matches_stepping():
-    # return times (0 past `steps`) and every image the walk keeps, for one
-    # shared base and for a stack of bases
-    s = build_space("minus", make_tower(3, 1, 2))
-    a, _ = standard_generators(descriptor("O-", 3, n=4), s)
-    pts = enumerate_isotropic_points(s)
-    gens = [a, a.pow(2), a * Mat(s.fq, np.ascontiguousarray(a.a.T)), identity(s.fq, 4)]
-    mats = np.stack([g.a for g in gens])
-    Ws = [subspace(s.fq, [v]) for v in pts[:4]]
-    for steps in (1, 3, 11):
-        walks = [([W] * 4, orbit_walk(s.fq, mats, W.basis(), steps)) for W in Ws]
-        walks.append((Ws, orbit_walk(s.fq, mats, np.stack([W.basis() for W in Ws]), steps)))
-        for bases, (ret, imgs) in walks:
-            assert imgs.shape == (4, steps, 1, 4)
-            for g, W, t, rows in zip(gens, bases, ret, imgs):
-                want = _reference_orbit(g, W, steps)
-                assert t == (len(want) if len(want) <= steps else 0)
-                assert [R.tobytes() for R in rows[:t or steps]] == [o.key for o in want[:steps]]
 
 
 def test_orbit_precheck_matches_check_pairwise():
@@ -219,12 +209,13 @@ def test_orbit_precheck_matches_check_pairwise():
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
         keys = ts_subspace_transporters(s, False)
         bases = np.stack([subspace_from_key(k, s.n).basis() for k in keys])
-        ret, imgs = orbit_walk(s.fq, np.broadcast_to(lit.a, (len(bases), s.n, s.n)), bases, 12)
-        for size in set(ret.tolist()) - {0}:
-            idx = np.flatnonzero(ret == size)
-            for i, ok in zip(idx, orbits_are_partial_spreads(s.fq, imgs[idx, :size])):
+        orbits = _orbits(lit, bases, 12)
+        for size in set(orbits.ret.tolist()) - {0}:
+            idx = np.flatnonzero(orbits.ret == size)
+            walks = np.stack([orbits.walk(i, size) for i in idx])
+            for walk, ok in zip(walks, orbits_are_partial_spreads(s.fq, walks)):
                 try:
-                    _walked_spread(s.fq, imgs, i, size)
+                    _walked_spread(s.fq, walk)
                     want = True
                 except NotAPartialSpread:
                     want = False
@@ -233,26 +224,53 @@ def test_orbit_precheck_matches_check_pairwise():
     assert seen == {True, False}
 
 
+def test_members_that_meet_never_partition_the_singular_points():
+    # the ladder checks its candidate spreads by the partition alone: the
+    # members are images of a totally singular base, so two that meet
+    # share a singular point, which is then covered twice.  The candidates
+    # are the unions of one or two orbits of the literal block on the bases
+    from orthosig.lscore import ts_subspace_transporters
+
+    raised = 0
+    for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 2), ("odd", "Oodd", 2), ("plus", "O+", 3)]:
+        s = build_space(kind, make_tower(3, 1, m))
+        lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
+        bases = np.stack([subspace_from_key(k, s.n).basis() for k in ts_subspace_transporters(s, False)])
+        orbits = _orbits(lit, bases, element_order(lit, 100))
+        assert orbits.ret.all()
+        walks = [[subspace_from_key(R.tobytes(), s.n) for R in w] for w in orbits.walks]
+        for i, j in itertools.combinations_with_replacement(range(len(walks)), 2):
+            sp = PartialSpread(walks[i] + (walks[j] if j > i else []), s.fq)
+            try:
+                sp.check_pairwise()
+            except NotAPartialSpread:
+                raised += 1
+                assert not verify_partition(sp, s.isotropic_points(), s.fq)["ok"]
+    assert raised
+
+
 def test_cyclic_orbits_walk_each_orbit_once_with_orbit_walks_images():
-    # every base of the literal rung: the return time and images that
-    # orbit_walk gives, for orbits that close within the steps and ones
-    # that do not, with chunks from one image up; a closed orbit is one
-    # walk for all its members
-    from orthosig.lscore import powers, ts_subspace_transporters
+    # every base of the literal rung: the return time and images that the
+    # per-base reference walk gives, for orbits that close within the
+    # steps and ones that do not, with chunks from one image up; a closed
+    # orbit is one walk for all its members
+    from orthosig.lscore import ts_subspace_transporters
 
     for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 3), ("odd", "Oodd", 2)]:
         s = build_space(kind, make_tower(3, 1, m))
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
-        bases = np.stack([subspace_from_key(k, s.n).basis() for k in ts_subspace_transporters(s, False)])
+        Ws = [subspace_from_key(k, s.n) for k in ts_subspace_transporters(s, False)]
+        bases = np.stack([W.basis() for W in Ws])
         for steps in (3, 12):
-            ret, imgs = orbit_walk(s.fq, np.broadcast_to(lit.a, (len(bases), s.n, s.n)), bases, steps)
-            closed = {frozenset(R.tobytes() for R in imgs[i, :t]) for i, t in enumerate(ret) if t}
+            want = [_reference_orbit(lit, W, steps) for W in Ws]
+            ret = [len(o) if len(o) <= steps else 0 for o in want]
+            closed = {frozenset(o.key for o in w) for w, t in zip(want, ret) if t}
             for chunk in (1, 7, 4096):
                 orbits = cyclic_orbits(s.fq, powers(s.fq, lit.a, steps + 1)[1:], bases, chunk)
-                assert orbits.ret.tolist() == ret.tolist()
-                for i, t in enumerate(ret):
-                    assert np.array_equal(orbits.walk(i, t or steps), imgs[i, :t or steps])
-                assert len(orbits.walks) == len(closed) + (ret == 0).sum()
+                assert orbits.ret.tolist() == ret
+                for i, (w, t) in enumerate(zip(want, ret)):
+                    assert [R.tobytes() for R in orbits.walk(i, t or steps)] == [o.key for o in w[:steps]]
+                assert len(orbits.walks) == len(closed) + ret.count(0)
 
 
 @pytest.mark.parametrize("kind,p,e,m,r", [("minus", 3, 1, 2, 1), ("plus", 3, 1, 2, 2),
@@ -264,19 +282,20 @@ def test_schreier_transversal_keeps_bfs_order(kind, p, e, m, r):
 
     s = build_space(kind, make_tower(p, e, m))
     gens = o_generators(s)
+    mats = [Mat(s.fq, a) for a in gens]
     W0 = subspace(s.fq, [s.e_vec(i) for i in range(r)])
     want = {W0.key: identity(s.fq, s.n)}
     frontier = [W0]
     while frontier:
         new = []
         for node in frontier:
-            for g in gens:
+            for g in mats:
                 img = act_subspace(g, node)
                 if img.key not in want:
                     want[img.key] = g * want[node.key]
                     new.append(img)
         frontier = new
-    got = schreier_transversal(W0.basis(), gens, len(want))
+    got = schreier_transversal(s.fq, W0.basis(), gens, len(want))
     assert list(got) == list(want)
     assert all(got[k].key == want[k].key for k in want)
 
@@ -288,22 +307,20 @@ def test_schreier_transversal_raises_beyond_the_cap(monkeypatch):
     s = build_space("minus", make_tower(3, 1, 2))  # 10 singular points
     w0 = enumerate_isotropic_points(s)[0]
     monkeypatch.setattr(spreads, "_TRANSVERSAL_CAP", 10)
-    assert len(schreier_transversal(w0[None, :], o_generators(s), 10)) == 10
+    assert len(schreier_transversal(s.fq, w0[None, :], o_generators(s), 10)) == 10
     monkeypatch.setattr(spreads, "_TRANSVERSAL_CAP", 9)
     with pytest.raises(RuntimeError, match="^transversal exceeded cap$"):
-        schreier_transversal(w0[None, :], o_generators(s), 10)
+        schreier_transversal(s.fq, w0[None, :], o_generators(s), 10)
 
 
-def _unbounded_transversal(start, gens):
+def _unbounded_transversal(fq, start, gens):
     # the walk without a size: every node is expanded with every generator
-    fq, n = gens[0].fq, gens[0].n
-    stack = np.stack([g.a for g in gens])
-    want = {start.tobytes(): identity(fq, n)}
+    want = {start.tobytes(): identity(fq, gens.shape[-1])}
     queue = [start]
     for node in queue:
-        for g, img in zip(gens, act_rref(fq, stack, node)[0]):
+        for g, img in zip(gens, act_rref(fq, gens, node)[0]):
             if img.tobytes() not in want:
-                want[img.tobytes()] = g * want[node.tobytes()]
+                want[img.tobytes()] = Mat(fq, g) * want[node.tobytes()]
                 queue.append(img)
     return want
 
@@ -328,14 +345,14 @@ def test_schreier_transversal_stops_at_the_closed_form_size(kind, q, m, det1):
     W0 = subspace(s.fq, [s.e_vec(i) for i in range(r)]).basis()
     for start, size in [(W0, ts_size),
                         (s.isotropic_points()[0][None, :], isotropic_point_count(kind, q, m))]:
-        want = _unbounded_transversal(start, gens)
+        want = _unbounded_transversal(s.fq, start, gens)
         assert len(want) == size
-        got = schreier_transversal(start, gens, size)
+        got = schreier_transversal(s.fq, start, gens, size)
         assert list(got) == list(want)
         assert [g.key for g in got.values()] == [g.key for g in want.values()]
         with pytest.raises(RuntimeError, match=f"^orbit has {size} members, expected {size + 1}$"):
-            schreier_transversal(start, gens, size + 1)
-    assert list(ts_subspace_transporters(s, det1)) == list(_unbounded_transversal(W0, gens))
+            schreier_transversal(s.fq, start, gens, size + 1)
+    assert list(ts_subspace_transporters(s, det1)) == list(_unbounded_transversal(s.fq, W0, gens))
 
 
 def _pairwise_reference(fq, members):
