@@ -639,9 +639,10 @@ def projective_points(fq: FqContext, basis, lead=None):
     reduced, the first nonzero entry of c B is that 1, so each point of
     the span comes once, as its canonical representative.  One product of
     the coefficient table with B makes them all; with `lead`, only the
-    q^(k-1-lead) points whose coefficient row starts there."""
+    q^(k-1-lead) points whose coefficient row starts there.  An (s, k, n)
+    stack of bases gives the (s, N, n) points of each."""
     basis = np.asarray(basis, dtype=np.int16)
-    k, n = basis.shape
+    k, n = basis.shape[-2:]
     blocks = []
     for i in range(k) if lead is None else [lead]:
         c = np.zeros((fq.q ** (k - 1 - i), k), dtype=np.int16)
@@ -650,7 +651,7 @@ def projective_points(fq: FqContext, basis, lead=None):
             c[:, i + 1:] = np.indices((fq.q,) * (k - 1 - i), dtype=np.int16).reshape(k - 1 - i, -1).T
         blocks.append(c)
     if not blocks:
-        return np.zeros((0, n), dtype=np.int16)
+        return np.zeros(basis.shape[:-2] + (0, n), dtype=np.int16)
     return fq.mat_mul(np.concatenate(blocks), basis)
 
 

@@ -96,18 +96,21 @@ class QuadraticSpace:
         return np.ascontiguousarray(self.fq.v_scale(self.fq.INV[lead], v))
 
     def points(self):
-        """Every projective point as an (N, n) array of canonical reps, in
-        `projective_points` order of the unit basis."""
+        """Every projective point as a read-only (N, n) array of canonical
+        reps, in `projective_points` order of the unit basis."""
         if self._points is None:
             check_enumeration_budget(self.q, self.n)
             self._points = projective_points(self.fq, self.fq.identity(self.n))
+            self._points.setflags(write=False)
         return self._points
 
     def isotropic_points(self):
-        """All singular projective points, canonical reps, deterministic order."""
+        """The singular points of `points`, in its order, as a read-only
+        (N, n) array."""
         if self._isotropic is None:
             pts = self.points()
-            self._isotropic = list(pts[self.Q(pts) == 0])
+            self._isotropic = pts[self.Q(pts) == 0]
+            self._isotropic.setflags(write=False)
         return self._isotropic
 
 

@@ -22,7 +22,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .fields import FqContext, factorint, fq_context, make_tower
+from .fields import FqContext, factorint, fq_context, make_tower, product_rows
 from .matgroups import (
     ConstructionMismatch,
     GroupDescriptor,
@@ -43,7 +43,7 @@ from .matgroups import (
 from . import forms
 from .forms import GeometryError, QuadraticSpace, build_line_space, build_space
 from . import spreads as spr
-from .spreads import PartialSpread, Subspace
+from .spreads import PartialSpread
 
 
 class LsError(RuntimeError):
@@ -304,7 +304,7 @@ def _gl1_np(fq, n, R, lam):
 @dataclass
 class SpreadPlan:
     shape: str                   # empty | literal | cyclic | twisted | transversal
-    W0: Subspace | None
+    W0: np.ndarray | None        # the (r, n) echelon basis of the base subspace
     members: PartialSpread | None
     layers: list                 # [("cyc", Mat gen, size)] or [("trans", [Mat])]
     notes: list
@@ -315,9 +315,9 @@ class SpreadPlan:
         return self.shape in ("empty", "literal")
 
 
-def _default_w0(space: QuadraticSpace, r: int) -> Subspace:
+def _default_w0(space: QuadraticSpace, r: int):
     """The span of e_0, .., e_{r-1}; these rows are already reduced."""
-    return spr.subspace_from_key(np.eye(r, space.n, dtype=np.int16).tobytes(), space.n)
+    return np.eye(r, space.n, dtype=np.int16)
 
 
 @cache
@@ -325,13 +325,17 @@ def ts_subspace_transporters(space, det1):
     """Transporters from the default base to every totally singular r-space
     reachable in the chosen group, r the Witt index: all of them by Witt
     transitivity, except that on the plus type SO has two orbits of equal
-    size."""
+    size.  Returns read-only (bases, moves) stacks, as
+    `spreads.schreier_transversal`."""
     r = space.witt_index
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
     size = maximal_ts_count(space.kind, space.q, r)
     if det1 and space.kind == "plus":
         size //= 2
-    return spr.schreier_transversal(space.fq, _default_w0(space, r).basis(), gens, size)
+    bases, moves = spr.schreier_transversal(space.fq, _default_w0(space, r), gens, size)
+    bases.setflags(write=False)
+    moves.setflags(write=False)
+    return bases, moves
 
 
 def _try_partition(space, members, L):
@@ -339,18 +343,13 @@ def _try_partition(space, members, L):
     # so two that meet share a singular point, which the partition check
     # reports as covered twice: it also checks that they meet trivially
     try:
-        sp = PartialSpread(list(members), space.fq)
+        sp = PartialSpread(members, space.fq)
     except spr.NotAPartialSpread:
         return None, None
     rep = spr.verify_partition(sp, L, space.fq)
     if not rep["ok"]:
         return None, None
     return sp, rep
-
-
-def _members(walk):
-    """The subspaces of an (s, r, n) stack of echelon bases, in order."""
-    return [spr.subspace_from_key(R.tobytes(), R.shape[-1]) for R in walk]
 
 
 def _spread_orbits(fq, orbits, size):
@@ -372,40 +371,38 @@ def _try_cyclic(space, g, orbit, L):
     return SpreadPlan("cyclic", orbit[0], sp, [("cyc", g, len(orbit))], [], rep)
 
 
-def _try_twisted(space, a, i, orbits, L, transporters, points):
+def _try_twisted(space, a, i, orbits, L, moves, points):
     """Layers the half orbit of base i under `a` with a second one: the
-    bases are the transporter keys, in order, walked under `a` into
-    `orbits`, and `points` maps each key to the keys of the singular points
-    of its subspace."""
+    transporter bases, in order, are walked under `a` into `orbits`,
+    `moves` are their transporters, and points[j] holds the keys of the
+    singular points of base j."""
     s = int(orbits.ret[i])
-    orbit1 = _members(orbits.walk(i, s))
-    keys1 = {o.key for o in orbit1}
-    uncovered = {v.tobytes() for v in L}.difference(*(points[k] for k in keys1))
+    orbit1 = orbits.walk(i, s)
+    in1 = orbits.orbit == orbits.orbit[i]
+    uncovered = {v.tobytes() for v in L}.difference(*(points[j] for j in np.flatnonzero(in1)))
     # the orbits of <a> are disjoint, so no X outside orbit1 moves into it
-    for j, (xkey, kappa) in enumerate(transporters.items()):
-        if xkey in keys1 or orbits.ret[j] != s or not points[xkey] <= uncovered:
+    for j in range(len(moves)):
+        if in1[j] or orbits.ret[j] != s or not points[j] <= uncovered:
             continue
-        orbit2 = _members(orbits.walk(j, s))
-        sp, rep = _try_partition(space, orbit1 + orbit2, L)
+        sp, rep = _try_partition(space, np.concatenate([orbit1, orbits.walk(j, s)]), L)
         if sp is None:
             continue
-        return SpreadPlan("twisted", orbit1[0], sp, [("cyc", a, s), ("cyc", kappa, 2)], [], rep)
+        return SpreadPlan("twisted", orbit1[0], sp, [("cyc", a, s), ("cyc", Mat(space.fq, moves[j]), 2)],
+                          [], rep)
     return None
 
 
 def _try_transversal(space, L, det1):
     fq = space.fq
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-    w0 = L[0]
-    # a canonical point is the echelon basis of its 1-space
-    reps = spr.schreier_transversal(fq, w0[None, :], gens, len(L))
-    keys = [v.tobytes() for v in L]
-    order_keys = [w0.tobytes()] + [k for k in keys if k != w0.tobytes()]
-    elems = [reps[k] for k in order_keys]
-    members = [spr.subspace_from_key(k, space.n) for k in order_keys]
-    sp = PartialSpread(members, fq)
+    # a canonical point is the echelon basis of its 1-space; the members
+    # are the points in order, from w0 = L[0]
+    bases, moves = spr.schreier_transversal(fq, L[:1], gens, len(L))
+    at = {B.tobytes(): t for t, B in enumerate(bases)}
+    elems = [Mat(fq, moves[at[v.tobytes()]]) for v in L]
+    sp = PartialSpread(L[:, None], fq)
     rep = spr.verify_partition(sp, L, fq)
-    return SpreadPlan("transversal", members[0], sp, [("trans", elems)], [], rep)
+    return SpreadPlan("transversal", L[:1], sp, [("trans", elems)], [], rep)
 
 
 def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
@@ -430,7 +427,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     q, n = space.q, space.n
     L = space.isotropic_points()
     notes = []
-    if not L:
+    if not len(L):
         return SpreadPlan("empty", None, None, [], notes, None)
     r = space.witt_index
     lit = None
@@ -448,12 +445,11 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     if r >= 1:
         M = len(L) * (q - 1) // (q ** r - 1)
         if lit is not None:
-            transporters = ts_subspace_transporters(space, det1)
-            bases = np.frombuffer(b"".join(transporters), dtype=np.int16).reshape(-1, r, n)
+            bases, moves = ts_subspace_transporters(space, det1)
             pows = powers(space.fq, lit.a, M + 1)[1:]
             orbits = spr.cyclic_orbits(space.fq, pows, bases, PRODUCT_CHUNK)
             for i in _spread_orbits(space.fq, orbits, M):
-                plan = _try_cyclic(space, lit, _members(orbits.walk(i, M)), L)
+                plan = _try_cyclic(space, lit, orbits.walk(i, M), L)
                 if plan:
                     plan.shape = "literal"
                     break
@@ -465,14 +461,11 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
                 # M = q^k + 1 is even; a twisted layering starts from a base
                 # whose orbit is a partial spread of M / 2 members
                 halves = _spread_orbits(space.fq, orbits, M // 2)
-                points = {}
                 if len(halves):
-                    Lkeys = {v.tobytes() for v in L}
-                    for key in transporters:
-                        X = spr.subspace_from_key(key, n)
-                        points[key] = {v.tobytes() for v in spr.span_points(space.fq, X)} & Lkeys
+                    # every point of a totally singular base is singular
+                    points = [{v.tobytes() for v in P} for P in spr.span_points(space.fq, bases)]
                 for i in halves:
-                    plan = _try_twisted(space, lit, i, orbits, L, transporters, points)
+                    plan = _try_twisted(space, lit, i, orbits, L, moves, points)
                     if plan:
                         notes.append(
                             "using twisted layering: half torus orbit times an "
@@ -483,12 +476,12 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
             # the hyperbolic plane: M = 2, and a generator whose orbit on W0
             # has two members swaps the two singular points
             gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-            W0 = _default_w0(space, r).basis()
+            W0 = _default_w0(space, r)
             img = spr.act_rref(space.fq, gens, W0)[0]
             back = spr.act_rref(space.fq, gens, img)[0]
             hit = np.flatnonzero((img != W0).any(axis=(1, 2)) & (back == W0).all(axis=(1, 2)))
             if len(hit):
-                plan = _try_cyclic(space, Mat(space.fq, gens[hit[0]]), _members([W0, img[hit[0]]]), L)
+                plan = _try_cyclic(space, Mat(space.fq, gens[hit[0]]), np.stack([W0, img[hit[0]]]), L)
                 notes.append("sharply transitive cyclic block found by element scan")
         if plan is None:
             notes.append(
@@ -854,7 +847,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
 
     # adapted frame
     W0 = sp_plan.W0
-    T, Tinv, Rw = forms._witt_decompose(fq, space.gram, W0.rows)
+    T, Tinv, Rw = forms._witt_decompose(fq, space.gram, W0)
     if Rw != space.witt_index:
         raise LsError("adapted frame lost hyperbolic pairs")  # pragma: no cover
     work_gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(T.T), space.gram), T)
@@ -869,7 +862,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         return fq.mat_mul(fq.mat_mul(T, mw), Tinv)
 
     # B block: Singer coset representatives acting on W0
-    r_dim = W0.dim
+    r_dim = len(W0)
     t = (space.q ** r_dim - 1) // (space.q - 1)
     if t > 1:
         D = singer_generator(r_dim, fq)
@@ -947,11 +940,11 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     # the head table, one row per singular point p: the index vector of the
     # one product h of the A and B blocks whose image of w lies on p, and
     # the strip T^-1 h^-1
-    points = np.array(space.isotropic_points(), dtype=np.int16).reshape(-1, n)
+    points = space.isotropic_points()
     heads = np.concatenate(list(ProductTables.build(fq, n, blocks[:nhead]).walk()))
     point_keys = _row_keys(fq, points)
     by_key = np.argsort(point_keys)
-    pos, found = _find(point_keys[by_key], _row_keys(fq, space.canon(fq.mat_vec(heads, W0.basis()[0]))))
+    pos, found = _find(point_keys[by_key], _row_keys(fq, space.canon(fq.mat_vec(heads, W0[0]))))
     if not (found.all() and (np.bincount(pos, minlength=len(points)) == 1).all()):
         raise LsError("the A and B blocks do not carry the base point once to each singular point")
     which = np.empty(len(points), dtype=np.intp)
@@ -1004,31 +997,23 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
     expected_R = q ** (k * (k - 1) // 2 + k * (n - 2 * k))
     if len(Rgrp) != expected_R:
         raise LsError(f"unipotent radical has size {len(Rgrp)}, expected {expected_R}")
-    # Levi: GL_k x O(middle)
+    # Levi: GL_k x O(middle), D + D^-T on the first k pairs times an
+    # isometry of the middle, D-major
     gl = _all_gl(fq, k)
-    if len(mid_pos) == 0:
-        mids = [fq.identity(0)]
-        mid_mats = [identity(fq, n)]
+    DM = np.broadcast_to(fq.identity(n), (len(gl), n, n)).copy()
+    DM[:, :k, :k] = gl
+    DM[:, R:R + k, R:R + k] = fq.mat_inv(np.swapaxes(gl, -1, -2))
+    if mid_space is not None:
+        mid = np.stack([g.a for g in forms.enumerate_isometry_group(mid_space, "O")])
+    elif mid_pos:  # one middle position, where the isometries are +-1
+        mid = np.array([1, fq.neg(1)], dtype=np.int16).reshape(2, 1, 1)
     else:
-        if mid_space is not None:
-            mid_els = forms.enumerate_isometry_group(mid_space, "O")
-        else:
-            mid_els = [identity(fq, 1), neg_identity(fq, 1)]
-        if family == "SO":
-            mid_els = [g for g, d in zip(mid_els, fq.det(np.stack([g.a for g in mid_els]))) if d == 1]
-        mid_mats = []
-        for g in mid_els:
-            full = fq.identity(n)
-            full[np.ix_(mid_pos, mid_pos)] = g.a
-            mid_mats.append(Mat(fq, np.ascontiguousarray(full)))
-    Qblk = []
-    for D, Dti in zip(gl, fq.mat_inv(np.swapaxes(np.stack(gl), -1, -2))):
-        DM = fq.identity(n)
-        DM[:k, :k] = D
-        DM[R:R + k, R:R + k] = Dti
-        DMm = Mat(fq, np.ascontiguousarray(DM))
-        for mm in mid_mats:
-            Qblk.append(DMm * mm)
+        mid = np.zeros((1, 0, 0), dtype=np.int16)
+    if family == "SO" and mid_pos:
+        mid = mid[fq.det(mid) == 1]
+    M = np.broadcast_to(fq.identity(n), (len(mid), n, n)).copy()
+    M[:, np.array(mid_pos, dtype=np.intp)[:, None], mid_pos] = mid
+    Qblk = [Mat(fq, a) for a in fq.mat_mul(DM[:, None], M[None]).reshape(-1, n, n)]
     rk = {g.key for g in Rgrp}
     qk = {g.key for g in Qblk}
     inter = rk & qk
@@ -1054,15 +1039,12 @@ def _middle_space(space: QuadraticSpace, k: int):
 
 
 def _all_gl(fq, k):
-    """Every invertible k x k matrix, in lexicographic order of entries,
-    tested 4096 at a time with one stacked determinant."""
-    m = k * k
-    out = []
-    for start in range(0, fq.q ** m, 4096):
-        idx = np.arange(start, min(start + 4096, fq.q ** m), dtype=np.int64)
-        mats = ((idx[:, None] // _key_weights(fq.q, m)) % fq.q).astype(np.int16).reshape(-1, k, k)
-        out.extend(mats[fq.det(mats) != 0])
-    return out
+    """Every invertible k x k matrix, in lexicographic order of entries, as
+    a (g, k, k) stack, tested 4096 at a time with one stacked determinant."""
+    total = fq.q ** (k * k)
+    mats = (product_rows(fq.q, k * k, lo, min(lo + 4096, total)).astype(np.int16).reshape(-1, k, k)
+            for lo in range(0, total, 4096))
+    return np.concatenate([X[fq.det(X) != 0] for X in mats])
 
 
 # ----------------------------------------------------------------------

@@ -1,39 +1,23 @@
 """Subspaces in canonical echelon form, classical field spreads, orbit
-walks under cyclic groups and partition verification against point sets."""
+walks under cyclic groups and partition verification against point sets.
+
+A subspace is its reduced echelon basis, an (r, n) int16 array whose bytes
+are its key; a set of r-spaces is an (s, r, n) stack of such bases."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import itertools
 
 import numpy as np
 
 from .fields import FieldTower, FqContext, projective_points
-from .matgroups import Mat, closure, identity
+from .matgroups import Mat, closure
 
 
 class NotAPartialSpread(ValueError):
     def __init__(self, msg, witness=None):
         super().__init__(msg)
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Row span in reduced echelon form; equal subspaces have equal keys."""
-
-    rows: tuple  # tuple of tuples of int codes
-    key: bytes = field(compare=False, repr=False)
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def basis(self):
-        return np.array(self.rows, dtype=np.int16)
-
-    def to_json(self):
-        return [list(r) for r in self.rows]
 
 
 def act_rref(fq: FqContext, mats, bases):
@@ -44,24 +28,16 @@ def act_rref(fq: FqContext, mats, bases):
     return fq.rref(fq.mat_mul(bases, np.swapaxes(mats, -1, -2)))
 
 
-def _subspace_of(rows):
-    rows = np.ascontiguousarray(rows, dtype=np.int16)
-    return Subspace(tuple(map(tuple, rows.tolist())), rows.tobytes())
-
-
-def subspace_from_key(key: bytes, n: int) -> Subspace:
-    """The subspace whose echelon basis has these key bytes."""
-    return _subspace_of(np.frombuffer(key, dtype=np.int16).reshape(-1, n))
-
-
-def subspace(fq: FqContext, vectors) -> Subspace:
+def subspace(fq: FqContext, vectors):
+    """The reduced echelon basis of the row span of `vectors`."""
     R, rank, _ = fq.rref(np.atleast_2d(np.asarray(vectors, dtype=np.int16)))
-    return _subspace_of(R[:rank])
+    return R[:rank]
 
 
-def act_subspace(g: Mat, S: Subspace) -> Subspace:
-    R, rank, _ = act_rref(g.fq, g.a, S.basis().reshape(-1, g.n))
-    return _subspace_of(R[:rank])
+def act_subspace(g: Mat, S):
+    """The reduced echelon basis of g(S), S given by its basis."""
+    R, rank, _ = act_rref(g.fq, g.a, S)
+    return R[:rank]
 
 
 # a plain class: as a dataclass it would add about 0.3 ms to the import of
@@ -119,25 +95,26 @@ def cyclic_orbits(fq: FqContext, pows, bases, chunk) -> CyclicOrbits:
     return CyclicOrbits(ret, orbit, shift, walks)
 
 
-def span_points(fq: FqContext, S: Subspace):
-    """Canonical reps of all projective points inside the subspace, as an
-    (N, n) array in `fields.projective_points` order of its reduced basis."""
-    return projective_points(fq, S.basis())
+def span_points(fq: FqContext, S):
+    """Canonical reps of all projective points inside a subspace, as an
+    (N, n) array in `fields.projective_points` order of its reduced basis,
+    or inside each of an (s, r, n) stack of them, as an (s, N, n) array."""
+    return projective_points(fq, S)
 
 
 _PAIR_CHUNK = 4096
 
 
-@dataclass
 class PartialSpread:
-    members: list  # list of Subspace
-    fq: FqContext
+    """r-spaces that pairwise meet trivially, as one (s, r, n) int16 stack
+    `members` of their echelon bases; duplicate members are rejected."""
 
-    def __post_init__(self):
-        self.index = {s.key: i for i, s in enumerate(self.members)}
-        if len(self.index) != len(self.members):
-            dup = [s.key for s in self.members]
-            raise NotAPartialSpread("duplicate members", witness=dup)
+    def __init__(self, members, fq: FqContext):
+        self.members = np.asarray(members, dtype=np.int16)
+        self.fq = fq
+        keys = [B.tobytes() for B in self.members]
+        if len(set(keys)) != len(keys):
+            raise NotAPartialSpread("duplicate members", witness=keys)
 
     def __len__(self):
         return len(self.members)
@@ -145,29 +122,19 @@ class PartialSpread:
     def check_pairwise(self):
         """Raises NotAPartialSpread at the first pair (i, j), i < j in
         row-major order, whose members meet nontrivially: the bases of all
-        pairs are stacked, zero-padded to one height, and ranked by
-        `FqContext.rref` in chunks of _PAIR_CHUNK pairs."""
-        dims = np.array([s.dim for s in self.members], dtype=np.intp)
-        if not dims.any():
-            return
-        n = len(next(s.rows[0] for s in self.members if s.dim))
-        B = np.zeros((len(dims), dims.max(), n), dtype=np.int16)
-        for i, s in enumerate(self.members):
-            B[i, :s.dim] = s.basis().reshape(-1, n)
-        I, J = np.triu_indices(len(dims), 1)
+        pairs are stacked and ranked against 2r by `FqContext.rank` in
+        chunks of _PAIR_CHUNK pairs."""
+        B = self.members
+        I, J = np.triu_indices(len(B), 1)
         for lo in range(0, len(I), _PAIR_CHUNK):
             i, j = I[lo:lo + _PAIR_CHUNK], J[lo:lo + _PAIR_CHUNK]
-            rank = self.fq.rank(np.concatenate([B[i], B[j]], axis=1))
-            bad = np.flatnonzero(rank != dims[i] + dims[j])
+            bad = np.flatnonzero(self.fq.rank(np.concatenate([B[i], B[j]], axis=1)) != 2 * B.shape[1])
             if len(bad):
                 i, j = int(i[bad[0]]), int(j[bad[0]])
                 raise NotAPartialSpread(
                     f"members {i} and {j} intersect nontrivially",
                     witness=(i, j),
                 )
-
-    def to_json(self):
-        return [m.to_json() for m in self.members]
 
 
 def orbits_are_partial_spreads(fq: FqContext, orbits):
@@ -197,10 +164,11 @@ def classical_spread(tower: FieldTower) -> PartialSpread:
     top = tower.top
     wbasis = [top.pow(tower._theta[2], i) for i in range(tower.level_degree[2])]
     reps = [top.pow(tower.alpha, i) for i in range(tower.q ** tower.m + 1)]
-    # the F_q-coordinates of every spanning vector, then every echelon basis
+    # the F_q-coordinates of every spanning vector, then every echelon
+    # basis: the spanning vectors of a translate have F_q-rank m, and rows
+    # past that rank are zero (there are e m of them over F_{p^e})
     vecs = tower.top_to_vec(np.array([[top.mul(wb, rep) for wb in wbasis] for rep in reps]))
-    R, rank, _ = fq.rref(vecs)
-    sp = PartialSpread([_subspace_of(B[:r]) for B, r in zip(R, rank)], fq)
+    sp = PartialSpread(fq.rref(vecs)[0][:, :tower.m], fq)
     sp.check_pairwise()
     return sp
 
@@ -212,10 +180,10 @@ def verify_partition(spread: PartialSpread, points, fq: FqContext):
     point_keys = [np.asarray(p, dtype=np.int16).tobytes() for p in points]
     pt_set = set(point_keys)
     owner: dict[bytes, int] = {}
-    counts = [0] * len(spread.members)
+    counts = [0] * len(spread)
     violations = []
-    for i, memb in enumerate(spread.members):
-        for v in span_points(fq, memb):
+    for i, span in enumerate(projective_points(fq, spread.members)):
+        for v in span:
             k = v.tobytes()
             if k not in pt_set:
                 continue
@@ -234,7 +202,7 @@ def verify_partition(spread: PartialSpread, points, fq: FqContext):
     ok = not violations and equal and uncovered == 0
     return {
         "ok": bool(ok),
-        "members": len(spread.members),
+        "members": len(spread),
         "points": len(pt_set),
         "points_per_member": counts[0] if counts and equal else counts,
         "uncovered": uncovered,
@@ -248,16 +216,18 @@ _TRANSVERSAL_CAP = 200_000
 def schreier_transversal(fq: FqContext, start, gens, size):
     """Transversal of the orbit of a subspace, given by its echelon basis
     `start`, under the group generated by the (k, n, n) stack `gens`, when
-    that orbit has `size` members: returns {key: transporter} with
-    transporter(start) = the subspace of that key.
+    that orbit has `size` members: returns (bases, moves), the (size, r, n)
+    echelon bases of the orbit and the (size, n, n) transporters, with
+    moves[t](start) = bases[t].
 
     The orbit is the `matgroups.closure` of `start` under `act_rref` with
-    the whole generator stack, so keys come in BFS order; the walk stops
-    once `size` keys are known, which skips expanding the nodes found last.
-    The transporter of a node is the generator that found it times the
-    transporter of its parent, one stacked product per parent.  The result
-    is deterministic for a fixed generator order.  Raises RuntimeError when
-    `size` exceeds _TRANSVERSAL_CAP or the orbit is smaller than `size`.
+    the whole generator stack, so the bases come in BFS order; the walk
+    stops once `size` bases are known, which skips expanding the nodes
+    found last.  The transporter of a node is the generator that found it
+    times the transporter of its parent, one stacked product per parent.
+    The result is deterministic for a fixed generator order.  Raises
+    RuntimeError when `size` exceeds _TRANSVERSAL_CAP or the orbit is
+    smaller than `size`.
     """
     if size > _TRANSVERSAL_CAP:
         raise RuntimeError("transversal exceeded cap")
@@ -265,9 +235,9 @@ def schreier_transversal(fq: FqContext, start, gens, size):
                                  lambda x: act_rref(fq, gens, x)[0], size)
     if len(nodes) < size:
         raise RuntimeError(f"orbit has {len(nodes)} members, expected {size}")
-    move = [identity(fq, gens.shape[-1])]
-    for t, run in itertools.groupby(range(1, len(nodes)), parent.__getitem__):
+    moves = np.empty((size,) + gens.shape[1:], dtype=np.int16)
+    moves[0] = fq.identity(gens.shape[-1])
+    for t, run in itertools.groupby(range(1, size), parent.__getitem__):
         run = list(run)
-        prods = fq.mat_mul(gens[[via[u] for u in run]], move[t].a)
-        move.extend(Mat(fq, a) for a in prods)
-    return {x.tobytes(): g for x, g in zip(nodes, move)}
+        moves[run] = fq.mat_mul(gens[[via[u] for u in run]], moves[t])
+    return np.stack(nodes), moves

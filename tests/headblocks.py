@@ -18,7 +18,7 @@ def head_blocks(ls):
     """(A blocks, B blocks) of the top stage of ls; no B blocks when W0 is
     a point."""
     a = sum(len(layer["radices"]) if layer["type"] == "cyclic" else 1 for layer in ls.meta["a_layers"])
-    q, dim = ls.group.q, stage_spread(ls).W0.dim
+    q, dim = ls.group.q, len(stage_spread(ls).W0)
     t = (q ** dim - 1) // (q - 1)
     b = a
     while math.prod(len(blk) for blk in ls.blocks[a:b]) < t:

@@ -115,14 +115,14 @@ def test_criterion_3_sharp_transitivity():
                 elems = [x * gen.pow(j) for x in elems for j in range(size)]
             else:
                 elems = [x * t for x in elems for t in layer[1]]
-        images = {act_subspace(g, plan.W0).key for g in elems}
-        a_ok = len(elems) == len(plan.members) and images == {m.key for m in plan.members.members}
+        images = {act_subspace(g, plan.W0).tobytes() for g in elems}
+        a_ok = len(elems) == len(plan.members) and images == {m.tobytes() for m in plan.members.members}
         # the products of the B blocks of the stage must carry the base
         # point to each point of W0 once (the plane has no stage)
         b_ok = True
         if space.n >= 3:
             ls = canonical_ls(descriptor(fam, q, m=m))
-            w = plan.W0.basis()[0]
+            w = plan.W0[0]
             reached = sorted(space.canon(space.fq.mat_vec(reduce(lambda x, y: x * y, g, one).a, w)).tobytes()
                              for g in itertools.product(*head_blocks(ls)[1]))
             b_ok = reached == sorted(v.tobytes() for v in span_points(space.fq, plan.W0))

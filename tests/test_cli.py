@@ -419,14 +419,15 @@ def test_set_up_and_exhaustive_verify_never_import_numpy_ma():
 def test_set_up_multiplies_no_mat_and_wraps_no_reflection():
     # a cold set-up of the decode-stream groups and both PGM keys: element
     # orders come from stacked powers and key translations from stacked
-    # products, so no Mat product is taken, and the reflections stay one
-    # array from producer to consumer
+    # products, so no Mat product is taken, the reflections stay one array
+    # from producer to consumer, and the spread layer keeps subspaces and
+    # transversals as stacks, so spreads.py constructs no Mat
     code = (
         "import sys\n"
-        "from orthosig import forms, pgm\n"
+        "from orthosig import forms, pgm, spreads\n"
         "from orthosig.lscore import canonical_ls\n"
         "from orthosig.matgroups import Mat, descriptor\n"
-        "counts = {'mul': 0, 'refl_init': 0}\n"
+        "counts = {'mul': 0, 'refl_init': 0, 'spreads_init': 0}\n"
         "mul, init = Mat.__mul__, Mat.__init__\n"
         "refl = forms.reflections.__wrapped__.__code__\n"
         "def counted_mul(self, other):\n"
@@ -434,6 +435,7 @@ def test_set_up_multiplies_no_mat_and_wraps_no_reflection():
         "    return mul(self, other)\n"
         "def counted_init(self, *args):\n"
         "    f = sys._getframe(1)\n"
+        "    counts['spreads_init'] += f.f_code.co_filename == spreads.__file__\n"
         "    while f is not None and f.f_code is not refl:\n"
         "        f = f.f_back\n"
         "    counts['refl_init'] += f is not None\n"
@@ -443,11 +445,11 @@ def test_set_up_multiplies_no_mat_and_wraps_no_reflection():
         "[('O-', 5, 2), ('O-', 9, 2), ('Oodd', 3, 2), ('O+', 3, 3)]]\n"
         "keys = [pgm.keygen(descriptor('O-', 3, m=2), 1), pgm.keygen(descriptor('O+', 5, m=2), 1)]\n"
         "assert forms.reflections.cache_info().currsize > 0\n"
-        "print(counts['mul'], counts['refl_init'], file=sys.stderr)\n"
+        "print(counts['mul'], counts['refl_init'], counts['spreads_init'], file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "0 0"
+    assert proc.stderr.splitlines()[-1] == "0 0 0"
 
 
 def test_demo_pipeline_script_runs_end_to_end():

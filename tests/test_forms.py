@@ -418,6 +418,19 @@ def test_reflections_are_one_read_only_stack():
         R[0, 0, 0] = 2
 
 
+def test_point_sets_are_read_only_arrays():
+    # the cached points and singular points are shared by every caller as
+    # (N, n) int16 arrays, the singular ones in point order
+    s = build_space("minus", make_tower(3, 1, 2))
+    P, L = s.points(), s.isotropic_points()
+    assert P is s.points() and L is s.isotropic_points()
+    assert P.dtype == L.dtype == np.int16 and P.shape == (40, 4) and L.shape == (10, 4)
+    assert L.tobytes() == P[s.Q(P) == 0].tobytes()
+    for X in (P, L):
+        with pytest.raises(ValueError):
+            X[0, 0] = 2
+
+
 def test_so_generators_are_the_first_reflection_times_each_other():
     s = build_space("odd", make_tower(3, 1, 1))
     R = [Mat(s.fq, a) for a in reflections(s)]

@@ -34,7 +34,7 @@ from orthosig.matgroups import (
     neg_identity,
     singer_generator,
 )
-from orthosig.spreads import CyclicOrbits, NotAPartialSpread, PartialSpread, act_rref, subspace_from_key
+from orthosig.spreads import CyclicOrbits, NotAPartialSpread, PartialSpread, act_rref
 
 
 def test_min_length_bound():
@@ -156,7 +156,7 @@ def test_stage_inverse_power_tables_match_pow(fam, q, n):
         ls = canonical_ls(desc)
         space, plan = space_for(desc), ls.plan
         A, B = head_blocks(ls)
-        w = stage_spread(ls).W0.basis()[0]
+        w = stage_spread(ls).W0[0]
         T = Mat(space.fq, plan.enter)
         for pt, row in enumerate(plan.head.tolist()):
             h = reduce(lambda x, y: x * y, [blk[i] for blk, i in zip(A + B, row)])
@@ -342,9 +342,9 @@ def test_spread_construction_a_block_bijects():
     images = set()
     cur = plan.W0
     for j in range(size):
-        images.add(cur.key)
+        images.add(cur.tobytes())
         cur = act_subspace(gen, cur)
-    assert images == {m.key for m in plan.members.members}
+    assert images == {m.tobytes() for m in plan.members.members}
 
 
 def test_spread_construction_odd_m2_degrades():
@@ -381,8 +381,7 @@ def _every_orbit_tested(fq, orbits, size):
     out = []
     for i in np.flatnonzero(orbits.ret == size):
         try:
-            PartialSpread([subspace_from_key(R.tobytes(), R.shape[-1]) for R in orbits.walk(i, size)],
-                          fq).check_pairwise()
+            PartialSpread(orbits.walk(i, size), fq).check_pairwise()
         except NotAPartialSpread:
             continue
         out.append(i)
@@ -409,8 +408,8 @@ def test_ladder_walks_each_orbit_once_to_the_plan_a_per_base_walk_gives(fam, q, 
     want = lscore._spread_construction.__wrapped__(space, False)
     assert got.shape == want.shape
     assert got.notes == want.notes
-    assert got.W0.key == want.W0.key
-    assert [m.key for m in got.members.members] == [m.key for m in want.members.members]
+    assert got.W0.tobytes() == want.W0.tobytes()
+    assert [m.tobytes() for m in got.members.members] == [m.tobytes() for m in want.members.members]
     assert _layer_keys(got.layers) == _layer_keys(want.layers)
 
 
@@ -985,8 +984,9 @@ def test_key_weights_stay_below_2_63_inside_the_envelope():
     # callers key vectors of a stage (m = n <= 2 tower_m + 1), whole n x n
     # matrices of a base case (n <= 2), of a stage front (group order at
     # most FRONT_ORDER) or of a stage's stabilizer table (the group order
-    # over the number of singular points at most FRONT_ORDER), and k x k
-    # matrices in _all_gl (k at most the Witt index, so at most tower_m).
+    # over the number of singular points at most FRONT_ORDER); the same
+    # weights give `fields.product_rows` the k x k matrices of _all_gl (k at
+    # most the Witt index, so at most tower_m).
     # Walk every q and tower_m the envelope accepts and check each bound
     from orthosig.fields import FieldError, check_field_size, check_tower_size, factorint
     from orthosig.lscore import FRONT_ORDER

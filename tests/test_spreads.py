@@ -20,7 +20,6 @@ from orthosig.spreads import (
     schreier_transversal,
     span_points,
     subspace,
-    subspace_from_key,
     verify_partition,
 )
 
@@ -50,21 +49,24 @@ def test_classical_spread_w0_is_subfield():
     w0 = sp.members[0]
     # the first member is F_{q^m} itself: contains the vector of 1
     one = t.top_to_vec(1)
-    assert subspace(t.fq, [*w0.rows, one]).dim == w0.dim
+    assert len(subspace(t.fq, np.vstack([w0, one]))) == len(w0)
 
 
-@pytest.mark.parametrize("p,e,m", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 1), (5, 1, 2), (7, 1, 1), (3, 2, 1)])
+@pytest.mark.parametrize("p,e,m", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 1), (5, 1, 2), (7, 1, 1), (3, 2, 1),
+                                   (5, 2, 1)])
 def test_classical_spread_partitions_V(p, e, m):
+    # over F_{p^e} the e m spanning vectors of a translate have F_q-rank m:
+    # each member is the m nonzero rows of its echelon form
     t = make_tower(p, e, m)
     sp = classical_spread(t)
-    assert len(sp) == t.q ** m + 1
+    assert sp.members.shape == (t.q ** m + 1, m, 2 * m) and sp.members.dtype == np.int16
+    assert (sp.members != 0).any(axis=-1).all()
     rep = verify_partition(sp, all_points(t.fq, 2 * m), t.fq)
     assert rep["ok"]
 
 
 def _walked_spread(fq, walk):
-    members = [subspace_from_key(R.tobytes(), walk.shape[-1]) for R in walk]
-    sp = PartialSpread(members, fq)
+    sp = PartialSpread(walk, fq)
     sp.check_pairwise()
     return sp
 
@@ -79,11 +81,11 @@ def test_orbit_partial_spread_identity():
     t = make_tower(3, 1, 2)
     s = build_space("minus", t)
     W0 = subspace(s.fq, [s.e_vec(0)])
-    orbits = _orbits(identity(s.fq, 4), W0.basis()[None], 1)
+    orbits = _orbits(identity(s.fq, 4), W0[None], 1)
     assert orbits.ret.tolist() == [1]
     sp = _walked_spread(s.fq, orbits.walk(0, 1))
     assert len(sp) == 1
-    assert sp.members[0].key == W0.key
+    assert sp.members[0].tobytes() == W0.tobytes()
 
 
 def test_orbit_partial_spread_minus_torus_collapses():
@@ -93,7 +95,7 @@ def test_orbit_partial_spread_minus_torus_collapses():
     s = build_space("minus", t)
     a, _ = standard_generators(descriptor("O-", 3, n=4), s)
     W0 = subspace(s.fq, [enumerate_isotropic_points(s)[0]])
-    orbits = _orbits(a, W0.basis()[None], 10)
+    orbits = _orbits(a, W0[None], 10)
     assert orbits.ret.tolist() == [5]
     assert len(_walked_spread(s.fq, orbits.walk(0, 5))) == 5
 
@@ -108,7 +110,7 @@ def test_orbit_partial_spread_plus_sharp():
     plan = stage_spread(ls)
     _, gen, size = plan.layers[0]
     W0 = plan.W0
-    orbits = _orbits(gen, W0.basis()[None], size)
+    orbits = _orbits(gen, W0[None], size)
     assert orbits.ret.tolist() == [size] == [4]
     assert len(_walked_spread(gen.fq, orbits.walk(0, size))) == 4
 
@@ -122,9 +124,10 @@ def test_overlapping_members_raise():
     with pytest.raises(NotAPartialSpread):
         sp.check_pairwise()
     # pairs (0, 3) and (1, 2) meet; the first in row-major order is the witness
-    e0, e1, f0, f1 = s.e_vec(0), s.e_vec(1), s.f_vec(0), s.f_vec(1)
-    sp = PartialSpread([subspace(s.fq, [e0]), subspace(s.fq, [e1]), subspace(s.fq, [e1, f0]),
-                        subspace(s.fq, [e0, f1])], s.fq)
+    s = build_space("plus", make_tower(3, 1, 3))
+    (e0, e1, e2), (f0, f1, f2) = [s.e_vec(i) for i in range(3)], [s.f_vec(i) for i in range(3)]
+    sp = PartialSpread([subspace(s.fq, [e0, e1]), subspace(s.fq, [e2, f0]), subspace(s.fq, [f0, f1]),
+                        subspace(s.fq, [e1, f2])], s.fq)
     with pytest.raises(NotAPartialSpread, match="^members 0 and 3 intersect nontrivially$") as exc:
         sp.check_pairwise()
     assert exc.value.witness == (0, 3)
@@ -155,7 +158,7 @@ def test_act_subspace():
     s = build_space("plus", t)
     W = subspace(s.fq, [s.e_vec(0), s.e_vec(1)])
     g = identity(s.fq, 4)
-    assert act_subspace(g, W).key == W.key
+    assert act_subspace(g, W).tobytes() == W.tobytes()
 
 
 # ---------------------------------------------------------------- batched kernel
@@ -180,8 +183,8 @@ def test_hypothesis_batched_act_matches_one_at_a_time(pe, n, r, k, data):
         assert np.array_equal(R[i], R1)
         assert rank[i] == len(piv)
         S = act_subspace(Mat(fq, mats[i]), subspace(fq, rows))
-        assert S.rows == tuple(tuple(int(c) for c in row) for row in R1[:len(piv)])
-        assert S.key == R[i, :rank[i]].tobytes()
+        assert S.dtype == np.int16 and S.tolist() == R1[:len(piv)].tolist()
+        assert S.tobytes() == R[i, :rank[i]].tobytes()
 
 
 def _reference_orbit(g, W, cap):
@@ -191,7 +194,7 @@ def _reference_orbit(g, W, cap):
     out, cur = [W], W
     for _ in range(cap):
         cur = act_subspace(g, cur)
-        if cur.key in {o.key for o in out}:
+        if cur.tobytes() in {o.tobytes() for o in out}:
             break
         out.append(cur)
     return out
@@ -207,8 +210,7 @@ def test_orbit_precheck_matches_check_pairwise():
     for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 3), ("odd", "Oodd", 2)]:
         s = build_space(kind, make_tower(3, 1, m))
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
-        keys = ts_subspace_transporters(s, False)
-        bases = np.stack([subspace_from_key(k, s.n).basis() for k in keys])
+        bases, _ = ts_subspace_transporters(s, False)
         orbits = _orbits(lit, bases, 12)
         for size in set(orbits.ret.tolist()) - {0}:
             idx = np.flatnonzero(orbits.ret == size)
@@ -235,12 +237,12 @@ def test_members_that_meet_never_partition_the_singular_points():
     for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 2), ("odd", "Oodd", 2), ("plus", "O+", 3)]:
         s = build_space(kind, make_tower(3, 1, m))
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
-        bases = np.stack([subspace_from_key(k, s.n).basis() for k in ts_subspace_transporters(s, False)])
+        bases, _ = ts_subspace_transporters(s, False)
         orbits = _orbits(lit, bases, element_order(lit, 100))
         assert orbits.ret.all()
-        walks = [[subspace_from_key(R.tobytes(), s.n) for R in w] for w in orbits.walks]
+        walks = orbits.walks
         for i, j in itertools.combinations_with_replacement(range(len(walks)), 2):
-            sp = PartialSpread(walks[i] + (walks[j] if j > i else []), s.fq)
+            sp = PartialSpread(np.concatenate([walks[i]] + ([walks[j]] if j > i else [])), s.fq)
             try:
                 sp.check_pairwise()
             except NotAPartialSpread:
@@ -259,17 +261,16 @@ def test_cyclic_orbits_walk_each_orbit_once_with_orbit_walks_images():
     for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 3), ("odd", "Oodd", 2)]:
         s = build_space(kind, make_tower(3, 1, m))
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
-        Ws = [subspace_from_key(k, s.n) for k in ts_subspace_transporters(s, False)]
-        bases = np.stack([W.basis() for W in Ws])
+        bases, _ = ts_subspace_transporters(s, False)
         for steps in (3, 12):
-            want = [_reference_orbit(lit, W, steps) for W in Ws]
+            want = [_reference_orbit(lit, W, steps) for W in bases]
             ret = [len(o) if len(o) <= steps else 0 for o in want]
-            closed = {frozenset(o.key for o in w) for w, t in zip(want, ret) if t}
+            closed = {frozenset(o.tobytes() for o in w) for w, t in zip(want, ret) if t}
             for chunk in (1, 7, 4096):
                 orbits = cyclic_orbits(s.fq, powers(s.fq, lit.a, steps + 1)[1:], bases, chunk)
                 assert orbits.ret.tolist() == ret
                 for i, (w, t) in enumerate(zip(want, ret)):
-                    assert [R.tobytes() for R in orbits.walk(i, t or steps)] == [o.key for o in w[:steps]]
+                    assert [R.tobytes() for R in orbits.walk(i, t or steps)] == [o.tobytes() for o in w[:steps]]
                 assert len(orbits.walks) == len(closed) + ret.count(0)
 
 
@@ -284,20 +285,21 @@ def test_schreier_transversal_keeps_bfs_order(kind, p, e, m, r):
     gens = o_generators(s)
     mats = [Mat(s.fq, a) for a in gens]
     W0 = subspace(s.fq, [s.e_vec(i) for i in range(r)])
-    want = {W0.key: identity(s.fq, s.n)}
+    want = {W0.tobytes(): identity(s.fq, s.n)}
     frontier = [W0]
     while frontier:
         new = []
         for node in frontier:
             for g in mats:
                 img = act_subspace(g, node)
-                if img.key not in want:
-                    want[img.key] = g * want[node.key]
+                if img.tobytes() not in want:
+                    want[img.tobytes()] = g * want[node.tobytes()]
                     new.append(img)
         frontier = new
-    got = schreier_transversal(s.fq, W0.basis(), gens, len(want))
-    assert list(got) == list(want)
-    assert all(got[k].key == want[k].key for k in want)
+    bases, moves = schreier_transversal(s.fq, W0, gens, len(want))
+    assert bases.shape == (len(want), r, s.n) and moves.shape == (len(want), s.n, s.n)
+    assert [B.tobytes() for B in bases] == list(want)
+    assert [M.tobytes() for M in moves] == [g.key for g in want.values()]
 
 
 def test_schreier_transversal_raises_beyond_the_cap(monkeypatch):
@@ -307,7 +309,8 @@ def test_schreier_transversal_raises_beyond_the_cap(monkeypatch):
     s = build_space("minus", make_tower(3, 1, 2))  # 10 singular points
     w0 = enumerate_isotropic_points(s)[0]
     monkeypatch.setattr(spreads, "_TRANSVERSAL_CAP", 10)
-    assert len(schreier_transversal(s.fq, w0[None, :], o_generators(s), 10)) == 10
+    bases, moves = schreier_transversal(s.fq, w0[None, :], o_generators(s), 10)
+    assert len(bases) == len(moves) == 10
     monkeypatch.setattr(spreads, "_TRANSVERSAL_CAP", 9)
     with pytest.raises(RuntimeError, match="^transversal exceeded cap$"):
         schreier_transversal(s.fq, w0[None, :], o_generators(s), 10)
@@ -342,17 +345,35 @@ def test_schreier_transversal_stops_at_the_closed_form_size(kind, q, m, det1):
     gens = so_generators(s) if det1 else o_generators(s)
     r = s.witt_index
     ts_size = maximal_ts_count(kind, q, r) // (2 if det1 and kind == "plus" else 1)
-    W0 = subspace(s.fq, [s.e_vec(i) for i in range(r)]).basis()
+    W0 = subspace(s.fq, [s.e_vec(i) for i in range(r)])
     for start, size in [(W0, ts_size),
                         (s.isotropic_points()[0][None, :], isotropic_point_count(kind, q, m))]:
         want = _unbounded_transversal(s.fq, start, gens)
         assert len(want) == size
-        got = schreier_transversal(s.fq, start, gens, size)
-        assert list(got) == list(want)
-        assert [g.key for g in got.values()] == [g.key for g in want.values()]
+        bases, moves = schreier_transversal(s.fq, start, gens, size)
+        assert [B.tobytes() for B in bases] == list(want)
+        assert [M.tobytes() for M in moves] == [g.key for g in want.values()]
         with pytest.raises(RuntimeError, match=f"^orbit has {size} members, expected {size + 1}$"):
             schreier_transversal(s.fq, start, gens, size + 1)
-    assert list(ts_subspace_transporters(s, det1)) == list(_unbounded_transversal(s.fq, W0, gens))
+    bases, moves = ts_subspace_transporters(s, det1)
+    want = _unbounded_transversal(s.fq, W0, gens)
+    assert [B.tobytes() for B in bases] == list(want)
+    assert [M.tobytes() for M in moves] == [g.key for g in want.values()]
+
+
+def test_ts_subspace_transporters_are_read_only_stacks():
+    # the cached transversal is shared by every caller: the orbit bases and
+    # their transporters are two stacks that cannot be edited in place
+    from orthosig.lscore import ts_subspace_transporters
+
+    s = build_space("plus", make_tower(3, 1, 2))
+    bases, moves = ts_subspace_transporters(s, False)
+    assert bases is ts_subspace_transporters(s, False)[0]
+    assert bases.dtype == moves.dtype == np.int16
+    assert bases.shape == (len(moves), 2, 4) and moves.shape[1:] == (4, 4)
+    for X in (bases, moves):
+        with pytest.raises(ValueError):
+            X[0, 0, 0] = 2
 
 
 def _pairwise_reference(fq, members):
@@ -361,9 +382,7 @@ def _pairwise_reference(fq, members):
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             A, B = members[i], members[j]
-            n = len(A.rows[0]) if A.dim else len(B.rows[0]) if B.dim else 0
-            stacked = np.concatenate([A.basis().reshape(-1, n), B.basis().reshape(-1, n)])
-            if fq.rank(stacked) != A.dim + B.dim:
+            if fq.rank(np.concatenate([A, B])) != len(A) + len(B):
                 return f"members {i} and {j} intersect nontrivially", (i, j)
     return None
 
@@ -374,15 +393,17 @@ def _pairwise_reference(fq, members):
 def test_hypothesis_stacked_check_pairwise_matches_the_pair_loop(pe, n, count, chunk, data):
     from orthosig import spreads
 
+    # one dimension r per spread; drawn rows of lower rank are dropped
     fq = fq_context(*pe)
     entries = st.integers(min_value=0, max_value=fq.q - 1)
+    r = data.draw(st.integers(min_value=1, max_value=min(3, n)))
     members = {}
     for _ in range(count):
-        r = data.draw(st.integers(min_value=1, max_value=3))
         S = subspace(fq, np.array(data.draw(st.lists(entries, min_size=r * n, max_size=r * n)),
                                   dtype=np.int16).reshape(r, n))
-        members.setdefault(S.key, S)
-    members = list(members.values())
+        if len(S) == r:
+            members.setdefault(S.tobytes(), S)
+    members = np.array(list(members.values()), dtype=np.int16).reshape(-1, r, n)
     want = _pairwise_reference(fq, members)
     old, spreads._PAIR_CHUNK = spreads._PAIR_CHUNK, chunk
     try:
