@@ -42,9 +42,20 @@ def _add_group_args(sp, need_family=True):
     g.add_argument("--n", type=int)
 
 
+def _positive_int(text):
+    """An int of at least 1; argparse exits 2 on anything else."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--samples", type=int, default=10_000)
+    sp.add_argument("--samples", type=_positive_int, default=10_000)
     sp.add_argument("--budget", type=int, default=EXHAUSTIVE_BUDGET)
 
 

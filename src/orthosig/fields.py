@@ -5,13 +5,13 @@ digits of a code, low degree first, are the coefficients in the power
 basis of that field's modulus.  Moduli, primitive elements and subfield
 embeddings are chosen by deterministic lexicographic scans (coefficient
 vectors compared low-degree-first) so serialized artifacts reproduce
-across runs and machines.  Every Gaussian elimination over F_q is
-`FqContext.rref`, stacked.
+across runs and machines; a candidate modulus or primitive element is
+tested by matrix powers in F_p[C], C the companion matrix of a modulus.
+Every Gaussian elimination over F_q is `FqContext.rref`, stacked.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -69,79 +69,45 @@ def split_prime_power(q: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# dense polynomials over F_p, coefficients low degree first, as lists
+# F_p[x]/(m) as F_p[C], C the companion matrix of the monic modulus m
 
-def _ptrim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+def _companion(m, p) -> np.ndarray:
+    """The int64 matrix C of y -> x y on F_p[x]/(m), m monic of degree d
+    with coefficients low degree first, in the power basis: x^j goes to
+    x^(j+1) and x^(d-1) to -(m_0 + .. + m_(d-1) x^(d-1)).  A polynomial h
+    acts as h(C), which is invertible exactly when gcd(h, m) = 1."""
+    d = len(m) - 1
+    C = np.eye(d, k=-1, dtype=np.int64)
+    C[:, -1] = np.negative(m[:d]) % p
+    return C
 
 
-def _pmod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1] % p
-        if c:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _ppowmod(base, k, m, p):
-    result = [1]
-    b = _pmod(base, m, p)
+def _mat_pow(A, k, p) -> np.ndarray:
+    """A^k mod p, for a matrix or each of a stack, by square-and-multiply
+    in plain int64: entries lie below p < 2^15, so a sum of d products
+    stays below d 2^30."""
+    out = np.eye(A.shape[-1], dtype=np.int64)
     while k:
         if k & 1:
-            result = _pmod(_pmul(result, b, p), m, p)
-        b = _pmod(_pmul(b, b, p), m, p)
+            out = out @ A % p
         k >>= 1
-    return result
+        if k:
+            A = A @ A % p
+    return out
 
 
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # make b monic for _pmod
-        lead = b[-1]
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            b = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _is_irreducible(m, p):
-    d = len(m) - 1
-    if d < 1:
+def _is_irreducible(m, p) -> bool:
+    """Rabin's test on the companion matrix C of the monic m of degree d:
+    m is irreducible iff C^(p^d) = C and C^(p^(d/l)) - C is invertible for
+    every prime l | d.  Degree 1 has no such l, so it needs no field."""
+    C = _companion(m, p)
+    d = len(C)
+    frob = [C]  # frob[k] = C^(p^k)
+    for _ in range(d):
+        frob.append(_mat_pow(frob[-1], p, p))
+    if (frob[d] != C).any():
         return False
-    x = [0, 1]
-    xm = _pmod(x, m, p)
-    # x^(p^d) == x mod m
-    t = _ppowmod(x, p ** d, m, p)
-    if _ptrim([(a - b) % p for a, b in itertools.zip_longest(t, xm, fillvalue=0)]):
-        return False
-    for ell in factorint(d):
-        t = _ppowmod(x, p ** (d // ell), m, p)
-        diff = _ptrim([(a - b) % p for a, b in itertools.zip_longest(t, xm, fillvalue=0)])
-        g = _pgcd(m, diff, p) if diff else list(m)
-        if len(g) - 1 > 0:
-            return False
-    return True
+    return all(fq_context(p, 1).det((frob[d // ell] - C) % p) for ell in factorint(d))
 
 
 def product_rows(base: int, width: int, lo: int, hi: int) -> np.ndarray:
@@ -163,7 +129,8 @@ def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
     Coefficient tuples (c0, .., c_{d-1}) are compared low-degree-first.
     For d >= 2 a candidate with a root in F_p has a linear factor: the
     candidates are evaluated at every point of F_p in stacks, in order, and
-    only those without a root get the full irreducibility test.
+    only those without a root get Rabin's test, one at a time (the scan
+    usually stops after a few).
     """
     x = np.arange(p, dtype=np.int64)
     X = np.ones((d + 1, p), dtype=np.int64)  # X[i] = x^i mod p
@@ -209,13 +176,18 @@ class GF:
             digs[:, i] = tmp % p
             tmp //= p
         self.digits = digs
-        self._nfac = factorint(n - 1) if n > 1 else {}
-        self.alpha = self._find_primitive()
+        # powers[i] = C^i for the companion matrix C of the modulus: the
+        # element with digits c acts on coefficient vectors as M_c = sum c_i C^i
+        C = _companion(self.modulus, p)
+        powers = [np.eye(d, dtype=np.int64)]
+        for _ in range(d - 1):
+            powers.append(powers[-1] @ C % p)
+        powers = np.array(powers)
+        self.alpha = self._find_primitive(powers)
         # exp[k] = code of alpha^k ; log[code] = k.  The coefficient vectors
-        # of alpha^0..alpha^(n-1) come from the F_p matrix of x -> alpha x,
-        # doubling the computed run with each matrix power.
-        A = np.array([digs[self._slow_mul(self.alpha, p ** i)] for i in range(d)],
-                     dtype=np.int64).T
+        # of alpha^0..alpha^(n-1) come from M_alpha, the F_p matrix of
+        # x -> alpha x, doubling the computed run with each matrix power.
+        A = np.tensordot(digs[self.alpha], powers, 1) % p
         vecs = np.zeros((1, d), dtype=np.int64)
         vecs[0, 0] = 1
         while len(vecs) < n:
@@ -229,35 +201,24 @@ class GF:
         self.log[self.exp] = np.arange(n - 1)
         self.neg_table = ((p - digs) % p) @ self._pvec
 
-    # -- construction helpers
-
-    def _poly_of(self, code):
-        return _ptrim([int(c) for c in self.digits[code]])
-
-    def _code_of_poly(self, poly):
-        return int(sum(c * self.p ** i for i, c in enumerate(poly)))
-
-    def _slow_mul(self, a, b):
-        return self._code_of_poly(_pmod(_pmul(self._poly_of(a), self._poly_of(b), self.p), list(self.modulus), self.p))
-
-    def _order_is_maximal(self, code):
-        n1 = self.order - 1
-        poly = self._poly_of(code)
-        mod = list(self.modulus)
-        for ell in self._nfac:
-            if _ppowmod(poly, n1 // ell, mod, self.p) == [1]:
-                return False
-        return True
-
-    def _find_primitive(self):
-        if self.order == 2:
-            return 1
-        for tail in itertools.product(range(self.p), repeat=self.d):
-            code = int(sum(c * self.p ** i for i, c in enumerate(tail)))
-            if code == 0:
-                continue
-            if self._order_is_maximal(code):
-                return code
+    def _find_primitive(self, powers):
+        """The first code, coefficient vectors compared low-degree-first,
+        whose matrix M_c = sum c_i C^i has M_c^((n-1)/l) != I for every
+        prime l | n - 1, with `powers` the stack of C^i.  The candidates
+        are tested in stacks of 1, 2, 4, .. in scan order: the first is
+        usually primitive, but over F_{p^2} with x of small order the scan
+        can pass p multiples of x first."""
+        n1, d = self.order - 1, self.d
+        lo, step = 1, 1  # code 0 first in scan order, and not a unit
+        while lo < self.order:
+            tails = product_rows(self.p, d, lo, min(lo + step, self.order))
+            M = (tails @ powers.reshape(d, d * d)).reshape(-1, d, d) % self.p
+            ok = np.ones(len(M), dtype=bool)
+            for ell in factorint(n1):
+                ok &= (_mat_pow(M, n1 // ell, self.p) != powers[0]).any(axis=(1, 2))
+            if ok.any():
+                return int(tails[ok.argmax()] @ self._pvec)
+            lo, step = lo + step, 2 * step
         raise FieldError("no primitive element found")  # pragma: no cover
 
     # -- arithmetic on codes
@@ -694,21 +655,16 @@ class FieldTower:
         self.alpha = self.top.alpha
         self.level_degree = {1: e, 2: e * m, 3: 2 * e * m}
         self.moduli = {}
-        self._theta = {}
         self._solvers = {}
+        theta = {}
         for lvl, deg in self.level_degree.items():
-            if deg == self.dtop:
-                self.moduli[lvl] = self.top.modulus
-                self._theta[lvl] = self.top.p  # code of x itself
-                # identity basis
-                self._solvers[lvl] = None
-                continue
             self.moduli[lvl] = smallest_irreducible(p, deg)
-            self._theta[lvl] = subfield_root(self.top, self.moduli[lvl], deg)
-            self._solvers[lvl] = power_basis(self.top, 1, self._theta[lvl], 1, deg)  # theta^i, i < deg
+            # the top level's generator is x itself, code p
+            theta[lvl] = self.top.p if lvl == 3 else subfield_root(self.top, self.moduli[lvl], deg)
+            self._solvers[lvl] = power_basis(self.top, 1, theta[lvl], 1, deg)  # theta^i, i < deg
         self.fq = fq_context(p, e)
         # F_p basis of the top field: alpha^j * theta_q^i, j < 2m, i < e
-        self._vec_solver = power_basis(self.top, self.alpha, self._theta[1], 2 * m, e)
+        self._vec_solver = power_basis(self.top, self.alpha, theta[1], 2 * m, e)
         if fq_context(p, 1).rank(self._vec_solver) != self.dtop:
             raise FieldError("power basis over F_q is degenerate")  # pragma: no cover
         self._spot_check()
@@ -720,15 +676,14 @@ class FieldTower:
         deg = self.level_degree[x.level]
         if len(x.coeffs) != deg:
             raise LevelMismatch(f"level {x.level} expects {deg} coefficients")
-        if x.level == 3:
-            return self.top.from_coeffs(x.coeffs)
-        theta = self._theta[x.level]
-        acc = 0
-        for i, c in enumerate(x.coeffs):
-            c = c % self.p
-            if c:
-                acc = self.top.add(acc, self.top.mul(c, self.top.pow(theta, i)))
-        return acc
+        return int(self.embed_coeffs(x.level, x.coeffs))
+
+    def embed_coeffs(self, level: int, coeffs) -> np.ndarray:
+        """Top codes of the level elements whose power-basis coefficients
+        (mod p) are the rows of `coeffs`, shape (..., degree of the level):
+        one product with the digit columns of theta^i."""
+        coeffs = np.asarray(coeffs, dtype=np.int64) % self.p
+        return coeffs @ self._solvers[level].T.astype(np.int64) % self.p @ self.top._pvec
 
     def project(self, code: int, level: int) -> FieldElement:
         """Level element with the given top code, or LevelMismatch."""
@@ -795,8 +750,7 @@ class FieldTower:
                 draws[lvl] += [rng.randrange(p ** self.level_degree[lvl]) for _ in range(2)]
         for lvl, codes in draws.items():
             codes = np.array(codes, dtype=np.int64)
-            coeffs = codes[:, None] // p ** np.arange(self.level_degree[lvl]) % p
-            emb = (coeffs @ self._solvers[lvl].T.astype(np.int64)) % p @ top._pvec
+            emb = self.embed_coeffs(lvl, codes[:, None] // p ** np.arange(self.level_degree[lvl]))
             a, b = emb[0::2], emb[1::2]
             sums = (top.digits[a] + top.digits[b]) % p
             prods = np.where((a == 0) | (b == 0), 0,

@@ -248,7 +248,7 @@ def _plus_gram(tower: FieldTower):
     beta = top.pow(tower.alpha, tower.q ** tower.m - 1)
     d = tower.level_degree[2]
     # F_p basis: theta2^i and theta2^i * beta
-    theta2 = [top.pow(tower._theta[2], i) for i in range(d)]
+    theta2 = tower.embed_coeffs(2, np.eye(d, dtype=np.int64)).tolist()
     B = top.digits[theta2 + [top.mul(t, beta) for t in theta2]].T
     fp = fq_context(tower.p, 1)
     if fp.rank(B) != tower.dtop:
@@ -256,7 +256,7 @@ def _plus_gram(tower: FieldTower):
     # every basis element x = x1 + x2 beta, x1 and x2 in F_{q^m}, in one solve
     basis = [top.pow(tower.alpha, j) for j in range(2 * tower.m)]
     sol = fp.solve(B, top.digits[basis].T).T
-    parts = [(tower.embed(tower.fe(2, s[:d])), tower.embed(tower.fe(2, s[d:]))) for s in sol]
+    parts = tower.embed_coeffs(2, sol.reshape(-1, 2, d)).tolist()
     return _trace_gram(tower, parts, lambda x, y: top.add(top.mul(x[0], y[1]), top.mul(x[1], y[0])))
 
 

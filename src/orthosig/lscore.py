@@ -153,7 +153,9 @@ class ProductTables:
 
     @staticmethod
     def build(fq: FqContext, n: int, blocks) -> ProductTables:
-        """The tables of the blocks, one stacked product per block."""
+        """The tables of the blocks, one stacked product per block.  A
+        block is a list of `Mat` or a (k, n, n) stack: `np.asarray` stacks
+        either."""
         sizes = tuple(len(b) for b in blocks)
         bounds, t = [], len(sizes)
         while t or not bounds:
@@ -167,7 +169,7 @@ class ProductTables:
         for s, (lo, hi) in enumerate(bounds):
             weights[lo:hi, s] = [math.prod(sizes[b + 1:hi]) for b in range(lo, hi)]
             tables.append(reduce(lambda P, X: fq.mat_mul(P[:, None], X[None]).reshape(-1, n, n),
-                                 (np.stack([g.a for g in blk]) for blk in blocks[lo:hi]),
+                                 (np.asarray(blk, dtype=np.int16) for blk in blocks[lo:hi]),
                                  fq.identity(n)[None]))
         return ProductTables(fq, n, sizes, tables, weights)
 
@@ -1077,73 +1079,70 @@ def project_ls(ls: LogSignature) -> LogSignature:
         return LogSignature(qdesc, [list(b) for b in ls.blocks], ls.claimed_order,
                             meta=dict(ls.meta), plan=ls.plan, tables=ls.tables)
     fq = ls.blocks[0][0].fq
-    minus = neg_identity(fq, n)
     target = ls.claimed_order // 2
+    stacks = [np.asarray(b, dtype=np.int16) for b in ls.blocks]
 
+    # g and -g both in a block make an aliased pair, named by its lift
     aliased = []
-    for t, blk in enumerate(ls.blocks):
-        keys = {g.key for g in blk}
-        pairs = [(g, minus * g) for g in blk if (minus * g).key in keys and g.key < (minus * g).key]
-        if pairs:
-            aliased.append((t, pairs))
+    for t, A in enumerate(stacks):
+        first = _first_indices(np.concatenate([_keys(A), _keys(fq.v_neg(A))]))
+        paired = first[len(A):] < len(A)  # -g lies in the block
+        lifted = (canonical_lift(fq, A) == A).all(axis=(1, 2))
+        if paired.any():
+            aliased.append((t, paired & lifted, paired & ~lifted))
+
+    def witnesses(found):
+        return [(t, [Mat(fq, g).to_json() for g in stacks[t][lifts]]) for t, lifts, _ in found]
+
     if len(aliased) > 1:
-        raise InjectivityFail(
-            "multiple blocks identify elements across the center",
-            witnesses=[(t, [p[0].to_json() for p in pairs]) for t, pairs in aliased],
-        )
+        raise InjectivityFail("multiple blocks identify elements across the center",
+                              witnesses=witnesses(aliased))
 
     candidates = []
     if len(aliased) == 1:
-        t, pairs = aliased[0]
-        drop = {p[1].key for p in pairs}
-        half = [g for g in ls.blocks[t] if g.key not in drop]
-        if len(half) * 2 != len(ls.blocks[t]):
-            raise InjectivityFail(
-                "aliased block cannot be halved cleanly",
-                witnesses=[(t, [p[0].to_json() for p in pairs])],
-            )
+        t, _, drop = aliased[0]
+        half = stacks[t][~drop]
+        if len(half) * 2 != len(stacks[t]):
+            raise InjectivityFail("aliased block cannot be halved cleanly", witnesses=witnesses(aliased))
         candidates.append((t, half))
     else:
-        for t in range(len(ls.blocks) - 1, -1, -1):
-            sz = len(ls.blocks[t])
+        for t in range(len(stacks) - 1, -1, -1):
+            sz = len(stacks[t])
             if sz % 2 == 0:
-                candidates.append((t, ls.blocks[t][: sz // 2]))
+                candidates.append((t, stacks[t][: sz // 2]))
 
     for t, half in candidates:
-        blocks2 = [list(b) for b in ls.blocks]
-        blocks2[t] = list(half)
-        blocks2 = _fold_singletons(blocks2, fq, n)
+        blocks2 = _fold_singletons(stacks[:t] + [half] + stacks[t + 1:], fq, n)
         if math.prod(len(b) for b in blocks2) == target == _distinct_products(fq, blocks2, n):
-            qblocks = [[Mat(fq, a) for a in canonical_lift(fq, np.stack([g.a for g in b]))]
-                       for b in blocks2]
+            lifts = [canonical_lift(fq, b) for b in blocks2]
             meta = dict(ls.meta)
             meta.update({"projected": True, "halved_block": t,
                          "minimal": ls.meta.get("minimal", False)})
-            return LogSignature(qdesc, qblocks, target, meta=meta,
-                                tables=ProductTables.build(fq, n, qblocks))
+            return LogSignature(qdesc, [[Mat(fq, a) for a in b] for b in lifts], target, meta=meta,
+                                tables=ProductTables.build(fq, n, lifts))
     raise InjectivityFail("no single-block halving yields a transversal of the center")
 
 
 def _fold_singletons(blocks, fq, n):
-    """Remove size-1 blocks; a nonidentity singleton folds into a neighbor
-    (left translation), which preserves the unique-product property."""
+    """Remove the size-1 blocks of a list of (k, n, n) stacks; a
+    nonidentity singleton folds into the next block (left translation),
+    the last one into the block before, which preserves the unique-product
+    property."""
     out = []
     carry = None  # element to left-multiply into the next block
     for blk in blocks:
         if carry is not None:
-            blk = [carry * g for g in blk]
-            carry = None
+            blk, carry = fq.mat_mul(carry, blk), None
         if len(blk) == 1:
-            if blk[0].is_identity():
-                continue
-            carry = blk[0]
+            if (blk[0] != fq.identity(n)).any():
+                carry = blk[0]
             continue
         out.append(blk)
     if carry is not None:
         if out:
-            out[-1] = [g * carry for g in out[-1]]
+            out[-1] = fq.mat_mul(out[-1], carry)
         else:
-            out.append([carry])
+            out.append(carry[None])
     return out
 
 
@@ -1227,6 +1226,8 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         return VerifyReport(valid, mode, length, bound, valid and length == bound,
                             ls.claimed_order, len(first), collisions, bad, None, notes)
     if mode == "sampled":
+        if samples < 1:
+            raise LsError(f"sampled verification needs samples >= 1, got {samples}")
         rng = random.Random(seed)
         if ls.plan is None:
             return _sampled_through_canonical(ls, samples, seed, rng, space, notes)

@@ -162,6 +162,10 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.a.tolist()})"
 
+    def __array__(self, dtype=None, copy=None):
+        # np.asarray of a list of matrices is their (k, n, n) stack
+        return self.a.astype(self.a.dtype if dtype is None else dtype, copy=bool(copy))
+
     def inv(self):
         return Mat(self.fq, self.fq.mat_inv(self.a))
 
@@ -186,9 +190,6 @@ class Mat:
             base = base * base
             k >>= 1
         return result
-
-    def is_identity(self):
-        return bool(np.array_equal(self.a, self.fq.identity(self.n)))
 
     def to_json(self):
         gf = self.fq.gf

@@ -162,7 +162,7 @@ def classical_spread(tower: FieldTower) -> PartialSpread:
     """
     fq = tower.fq
     top = tower.top
-    wbasis = [top.pow(tower._theta[2], i) for i in range(tower.level_degree[2])]
+    wbasis = tower.embed_coeffs(2, np.eye(tower.level_degree[2], dtype=np.int64)).tolist()
     reps = [top.pow(tower.alpha, i) for i in range(tower.q ** tower.m + 1)]
     # the F_q-coordinates of every spanning vector, then every echelon
     # basis: the spanning vectors of a translate have F_q-rank m, and rows

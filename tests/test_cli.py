@@ -345,6 +345,22 @@ def test_sampled_verify_checks_the_file(tmp_path):
     assert doc["result"]["valid"] is True and doc["result"]["notes"] == []
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_fewer_than_one_sample_exits_2(samples, tmp_path, capsys):
+    # a sampled check of no samples once reported a valid file and a
+    # verified permutation; argparse rejects the count at parse time
+    from orthosig.cli import main
+
+    good = tmp_path / "ls.json"
+    assert main(["construct", "--family", "O-", "--q", "3", "--m", "2", "--out", str(good)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(good), "--mode", "sampled", "--samples", samples]) == 2
+    assert main(["pgm-demo", "--family", "O+", "--q", "5", "--m", "2", "--samples", samples]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count(f"argument --samples: must be at least 1, got {samples}") == 2
+
+
 def test_verify_missing_file_exits_2(tmp_path):
     proc = run_cli("verify", "--in", str(tmp_path / "missing.json"))
     assert proc.returncode == 2

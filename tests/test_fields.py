@@ -1,7 +1,10 @@
+import hashlib
+import itertools
 import random
 
 import numpy as np
 import pytest
+from fieldpins import GF_PINS, MODULI
 from hypothesis import given, strategies as st
 from leibniz import det_by_permutations, rref_by_rows
 
@@ -34,16 +37,44 @@ def test_smallest_irreducible_low_degree_first():
     assert smallest_irreducible(3, 1) == (0, 1)
 
 
+def _divides(p, g, m):
+    """Whether the monic g divides m over F_p, both low degree first: the
+    remainder of schoolbook long division is zero."""
+    r, dg = list(m), len(g) - 1
+    for k in range(len(r) - 1, dg - 1, -1):
+        c = r[k]
+        if c:
+            for i, gi in enumerate(g):
+                r[k - dg + i] = (r[k - dg + i] - c * gi) % p
+    return not any(r[:dg])
+
+
+def _irreducible_by_trial_division(p, m):
+    """No monic polynomial of degree 1 .. deg(m) / 2 divides m."""
+    d = len(m) - 1
+    return not any(_divides(p, list(tail) + [1], m)
+                   for k in range(1, d // 2 + 1) for tail in itertools.product(range(p), repeat=k))
+
+
 @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)])
 def test_smallest_irreducible_matches_brute_force_scan(p, d):
-    # the root pre-test only skips reducible candidates
-    import itertools
-
-    from orthosig.fields import _is_irreducible
-
+    # the root pre-test and Rabin's test pick the first candidate, in
+    # low-degree-first order, that trial division finds irreducible
     first = next(tuple(tail) + (1,) for tail in itertools.product(range(p), repeat=d)
-                 if _is_irreducible(list(tail) + [1], p))
+                 if _irreducible_by_trial_division(p, list(tail) + [1]))
     assert smallest_irreducible(p, d) == first
+
+
+def test_moduli_match_their_pins():
+    assert {pd: smallest_irreducible(*pd) for pd in MODULI} == MODULI
+
+
+def test_primitive_elements_and_exp_tables_match_their_pins():
+    from orthosig.fields import GF
+
+    for (p, d), pin in GF_PINS.items():
+        gf = GF(p, d)
+        assert (gf.alpha, hashlib.sha256(gf.exp.tobytes()).hexdigest()) == pin, (p, d)
 
 
 def test_smallest_irreducible_does_not_depend_on_the_root_test_stack(monkeypatch):
@@ -64,13 +95,15 @@ def test_exp_table_matches_repeated_multiplication(p, d):
 
     gf = GF(p, d)
     rng = random.Random(p * 100 + d)
+    alpha = list(gf.coeffs(gf.alpha))
     for k in [0, 1, 2, gf.order - 2] + [rng.randrange(gf.order - 1) for _ in range(20)]:
-        code, base, e = 1, gf.alpha, k
-        while e:  # alpha^k by square-and-multiply in polynomial arithmetic
+        x, base, e = [1] + [0] * (d - 1), alpha, k
+        while e:  # alpha^k by square-and-multiply in coefficient arithmetic
             if e & 1:
-                code = gf._slow_mul(code, base)
-            base = gf._slow_mul(base, base)
+                x = _coeff_mul(p, gf.modulus, x, base)
+            base = _coeff_mul(p, gf.modulus, base, base)
             e >>= 1
+        code = gf.from_coeffs(x)
         assert gf.exp[k] == code
         assert gf.log[code] == k
     assert sorted(gf.exp.tolist()) == list(range(1, gf.order))
@@ -217,6 +250,29 @@ def test_top_to_vec_inverts_vec_to_top_on_every_code(p, e, m):
     vecs = [t.top_to_vec(c) for c in range(top.order)]
     assert all(v.dtype == np.int16 and v.shape == (2 * m,) for v in vecs)
     assert [vec_to_top(v) for v in vecs] == list(range(top.order))
+
+
+@pytest.mark.parametrize("p,e,m", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2), (5, 2, 1),
+                                   (7, 1, 2)])
+def test_embedding_is_the_sum_of_coefficients_times_powers_of_the_root(p, e, m):
+    # every element of F_q and of F_q^m, and every twentieth of the top,
+    # embeds as sum c_i theta^i, theta the root the tower picked for the
+    # level's modulus (x itself at the top)
+    from orthosig.fields import subfield_root
+
+    t = make_tower(p, e, m)
+    top = t.top
+    for lvl, deg in t.level_degree.items():
+        theta = top.p if lvl == 3 else subfield_root(top, t.moduli[lvl], deg)
+        rows = list(itertools.product(range(p), repeat=deg))[::20 if lvl == 3 else 1]
+        want = []
+        for cs in rows:
+            acc = 0
+            for i, c in enumerate(cs):
+                acc = top.add(acc, top.mul(c, top.pow(theta, i)))
+            want.append(acc)
+        assert t.embed_coeffs(lvl, rows).tolist() == want
+        assert [t.embed(t.fe(lvl, cs)) for cs in rows[:5]] == want[:5]
 
 
 def test_fq_context_tables():
