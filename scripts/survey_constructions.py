@@ -21,6 +21,7 @@ CASES = [
     ("PSO-", 3, 4), ("PSO+", 3, 4),
     ("O-", 5, 4), ("O+", 5, 4), ("Oodd", 5, 3),
     ("O-", 3, 6), ("O+", 3, 6),
+    ("O-", 9, 4),
 ]
 DECODE_MEMBERS = 200
 

@@ -8,7 +8,10 @@ linear solve for the unipotent coordinates, recursively down the stages.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import forms
 from .lscore import LogSignature, LsError, space_for
@@ -33,13 +36,30 @@ class IndexVector:
         return list(self.indices)
 
 
-def check_bounds(iv, ls: LogSignature):
-    sizes = ls.block_sizes()
-    if len(iv.indices) != len(sizes):
-        raise FactorError(f"index vector has {len(iv.indices)} entries, signature has {len(sizes)} blocks")
-    for i, (x, s) in enumerate(zip(iv.indices, sizes)):
+def check_bounds(iv, ls: LogSignature) -> tuple:
+    """The entries of iv, each an integer in the range of its block, as
+    Python ints; FactorError otherwise.  Numpy integers are accepted; a
+    float or any other non-integer is not."""
+    sizes, indices = ls.sizes, iv.indices
+    if len(indices) != len(sizes):
+        raise FactorError(f"index vector has {len(indices)} entries, signature has {len(sizes)} blocks")
+    for x, s in zip(indices, sizes):
+        if type(x) is not int or not 0 <= x < s:
+            return _checked(indices, sizes)
+    return indices
+
+
+def _checked(indices, sizes) -> tuple:
+    out = []
+    for i, (x, s) in enumerate(zip(indices, sizes)):
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise FactorError(f"index {x!r} in block {i} is not an integer") from None
         if not 0 <= x < s:
             raise FactorError(f"index {x} out of range [0, {s}) in block {i}")
+        out.append(x)
+    return tuple(out)
 
 
 def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVector:
@@ -51,13 +71,19 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
     matches a product of block elements exactly, and at a stage the border
     check fixes every entry of the stage matrix hw outside hw[SP, SP],
     which the sub-plan then matches in turn, so g is the product of the
-    block elements its digits index.  stats gets the decode's counts,
-    except for a non-member, which leaves it as it was."""
+    block elements its digits index, provided its entries are codes of the
+    signature's field, which is checked first.  stats gets the decode's
+    counts, except for a non-member, which leaves it as it was."""
     if ls.plan is None:
         raise FactorError("signature carries no decoding tables (not canonical)")
-    n = ls.plan.n
+    n, fq = ls.plan.n, ls.plan.fq
     if g.n != n:
         raise FactorError(f"element is {g.n}x{g.n}, signature acts on {n}x{n} matrices")
+    if g.fq is not fq and (g.fq.p, g.fq.e) != (fq.p, fq.e):
+        raise FactorError(f"element is over F_{g.fq.q}, signature is over F_{fq.q}")
+    # a negative int16 entry reads as at least 2^15 > q
+    if g.a.view(np.uint16).max() >= fq.q:
+        raise FactorError(f"element has an entry outside the codes 0..{fq.q - 1} of F_{fq.q}")
     before = None if stats is None else dict(stats)
     try:
         digits = ls.plan.decode(g, stats)
@@ -76,28 +102,31 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
 def compose(iv: IndexVector, ls: LogSignature) -> Mat:
     """Product of the indexed block elements: one row of each product
     table, multiplied across the segments."""
-    check_bounds(iv, ls)
+    indices = check_bounds(iv, ls)
     if not ls.blocks:
         raise FactorError("signature has no blocks")
-    return Mat(ls.blocks[0][0].fq, ls.product_tables().products([iv.indices])[0])
+    return Mat(ls.blocks[0][0].fq, ls.product_tables().products([indices])[0])
 
 
 def rank(iv: IndexVector, ls: LogSignature) -> int:
     """Mixed-radix value, first block fastest-varying."""
-    check_bounds(iv, ls)
     out = 0
     mult = 1
-    for x, s in zip(iv.indices, ls.block_sizes()):
+    for x, s in zip(check_bounds(iv, ls), ls.sizes):
         out += x * mult
         mult *= s
     return out
 
 
 def unrank(v: int, ls: LogSignature) -> IndexVector:
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise FactorError(f"rank {v!r} is not an integer") from None
     if not 0 <= v < ls.claimed_order:
         raise FactorError(f"rank {v} out of range [0, {ls.claimed_order})")
     out = []
-    for s in ls.block_sizes():
-        out.append(v % s)
-        v //= s
+    for s in ls.sizes:
+        v, x = divmod(v, s)
+        out.append(x)
     return IndexVector(tuple(out))

@@ -107,7 +107,10 @@ def _is_irreducible(m, p) -> bool:
         frob.append(_mat_pow(frob[-1], p, p))
     if (frob[d] != C).any():
         return False
-    return all(fq_context(p, 1).det((frob[d // ell] - C) % p) for ell in factorint(d))
+    if d == 1:
+        return True
+    # one stacked determinant for the primes l | d
+    return bool(fq_context(p, 1).det(np.stack([frob[d // ell] - C for ell in factorint(d)]) % p).all())
 
 
 def product_rows(base: int, width: int, lo: int, hi: int) -> np.ndarray:
@@ -451,6 +454,8 @@ class FqContext:
         # (p + 1)(p - 1) < p^2, so a chunk of p + 1 terms sums without carry
         G = self.PM[A[..., :, :, None], B[..., None, :, :]]  # G[..., i, k, j]
         c = self.p + 1
+        if A.shape[-1] <= c:
+            return self.UN[G.sum(axis=-2)]
         chunks = (self.UN[G[..., k:k + c, :].sum(axis=-2)] for k in range(0, A.shape[-1], c))
         return reduce(lambda X, Y: self.ADD[X, Y], chunks)
 

@@ -90,11 +90,11 @@ class LogSignature:
     tables: ProductTables | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        prod = 1
-        for b in self.blocks:
-            if not b:
-                raise LsError("empty block")
-            prod *= len(b)
+        # the sizes, read by every bounds check, rank and unrank
+        self.sizes = tuple(len(b) for b in self.blocks)
+        if 0 in self.sizes:
+            raise LsError("empty block")
+        prod = math.prod(self.sizes)
         if prod != self.claimed_order:
             raise LsError(f"block sizes multiply to {prod}, claimed {self.claimed_order}")
 
@@ -103,7 +103,7 @@ class LogSignature:
         return sum(len(b) for b in self.blocks)
 
     def block_sizes(self):
-        return [len(b) for b in self.blocks]
+        return list(self.sizes)
 
     def product_tables(self) -> ProductTables:
         """The tables built with the signature, else tables built now from
@@ -179,18 +179,18 @@ class ProductTables:
         segment and one stacked product per segment after the first.  For
         prime q the running product is an int64 stack reduced mod p only
         when the next product could overflow 63 bits."""
-        rows = np.asarray(ivs, dtype=np.int64) @ self.weights
-        stacks = [T[r] for T, r in zip(self.tables, rows.T)]
+        rows = np.asarray(ivs, dtype=np.int64).dot(self.weights)
+        stacks = [T.take(r, axis=0) for T, r in zip(self.tables, rows.T)]
         if len(stacks) == 1:
             return stacks[0]
         if not self.fq.fast:
             return reduce(self.fq.mat_mul, stacks)
         p, n = self.fq.p, self.n
-        P, top = stacks[0], p - 1  # top bounds every entry of P
+        P, top = stacks[0].astype(np.int64), p - 1  # top bounds every entry of P
         for X in stacks[1:]:
             if top * n * (p - 1) >= 2 ** 63:
                 P, top = P % p, p - 1
-            P, top = np.matmul(P, X, dtype=np.int64), top * n * (p - 1)
+            P, top = P @ X, top * n * (p - 1)
         return (P % p).astype(np.int16)
 
     def walk(self):
@@ -510,13 +510,18 @@ def _key_weights(q, m):
 
 def _row_keys(fq, X):
     """The base-q integer of each row of a (k, m) array of field codes."""
-    return X.astype(np.int64) @ _key_weights(fq.q, X.shape[-1])
+    return X.dot(_key_weights(fq.q, X.shape[-1]))
 
 
 def _find(sorted_keys, keys):
     """Positions of keys in a sorted key array, and which are present."""
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return pos, sorted_keys[pos] == keys
+    pos = np.minimum(sorted_keys.searchsorted(keys), len(sorted_keys) - 1)
+    return pos, sorted_keys.take(pos) == keys
+
+
+def _count(mask):
+    """The rows a mask flags; None flags none."""
+    return 0 if mask is None else int(mask.sum())
 
 
 def _reject(errors, rows, bad, exc_type, msg):
@@ -599,18 +604,22 @@ class _TablePlan(_Plan):
 
     def _answer(self, Z, rows, out, col):
         """Writes the index vectors of the rows of Z found in the table;
-        returns which were found."""
+        returns which were not found, or None when every row was."""
         pos, hit = _find(self.keys, _row_keys(self.fq, Z.reshape(len(Z), -1)))
+        if hit.all():
+            out[rows, col:col + self.width] = self.ivs.take(pos, axis=0)
+            return None
         out[rows[hit], col:col + self.width] = self.ivs[pos[hit]]
-        return hit
+        return ~hit
 
     def _decode_into(self, Z, rows, out, errors, col, stats):
         if not len(rows):
             return
         if stats is not None:
             stats["lookups"] = stats.get("lookups", 0) + len(rows)
-        _reject(errors, rows, ~self._answer(Z, rows, out, col), LsError,
-                "element is not covered by this signature")
+        miss = self._answer(Z, rows, out, col)
+        if miss is not None:
+            _reject(errors, rows, miss, LsError, "element is not covered by this signature")
 
 
 @dataclass
@@ -660,6 +669,10 @@ class _StagePlan(_Plan):
     def n(self):
         return self.space.n
 
+    @property
+    def fq(self):
+        return self.space.fq
+
     @cached_property
     def width(self):
         return self.head.shape[1] + len(self.SP) * self.space.e + self.gl1_digits.shape[1] + self.sub.width
@@ -675,19 +688,36 @@ class _StagePlan(_Plan):
                        strips=fq.mat_mul(self.strips, Cinv), enter=fq.mat_mul(C, self.enter),
                        front=self.front.framed(C, Cinv) if self.front else None)._sorted()
 
+    # positions in the rows of hw.reshape(k, n * n)
+    @cached_property
+    def _u_at(self):
+        """hw[SP, R], the column u is read from."""
+        return self.SP * self.n + self.R
+
+    @cached_property
+    def _border_at(self):
+        """Column 0 below the corner, then row R."""
+        n = self.n
+        return np.concatenate([np.arange(n, n * n, n), np.arange(self.R * n, (self.R + 1) * n)])
+
+    @cached_property
+    def _residue_at(self):
+        """hw[SP, SP], row by row."""
+        return (self.SP[:, None] * self.n + self.SP).ravel()
+
     def _decode_into(self, Z, rows, out, errors, col, stats):
         # a failing row goes on through the arithmetic (every gather stays in
         # range) and is dropped before the recursion; it keeps its first error
         if not len(rows):
             return
         if self.front is not None:
-            hit = self.front._answer(Z, rows, out, col)
+            miss = self.front._answer(Z, rows, out, col)
             if stats is not None:
-                stats["lookups"] = stats.get("lookups", 0) + int(hit.sum())
-            if hit.all():
+                stats["lookups"] = stats.get("lookups", 0) + len(rows) - _count(miss)
+            if miss is None:
                 return
-            Z, rows = Z[~hit], rows[~hit]
-        fq, R, SP, n = self.space.fq, self.R, self.SP, self.n
+            Z, rows = Z[miss], rows[miss]
+        fq, R, n = self.space.fq, self.R, self.n
         ZT = fq.mat_mul(Z, self.enter)
         keys = _row_keys(fq, ZT[:, :, 0])
         pos, alive = _find(self.keys, keys)
@@ -696,28 +726,33 @@ class _StagePlan(_Plan):
             for r, key in zip(rows[~alive].tolist(), keys[~alive].tolist()):
                 errors[r] = (GeometryError("zero vector has no projective point") if key == 0 else
                              LsError("element does not move the base point inside the singular set"))
-        pt = self.point[pos]
-        hw = fq.mat_mul(self.strips[pt], ZT)
+        pt = self.point.take(pos)
+        hw = fq.mat_mul(self.strips.take(pt, axis=0), ZT)
         if stats is not None:
             # the products into the frame and hw for each element on a
             # singular line
             stats["mults"] = stats.get("mults", 0) + len(rows) + int(alive.sum())
-        head = self.head[pt]
+        # the digits go straight into out: head, Siegel, GL1, then the tail's
+        siegel = col + self.head.shape[1]
+        gl1 = siegel + len(self.SP) * fq.e
+        tail = gl1 + self.gl1_digits.shape[1]
+        out[rows, col:siegel] = self.head.take(pt, axis=0)
         if self.stab is not None:
             # a hit is an exact product of the stabilizer blocks, so the
             # element is a member; only the misses go on for their errors
-            out[rows, col:col + head.shape[1]] = head
-            hit = self.stab._answer(hw, rows, out, col + head.shape[1])
+            miss = self.stab._answer(hw, rows, out, siegel)
             if stats is not None:
-                stats["lookups"] = stats.get("lookups", 0) + int(hit.sum())
-            if hit.all():
+                stats["lookups"] = stats.get("lookups", 0) + len(rows) - _count(miss)
+            if miss is None:
                 return
-            hw, rows, alive, head = hw[~hit], rows[~hit], alive[~hit], head[~hit]
+            hw, rows, alive = hw[miss], rows[miss], alive[miss]
         k = len(rows)
-        lam = hw[:, 0, 0]
-        u = fq.v_scale(lam[:, None], hw[:, SP, R])
-        digits = np.concatenate([head, fq.gf.digits[u].reshape(k, -1), self.gl1_digits[lam]], axis=1)
-        out[rows, col:col + digits.shape[1]] = digits
+        H = hw.reshape(k, n * n)
+        lam = H[:, 0]
+        u = fq.v_scale(lam[:, None], H.take(self._u_at, axis=1))
+        # over a prime field a code is its one digit
+        out[rows, siegel:gl1] = u if fq.fast else fq.gf.digits.take(u, axis=0).reshape(k, -1)
+        out[rows, gl1:tail] = self.gl1_digits.take(lam, axis=0)
         # hw = E(u) d(lam) y with y = 1 + 1 + ysub on (e_0, f_0, SP), and
         # E(-u) hw must be d(lam) = diag(lam at 0, lam^-1 at R) on the
         # border, with no Eichler matrix formed.  As G e_0 = e_R and
@@ -729,32 +764,33 @@ class _StagePlan(_Plan):
         #   lam e_0 - hw[0, R] e_R;
         # - column 0 must be lam e_0 (E fixes e_0), and the SP rows of
         #   column R vanish once row R passes, as u = lam hw[SP, R].
-        # So column 0, row R and row 0 are the whole border, in one compare.
-        # On the rows that pass, (G e_0)^T hw = hw[R] is 0 on SP, so the SP
-        # block of E(-u) hw, the residue ysub, is hw[SP, SP]
+        # So column 0, row R and row 0 are the whole border.  Where column
+        # 0 passes, entry 0 of the product is lam (G u)_0 + lam = lam, as
+        # (G u)_0 = u_R = 0; column 0 below the corner, row R and the rest
+        # of the product, less what each must be, are one array that must
+        # vanish.  On the rows that pass, (G e_0)^T hw = hw[R] is 0 on SP,
+        # so the SP block of E(-u) hw, the residue ysub, is hw[SP, SP]
         v = fq.mat_mul(u[:, None, :], self.sp_gram)
         v[:, 0, 0] = 1
-        border = np.concatenate([hw[:, :, 0], hw[:, R], fq.mat_mul(v, hw)[:, 0]], axis=1)
-        want = np.zeros((k, 3 * n), dtype=np.int16)
-        want[:, 0] = want[:, 2 * n] = lam
-        want[:, n + R] = fq.INV[lam]
-        want[:, 2 * n + R] = fq.NEG[hw[:, 0, R]]
-        bad = border != want
+        border = np.concatenate([H.take(self._border_at, axis=1), fq.mat_mul(v, hw)[:, 0, 1:]], axis=1)
+        border[:, n - 1 + R] -= fq.INV.take(lam)
+        border[:, 2 * n - 2 + R] -= fq.NEG.take(H[:, R])
+        fixes = alive  # on a singular line and fixing the line of e_0
+        if border.any():
+            failed = True
+            moved = border[:, :n - 1].any(axis=1)
+            _reject(errors, rows, alive & moved, LsError, "element does not stabilize the base point")
+            fixes = alive & ~moved
+            alive = fixes & ~_reject(errors, rows, fixes & border[:, n - 1:].any(axis=1), LsError,
+                                     "stabilizer residue is not block diagonal")
         if stats is not None:
             # the products of the matrix path after hw: E(-u) and E(-u) hw
             # for each element that fixes the line of e_0
-            fixes = alive & ~bad[:, :n].any(axis=1)
             stats["mults"] += 2 * int(fixes.sum())
-        if bad.any():
-            failed = True
-            alive &= ~_reject(errors, rows, alive & bad[:, :n].any(axis=1), LsError,
-                              "element does not stabilize the base point")
-            alive &= ~_reject(errors, rows, alive & bad[:, n:].any(axis=1), LsError,
-                              "stabilizer residue is not block diagonal")
+        ysub = H.take(self._residue_at, axis=1).reshape(k, len(self.SP), len(self.SP))
         if failed:
-            hw, rows = hw[alive], rows[alive]
-        self.sub._decode_into(hw[:, SP[:, None], SP], rows, out, errors,
-                              col + digits.shape[1], stats)
+            ysub, rows = ysub[alive], rows[alive]
+        self.sub._decode_into(ysub, rows, out, errors, tail, stats)
 
 
 @cache

@@ -11,6 +11,7 @@ are claimed or implied.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -84,7 +85,7 @@ def _beta_factor(key: PgmKey, g: Mat) -> IndexVector:
     """Tame factorization through beta: beta products with indices j equal
     alpha products with indices perm[j], so decode via alpha and unmap."""
     alpha_iv = tame_factor(g, key.alpha_ls)
-    return IndexVector(tuple(inv[ai] for inv, ai in zip(key.inverse_perms, alpha_iv)))
+    return IndexVector(tuple(map(operator.getitem, key.inverse_perms, alpha_iv.indices)))
 
 
 def encrypt(key: PgmKey, msg: int) -> int:

@@ -482,6 +482,35 @@ def test_demo_pipeline_script_runs_end_to_end():
     assert msgs == back and cts != msgs
 
 
+def test_survey_script_prints_a_verified_row_per_case():
+    # one row per case of its CASES, each verified exactly or by sampling,
+    # with the compose and decode timings (decode "-" only where the
+    # signature has no decoding tables)
+    import ast
+
+    from orthosig.lscore import canonical_ls
+    from orthosig.matgroups import descriptor
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = os.path.join(root, "scripts", "survey_constructions.py")
+    with open(script) as fh:
+        cases = next(ast.literal_eval(node.value) for node in ast.parse(fh.read()).body
+                     if isinstance(node, ast.Assign) and node.targets[0].id == "CASES")
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[-4:] == ["compose", "µs", "decode", "µs"]
+    assert len(rows) == len(cases)
+    for row, (fam, q, n) in zip(rows, cases):
+        group, *_, verdict, _, compose_us, decode_us = row.split()
+        assert group == f"{fam}{n}({q})" and verdict in ("exact", "sampled")
+        float(compose_us)
+        if canonical_ls(descriptor(fam, q, n=n)).plan is not None:
+            float(decode_us)
+        else:
+            assert decode_us == "-"
+
+
 def test_verify_checks_the_claimed_order(tmp_path):
     # two blocks of the canonical O-4(3) claim an order of 10: every product
     # is distinct and lies in the group, but the group has 1,440 elements

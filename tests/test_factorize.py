@@ -534,3 +534,93 @@ def test_compose_is_the_left_to_right_product(fam, q, n):
         for blk, i in zip(ls.blocks, iv):
             want = want * blk[i]
         assert compose(iv, ls) == want == compose(iv, copy)
+
+
+def test_compose_through_seven_segments_over_f1543():
+    # 65 * 65 > PRODUCT_CHUNK, so each block is its own segment, and at
+    # p = 1543 the int64 running product must be reduced once on the way
+    # through the seven tables; a hand-made signature, not a group
+    import numpy as np
+
+    from orthosig.fields import fq_context
+    from orthosig.matgroups import Mat
+
+    fq = fq_context(1543, 1)
+    rng = np.random.default_rng(1543)
+    blocks = [[Mat(fq, a) for a in rng.integers(0, fq.q, (65, 3, 3))] for _ in range(7)]
+    ls = LogSignature(None, blocks, 65 ** 7)
+    assert len(ls.product_tables().tables) == 7
+    for v in random.Random(1543).sample(range(ls.claimed_order), 200):
+        iv = unrank(v, ls)
+        want = identity(fq, 3)
+        for blk, i in zip(blocks, iv):
+            want = want * blk[i]
+        assert compose(iv, ls) == want
+
+
+def test_plan_decode_of_the_wrong_size_raises_the_stack_message():
+    import numpy as np
+
+    from orthosig.lscore import LsError
+
+    ls = canonical_ls(descriptor("O-", 3, n=4))
+    small = identity(ls.blocks[0][0].fq, 3)
+    with pytest.raises(LsError) as many:
+        ls.plan.decode_many(small.a[None])
+    with pytest.raises(LsError) as one:
+        ls.plan.decode(small)
+    assert str(one.value) == str(many.value) == \
+        "expected a stack of 4x4 matrices, got shape (1, 3, 3)"
+    assert np.array_equal(ls.plan.decode_many(np.stack([identity(ls.blocks[0][0].fq, 4).a]))[0],
+                          [ls.plan.decode(identity(ls.blocks[0][0].fq, 4))])
+
+
+def test_indices_and_ranks_must_be_integers():
+    # a float index or rank used to be taken as it came: 1.5 composed as
+    # index 1, ranked as 6.5, and a float rank unranked to float digits
+    import numpy as np
+
+    ls = canonical_ls(descriptor("O-", 3, n=4))
+    rest = (0,) * (len(ls.blocks) - 2)
+    for bad in (1.5, 1.0, "1", None):
+        iv = IndexVector((bad, 1) + rest)
+        for f in (compose, rank):
+            with pytest.raises(FactorError, match="block 0 is not an integer"):
+                f(iv, ls)
+    for bad in (5.7, 5.0, "5"):
+        with pytest.raises(FactorError, match="is not an integer"):
+            unrank(bad, ls)
+    # numpy integers are integers, and what comes out is Python ints
+    iv = unrank(700, ls)
+    wide = IndexVector(tuple(np.int64(x) for x in iv))
+    assert compose(wide, ls) == compose(iv, ls)
+    assert rank(wide, ls) == 700 and type(rank(wide, ls)) is int
+    assert unrank(np.int64(700), ls) == iv
+    assert all(type(x) is int for x in unrank(np.int64(700), ls))
+    with pytest.raises(FactorError, match=r"index 7 out of range \[0, 5\) in block 0"):
+        rank(IndexVector((np.int16(7), 1) + rest), ls)
+
+
+def test_tame_factor_takes_only_codes_of_the_signature_field():
+    # each of these used to decode: 4 I over F_5 as the identity of O-4(3)
+    # (4 = 1 mod 3), -I as -I, and code 200 against O-4(9) ended in a bare
+    # numpy IndexError
+    import numpy as np
+
+    from orthosig.fields import fq_context
+    from orthosig.matgroups import Mat
+
+    ls = canonical_ls(descriptor("O-", 3, n=4))
+    with pytest.raises(FactorError, match="element is over F_5, signature is over F_3"):
+        tame_factor(Mat(fq_context(5, 1), 4 * np.eye(4)), ls)
+    with pytest.raises(FactorError, match="outside the codes 0..2 of F_3"):
+        tame_factor(Mat(fq_context(3, 1), -np.eye(4)), ls)
+    with pytest.raises(FactorError, match="element is over F_9, signature is over F_3"):
+        tame_factor(Mat(fq_context(3, 2), np.eye(4)), ls)
+    big = canonical_ls(descriptor("O-", 9, n=4))
+    with pytest.raises(FactorError, match="outside the codes 0..8 of F_9"):
+        tame_factor(Mat(fq_context(3, 2), 200 * np.eye(4)), big)
+    # an equal context built anew is the same field
+    from orthosig.fields import FqContext
+
+    assert tame_factor(Mat(FqContext(3, 1), np.eye(4)), ls) == tame_factor(identity(fq_context(3, 1), 4), ls)
