@@ -2,12 +2,18 @@
 """End-to-end demo: construct a signature, verify it, factor elements
 through it, and run the signature-keyed cipher, all on one small group."""
 
+import os
 import random
+import sys
 
-from orthosig import pgm
-from orthosig.factorize import compose, tame_factor, unrank
-from orthosig.lscore import canonical_ls, min_length_bound, verify_ls
-from orthosig.matgroups import descriptor
+# run from a checkout: the package lives in <root>/src
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from orthosig import pgm  # noqa: E402
+from orthosig.factorize import compose, tame_factor, unrank  # noqa: E402
+from orthosig.lscore import canonical_ls, min_length_bound, verify_ls  # noqa: E402
+from orthosig.matgroups import descriptor  # noqa: E402
 
 desc = descriptor("O-", 3, m=2)
 ls = canonical_ls(desc)

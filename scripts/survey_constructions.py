@@ -6,13 +6,19 @@ budget of `verify_ls`; sampled above it), the median time of one `compose`
 of 200 seeded index vectors, and the median time of one tame factorization
 of their products (`-` where the signature has no decoding tables)."""
 
+import os
 import random
 import statistics
+import sys
 import time
 
-from orthosig.factorize import compose, tame_factor, unrank
-from orthosig.lscore import EXHAUSTIVE_BUDGET, canonical_ls, min_length_bound, verify_ls
-from orthosig.matgroups import descriptor
+# run from a checkout: the package lives in <root>/src
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from orthosig.factorize import compose, tame_factor, unrank  # noqa: E402
+from orthosig.lscore import EXHAUSTIVE_BUDGET, canonical_ls, min_length_bound, verify_ls  # noqa: E402
+from orthosig.matgroups import descriptor  # noqa: E402
 
 CASES = [
     ("O-", 3, 2), ("O+", 3, 2), ("SO-", 3, 2), ("SO+", 3, 2),

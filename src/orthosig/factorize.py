@@ -72,8 +72,12 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
     check fixes every entry of the stage matrix hw outside hw[SP, SP],
     which the sub-plan then matches in turn, so g is the product of the
     block elements its digits index, provided its entries are codes of the
-    signature's field, which is checked first.  stats gets the decode's
-    counts, except for a non-member, which leaves it as it was."""
+    signature's field, which is checked first.  Without stats the decode
+    is the plan's one-element path: a few dict lookups on entry bytes and
+    the matrix products of each stage; only an element that path cannot
+    answer goes down the stack decoder, which names its error.  stats gets
+    the stack decoder's counts, except for a non-member, which leaves it as
+    it was."""
     if ls.plan is None:
         raise FactorError("signature carries no decoding tables (not canonical)")
     n, fq = ls.plan.n, ls.plan.fq

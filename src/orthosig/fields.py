@@ -98,19 +98,27 @@ def _mat_pow(A, k, p) -> np.ndarray:
 
 def _is_irreducible(m, p) -> bool:
     """Rabin's test on the companion matrix C of the monic m of degree d:
-    m is irreducible iff C^(p^d) = C and C^(p^(d/l)) - C is invertible for
-    every prime l | d.  Degree 1 has no such l, so it needs no field."""
+    m is irreducible iff C^(p^d) = C and h = C^(p^(d/l)) - C is invertible
+    for every prime l | d.  Once C^(p^d) = C, F_p[C] is a product of fields
+    F_(p^d_i) with every d_i | d, so h is invertible iff h^(p^d - 1) = 1.
+    As the Frobenius fixes F_p, h^(p^k) = C^(p^(d/l + k)) - C^(p^k), and
+    h^(p^d - 1) is the product of those d differences, to the power p - 1:
+    a few small products for each l, and none for degree 1."""
     C = _companion(m, p)
     d = len(C)
-    frob = [C]  # frob[k] = C^(p^k)
+    frob = [C]  # frob[k] = C^(p^k), and frob[d] must be C
     for _ in range(d):
         frob.append(_mat_pow(frob[-1], p, p))
     if (frob[d] != C).any():
         return False
-    if d == 1:
-        return True
-    # one stacked determinant for the primes l | d
-    return bool(fq_context(p, 1).det(np.stack([frob[d // ell] - C for ell in factorint(d)]) % p).all())
+    one = np.eye(d, dtype=np.int64)
+    for ell in factorint(d):
+        norm = one
+        for k in range(d):
+            norm = norm @ (frob[(d // ell + k) % d] - frob[k]) % p
+        if (_mat_pow(norm, p - 1, p) != one).any():
+            return False
+    return True
 
 
 def product_rows(base: int, width: int, lo: int, hi: int) -> np.ndarray:

@@ -532,10 +532,33 @@ def _reject(errors, rows, bad, exc_type, msg):
 
 
 class _Plan:
-    """A tame decoder.  Every plan decodes a whole (k, n, n) stack of
-    elements at once, one stage step at a time; decode is the one-element
-    case.  Plans are framed: a plan for the input frame C decodes Z where
-    C^-1 Z C is the element in the coordinates of its own space."""
+    """A tame decoder, with two paths over the same tables.  `decode_many`
+    decodes a whole (k, n, n) stack at once, one vectorized stage step at a
+    time, through sorted keys, and names the error of each element that
+    fails.  `decode` serves one element through dict lookups on entry bytes,
+    which cost a fraction of a searchsorted at k = 1: `_decode_one(Z)`
+    takes one (n, n) int16 array (`tobytes` reads it in C order whatever
+    its layout) and returns its digits as a list, or None where the stack
+    path would fail; `decode` then goes down that path to name the error.
+    Plans are framed: a plan for the input frame C decodes Z where C^-1 Z C
+    is the element in the coordinates of its own space."""
+
+    def _codes(self, A):
+        """A as a (k, n, n) int16 stack of codes of the plan's field; an
+        LsError for any other shape, a dtype that is not an integer one, or
+        an entry outside 0..q-1.  The entries are read unsigned, at a width
+        of at least two bytes, where a negative one is at least 2^15 > q."""
+        A = np.asarray(A)
+        if A.ndim != 3 or A.shape[1:] != (self.n, self.n):
+            raise LsError(f"expected a stack of {self.n}x{self.n} matrices, got shape {A.shape}")
+        q = self.fq.q
+        if A.dtype.kind not in "iu":
+            raise LsError(f"expected integer codes of F_{q}, got dtype {A.dtype}")
+        if A.itemsize < 2:
+            A = A.astype(np.int16)
+        if A.size and A.view(f"u{A.itemsize}").max() >= q:
+            raise LsError(f"stack has an entry outside the codes 0..{q - 1} of F_{q}")
+        return A.astype(np.int16, copy=False)
 
     def decode_many(self, A, stats=None):
         """Index vectors of a (k, n, n) stack, as (digits, errors): digits
@@ -543,18 +566,28 @@ class _Plan:
         element that cannot be decoded to its exception (an LsError, or the
         GeometryError of a singular matrix); the digit rows of those
         elements are meaningless.  A failing element does not stop the
-        others.  stats, when given, accumulates the per-element counts:
-        `mults` (matrix products) and `lookups` (product-table hits)."""
-        A = np.asarray(A, dtype=np.int16)
-        if A.ndim != 3 or A.shape[1:] != (self.n, self.n):
-            raise LsError(f"expected a stack of {self.n}x{self.n} matrices, got shape {A.shape}")
+        others.  A stack of the wrong shape, or with an entry that is not a
+        code of the field, raises an LsError.  stats, when given,
+        accumulates the per-element counts: `mults` (matrix products) and
+        `lookups` (product-table hits)."""
+        A = self._codes(A)
         out = np.zeros((len(A), self.width), dtype=np.int64)
         errors = {}
         self._decode_into(A, np.arange(len(A)), out, errors, 0, stats)
         return out, errors
 
     def decode(self, g: Mat, stats=None):
-        out, errors = self.decode_many(g.a[None], stats)
+        """The digits of one element, as a list of ints; raises what
+        decode_many names for it.  An exact table hit, or a stage path
+        whose every border passes, is answered by `_decode_one`; anything
+        else, and every call with stats, goes down decode_many as a
+        one-element stack, which names the error and counts as before."""
+        A = g.a[None]
+        if stats is None:
+            digits = self._decode_one(self._codes(A)[0])
+            if digits is not None:
+                return digits
+        out, errors = self.decode_many(A, stats)
         if errors:
             raise errors[0]
         return out[0].tolist()
@@ -570,15 +603,23 @@ FRONT_ORDER = 4096
 class _TablePlan(_Plan):
     """Base-case decoder, and the front or stabilizer table of a stage: the
     full product table (small groups only), keyed by the base-q integers of
-    the products in the frame they are looked up in."""
+    the products in the frame they are looked up in, for stacks, and by
+    their entry bytes, for one element."""
 
     fq: FqContext
     n: int
     width: int
-    keys: np.ndarray   # sorted
+    keys: np.ndarray   # sorted; None on construction puts the table in key order
     mats: np.ndarray   # (N, n, n) products in key order
     ivs: np.ndarray    # (N, width) their index vectors, int16: no block of a table
                        # has more than max(FRONT_ORDER, q + 1) < 2^15 elements
+
+    def __post_init__(self):
+        if self.keys is None:
+            keys = _row_keys(self.fq, self.mats.reshape(len(self.mats), -1))
+            order = np.argsort(keys, kind="stable")
+            self.keys, self.mats, self.ivs = keys[order], self.mats[order], self.ivs[order]
+        self._rows = dict(zip(_keys(self.mats).tolist(), range(len(self.mats))))
 
     @staticmethod
     def build(tables: ProductTables):
@@ -588,19 +629,18 @@ class _TablePlan(_Plan):
         # itertools.product order: the last block varies fastest
         sizes = tables.sizes
         ivs = np.indices(sizes, dtype=np.int16).reshape(len(sizes), len(mats)).T
-        plan = _TablePlan(tables.fq, tables.n, len(sizes), None, mats, ivs)._sorted()
+        plan = _TablePlan(tables.fq, tables.n, len(sizes), None, mats, ivs)
         if (plan.keys[1:] == plan.keys[:-1]).any():
             raise LsError("base-case products collide")
         return plan
 
-    def _sorted(self):
-        keys = _row_keys(self.fq, self.mats.reshape(len(self.mats), -1))
-        order = np.argsort(keys, kind="stable")
-        return replace(self, keys=keys[order], mats=self.mats[order], ivs=self.ivs[order])
-
     def framed(self, C, Cinv):
         mats = self.fq.mat_mul(self.fq.mat_mul(C, self.mats), Cinv)
-        return replace(self, mats=mats)._sorted()
+        return replace(self, keys=None, mats=mats)
+
+    def _decode_one(self, Z):
+        row = self._rows.get(Z.tobytes())
+        return None if row is None else self.ivs[row].tolist()
 
     def _answer(self, Z, rows, out, col):
         """Writes the index vectors of the rows of Z found in the table;
@@ -647,11 +687,15 @@ class _StagePlan(_Plan):
     most FRONT_ORDER elements carries instead the `stab` table of the
     stabilizer products in the working frame, which answers hw with one
     lookup; hw does not depend on the input frame, so neither does `stab`.
+
+    One element (`_decode_one`) finds its point through a dict on the
+    entry bytes of the vectors, and a table miss or a failed border ends
+    it at once: a miss is no member, and the stack path names the error.
     """
 
     space: QuadraticSpace
     vectors: np.ndarray  # every nonzero vector on a singular line, input frame, in key order
-    keys: np.ndarray     # their base-q keys
+    keys: np.ndarray     # their base-q keys; None on construction puts the vectors in key order
     point: np.ndarray    # the index of each vector's line in strips and head
     strips: np.ndarray   # (|L|, n, n)
     head: np.ndarray     # (|L|, A and B digits)
@@ -677,16 +721,18 @@ class _StagePlan(_Plan):
     def width(self):
         return self.head.shape[1] + len(self.SP) * self.space.e + self.gl1_digits.shape[1] + self.sub.width
 
-    def _sorted(self):
-        keys = _row_keys(self.space.fq, self.vectors)
-        order = np.argsort(keys, kind="stable")
-        return replace(self, vectors=self.vectors[order], keys=keys[order], point=self.point[order])
+    def __post_init__(self):
+        if self.keys is None:
+            keys = _row_keys(self.space.fq, self.vectors)
+            order = np.argsort(keys, kind="stable")
+            self.vectors, self.keys, self.point = self.vectors[order], keys[order], self.point[order]
+        self._points = dict(zip(_keys(self.vectors).tolist(), self.point.tolist()))
 
     def framed(self, C, Cinv):
         fq = self.space.fq
-        return replace(self, vectors=fq.mat_mul(self.vectors, np.ascontiguousarray(C.T)),
+        return replace(self, vectors=fq.mat_mul(self.vectors, np.ascontiguousarray(C.T)), keys=None,
                        strips=fq.mat_mul(self.strips, Cinv), enter=fq.mat_mul(C, self.enter),
-                       front=self.front.framed(C, Cinv) if self.front else None)._sorted()
+                       front=self.front.framed(C, Cinv) if self.front else None)
 
     # positions in the rows of hw.reshape(k, n * n)
     @cached_property
@@ -705,6 +751,65 @@ class _StagePlan(_Plan):
         """hw[SP, SP], row by row."""
         return (self.SP[:, None] * self.n + self.SP).ravel()
 
+    def _border(self, hw):
+        """The closed form of a (k, n, n) stack of stage matrices hw, as
+        (lam, u_digits, border, ysub): the GL1 code lam and the digits of the
+        Siegel coordinates u of each; its border, which is all zero exactly
+        when hw = E(u) d(lam) (1 + 1 + ysub), and whose first n - 1 entries
+        are column 0 below the corner; and the residue ysub = hw[SP, SP], a
+        (k, |SP|, |SP|) stack.
+
+        hw = E(u) d(lam) y with y = 1 + 1 + ysub on (e_0, f_0, SP), and
+        E(-u) hw must be d(lam) = diag(lam at 0, lam^-1 at R) on the
+        border, with no Eichler matrix formed.  As G e_0 = e_R and
+        G e_R = e_0 (checked at build) and u lies on SP:
+        - row R of E(-u) hw is row R of hw, which must be lam^-1 e_R;
+        - row 0 is hw[0] + s - Q(u) hw[R] with s = (G u)^T hw, and once
+          row R passes, Q(u) lam^-1 = s[R] / 2 (s[R] = lam^-1 u^T G u); so
+          row 0 passes when hw[0] + s = (e_0 + G u)^T hw, one product, is
+          lam e_0 - hw[0, R] e_R;
+        - column 0 must be lam e_0 (E fixes e_0), and the SP rows of
+          column R vanish once row R passes, as u = lam hw[SP, R].
+        So column 0, row R and row 0 are the whole border.  Where column
+        0 passes, entry 0 of the product is lam (G u)_0 + lam = lam, as
+        (G u)_0 = u_R = 0; column 0 below the corner, row R and the rest
+        of the product, less what each must be, are one array that must
+        vanish.  On the rows that pass, (G e_0)^T hw = hw[R] is 0 on SP,
+        so the SP block of E(-u) hw, the residue ysub, is hw[SP, SP]."""
+        fq, R, n, k = self.space.fq, self.R, self.n, len(hw)
+        H = hw.reshape(k, n * n)
+        lam = H[:, 0]
+        u = fq.v_scale(lam[:, None], H.take(self._u_at, axis=1))
+        v = fq.mat_mul(u[:, None, :], self.sp_gram)
+        v[:, 0, 0] = 1
+        border = np.concatenate([H.take(self._border_at, axis=1), fq.mat_mul(v, hw)[:, 0, 1:]], axis=1)
+        border[:, n - 1 + R] -= fq.INV.take(lam)
+        border[:, 2 * n - 2 + R] -= fq.NEG.take(H[:, R])
+        ysub = H.take(self._residue_at, axis=1).reshape(k, len(self.SP), len(self.SP))
+        # over a prime field a code is its one digit
+        u_digits = u if fq.fast else fq.gf.digits.take(u, axis=0).reshape(k, -1)
+        return lam, u_digits, border, ysub
+
+    def _decode_one(self, Z):
+        if self.front is not None:
+            return self.front._decode_one(Z)
+        fq = self.space.fq
+        ZT = fq.mat_mul(Z, self.enter)
+        pt = self._points.get(ZT[:, 0].tobytes())
+        if pt is None:
+            return None
+        hw = fq.mat_mul(self.strips[pt], ZT)
+        if self.stab is not None:
+            rest = self.stab._decode_one(hw)
+            return None if rest is None else self.head[pt].tolist() + rest
+        lam, u_digits, border, ysub = self._border(hw[None])
+        if border.any():
+            return None
+        rest = self.sub._decode_one(ysub[0])
+        if rest is None:
+            return None
+        return self.head[pt].tolist() + u_digits[0].tolist() + self.gl1_digits[lam[0]].tolist() + rest
+
     def _decode_into(self, Z, rows, out, errors, col, stats):
         # a failing row goes on through the arithmetic (every gather stays in
         # range) and is dropped before the recursion; it keeps its first error
@@ -717,7 +822,7 @@ class _StagePlan(_Plan):
             if miss is None:
                 return
             Z, rows = Z[miss], rows[miss]
-        fq, R, n = self.space.fq, self.R, self.n
+        fq, n = self.space.fq, self.n
         ZT = fq.mat_mul(Z, self.enter)
         keys = _row_keys(fq, ZT[:, :, 0])
         pos, alive = _find(self.keys, keys)
@@ -746,35 +851,9 @@ class _StagePlan(_Plan):
             if miss is None:
                 return
             hw, rows, alive = hw[miss], rows[miss], alive[miss]
-        k = len(rows)
-        H = hw.reshape(k, n * n)
-        lam = H[:, 0]
-        u = fq.v_scale(lam[:, None], H.take(self._u_at, axis=1))
-        # over a prime field a code is its one digit
-        out[rows, siegel:gl1] = u if fq.fast else fq.gf.digits.take(u, axis=0).reshape(k, -1)
+        lam, u_digits, border, ysub = self._border(hw)
+        out[rows, siegel:gl1] = u_digits
         out[rows, gl1:tail] = self.gl1_digits.take(lam, axis=0)
-        # hw = E(u) d(lam) y with y = 1 + 1 + ysub on (e_0, f_0, SP), and
-        # E(-u) hw must be d(lam) = diag(lam at 0, lam^-1 at R) on the
-        # border, with no Eichler matrix formed.  As G e_0 = e_R and
-        # G e_R = e_0 (checked at build) and u lies on SP:
-        # - row R of E(-u) hw is row R of hw, which must be lam^-1 e_R;
-        # - row 0 is hw[0] + s - Q(u) hw[R] with s = (G u)^T hw, and once
-        #   row R passes, Q(u) lam^-1 = s[R] / 2 (s[R] = lam^-1 u^T G u); so
-        #   row 0 passes when hw[0] + s = (e_0 + G u)^T hw, one product, is
-        #   lam e_0 - hw[0, R] e_R;
-        # - column 0 must be lam e_0 (E fixes e_0), and the SP rows of
-        #   column R vanish once row R passes, as u = lam hw[SP, R].
-        # So column 0, row R and row 0 are the whole border.  Where column
-        # 0 passes, entry 0 of the product is lam (G u)_0 + lam = lam, as
-        # (G u)_0 = u_R = 0; column 0 below the corner, row R and the rest
-        # of the product, less what each must be, are one array that must
-        # vanish.  On the rows that pass, (G e_0)^T hw = hw[R] is 0 on SP,
-        # so the SP block of E(-u) hw, the residue ysub, is hw[SP, SP]
-        v = fq.mat_mul(u[:, None, :], self.sp_gram)
-        v[:, 0, 0] = 1
-        border = np.concatenate([H.take(self._border_at, axis=1), fq.mat_mul(v, hw)[:, 0, 1:]], axis=1)
-        border[:, n - 1 + R] -= fq.INV.take(lam)
-        border[:, 2 * n - 2 + R] -= fq.NEG.take(H[:, R])
         fixes = alive  # on a singular line and fixing the line of e_0
         if border.any():
             failed = True
@@ -787,7 +866,6 @@ class _StagePlan(_Plan):
             # the products of the matrix path after hw: E(-u) and E(-u) hw
             # for each element that fixes the line of e_0
             stats["mults"] += 2 * int(fixes.sum())
-        ysub = H.take(self._residue_at, axis=1).reshape(k, len(self.SP), len(self.SP))
         if failed:
             ysub, rows = ysub[alive], rows[alive]
         self.sub._decode_into(ysub, rows, out, errors, tail, stats)
@@ -998,10 +1076,13 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         R=Rwork, SP=np.array(SP), work_gram=work_gram, sp_gram=work_gram[SP], gl1_digits=gl1_digits,
         sub=sub_ls.plan.framed(phi, phi_inv),
         front=_TablePlan.build(tables) if claimed <= FRONT_ORDER else None,
-        stab=(_TablePlan.build(ProductTables.build(fq, n, blocks[nhead:])).framed(Tinv, T)
+        # the products of the stabilizer blocks moved into the working
+        # frame are the products of the moved blocks
+        stab=(_TablePlan.build(ProductTables.build(fq, n, [
+                  fq.mat_mul(fq.mat_mul(Tinv, np.stack([x.a for x in blk])), T) for blk in blocks[nhead:]]))
               if claimed > FRONT_ORDER and math.prod(map(len, blocks[nhead:])) <= FRONT_ORDER
               else None),
-    )._sorted()
+    )
     return ls
 
 

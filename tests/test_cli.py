@@ -468,10 +468,13 @@ def test_set_up_multiplies_no_mat_and_wraps_no_reflection():
     assert proc.stderr.splitlines()[-1] == "0 0 0"
 
 
-def test_demo_pipeline_script_runs_end_to_end():
+def test_demo_pipeline_script_runs_end_to_end(tmp_path):
+    # from another directory and without PYTHONPATH: the script finds the
+    # package in the src/ of its own checkout
     script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "scripts", "demo_pipeline.py")
-    proc = subprocess.run([sys.executable, script], capture_output=True, text=True, env=ENV)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     factored = [ln for ln in lines if ln.startswith("rank ")]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from headblocks import stage_spread
+from test_lscore import PLAN_SHA256
 
 from orthosig.factorize import (
     FactorError,
@@ -505,6 +506,124 @@ def test_closed_form_residue_matches_the_matrix_path(fam, q, n):
                        for r in range(len(mixed), len(A)))
     assert {"element does not stabilize the base point",
             "stabilizer residue is not block diagonal"} <= messages
+
+
+# every group whose plan bytes are pinned, and O-4(5), the one group of the
+# decode benchmark missing from them
+ONE_PATH_GROUPS = sorted(PLAN_SHA256) + [("O-", 5, 4)]
+
+
+@pytest.mark.parametrize("fam,q,n", ONE_PATH_GROUPS)
+def test_one_element_decode_answers_as_the_stack_path_does(fam, q, n):
+    # the dict path of plan.decode against decode_many of the one-element
+    # stack, through the real plan and through one whose points are
+    # mislabelled, on the inputs of the closed-form residue test: the same
+    # digits or the same error, and whatever _decode_one accepts recomposes
+    # to the element itself
+    from orthosig.matgroups import Mat
+
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    fq = ls.blocks[0][0].fq
+    members = [compose(unrank(v, ls), ls).a for v in range(0, ls.claimed_order, ls.claimed_order // 40)]
+    others = _mixed_elements(ls, 7, 40) + _border_perturbed(ls.plan, members, 7)
+    for plan in (ls.plan, _mislabeled_points(ls.plan)):
+        for i, g in enumerate(members + others):
+            digits, errors = plan.decode_many(g[None])
+            got = _decode_one(plan, fq, g, None)
+            if errors:
+                assert (type(got), str(got)) == (type(errors[0]), str(errors[0]))
+            else:
+                assert got == digits[0].tolist()
+            one = plan._decode_one(g)
+            if plan is ls.plan and i < len(members):
+                # a member never needs the stack path
+                assert one is not None
+            if one is not None:
+                assert not errors and one == got
+                assert compose(IndexVector(tuple(one)), ls) == Mat(fq, g)
+
+
+@pytest.mark.parametrize("fam,q,n", ONE_PATH_GROUPS)
+def test_one_element_decode_reads_any_layout_of_a_member(fam, q, n):
+    # the dict keys are C-ordered int16 bytes: a transposed view, a
+    # Fortran-ordered copy, a read-only copy and a wider dtype of a member
+    # all decode to its digits, on both paths
+    import numpy as np
+
+    from orthosig.matgroups import Mat
+
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    fq = ls.blocks[0][0].fq
+    rng = random.Random(f"layout/{fam}{n}({q})")
+    for _ in range(5):
+        iv = unrank(rng.randrange(ls.claimed_order), ls)
+        g = compose(iv, ls).a
+        frozen = g.copy()
+        frozen.setflags(write=False)
+        for view in (np.ascontiguousarray(g.T).T, np.asfortranarray(g), frozen):
+            assert np.array_equal(view, g)
+            assert ls.plan._decode_one(view) == list(iv)
+            assert ls.plan.decode(Mat(fq, view)) == list(iv)
+            assert ls.plan.decode_many(view[None])[0][0].tolist() == list(iv)
+        assert ls.plan.decode_many(g[None].astype(np.int64))[0][0].tolist() == list(iv)
+
+
+@pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("O-", 5, 4), ("Oodd", 3, 5), ("O-", 9, 4),
+                                     ("O+", 3, 6), ("O-", 25, 2)])
+def test_tame_factor_counts_as_the_one_element_stack(fam, q, n):
+    # with stats, tame_factor decodes down the stack path: the counts of
+    # every element it factors are those of decode_many on that element
+    from orthosig.matgroups import Mat
+
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    fq = ls.blocks[0][0].fq
+    factored = 0
+    for g in _mixed_elements(ls, 13, 30):
+        stats, want = {}, {}
+        try:
+            tame_factor(Mat(fq, g), ls, stats)
+        except FactorError:
+            continue
+        factored += 1
+        ls.plan.decode_many(g[None], want)
+        assert stats == want and stats
+    assert factored >= 6
+
+
+def test_plan_decoders_take_only_codes_of_the_plan_field():
+    # 4 I and the float stack 1.7 I used to decode as the identity of
+    # O-4(3), and code 200 against O-4(9) ended in a bare numpy IndexError
+    import numpy as np
+
+    from orthosig.fields import fq_context
+    from orthosig.lscore import LsError
+    from orthosig.matgroups import Mat
+
+    plan = canonical_ls(descriptor("O-", 3, n=4)).plan
+    eye = np.eye(4, dtype=np.int16)
+    bad_code = "stack has an entry outside the codes 0..2 of F_3"
+    for stack in (4 * eye[None], -eye[None], (eye + 65536 * np.eye(4, dtype=np.int64))[None]):
+        with pytest.raises(LsError, match=bad_code):
+            plan.decode_many(stack)
+    with pytest.raises(LsError, match="expected integer codes of F_3, got dtype float64"):
+        plan.decode_many(1.7 * eye[None])
+    for a in (4 * eye, -eye):
+        with pytest.raises(LsError, match=bad_code):
+            plan.decode(Mat(fq_context(3, 1), a))
+    big = canonical_ls(descriptor("O-", 9, n=4)).plan
+    with pytest.raises(LsError, match="outside the codes 0..8 of F_9"):
+        big.decode_many(200 * eye[None])
+    with pytest.raises(LsError, match="outside the codes 0..8 of F_9"):
+        big.decode(Mat(fq_context(3, 2), 200 * eye))
+    # a negative int8 code reads as 128..255 unsigned, which is below q = 131
+    base = canonical_ls(descriptor("O-", 131, n=2)).plan
+    for a in (np.array([[-128, 0], [0, 1]], dtype=np.int8), np.array([[-1, 0], [0, 1]], dtype=np.int64)):
+        with pytest.raises(LsError, match="outside the codes 0..130 of F_131"):
+            base.decode_many(a[None])
+    # the shape is checked first, and codes in range still decode
+    with pytest.raises(LsError, match=r"got shape \(1, 3, 3\)"):
+        plan.decode_many(4 * np.eye(3, dtype=np.int16)[None])
+    assert plan.decode_many(eye[None].astype(np.uint8))[0].tolist() == [plan.decode(Mat(fq_context(3, 1), eye))]
 
 
 # the survey grid of scripts/survey_constructions.py, O-4(9) (e > 1) and
