@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .fields import FieldElement, FieldTower, bar, field_arith, make_tower, trace_to_base  # noqa: F401
-from .matgroups import GroupDescriptor, Mat, descriptor, group_order  # noqa: F401
+from .fields import FqContext, fq_context  # noqa: F401
+from .matgroups import GroupDescriptor, Mat, descriptor, group_order, singer_generator  # noqa: F401
 from .lscore import (  # noqa: F401
     LogSignature,
     canonical_ls,

@@ -18,7 +18,7 @@ import time
 from . import __version__
 from . import forms, pgm
 from .factorize import compose, rank, tame_factor, unrank
-from .fields import fq_context, make_tower, projective_points
+from .fields import fq_context, projective_points
 from .lscore import (
     EXHAUSTIVE_BUDGET,
     canonical_ls,
@@ -234,10 +234,11 @@ def cmd_factor(args):
 
 def cmd_spread_check(args):
     desc = _descriptor(args, family_of("O", args.kind))
-    tower = make_tower(desc.p, desc.e, desc.m)
-    cls = classical_spread(tower)
-    cls_rep = verify_partition(cls, projective_points(tower.fq, tower.fq.identity(2 * desc.m)), tower.fq)
-    plan = spread_construction(space_for(desc), desc.family)
+    space = space_for(desc)  # the envelope check comes before V is enumerated
+    fq = space.fq
+    cls = classical_spread(fq, desc.m)
+    cls_rep = verify_partition(cls, projective_points(fq, fq.identity(2 * desc.m)), fq)
+    plan = spread_construction(space, desc.family)
     payload = {
         "classical": {"members": len(cls), "partition_of_V": cls_rep["ok"],
                       "points_per_member": cls_rep["points_per_member"]},

@@ -11,10 +11,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import forms
-from .lscore import LogSignature, LsError, space_for
+from .lscore import CodeError, LogSignature, LsError, space_for
 from .matgroups import Mat
 
 
@@ -72,7 +70,8 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
     check fixes every entry of the stage matrix hw outside hw[SP, SP],
     which the sub-plan then matches in turn, so g is the product of the
     block elements its digits index, provided its entries are codes of the
-    signature's field, which is checked first.  Without stats the decode
+    signature's field, which the plan checks before anything else, so no
+    other entry reaches the membership test.  Without stats the decode
     is the plan's one-element path: a few dict lookups on entry bytes and
     the matrix products of each stage; only an element that path cannot
     answer goes down the stack decoder, which names its error.  stats gets
@@ -85,12 +84,11 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
         raise FactorError(f"element is {g.n}x{g.n}, signature acts on {n}x{n} matrices")
     if g.fq is not fq and (g.fq.p, g.fq.e) != (fq.p, fq.e):
         raise FactorError(f"element is over F_{g.fq.q}, signature is over F_{fq.q}")
-    # a negative int16 entry reads as at least 2^15 > q
-    if g.a.view(np.uint16).max() >= fq.q:
-        raise FactorError(f"element has an entry outside the codes 0..{fq.q - 1} of F_{fq.q}")
     before = None if stats is None else dict(stats)
     try:
         digits = ls.plan.decode(g, stats)
+    except CodeError:
+        raise FactorError(f"element has an entry outside the codes 0..{fq.q - 1} of F_{fq.q}") from None
     except (LsError, ValueError):
         if ls.group is not None and not forms.membership(space_for(ls.group), g, ls.group.family):
             if stats is not None:

@@ -1,20 +1,19 @@
-"""Exact arithmetic in F_q = F_{p^e} and the tower F_q < F_{q^m} < F_{q^2m}.
+"""Exact arithmetic in F_q = F_{p^e}, and the envelope of accepted (q, m).
 
-Elements of F_{p^d} are stored as integer codes in [0, p^d): the base-p
-digits of a code, low degree first, are the coefficients in the power
-basis of that field's modulus.  Moduli, primitive elements and subfield
-embeddings are chosen by deterministic lexicographic scans (coefficient
-vectors compared low-degree-first) so serialized artifacts reproduce
-across runs and machines; a candidate modulus or primitive element is
-tested by matrix powers in F_p[C], C the companion matrix of a modulus.
+Elements of F_q are stored as integer codes in [0, q): the base-p digits
+of a code, low degree first, are the coefficients in the power basis of
+its modulus.  Moduli and primitive elements are chosen by deterministic
+lexicographic scans (coefficient vectors compared low-degree-first) so
+serialized artifacts reproduce across runs and machines; a candidate
+modulus or primitive element is tested by matrix powers in F_p[C], C the
+companion matrix of a modulus.  Larger fields are never tabulated: the
+geometry works in F_q[A], A a Singer matrix (`matgroups.singer_generator`).
 Every Gaussian elimination over F_q is `FqContext.rref`, stacked.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
 from functools import cache, reduce
 
 import numpy as np
@@ -24,8 +23,10 @@ class FieldError(ValueError):
     pass
 
 
-class LevelMismatch(FieldError):
-    pass
+def is_int(value) -> bool:
+    """Whether a number read from a file is an int: a bool or a float with
+    an integral value is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def is_prime(n: int) -> bool:
@@ -82,6 +83,16 @@ def _companion(m, p) -> np.ndarray:
     return C
 
 
+def companion_powers(m, p) -> np.ndarray:
+    """The (d, d, d) int64 stack C^0, .., C^(d-1) of the companion matrix C
+    of m: the element with coefficients c acts as M_c = sum c_i C^i."""
+    C = _companion(m, p)
+    P = [np.eye(len(C), dtype=np.int64)]
+    for _ in range(len(C) - 1):
+        P.append(P[-1] @ C % p)
+    return np.array(P)
+
+
 def _mat_pow(A, k, p) -> np.ndarray:
     """A^k mod p, for a matrix or each of a stack, by square-and-multiply
     in plain int64: entries lie below p < 2^15, so a sum of d products
@@ -127,6 +138,29 @@ def product_rows(base: int, width: int, lo: int, hi: int) -> np.ndarray:
     most significant first."""
     weights = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
     return np.arange(lo, hi, dtype=np.int64)[:, None] // weights % base
+
+
+def first_primitive(p: int, powers) -> np.ndarray:
+    """The coefficients (low degree first) of the first primitive element of
+    F_p[C], with `powers` the stack C^0, .., C^(d-1) (`companion_powers`):
+    the first coefficient vector c, compared low-degree-first, whose matrix
+    M_c = sum c_i C^i has M_c^((n-1)/l) != I for every prime l | n - 1,
+    n = p^d.  The candidates are tested in stacks of 1, 2, 4, .. in scan
+    order: the first is usually primitive, but over F_{p^2} with x of small
+    order the scan can pass p multiples of x first."""
+    d = len(powers)
+    n = p ** d
+    lo, step = 1, 1  # the zero vector first in scan order, and not a unit
+    while lo < n:
+        tails = product_rows(p, d, lo, min(lo + step, n))
+        M = (tails @ powers.reshape(d, d * d)).reshape(-1, d, d) % p
+        ok = np.ones(len(M), dtype=bool)
+        for ell in factorint(n - 1):
+            ok &= (_mat_pow(M, (n - 1) // ell, p) != powers[0]).any(axis=(1, 2))
+        if ok.any():
+            return tails[ok.argmax()]
+        lo, step = lo + step, 2 * step
+    raise FieldError("no primitive element found")  # pragma: no cover
 
 
 # candidates times points of F_p in one stacked root test
@@ -187,14 +221,8 @@ class GF:
             digs[:, i] = tmp % p
             tmp //= p
         self.digits = digs
-        # powers[i] = C^i for the companion matrix C of the modulus: the
-        # element with digits c acts on coefficient vectors as M_c = sum c_i C^i
-        C = _companion(self.modulus, p)
-        powers = [np.eye(d, dtype=np.int64)]
-        for _ in range(d - 1):
-            powers.append(powers[-1] @ C % p)
-        powers = np.array(powers)
-        self.alpha = self._find_primitive(powers)
+        powers = companion_powers(self.modulus, p)
+        self.alpha = int(first_primitive(p, powers) @ self._pvec)
         # exp[k] = code of alpha^k ; log[code] = k.  The coefficient vectors
         # of alpha^0..alpha^(n-1) come from M_alpha, the F_p matrix of
         # x -> alpha x, doubling the computed run with each matrix power.
@@ -211,26 +239,6 @@ class GF:
         self.log = np.full(n, -1, dtype=np.int64)
         self.log[self.exp] = np.arange(n - 1)
         self.neg_table = ((p - digs) % p) @ self._pvec
-
-    def _find_primitive(self, powers):
-        """The first code, coefficient vectors compared low-degree-first,
-        whose matrix M_c = sum c_i C^i has M_c^((n-1)/l) != I for every
-        prime l | n - 1, with `powers` the stack of C^i.  The candidates
-        are tested in stacks of 1, 2, 4, .. in scan order: the first is
-        usually primitive, but over F_{p^2} with x of small order the scan
-        can pass p multiples of x first."""
-        n1, d = self.order - 1, self.d
-        lo, step = 1, 1  # code 0 first in scan order, and not a unit
-        while lo < self.order:
-            tails = product_rows(self.p, d, lo, min(lo + step, self.order))
-            M = (tails @ powers.reshape(d, d * d)).reshape(-1, d, d) % self.p
-            ok = np.ones(len(M), dtype=bool)
-            for ell in factorint(n1):
-                ok &= (_mat_pow(M, n1 // ell, self.p) != powers[0]).any(axis=(1, 2))
-            if ok.any():
-                return int(tails[ok.argmax()] @ self._pvec)
-            lo, step = lo + step, 2 * step
-        raise FieldError("no primitive element found")  # pragma: no cover
 
     # -- arithmetic on codes
 
@@ -272,10 +280,10 @@ class GF:
         return tuple(int(c) for c in self.digits[a])
 
     def from_coeffs(self, coeffs) -> int:
-        """The code of sum c_i x^i; every c_i must lie in [0, p)."""
+        """The code of sum c_i x^i; every c_i must be an int in [0, p)."""
         if len(coeffs) > self.d:
             raise FieldError("coefficient vector too long")
-        if not all(0 <= c < self.p for c in coeffs):
+        if not all(is_int(c) and 0 <= c < self.p for c in coeffs):
             raise FieldError(f"coefficients must lie in [0, {self.p}), got {list(coeffs)}")
         return int(sum(c * self.p ** i for i, c in enumerate(coeffs)))
 
@@ -285,34 +293,8 @@ def _gf(p: int, d: int) -> GF:
     return GF(p, d)
 
 
-def subfield_root(big: GF, modulus, deg: int) -> int:
-    """Code of the lex-smallest root in `big` of `modulus`, an irreducible
-    of degree `deg` over F_p (coefficients low degree first).  The roots lie
-    in the subfield F_{p^deg}, whose codes are 0 and every step-th power of
-    the primitive element; they are tried in the order of their
-    coefficient vectors."""
-    step = (big.order - 1) // (big.p ** deg - 1)
-    for c in sorted({0, *big.exp[::step].tolist()}, key=big.coeffs):
-        acc = 0
-        for i, co in enumerate(modulus):
-            if co:
-                acc = big.add(acc, big.mul(co, big.pow(c, i)))
-        if acc == 0:
-            return c
-    raise FieldError("modulus has no root in the field")  # pragma: no cover
-
-
-def power_basis(big: GF, gamma: int, theta: int, k: int, e: int) -> np.ndarray:
-    """The F_p-basis gamma^j theta^i (j < k major, i < e) of `big` as the
-    columns of a digit matrix.  With theta a root of the modulus of F_q and
-    1, gamma, .., gamma^{k-1} an F_q-basis, solving against it gives the
-    F_q-coordinates of an element, e base-p digits per coordinate."""
-    return np.array([big.digits[big.mul(big.pow(gamma, j), big.pow(theta, i))]
-                     for j in range(k) for i in range(e)], dtype=np.int16).T
-
-
 # ----------------------------------------------------------------------
-# the parameter envelope: F_q and the top field of its tower
+# the parameter envelope: F_q, and the dimension of V = F_q^2m
 
 def table_bytes_per_entry(e: int) -> int:
     """Bytes per entry of the q x q tables of an FqContext over F_{p^e}:
@@ -320,15 +302,8 @@ def table_bytes_per_entry(e: int) -> int:
     return 4 if e == 1 else 10
 
 
-def top_bytes_per_element(d: int) -> int:
-    """Bytes per element of the tables of a `GF` of degree d: d int16
-    digits and the int64 `exp`, `log` and `neg_table` entries."""
-    return d * np.dtype(np.int16).itemsize + 3 * np.dtype(np.int64).itemsize
-
-
-# the tables of one field may take at most this many bytes: the q x q
-# tables of F_q (q <= 4096 for prime q and q <= 2590 for e > 1), and the
-# tables of the top field F_{q^2m} of a tower, linear in its order
+# the q x q tables of F_q may take at most this many bytes (q <= 4096 for
+# prime q and q <= 2590 for e > 1); the same budget draws the bound on V
 TABLE_BUDGET = 64 * 2 ** 20
 
 
@@ -349,17 +324,22 @@ def check_field_size(q: int) -> tuple[int, int]:
 
 
 def check_tower_size(q: int, m: int) -> tuple[int, int]:
-    """(p, e) with q = p^e, or raises FieldError when the tower F_q <
-    F_{q^m} < F_{q^2m} lies outside the envelope: F_q must pass
-    `check_field_size`, and the tables of the top field F_{q^2m} must fit
-    TABLE_BUDGET.  Nothing is allocated."""
+    """(p, e) with q = p^e, or raises FieldError when the space V =
+    F_q^2m of rank m lies outside the envelope: F_q must pass
+    `check_field_size`, and q^2m (4em + 24) must fit TABLE_BUDGET.
+    Nothing is allocated.
+
+    That bound once sized tables of all q^2m elements of F_{q^2m}, which
+    are no longer built.  It stays because later bounds were proved inside
+    it: the int64 key weights of the decoder, and `spread-check`, which
+    enumerates all q^2m / (q - 1) points of V (about 850 MB at q = 37,
+    m = 3).  Widening it means auditing those enumerations first."""
     p, e = check_field_size(q)
-    per_element = top_bytes_per_element(2 * e * m)
-    if q ** (2 * m) * per_element > TABLE_BUDGET:
-        raise FieldError(f"q = {q}, m = {m} is past the limit q^2m <= {TABLE_BUDGET // per_element} of the "
-                         f"{TABLE_BUDGET // 2 ** 20} MiB field-table budget (the top field F_(q^2m) has "
-                         f"{q ** (2 * m)} elements of {per_element} B each, "
-                         f"{q ** (2 * m) * per_element / 2 ** 20:.1f} MiB)")
+    per_vector = 4 * e * m + 24
+    if q ** (2 * m) * per_vector > TABLE_BUDGET:
+        raise FieldError(f"q = {q}, m = {m} is past the limit q^2m <= {TABLE_BUDGET // per_vector} of the "
+                         f"{TABLE_BUDGET // 2 ** 20} MiB envelope (V = F_q^2m has {q ** (2 * m)} vectors, "
+                         f"counted at {per_vector} B each: {q ** (2 * m) * per_vector / 2 ** 20:.1f} MiB)")
     return p, e
 
 
@@ -466,6 +446,18 @@ class FqContext:
             return self.UN[G.sum(axis=-2)]
         chunks = (self.UN[G[..., k:k + c, :].sum(axis=-2)] for k in range(0, A.shape[-1], c))
         return reduce(lambda X, Y: self.ADD[X, Y], chunks)
+
+    def mat_pow(self, A, k):
+        """A^k for k >= 0, of a matrix or of each matrix of a stack, by
+        square-and-multiply."""
+        out = np.broadcast_to(self.identity(A.shape[-1]), A.shape)
+        while k:
+            if k & 1:
+                out = self.mat_mul(out, A)
+            k >>= 1
+            if k:
+                A = self.mat_mul(A, A)
+        return np.array(out)
 
     def mat_vec(self, A, v):
         """A v for a vector v and a matrix A, or each matrix of a stack."""
@@ -593,17 +585,6 @@ def fq_context(p: int, e: int) -> FqContext:
     return FqContext(p, e)
 
 
-def fq_coordinates(fq: FqContext, basis, digits) -> np.ndarray:
-    """F_q-coordinates of an element of a larger field, given by its base-p
-    `digits`, or of each element of an array of digit vectors (digits on the
-    last axis): solves over F_p against a `power_basis` with e digits per
-    coordinate, all elements in one elimination, and reads every e solution
-    digits as one F_q code."""
-    digits = np.asarray(digits, dtype=np.int16)
-    sol = np.moveaxis(fq_context(fq.p, 1).solve(basis, np.moveaxis(digits, -1, 0)), 0, -1)
-    return (sol.reshape(digits.shape[:-1] + (-1, fq.e)) @ fq.gf._pvec).astype(np.int16)
-
-
 def projective_points(fq: FqContext, basis, lead=None):
     """The canonical points of the row span of a (k, n) basis in reduced
     echelon form, as an (N, n) array: the combinations c B for every
@@ -627,217 +608,3 @@ def projective_points(fq: FqContext, basis, lead=None):
     if not blocks:
         return np.zeros(basis.shape[:-2] + (0, n), dtype=np.int16)
     return fq.mat_mul(np.concatenate(blocks), basis)
-
-
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of one tower level; coeffs are low-degree-first over F_p."""
-
-    level: int
-    coeffs: tuple[int, ...]
-    tower: "FieldTower" = field(compare=False, repr=False, default=None)
-
-    def to_json(self):
-        return {"level": self.level, "coeffs": list(self.coeffs)}
-
-
-LEVEL_NAMES = {1: "F_q", 2: "F_q^m", 3: "F_q^2m"}
-
-
-class FieldTower:
-    """The chain F_p < F_q < F_{q^m} < F_{q^2m} realized inside one top field.
-
-    The top field F_{p^{2em}} carries all arithmetic; each intermediate
-    level has its own deterministic modulus and a cached embedding of its
-    power-basis generator, so level elements convert to top codes and back.
-    """
-
-    def __init__(self, p: int, e: int, m: int):
-        if not is_prime(p) or p == 2:
-            raise FieldError(f"p must be an odd prime, got {p}")
-        if e < 1 or m < 1:
-            raise FieldError("degenerate tower: need e >= 1 and m >= 1")
-        check_tower_size(p ** e, m)
-        self.p, self.e, self.m = p, e, m
-        self.q = p ** e
-        self.dtop = 2 * e * m
-        self.top = _gf(p, self.dtop)
-        self.alpha = self.top.alpha
-        self.level_degree = {1: e, 2: e * m, 3: 2 * e * m}
-        self.moduli = {}
-        self._solvers = {}
-        theta = {}
-        for lvl, deg in self.level_degree.items():
-            self.moduli[lvl] = smallest_irreducible(p, deg)
-            # the top level's generator is x itself, code p
-            theta[lvl] = self.top.p if lvl == 3 else subfield_root(self.top, self.moduli[lvl], deg)
-            self._solvers[lvl] = power_basis(self.top, 1, theta[lvl], 1, deg)  # theta^i, i < deg
-        self.fq = fq_context(p, e)
-        # F_p basis of the top field: alpha^j * theta_q^i, j < 2m, i < e
-        self._vec_solver = power_basis(self.top, self.alpha, theta[1], 2 * m, e)
-        if fq_context(p, 1).rank(self._vec_solver) != self.dtop:
-            raise FieldError("power basis over F_q is degenerate")  # pragma: no cover
-        self._spot_check()
-
-    # -- conversions
-
-    def embed(self, x: FieldElement) -> int:
-        """Top-field code of a level element."""
-        deg = self.level_degree[x.level]
-        if len(x.coeffs) != deg:
-            raise LevelMismatch(f"level {x.level} expects {deg} coefficients")
-        return int(self.embed_coeffs(x.level, x.coeffs))
-
-    def embed_coeffs(self, level: int, coeffs) -> np.ndarray:
-        """Top codes of the level elements whose power-basis coefficients
-        (mod p) are the rows of `coeffs`, shape (..., degree of the level):
-        one product with the digit columns of theta^i."""
-        coeffs = np.asarray(coeffs, dtype=np.int64) % self.p
-        return coeffs @ self._solvers[level].T.astype(np.int64) % self.p @ self.top._pvec
-
-    def project(self, code: int, level: int) -> FieldElement:
-        """Level element with the given top code, or LevelMismatch."""
-        deg = self.level_degree[level]
-        if level == 3:
-            return FieldElement(3, self.top.coeffs(code), self)
-        try:
-            sol = fq_context(self.p, 1).solve(self._solvers[level], self.top.digits[code])
-        except FieldError:
-            raise LevelMismatch(f"element is not in {LEVEL_NAMES[level]}")
-        return FieldElement(level, tuple(int(c) for c in sol), self)
-
-    def fe(self, level: int, coeffs) -> FieldElement:
-        deg = self.level_degree[level]
-        cs = tuple(int(c) % self.p for c in coeffs)
-        if len(cs) != deg:
-            raise LevelMismatch(f"level {level} expects {deg} coefficients, got {len(cs)}")
-        return FieldElement(level, cs, self)
-
-    def one(self, level=3):
-        return self.fe(level, (1,) + (0,) * (self.level_degree[level] - 1))
-
-    def top_to_vec(self, code):
-        """F_q-coordinates in the basis 1, alpha, .., alpha^{2m-1} of a top
-        code, or of each code of an array (one row each)."""
-        return fq_coordinates(self.fq, self._vec_solver, self.top.digits[code])
-
-    def top_to_fq_code(self, code):
-        """The F_q code of a top code that lies in F_q (an int), or of each
-        code of an array (an int16 array); LevelMismatch otherwise."""
-        try:
-            out = fq_coordinates(self.fq, self._solvers[1], self.top.digits[code])[..., 0]
-        except FieldError:
-            raise LevelMismatch(f"element is not in {LEVEL_NAMES[1]}")
-        return int(out) if np.ndim(code) == 0 else out
-
-    # -- the tower maps
-
-    def bar_code(self, code: int) -> int:
-        """x -> x^{q^m} on top codes."""
-        return self.top.pow(code, self.q ** self.m) if code else 0
-
-    def trace_code(self, code: int, level_from: int) -> int:
-        """Trace one level down, Sum_{i} x^{B^i}, as a top code."""
-        base_deg = self.level_degree[level_from - 1] if level_from > 1 else 1
-        b = self.p ** base_deg
-        steps = self.level_degree[level_from] // base_deg
-        acc = 0
-        cur = code
-        for _ in range(steps):
-            acc = self.top.add(acc, cur)
-            cur = self.top.pow(cur, b) if cur else 0
-        return acc
-
-    def _spot_check(self):
-        """Sums and products of eight random pairs of elements of F_q and of
-        F_{q^m}, embedded through their power bases, stay in that subfield:
-        one stacked embedding and one solve per level."""
-        rng = random.Random(20240311)
-        top, p = self.top, self.p
-        draws = {1: [], 2: []}
-        for _ in range(8):
-            for lvl in (1, 2):
-                draws[lvl] += [rng.randrange(p ** self.level_degree[lvl]) for _ in range(2)]
-        for lvl, codes in draws.items():
-            codes = np.array(codes, dtype=np.int64)
-            emb = self.embed_coeffs(lvl, codes[:, None] // p ** np.arange(self.level_degree[lvl]))
-            a, b = emb[0::2], emb[1::2]
-            sums = (top.digits[a] + top.digits[b]) % p
-            prods = np.where((a == 0) | (b == 0), 0,
-                             top.exp[(top.log[a] + top.log[b]) % (top.order - 1)])
-            closed = np.stack([sums, top.digits[prods]], axis=1).reshape(-1, self.dtop)
-            fq_context(p, 1).solve(self._solvers[lvl], closed.T)
-        if top.element_order(self.alpha) != top.order - 1:
-            raise FieldError("primitive element order check failed")  # pragma: no cover
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "e": self.e,
-            "m": self.m,
-            "moduli": {str(k): list(v) for k, v in self.moduli.items()},
-            "alpha": list(self.top.coeffs(self.alpha)),
-        }
-
-    def __repr__(self):
-        return f"FieldTower(p={self.p}, e={self.e}, m={self.m})"
-
-
-@cache
-def make_tower(p: int, e: int, m: int) -> FieldTower:
-    """Tower F_p < F_{p^e} < F_{p^em} < F_{p^2em}; rejects even/composite p."""
-    return FieldTower(p, e, m)
-
-
-# ----------------------------------------------------------------------
-# element-level operation wrappers
-
-
-def field_arith(op: str, x: FieldElement, y=None) -> FieldElement:
-    tw = x.tower
-    if tw is None:
-        raise FieldError("element carries no tower")
-    if op == "pow":
-        if not isinstance(y, int):
-            raise FieldError("pow needs an integer exponent")
-        code = tw.embed(x)
-        if code == 0 and y < 0:
-            raise FieldError("inversion of zero")
-        return tw.project(tw.top.pow(code, y) if code else (1 if y == 0 else 0), x.level)
-    if op == "inv":
-        code = tw.embed(x)
-        if code == 0:
-            raise FieldError("inversion of zero")
-        return tw.project(tw.top.inv(code), x.level)
-    if not isinstance(y, FieldElement):
-        raise FieldError(f"{op} needs a second field element")
-    if y.level != x.level:
-        raise LevelMismatch(f"level mismatch: {x.level} vs {y.level}")
-    a, b = tw.embed(x), tw.embed(y)
-    if op == "add":
-        return tw.project(tw.top.add(a, b), x.level)
-    if op == "sub":
-        return tw.project(tw.top.sub(a, b), x.level)
-    if op == "mul":
-        return tw.project(tw.top.mul(a, b), x.level)
-    raise FieldError(f"unknown op {op!r}")
-
-
-def trace_to_base(x: FieldElement) -> FieldElement:
-    """Trace map one tower step down; result is asserted to live there."""
-    tw = x.tower
-    if x.level < 2:
-        raise LevelMismatch("level has no declared base inside the tower")
-    code = tw.trace_code(tw.embed(x), x.level)
-    return tw.project(code, x.level - 1)
-
-
-def bar(x: FieldElement) -> FieldElement:
-    """Conjugation y -> y^{q^m} on the top level."""
-    tw = x.tower
-    if x.level != 3:
-        raise LevelMismatch("bar is defined on the top level")
-    return tw.project(tw.bar_code(tw.embed(x)), 3)

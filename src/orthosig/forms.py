@@ -15,13 +15,15 @@ from functools import cache
 
 import numpy as np
 
-from .fields import FieldError, FieldTower, FqContext, fq_context, product_rows, projective_points
+from .fields import FieldError, FqContext, fq_context, product_rows, projective_points
 from .matgroups import (
     Mat,
     derived_subgroup,
     family_of,
     isotropic_point_count,
     mulclose,
+    powers,
+    singer_generator,
     split_family,
 )
 
@@ -36,9 +38,8 @@ KINDS = ("minus", "plus", "odd")
 class QuadraticSpace:
     """A non-singular quadratic space with a fixed Witt frame."""
 
-    def __init__(self, kind, tower, fq, gram_model):
+    def __init__(self, kind, fq, gram_model):
         self.kind = kind
-        self.tower = tower
         self.fq: FqContext = fq
         self.gram_model = np.ascontiguousarray(gram_model, dtype=np.int16)
         self.n = self.gram_model.shape[0]
@@ -190,31 +191,37 @@ def _first_point(fq, basis, hit):
 
 
 @cache
-def build_space(kind: str, tower: FieldTower) -> QuadraticSpace:
-    """The trace-defined geometry of the given kind on the tower's top field.
+def build_space(kind: str, fq: FqContext, m: int) -> QuadraticSpace:
+    """The trace-defined geometry of the given kind and rank m over F_q.
 
-    minus: f(x,y) = tr(x ybar + xbar y), Q(x) = tr(x xbar) on F_{q^2m}.
-    plus:  with b = alpha^{q^m - 1}, coordinates x = x1 + x2 b over F_{q^m},
-           f(x,y) = tr(x1 y2 + x2 y1), Q(x) = tr(x1 x2).
+    V = F_{q^2m} is F_q[A], A = `singer_generator`(2m, fq) the map x ->
+    alpha x, in the F_q-basis 1, alpha, .., alpha^(2m-1); an element x is
+    its matrix X, the trace down to F_q is the matrix trace tr, and the
+    conjugation xbar = x^(q^m) is X -> X^(q^m).
+    minus: f(x,y) = tr(X Ybar), so Q(x) is the trace of the norm x xbar
+           from F_{q^m} down to F_q.
+    plus:  with b = alpha^(q^m - 1), coordinates x = x1 + x2 b over F_{q^m},
+           f(x,y) = tr(X1 Y2 + X2 Y1) / 2, Q(x) = tr(X1 X2) / 2.
     odd:   the minus geometry of rank 2m orthogonally extended by an
            anisotropic line with Q(z) = 1 (dimension 2m + 1).
     """
     if kind not in KINDS:
         raise GeometryError(f"unknown kind {kind!r}")
-    fq = tower.fq
-    n2m = 2 * tower.m
-    if kind == "minus":
-        gram = _minus_gram(tower)
-        space = QuadraticSpace(kind, tower, fq, gram)
-    elif kind == "plus":
-        gram = _plus_gram(tower)
-        space = QuadraticSpace(kind, tower, fq, gram)
+    A = singer_generator(2 * m, fq).a
+    X = powers(fq, A, 2 * m)  # the basis alpha^j
+    Xbar = powers(fq, fq.mat_pow(A, fq.q ** m), 2 * m)  # their conjugates
+    if kind == "plus":
+        B = fq.mat_pow(A, fq.q ** m - 1)
+        # bbar = b^-1, so x2 = (x - xbar) / (b - b^-1) and x1 = x - x2 b
+        X2 = fq.mat_mul(fq.v_add(X, fq.v_neg(Xbar)), fq.mat_inv(fq.v_add(B, fq.v_neg(fq.mat_inv(B)))))
+        T = _trace_pairing(fq, fq.v_add(X, fq.v_neg(fq.mat_mul(X2, B))), X2)
+        gram = fq.v_scale(fq.two_inv, fq.v_add(T, T.T))
     else:
-        gm = _minus_gram(tower)
-        gram = np.zeros((n2m + 1, n2m + 1), dtype=np.int16)
-        gram[:n2m, :n2m] = gm
-        gram[n2m, n2m] = 2 % fq.q
-        space = QuadraticSpace(kind, tower, fq, gram)
+        gram = _trace_pairing(fq, X, Xbar)
+    if kind == "odd":
+        gram = np.pad(gram, (0, 1))
+        gram[-1, -1] = 2 % fq.q
+    space = QuadraticSpace(kind, fq, gram)
     _spot_check_quadratic_law(space)
     return space
 
@@ -222,42 +229,15 @@ def build_space(kind: str, tower: FieldTower) -> QuadraticSpace:
 def build_line_space(p: int, e: int) -> QuadraticSpace:
     """The 1-dimensional space with Q(z) = z^2 (for the O_1 base case)."""
     fq = fq_context(p, e)
-    return QuadraticSpace("odd", None, fq, np.array([[2 % fq.q]], dtype=np.int16))
+    return QuadraticSpace("odd", fq, np.array([[2 % fq.q]], dtype=np.int16))
 
 
-def _trace_gram(tower: FieldTower, parts, form):
-    """The symmetric F_q matrix of tr(form(parts[i], parts[j])), tr the
-    trace down to F_q, with one `top_to_fq_code` for all its entries."""
-    I, J = np.triu_indices(len(parts))
-    vals = [form(parts[i], parts[j]) for i, j in zip(I.tolist(), J.tolist())]
-    if tower.m > 1:
-        vals = [tower.trace_code(v, 2) for v in vals]
-    G = np.zeros((len(parts),) * 2, dtype=np.int16)
-    G[I, J] = G[J, I] = tower.top_to_fq_code(np.array(vals))
-    return G
-
-
-def _minus_gram(tower: FieldTower):
-    top, bar = tower.top, tower.bar_code
-    basis = [top.pow(tower.alpha, j) for j in range(2 * tower.m)]
-    return _trace_gram(tower, basis, lambda x, y: top.add(top.mul(x, bar(y)), top.mul(bar(x), y)))
-
-
-def _plus_gram(tower: FieldTower):
-    top = tower.top
-    beta = top.pow(tower.alpha, tower.q ** tower.m - 1)
-    d = tower.level_degree[2]
-    # F_p basis: theta2^i and theta2^i * beta
-    theta2 = tower.embed_coeffs(2, np.eye(d, dtype=np.int64)).tolist()
-    B = top.digits[theta2 + [top.mul(t, beta) for t in theta2]].T
-    fp = fq_context(tower.p, 1)
-    if fp.rank(B) != tower.dtop:
-        raise GeometryError("beta decomposition is degenerate")
-    # every basis element x = x1 + x2 beta, x1 and x2 in F_{q^m}, in one solve
-    basis = [top.pow(tower.alpha, j) for j in range(2 * tower.m)]
-    sol = fp.solve(B, top.digits[basis].T).T
-    parts = tower.embed_coeffs(2, sol.reshape(-1, 2, d)).tolist()
-    return _trace_gram(tower, parts, lambda x, y: top.add(top.mul(x[0], y[1]), top.mul(x[1], y[0])))
+def _trace_pairing(fq, X, Y):
+    """The F_q matrix of tr(X_i Y_j) over two (k, n, n) stacks: as tr(X Y)
+    is the sum of X_ab Y_ba, one product of the flattened X_i with the
+    flattened transposes of the Y_j."""
+    n2 = X.shape[-1] ** 2
+    return fq.mat_mul(X.reshape(-1, n2), np.swapaxes(Y, 1, 2).reshape(-1, n2).T)
 
 
 def _spot_check_quadratic_law(space):
@@ -280,7 +260,7 @@ def _spot_check_quadratic_law(space):
 
 def enumerate_isotropic_points(space: QuadraticSpace, check_count=True):
     pts = space.isotropic_points()
-    if check_count and space.kind in KINDS and space.n >= 2 and space.tower is not None:
+    if check_count and space.kind in KINDS and space.n >= 2:
         expected = isotropic_point_count(space.kind, space.q, space.m)
         if len(pts) != expected:
             raise GeometryError(

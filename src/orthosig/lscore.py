@@ -22,7 +22,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .fields import FqContext, factorint, fq_context, make_tower, product_rows
+from .fields import FqContext, check_tower_size, factorint, fq_context, product_rows
 from .matgroups import (
     ConstructionMismatch,
     GroupDescriptor,
@@ -48,6 +48,10 @@ from .spreads import PartialSpread
 
 class LsError(RuntimeError):
     pass
+
+
+class CodeError(LsError):
+    """A decoder was handed an entry that is not a code of its field."""
 
 
 class InjectivityFail(LsError):
@@ -557,7 +561,7 @@ class _Plan:
         if A.itemsize < 2:
             A = A.astype(np.int16)
         if A.size and A.view(f"u{A.itemsize}").max() >= q:
-            raise LsError(f"stack has an entry outside the codes 0..{q - 1} of F_{q}")
+            raise CodeError(f"stack has an entry outside the codes 0..{q - 1} of F_{q}")
         return A.astype(np.int16, copy=False)
 
     def decode_many(self, A, stats=None):
@@ -874,10 +878,13 @@ class _StagePlan(_Plan):
 @cache
 def space_for(desc: GroupDescriptor) -> QuadraticSpace:
     """The quadratic space of the descriptor, built once per descriptor:
-    decoding and verification look it up for every element."""
+    decoding and verification look it up for every element.  Every command
+    comes through here, so this is where a space past the envelope
+    (`check_tower_size`) is turned away, before anything is built."""
     if desc.n == 1:
         return build_line_space(desc.p, desc.e)
-    return build_space(desc.kind, make_tower(desc.p, desc.e, desc.m))
+    check_tower_size(desc.q, desc.m)
+    return build_space(desc.kind, fq_context(desc.p, desc.e), desc.m)
 
 
 @cache
@@ -1154,7 +1161,7 @@ def _middle_space(space: QuadraticSpace, k: int):
     if len(mid_pos) < 2:
         return mid_pos, None
     mid_gram = np.ascontiguousarray(space.gram[np.ix_(mid_pos, mid_pos)])
-    return mid_pos, QuadraticSpace(space.kind, space.tower, space.fq, mid_gram)
+    return mid_pos, QuadraticSpace(space.kind, space.fq, mid_gram)
 
 
 def _all_gl(fq, k):

@@ -1,6 +1,5 @@
-"""Dense matrices over F_q, multiplication-operator matrices, Singer cycles,
-the one breadth-first closure, and the literal block generator used by the
-signature constructions.
+"""Dense matrices over F_q, Singer cycles, the one breadth-first closure,
+and the literal block generator used by the signature constructions.
 
 All matrices are immutable value objects hashed on their entry bytes, so
 they can key dictionaries during closure enumeration and tame decoding.
@@ -10,12 +9,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .fields import (
-    FieldError, FieldTower, FqContext, _gf, check_field_size, fq_coordinates, make_tower,
-    power_basis, split_prime_power, subfield_root,
+    FieldError, FqContext, _mat_pow, check_field_size, companion_powers, first_primitive, fq_context, is_int,
+    product_rows, smallest_irreducible, split_prime_power,
 )
 
 
@@ -45,7 +45,7 @@ def split_family(name: str) -> tuple[bool, str, str]:
     the form kind.  Raises ValueError on any name outside FAMILIES."""
     try:
         return _PARTS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown family {name!r}") from None
 
 
@@ -64,6 +64,9 @@ class GroupDescriptor:
 
     def __post_init__(self):
         split_family(self.family)
+        for name, value in (("q", self.q), ("n", self.n)):
+            if not is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         p, e = check_field_size(self.q)
         if p == 2:
             raise ValueError("q must be odd")
@@ -179,17 +182,9 @@ class Mat:
         return Mat(self.fq, self.fq.mat_inv(np.ascontiguousarray(self.a.T)))
 
     def pow(self, k: int):
-        n = self.n
         if k < 0:
             return self.inv().pow(-k)
-        result = identity(self.fq, n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return Mat(self.fq, self.fq.mat_pow(self.a, k))
 
     def to_json(self):
         gf = self.fq.gf
@@ -203,8 +198,8 @@ class Mat:
         """The matrix of a `to_json` dict: every entry a list of e
         coefficients in [0, p), FieldError otherwise."""
         gf = fq.gf
-        if any(len(c) != gf.d for row in d["entries"] for c in row):
-            raise FieldError(f"every entry needs {gf.d} coefficients")
+        if any(not isinstance(c, list) or len(c) != gf.d for row in d["entries"] for c in row):
+            raise FieldError(f"every entry needs a list of {gf.d} coefficients")
         a = [[gf.from_coeffs(c) for c in row] for row in d["entries"]]
         return Mat(fq, np.array(a, dtype=np.int16))
 
@@ -226,39 +221,49 @@ def scalar_mat(fq: FqContext, n: int, c: int) -> Mat:
 # ----------------------------------------------------------------------
 
 
-def mult_matrix(s_code: int, tower: FieldTower) -> Mat:
-    """Matrix over F_q of v -> s v on F_{q^2m}, power basis 1, a, .., a^{2m-1}.
-
-    Rejects s = 0 (the map must be a group element).
-    """
-    if s_code == 0:
-        raise ValueError("s = 0 is not invertible")
-    imgs = [tower.top.mul(s_code, tower.top.pow(tower.alpha, j)) for j in range(2 * tower.m)]
-    return Mat(tower.fq, tower.top_to_vec(np.array(imgs)).T)
-
-
+@cache
 def singer_generator(k: int, fq: FqContext) -> Mat:
-    """A k x k matrix over F_q of multiplicative order q^k - 1.
+    """A k x k matrix A over F_q of multiplicative order q^k - 1: the map
+    x -> alpha x on F_{q^k} in the F_q-basis 1, alpha, .., alpha^(k-1), so
+    the companion matrix of the minimal polynomial of alpha over F_q.
 
-    Realized as the multiplication-by-generator map of F_{q^k} written in a
-    power basis over F_q; deterministic for fixed (q, k).
-    """
+    F_{q^k} is F_p[C], C the companion matrix of the degree ek modulus, and
+    alpha its first primitive element (`first_primitive`).  F_q sits in it
+    as the span of 1, gamma, .., gamma^(e-1), gamma = alpha^((p^ek-1)/(q-1));
+    theta, the lex-smallest of its q elements that is a root of the modulus
+    of F_q, reads F_q codes.  One F_p solve against the basis alpha^j
+    theta^i (j < k major, i < e) gives the F_q-coordinates of alpha^k, the
+    last column.  For k = 1, A is the generator of F_q.  Nothing of size
+    p^ek is built."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return Mat(fq, np.array([[fq.generator]], dtype=np.int16))
-    return _singer_via_extension(k, fq)
-
-
-def _singer_via_extension(k: int, fq: FqContext) -> Mat:
-    # the generator gamma of F_{q^k}, realized over F_p, acts on the F_q-basis
-    # 1, gamma, .., gamma^{k-1}; its images are read off in the F_p-basis
-    # gamma^j theta^i, theta the root of the modulus of F_q
-    big = _gf(fq.p, fq.e * k)
-    gamma = big.alpha
-    B = power_basis(big, gamma, subfield_root(big, fq.gf.modulus, fq.e), k, fq.e)
-    cols = fq_coordinates(fq, B, big.digits[[big.pow(gamma, j) for j in range(1, k + 1)]])
-    return Mat(fq, cols.T)
+    p, e = fq.p, fq.e
+    d = e * k
+    cpow = companion_powers(smallest_irreducible(p, d), p)  # C^0, .., C^(d-1)
+    alpha = np.tensordot(first_primitive(p, cpow), cpow, 1) % p
+    gamma = _mat_pow(alpha, (p ** d - 1) // (fq.q - 1), p)
+    basis = [cpow[0][:, 0]]
+    for _ in range(e - 1):
+        basis.append(gamma @ basis[-1] % p)
+    sub = product_rows(p, e, 0, fq.q) @ np.array(basis) % p  # the elements of F_q
+    mult = np.tensordot(sub, cpow, 1) % p
+    value = np.zeros_like(sub)
+    for c in fq.gf.modulus[::-1]:  # Horner, the leading coefficient first
+        value = (mult @ value[:, :, None])[:, :, 0] % p
+        value[:, 0] = (value[:, 0] + c) % p
+    theta = np.tensordot(min(sub[~value.any(axis=1)].tolist()), cpow, 1) % p
+    cols = [cpow[0][:, 0]]  # theta^i, then alpha^j theta^i
+    for _ in range(e - 1):
+        cols.append(theta @ cols[-1] % p)
+    for _ in range(d - e):
+        cols.append(alpha @ cols[-e] % p)
+    last = alpha @ cols[-e] % p  # alpha^k
+    y = fq_context(p, 1).solve(np.array(cols, dtype=np.int16).T, last.astype(np.int16))
+    A = np.eye(k, k=-1, dtype=np.int16)
+    A[:, -1] = y.reshape(k, e).astype(np.int64) @ p ** np.arange(e)
+    return Mat(fq, A)
 
 
 def powers(fq: FqContext, x, s: int):
@@ -479,23 +484,15 @@ def standard_generators(desc: GroupDescriptor, space):
 
 
 def _literal_a(kind: str, space) -> Mat:
-    tower = space.tower
-    if kind == "minus":
-        beta = tower.top.pow(tower.alpha, tower.q ** tower.m - 1)
-        a_model = mult_matrix(beta, tower)
-        return space.model_to_witt(a_model)
-    if kind == "odd":
-        beta = tower.top.pow(tower.alpha, tower.q ** tower.m - 1)
-        a_sub = mult_matrix(beta, tower)
-        fq = space.fq
-        n = space.n
-        blk = np.zeros((n, n), dtype=np.int16)
-        blk[:n - 1, :n - 1] = a_sub.a
-        blk[n - 1, n - 1] = 1
-        return space.model_to_witt(Mat(fq, blk))
     if kind == "plus":
         return _plus_literal_a(space)
-    raise ValueError(kind)
+    if kind not in ("minus", "odd"):
+        raise ValueError(kind)
+    # multiplication by b = alpha^(q^m - 1), of order q^m + 1, on F_{q^2m}
+    fq, m, n = space.fq, space.m, space.n
+    blk = fq.identity(n)
+    blk[:2 * m, :2 * m] = fq.mat_pow(singer_generator(2 * m, fq).a, space.q ** m - 1)
+    return space.model_to_witt(Mat(fq, blk))
 
 
 def _plus_literal_a(space) -> Mat:
@@ -510,13 +507,11 @@ def _plus_literal_a(space) -> Mat:
     U2 = forms.find_anisotropic_plane(space)
     Ubasis = forms.perp_basis(space, U2)
     GU = forms.gram_restriction(space, Ubasis)
-    sub_tower = make_tower(space.p, space.e, m - 1)
-    model = forms.build_space("minus", sub_tower)
+    model = forms.build_space("minus", fq, m - 1)
     phi, lam = forms.align_spaces(model, GU, fq)
     if lam != 1:
         raise ConstructionMismatch("embedded minus subspace is only similar, not isometric")
-    gamma = sub_tower.top.pow(sub_tower.alpha, q ** (m - 1) - 1)
-    t_model = model.model_to_witt(mult_matrix(gamma, sub_tower))
+    t_model = model.model_to_witt(Mat(fq, fq.mat_pow(singer_generator(2 * m - 2, fq).a, q ** (m - 1) - 1)))
     t_U = fq.mat_mul(fq.mat_mul(phi, t_model.a), fq.mat_inv(phi))
     # assemble in full-space Witt coordinates: columns describe images of
     # the U-basis and of the complement basis

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .fields import fq_context
+from .fields import fq_context, is_int
 from .lscore import LogSignature
 from .matgroups import GroupDescriptor, Mat
 
@@ -21,6 +21,8 @@ def load_ls(path: str) -> LogSignature:
     if d.get("group") is None:
         raise ValueError("signature file carries no group descriptor")
     desc = GroupDescriptor.from_json(d["group"])
+    if not is_int(d["claimed_order"]):
+        raise ValueError(f"claimed_order must be an int, got {d['claimed_order']!r}")
     fq = fq_context(desc.p, desc.e)
     blocks = [[Mat.from_json(fq, m) for m in b] for b in d["blocks"]]
     return LogSignature(desc, blocks, d["claimed_order"], meta=d.get("meta", {}))

@@ -10,8 +10,8 @@ import itertools
 
 import numpy as np
 
-from .fields import FieldTower, FqContext, projective_points
-from .matgroups import Mat, closure
+from .fields import FqContext, projective_points
+from .matgroups import Mat, closure, powers, singer_generator
 
 
 class NotAPartialSpread(ValueError):
@@ -154,21 +154,21 @@ def orbits_are_partial_spreads(fq: FqContext, orbits):
     return ok.reshape(k, s - 1).all(axis=1)
 
 
-def classical_spread(tower: FieldTower) -> PartialSpread:
-    """The q^m + 1 multiplicative translates of W = F_{q^m} inside F_{q^2m},
-    one per coset of F_{q^m}^* (representatives 1, a, .., a^{q^m}).
+def classical_spread(fq: FqContext, m: int) -> PartialSpread:
+    """The q^m + 1 multiplicative translates A^i W, i = 0, .., q^m, of W =
+    F_{q^m} inside F_{q^2m} = F_q[A], A = `singer_generator`(2m): W is
+    spanned by g^t e_0, t < m, for g = A^(q^m + 1), which generates the
+    units of F_{q^m}.  Each member is the echelon form of its m spanning
+    vectors.
 
     Partitions the nonzero vectors of V.
     """
-    fq = tower.fq
-    top = tower.top
-    wbasis = tower.embed_coeffs(2, np.eye(tower.level_degree[2], dtype=np.int64)).tolist()
-    reps = [top.pow(tower.alpha, i) for i in range(tower.q ** tower.m + 1)]
-    # the F_q-coordinates of every spanning vector, then every echelon
-    # basis: the spanning vectors of a translate have F_q-rank m, and rows
-    # past that rank are zero (there are e m of them over F_{p^e})
-    vecs = tower.top_to_vec(np.array([[top.mul(wb, rep) for wb in wbasis] for rep in reps]))
-    sp = PartialSpread(fq.rref(vecs)[0][:, :tower.m], fq)
+    if m < 1:
+        raise ValueError(f"the classical spread needs m >= 1, got {m}")
+    A = singer_generator(2 * m, fq).a
+    W = powers(fq, fq.mat_pow(A, fq.q ** m + 1), m)[:, :, 0]
+    vecs = fq.mat_mul(W, np.swapaxes(powers(fq, A, fq.q ** m + 1), 1, 2))
+    sp = PartialSpread(fq.rref(vecs)[0], fq)
     sp.check_pairwise()
     return sp
 

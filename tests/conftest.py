@@ -10,21 +10,16 @@ settings.load_profile("slowok")
 
 
 @pytest.fixture(scope="session")
-def tower312():
-    from orthosig.fields import make_tower
+def minus32():
+    from orthosig.fields import fq_context
+    from orthosig.forms import build_space
 
-    return make_tower(3, 1, 2)
+    return build_space("minus", fq_context(3, 1), 2)
 
 
 @pytest.fixture(scope="session")
-def minus32(tower312):
+def plus32():
+    from orthosig.fields import fq_context
     from orthosig.forms import build_space
 
-    return build_space("minus", tower312)
-
-
-@pytest.fixture(scope="session")
-def plus32(tower312):
-    from orthosig.forms import build_space
-
-    return build_space("plus", tower312)
+    return build_space("plus", fq_context(3, 1), 2)

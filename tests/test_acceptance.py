@@ -16,7 +16,7 @@ from headblocks import head_blocks
 
 from orthosig import pgm
 from orthosig.factorize import compose, tame_factor, unrank
-from orthosig.fields import make_tower, projective_points
+from orthosig.fields import fq_context, projective_points
 from orthosig.forms import (
     build_space,
     enumerate_isometry_group,
@@ -60,7 +60,7 @@ def test_criterion_1_point_counts():
     details = []
     for kind, q, m in GRID:
         t0 = time.monotonic()
-        space = build_space(kind, make_tower(q, 1, m))
+        space = build_space(kind, fq_context(q, 1), m)
         pts = enumerate_isotropic_points(space, check_count=False)
         expected = isotropic_point_count(kind, q, m)
         dt = time.monotonic() - t0
@@ -75,16 +75,16 @@ def test_criterion_2_spread_partitions():
     details = []
     # classical spreads partition the nonzero vectors for q^2m <= 6561
     for p, e, m in [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 1), (5, 1, 2), (7, 1, 1), (3, 2, 1)]:
-        t = make_tower(p, e, m)
-        assert t.q ** (2 * m) <= 6561
-        sp = classical_spread(t)
-        rep = verify_partition(sp, projective_points(t.fq, t.fq.identity(2 * m)), t.fq)
-        ok = rep["ok"] and len(sp) == t.q ** m + 1
+        fq = fq_context(p, e)
+        assert fq.q ** (2 * m) <= 6561
+        sp = classical_spread(fq, m)
+        rep = verify_partition(sp, projective_points(fq, fq.identity(2 * m)), fq)
+        ok = rep["ok"] and len(sp) == fq.q ** m + 1
         all_ok &= ok
-        details.append(f"classical q={t.q},m={m}:{'ok' if ok else 'VIOLATION'}")
+        details.append(f"classical q={fq.q},m={m}:{'ok' if ok else 'VIOLATION'}")
     # construction spreads partition the singular points for every grid case
     for kind, q, m in GRID:
-        space = build_space(kind, make_tower(q, 1, m))
+        space = build_space(kind, fq_context(q, 1), m)
         fam = {"minus": "O-", "plus": "O+", "odd": "Oodd"}[kind]
         plan = spread_construction(space, fam)
         if plan.shape == "empty":
@@ -100,7 +100,7 @@ def test_criterion_3_sharp_transitivity():
     all_ok = True
     details = []
     for kind, q, m in GRID:
-        space = build_space(kind, make_tower(q, 1, m))
+        space = build_space(kind, fq_context(q, 1), m)
         fam = {"minus": "O-", "plus": "O+", "odd": "Oodd"}[kind]
         plan = spread_construction(space, fam)
         if plan.shape == "empty":
@@ -219,7 +219,7 @@ def test_criterion_7_omega_audit():
     all_ok = True
     details = []
     for kind, fam in (("minus", "SO-"), ("plus", "SO+")):
-        space = build_space(kind, make_tower(3, 1, 2))
+        space = build_space(kind, fq_context(3, 1), 2)
         audit = omega_audit(space)
         # either full agreement or explicitly listed disagreements: a silent
         # inconsistency (flag and list disagreeing) fails
@@ -242,7 +242,7 @@ def test_criterion_8_parabolic_orders():
         ("O-", 3, 6, "minus", 3),
     ]
     for fam, q, n, kind, m in cases:
-        space = build_space(kind, make_tower(q, 1, m))
+        space = build_space(kind, fq_context(q, 1), m)
         ls = parabolic_ls(space, 1, "O")
         L = len(enumerate_isotropic_points(space))
         expected = group_order(descriptor(fam, q, n=n)) // L
@@ -259,7 +259,7 @@ def test_criterion_9_order_identity():
     # reported faithfully rather than adjusted.
     results = []
     for q in (3, 5):
-        space = build_space("odd", make_tower(q, 1, 1))
+        space = build_space("odd", fq_context(q, 1), 1)
         keys, els = omega_oracle(space)
         results.append((q, len(els), order_sp(2, q)))
     ok = all(found == stated for _, found, stated in results)

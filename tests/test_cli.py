@@ -187,9 +187,9 @@ def test_q_past_the_table_budget_exits_2_before_any_table_is_built(argv, tmp_pat
     ["spread-check", "--kind", "plus", "--q", "49", "--m", "2"],
 ])
 def test_a_top_field_past_the_table_budget_exits_2_before_any_table_is_built(argv, tmp_path, capsys):
-    # the tower's top field F_(q^2m) has tables linear in its order: 1549
-    # and 41^2 are the first prime and e > 1 values of q past the budget
-    # for m = 1, 41 and 7^2 for m = 2.  Run in this process, so that
+    # V = F_q^2m is bounded by q^2m (4em + 24) <= 64 MiB: 1549 and 41^2
+    # are the first prime and e > 1 values of q past the bound for m = 1,
+    # 41 and 7^2 for m = 2.  Run in this process, so that
     # tracemalloc sees every array
     import tracemalloc
 
@@ -396,8 +396,8 @@ def test_factor_flags_a_file_that_is_not_canonical(tmp_path):
 
 
 def test_cli_commands_never_import_numpy_random(tmp_path):
-    # the self-checks of the field tower and the quadratic spaces draw
-    # their probes from the stdlib generator
+    # the self-checks of the quadratic spaces draw their probes from the
+    # stdlib generator
     out = tmp_path / "ls.json"
     code = (
         "import sys\n"
@@ -531,6 +531,44 @@ def test_verify_checks_the_claimed_order(tmp_path):
         assert doc["result"]["valid"] is False
         assert "claimed order 10 is not the group order 1440" in doc["result"]["notes"]
         assert summary[0].startswith(f"# INVALID ({mode})")
+
+
+def _set_code(value):
+    def mutate(doc):
+        doc["blocks"][0][0]["entries"][0][0] = [value]
+    return mutate
+
+
+def _set(key, value, under=None):
+    def mutate(doc):
+        (doc[under] if under else doc)[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [_set_code("x"), _set_code(1.5), _set_code(True), _set("q", 3.0, "group"),
+                                    _set("n", 4.0, "group"), _set("claimed_order", 1440.0)],
+                         ids=["string-code", "float-code", "bool-code", "float-q", "float-n", "float-order"])
+def test_a_number_that_is_not_an_int_in_a_signature_file_exits_2(mutate, tmp_path, capsys):
+    # every number of a signature file is an int: each mutation exits 2
+    # with an error report (no traceback) from verify in both modes and
+    # factor, while the untouched file passes all three
+    from orthosig.cli import main
+    from orthosig.lscore import canonical_ls
+    from orthosig.matgroups import descriptor
+    from orthosig.serial import save_ls
+
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_ls(canonical_ls(descriptor("O-", 3, n=4)), str(good))
+    doc = json.loads(good.read_text())
+    mutate(doc)
+    bad.write_text(json.dumps(doc))
+    for args in (["verify", "--mode", "exhaustive"], ["verify", "--mode", "sampled", "--samples", "20"],
+                 ["factor", "--rank", "5"]):
+        assert main(args + ["--in", str(good)]) == 0
+        capsys.readouterr()
+        assert main(args + ["--in", str(bad)]) == 2, args
+        out = capsys.readouterr()
+        assert "error" in parse_stdout(out.out)[0] and "Traceback" not in out.err
 
 
 def test_a_loaded_signature_edited_in_place_fails_verification(tmp_path):

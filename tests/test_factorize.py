@@ -743,3 +743,27 @@ def test_tame_factor_takes_only_codes_of_the_signature_field():
     from orthosig.fields import FqContext
 
     assert tame_factor(Mat(FqContext(3, 1), np.eye(4)), ls) == tame_factor(identity(fq_context(3, 1), 4), ls)
+
+
+def test_tame_factor_checks_the_codes_once_and_never_hands_them_to_membership(monkeypatch):
+    # the plan's decoder reads the entries of an element once, and an
+    # entry that is not a code ends in tame_factor's own error, through
+    # the one-element path and the counted stack path alike, before any
+    # membership test
+    import numpy as np
+
+    from orthosig import factorize
+    from orthosig.fields import fq_context
+    from orthosig.matgroups import Mat
+
+    def no_membership(*args):
+        raise AssertionError("membership was consulted")
+
+    monkeypatch.setattr(factorize.forms, "membership", no_membership)
+    for fam, q, p, e, bad in [("O-", 3, 3, 1, -1), ("O-", 3, 3, 1, 3), ("O-", 9, 3, 2, 200), ("O+", 5, 5, 1, 7)]:
+        ls = canonical_ls(descriptor(fam, q, n=4))
+        a = np.eye(4, dtype=np.int16)
+        a[1, 2] = bad
+        for stats in (None, {}):
+            with pytest.raises(FactorError, match=f"^element has an entry outside the codes 0..{q - 1} of F_{q}$"):
+                tame_factor(Mat(fq_context(p, e), a), ls, stats)

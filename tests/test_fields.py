@@ -1,24 +1,21 @@
 import hashlib
 import itertools
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
 from fieldpins import GF_PINS, MODULI
 from hypothesis import given, strategies as st
 from leibniz import det_by_permutations, rref_by_rows
+from singerfield import elements
 
 from orthosig.fields import (
     FieldError,
-    LevelMismatch,
-    bar,
     factorint,
-    field_arith,
     fq_context,
-    make_tower,
     smallest_irreducible,
     split_prime_power,
-    trace_to_base,
 )
 
 
@@ -109,170 +106,211 @@ def test_exp_table_matches_repeated_multiplication(p, d):
     assert sorted(gf.exp.tolist()) == list(range(1, gf.order))
 
 
+# F_{q^k} is F_q[A], A = singer_generator(k, fq): an element x is the
+# matrix X of y -> x y (`singerfield`)
+
+
+def _singer(p, e, k):
+    from orthosig.matgroups import singer_generator
+
+    fq = fq_context(p, e)
+    return fq, singer_generator(k, fq)
+
+
+def _conj(fq, X, m):
+    """x -> x^(q^m) on a stack of matrices of F_q[A]."""
+    return fq.mat_pow(X, fq.q ** m)
+
+
+def _trace(fq, X):
+    """The matrix trace of each matrix of a stack, in F_q."""
+    return reduce(fq.v_add, np.moveaxis(np.diagonal(X, axis1=-2, axis2=-1), -1, 0))
+
+
 def test_tower_deterministic_constants():
-    t = make_tower(3, 1, 1)
-    assert t.top.modulus == (1, 0, 1)
-    assert t.top.coeffs(t.alpha) == (1, 1)  # alpha = x + 1
-    assert t.top.element_order(t.alpha) == 8
+    # F_9 = F_3[x]/(x^2 + 1) with alpha = x + 1: alpha^2 = 2 x = 1 + 2 alpha
+    from orthosig.fields import companion_powers, first_primitive
+    from orthosig.matgroups import element_order
+
+    assert smallest_irreducible(3, 2) == (1, 0, 1)
+    assert first_primitive(3, companion_powers((1, 0, 1), 3)).tolist() == [1, 1]
+    fq, A = _singer(3, 1, 2)
+    assert A.a.tolist() == [[0, 1], [1, 2]]
+    assert element_order(A, 8) == 8
 
 
 def test_tower_f81_alpha_order():
-    t = make_tower(3, 1, 2)
-    assert t.top.element_order(t.alpha) == 80
+    from orthosig.matgroups import element_order
+
+    fq, A = _singer(3, 1, 4)
+    assert element_order(A, 80) == 80
 
 
 def test_tower_rejects_bad_parameters():
+    from orthosig.forms import build_space
+    from orthosig.matgroups import descriptor, singer_generator
+
+    with pytest.raises(ValueError, match="odd"):
+        descriptor("O-", 2, m=1)
     with pytest.raises(FieldError):
-        make_tower(2, 1, 1)
+        descriptor("O-", 12, m=1)
     with pytest.raises(FieldError):
-        make_tower(9, 1, 1)
-    with pytest.raises(FieldError):
-        make_tower(3, 0, 1)
-    with pytest.raises(FieldError):
-        make_tower(3, 1, 0)
+        fq_context(9, 1)
+    with pytest.raises(ValueError):
+        singer_generator(0, fq_context(3, 1))
+    with pytest.raises(ValueError):
+        build_space("minus", fq_context(3, 1), 0)
 
 
 def test_field_arith_examples():
-    t = make_tower(3, 1, 2)
-    one = t.one(3)
-    assert field_arith("inv", one) == one
-    # in F_9 with modulus x^2 + 1: x * x = 2
-    x9 = t.fe(2, (0, 1))
-    assert field_arith("mul", x9, x9) == t.fe(2, (2, 0))
-    # Lagrange: x^(q-1) = 1 for x in F_q*
-    fq = t.fe(1, (2,))
-    assert field_arith("pow", fq, 2) == t.one(1)
+    fq, A = _singer(3, 1, 4)
+    I = fq.identity(4)
+    assert (fq.mat_mul(A.a, A.inv().a) == I).all()
+    # in F_81 the element of order 4 squares to -1 = 2
+    i = A.pow(20).a
+    assert (fq.mat_mul(i, i) == 2 * I).all()
+    # Lagrange: x^(q-1) = 1 for x in F_q*, here the scalars 1 and 2
+    assert (fq.mat_pow(np.array([I, 2 * I]), 2) == I).all()
 
 
 def test_field_arith_errors():
-    t = make_tower(3, 1, 2)
+    from orthosig.matgroups import Mat, element_order
+
+    fq, A = _singer(3, 1, 4)
+    zero = elements(fq, A, [[0, 0, 0, 0]])[0]
     with pytest.raises(FieldError):
-        field_arith("inv", t.fe(3, (0, 0, 0, 0)))
-    with pytest.raises(LevelMismatch):
-        field_arith("add", t.one(1), t.one(2))
+        fq.mat_inv(zero)
+    with pytest.raises(FieldError):
+        element_order(Mat(fq, zero), 80)
 
 
 def test_trace_examples():
-    t = make_tower(3, 1, 2)
-    assert trace_to_base(t.fe(2, (0, 0))) == t.fe(1, (0,))
-    # tr_{F9/F3}(1) = 1 + 1^3 = 2
-    assert trace_to_base(t.one(2)) == t.fe(1, (2,))
-    # tr(x) = x + x^3 = 0 with modulus x^2 + 1
-    assert trace_to_base(t.fe(2, (0, 1))) == t.fe(1, (0,))
+    # the trace of F_9 down to F_3 is the matrix trace on F_3[A]
+    fq, A = _singer(3, 1, 2)
+    X = np.array([fq.identity(2), fq.identity(2) * 0, A.a, A.pow(2).a])
+    # tr(0) = 0, tr(1) = 1 + 1^3 = 2, tr(alpha) = 2, tr(i) = i + i^3 = 0
+    assert _trace(fq, X).tolist() == [2, 0, 2, 0]
+    # and it is the sum of the Galois conjugates x, x^3
+    assert (fq.v_add(X, _conj(fq, X, 1)) == _trace(fq, X)[:, None, None] * fq.identity(2) % 3).all()
 
 
 def test_bar_examples():
-    t = make_tower(3, 1, 2)
-    a = t.fe(3, t.top.coeffs(t.alpha))
-    assert bar(bar(a)) == a
-    # subfield elements are fixed
-    c = t.project(t.embed(t.fe(2, (1, 2))), 3)
-    assert bar(c) == c
-    # norm alpha * bar(alpha) lands in F_9
-    prod = field_arith("mul", a, bar(a))
-    t.project(t.embed(prod), 2)  # no LevelMismatch
+    # xbar = x^(q^m) on F_81 = F_3[A], q = 3, m = 2
+    fq, A = _singer(3, 1, 4)
+    a = A.a[None]
+    assert (_conj(fq, _conj(fq, a, 2), 2) == a).all()
+    # the elements of F_9, the powers of A^(q^m + 1), are fixed
+    c = fq.mat_pow(a, 10 * 3)
+    assert (_conj(fq, c, 2) == c).all()
+    # the norm alpha alphabar lands in F_9
+    norm = fq.mat_mul(a, _conj(fq, a, 2))
+    assert (norm == fq.mat_pow(a, 10)).all() and (_conj(fq, norm, 2) == norm).all()
 
 
 def test_bulk_ring_axioms_seeded():
-    t = make_tower(3, 1, 2)
-    top = t.top
-    rng = random.Random(99)
-    for _ in range(1100):
-        a, b, c = (rng.randrange(top.order) for _ in range(3))
-        assert top.mul(a, b) == top.mul(b, a)
-        assert top.add(a, b) == top.add(b, a)
-        assert top.mul(a, top.add(b, c)) == top.add(top.mul(a, b), top.mul(a, c))
-        assert top.mul(top.mul(a, b), c) == top.mul(a, top.mul(b, c))
+    # F_q[A] is a field: commutative, every nonzero element invertible
+    fq, A = _singer(3, 1, 4)
+    rng = np.random.default_rng(99)
+    X, Y, Z = (elements(fq, A, rng.integers(0, 3, (1100, 4))) for _ in range(3))
+    XY = fq.mat_mul(X, Y)
+    assert (XY == fq.mat_mul(Y, X)).all()
+    assert (fq.mat_mul(X, fq.v_add(Y, Z)) == fq.v_add(XY, fq.mat_mul(X, Z))).all()
+    assert (fq.mat_mul(XY, Z) == fq.mat_mul(X, fq.mat_mul(Y, Z))).all()
+    assert ((fq.det(X) != 0) == X.any(axis=(1, 2))).all()
 
 
 def test_trace_linearity_and_bar_automorphism():
-    t = make_tower(3, 1, 2)
-    top = t.top
-    rng = random.Random(5)
-    qm = 9
-    for _ in range(200):
-        x, y = rng.randrange(top.order), rng.randrange(top.order)
-        assert top.add(t.bar_code(x), t.bar_code(y)) == t.bar_code(top.add(x, y))
-        assert top.mul(t.bar_code(x), t.bar_code(y)) == t.bar_code(top.mul(x, y))
-    # F_q-linearity of the trace on the middle level
-    sub = [t.embed(t.fe(2, (i, j))) for i in range(3) for j in range(3)]
-    lams = [t.embed(t.fe(1, (c,))) for c in range(3)]
-    for _ in range(300):
-        x, y = rng.choice(sub), rng.choice(sub)
-        lam = rng.choice(lams)
-        lhs = t.trace_code(top.add(top.mul(lam, x), y), 2)
-        rhs = top.add(top.mul(lam, t.trace_code(x, 2)), t.trace_code(y, 2))
-        assert lhs == rhs
+    # X -> X^(q^m) is a ring automorphism of F_q[A] of order 2 fixing F_q,
+    # and the trace is F_q-linear, on F_81 over F_3 and F_625 over F_25
+    for p, e, m in [(3, 1, 2), (5, 2, 1)]:
+        fq, A = _singer(p, e, 2 * m)
+        rng = np.random.default_rng(5)
+        X, Y = (elements(fq, A, rng.integers(0, fq.q, (200, 2 * m))) for _ in range(2))
+        Xb, Yb = _conj(fq, X, m), _conj(fq, Y, m)
+        assert (fq.v_add(Xb, Yb) == _conj(fq, fq.v_add(X, Y), m)).all()
+        assert (fq.mat_mul(Xb, Yb) == _conj(fq, fq.mat_mul(X, Y), m)).all()
+        assert (_conj(fq, Xb, m) == X).all() and not (Xb == X).all()
+        lam = rng.integers(0, fq.q, 200).astype(np.int16)
+        scalars = lam[:, None, None] * np.eye(2 * m, dtype=np.int16)
+        assert (_conj(fq, scalars, m) == scalars).all()
+        lhs = _trace(fq, fq.v_add(fq.v_scale(lam[:, None, None], X), Y))
+        assert (lhs == fq.v_add(fq.v_scale(lam, _trace(fq, X)), _trace(fq, Y))).all()
 
 
 @given(st.integers(min_value=0, max_value=80), st.integers(min_value=0, max_value=80))
 def test_hypothesis_add_mul_closed_in_levels(a, b):
-    t = make_tower(3, 1, 2)
-    top = t.top
-    s = top.add(a, b)
-    m = top.mul(a, b)
-    assert 0 <= s < 81 and 0 <= m < 81
-    if a and b:
-        assert top.mul(m, top.inv(b)) == a
+    # sums and products of A^a and A^b (A^80 standing for 0) stay in
+    # F_3[A]: each is the polynomial in A given by its first column
+    fq, A = _singer(3, 1, 4)
+    x, y = (A.pow(t).a if t < 80 else 0 * A.a for t in (a, b))
+    for z in (fq.v_add(x, y), fq.mat_mul(x, y)):
+        assert (elements(fq, A, [z[:, 0]])[0] == z).all()
+    if b < 80:
+        assert (fq.mat_mul(fq.mat_mul(x, y), fq.mat_inv(y)) == x).all()
 
 
 def test_serialization_roundtrip():
-    t = make_tower(5, 1, 2)
-    d = t.to_json()
-    assert d["p"] == 5 and d["e"] == 1 and d["m"] == 2
-    x = t.fe(2, (3, 1))
-    assert x.to_json() == {"level": 2, "coeffs": [3, 1]}
+    from orthosig.matgroups import Mat
+
+    fq, A = _singer(5, 2, 2)
+    d = A.to_json()
+    assert d["n"] == 2 and all(len(c) == 2 for row in d["entries"] for c in row)
+    assert Mat.from_json(fq, d) == A
 
 
 def test_e2_tower():
-    t = make_tower(3, 2, 1)
-    assert t.q == 9
-    assert t.top.order == 81
-    assert t.top.element_order(t.alpha) == 80
-    assert t.top_to_vec(t.alpha).tolist() == [0, 1]
+    from orthosig.matgroups import element_order
+
+    fq, A = _singer(3, 2, 2)
+    assert fq.q == 9
+    assert element_order(A, 80) == 80
+    assert A.a[:, 0].tolist() == [0, 1]  # alpha in the basis 1, alpha
 
 
 @pytest.mark.parametrize("p,e,m", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 2), (3, 2, 1),
                                    (5, 2, 1), (3, 3, 1)])
 def test_top_to_vec_inverts_vec_to_top_on_every_code(p, e, m):
-    # the F_q read-off of the solved digits is a bijection onto F_q^2m,
-    # inverted by the sum of the coordinates times the powers of alpha
-    t = make_tower(p, e, m)
-    top = t.top
+    # x -> its first column is a bijection from F_q[A] onto F_q^2m,
+    # inverted by the sum of the coordinates times the powers of A: the
+    # powers of A reach every nonzero vector once
+    from orthosig.matgroups import powers
 
-    def vec_to_top(vec):
-        acc = 0
-        for j, c in enumerate(vec):
-            coord = t.embed(t.fe(1, t.fq.gf.coeffs(int(c))))
-            acc = top.add(acc, top.mul(top.pow(t.alpha, j), coord))
-        return acc
-
-    vecs = [t.top_to_vec(c) for c in range(top.order)]
-    assert all(v.dtype == np.int16 and v.shape == (2 * m,) for v in vecs)
-    assert [vec_to_top(v) for v in vecs] == list(range(top.order))
+    fq, A = _singer(p, e, 2 * m)
+    P = powers(fq, A.a, fq.q ** (2 * m) - 1)
+    vecs = P[:, :, 0]
+    assert vecs.dtype == np.int16 and vecs.any(axis=1).all()
+    assert len({v.tobytes() for v in vecs}) == len(vecs)
+    step = max(1, len(P) // 200)
+    assert (elements(fq, A, vecs[::step]) == P[::step]).all()
 
 
 @pytest.mark.parametrize("p,e,m", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2), (5, 2, 1),
                                    (7, 1, 2)])
 def test_embedding_is_the_sum_of_coefficients_times_powers_of_the_root(p, e, m):
-    # every element of F_q and of F_q^m, and every twentieth of the top,
-    # embeds as sum c_i theta^i, theta the root the tower picked for the
-    # level's modulus (x itself at the top)
-    from orthosig.fields import subfield_root
+    # F_q is the scalars and F_q^m the span of the powers g^t, t < m, of
+    # g = A^(q^m + 1): those are exactly the elements xbar = x fixes, and
+    # every twentieth element of the top is the sum of its coordinates
+    # times the powers of A
+    import itertools
 
-    t = make_tower(p, e, m)
-    top = t.top
-    for lvl, deg in t.level_degree.items():
-        theta = top.p if lvl == 3 else subfield_root(top, t.moduli[lvl], deg)
-        rows = list(itertools.product(range(p), repeat=deg))[::20 if lvl == 3 else 1]
-        want = []
-        for cs in rows:
-            acc = 0
-            for i, c in enumerate(cs):
-                acc = top.add(acc, top.mul(c, top.pow(theta, i)))
-            want.append(acc)
-        assert t.embed_coeffs(lvl, rows).tolist() == want
-        assert [t.embed(t.fe(lvl, cs)) for cs in rows[:5]] == want[:5]
+    from orthosig.matgroups import powers
+
+    fq, A = _singer(p, e, 2 * m)
+    g = A.pow(fq.q ** m + 1).a
+    sub = np.array(list(itertools.product(range(fq.q), repeat=m)), dtype=np.int16)
+    G = powers(fq, g, m)
+    Fqm = fq.mat_mul(sub, G.reshape(m, -1)).reshape(-1, 2 * m, 2 * m)
+    assert len({x.tobytes() for x in Fqm}) == fq.q ** m
+    assert (_conj(fq, Fqm, m) == Fqm).all()
+    scalars = np.arange(fq.q, dtype=np.int16)[:, None, None] * np.eye(2 * m, dtype=np.int16)
+    assert (_conj(fq, scalars, 1) == scalars).all()
+    top = np.array(list(itertools.product(range(fq.q), repeat=2 * m))[::20], dtype=np.int16)
+    X = elements(fq, A, top)
+    assert (X[:, :, 0] == top).all()
+    moved = ~(_conj(fq, X, m) == X).all(axis=(1, 2))
+    keys = {y.tobytes() for y in Fqm}
+    inside = np.array([x.tobytes() in keys for x in X])
+    assert (moved == ~inside).all()
 
 
 def test_fq_context_tables():
@@ -491,7 +529,12 @@ def test_mat_mul_is_exact_at_the_largest_codes(p, n):
 @pytest.mark.parametrize("p,d,deg", [(3, 2, 1), (3, 2, 2), (3, 4, 2), (3, 6, 2), (3, 6, 3),
                                      (5, 2, 1), (5, 4, 2), (7, 2, 2), (3, 8, 4)])
 def test_subfield_root_is_the_lex_smallest_root(p, d, deg):
-    from orthosig.fields import _gf, subfield_root
+    # singer_generator(d / deg, F_(p^deg)) reads F_q codes through theta,
+    # the lex-smallest root in F_(p^d) of the modulus of F_q: rebuilt here
+    # from the tables of F_(p^d), its last column holds the coordinates of
+    # alpha^k in the F_p-basis alpha^j theta^i
+    from orthosig.fields import _gf
+    from orthosig.matgroups import singer_generator
 
     big = _gf(p, d)
     modulus = smallest_irreducible(p, deg)
@@ -504,7 +547,17 @@ def test_subfield_root_is_the_lex_smallest_root(p, d, deg):
 
     roots = [c for c in range(big.order) if value(c) == 0]
     assert len(roots) == deg
-    assert subfield_root(big, modulus, deg) == min(roots, key=big.coeffs)
+    fq, k = fq_context(p, deg), d // deg
+    A = singer_generator(k, fq).a
+    if k == 1:
+        assert A.tolist() == [[fq.generator]]
+        return
+    theta = min(roots, key=big.coeffs)
+    basis = np.array([big.digits[big.mul(big.pow(big.alpha, j), big.pow(theta, i))]
+                      for j in range(k) for i in range(deg)], dtype=np.int16).T
+    y = fq_context(p, 1).solve(basis, big.digits[big.pow(big.alpha, k)])
+    assert A[:, -1].tolist() == (y.reshape(k, deg) @ (p ** np.arange(deg))).tolist()
+    assert (A[:, :-1] == np.eye(k, k - 1, -1)).all()
 
 
 # q = 9, 25, 27, 49, 81, 121, 125: chunks of p + 1 terms, so n > p + 1
@@ -569,7 +622,9 @@ def test_packed_tables_have_q_squared_entries_and_only_for_e_above_1(p, e):
 def test_the_table_budget_bounds_q_before_any_table_is_built():
     import tracemalloc
 
-    from orthosig.fields import TABLE_BUDGET, FieldTower, FqContext, check_field_size, table_bytes_per_entry
+    from orthosig.fields import TABLE_BUDGET, FqContext, check_field_size, table_bytes_per_entry
+    from orthosig.lscore import space_for
+    from orthosig.matgroups import descriptor
 
     # 2 B each for ADD and MUL, and 4 B for PM and 2 B for UN when e > 1
     assert (table_bytes_per_entry(1), table_bytes_per_entry(2), TABLE_BUDGET) == (4, 10, 2 ** 26)
@@ -579,7 +634,8 @@ def test_the_table_budget_bounds_q_before_any_table_is_built():
     tracemalloc.start()
     try:
         for q, build in [(4099, lambda: FqContext(4099, 1)), (2809, lambda: FqContext(53, 2)),
-                         (4099, lambda: FieldTower(4099, 1, 1)), (2809, lambda: FieldTower(53, 2, 1))]:
+                         (4099, lambda: space_for(descriptor("O-", 4099, m=1))),
+                         (2809, lambda: space_for(descriptor("O-", 2809, m=1)))]:
             for attempt in (lambda: check_field_size(q), build):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
@@ -591,27 +647,33 @@ def test_the_table_budget_bounds_q_before_any_table_is_built():
 
 
 def test_the_table_budget_bounds_the_top_field_before_any_table_is_built():
+    # V = F_q^2m is bounded by q^2m (4em + 24) <= 64 MiB, the bound the
+    # tables of F_(q^2m) once set; no such table is built any more
     import tracemalloc
 
-    from orthosig.fields import FieldTower, check_tower_size, top_bytes_per_element
+    from orthosig.fields import check_tower_size
+    from orthosig.forms import build_space
+    from orthosig.lscore import space_for
+    from orthosig.matgroups import GroupDescriptor
 
-    # d int16 digits and the int64 exp, log and negation entries of F_(p^d)
-    assert [top_bytes_per_element(d) for d in (1, 2, 4)] == [26, 28, 32]
     # the last groups inside the budget for m = 1 and m = 2
     assert check_tower_size(1543, 1) == (1543, 1)
     assert check_tower_size(37 ** 2, 1) == (37, 2)
     assert check_tower_size(37, 2) == (37, 1)
     assert check_tower_size(5 ** 2, 2) == (5, 2)
+    assert build_space("plus", fq_context(37, 1), 2).n == 4
     tracemalloc.start()
     try:
         # 1549 and 41^2 are the first prime and e > 1 values of q past it
         # for m = 1, 41 and 7^2 for m = 2; each passes the q x q bound
         for p, e, m in [(1549, 1, 1), (41, 2, 1), (41, 1, 2), (7, 2, 2)]:
-            for attempt in (lambda: check_tower_size(p ** e, m), lambda: FieldTower(p, e, m)):
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                with pytest.raises(FieldError, match=f"q = {p ** e}, m = {m} is past .* 64 MiB"):
-                    attempt()
-                assert tracemalloc.get_traced_memory()[1] - before < 2 ** 20
+            for kind in ("O-", "O+", "Oodd"):
+                desc = GroupDescriptor(kind, p ** e, 2 * m + (kind == "Oodd"))
+                for attempt in (lambda: check_tower_size(p ** e, m), lambda: space_for(desc)):
+                    before = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    with pytest.raises(FieldError, match=f"q = {p ** e}, m = {m} is past .* 64 MiB"):
+                        attempt()
+                    assert tracemalloc.get_traced_memory()[1] - before < 2 ** 20
     finally:
         tracemalloc.stop()

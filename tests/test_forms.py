@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from leibniz import det_by_permutations
 
-from orthosig.fields import fq_context, make_tower, projective_points
+from orthosig.fields import fq_context, projective_points
 from orthosig.forms import (
     GeometryError,
     build_line_space,
@@ -32,9 +32,9 @@ from orthosig.matgroups import (
     group_order,
     identity,
     isotropic_point_count,
-    mult_matrix,
     neg_identity,
     scalar_mat,
+    singer_generator,
 )
 
 
@@ -52,19 +52,19 @@ COUNT_CASES = [
 
 @pytest.mark.parametrize("kind,q,m,expected", COUNT_CASES)
 def test_point_counts(kind, q, m, expected):
-    space = build_space(kind, make_tower(q, 1, m))
+    space = build_space(kind, fq_context(q, 1), m)
     pts = enumerate_isotropic_points(space)
     assert len(pts) == expected
     assert isotropic_point_count(kind, q, m) == expected
 
 
 def test_witt_indices():
-    assert build_space("minus", make_tower(3, 1, 2)).witt_index == 1
-    assert build_space("plus", make_tower(3, 1, 2)).witt_index == 2
-    assert build_space("odd", make_tower(3, 1, 2)).witt_index == 2
-    s = build_space("minus", make_tower(3, 1, 1))
+    assert build_space("minus", fq_context(3, 1), 2).witt_index == 1
+    assert build_space("plus", fq_context(3, 1), 2).witt_index == 2
+    assert build_space("odd", fq_context(3, 1), 2).witt_index == 2
+    s = build_space("minus", fq_context(3, 1), 1)
     assert s.witt_index == 0 and s.anis_dim == 2
-    sp = build_space("plus", make_tower(3, 1, 1))
+    sp = build_space("plus", fq_context(3, 1), 1)
     assert sp.witt_index == 1 and sp.anis_dim == 0
 
 
@@ -79,20 +79,20 @@ def test_gram_standard_blocks(minus32):
 
 def test_q_zero_every_kind():
     for kind in ("minus", "plus", "odd"):
-        s = build_space(kind, make_tower(3, 1, 1))
+        s = build_space(kind, fq_context(3, 1), 1)
         assert s.Q(np.zeros(s.n, dtype=np.int16)) == 0
 
 
 def test_is_isometry(minus32):
     s = minus32
     assert is_isometry(s, identity(s.fq, 4))
-    t = s.tower
-    beta = t.top.pow(t.alpha, 8)
-    assert preserves_form(s.fq, s.gram_model, mult_matrix(beta, t).a)
+    # multiplication by b = alpha^(q^m - 1), of norm 1
+    beta = singer_generator(4, s.fq).pow(8)
+    assert preserves_form(s.fq, s.gram_model, beta.a)
 
 
 def test_scalar_not_isometry_when_4_ne_1():
-    s5 = build_space("minus", make_tower(5, 1, 1))
+    s5 = build_space("minus", fq_context(5, 1), 1)
     assert not is_isometry(s5, scalar_mat(s5.fq, 2, 2))  # Q scales by 4 != 1 in F_5
 
 
@@ -109,7 +109,7 @@ def test_isometries_closed_under_product(minus32):
 def test_reflection_properties():
     # reflections(s) holds one reflection per non-singular point, in point order
     for kind in ("minus", "plus", "odd"):
-        s = build_space(kind, make_tower(3, 1, 1))
+        s = build_space(kind, fq_context(3, 1), 1)
         nonsing = [v for v in s.points() if s.Q(v) != 0]
         for v, a in list(zip(nonsing, reflections(s)))[:10]:
             r = Mat(s.fq, a)
@@ -121,7 +121,7 @@ def test_reflection_properties():
 @pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
 def test_canon_of_a_stack_is_the_canon_of_each_row(p, e):
     # the first nonzero entry of each row is scaled to 1; a zero row raises
-    s = build_space("odd", make_tower(p, e, 1))
+    s = build_space("odd", fq_context(p, e), 1)
     V = np.array([[0, 2, 1], [1, 0, 0], [0, 0, s.q - 1], [s.q - 1, 1, 2]], dtype=np.int16)
     got = s.canon(V)
     assert got.shape == V.shape and got.dtype == np.int16
@@ -169,9 +169,9 @@ def test_siegel_properties(minus32):
 
 
 def test_witt_basis_shapes():
-    sp = build_space("plus", make_tower(3, 1, 1))
+    sp = build_space("plus", fq_context(3, 1), 1)
     assert sp.witt_index == 1 and sp.anis_gram.shape == (0, 0)
-    sm = build_space("minus", make_tower(3, 1, 1))
+    sm = build_space("minus", fq_context(3, 1), 1)
     assert sm.witt_index == 0 and sm.anis_gram.shape == (2, 2)
 
 
@@ -187,7 +187,7 @@ def test_membership_families(minus32):
 
 
 def test_omega_audit_reports():
-    s = build_space("minus", make_tower(3, 1, 2))
+    s = build_space("minus", fq_context(3, 1), 2)
     audit = omega_audit(s)
     assert audit["group_size"] == 720
     assert audit["omega_size"] == 360
@@ -201,7 +201,7 @@ def test_omega_audit_reports():
 
 def test_enumerate_isometry_group_sizes():
     for kind, fam, q, m in [("minus", "O-", 3, 1), ("plus", "O+", 3, 1), ("odd", "Oodd", 3, 1)]:
-        s = build_space(kind, make_tower(q, 1, m))
+        s = build_space(kind, fq_context(q, 1), m)
         n = 2 * m + (1 if kind == "odd" else 0)
         assert len(enumerate_isometry_group(s, "O")) == group_order(descriptor(fam, q, n=n))
 
@@ -219,7 +219,7 @@ def _first_anisotropic_plane(s):
 @pytest.mark.parametrize("kind,p,e,m", [("plus", 3, 1, 2), ("plus", 5, 1, 2), ("plus", 3, 2, 2),
                                         ("plus", 3, 1, 3), ("minus", 3, 1, 2), ("odd", 5, 1, 1)])
 def test_anisotropic_plane_is_the_first_of_the_pair_scan(kind, p, e, m):
-    s = build_space(kind, make_tower(p, e, m))
+    s = build_space(kind, fq_context(p, e), m)
     assert find_anisotropic_plane(s).tolist() == _first_anisotropic_plane(s)
 
 
@@ -333,7 +333,7 @@ def _member_by_definition(space, g, family):
        st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_membership_of_a_stack_matches_one_at_a_time(spec, seed):
     kind, p, e, m = spec
-    space = build_space(kind, make_tower(p, e, m))
+    space = build_space(kind, fq_context(p, e), m)
     fq, n = space.fq, space.n
     refl = reflections(space)
     rng = random.Random(seed)
@@ -395,7 +395,7 @@ def test_hypothesis_stacked_quad_matches_rows(pe, n, k, data):
 def test_reflections_match_the_closed_form_per_vector(kind, p, e, m):
     # one reflection per non-singular point, in point order, with the bytes
     # of I - Q(v)^-1 v (Gv)^T built entry by entry
-    s = build_space(kind, make_tower(p, e, m))
+    s = build_space(kind, fq_context(p, e), m)
     fq = s.fq
     nonsing = [v for v in s.points() if _quad_by_entries(fq, s.gram, v)]
     got = reflections(s)
@@ -410,7 +410,7 @@ def test_reflections_match_the_closed_form_per_vector(kind, p, e, m):
 
 def test_reflections_are_one_read_only_stack():
     # every caller shares the cached stack, so it cannot be edited in place
-    s = build_space("minus", make_tower(3, 1, 2))
+    s = build_space("minus", fq_context(3, 1), 2)
     R = reflections(s)
     assert R is reflections(s)
     assert R.dtype == np.int16 and R.shape == (len(s.points()) - len(s.isotropic_points()), 4, 4)
@@ -421,7 +421,7 @@ def test_reflections_are_one_read_only_stack():
 def test_point_sets_are_read_only_arrays():
     # the cached points and singular points are shared by every caller as
     # (N, n) int16 arrays, the singular ones in point order
-    s = build_space("minus", make_tower(3, 1, 2))
+    s = build_space("minus", fq_context(3, 1), 2)
     P, L = s.points(), s.isotropic_points()
     assert P is s.points() and L is s.isotropic_points()
     assert P.dtype == L.dtype == np.int16 and P.shape == (40, 4) and L.shape == (10, 4)
@@ -432,7 +432,7 @@ def test_point_sets_are_read_only_arrays():
 
 
 def test_so_generators_are_the_first_reflection_times_each_other():
-    s = build_space("odd", make_tower(3, 1, 1))
+    s = build_space("odd", fq_context(3, 1), 1)
     R = [Mat(s.fq, a) for a in reflections(s)]
     assert [a.tobytes() for a in so_generators(s)] == [(R[0] * r).key for r in R[1:]]
     # the line has one reflection, -1, and SO_1 is trivial
@@ -503,3 +503,41 @@ def test_witt_bases_of_the_survey_grid_match_golden_hashes(fam, q, n):
 
     C = space_for(descriptor(fam, q, n=n)).C
     assert hashlib.sha256(C.tobytes()).hexdigest() == SPACE_C_SHA256[(fam, q, n)]
+
+
+# SHA-256 of the model gram and of the Witt basis C of `space_for`, e > 1
+# for all three kinds and groups past the survey grid, recorded before the
+# geometry was built on powers of the Singer matrix
+MODEL_SHA256 = {
+    ("O-", 9, 4): ("a88bb742ef5f8bc6f56e17feae811d1566d9a244f30b28a9c3ccb736cb84042e",
+        "1356e72619c32c5e7ac9e540edabbe10c58d63fce3030def648568890191b1ca"),
+    ("O+", 9, 4): ("ede7dccddbda2a815bcccaa8f537b5c6f95c9382aa23fe0f6466a52702f28c9e",
+        "537ec252bbdc35469245a1e2a5c84d185e49b97d5cf7c6839a9fafe401606f0d"),
+    ("Oodd", 9, 5): ("7380600d14ff720df6ce42771b0fb8a0071b82fd0fa8c4a9df174c669ad4ff7d",
+        "6242c7567051cc1f4b8b2b743e27570880196de635d1cce53d198004074b78a4"),
+    ("O-", 25, 4): ("3bc039ed5ad77cea9a8edc30fd89bf71e78983442b5d9da0cd78a30c75102a79",
+        "ca0ac47fd3f8dded3d9e5752a15312236872ac0773f98bc9ab3124001d18b937"),
+    ("O+", 25, 4): ("7070c4e0dfef5836d335be37b6c13e968756292ede740f7e18977f09a02cad3d",
+        "024a3afc9d914370f47fdafd3dd228c8beb26a80db5083b572633e758656b416"),
+    ("Oodd", 25, 3): ("e2b4f1e21e0e7269247aa4e7f0485f3d3b6cf2d0a47f9e6c0f2fc1db9f264c18",
+        "ccba03190873efb2b9f837b14a6899e2f083976d2e29d78d45b83ec2d44552ab"),
+    ("O-", 5, 6): ("d864af8877c181b1034404623a68c15debb6d12726d423f70f49e13b97c90dcc",
+        "e712ce4d0fadfeb831052a1d1ebacf7679f6715ee47363b1d9b6e7648a618a65"),
+    ("O+", 5, 6): ("7ff56c75499a919ccd30b498b5d7992110b296e3304e40da4344ffc4256cfa66",
+        "240ce9de63482bc6e3a3305b5141a5f0b704e2c5b0a7fad51a832771f55282f9"),
+    ("O-", 3, 8): ("dab54184987449f59f54988e1be6e55d885221bad064ca7c002b7c7c93194983",
+        "8fbc4d939943ffffec46adaee3d74b55a1f60a6d7c5b5e175864ff9aa7553186"),
+    ("O+", 3, 8): ("3816741aeab60ee82cf8c2ac0884a615ee52626fa5195d6bd9eef37c58aeff47",
+        "d0b3fde6f0c480d5c27d89b0b5a6426f59c1f39e2dcd802eba686de58348031f"),
+}
+
+
+@pytest.mark.parametrize("fam,q,n", sorted(MODEL_SHA256))
+def test_model_grams_and_witt_bases_match_golden_hashes(fam, q, n):
+    import hashlib
+
+    from orthosig.lscore import space_for
+
+    space = space_for(descriptor(fam, q, n=n))
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (space.gram_model, space.C))
+    assert got == MODEL_SHA256[(fam, q, n)]

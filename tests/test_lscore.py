@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from headblocks import head_blocks, stage_spread
-from orthosig.fields import fq_context, make_tower
+from orthosig.fields import fq_context
 from orthosig.forms import build_space, enumerate_isometry_group
 from orthosig.lscore import (
     InjectivityFail,
@@ -224,7 +224,7 @@ def test_cyclic_set_rejects_oversize():
 
 
 def test_semidirect_parabolic_o4minus():
-    space = build_space("minus", make_tower(3, 1, 2))
+    space = build_space("minus", fq_context(3, 1), 2)
     ls = parabolic_ls(space, 1)
     R, Q = ls.blocks
     assert len(R) * len(Q) == ls.claimed_order == 144
@@ -236,17 +236,17 @@ def test_semidirect_parabolic_o4minus():
 
 
 def test_parabolic_sizes():
-    s4 = build_space("minus", make_tower(3, 1, 2))
+    s4 = build_space("minus", fq_context(3, 1), 2)
     ls = parabolic_ls(s4, 1)
     assert ls.meta["R_size"] == 9 and ls.meta["Q_size"] == 16 and ls.claimed_order == 144
     assert ls.claimed_order == group_order(descriptor("O-", 3, n=4)) // 10
-    s3 = build_space("odd", make_tower(3, 1, 1))
+    s3 = build_space("odd", fq_context(3, 1), 1)
     ls3 = parabolic_ls(s3, 1)
     assert ls3.meta["R_size"] == 3 and ls3.meta["Q_size"] == 4 and ls3.claimed_order == 12
 
 
 def test_parabolic_k2_shape():
-    s6 = build_space("minus", make_tower(3, 1, 3))
+    s6 = build_space("minus", fq_context(3, 1), 3)
     ls = parabolic_ls(s6, 2)
     # q^{k(k-1)/2 + k(2m-2k)} = 3^{1+4}
     assert ls.meta["R_size"] == 243
@@ -254,7 +254,7 @@ def test_parabolic_k2_shape():
 
 
 def test_parabolic_k_bounds():
-    s4 = build_space("minus", make_tower(3, 1, 2))
+    s4 = build_space("minus", fq_context(3, 1), 2)
     with pytest.raises(LsError):
         parabolic_ls(s4, 2)  # witt index is 1
 
@@ -329,20 +329,20 @@ def test_sampled_verify_needs_at_least_one_sample(samples):
 
 
 def test_spread_construction_shapes():
-    s = build_space("minus", make_tower(3, 1, 2))
+    s = build_space("minus", fq_context(3, 1), 2)
     plan = spread_construction(s, "O-")
     assert plan.shape == "twisted"
     assert plan.literal_ok is False
     assert plan.partition["ok"]
     assert len(plan.members) == 10
-    sp = build_space("plus", make_tower(3, 1, 2))
+    sp = build_space("plus", fq_context(3, 1), 2)
     plan2 = spread_construction(sp, "O+")
     assert plan2.shape == "literal" and plan2.literal_ok
     assert plan2.partition["points_per_member"] == 4
 
 
 def test_spread_construction_a_block_bijects():
-    s = build_space("plus", make_tower(3, 1, 2))
+    s = build_space("plus", fq_context(3, 1), 2)
     plan = spread_construction(s, "O+")
     (kind, gen, size), = plan.layers
     from orthosig.spreads import act_subspace
@@ -356,7 +356,7 @@ def test_spread_construction_a_block_bijects():
 
 
 def test_spread_construction_odd_m2_degrades():
-    s = build_space("odd", make_tower(3, 1, 2))
+    s = build_space("odd", fq_context(3, 1), 2)
     plan = spread_construction(s, "Oodd")
     assert plan.shape == "transversal"
     assert plan.partition["ok"]
@@ -364,7 +364,7 @@ def test_spread_construction_odd_m2_degrades():
 
 
 def test_spread_empty_for_anisotropic():
-    s = build_space("minus", make_tower(3, 1, 1))
+    s = build_space("minus", fq_context(3, 1), 1)
     plan = spread_construction(s, "O-")
     assert plan.shape == "empty"
 
@@ -436,7 +436,7 @@ def test_project_so4minus():
 def test_project_aliased_block_is_absorbed():
     # a fully aliased cyclic block is halved by keeping one lift per pair
     fq = fq_context(3, 1)
-    space = build_space("minus", make_tower(3, 1, 1))
+    space = build_space("minus", fq_context(3, 1), 1)
     G = enumerate_isometry_group(space, "O")
     so = [g for g in G if g.det() == 1]  # cyclic of order 4 containing -I
     gen = next(g for g in so if g != identity(fq, 2) and g * g != identity(fq, 2))
@@ -469,7 +469,7 @@ def test_bound_additivity(s):
 
 
 def test_parabolic_so_variant():
-    space = build_space("minus", make_tower(3, 1, 2))
+    space = build_space("minus", fq_context(3, 1), 2)
     ls = parabolic_ls(space, 1, "SO")
     # q^{2m-2} : (GL_1 x SO_2^-(3)) = 9 * 2 * 4
     assert ls.meta["R_size"] == 9 and ls.meta["Q_size"] == 8
@@ -607,7 +607,7 @@ def test_decode_plans_match_golden_hashes(fam, q, n):
     assert h.hexdigest() == PLAN_SHA256[(fam, q, n)]
 
 
-# SHA-256 of json.dumps(parabolic_ls(build_space(kind, make_tower(p, 1, m)),
+# SHA-256 of json.dumps(parabolic_ls(build_space(kind, fq_context(p, 1), m),
 # k).to_json(), sort_keys=True), recorded before the Eichler maps were
 # merged: the unipotent radical is the closure of those maps.
 PARABOLIC_SHA256 = {
@@ -624,7 +624,7 @@ def test_parabolic_signatures_match_golden_hashes(kind, p, m, k):
     import hashlib
     import json
 
-    ls = parabolic_ls(build_space(kind, make_tower(p, 1, m)), k)
+    ls = parabolic_ls(build_space(kind, fq_context(p, 1), m), k)
     doc = json.dumps(ls.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == PARABOLIC_SHA256[(kind, p, m, k)]
 
@@ -946,8 +946,8 @@ def test_parabolic_reuses_its_middle_space():
     # a new space, so that no earlier call has filled the caches for it
     from orthosig.forms import QuadraticSpace, reflections
 
-    s = build_space("minus", make_tower(3, 1, 2))
-    space = QuadraticSpace(s.kind, s.tower, s.fq, s.gram_model)
+    s = build_space("minus", fq_context(3, 1), 2)
+    space = QuadraticSpace(s.kind, s.fq, s.gram_model)
     before = (enumerate_isometry_group.cache_info().currsize, reflections.cache_info().currsize)
     for _ in range(3):
         parabolic_ls(space, 1)
@@ -974,7 +974,7 @@ def test_plane_block_is_the_first_swapping_generator(q, capsys):
     from orthosig.fields import split_prime_power
     from orthosig.forms import o_generators
 
-    s = build_space("plus", make_tower(*split_prime_power(q), 1))
+    s = build_space("plus", fq_context(*split_prime_power(q)), 1)
     plan = spread_construction(s, "O+")
     (kind, gen, size), = plan.layers
     assert (plan.shape, kind, size) == ("cyclic", "cyc", 2)
@@ -987,7 +987,7 @@ def test_plane_block_is_the_first_swapping_generator(q, capsys):
 def test_plane_so_has_no_transitive_block():
     # SO fixes both singular points of the plane, so even the point
     # transversal cannot be built
-    s = build_space("plus", make_tower(3, 1, 1))
+    s = build_space("plus", fq_context(3, 1), 1)
     with pytest.raises(RuntimeError, match="^orbit has 1 members, expected 2$"):
         spread_construction(s, "SO+")
 

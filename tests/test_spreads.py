@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from headblocks import stage_spread
 from leibniz import det_by_permutations, rref_by_rows
 
-from orthosig.fields import fq_context, make_tower, projective_points
+from orthosig.fields import fq_context, projective_points
 from orthosig.forms import build_space, enumerate_isotropic_points
 from orthosig.matgroups import Mat, descriptor, element_order, identity, powers, standard_generators
 from orthosig.spreads import (
@@ -29,27 +29,27 @@ def all_points(fq, n):
 
 
 def test_classical_spread_31():
-    t = make_tower(3, 1, 1)
-    sp = classical_spread(t)
+    fq = fq_context(3, 1)
+    sp = classical_spread(fq, 1)
     assert len(sp) == 4  # q^m + 1
     covered = set()
     for m in sp.members:
-        for v in span_points(t.fq, m):
+        for v in span_points(fq, m):
             covered.add(v.tobytes())
     # 4 lines, 2 nonzero vectors each, covering all 8 = all 4 points of P(F_9)
     assert len(covered) == 4
-    rep = verify_partition(sp, all_points(t.fq, 2), t.fq)
+    rep = verify_partition(sp, all_points(fq, 2), fq)
     assert rep["ok"] and rep["points_per_member"] == 1
 
 
 def test_classical_spread_w0_is_subfield():
-    t = make_tower(3, 1, 2)
-    sp = classical_spread(t)
+    fq = fq_context(3, 1)
+    sp = classical_spread(fq, 2)
     assert len(sp) == 10
     w0 = sp.members[0]
-    # the first member is F_{q^m} itself: contains the vector of 1
-    one = t.top_to_vec(1)
-    assert len(subspace(t.fq, np.vstack([w0, one]))) == len(w0)
+    # the first member is F_{q^m} itself: contains the vector of 1, e_0
+    one = fq.identity(4)[0]
+    assert len(subspace(fq, np.vstack([w0, one]))) == len(w0)
 
 
 @pytest.mark.parametrize("p,e,m", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 1), (5, 1, 2), (7, 1, 1), (3, 2, 1),
@@ -57,12 +57,34 @@ def test_classical_spread_w0_is_subfield():
 def test_classical_spread_partitions_V(p, e, m):
     # over F_{p^e} the e m spanning vectors of a translate have F_q-rank m:
     # each member is the m nonzero rows of its echelon form
-    t = make_tower(p, e, m)
-    sp = classical_spread(t)
-    assert sp.members.shape == (t.q ** m + 1, m, 2 * m) and sp.members.dtype == np.int16
+    fq = fq_context(p, e)
+    sp = classical_spread(fq, m)
+    assert sp.members.shape == (fq.q ** m + 1, m, 2 * m) and sp.members.dtype == np.int16
     assert (sp.members != 0).any(axis=-1).all()
-    rep = verify_partition(sp, all_points(t.fq, 2 * m), t.fq)
+    rep = verify_partition(sp, all_points(fq, 2 * m), fq)
     assert rep["ok"]
+
+
+# SHA-256 of the member stack of classical_spread(fq_context(p, e), m),
+# keyed (p, e, m), recorded while it was built from tables of F_(q^2m)
+CLASSICAL_SPREAD_SHA256 = {
+    (3, 1, 1): "78888781dcc1d7801b76acac7e1c311c20d2b454a0f0520b5af9f23bbf94ed58",
+    (3, 1, 2): "a7bc67c45ea739c1a7450f115458fb29dd48e707c350b09df50711c1e72b27af",
+    (3, 1, 3): "b7ce33c2301334bc9d849e3e940b97d3ca9f2e20d6540e233f4de6bfb6469c07",
+    (5, 1, 1): "14060d64bf39f6f9cd18acef40c0a2ea4c95be367e6d6146d2377920ffa64c71",
+    (5, 1, 2): "607d063f7436c5c26011190473c470fedd2657dc65adcfc1159b938a6bda4a04",
+    (7, 1, 1): "3aec088eabf6802d58f989ae505a9adb89399b987503d7d56b6fcc5f729fb531",
+    (3, 2, 1): "626e73c8015371b36ce6b8c605de3aaaae0c4a7f2ddc55041a704df4c611d1f5",
+    (5, 2, 1): "fb719b156a97cf9f97f6db552b282829d59360fe9760f5000eaf1ce875a79d8a",
+}
+
+
+@pytest.mark.parametrize("p,e,m", sorted(CLASSICAL_SPREAD_SHA256))
+def test_classical_spread_members_match_golden_hashes(p, e, m):
+    import hashlib
+
+    sp = classical_spread(fq_context(p, e), m)
+    assert hashlib.sha256(sp.members.tobytes()).hexdigest() == CLASSICAL_SPREAD_SHA256[(p, e, m)]
 
 
 def _walked_spread(fq, walk):
@@ -78,8 +100,7 @@ def _orbits(g, bases, steps):
 
 
 def test_orbit_partial_spread_identity():
-    t = make_tower(3, 1, 2)
-    s = build_space("minus", t)
+    s = build_space("minus", fq_context(3, 1), 2)
     W0 = subspace(s.fq, [s.e_vec(0)])
     orbits = _orbits(identity(s.fq, 4), W0[None], 1)
     assert orbits.ret.tolist() == [1]
@@ -91,8 +112,7 @@ def test_orbit_partial_spread_identity():
 def test_orbit_partial_spread_minus_torus_collapses():
     # the cyclic block of order 10 only reaches 5 distinct images: its
     # fifth power is -I, which fixes every subspace
-    t = make_tower(3, 1, 2)
-    s = build_space("minus", t)
+    s = build_space("minus", fq_context(3, 1), 2)
     a, _ = standard_generators(descriptor("O-", 3, n=4), s)
     W0 = subspace(s.fq, [enumerate_isotropic_points(s)[0]])
     orbits = _orbits(a, W0[None], 10)
@@ -116,15 +136,14 @@ def test_orbit_partial_spread_plus_sharp():
 
 
 def test_overlapping_members_raise():
-    t = make_tower(3, 1, 2)
-    s = build_space("plus", t)
+    s = build_space("plus", fq_context(3, 1), 2)
     W1 = subspace(s.fq, [s.e_vec(0), s.e_vec(1)])
     W2 = subspace(s.fq, [s.e_vec(0), s.f_vec(1)])
     sp = PartialSpread([W1, W2], s.fq)
     with pytest.raises(NotAPartialSpread):
         sp.check_pairwise()
     # pairs (0, 3) and (1, 2) meet; the first in row-major order is the witness
-    s = build_space("plus", make_tower(3, 1, 3))
+    s = build_space("plus", fq_context(3, 1), 3)
     (e0, e1, e2), (f0, f1, f2) = [s.e_vec(i) for i in range(3)], [s.f_vec(i) for i in range(3)]
     sp = PartialSpread([subspace(s.fq, [e0, e1]), subspace(s.fq, [e2, f0]), subspace(s.fq, [f0, f1]),
                         subspace(s.fq, [e1, f2])], s.fq)
@@ -134,8 +153,7 @@ def test_overlapping_members_raise():
 
 
 def test_duplicate_member_violation():
-    t = make_tower(3, 1, 2)
-    s = build_space("plus", t)
+    s = build_space("plus", fq_context(3, 1), 2)
     W1 = subspace(s.fq, [s.e_vec(0), s.e_vec(1)])
     with pytest.raises(NotAPartialSpread):
         PartialSpread([W1, W1], s.fq)
@@ -143,8 +161,7 @@ def test_duplicate_member_violation():
 
 def test_partition_violation_report():
     # a member list missing part of L yields an uncovered violation
-    t = make_tower(3, 1, 2)
-    s = build_space("minus", t)
+    s = build_space("minus", fq_context(3, 1), 2)
     pts = enumerate_isotropic_points(s)
     members = [subspace(s.fq, [v]) for v in pts[:8]]
     rep = verify_partition(PartialSpread(members, s.fq), pts, s.fq)
@@ -154,8 +171,7 @@ def test_partition_violation_report():
 
 
 def test_act_subspace():
-    t = make_tower(3, 1, 2)
-    s = build_space("plus", t)
+    s = build_space("plus", fq_context(3, 1), 2)
     W = subspace(s.fq, [s.e_vec(0), s.e_vec(1)])
     g = identity(s.fq, 4)
     assert act_subspace(g, W).tobytes() == W.tobytes()
@@ -208,7 +224,7 @@ def test_orbit_precheck_matches_check_pairwise():
 
     seen = set()
     for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 3), ("odd", "Oodd", 2)]:
-        s = build_space(kind, make_tower(3, 1, m))
+        s = build_space(kind, fq_context(3, 1), m)
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
         bases, _ = ts_subspace_transporters(s, False)
         orbits = _orbits(lit, bases, 12)
@@ -235,7 +251,7 @@ def test_members_that_meet_never_partition_the_singular_points():
 
     raised = 0
     for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 2), ("odd", "Oodd", 2), ("plus", "O+", 3)]:
-        s = build_space(kind, make_tower(3, 1, m))
+        s = build_space(kind, fq_context(3, 1), m)
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
         bases, _ = ts_subspace_transporters(s, False)
         orbits = _orbits(lit, bases, element_order(lit, 100))
@@ -259,7 +275,7 @@ def test_cyclic_orbits_walk_each_orbit_once_with_orbit_walks_images():
     from orthosig.lscore import ts_subspace_transporters
 
     for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 3), ("odd", "Oodd", 2)]:
-        s = build_space(kind, make_tower(3, 1, m))
+        s = build_space(kind, fq_context(3, 1), m)
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
         bases, _ = ts_subspace_transporters(s, False)
         for steps in (3, 12):
@@ -281,7 +297,7 @@ def test_schreier_transversal_keeps_bfs_order(kind, p, e, m, r):
     # one-generator-at-a-time BFS does
     from orthosig.forms import o_generators
 
-    s = build_space(kind, make_tower(p, e, m))
+    s = build_space(kind, fq_context(p, e), m)
     gens = o_generators(s)
     mats = [Mat(s.fq, a) for a in gens]
     W0 = subspace(s.fq, [s.e_vec(i) for i in range(r)])
@@ -306,7 +322,7 @@ def test_schreier_transversal_raises_beyond_the_cap(monkeypatch):
     from orthosig import spreads
     from orthosig.forms import o_generators
 
-    s = build_space("minus", make_tower(3, 1, 2))  # 10 singular points
+    s = build_space("minus", fq_context(3, 1), 2)  # 10 singular points
     w0 = enumerate_isotropic_points(s)[0]
     monkeypatch.setattr(spreads, "_TRANSVERSAL_CAP", 10)
     bases, moves = schreier_transversal(s.fq, w0[None, :], o_generators(s), 10)
@@ -341,7 +357,7 @@ def test_schreier_transversal_stops_at_the_closed_form_size(kind, q, m, det1):
     from orthosig.fields import split_prime_power
     from orthosig.matgroups import isotropic_point_count, maximal_ts_count
 
-    s = build_space(kind, make_tower(*split_prime_power(q), m))
+    s = build_space(kind, fq_context(*split_prime_power(q)), m)
     gens = so_generators(s) if det1 else o_generators(s)
     r = s.witt_index
     ts_size = maximal_ts_count(kind, q, r) // (2 if det1 and kind == "plus" else 1)
@@ -366,7 +382,7 @@ def test_ts_subspace_transporters_are_read_only_stacks():
     # their transporters are two stacks that cannot be edited in place
     from orthosig.lscore import ts_subspace_transporters
 
-    s = build_space("plus", make_tower(3, 1, 2))
+    s = build_space("plus", fq_context(3, 1), 2)
     bases, moves = ts_subspace_transporters(s, False)
     assert bases is ts_subspace_transporters(s, False)[0]
     assert bases.dtype == moves.dtype == np.int16
