@@ -210,6 +210,9 @@ def cmd_factor(args):
     ls_file = load_ls(args.infile)
     desc = ls_file.group
     ls = canonical_ls(desc)
+    if ls_file.claimed_order != ls.claimed_order:
+        raise ValueError(f"signature file claims order {ls_file.claimed_order}, but {desc.family} n={desc.n} "
+                         f"q={desc.q} has order {ls.claimed_order}")
     mismatch = ls.blocks != ls_file.blocks
     if args.rank is None and args.element_file is None:
         return _report(args, {"error": "need --rank or --element-file"}, ["nothing to factor"], 2)

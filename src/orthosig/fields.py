@@ -270,12 +270,6 @@ class GF:
             return 0
         return int(self.exp[(self.log[a] * k) % (self.order - 1)])
 
-    def element_order(self, a):
-        if a == 0:
-            raise FieldError("0 has no multiplicative order")
-        n1 = self.order - 1
-        return n1 // int(np.gcd(int(self.log[a]), n1))
-
     def coeffs(self, a) -> tuple[int, ...]:
         return tuple(int(c) for c in self.digits[a])
 
@@ -391,6 +385,10 @@ class FqContext:
                 sums //= p * p
         self.two_inv = self.gf.inv(2 % q if self.p != 2 else 1)
         self.generator = gf.alpha
+        # a product s u of two codes fits int16 below p = 182, and a sum of
+        # n of them for n up to `int16_width`: n (p - 1)^2 < 2^15
+        self.int16_products = p <= 181
+        self.int16_width = (2 ** 15 - 1) // (p - 1) ** 2
 
     # -- scalars
     def add(self, a, b):
@@ -415,8 +413,7 @@ class FqContext:
 
     def v_scale(self, s, u):
         if self.fast:
-            # s * u overflows int16 once p > 181
-            if self.p <= 181 and u.dtype == np.int16 and getattr(s, "dtype", np.int16) == np.int16:
+            if self.int16_products and u.dtype == np.int16 and getattr(s, "dtype", np.int16) == np.int16:
                 return (s * u) % self.p
             return ((s * u.astype(np.int64)) % self.p).astype(np.int16)
         return self.MUL[s, u]
@@ -434,7 +431,7 @@ class FqContext:
     def mat_mul(self, A, B):
         """A @ B; stacks of matrices broadcast as in numpy's matmul."""
         if self.fast:
-            if A.dtype == B.dtype == np.int16 and A.shape[-1] * (self.p - 1) ** 2 < 2 ** 15:
+            if A.dtype == B.dtype == np.int16 and A.shape[-1] <= self.int16_width:
                 # every sum of products of codes fits int16, so no widening
                 return (A @ B) % self.p
             return ((A.astype(np.int64) @ B.astype(np.int64)) % self.p).astype(np.int16)
@@ -461,8 +458,6 @@ class FqContext:
 
     def mat_vec(self, A, v):
         """A v for a vector v and a matrix A, or each matrix of a stack."""
-        if self.fast:
-            return ((A.astype(np.int64) @ v.astype(np.int64)) % self.p).astype(np.int16)
         return self.mat_mul(A, v[:, None])[..., 0]
 
     def rref(self, A):
@@ -486,7 +481,7 @@ class FqContext:
         if self.fast:
             p = self.p
             # below p = 182 every a - f x of codes fits int16
-            R = np.array(A, dtype=np.int16 if p <= 181 else np.int64, ndmin=3) % p
+            R = np.array(A, dtype=np.int16 if self.int16_products else np.int64, ndmin=3) % p
 
             def mul(s, x):
                 return (s * x) % p

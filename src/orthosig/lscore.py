@@ -73,6 +73,7 @@ class LengthBound:
     bound: int
 
 
+@cache
 def min_length_bound(order: int) -> LengthBound:
     """Sum of a_j * p_j over the prime factorization of the order."""
     if order < 1:
@@ -180,22 +181,9 @@ class ProductTables:
     def products(self, ivs):
         """The left-to-right block products of the index vectors of ivs, a
         (k, blocks) array, as a (k, n, n) int16 stack: one gathered row per
-        segment and one stacked product per segment after the first.  For
-        prime q the running product is an int64 stack reduced mod p only
-        when the next product could overflow 63 bits."""
+        segment and one stacked `mat_mul` per segment after the first."""
         rows = np.asarray(ivs, dtype=np.int64).dot(self.weights)
-        stacks = [T.take(r, axis=0) for T, r in zip(self.tables, rows.T)]
-        if len(stacks) == 1:
-            return stacks[0]
-        if not self.fq.fast:
-            return reduce(self.fq.mat_mul, stacks)
-        p, n = self.fq.p, self.n
-        P, top = stacks[0].astype(np.int64), p - 1  # top bounds every entry of P
-        for X in stacks[1:]:
-            if top * n * (p - 1) >= 2 ** 63:
-                P, top = P % p, p - 1
-            P, top = P @ X, top * n * (p - 1)
-        return (P % p).astype(np.int16)
+        return reduce(self.fq.mat_mul, [T.take(r, axis=0) for T, r in zip(self.tables, rows.T)])
 
     def walk(self):
         """Every block product, in itertools.product order, as consecutive
@@ -784,9 +772,9 @@ class _StagePlan(_Plan):
         H = hw.reshape(k, n * n)
         lam = H[:, 0]
         u = fq.v_scale(lam[:, None], H.take(self._u_at, axis=1))
-        v = fq.mat_mul(u[:, None, :], self.sp_gram)
-        v[:, 0, 0] = 1
-        border = np.concatenate([H.take(self._border_at, axis=1), fq.mat_mul(v, hw)[:, 0, 1:]], axis=1)
+        v = fq.mat_mul(u, self.sp_gram)  # row i is (G u_i)^T
+        v[:, 0] = 1
+        border = np.concatenate([H.take(self._border_at, axis=1), fq.mat_mul(v[:, None], hw)[:, 0, 1:]], axis=1)
         border[:, n - 1 + R] -= fq.INV.take(lam)
         border[:, 2 * n - 2 + R] -= fq.NEG.take(H[:, R])
         ysub = H.take(self._residue_at, axis=1).reshape(k, len(self.SP), len(self.SP))
@@ -1358,10 +1346,9 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         failures = []
         for ivs, A in _sampled_products(rng, ls, samples):
             digits, errors = ls.plan.decode_many(A)
-            for r, iv in enumerate(ivs):
+            for r, (iv, got) in enumerate(zip(ivs, digits.tolist())):
                 if r in errors:
                     raise errors[r]
-                got = digits[r].tolist()
                 if got != iv:
                     failures.append({"iv": iv, "got": got})
                     if len(failures) > 5:
@@ -1400,10 +1387,22 @@ _CHUNK = 256
 
 def _sampled_products(rng, ls, samples):
     """Uniform index vectors and their products, in chunks of _CHUNK; rng
-    is drawn one vector at a time, in sample order."""
+    is drawn one vector at a time, in sample order.  Each digit below s is
+    drawn as `rng.randrange(s)` draws it, getrandbits(s.bit_length()) again
+    while it is at least s, without its two calls per digit."""
     tables = ls.product_tables()
+    draw = rng.getrandbits
+    radices = [(s, s.bit_length()) for s in tables.sizes]
     for start in range(0, samples, _CHUNK):
-        ivs = [[rng.randrange(s) for s in tables.sizes] for _ in range(min(_CHUNK, samples - start))]
+        ivs = []
+        for _ in range(min(_CHUNK, samples - start)):
+            iv = []
+            for s, k in radices:
+                x = draw(k)
+                while x >= s:
+                    x = draw(k)
+                iv.append(x)
+            ivs.append(iv)
         yield ivs, tables.products(ivs)
 
 

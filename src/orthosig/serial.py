@@ -16,14 +16,29 @@ def save_ls(ls: LogSignature, path: str):
 
 
 def load_ls(path: str) -> LogSignature:
+    """The signature of a file `save_ls` wrote.  Before any field or matrix
+    is built, the document must be an object with a group descriptor, an
+    int `claimed_order`, `blocks` a list of lists of matrix records (each a
+    dict whose int `"n"` is the group's n and whose `entries` are n rows of
+    n) and, if any, a dict `meta`; anything else raises a ValueError."""
     with open(path) as fh:
         d = json.load(fh)
-    if d.get("group") is None:
+    if not isinstance(d, dict) or not isinstance(d.get("group"), dict):
         raise ValueError("signature file carries no group descriptor")
     desc = GroupDescriptor.from_json(d["group"])
     if not is_int(d["claimed_order"]):
         raise ValueError(f"claimed_order must be an int, got {d['claimed_order']!r}")
+    blocks, n = d.get("blocks"), desc.n
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise ValueError("blocks must be a list of lists of matrix records")
+    for i, b in enumerate(blocks):
+        for j, m in enumerate(b):
+            rows = m.get("entries") if isinstance(m, dict) else None
+            if not (isinstance(rows, list) and len(rows) == n and is_int(m.get("n")) and m["n"] == n
+                    and all(isinstance(row, list) and len(row) == n for row in rows)):
+                raise ValueError(f'element {j} of block {i} is not a {n}x{n} matrix record labelled "n": {n}')
+    if not isinstance(d.get("meta", {}), dict):
+        raise ValueError(f"meta must be an object, got {d['meta']!r}")
     fq = fq_context(desc.p, desc.e)
-    blocks = [[Mat.from_json(fq, m) for m in b] for b in d["blocks"]]
+    blocks = [[Mat.from_json(fq, m) for m in b] for b in blocks]
     return LogSignature(desc, blocks, d["claimed_order"], meta=d.get("meta", {}))
-

@@ -571,6 +571,99 @@ def test_a_number_that_is_not_an_int_in_a_signature_file_exits_2(mutate, tmp_pat
         assert "error" in parse_stdout(out.out)[0] and "Traceback" not in out.err
 
 
+def _set_block(i, value):
+    def mutate(doc):
+        doc["blocks"][i] = value
+    return mutate
+
+
+def _set_record(key, value=None):
+    # value None deletes the key
+    def mutate(doc):
+        record = doc["blocks"][0][0]
+        if value is None:
+            del record[key]
+        else:
+            record[key] = value
+    return mutate
+
+
+def _relabel_n(doc):
+    doc["group"]["n"] = 6
+
+
+@pytest.mark.parametrize("mutate", [_set_block(0, "abc"), _set("blocks", {"a": 1}), _set_block(0, [[1, 2]]),
+                                    _set_record("n"), _set_record("n", 3), _relabel_n, _set("meta", [1])],
+                         ids=["block-string", "blocks-dict", "record-not-dict", "record-without-n",
+                              "record-n-3", "group-n-6", "meta-list"])
+def test_a_signature_file_of_the_wrong_shape_exits_2(mutate, tmp_path):
+    # the file's shape is checked before anything is built: each mutation
+    # exits 2 with an error report and no traceback from verify in both
+    # modes and factor, where it once exited 1 with a traceback (the first
+    # three) or 0 (the rest, but for the group n = 6 under verify)
+    from orthosig.lscore import canonical_ls
+    from orthosig.matgroups import descriptor
+    from orthosig.serial import save_ls
+
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_ls(canonical_ls(descriptor("O-", 3, n=4)), str(good))
+    doc = json.loads(good.read_text())
+    mutate(doc)
+    bad.write_text(json.dumps(doc))
+    for args in (["verify", "--mode", "exhaustive"], ["verify", "--mode", "sampled", "--samples", "20"],
+                 ["factor", "--rank", "5"]):
+        assert run_cli(*args, "--in", str(good)).returncode == 0
+        proc = run_cli(*args, "--in", str(bad))
+        assert proc.returncode == 2, args
+        assert "error" in parse_stdout(proc.stdout)[0] and "Traceback" not in proc.stderr
+
+
+def test_factor_exits_2_on_a_file_that_does_not_claim_its_group_order(tmp_path):
+    # a file with no blocks that claims order 1, and the O-4(3) blocks
+    # relabelled O+ (1,440 elements claimed, |O+4(3)| = 1,152): factor once
+    # decoded through the canonical plan and exited 0; verify still reports
+    # each file INVALID (exit 1) with the claimed-order note
+    from orthosig.lscore import canonical_ls
+    from orthosig.matgroups import descriptor
+    from orthosig.serial import save_ls
+
+    good = tmp_path / "good.json"
+    save_ls(canonical_ls(descriptor("O-", 3, n=4)), str(good))
+    doc = json.loads(good.read_text())
+    empty, relabelled = tmp_path / "empty.json", tmp_path / "relabelled.json"
+    empty.write_text(json.dumps({**doc, "blocks": [], "claimed_order": 1}))
+    relabelled.write_text(json.dumps({**doc, "group": {**doc["group"], "family": "O+"}}))
+    assert run_cli("factor", "--in", str(good), "--rank", "5").returncode == 0
+    for path, claimed, order in ((empty, 1, 1440), (relabelled, 1440, 1152)):
+        proc = run_cli("factor", "--in", str(path), "--rank", "0")
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        error = parse_stdout(proc.stdout)[0]["error"]
+        assert f"claims order {claimed}" in error and f"has order {order}" in error
+        for mode in ("exhaustive", "sampled"):
+            proc = run_cli("verify", "--in", str(path), "--mode", mode, "--samples", "20")
+            assert proc.returncode == 1
+            notes = parse_stdout(proc.stdout)[0]["result"]["notes"]
+            assert f"claimed order {claimed} is not the group order {order}" in notes
+
+
+# SHA-256 of the stdout of `verify --in swapped.json --mode sampled --seed 42`
+# run from the file's directory, recorded before the sampled digits were
+# drawn through getrandbits
+SWAPPED_SAMPLED_STDOUT_SHA256 = "92f4bf112fb674f8adfcf49ab90b498cf752cc24f79520e60292579c6c03662b"
+
+
+def test_sampled_verify_of_the_swapped_file_keeps_its_stdout(tmp_path):
+    import hashlib
+
+    _, bad = _swapped_o4_3(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "orthosig", "verify", "--in", bad.name, "--mode", "sampled",
+                           "--seed", "42"], capture_output=True, text=True, env=ENV, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert parse_stdout(proc.stdout)[0]["result"]["collisions"][0] == {
+        "iv": [4, 1, 2, 1, 0, 1, 1, 0], "other": [0, 0, 2, 1, 1, 1, 0, 0]}
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == SWAPPED_SAMPLED_STDOUT_SHA256
+
+
 def test_a_loaded_signature_edited_in_place_fails_verification(tmp_path):
     # compose through the canonical signature and through the loaded copy
     # first: a loaded signature keeps no tables, so the in-place swap is seen

@@ -664,10 +664,10 @@ def test_product_tables_walk_in_product_order(pe, sizes, chunk, seed):
 
 @pytest.mark.parametrize("p,n,length", [(3, 6, 40), (181, 3, 30), (191, 4, 12), (7, 8, 25)])
 def test_compose_is_exact_across_deferred_reductions(p, n, length, monkeypatch):
-    # the int64 running product is reduced mod p only before a product that
-    # could overflow; with one segment per block, long chains of the
-    # largest codes cross several reductions, and every product, from
-    # compose and from the sampled products, must agree with exact integers
+    # with one segment per block, long chains of the largest codes go
+    # through one `mat_mul` per block, in int16 where n (p - 1)^2 < 2^15
+    # and in int64 past it (p = 191), and every product, from compose and
+    # from the sampled products, must agree with exact integers
     from orthosig import lscore
     from orthosig.factorize import IndexVector, compose
 
@@ -686,6 +686,48 @@ def test_compose_is_exact_across_deferred_reductions(p, n, length, monkeypatch):
         for pair, i in zip(mats, iv):
             want = (want @ pair[i].astype(object)) % p
         assert g.dtype == np.int16 and g.tolist() == want.tolist()
+
+
+# [random.Random(2024).randrange(s) for s in DRAW_SIZES], six rows, recorded
+# before the sampled digits were drawn through getrandbits
+DRAW_SIZES = [1, 2, 3, 4, 5, 8, 9, 130, 2 ** 10, 2 ** 10 + 1]
+DRAW_ROWS = [[0, 0, 2, 2, 1, 6, 4, 62, 1020, 725], [0, 0, 1, 2, 4, 1, 3, 119, 303, 435],
+             [0, 0, 1, 3, 3, 1, 2, 83, 799, 677], [0, 0, 1, 3, 3, 5, 3, 104, 469, 418],
+             [0, 0, 0, 2, 4, 5, 6, 28, 678, 472], [0, 1, 1, 1, 1, 5, 7, 36, 536, 793]]
+
+
+def test_sampled_digits_are_drawn_as_randrange_draws_them():
+    # 300 samples cross a chunk boundary; the generator must end where the
+    # same randrange calls leave it
+    from orthosig import lscore
+
+    fq = fq_context(3, 1)
+    ls = LogSignature(None, [[identity(fq, 1)] * s for s in DRAW_SIZES], math.prod(DRAW_SIZES))
+    rng, ref = random.Random(2024), random.Random(2024)
+    rows = [iv for ivs, _ in lscore._sampled_products(rng, ls, 300) for iv in ivs]
+    assert rows[:6] == DRAW_ROWS
+    assert rows == [[ref.randrange(s) for s in DRAW_SIZES] for _ in range(300)]
+    assert rng.getstate() == ref.getstate()
+
+
+# SHA-256 of json.dumps(verify_ls(canonical O+6(3), "sampled", samples=25,
+# seed=seed).to_json(), sort_keys=True), recorded before the sampled digits
+# were drawn through getrandbits
+SAMPLED_O6_SHA256 = {
+    0: "3b26897e805618deb8311f4abc459599dbf9e5faa6c88cccba92a0f3acc32c9c",
+    7: "029dbde2b5d248e5f88e846a229e755513538d9d3bc65aa666f743a0e731e4c8",
+    42: "7216cddecf58d67891be85fa4ce25ea6277e3e807500b2b655f22d48163d81aa",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLED_O6_SHA256))
+def test_sampled_reports_of_o6_3_match_golden_hashes(seed):
+    import hashlib
+    import json
+
+    rep = verify_ls(canonical_ls(descriptor("O+", 3, n=6)), "sampled", samples=25, seed=seed)
+    doc = json.dumps(rep.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == SAMPLED_O6_SHA256[seed]
 
 
 def _report_variants(fam, q, n):
