@@ -324,10 +324,9 @@ def check_tower_size(q: int, m: int) -> tuple[int, int]:
     Nothing is allocated.
 
     That bound once sized tables of all q^2m elements of F_{q^2m}, which
-    are no longer built.  It stays because later bounds were proved inside
-    it: the int64 key weights of the decoder, and `spread-check`, which
-    enumerates all q^2m / (q - 1) points of V (about 850 MB at q = 37,
-    m = 3).  Widening it means auditing those enumerations first."""
+    are no longer built.  It stays because `spread-check` enumerates all
+    q^2m / (q - 1) points of V (about 850 MB at q = 37, m = 3): widening
+    it means bounding that enumeration first."""
     p, e = check_field_size(q)
     per_vector = 4 * e * m + 24
     if q ** (2 * m) * per_vector > TABLE_BUDGET:

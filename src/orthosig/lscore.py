@@ -15,6 +15,7 @@ point set (always valid and tame, no longer minimal).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field, replace
@@ -209,6 +210,12 @@ def _keys(A):
     void scalar each, which sort and compare as those bytes."""
     A = np.ascontiguousarray(A, dtype=np.int16).reshape(len(A), -1)
     return A.view(np.dtype((np.void, A.shape[1] * A.itemsize)))[:, 0]
+
+
+def _lookup(index, A):
+    """What the dict index maps the entry bytes of each matrix (or vector)
+    of the stack A to, as an intp array; -1 where A's bytes are no key."""
+    return np.fromiter(map(index.get, _keys(A).tolist(), itertools.repeat(-1)), dtype=np.intp, count=len(A))
 
 
 def _first_indices(keys):
@@ -493,24 +500,6 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
 # canonical signatures
 
 
-@cache
-def _key_weights(q, m):
-    if q ** m >= 2 ** 63:
-        raise LsError(f"base-{q} keys of length {m} overflow 64 bits")
-    return q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-
-
-def _row_keys(fq, X):
-    """The base-q integer of each row of a (k, m) array of field codes."""
-    return X.dot(_key_weights(fq.q, X.shape[-1]))
-
-
-def _find(sorted_keys, keys):
-    """Positions of keys in a sorted key array, and which are present."""
-    pos = np.minimum(sorted_keys.searchsorted(keys), len(sorted_keys) - 1)
-    return pos, sorted_keys.take(pos) == keys
-
-
 def _count(mask):
     """The rows a mask flags; None flags none."""
     return 0 if mask is None else int(mask.sum())
@@ -524,14 +513,14 @@ def _reject(errors, rows, bad, exc_type, msg):
 
 
 class _Plan:
-    """A tame decoder, with two paths over the same tables.  `decode_many`
-    decodes a whole (k, n, n) stack at once, one vectorized stage step at a
-    time, through sorted keys, and names the error of each element that
-    fails.  `decode` serves one element through dict lookups on entry bytes,
-    which cost a fraction of a searchsorted at k = 1: `_decode_one(Z)`
-    takes one (n, n) int16 array (`tobytes` reads it in C order whatever
-    its layout) and returns its digits as a list, or None where the stack
-    path would fail; `decode` then goes down that path to name the error.
+    """A tame decoder, with two paths over the same tables, each table one
+    dict on the entry bytes (`Mat.key`) of its rows.  `decode_many` decodes
+    a whole (k, n, n) stack at once, one vectorized stage step at a time,
+    and names the error of each element that fails.  `decode` serves one
+    element: `_decode_one(Z)` takes one (n, n) int16 array (`tobytes` reads
+    it in C order whatever its layout) and returns its digits as a list, or
+    None where the stack path would fail; `decode` then goes down that path
+    to name the error.
     Plans are framed: a plan for the input frame C decodes Z where C^-1 Z C
     is the element in the coordinates of its own space."""
 
@@ -594,23 +583,17 @@ FRONT_ORDER = 4096
 @dataclass
 class _TablePlan(_Plan):
     """Base-case decoder, and the front or stabilizer table of a stage: the
-    full product table (small groups only), keyed by the base-q integers of
-    the products in the frame they are looked up in, for stacks, and by
-    their entry bytes, for one element."""
+    full product table (small groups only), keyed by the entry bytes of the
+    products in the frame they are looked up in."""
 
     fq: FqContext
     n: int
     width: int
-    keys: np.ndarray   # sorted; None on construction puts the table in key order
-    mats: np.ndarray   # (N, n, n) products in key order
+    mats: np.ndarray   # (N, n, n) products
     ivs: np.ndarray    # (N, width) their index vectors, int16: no block of a table
                        # has more than max(FRONT_ORDER, q + 1) < 2^15 elements
 
     def __post_init__(self):
-        if self.keys is None:
-            keys = _row_keys(self.fq, self.mats.reshape(len(self.mats), -1))
-            order = np.argsort(keys, kind="stable")
-            self.keys, self.mats, self.ivs = keys[order], self.mats[order], self.ivs[order]
         self._rows = dict(zip(_keys(self.mats).tolist(), range(len(self.mats))))
 
     @staticmethod
@@ -621,14 +604,13 @@ class _TablePlan(_Plan):
         # itertools.product order: the last block varies fastest
         sizes = tables.sizes
         ivs = np.indices(sizes, dtype=np.int16).reshape(len(sizes), len(mats)).T
-        plan = _TablePlan(tables.fq, tables.n, len(sizes), None, mats, ivs)
-        if (plan.keys[1:] == plan.keys[:-1]).any():
+        plan = _TablePlan(tables.fq, tables.n, len(sizes), mats, ivs)
+        if len(plan._rows) < len(mats):
             raise LsError("base-case products collide")
         return plan
 
     def framed(self, C, Cinv):
-        mats = self.fq.mat_mul(self.fq.mat_mul(C, self.mats), Cinv)
-        return replace(self, keys=None, mats=mats)
+        return replace(self, mats=self.fq.mat_mul(self.fq.mat_mul(C, self.mats), Cinv))
 
     def _decode_one(self, Z):
         row = self._rows.get(Z.tobytes())
@@ -637,12 +619,13 @@ class _TablePlan(_Plan):
     def _answer(self, Z, rows, out, col):
         """Writes the index vectors of the rows of Z found in the table;
         returns which were not found, or None when every row was."""
-        pos, hit = _find(self.keys, _row_keys(self.fq, Z.reshape(len(Z), -1)))
-        if hit.all():
-            out[rows, col:col + self.width] = self.ivs.take(pos, axis=0)
+        at = _lookup(self._rows, Z)
+        miss = at < 0
+        if not miss.any():
+            out[rows, col:col + self.width] = self.ivs.take(at, axis=0)
             return None
-        out[rows[hit], col:col + self.width] = self.ivs[pos[hit]]
-        return ~hit
+        out[rows[~miss], col:col + self.width] = self.ivs.take(at[~miss], axis=0)
+        return miss
 
     def _decode_into(self, Z, rows, out, errors, col, stats):
         if not len(rows):
@@ -660,8 +643,9 @@ class _StagePlan(_Plan):
 
     Each singular point p of the space has a strip T^-1 b^-j a^-i C^-1 and
     the digits (i, j) of the A and B blocks that carry the base point w to
-    p; the table is keyed by the nonzero vectors of the line C p.  With
-    `enter` = C T, an element Z for which C^-1 Z C sends w to p becomes
+    p; one dict on entry bytes, read by both decode paths, maps each
+    nonzero vector of the line C p to p.  With `enter` = C T, an element Z
+    for which C^-1 Z C sends w to p becomes
     strip(p) Z C T = T^-1 (b^-j a^-i C^-1 Z C) T, which fixes the line of
     e_0 in the working Witt frame T of the stage.  The rest is read off
     that matrix hw: the GL1 discrete log lam from its corner and the Siegel
@@ -680,14 +664,12 @@ class _StagePlan(_Plan):
     stabilizer products in the working frame, which answers hw with one
     lookup; hw does not depend on the input frame, so neither does `stab`.
 
-    One element (`_decode_one`) finds its point through a dict on the
-    entry bytes of the vectors, and a table miss or a failed border ends
-    it at once: a miss is no member, and the stack path names the error.
+    One element (`_decode_one`) ends at once on a table miss or a failed
+    border: a miss is no member, and the stack path names the error.
     """
 
     space: QuadraticSpace
-    vectors: np.ndarray  # every nonzero vector on a singular line, input frame, in key order
-    keys: np.ndarray     # their base-q keys; None on construction puts the vectors in key order
+    vectors: np.ndarray  # every nonzero vector on a singular line, input frame
     point: np.ndarray    # the index of each vector's line in strips and head
     strips: np.ndarray   # (|L|, n, n)
     head: np.ndarray     # (|L|, A and B digits)
@@ -714,15 +696,11 @@ class _StagePlan(_Plan):
         return self.head.shape[1] + len(self.SP) * self.space.e + self.gl1_digits.shape[1] + self.sub.width
 
     def __post_init__(self):
-        if self.keys is None:
-            keys = _row_keys(self.space.fq, self.vectors)
-            order = np.argsort(keys, kind="stable")
-            self.vectors, self.keys, self.point = self.vectors[order], keys[order], self.point[order]
         self._points = dict(zip(_keys(self.vectors).tolist(), self.point.tolist()))
 
     def framed(self, C, Cinv):
         fq = self.space.fq
-        return replace(self, vectors=fq.mat_mul(self.vectors, np.ascontiguousarray(C.T)), keys=None,
+        return replace(self, vectors=fq.mat_mul(self.vectors, np.ascontiguousarray(C.T)),
                        strips=fq.mat_mul(self.strips, Cinv), enter=fq.mat_mul(C, self.enter),
                        front=self.front.framed(C, Cinv) if self.front else None)
 
@@ -816,14 +794,14 @@ class _StagePlan(_Plan):
             Z, rows = Z[miss], rows[miss]
         fq, n = self.space.fq, self.n
         ZT = fq.mat_mul(Z, self.enter)
-        keys = _row_keys(fq, ZT[:, :, 0])
-        pos, alive = _find(self.keys, keys)
+        pt = _lookup(self._points, ZT[:, :, 0])
+        alive = pt >= 0
         failed = not alive.all()
         if failed:
-            for r, key in zip(rows[~alive].tolist(), keys[~alive].tolist()):
-                errors[r] = (GeometryError("zero vector has no projective point") if key == 0 else
-                             LsError("element does not move the base point inside the singular set"))
-        pt = self.point.take(pos)
+            for r, v in zip(rows[~alive].tolist(), ZT[~alive, :, 0]):
+                errors[r] = (LsError("element does not move the base point inside the singular set") if v.any()
+                             else GeometryError("zero vector has no projective point"))
+            pt[~alive] = 0  # a missed row goes on through point 0
         hw = fq.mat_mul(self.strips.take(pt, axis=0), ZT)
         if stats is not None:
             # the products into the frame and hw for each element on a
@@ -1053,19 +1031,17 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     # the strip T^-1 h^-1
     points = space.isotropic_points()
     heads = np.concatenate(list(ProductTables.build(fq, n, blocks[:nhead]).walk()))
-    point_keys = _row_keys(fq, points)
-    by_key = np.argsort(point_keys)
-    pos, found = _find(point_keys[by_key], _row_keys(fq, space.canon(fq.mat_vec(heads, W0[0]))))
-    if not (found.all() and (np.bincount(pos, minlength=len(points)) == 1).all()):
+    hit = _lookup(dict(zip(_keys(points).tolist(), range(len(points)))), space.canon(fq.mat_vec(heads, W0[0])))
+    if not np.array_equal(np.sort(hit), np.arange(len(points))):
         raise LsError("the A and B blocks do not carry the base point once to each singular point")
     which = np.empty(len(points), dtype=np.intp)
-    which[by_key[pos]] = np.arange(len(heads))
+    which[hit] = np.arange(len(heads))
     # itertools.product order, as the walk
     ivs = np.indices([len(b) for b in blocks[:nhead]], dtype=np.int64).reshape(nhead, len(heads)).T
     ls.plan = _StagePlan(
         space=space,
         vectors=np.concatenate([fq.v_scale(c, points) for c in range(1, fq.q)]),
-        keys=None, point=np.tile(np.arange(len(points)), fq.q - 1),
+        point=np.tile(np.arange(len(points)), fq.q - 1),
         strips=fq.mat_mul(Tinv, forms.isometry_inverse(space, heads[which])),
         head=ivs[which], enter=T,
         R=Rwork, SP=np.array(SP), work_gram=work_gram, sp_gram=work_gram[SP], gl1_digits=gl1_digits,

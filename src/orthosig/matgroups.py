@@ -114,6 +114,8 @@ class GroupDescriptor:
 
     @staticmethod
     def from_json(d):
+        if missing := [key for key in ("family", "q", "n") if key not in d]:
+            raise ValueError(f"group descriptor has no {', '.join(missing)}")
         return GroupDescriptor(d["family"], d["q"], d["n"])
 
 
@@ -195,13 +197,32 @@ class Mat:
 
     @staticmethod
     def from_json(fq: FqContext, d):
-        """The matrix of a `to_json` dict: every entry a list of e
+        """The matrix of a `to_json` dict: a matrix record
+        (`check_matrix_record`) whose every entry is a list of e
         coefficients in [0, p), FieldError otherwise."""
+        check_matrix_record(d)
         gf = fq.gf
         if any(not isinstance(c, list) or len(c) != gf.d for row in d["entries"] for c in row):
             raise FieldError(f"every entry needs a list of {gf.d} coefficients")
         a = [[gf.from_coeffs(c) for c in row] for row in d["entries"]]
         return Mat(fq, np.array(a, dtype=np.int16))
+
+
+def check_matrix_record(d, n=None):
+    """Raises a ValueError that names the fault unless d is a matrix record
+    as `Mat.to_json` writes it: an object with an int "n" >= 1 (equal to n,
+    when given) and "entries", a list of "n" rows of "n" entries each."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a matrix record is an object, got {type(d).__name__} {d!r:.40}")
+    size = d.get("n")
+    if not (is_int(size) and size >= 1):
+        raise ValueError(f'a matrix record needs an int "n" of at least 1, got {size!r}')
+    if n is not None and size != n:
+        raise ValueError(f'the record is labelled "n": {size}, not {n}')
+    rows = d.get("entries")
+    if not (isinstance(rows, list) and len(rows) == size
+            and all(isinstance(r, list) and len(r) == size for r in rows)):
+        raise ValueError(f'"entries" of a record labelled "n": {size} must be {size} lists of {size} entries')
 
 
 def identity(fq: FqContext, n: int) -> Mat:

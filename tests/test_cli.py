@@ -106,6 +106,22 @@ def test_factor_rejects_an_element_of_the_wrong_size(tmp_path):
     doc, _ = parse_stdout(proc.stdout)
     assert "3x3" in doc["error"] and "4x4" in doc["error"]
     assert "Traceback" not in proc.stderr
+    # an element file that is no matrix record: the first three once ended
+    # in a TypeError traceback (exit 1), the 4x4 entries labelled "n": 3
+    # factored (exit 0) and the record without entries exited 2 with the
+    # error 'entries'
+    identity = [[[int(i == j)] for j in range(4)] for i in range(4)]
+    for record, error in (([1, 2], "a matrix record is an object, got list"),
+                          ("x", "a matrix record is an object, got str"),
+                          ({"n": 4, "entries": 5}, '"entries" of a record labelled "n": 4 must be 4 lists of 4'),
+                          ({"n": 3, "entries": identity}, '"entries" of a record labelled "n": 3 must be 3 lists'),
+                          ({"n": 4}, '"entries" of a record labelled "n": 4 must be'),
+                          ({"n": "4", "entries": identity}, 'needs an int "n" of at least 1, got \'4\'')):
+        elem.write_text(json.dumps(record))
+        proc = run_cli("factor", "--in", str(out), "--element-file", str(elem))
+        assert proc.returncode == 2, record
+        assert error in parse_stdout(proc.stdout)[0]["error"]
+        assert "Traceback" not in proc.stderr
 
 
 def test_factor_rejects_entries_that_are_not_codes(tmp_path):
@@ -592,15 +608,54 @@ def _relabel_n(doc):
     doc["group"]["n"] = 6
 
 
-@pytest.mark.parametrize("mutate", [_set_block(0, "abc"), _set("blocks", {"a": 1}), _set_block(0, [[1, 2]]),
-                                    _set_record("n"), _set_record("n", 3), _relabel_n, _set("meta", [1])],
-                         ids=["block-string", "blocks-dict", "record-not-dict", "record-without-n",
-                              "record-n-3", "group-n-6", "meta-list"])
-def test_a_signature_file_of_the_wrong_shape_exits_2(mutate, tmp_path):
+def _delete(key, under=None):
+    def mutate(doc):
+        del (doc[under] if under else doc)[key]
+    return mutate
+
+
+def _set_entry(value):
+    # the code of entry (0, 0) of the first record, as the file spells it
+    def mutate(doc):
+        doc["blocks"][0][0]["entries"][0][0] = value
+    return mutate
+
+
+def _set_row(value):
+    def mutate(doc):
+        rows = doc["blocks"][0][0]["entries"]
+        rows[0] = rows[0][:-1] if value is None else value
+    return mutate
+
+
+# the schema mutations of a saved O-4(3) file: every field deleted,
+# retyped, out of range or reshaped; a mutation that returns a value
+# replaces the whole document
+SCHEMA_MUTATIONS = {
+    "block-string": _set_block(0, "abc"), "blocks-dict": _set("blocks", {"a": 1}),
+    "record-not-dict": _set_block(0, [[1, 2]]), "record-without-n": _set_record("n"),
+    "record-n-3": _set_record("n", 3), "group-n-6": _relabel_n, "meta-list": _set("meta", [1]),
+    "no-group": _delete("group"), "no-blocks": _delete("blocks"), "no-claimed-order": _delete("claimed_order"),
+    "no-family": _delete("family", "group"), "no-q": _delete("q", "group"), "no-n": _delete("n", "group"),
+    "q-4": _set("q", 4, "group"), "q-minus-3": _set("q", -3, "group"), "n-0": _set("n", 0, "group"),
+    "n-string": _set("n", "4", "group"), "blocks-empty": _set("blocks", []), "block-empty": _set_block(0, []),
+    "block-null": _set_block(0, None), "record-without-entries": _set_record("entries"),
+    "entries-string": _set_record("entries", "abc"), "row-short": _set_row(None), "row-int": _set_row(1),
+    "code-empty": _set_entry([]), "code-two-digits": _set_entry([1, 1]), "code-3": _set_entry([3]),
+    "code-minus-1": _set_entry([-1]), "code-nested": _set_entry([[1]]), "code-null": _set_entry([None]),
+    "code-int": _set_entry(1), "order-1441": _set("claimed_order", 1441), "order-minus-1": _set("claimed_order", -1),
+    "order-string": _set("claimed_order", "1440"), "document-list": lambda doc: [doc],
+}
+
+
+@pytest.mark.parametrize("mutate", SCHEMA_MUTATIONS.values(), ids=SCHEMA_MUTATIONS.keys())
+def test_a_signature_file_of_the_wrong_shape_exits_2(mutate, tmp_path, capsys):
     # the file's shape is checked before anything is built: each mutation
     # exits 2 with an error report and no traceback from verify in both
-    # modes and factor, where it once exited 1 with a traceback (the first
-    # three) or 0 (the rest, but for the group n = 6 under verify)
+    # modes and factor, where the first three once exited 1 with a
+    # traceback and the next four 0 (but for the group n = 6 under verify);
+    # the untouched file exits 0 from all three
+    from orthosig.cli import main
     from orthosig.lscore import canonical_ls
     from orthosig.matgroups import descriptor
     from orthosig.serial import save_ls
@@ -608,14 +663,15 @@ def test_a_signature_file_of_the_wrong_shape_exits_2(mutate, tmp_path):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     save_ls(canonical_ls(descriptor("O-", 3, n=4)), str(good))
     doc = json.loads(good.read_text())
-    mutate(doc)
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(mutate(doc) or doc))
     for args in (["verify", "--mode", "exhaustive"], ["verify", "--mode", "sampled", "--samples", "20"],
                  ["factor", "--rank", "5"]):
-        assert run_cli(*args, "--in", str(good)).returncode == 0
-        proc = run_cli(*args, "--in", str(bad))
-        assert proc.returncode == 2, args
-        assert "error" in parse_stdout(proc.stdout)[0] and "Traceback" not in proc.stderr
+        assert main(args + ["--in", str(good)]) == 0
+        capsys.readouterr()
+        assert main(args + ["--in", str(bad)]) == 2, args
+        out = capsys.readouterr()
+        # a sentence naming the fault, not a bare KeyError such as 'q'
+        assert " " in parse_stdout(out.out)[0]["error"] and "Traceback" not in out.err
 
 
 def test_factor_exits_2_on_a_file_that_does_not_claim_its_group_order(tmp_path):

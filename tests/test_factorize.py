@@ -343,9 +343,9 @@ def test_small_stages_carry_a_product_table_front():
     assert _tables(canonical_ls(descriptor("O+", 3, n=6)).plan) == [None, "front"]
     assert _tables(canonical_ls(descriptor("O-", 9, n=4)).plan) == [None]
     front = canonical_ls(descriptor("O-", 3, n=4)).plan.front
-    assert len(front.keys) == 1440 and front.ivs.shape == (1440, front.width)
+    assert len(front._rows) == 1440 and front.ivs.shape == (1440, front.width)
     plan = canonical_ls(descriptor("O-", 5, n=4)).plan
-    assert len(plan.stab.keys) == 1200
+    assert len(plan.stab._rows) == 1200
     assert plan.stab.ivs.shape == (1200, plan.width - plan.head.shape[1])
 
 
@@ -398,7 +398,7 @@ def _matrix_path_decode_into(plan, Z, rows, out, errors, col, stats):
     import numpy as np
 
     from orthosig import forms
-    from orthosig.lscore import LsError, _StagePlan, _find, _reject, _row_keys
+    from orthosig.lscore import LsError, _StagePlan, _reject
 
     if not isinstance(plan, _StagePlan):
         return plan._decode_into(Z, rows, out, errors, col, stats)
@@ -406,12 +406,13 @@ def _matrix_path_decode_into(plan, Z, rows, out, errors, col, stats):
         return
     fq, R, SP, n = plan.space.fq, plan.R, plan.SP, plan.n
     ZT = fq.mat_mul(Z, plan.enter)
-    keys = _row_keys(fq, ZT[:, :, 0])
-    pos, alive = _find(plan.keys, keys)
-    for r, key in zip(rows[~alive].tolist(), keys[~alive].tolist()):
-        errors[r] = (forms.GeometryError("zero vector has no projective point") if key == 0 else
-                     LsError("element does not move the base point inside the singular set"))
-    pt = plan.point[pos]
+    found = [plan._points.get(np.ascontiguousarray(v).tobytes()) for v in ZT[:, :, 0]]
+    alive = np.array([p is not None for p in found])
+    for r, v in zip(rows[~alive].tolist(), ZT[~alive, :, 0]):
+        errors[r] = (LsError("element does not move the base point inside the singular set") if v.any() else
+                     forms.GeometryError("zero vector has no projective point"))
+    # a missed row goes on through point 0
+    pt = np.array([0 if p is None else p for p in found], dtype=np.intp)
     hw = fq.mat_mul(plan.strips[pt], ZT)
     lam = hw[:, 0, 0]
     if stats is not None:
@@ -444,16 +445,14 @@ def _border_perturbed(plan, members, seed):
     Siegel coordinates alone, and a row-0 change leaves row R alone."""
     import numpy as np
 
-    from orthosig.lscore import _find, _row_keys
-
     fq, rng = plan.space.fq, random.Random(seed)
     Einv = fq.mat_inv(plan.enter)
     out = []
     for i, Z in enumerate(members):
-        pos, _ = _find(plan.keys, _row_keys(fq, fq.mat_mul(Z, plan.enter)[None, :, 0]))
+        pt = plan._points[np.ascontiguousarray(fq.mat_mul(Z, plan.enter)[:, 0]).tobytes()]
         D = np.zeros_like(Z)
         D[(plan.R, 0)[i % 2], rng.choice(plan.SP.tolist())] = rng.randrange(1, fq.q)
-        S_inv = fq.mat_inv(plan.strips[plan.point[pos[0]]])
+        S_inv = fq.mat_inv(plan.strips[pt])
         out.append(fq.v_add(Z, fq.mat_mul(fq.mat_mul(S_inv, D), Einv)))
     return out
 
@@ -506,6 +505,74 @@ def test_closed_form_residue_matches_the_matrix_path(fam, q, n):
                        for r in range(len(mixed), len(A)))
     assert {"element does not stabilize the base point",
             "stabilizer residue is not block diagonal"} <= messages
+
+
+def _failing_rows(plan):
+    """One element for each way a stage row can fail, each with the plan it
+    goes through.  Most are built as stage matrices hw in the working frame
+    and moved to the input frame through the strip S of singular point 0:
+    Z = S^-1 hw E^-1 with E = plan.enter, so that Z E has column 0 on that
+    point's line whenever hw has column 0 on the line of e_0."""
+    import numpy as np
+
+    fq, n, R, SP = plan.fq, plan.n, plan.R, plan.SP
+    Einv = fq.mat_inv(plan.enter)
+
+    def from_hw(*entries):
+        hw = fq.identity(n)
+        for i, j, c in entries:
+            hw[i, j] = c
+        return fq.mat_mul(fq.mat_mul(fq.mat_inv(plan.strips[0]), hw), Einv)
+
+    # Z E = M: column 0 is the first e_i or e_i + e_j on no singular line
+    I = fq.identity(n)
+    off = next(v for v in [*I, *(fq.v_add(a, b) for a in I for b in I)] if v.tobytes() not in plan._points)
+    M = I.copy()
+    M[:, 0] = off
+    return {
+        "zero": (plan, np.zeros((n, n), dtype=np.int16)),
+        "zero column 0": (plan, from_hw((0, 0, 0))),
+        "off the singular set": (plan, fq.mat_mul(M, Einv)),
+        "row f_0": (plan, from_hw((R, SP[0], 1))),
+        "row e_0": (plan, from_hw((0, SP[0], 1))),
+        # through a table that files point 0 under point 1, the one way
+        # to fail column 0 alone
+        "column 0": (_mislabeled_points(_without_tables(plan)), from_hw()),
+        # a shear on SP has order p, prime to the order 2(q + 1) of the
+        # isometries of the anisotropic plane SP, so the base table lacks it
+        "table miss": (plan, from_hw((SP[0], SP[1], 1))),
+    }
+
+
+# the error decode_many names for each way a stage row fails, recorded
+# while the stage step still searched sorted base-q keys
+FAILING_ROW_ERRORS = {
+    "zero": ("GeometryError", "zero vector has no projective point"),
+    "zero column 0": ("GeometryError", "zero vector has no projective point"),
+    "off the singular set": ("LsError", "element does not move the base point inside the singular set"),
+    "row f_0": ("LsError", "stabilizer residue is not block diagonal"),
+    "row e_0": ("LsError", "stabilizer residue is not block diagonal"),
+    "column 0": ("LsError", "element does not stabilize the base point"),
+    "table miss": ("LsError", "element is not covered by this signature"),
+}
+
+
+@pytest.mark.parametrize("fam,q", [("O-", 3), ("O-", 9)])
+def test_decode_many_names_the_error_of_each_failing_row(fam, q):
+    # O-4(3) has a front table and O-4(9) none; each row fails at its own
+    # branch of the stage step or of the base-case table below it, and the
+    # one-element decode raises the same error
+    from orthosig.matgroups import Mat
+
+    ls = canonical_ls(descriptor(fam, q, n=4))
+    got, raised = {}, {}
+    for name, (plan, Z) in _failing_rows(ls.plan).items():
+        _, errors = plan.decode_many(Z[None])
+        got[name] = (type(errors[0]).__name__, str(errors[0]))
+        with pytest.raises(Exception) as exc:
+            plan.decode(Mat(plan.fq, Z))
+        raised[name] = (type(exc.value).__name__, str(exc.value))
+    assert got == raised == FAILING_ROW_ERRORS
 
 
 # every group whose plan bytes are pinned, and O-4(5), the one group of the

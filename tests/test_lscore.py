@@ -562,35 +562,40 @@ def test_canonical_signatures_match_golden_hashes(fam, q, n):
     assert hashlib.sha256(doc).hexdigest() == GOLDEN_SHA256[(fam, q, n)]
 
 
-# SHA-256 of every array of the decode plan (`_plan_digest`), recorded
-# while the head table was still built from per-layer inverse powers and a
-# walk of the Singer generator (O-4(7) and O-4(25): before the anisotropic
-# match was stacked): the strips, digits and tables a stage decodes through
-# must stay the same to the byte.
+# SHA-256 of every array of the decode plan (`_plan_digest`, table rows in
+# the order of their entry bytes), recorded while each table was still
+# indexed twice, by entry bytes and by sorted base-q integer keys: the
+# strips, digits and tables a stage decodes through must stay the same to
+# the byte.
 PLAN_SHA256 = {
-    ("O-", 3, 4): "589bf8609d2e37706b25c83436eb1084126a0f985318663adc11937d2c286cc0",
-    ("O+", 5, 4): "3d67ded445d7b81737153b578476a8467908f03df3c1c7c319703321cf0a337e",
-    ("O-", 9, 4): "0b03df4b955929bdd72a0d216e17677db3f0d48ae8c655e98b42ae2dc520de11",
-    ("Oodd", 3, 5): "23b096a05c6f5f87a691cef16b733315b5157d7c483544ae971dcbfd37242de7",
-    ("PSOodd", 3, 5): "0892d20aae036b0b6b5fe1b6a72991f2e4da1493b6a0c011f3015fd69c97ff87",
-    ("O+", 3, 6): "2c0b9bc1ca919e13fdd1cbdd35e9ea973e728ce621dc9dacdf0e6c455bebdcb8",
-    ("SOodd", 17, 3): "04f2d9fd850440c716afc5b89fddfbc5e46deed66ec2c524a1683c9c8ff197fd",
-    ("Oodd", 3, 7): "2ab42dfc1b3519fcc555cc334642fa32808715cd63d1244adf9b290e7463f641",
-    ("O-", 7, 4): "502ee77d83e6784621bcfb2738dc8fc37c4984da2b960e27f022fa882d272a98",
-    ("O-", 25, 4): "21840f7acf0ce5ec0d95a24aabde0d016d375b58fb7f92d4c19ad6d908987e2e",
+    ("O-", 3, 4): "44d0244223ec7a3bb458582284bae7bef16506a7bfdcada5f13892e1917c8786",
+    ("O+", 5, 4): "2e48cf7150efef7004ebe81bec48472c5e7090a2c20e64e3b1ecdd50ae50c398",
+    ("O-", 9, 4): "2711fa7d8f2bba03e6b5d1877b3374ac080a84fd5270d897ad55c38b66775938",
+    ("Oodd", 3, 5): "b29c50063c9732b79a271d42c23d1e035639671f8bdb9eea34bfbe72310f398c",
+    ("PSOodd", 3, 5): "431cb496092267d0934e91dae7a122e6ee85fa6306f194f202758608f12f8f45",
+    ("O+", 3, 6): "532232e062bc728bb8cf9de0044d0490297bd26d132b7161c40484e1b1911a60",
+    ("SOodd", 17, 3): "fe2ac922f3c3acde248249be6202648b95d947c27b145e5c712c2ec85aedded7",
+    ("Oodd", 3, 7): "c5e2d11821b7c36588241356ea41ca3e0f44bb787cad31c8fb67527abc995a9a",
+    ("O-", 7, 4): "850bdb2d706b905865a4ca64587f49c4536bdbfa8e70ec3941377ccd6fb0f738",
+    ("O-", 25, 4): "7cd6e17778b30059255d1081a948381f1d0e2b70f31b27ba71c905accb9e4286",
 }
 
 
 def _plan_digest(h, plan, path="plan"):
     """Feeds the name, dtype, shape and bytes of each array of the plan to
-    the hash h, then those of its sub-plan, front and stabilizer table."""
+    the hash h, then those of its sub-plan, front and stabilizer table.  The
+    rows of a table (`vectors` with `point`, `mats` with `ivs`) go in the
+    order of their entry bytes, so the digest pins what the table holds and
+    not the order it is kept in."""
     from orthosig.lscore import _StagePlan
 
     stage = isinstance(plan, _StagePlan)
-    names = (("vectors", "keys", "point", "strips", "head", "enter", "SP", "sp_gram",
-              "gl1_digits", "work_gram") if stage else ("keys", "mats", "ivs"))
-    for name in names:
-        a = np.ascontiguousarray(getattr(plan, name))
+    rows, names = ((("vectors", "point"), ("strips", "head", "enter", "SP", "sp_gram", "gl1_digits", "work_gram"))
+                   if stage else (("mats", "ivs"), ()))
+    by_bytes = sorted(range(len(getattr(plan, rows[0]))), key=lambda i: getattr(plan, rows[0])[i].tobytes())
+    arrays = [(name, np.asarray(getattr(plan, name))[by_bytes]) for name in rows]
+    for name, a in arrays + [(name, getattr(plan, name)) for name in names]:
+        a = np.ascontiguousarray(a)
         h.update(f"{path}.{name} {a.dtype.str} {a.shape}\n".encode())
         h.update(a.tobytes())
     for name in ("sub", "front", "stab") if stage else ():
@@ -1034,18 +1039,12 @@ def test_plane_so_has_no_transitive_block():
         spread_construction(s, "SO+")
 
 
-def test_key_weights_stay_below_2_63_inside_the_envelope():
-    # _key_weights(q, m) weighs m field codes as one base-q integer.  Its
-    # callers key vectors of a stage (m = n <= 2 tower_m + 1), whole n x n
-    # matrices of a base case (n <= 2), of a stage front (group order at
-    # most FRONT_ORDER) or of a stage's stabilizer table (the group order
-    # over the number of singular points at most FRONT_ORDER); the same
-    # weights give `fields.product_rows` the k x k matrices of _all_gl (k at
-    # most the Witt index, so at most tower_m).
-    # Walk every q and tower_m the envelope accepts and check each bound
+def test_all_gl_weights_stay_below_2_63_inside_the_envelope():
+    # `fields.product_rows` gives _all_gl its k x k matrices as the base-q
+    # digits of one int64 row index, with k at most the Witt index, so at
+    # most the m of the space.  Walk every q and m the envelope accepts and
+    # check that q^(m m) fits
     from orthosig.fields import FieldError, check_field_size, check_tower_size, factorint
-    from orthosig.lscore import FRONT_ORDER
-    from orthosig.matgroups import isotropic_point_count
 
     def accepted(q, m):
         try:
@@ -1054,35 +1053,16 @@ def test_key_weights_stay_below_2_63_inside_the_envelope():
         except FieldError:
             return False
 
+    widest = 0
     for q in range(3, 2 ** 15, 2):
         if len(factorint(q)) != 1 or not accepted(q, 1):
             continue
         check_field_size(q)
-        assert q ** 4 < 2 ** 63  # base cases, n <= 2
         m = 1
         while accepted(q, m):
-            assert q ** (2 * m + 1) < 2 ** 63 and q ** (m * m) < 2 ** 63
+            assert q ** (m * m) < 2 ** 63
+            widest = max(widest, q ** (m * m))
             m += 1
-    fronts, widest = 0, {}
-    for fam in ("O", "SO"):
-        for kind in ("-", "+", "odd"):
-            for n in range(3, 9):
-                if (n % 2 == 1) != (kind == "odd"):
-                    continue
-                for q in range(3, 128, 2):  # from q = 67 every stabilizer is larger
-                    if len(factorint(q)) != 1:
-                        continue
-                    desc = descriptor(fam + kind, q, n=n)
-                    order = group_order(desc)
-                    if order // isotropic_point_count(desc.kind, q, desc.m) <= FRONT_ORDER:
-                        assert q ** (n * n) < 2 ** 63
-                        fronts += order <= FRONT_ORDER
-                        widest[n] = max(widest.get(n, 0), q ** (n * n))
-    # the fronts are O/SO_3(q) for small q and O/SO^+-_4(3); the stabilizer
-    # tables reach SO_3(61), O^+_4(7) and O_5(3), and stabilizers grow with
-    # q and n
-    assert widest == {3: 61 ** 9, 4: 7 ** 16, 5: 3 ** 25}
-    assert group_order(descriptor("SOodd", 17, n=3)) > FRONT_ORDER
-    assert group_order(descriptor("SO+", 5, n=4)) > FRONT_ORDER
-    assert group_order(descriptor("SOodd", 3, n=5)) > FRONT_ORDER
-    assert fronts > 0
+    # the widest is q = 3, m = 6 (Witt index 6: O+12(3), Oodd13(3)), whose
+    # GL6(3) rows are 58-bit indices
+    assert widest == 3 ** 36
