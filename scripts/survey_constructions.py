@@ -2,9 +2,10 @@
 """Survey the construction ladder over a grid of groups: which shape each
 family lands on, the signature length against the minimal bound, the
 verification outcome (exhaustive, membership included, within the default
-budget of `verify_ls`; sampled above it), the median time of one `compose`
-of 200 seeded index vectors, and the median time of one tame factorization
-of their products (`-` where the signature has no decoding tables)."""
+budget of `verify_ls`; sampled above it), the decode step of each level
+of the plan, the median time of one `compose` of 200 seeded index vectors,
+and the median time of one tame factorization of their products (`-` where
+the signature has no decoding tables)."""
 
 import os
 import random
@@ -17,7 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from orthosig.factorize import compose, tame_factor, unrank  # noqa: E402
-from orthosig.lscore import EXHAUSTIVE_BUDGET, canonical_ls, min_length_bound, verify_ls  # noqa: E402
+from orthosig.lscore import EXHAUSTIVE_BUDGET, _StagePlan, canonical_ls, min_length_bound, verify_ls  # noqa: E402
 from orthosig.matgroups import descriptor  # noqa: E402
 
 CASES = [
@@ -38,6 +39,20 @@ def timed_us(f, *args):
     return out, (time.perf_counter() - t0) * 1e6
 
 
+def decode_steps(plan):
+    """The decode step of each level of the plan, top first, down to the
+    first table that answers a member: `front` or `stab` for a stage's
+    product table, `siegel` for a stage without one, `table` for a base
+    case; `-` without a plan."""
+    steps = []
+    while isinstance(plan, _StagePlan) and plan.front is None and plan.stab is None:
+        steps.append("siegel")
+        plan = plan.sub
+    if plan is not None:
+        steps.append("table" if not isinstance(plan, _StagePlan) else "front" if plan.front is not None else "stab")
+    return ">".join(steps) or "-"
+
+
 def compose_decode_us(ls):
     """Median microseconds of compose over seeded index vectors, and of
     tame_factor over their products (None without decoding tables)."""
@@ -51,7 +66,7 @@ def compose_decode_us(ls):
     return statistics.median(compose_us), statistics.median(decode_us) if decode_us else None
 
 
-print(f"{'group':>12} {'order':>10} {'len':>5} {'bound':>5} {'shape':>12} {'verified':>9} {'s':>6} "
+print(f"{'group':>12} {'order':>10} {'len':>5} {'bound':>5} {'shape':>12} {'steps':>12} {'verified':>9} {'s':>6} "
       f"{'compose µs':>10} {'decode µs':>9}")
 for fam, q, n in CASES:
     t0 = time.monotonic()
@@ -70,4 +85,5 @@ for fam, q, n in CASES:
     decode = f"{decode_us:.0f}" if decode_us is not None else "-"
     shape = ls.meta.get("shape", "projected" if ls.meta.get("projected") else "?")
     print(f"{fam + str(n) + '(' + str(q) + ')':>12} {ls.claimed_order:>10} {ls.length:>5} "
-          f"{bound:>5} {shape:>12} {verdict:>9} {dt:>6.1f} {compose_us:>10.1f} {decode:>9}")
+          f"{bound:>5} {shape:>12} {decode_steps(ls.plan):>12} {verdict:>9} {dt:>6.1f} {compose_us:>10.1f} "
+          f"{decode:>9}")

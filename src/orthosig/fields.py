@@ -62,9 +62,9 @@ def factorint(n: int) -> dict[int, int]:
 
 def split_prime_power(q: int) -> tuple[int, int]:
     """q = p^e with p prime, else raises."""
-    f = factorint(q)
+    f = factorint(q) if q > 1 else {}
     if len(f) != 1:
-        raise FieldError(f"{q} is not a prime power")
+        raise FieldError(f"q = {q} is not a prime power")
     (p, e), = f.items()
     return p, e
 

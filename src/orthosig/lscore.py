@@ -650,10 +650,12 @@ class _StagePlan(_Plan):
     e_0 in the working Witt frame T of the stage.  The rest is read off
     that matrix hw: the GL1 discrete log lam from its corner and the Siegel
     coordinates u = lam hw[SP, R] from column R, on the span SP of the
-    basis vectors other than e_0 and f_0.  A closed-form check of the
-    border (column 0, rows R and 0) shows hw = E(u) d(lam) (1 + 1 + ysub)
-    without forming E(u), and the residue ysub is then hw[SP, SP] itself,
-    decoded by `sub` in the frame phi of the model of SP.
+    basis vectors other than e_0 and f_0.  The Siegel table holds every
+    product E(u) of the Siegel blocks in the working frame, a row per u by
+    its digits, and E(-u) on the same row.  hw = E(u) d(lam) (1 + 1 + ysub)
+    exactly when the border (rows and columns 0 and R) of Y = E(-u) hw, one
+    gathered product, is that of d(lam), and ysub = Y[SP, SP] is decoded
+    by `sub` in the frame phi of the model of SP.
 
     A stage whose group has at most FRONT_ORDER elements carries the
     `front` table of all its products: the elements found there are
@@ -664,8 +666,10 @@ class _StagePlan(_Plan):
     stabilizer products in the working frame, which answers hw with one
     lookup; hw does not depend on the input frame, so neither does `stab`.
 
-    One element (`_decode_one`) ends at once on a table miss or a failed
-    border: a miss is no member, and the stack path names the error.
+    One element (`_decode_one`) finds the row of u by the bytes of
+    lam hw[:, R], column R of E(u) for a member, and compares border bytes.
+    It ends at once on a table miss or a failed border: a miss is no
+    member, and the stack path names the error.
     """
 
     space: QuadraticSpace
@@ -677,7 +681,8 @@ class _StagePlan(_Plan):
     R: int               # Witt index; e_0 and f_0 are basis vectors 0 and R
     SP: np.ndarray       # positions of the basis vectors other than e_0 and f_0
     work_gram: np.ndarray    # G, the form in the working frame: G e_0 = e_R, G e_R = e_0
-    sp_gram: np.ndarray      # the SP rows of G: u^T sp_gram = (G u)^T for u on SP
+    siegel: np.ndarray       # (q^|SP|, n, n) E(u), working frame, row by the digits of u
+    siegel_inv: np.ndarray   # E(-u) on the row of u
     gl1_digits: np.ndarray   # digits of the discrete log of each unit (row 0 unused)
     sub: _Plan
     front: _TablePlan | None  # every product of the stage, for a small group
@@ -696,69 +701,38 @@ class _StagePlan(_Plan):
         return self.head.shape[1] + len(self.SP) * self.space.e + self.gl1_digits.shape[1] + self.sub.width
 
     def __post_init__(self):
+        fq, n, R = self.space.fq, self.space.n, self.R
         self._points = dict(zip(_keys(self.vectors).tolist(), self.point.tolist()))
+        # the row of u in the Siegel table: its digits in base p, the first
+        # most significant, as the walk of the Siegel blocks has them
+        self._siegel_weights = fq.p ** np.arange(len(self.SP) * fq.e - 1, -1, -1)
+        # flat positions in hw: the border, column 0 first, and Y[SP, SP]
+        rest = np.zeros((n, n), dtype=bool)
+        rest[[0, R]] = rest[:, R] = True
+        rest[:, 0] = False
+        self._border_pos = np.concatenate([np.arange(0, n * n, n), np.flatnonzero(rest)])
+        self._residue_pos = (self.SP[:, None] * n + self.SP).ravel()
+        # the border of d(lam) = diag(lam at 0, lam^-1 at R) and its bytes,
+        # one row per lam
+        d = np.tile(fq.identity(n).reshape(1, -1), (fq.q, 1))
+        d[:, 0], d[:, R * (n + 1)] = np.arange(fq.q), fq.INV
+        self._d_border = d[:, self._border_pos]
+        self._d_bytes = _keys(self._d_border).tolist()
+
+    @cached_property
+    def _siegel_rows(self):
+        """The one-element index of the Siegel table, as (rows, digits): a
+        dict from the bytes of column R of each E(u), which is lam hw[:, R]
+        when hw = E(u) d(lam) y, to the row of u, and the digits of u on
+        that row."""
+        rows = dict(zip(_keys(self.siegel[:, :, self.R]).tolist(), range(len(self.siegel))))
+        return rows, product_rows(self.space.fq.p, len(self.SP) * self.space.e, 0, len(self.siegel))
 
     def framed(self, C, Cinv):
         fq = self.space.fq
         return replace(self, vectors=fq.mat_mul(self.vectors, np.ascontiguousarray(C.T)),
                        strips=fq.mat_mul(self.strips, Cinv), enter=fq.mat_mul(C, self.enter),
                        front=self.front.framed(C, Cinv) if self.front else None)
-
-    # positions in the rows of hw.reshape(k, n * n)
-    @cached_property
-    def _u_at(self):
-        """hw[SP, R], the column u is read from."""
-        return self.SP * self.n + self.R
-
-    @cached_property
-    def _border_at(self):
-        """Column 0 below the corner, then row R."""
-        n = self.n
-        return np.concatenate([np.arange(n, n * n, n), np.arange(self.R * n, (self.R + 1) * n)])
-
-    @cached_property
-    def _residue_at(self):
-        """hw[SP, SP], row by row."""
-        return (self.SP[:, None] * self.n + self.SP).ravel()
-
-    def _border(self, hw):
-        """The closed form of a (k, n, n) stack of stage matrices hw, as
-        (lam, u_digits, border, ysub): the GL1 code lam and the digits of the
-        Siegel coordinates u of each; its border, which is all zero exactly
-        when hw = E(u) d(lam) (1 + 1 + ysub), and whose first n - 1 entries
-        are column 0 below the corner; and the residue ysub = hw[SP, SP], a
-        (k, |SP|, |SP|) stack.
-
-        hw = E(u) d(lam) y with y = 1 + 1 + ysub on (e_0, f_0, SP), and
-        E(-u) hw must be d(lam) = diag(lam at 0, lam^-1 at R) on the
-        border, with no Eichler matrix formed.  As G e_0 = e_R and
-        G e_R = e_0 (checked at build) and u lies on SP:
-        - row R of E(-u) hw is row R of hw, which must be lam^-1 e_R;
-        - row 0 is hw[0] + s - Q(u) hw[R] with s = (G u)^T hw, and once
-          row R passes, Q(u) lam^-1 = s[R] / 2 (s[R] = lam^-1 u^T G u); so
-          row 0 passes when hw[0] + s = (e_0 + G u)^T hw, one product, is
-          lam e_0 - hw[0, R] e_R;
-        - column 0 must be lam e_0 (E fixes e_0), and the SP rows of
-          column R vanish once row R passes, as u = lam hw[SP, R].
-        So column 0, row R and row 0 are the whole border.  Where column
-        0 passes, entry 0 of the product is lam (G u)_0 + lam = lam, as
-        (G u)_0 = u_R = 0; column 0 below the corner, row R and the rest
-        of the product, less what each must be, are one array that must
-        vanish.  On the rows that pass, (G e_0)^T hw = hw[R] is 0 on SP,
-        so the SP block of E(-u) hw, the residue ysub, is hw[SP, SP]."""
-        fq, R, n, k = self.space.fq, self.R, self.n, len(hw)
-        H = hw.reshape(k, n * n)
-        lam = H[:, 0]
-        u = fq.v_scale(lam[:, None], H.take(self._u_at, axis=1))
-        v = fq.mat_mul(u, self.sp_gram)  # row i is (G u_i)^T
-        v[:, 0] = 1
-        border = np.concatenate([H.take(self._border_at, axis=1), fq.mat_mul(v[:, None], hw)[:, 0, 1:]], axis=1)
-        border[:, n - 1 + R] -= fq.INV.take(lam)
-        border[:, 2 * n - 2 + R] -= fq.NEG.take(H[:, R])
-        ysub = H.take(self._residue_at, axis=1).reshape(k, len(self.SP), len(self.SP))
-        # over a prime field a code is its one digit
-        u_digits = u if fq.fast else fq.gf.digits.take(u, axis=0).reshape(k, -1)
-        return lam, u_digits, border, ysub
 
     def _decode_one(self, Z):
         if self.front is not None:
@@ -772,13 +746,18 @@ class _StagePlan(_Plan):
         if self.stab is not None:
             rest = self.stab._decode_one(hw)
             return None if rest is None else self.head[pt].tolist() + rest
-        lam, u_digits, border, ysub = self._border(hw[None])
-        if border.any():
+        lam = hw[0, 0]
+        rows, digits = self._siegel_rows
+        row = rows.get(fq.v_scale(lam, hw[:, self.R]).tobytes())
+        if row is None:
             return None
-        rest = self.sub._decode_one(ysub[0])
+        Y = fq.mat_mul(self.siegel_inv[row], hw)
+        if Y.take(self._border_pos).tobytes() != self._d_bytes[lam]:
+            return None
+        rest = self.sub._decode_one(Y.take(self._residue_pos).reshape(len(self.SP), len(self.SP)))
         if rest is None:
             return None
-        return self.head[pt].tolist() + u_digits[0].tolist() + self.gl1_digits[lam[0]].tolist() + rest
+        return self.head[pt].tolist() + digits[row].tolist() + self.gl1_digits[lam].tolist() + rest
 
     def _decode_into(self, Z, rows, out, errors, col, stats):
         # a failing row goes on through the arithmetic (every gather stays in
@@ -821,23 +800,30 @@ class _StagePlan(_Plan):
             if miss is None:
                 return
             hw, rows, alive = hw[miss], rows[miss], alive[miss]
-        lam, u_digits, border, ysub = self._border(hw)
+        k = len(hw)
+        lam = hw[:, 0, 0]
+        u = fq.v_scale(lam[:, None], hw[:, self.SP, self.R])
+        # over a prime field a code is its one digit
+        u_digits = u if fq.fast else fq.gf.digits.take(u, axis=0).reshape(k, -1)
+        Y = fq.mat_mul(self.siegel_inv.take(u_digits.dot(self._siegel_weights), axis=0), hw).reshape(k, n * n)
+        off = Y.take(self._border_pos, axis=1) != self._d_border.take(lam, axis=0)
         out[rows, siegel:gl1] = u_digits
         out[rows, gl1:tail] = self.gl1_digits.take(lam, axis=0)
         fixes = alive  # on a singular line and fixing the line of e_0
-        if border.any():
+        if off.any():
             failed = True
-            moved = border[:, :n - 1].any(axis=1)
+            moved = off[:, :n].any(axis=1)  # column 0: Y[0, 0] = lam wherever Y[1:, 0] = 0
             _reject(errors, rows, alive & moved, LsError, "element does not stabilize the base point")
             fixes = alive & ~moved
-            alive = fixes & ~_reject(errors, rows, fixes & border[:, n - 1:].any(axis=1), LsError,
+            alive = fixes & ~_reject(errors, rows, fixes & off[:, n:].any(axis=1), LsError,
                                      "stabilizer residue is not block diagonal")
         if stats is not None:
-            # the products of the matrix path after hw: E(-u) and E(-u) hw
-            # for each element that fixes the line of e_0
+            # E(-u) and E(-u) hw for each element that fixes the line of
+            # e_0, as the matrix path counts them
             stats["mults"] += 2 * int(fixes.sum())
         if failed:
-            ysub, rows = ysub[alive], rows[alive]
+            Y, rows = Y[alive], rows[alive]
+        ysub = Y.take(self._residue_pos, axis=1).reshape(len(Y), len(self.SP), len(self.SP))
         self.sub._decode_into(ysub, rows, out, errors, tail, stats)
 
 
@@ -942,7 +928,8 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     work_gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(T.T), space.gram), T)
     Rwork = space.witt_index
     n = space.n
-    # the decoder's closed-form border rests on G e_0 = e_R and G e_R = e_0
+    # the decoder reads u off column R and checks the border against d(lam):
+    # both rest on G e_0 = e_R and G e_R = e_0
     if not np.array_equal(work_gram[:, [0, Rwork]], fq.identity(n)[:, [Rwork, 0]]):
         raise LsError("working frame: (e_0, f_0) is not a hyperbolic pair apart from the rest")  # pragma: no cover
 
@@ -980,9 +967,20 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     U = np.zeros((len(SP), fq.e, fq.p, n), dtype=np.int16)
     for i, pos in enumerate(SP):
         U[i, :, :, pos] = fq.MUL[np.ix_(theta_codes, range(fq.p))]
-    siegel = globalize(forms.eichler(fq, work_gram, 0, U.reshape(-1, n)))
+    siegel_w = forms.eichler(fq, work_gram, 0, U.reshape(-1, n))
+    siegel = globalize(siegel_w)
     for lo in range(0, len(siegel), fq.p):
         blocks.append([Mat(fq, a) for a in siegel[lo:lo + fq.p]])
+    # the Siegel table: every product E(u) of the Siegel blocks in the
+    # working frame, in itertools.product order, so row by the digits of u.
+    # The maps along e_0 form an abelian group, E(u) E(v) = E(u + v), so
+    # E(-u) is the row of the negated digits; one stacked product checks
+    # every row
+    E = np.concatenate(list(ProductTables.build(fq, n, np.split(siegel_w, len(siegel_w) // fq.p)).walk()))
+    digits = product_rows(fq.p, len(SP) * fq.e, 0, len(E))
+    E_inv = E[(-digits % fq.p).dot(fq.p ** np.arange(digits.shape[1] - 1, -1, -1))]
+    if not (fq.mat_mul(E, E_inv) == fq.identity(n)).all():
+        raise LsError("Siegel table: E(u) E(-u) is not the identity on every row")  # pragma: no cover
 
     # GL1 block
     mu = fq.generator
@@ -1044,7 +1042,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         point=np.tile(np.arange(len(points)), fq.q - 1),
         strips=fq.mat_mul(Tinv, forms.isometry_inverse(space, heads[which])),
         head=ivs[which], enter=T,
-        R=Rwork, SP=np.array(SP), work_gram=work_gram, sp_gram=work_gram[SP], gl1_digits=gl1_digits,
+        R=Rwork, SP=np.array(SP), work_gram=work_gram, siegel=E, siegel_inv=E_inv, gl1_digits=gl1_digits,
         sub=sub_ls.plan.framed(phi, phi_inv),
         front=_TablePlan.build(tables) if claimed <= FRONT_ORDER else None,
         # the products of the stabilizer blocks moved into the working

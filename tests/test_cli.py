@@ -504,7 +504,8 @@ def test_demo_pipeline_script_runs_end_to_end(tmp_path):
 def test_survey_script_prints_a_verified_row_per_case():
     # one row per case of its CASES, each verified exactly or by sampling,
     # with the compose and decode timings (decode "-" only where the
-    # signature has no decoding tables)
+    # signature has no decoding tables), and the decode step of each level
+    # of the plan down to the first table that answers a member
     import ast
 
     from orthosig.lscore import canonical_ls
@@ -528,6 +529,10 @@ def test_survey_script_prints_a_verified_row_per_case():
             float(decode_us)
         else:
             assert decode_us == "-"
+    assert header.split()[5:7] == ["steps", "verified"]
+    steps = {row.split()[0]: row.split()[5] for row in rows}
+    assert (steps["O-4(3)"], steps["O-4(5)"], steps["O+6(3)"], steps["O-4(9)"], steps["PSO-4(3)"]) == \
+        ("front", "stab", "siegel>front", "siegel>table", "-")
 
 
 def test_verify_checks_the_claimed_order(tmp_path):
@@ -585,6 +590,32 @@ def test_a_number_that_is_not_an_int_in_a_signature_file_exits_2(mutate, tmp_pat
         assert main(args + ["--in", str(bad)]) == 2, args
         out = capsys.readouterr()
         assert "error" in parse_stdout(out.out)[0] and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv,q", [
+    (["counts", "--kind", "minus", "--q", "-3", "--m", "2"], -3),
+    (["construct", "--family", "O-", "--q", "0", "--m", "2", "--out", "OUT"], 0),
+    (["factor", "--rank", "5", "--in", "FILE"], -3),
+], ids=["counts", "construct", "file"])
+def test_a_q_below_2_exits_2_naming_q(argv, q, tmp_path, capsys):
+    # from the command line and from a saved O-4(3) file edited to "q": -3,
+    # the error names q, not the helper that factors it
+    from orthosig.cli import main
+    from orthosig.lscore import canonical_ls
+    from orthosig.matgroups import descriptor
+    from orthosig.serial import save_ls
+
+    path = tmp_path / "sig.json"
+    save_ls(canonical_ls(descriptor("O-", 3, n=4)), str(path))
+    doc = json.loads(path.read_text())
+    doc["group"]["q"] = -3
+    path.write_text(json.dumps(doc))
+    argv = [str(tmp_path / "out.json") if a == "OUT" else str(path) if a == "FILE" else a for a in argv]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert parse_stdout(out.out)[0]["error"] == f"q = {q} is not a prime power"
+    assert "Traceback" not in out.err
+    assert not (tmp_path / "out.json").exists()
 
 
 def _set_block(i, value):

@@ -583,17 +583,19 @@ ONE_PATH_GROUPS = sorted(PLAN_SHA256) + [("O-", 5, 4)]
 @pytest.mark.parametrize("fam,q,n", ONE_PATH_GROUPS)
 def test_one_element_decode_answers_as_the_stack_path_does(fam, q, n):
     # the dict path of plan.decode against decode_many of the one-element
-    # stack, through the real plan and through one whose points are
-    # mislabelled, on the inputs of the closed-form residue test: the same
-    # digits or the same error, and whatever _decode_one accepts recomposes
-    # to the element itself
+    # stack, through the real plan, through one whose points are
+    # mislabelled and through one without product tables, whose every
+    # stage takes the Siegel step, on the inputs of the closed-form residue
+    # test: the same digits or the same error, and whatever _decode_one
+    # accepts recomposes to the element itself
     from orthosig.matgroups import Mat
 
     ls = canonical_ls(descriptor(fam, q, n=n))
     fq = ls.blocks[0][0].fq
     members = [compose(unrank(v, ls), ls).a for v in range(0, ls.claimed_order, ls.claimed_order // 40)]
     others = _mixed_elements(ls, 7, 40) + _border_perturbed(ls.plan, members, 7)
-    for plan in (ls.plan, _mislabeled_points(ls.plan)):
+    mislabeled = _mislabeled_points(ls.plan)
+    for plan in (ls.plan, mislabeled, _without_tables(ls.plan)):
         for i, g in enumerate(members + others):
             digits, errors = plan.decode_many(g[None])
             got = _decode_one(plan, fq, g, None)
@@ -602,12 +604,70 @@ def test_one_element_decode_answers_as_the_stack_path_does(fam, q, n):
             else:
                 assert got == digits[0].tolist()
             one = plan._decode_one(g)
-            if plan is ls.plan and i < len(members):
+            if plan is not mislabeled and i < len(members):
                 # a member never needs the stack path
                 assert one is not None
             if one is not None:
                 assert not errors and one == got
                 assert compose(IndexVector(tuple(one)), ls) == Mat(fq, g)
+
+
+def _stages(plan):
+    """The stage plans of a plan, top first."""
+    from orthosig.lscore import _StagePlan
+
+    while isinstance(plan, _StagePlan):
+        yield plan
+        plan = plan.sub
+
+
+@pytest.mark.parametrize("fam,q,n", sorted(PLAN_SHA256))
+def test_the_siegel_table_of_every_stage_is_exact(fam, q, n):
+    # q^|SP| distinct rows E(u), the first the identity, each times E(-u)
+    # on its row the identity: the maps along every u on SP, once each
+    import numpy as np
+
+    for stage in _stages(canonical_ls(descriptor(fam, q, n=n)).plan):
+        fq, E, E_inv = stage.fq, stage.siegel, stage.siegel_inv
+        assert E.shape == E_inv.shape == (q ** len(stage.SP), n, n)
+        assert (fq.mat_mul(E, E_inv) == fq.identity(n)).all()
+        assert (E[0] == fq.identity(n)).all()
+        assert len({a.tobytes() for a in E}) == len(E)
+        n -= 2
+
+
+@pytest.mark.parametrize("fam,q,n", ONE_PATH_GROUPS)
+def test_a_wrong_siegel_table_only_fails_to_decode(fam, q, n):
+    # with the E(-u) rows of every stage rotated by one, no member decodes
+    # to wrong digits: each one that reaches a Siegel step fails, on both
+    # paths, with the error the stack path names
+    from dataclasses import replace
+
+    import numpy as np
+
+    from orthosig.lscore import LsError, _StagePlan
+    from orthosig.matgroups import Mat
+
+    def rotated(plan):
+        if not isinstance(plan, _StagePlan):
+            return plan
+        return replace(plan, siegel_inv=np.roll(plan.siegel_inv, 1, axis=0), sub=rotated(plan.sub))
+
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    fq = ls.blocks[0][0].fq
+    members = [compose(unrank(v, ls), ls).a for v in range(0, ls.claimed_order, ls.claimed_order // 40)]
+    for plan in (rotated(ls.plan), rotated(_without_tables(ls.plan))):
+        digits, errors = plan.decode_many(np.stack(members))
+        for i, g in enumerate(members):
+            want = ls.plan.decode(Mat(fq, g))
+            if i in errors:
+                assert (type(errors[i]), str(errors[i])) == (LsError, "stabilizer residue is not block diagonal")
+                with pytest.raises(LsError, match="stabilizer residue is not block diagonal"):
+                    plan.decode(Mat(fq, g))
+            else:
+                assert digits[i].tolist() == plan.decode(Mat(fq, g)) == want
+        if plan.front is None and plan.stab is None:
+            assert len(errors) == len(members)
 
 
 @pytest.mark.parametrize("fam,q,n", ONE_PATH_GROUPS)

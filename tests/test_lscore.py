@@ -563,37 +563,42 @@ def test_canonical_signatures_match_golden_hashes(fam, q, n):
 
 
 # SHA-256 of every array of the decode plan (`_plan_digest`, table rows in
-# the order of their entry bytes), recorded while each table was still
-# indexed twice, by entry bytes and by sorted base-q integer keys: the
-# strips, digits and tables a stage decodes through must stay the same to
-# the byte.
+# the order of their entry bytes), recorded when the Siegel table replaced
+# the closed-form border: every other array hashes as it did while each
+# table was still indexed twice, by entry bytes and by sorted base-q
+# integer keys.  The strips, digits and tables a stage decodes through must
+# stay the same to the byte.
 PLAN_SHA256 = {
-    ("O-", 3, 4): "44d0244223ec7a3bb458582284bae7bef16506a7bfdcada5f13892e1917c8786",
-    ("O+", 5, 4): "2e48cf7150efef7004ebe81bec48472c5e7090a2c20e64e3b1ecdd50ae50c398",
-    ("O-", 9, 4): "2711fa7d8f2bba03e6b5d1877b3374ac080a84fd5270d897ad55c38b66775938",
-    ("Oodd", 3, 5): "b29c50063c9732b79a271d42c23d1e035639671f8bdb9eea34bfbe72310f398c",
-    ("PSOodd", 3, 5): "431cb496092267d0934e91dae7a122e6ee85fa6306f194f202758608f12f8f45",
-    ("O+", 3, 6): "532232e062bc728bb8cf9de0044d0490297bd26d132b7161c40484e1b1911a60",
-    ("SOodd", 17, 3): "fe2ac922f3c3acde248249be6202648b95d947c27b145e5c712c2ec85aedded7",
-    ("Oodd", 3, 7): "c5e2d11821b7c36588241356ea41ca3e0f44bb787cad31c8fb67527abc995a9a",
-    ("O-", 7, 4): "850bdb2d706b905865a4ca64587f49c4536bdbfa8e70ec3941377ccd6fb0f738",
-    ("O-", 25, 4): "7cd6e17778b30059255d1081a948381f1d0e2b70f31b27ba71c905accb9e4286",
+    ("O-", 3, 4): "3d4b2908f646e35b3d02451da860137d546499e5cf4a063b070b2c17c08a94a5",
+    ("O+", 5, 4): "e3afe33bf0dbc299ee4f43ee5fbd01df49ae45515278fbeffa9f223a95fe17a1",
+    ("O-", 9, 4): "ade416aa5cfdf11b0e1bd7359970859032b6c3ed08d4cf432170d4f43656727f",
+    ("Oodd", 3, 5): "858ee27aa9c34068e6e19acfca882adce8dc7a45caffe4c15b7f34081bdeeed1",
+    ("PSOodd", 3, 5): "b1c8f705ceea59a9e24554ec35e1d65da83844644c158f1bf29e0ff1b9acc5f9",
+    ("O+", 3, 6): "ef042e8ddd888baf181463c4595529f57ae79845adb08146f2fcf2726001a3b0",
+    ("SOodd", 17, 3): "caef332689cef5d3de0212690f82abb13ae06ec8f87a70deb61b2196d3884589",
+    ("Oodd", 3, 7): "3cadbca2bf6d9c21c6afc89d0dadec857a99f9bb14d7345134e271a824e71f23",
+    ("O-", 7, 4): "b19d7f255b26ef50a4b8f661bae1c456e261199902e422a132a6239766ec32fc",
+    ("O-", 25, 4): "afae8f50ab8058c301d377c0bf84f37393dba1893401bdd51724bc78c39c0eff",
 }
 
 
 def _plan_digest(h, plan, path="plan"):
     """Feeds the name, dtype, shape and bytes of each array of the plan to
     the hash h, then those of its sub-plan, front and stabilizer table.  The
-    rows of a table (`vectors` with `point`, `mats` with `ivs`) go in the
-    order of their entry bytes, so the digest pins what the table holds and
-    not the order it is kept in."""
+    rows of a table (`vectors` with `point`, `siegel` with `siegel_inv`,
+    `mats` with `ivs`) go in the order of the entry bytes of its first
+    array, so the digest pins what the table holds and not the order it is
+    kept in."""
     from orthosig.lscore import _StagePlan
 
     stage = isinstance(plan, _StagePlan)
-    rows, names = ((("vectors", "point"), ("strips", "head", "enter", "SP", "sp_gram", "gl1_digits", "work_gram"))
-                   if stage else (("mats", "ivs"), ()))
-    by_bytes = sorted(range(len(getattr(plan, rows[0]))), key=lambda i: getattr(plan, rows[0])[i].tobytes())
-    arrays = [(name, np.asarray(getattr(plan, name))[by_bytes]) for name in rows]
+    tables, names = (((("vectors", "point"), ("siegel", "siegel_inv")),
+                      ("strips", "head", "enter", "SP", "gl1_digits", "work_gram"))
+                     if stage else ((("mats", "ivs"),), ()))
+    arrays = []
+    for rows in tables:
+        by_bytes = sorted(range(len(getattr(plan, rows[0]))), key=lambda i: getattr(plan, rows[0])[i].tobytes())
+        arrays += [(name, np.asarray(getattr(plan, name))[by_bytes]) for name in rows]
     for name, a in arrays + [(name, getattr(plan, name)) for name in names]:
         a = np.ascontiguousarray(a)
         h.update(f"{path}.{name} {a.dtype.str} {a.shape}\n".encode())
