@@ -42,21 +42,24 @@ def _add_group_args(sp, need_family=True):
     g.add_argument("--n", type=int)
 
 
-def _positive_int(text):
-    """An int of at least 1; argparse exits 2 on anything else."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    """The argparse type of an int of at least low; argparse exits 2 on
+    anything else."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--samples", type=_positive_int, default=10_000)
-    sp.add_argument("--budget", type=int, default=EXHAUSTIVE_BUDGET)
+    sp.add_argument("--samples", type=_int_at_least(1), default=10_000)
+    sp.add_argument("--budget", type=_int_at_least(0), default=EXHAUSTIVE_BUDGET)
 
 
 def build_parser():
@@ -104,7 +107,7 @@ def build_parser():
 
     c = sub.add_parser("pgm-demo", help="signature-keyed permutation cipher demo")
     _add_group_args(c)
-    c.add_argument("--messages", type=int, default=8)
+    c.add_argument("--messages", type=_int_at_least(0), default=8)
     _add_common(c)
 
     c = sub.add_parser("omega-check", help="even-rank criterion vs commutator-closure oracle")

@@ -102,12 +102,12 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
 
 
 def compose(iv: IndexVector, ls: LogSignature) -> Mat:
-    """Product of the indexed block elements: one row of each product
-    table, multiplied across the segments."""
+    """Product of the indexed block elements, by the one-element
+    `ProductTables.product`: read-only, and on one segment a table row."""
     indices = check_bounds(iv, ls)
     if not ls.blocks:
         raise FactorError("signature has no blocks")
-    return Mat(ls.blocks[0][0].fq, ls.product_tables().products([indices])[0])
+    return Mat(ls.blocks[0][0].fq, ls.product_tables().product(indices))
 
 
 def rank(iv: IndexVector, ls: LogSignature) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, cached_property, reduce
@@ -149,7 +150,8 @@ class ProductTables:
     element per block of the run, in itertools.product order (the last
     block varies fastest).  No blocks make one empty segment, whose table
     is the identity.  Every product of the signature is one row of each
-    table, multiplied across the segments."""
+    table, multiplied across the segments: for a stack (sampled
+    verification) by `products`, for one element (`compose`) by `product`."""
 
     fq: FqContext
     n: int
@@ -185,6 +187,24 @@ class ProductTables:
         segment and one stacked `mat_mul` per segment after the first."""
         rows = np.asarray(ivs, dtype=np.int64).dot(self.weights)
         return reduce(self.fq.mat_mul, [T.take(r, axis=0) for T, r in zip(self.tables, rows.T)])
+
+    @cached_property
+    def _segments(self):
+        """(lo, hi, weights) of each segment: its blocks lo..hi-1 and their
+        weights, as Python ints."""
+        out = []
+        for col in self.weights.T:
+            nz = np.flatnonzero(col)
+            lo, hi = (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0)
+            out.append((lo, hi, col[lo:hi].tolist()))
+        return out
+
+    def product(self, indices):
+        """The left-to-right block product of one index vector, a tuple of
+        Python ints, as an (n, n) int16 array, a view of the table row when
+        there is one segment: what `products([indices])[0]` holds."""
+        rows = [sum(map(operator.mul, indices[lo:hi], w)) for lo, hi, w in self._segments]
+        return reduce(self.fq.mat_mul, [T[r] for T, r in zip(self.tables, rows)])
 
     def walk(self):
         """Every block product, in itertools.product order, as consecutive
@@ -538,8 +558,12 @@ class _Plan:
         if A.itemsize < 2:
             A = A.astype(np.int16)
         if A.size and A.view(f"u{A.itemsize}").max() >= q:
-            raise CodeError(f"stack has an entry outside the codes 0..{q - 1} of F_{q}")
+            raise self._code_error()
         return A.astype(np.int16, copy=False)
+
+    def _code_error(self):
+        q = self.fq.q
+        return CodeError(f"stack has an entry outside the codes 0..{q - 1} of F_{q}")
 
     def decode_many(self, A, stats=None):
         """Index vectors of a (k, n, n) stack, as (digits, errors): digits
@@ -559,16 +583,20 @@ class _Plan:
 
     def decode(self, g: Mat, stats=None):
         """The digits of one element, as a list of ints; raises what
-        decode_many names for it.  An exact table hit, or a stage path
-        whose every border passes, is answered by `_decode_one`; anything
-        else, and every call with stats, goes down decode_many as a
-        one-element stack, which names the error and counts as before."""
-        A = g.a[None]
-        if stats is None:
-            digits = self._decode_one(self._codes(A)[0])
+        decode_many names for it.  Without stats, an (n, n) `Mat`, already
+        C-contiguous int16, has only its code range checked before
+        `_decode_one` answers an exact table hit, or a stage path whose
+        every border passes.  A miss, a `Mat` of another size and every
+        call with stats go down decode_many as a one-element stack, which
+        names the error and counts as before."""
+        a = g.a
+        if stats is None and a.shape == (self.n, self.n):
+            if a.view(np.uint16).max() >= self.fq.q:
+                raise self._code_error()
+            digits = self._decode_one(a)
             if digits is not None:
                 return digits
-        out, errors = self.decode_many(A, stats)
+        out, errors = self.decode_many(a[None], stats)
         if errors:
             raise errors[0]
         return out[0].tolist()
@@ -1063,7 +1091,9 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
     """[R, Q]: unipotent radical and Levi blocks of the stabilizer of a
     totally singular k-space.
     """
-    if not 1 <= k <= space.witt_index:
+    if k < 1:
+        raise LsError(f"k = {k} is not in 1..{space.witt_index}, from 1 up to the Witt index")
+    if k > space.witt_index:
         raise LsError(f"k = {k} exceeds the Witt index {space.witt_index}")
     fq = space.fq
     n, R = space.n, space.witt_index

@@ -1,7 +1,9 @@
 import json
+import operator
 import os
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
 
@@ -245,6 +247,19 @@ def test_parabolic_command():
     assert doc["result"]["orbit_stabilizer_match"] is True
 
 
+@pytest.mark.parametrize("k,error", [("0", "k = 0 is not in 1..1, from 1 up to the Witt index"),
+                                     ("-1", "k = -1 is not in 1..1, from 1 up to the Witt index"),
+                                     ("5", "k = 5 exceeds the Witt index 1")])
+def test_parabolic_k_outside_the_witt_range_exits_2_naming_the_range(k, error, capsys):
+    # k = 0 once exited with "k = 0 exceeds the Witt index 1"
+    from orthosig.cli import main
+
+    assert main(["parabolic", "--family", "O-", "--q", "3", "--m", "2", "--k", k]) == 2
+    out = capsys.readouterr()
+    assert parse_stdout(out.out)[0]["error"] == error
+    assert "Traceback" not in out.err
+
+
 def test_project_command(tmp_path):
     proc = run_cli("project", "--family", "SO-", "--q", "3", "--m", "2")
     assert proc.returncode == 0
@@ -375,6 +390,30 @@ def test_fewer_than_one_sample_exits_2(samples, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count(f"argument --samples: must be at least 1, got {samples}") == 2
+
+
+@pytest.mark.parametrize("option", ["--budget", "--messages"])
+def test_a_negative_budget_or_message_count_exits_2(option, tmp_path, capsys):
+    # verify --budget -1 once exited 2 only after loading the file, and
+    # pgm-demo --messages -1 exited 0 with an empty sample; argparse now
+    # rejects both at parse time, and 0 stays valid
+    from orthosig.cli import main
+
+    good = tmp_path / "ls.json"
+    assert main(["construct", "--family", "O-", "--q", "3", "--m", "2", "--out", str(good)]) == 0
+    capsys.readouterr()
+    pgm_demo = ["pgm-demo", "--family", "O-", "--q", "3", "--m", "1"]
+    runs = [pgm_demo] + ([["verify", "--in", str(good)]] if option == "--budget" else [])
+    for argv in runs:
+        assert main(argv + [option, "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count(f"argument {option}: must be at least 0, got -1") == len(runs)
+    assert main(pgm_demo + [option, "0"]) == 0
+    doc, _ = parse_stdout(capsys.readouterr().out)
+    assert doc["result"]["permutation_verified"] is True
+    if option == "--messages":
+        assert doc["result"]["sample"] == []
 
 
 def test_verify_missing_file_exits_2(tmp_path):
@@ -703,6 +742,78 @@ def test_a_signature_file_of_the_wrong_shape_exits_2(mutate, tmp_path, capsys):
         out = capsys.readouterr()
         # a sentence naming the fault, not a bare KeyError such as 'q'
         assert " " in parse_stdout(out.out)[0]["error"] and "Traceback" not in out.err
+
+
+# values of another type than the node they replace, or out of range for it
+CORPUS_VALUES = {
+    int: [-1, 3, 2 ** 15, 2 ** 70, 2.5, "3", None, True, [], {}],
+    bool: [0, 2, "true", None, []],
+    str: ["", "O", "O-x", 3, None, [], {}],
+    list: [[], [[]], [0], "abc", 1, None, {}, [[0] * 4] * 3],
+    dict: [{}, [], "abc", 4, None, {"n": 4}],
+    type(None): [0, "", [], {}],
+}
+
+
+def _corpus_nodes(node, path=()):
+    # the path of every node below node, containers before their children
+    for key in (list(node) if isinstance(node, dict) else range(len(node))):
+        yield path + (key,)
+        if isinstance(node[key], (dict, list)):
+            yield from _corpus_nodes(node[key], path + (key,))
+
+
+def _corpus_mutation(doc, rng):
+    # picks a node, half the time uniformly among all nodes (mostly the
+    # codes and rows of the records), otherwise by a walk down from the top
+    # to a random child at each level that stops at a leaf or, with
+    # probability 1/3, at a container; replaces it and returns its path and
+    # the new value
+    if rng.random() < 1 / 2:
+        path = list(rng.choice(list(_corpus_nodes(doc))))
+    else:
+        path, node = [], doc
+        while isinstance(node, (dict, list)) and node and (not path or rng.random() >= 1 / 3):
+            path.append(rng.choice(list(node) if isinstance(node, dict) else range(len(node))))
+            node = node[path[-1]]
+    *up, key = path
+    parent = reduce(operator.getitem, up, doc)
+    old = parent[key]
+    pool = [v for v in CORPUS_VALUES[type(old)] if v != old or type(v) is not type(old)]
+    parent[key] = value = rng.choice(pool)
+    return path, value
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_a_seeded_corpus_of_mutated_signature_files_never_crashes(case, tmp_path, capsys):
+    # a saved O-4(3) file with one node replaced by a value of another type
+    # or out of range: verify in both modes and factor each print a report
+    # and exit 0, 1 or 2, never a traceback, and a file load_ls rejects
+    # exits 2 from all three
+    import random as _random
+
+    from orthosig.cli import main
+    from orthosig.lscore import canonical_ls
+    from orthosig.matgroups import descriptor
+    from orthosig.serial import load_ls, save_ls
+
+    path = tmp_path / "sig.json"
+    save_ls(canonical_ls(descriptor("O-", 3, n=4)), str(path))
+    doc = json.loads(path.read_text())
+    where, value = _corpus_mutation(doc, _random.Random(f"corpus/{case}"))
+    path.write_text(json.dumps(doc))
+    try:
+        load_ls(str(path))
+        loads = True
+    except (RuntimeError, ValueError, KeyError):
+        loads = False
+    for args in (["verify", "--mode", "exhaustive"], ["verify", "--mode", "sampled", "--samples", "20"],
+                 ["factor", "--rank", "5"]):
+        code = main(args + ["--in", str(path)])
+        out = capsys.readouterr()
+        assert code in (0, 1, 2) and "Traceback" not in out.err, (where, value, args)
+        parse_stdout(out.out)
+        assert loads or code == 2, (where, value, args)
 
 
 def test_factor_exits_2_on_a_file_that_does_not_claim_its_group_order(tmp_path):

@@ -804,6 +804,50 @@ def test_compose_through_seven_segments_over_f1543():
         assert compose(iv, ls) == want
 
 
+def _one_row_cases():
+    # the COMPOSE_GROUPS signatures and the seven-segment F_1543 one
+    import numpy as np
+
+    from orthosig.fields import fq_context
+    from orthosig.matgroups import Mat
+
+    for fam, q, n in COMPOSE_GROUPS:
+        yield f"{fam}{n}({q})", canonical_ls(descriptor(fam, q, n=n))
+    fq = fq_context(1543, 1)
+    rng = np.random.default_rng(1543)
+    blocks = [[Mat(fq, a) for a in rng.integers(0, fq.q, (65, 3, 3))] for _ in range(7)]
+    yield "F_1543", LogSignature(None, blocks, 65 ** 7)
+
+
+def test_one_row_product_is_the_stack_product_byte_for_byte():
+    # on the all-zero, all-last and 25 seeded index vectors of each
+    import numpy as np
+
+    for name, ls in _one_row_cases():
+        tables = ls.product_tables()
+        rng = random.Random(f"product/{name}")
+        ivs = [tuple(0 for _ in ls.sizes), tuple(s - 1 for s in ls.sizes)]
+        ivs += [tuple(unrank(rng.randrange(ls.claimed_order), ls)) for _ in range(25)]
+        for iv in ivs:
+            one, stacked = tables.product(iv), tables.products([iv])[0]
+            assert one.shape == stacked.shape == (tables.n, tables.n), name
+            assert one.dtype == stacked.dtype == np.int16, name
+            assert one.tobytes() == stacked.tobytes(), (name, iv)
+
+
+def test_composed_elements_are_read_only():
+    # on one segment the composed element is a view of a table row, so a
+    # write to it must raise and leave the table as it was
+    for fam, q, n, segments in [("O-", 3, 4, 1), ("O+", 5, 4, 2), ("O+", 3, 6, 3)]:
+        ls = canonical_ls(descriptor(fam, q, n=n))
+        assert len(ls.product_tables().tables) == segments
+        for v in (0, ls.claimed_order - 1, ls.claimed_order // 3):
+            g = compose(unrank(v, ls), ls)
+            with pytest.raises(ValueError, match="read-only"):
+                g.a[0, 0] = (g.a[0, 0] + 1) % q
+            assert compose(unrank(v, ls), ls) == g
+
+
 def test_plan_decode_of_the_wrong_size_raises_the_stack_message():
     import numpy as np
 
