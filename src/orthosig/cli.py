@@ -86,8 +86,9 @@ def build_parser():
 
     c = sub.add_parser("factor", help="factor an element through the canonical signature")
     c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--rank", type=int, default=None, help="factor the element of this rank")
-    c.add_argument("--element-file", default=None, help="JSON matrix to factor")
+    which = c.add_mutually_exclusive_group()
+    which.add_argument("--rank", type=int, default=None, help="factor the element of this rank")
+    which.add_argument("--element-file", default=None, help="JSON matrix to factor")
     _add_common(c)
 
     c = sub.add_parser("spread-check", help="classical spread and construction spread reports")

@@ -91,10 +91,11 @@ class LogSignature:
     blocks: list
     claimed_order: int
     meta: dict = dc_field(default_factory=dict)
-    plan: object = None  # decoder, not serialized
-    # products, not serialized; set only where the program finishes the
-    # signature, as a file or a caller may still edit the blocks in place
-    tables: ProductTables | None = dc_field(default=None, compare=False, repr=False)
+    # the decoder and the products, neither serialized: set only where the
+    # program finishes a signature (`from_stacks`), as a file or a caller
+    # may still edit the blocks in place
+    plan: object = dc_field(default=None, init=False)
+    tables: ProductTables | None = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # the sizes, read by every bounds check, rank and unrank
@@ -104,6 +105,15 @@ class LogSignature:
         prod = math.prod(self.sizes)
         if prod != self.claimed_order:
             raise LsError(f"block sizes multiply to {prod}, claimed {self.claimed_order}")
+
+    @classmethod
+    def from_stacks(cls, group, fq: FqContext, n: int, stacks, claimed_order: int, meta: dict) -> LogSignature:
+        """A finished signature from its blocks as (k, n, n) int16 stacks:
+        each element wrapped in a `Mat` once, and the product tables built
+        from the stacks, the only place a signature gets its tables."""
+        ls = cls(group, [[Mat(fq, a) for a in S] for S in stacks], claimed_order, meta)
+        ls.tables = ProductTables.build(fq, n, stacks)
+        return ls
 
     @property
     def length(self):
@@ -270,17 +280,17 @@ def _mixed_radices(s: int) -> list[int]:
 
 def cyclic_blocks(x: Mat, s: int) -> tuple[list, list[int]]:
     """Prime-size blocks {x^(j*M_t)} realizing the cyclic set {x^i : i < s},
-    read from one table of the running powers of x."""
+    as (r, n, n) int16 stacks: the rows j*M_t of one table of the running
+    powers of x."""
     if s <= 0:
         raise LsError("cyclic set size must be positive")
     if s == 1:
         return [], []
     radices = _mixed_radices(s)
     P = powers(x.fq, x.a, s)
-    blocks = []
-    M = 1
+    blocks, M = [], 1
     for r in radices:
-        blocks.append([Mat(x.fq, P[j * M]) for j in range(r)])
+        blocks.append(P[np.arange(r) * M])
         M *= r
     return blocks, radices
 
@@ -296,7 +306,7 @@ def cyclic_set_mls(x: Mat, s: int) -> LogSignature:
     if s > ord_x:
         raise LsError(f"cyclic set size {s} exceeds element order {ord_x}")
     blocks, radices = cyclic_blocks(x, s)
-    return LogSignature(None, blocks, s, meta={"set": "cyclic", "radices": radices})
+    return LogSignature.from_stacks(None, x.fq, x.n, blocks, s, {"set": "cyclic", "radices": radices})
 
 
 def digits_of(j: int, radices) -> list[int]:
@@ -897,9 +907,9 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
     fq = space.fq
     base = desc.base_family()
     if desc.n == 1:
-        blocks = [[identity(fq, 1), neg_identity(fq, 1)]] if base == "O" else []
+        blocks = [np.stack([fq.identity(1), neg_identity(fq, 1).a])] if base == "O" else []
         claimed = 2 if base == "O" else 1
-        return _table_ls(desc, blocks, claimed)
+        return _table_ls(desc, fq, blocks, claimed)
     els = forms.enumerate_isometry_group(space, "O")
     dets = fq.det(np.stack([g.a for g in els]))
     so = [g for g, d in zip(els, dets) if d == 1]
@@ -914,19 +924,19 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
             continue
     if gen is None:
         raise LsError("rank-1 special orthogonal group is not cyclic here")  # pragma: no cover
-    cyc, radices = cyclic_blocks(gen, target)
-    blocks = list(cyc)
+    blocks = cyclic_blocks(gen, target)[0]
     if base == "O":
-        refl = sorted((g for g, d in zip(els, dets) if d != 1), key=lambda x: x.key)
-        blocks = blocks + [[identity(fq, 2), refl[0]]]
-    return _table_ls(desc, blocks, target * (2 if base == "O" else 1))
+        refl = min((g for g, d in zip(els, dets) if d != 1), key=lambda x: x.key)
+        blocks.append(np.stack([fq.identity(2), refl.a]))
+    return _table_ls(desc, fq, blocks, target * (2 if base == "O" else 1))
 
 
-def _table_ls(desc, blocks, claimed):
+def _table_ls(desc, fq, stacks, claimed):
     """A base-case signature, decoded by the table of all its products."""
-    tables = ProductTables.build(fq_context(desc.p, desc.e), desc.n, blocks)
-    return LogSignature(desc, blocks, claimed, meta={"shape": "base", "kind": desc.kind, "minimal": True},
-                        plan=_TablePlan.build(tables), tables=tables)
+    ls = LogSignature.from_stacks(desc, fq, desc.n, stacks, claimed,
+                                  {"shape": "base", "kind": desc.kind, "minimal": True})
+    ls.plan = _TablePlan.build(ls.tables)
+    return ls
 
 
 def _staged_ls(desc: GroupDescriptor) -> LogSignature:
@@ -934,7 +944,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     fq = space.fq
     sp_plan = spread_construction(space, desc.family)
     notes = list(sp_plan.notes)
-    blocks: list = []
+    stacks: list = []
     layers_meta = []
 
     # A layers
@@ -942,10 +952,10 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         if layer[0] == "cyc":
             _, gen, size = layer
             cyc, radices = cyclic_blocks(gen, size)
-            blocks.extend(cyc)
+            stacks.extend(cyc)
             layers_meta.append({"type": "cyclic", "size": size, "radices": radices})
         else:
-            blocks.append(list(layer[1]))
+            stacks.append(np.asarray(layer[1], dtype=np.int16))
             layers_meta.append({"type": "transversal", "size": len(layer[1])})
 
     # adapted frame
@@ -982,10 +992,11 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         b_gl = Mat(fq, globalize(bw))
         if element_order(b_gl, space.q ** r_dim) != space.q ** r_dim - 1:
             raise LsError("Singer block has the wrong order")
-        blocks.extend(cyclic_blocks(b_gl, t)[0])
+        stacks.extend(cyclic_blocks(b_gl, t)[0])
 
-    # the blocks from here on multiply to the stabilizer of the point of w
-    nhead = len(blocks)
+    # the blocks from here on multiply to the stabilizer of the point of w;
+    # they are built once, as the working-frame stacks of `work`
+    nhead = len(stacks)
 
     # Siegel blocks
     SP = list(range(1, Rwork)) + list(range(Rwork + 1, 2 * Rwork)) + list(range(2 * Rwork, n))
@@ -996,25 +1007,21 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     for i, pos in enumerate(SP):
         U[i, :, :, pos] = fq.MUL[np.ix_(theta_codes, range(fq.p))]
     siegel_w = forms.eichler(fq, work_gram, 0, U.reshape(-1, n))
-    siegel = globalize(siegel_w)
-    for lo in range(0, len(siegel), fq.p):
-        blocks.append([Mat(fq, a) for a in siegel[lo:lo + fq.p]])
+    work = np.split(siegel_w, len(siegel_w) // fq.p)
     # the Siegel table: every product E(u) of the Siegel blocks in the
     # working frame, in itertools.product order, so row by the digits of u.
     # The maps along e_0 form an abelian group, E(u) E(v) = E(u + v), so
     # E(-u) is the row of the negated digits; one stacked product checks
     # every row
-    E = np.concatenate(list(ProductTables.build(fq, n, np.split(siegel_w, len(siegel_w) // fq.p)).walk()))
+    E = np.concatenate(list(ProductTables.build(fq, n, work).walk()))
     digits = product_rows(fq.p, len(SP) * fq.e, 0, len(E))
     E_inv = E[(-digits % fq.p).dot(fq.p ** np.arange(digits.shape[1] - 1, -1, -1))]
     if not (fq.mat_mul(E, E_inv) == fq.identity(n)).all():
         raise LsError("Siegel table: E(u) E(-u) is not the identity on every row")  # pragma: no cover
 
-    # GL1 block
-    mu = fq.generator
-    d_mu = Mat(fq, globalize(_gl1_np(fq, n, Rwork, mu)))
-    gcyc, gl1_radices = cyclic_blocks(d_mu, space.q - 1)
-    blocks.extend(gcyc)
+    # GL1 block: the powers of d(mu)
+    gcyc, gl1_radices = cyclic_blocks(Mat(fq, _gl1_np(fq, n, Rwork, fq.generator)), space.q - 1)
+    work.extend(gcyc)
     # d(mu)^k has corner mu^k, and mu generates F_q^*: k is the log of the corner
     gl1_digits = np.zeros((space.q, len(gl1_radices)), dtype=np.int64)
     gl1_digits[1:] = [digits_of(int(k), gl1_radices) for k in fq.gf.log[1:]]
@@ -1027,24 +1034,21 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     phi, lam = forms.align_spaces(sub_space, sub_gram, fq)
     phi_inv = fq.mat_inv(phi)
     # every element of the tail: phi x phi^-1 on SP, the identity on e_0
-    # and f_0, in one stacked product each way
+    # and f_0, in one stacked product
     if sub_ls.blocks:
         X = np.stack([x.a for blk in sub_ls.blocks for x in blk])
         full = np.broadcast_to(fq.identity(n), (len(X), n, n)).copy()
         full[:, np.array(SP)[:, None], SP] = fq.mat_mul(fq.mat_mul(phi, X), phi_inv)
-        emb = iter(globalize(full))
-        for blk in sub_ls.blocks:
-            blocks.append([Mat(fq, next(emb)) for _ in blk])
+        work.extend(np.split(full, np.cumsum(sub_ls.sizes)[:-1]))
 
-    claimed = 1
-    for b in blocks:
-        claimed *= len(b)
+    # the stabilizer blocks in the global frame: one change of frame
+    stacks.extend(np.split(globalize(np.concatenate(work)), np.cumsum([len(S) for S in work])[:-1]))
+    claimed = math.prod(len(S) for S in stacks)
     expected = group_order(desc)
     if claimed != expected:
         raise LsError(f"stage sizes multiply to {claimed}, group order is {expected}")
 
-    tables = ProductTables.build(fq, n, blocks)
-    ls = LogSignature(desc, blocks, claimed, tables=tables, meta={
+    ls = LogSignature.from_stacks(desc, fq, n, stacks, claimed, {
         "shape": sp_plan.shape,
         "literal_block_ok": sp_plan.literal_ok,
         "notes": notes,
@@ -1056,14 +1060,14 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     # one product h of the A and B blocks whose image of w lies on p, and
     # the strip T^-1 h^-1
     points = space.isotropic_points()
-    heads = np.concatenate(list(ProductTables.build(fq, n, blocks[:nhead]).walk()))
+    heads = np.concatenate(list(ProductTables.build(fq, n, stacks[:nhead]).walk()))
     hit = _lookup(dict(zip(_keys(points).tolist(), range(len(points)))), space.canon(fq.mat_vec(heads, W0[0])))
     if not np.array_equal(np.sort(hit), np.arange(len(points))):
         raise LsError("the A and B blocks do not carry the base point once to each singular point")
     which = np.empty(len(points), dtype=np.intp)
     which[hit] = np.arange(len(heads))
     # itertools.product order, as the walk
-    ivs = np.indices([len(b) for b in blocks[:nhead]], dtype=np.int64).reshape(nhead, len(heads)).T
+    ivs = np.indices([len(S) for S in stacks[:nhead]], dtype=np.int64).reshape(nhead, len(heads)).T
     ls.plan = _StagePlan(
         space=space,
         vectors=np.concatenate([fq.v_scale(c, points) for c in range(1, fq.q)]),
@@ -1072,13 +1076,9 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         head=ivs[which], enter=T,
         R=Rwork, SP=np.array(SP), work_gram=work_gram, siegel=E, siegel_inv=E_inv, gl1_digits=gl1_digits,
         sub=sub_ls.plan.framed(phi, phi_inv),
-        front=_TablePlan.build(tables) if claimed <= FRONT_ORDER else None,
-        # the products of the stabilizer blocks moved into the working
-        # frame are the products of the moved blocks
-        stab=(_TablePlan.build(ProductTables.build(fq, n, [
-                  fq.mat_mul(fq.mat_mul(Tinv, np.stack([x.a for x in blk])), T) for blk in blocks[nhead:]]))
-              if claimed > FRONT_ORDER and math.prod(map(len, blocks[nhead:])) <= FRONT_ORDER
-              else None),
+        front=_TablePlan.build(ls.tables) if claimed <= FRONT_ORDER else None,
+        stab=(_TablePlan.build(ProductTables.build(fq, n, work))
+              if claimed > FRONT_ORDER and math.prod(map(len, work)) <= FRONT_ORDER else None),
     )
     return ls
 
@@ -1192,8 +1192,9 @@ def project_ls(ls: LogSignature) -> LogSignature:
         qdesc = ls.group.with_base("PSO")
     n = ls.group.n if ls.group is not None else ls.blocks[0][0].n
     if n % 2 == 1:
-        return LogSignature(qdesc, [list(b) for b in ls.blocks], ls.claimed_order,
-                            meta=dict(ls.meta), plan=ls.plan, tables=ls.tables)
+        out = LogSignature(qdesc, [list(b) for b in ls.blocks], ls.claimed_order, dict(ls.meta))
+        out.plan, out.tables = ls.plan, ls.tables
+        return out
     fq = ls.blocks[0][0].fq
     target = ls.claimed_order // 2
     stacks = [np.asarray(b, dtype=np.int16) for b in ls.blocks]
@@ -1234,8 +1235,7 @@ def project_ls(ls: LogSignature) -> LogSignature:
             meta = dict(ls.meta)
             meta.update({"projected": True, "halved_block": t,
                          "minimal": ls.meta.get("minimal", False)})
-            return LogSignature(qdesc, [[Mat(fq, a) for a in b] for b in lifts], target, meta=meta,
-                                tables=ProductTables.build(fq, n, lifts))
+            return LogSignature.from_stacks(qdesc, fq, n, lifts, target, meta)
     raise InjectivityFail("no single-block halving yields a transversal of the center")
 
 

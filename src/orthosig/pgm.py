@@ -19,7 +19,7 @@ import numpy as np
 
 from .factorize import IndexVector, compose, rank, tame_factor, unrank
 from .forms import isometry_inverse
-from .lscore import LogSignature, LsError, ProductTables, canonical_ls, space_for
+from .lscore import LogSignature, LsError, canonical_ls, space_for
 from .matgroups import GroupDescriptor, Mat
 
 
@@ -70,13 +70,10 @@ def keygen(desc: GroupDescriptor, seed: int) -> PgmKey:
     translations = np.stack([one] + [pool[rng.randrange(len(pool))].a for _ in alpha.blocks[1:]] + [one])
     # the translations are isometries: one stacked isometry inverse
     invs = isometry_inverse(space_for(desc), translations[:-1])
-    beta_blocks = []
-    for i, (blk, perm) in enumerate(zip(alpha.blocks, perms)):
-        B = np.stack([blk[j].a for j in perm])
-        beta_blocks.append([Mat(fq, a) for a in fq.mat_mul(fq.mat_mul(invs[i], B), translations[i + 1])])
-    beta = LogSignature(desc, beta_blocks, alpha.claimed_order,
-                        meta={"derived_from": "canonical", "seed": seed},
-                        tables=ProductTables.build(fq, n, beta_blocks))
+    beta_blocks = [fq.mat_mul(fq.mat_mul(invs[i], np.stack([blk[j].a for j in perm])), translations[i + 1])
+                   for i, (blk, perm) in enumerate(zip(alpha.blocks, perms))]
+    beta = LogSignature.from_stacks(desc, fq, n, beta_blocks, alpha.claimed_order,
+                                    {"derived_from": "canonical", "seed": seed})
     inverse_perms = [np.argsort(perm).tolist() for perm in perms]
     return PgmKey(desc, alpha, beta, seed, inverse_perms)
 

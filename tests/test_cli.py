@@ -98,6 +98,20 @@ def test_factor_roundtrip(tmp_path):
     assert doc["result"]["recomposes"] is True
 
 
+def test_factor_takes_a_rank_or_an_element_file_not_both(tmp_path):
+    # both once exited 0, factoring the rank and never reading the file
+    out = tmp_path / "ls.json"
+    run_cli("construct", "--family", "O-", "--q", "3", "--m", "2", "--out", str(out))
+    proc = run_cli("factor", "--in", str(out), "--rank", "5", "--element-file", str(out))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument --element-file: not allowed with argument --rank" in proc.stderr
+    proc = run_cli("factor", "--in", str(out))
+    assert proc.returncode == 2
+    doc, summary = parse_stdout(proc.stdout)
+    assert doc["result"] == {"error": "need --rank or --element-file"}
+    assert summary == ["# nothing to factor"]
+
+
 def test_factor_rejects_an_element_of_the_wrong_size(tmp_path):
     out = tmp_path / "ls.json"
     run_cli("construct", "--family", "O-", "--q", "3", "--m", "2", "--out", str(out))

@@ -1,8 +1,9 @@
 """Every name a module of the package, a test or a script imports is used
 in that file, every private function or class of the package is used
 somewhere in it, every public function is used by the program, a script,
-the README or the acceptance tests, and every trace target of the
-benchmark names a function the package defines."""
+the README or the acceptance tests, only `lscore` attaches product tables
+to a signature, and every trace target of the benchmark names a function
+the package defines."""
 
 import ast
 import importlib
@@ -171,6 +172,43 @@ def test_the_scan_finds_a_family_name_parsed_by_hand():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "matgroups.py"], ids=lambda p: p.name)
 def test_only_matgroups_parses_family_names(path):
     assert family_name_parsing(path.read_text()) == []
+
+
+def hand_finished(source: str, may_assign_tables: bool) -> list[str]:
+    """Lines that finish a signature by hand: a `LogSignature(...)` call
+    that passes `plan` or `tables` by keyword, or, unless
+    may_assign_tables, an assignment to a `.tables` attribute.  A finished
+    signature gets its tables in `LogSignature.from_stacks` alone."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "tables" and isinstance(node.ctx, ast.Store) \
+                and not may_assign_tables:
+            found.append((node.lineno, ".tables assigned"))
+        elif isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "LogSignature"
+                                             or getattr(node.func, "attr", None) == "LogSignature"):
+            found.extend((node.lineno, f"{kw.arg}=") for kw in node.keywords if kw.arg in ("plan", "tables"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_scan_finds_a_signature_finished_by_hand():
+    src = (
+        "ls.tables = t\n"
+        "a.plan, b.tables = p, t\n"
+        "x = ls.tables\n"
+        "LogSignature(d, b, 1, meta={}, plan=p)\n"
+        "lscore.LogSignature(d, b, 1, tables=t)\n"
+        "LogSignature.from_stacks(d, fq, n, s, 1, {})\n"
+        "ls.plan = p\n"
+    )
+    assert hand_finished(src, False) == [
+        "line 1: .tables assigned", "line 2: .tables assigned", "line 4: plan=", "line 5: tables=",
+    ]
+    assert hand_finished(src, True) == ["line 4: plan=", "line 5: tables="]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_lscore_attaches_tables(path):
+    assert hand_finished(path.read_text(), path.name == "lscore.py") == []
 
 
 def test_every_trace_target_resolves():

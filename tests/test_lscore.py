@@ -139,7 +139,7 @@ def test_running_powers_and_cyclic_blocks_match_pow():
                 step = x.pow(M)
                 want.append([step.pow(j).key for j in range(r)])
                 M *= r
-            assert [[g.key for g in blk] for blk in blocks] == want
+            assert [[a.tobytes() for a in blk] for blk in blocks] == want
 
 
 @pytest.mark.parametrize("fam,q,n", [("O-", 5, 4), ("O+", 3, 4), ("O-", 9, 4), ("Oodd", 3, 5),
@@ -323,6 +323,51 @@ def test_sampled_verify_needs_at_least_one_sample(samples):
     ls = canonical_ls(descriptor("O-", 3, n=4))
     with pytest.raises(LsError, match="sampled verification needs samples >= 1"):
         verify_ls(ls, "sampled", samples=samples)
+
+
+@pytest.mark.parametrize("fam,q,n", [("O+", 3, 6), ("O-", 3, 6), ("Oodd", 3, 5), ("Oodd", 3, 7),
+                                     ("O-", 5, 4), ("O-", 9, 4)])
+def test_every_stage_base_point_is_fixed_by_every_later_block(fam, q, n):
+    # down the plan's sub chain, a stage's base point in global coordinates
+    # is M enter[:, 0], where M carries the stage's coordinates to global
+    # ones: the enter of every stage above, each restricted to its SP
+    # positions.  Every block past the stage's head maps that point to a
+    # multiple of itself: the premise of a stabilizer chain
+    from orthosig.lscore import _StagePlan
+
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    space = space_for(ls.group)
+    fq, plan, M, start, stages = space.fq, ls.plan, space.fq.identity(n), 0, 0
+    while isinstance(plan, _StagePlan):
+        M = fq.mat_mul(M, plan.enter)
+        point = space.canon(M[:, 0])
+        later = np.concatenate([np.asarray(b, dtype=np.int16) for b in ls.blocks[start + plan.head.shape[1]:]])
+        assert (space.canon(fq.mat_vec(later, M[:, 0])) == point).all()
+        start += plan.head.shape[1] + len(plan.SP) * fq.e + plan.gl1_digits.shape[1]
+        M, plan, stages = np.ascontiguousarray(M[:, plan.SP]), plan.sub, stages + 1
+    assert stages == (n - 1) // 2
+
+
+def test_only_the_program_finishes_a_signature():
+    # the constructor takes what a file holds; plan and tables come from
+    # the finishers, and the tables of every finished signature are the
+    # tables of its blocks, byte for byte
+    from orthosig import pgm
+
+    fq = fq_context(3, 1)
+    for field in ("plan", "tables"):
+        with pytest.raises(TypeError):
+            LogSignature(None, [[identity(fq, 2)]], 1, {}, **{field: None})
+    finished = [canonical_ls(descriptor("O-", 3, n=4)), canonical_ls(descriptor("O+", 3, n=6)),
+                canonical_ls(descriptor("PSO+", 3, n=4)), canonical_ls(descriptor("PSOodd", 3, n=5)),
+                pgm.keygen(descriptor("O+", 5, n=4), seed=3).beta_ls,
+                cyclic_set_mls(singer_generator(2, fq), 6)]
+    for ls in finished:
+        assert ls.tables is not None
+        g = ls.blocks[0][0]
+        built = ProductTables.build(g.fq, g.n, ls.blocks).tables
+        assert len(ls.tables.tables) == len(built)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ls.tables.tables, built))
 
 
 # ---------------------------------------------------------------- spread plans
