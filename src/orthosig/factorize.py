@@ -70,8 +70,9 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
     check fixes every entry of the stage matrix hw outside hw[SP, SP],
     which the sub-plan then matches in turn, so g is the product of the
     block elements its digits index, provided its entries are codes of the
-    signature's field, which the plan checks before anything else, so no
-    other entry reaches the membership test.  Without stats the decode
+    signature's field: a table hit matches codes byte for byte, and the
+    plan checks the code range before its first product, so no other entry
+    reaches the membership test.  Without stats the decode
     is the plan's one-element path: a few dict lookups on entry bytes and
     the matrix products of each stage; only an element that path cannot
     answer goes down the stack decoder, which names its error.  stats gets

@@ -341,13 +341,25 @@ class FqContext:
 
     Entry codes are ints in [0, q).  The gather tables are int16: `ADD` and
     `MUL` are q x q, `NEG` and `INV` (0 at 0) have q entries; all four are
-    built with numpy from the digits and log/exp tables of `gf`.  For
-    e = 1 vectors and matrices use plain mod-p numpy; otherwise they gather
-    from these tables.  For e > 1 a matrix product also uses two more q^2
-    tables: `PM` (q x q int32) packs the digits of a product ab in base
-    p^2, PM[a, b] = sum_i digit_i(ab) p^(2i), so that p + 1 packed
-    products add without a carry between digits, and `UN` (q^2 int16)
-    reads such a sum back to the code of its digits mod p.
+    built with numpy from the digits and log/exp tables of `gf`.  Every
+    table is read-only, as the context is shared by every caller in the
+    process (`fq_context`).
+
+    For e = 1 vectors and matrices are plain numpy integers read back
+    through `RES`, RES[v] = v mod p for every int16 v (2^16 entries, a
+    negative v at 2^16 + v, where numpy `take` wraps it): a sum, scaled
+    vector or product of codes that fits int16 becomes codes with one
+    gather in place of an integer division.  One pair of matrices is
+    multiplied by int16 `dot`, a stack or a broadcast pair by int16 `@`.
+    Wider sums (large p, or more columns than `int16_width`) and other
+    dtypes take int64 and `%`.
+
+    For e > 1 vectors and matrices gather from the tables.  A matrix
+    product also uses two more q^2 tables: `PM` (q x q int32) packs the
+    digits of a product ab in base p^2, PM[a, b] = sum_i digit_i(ab)
+    p^(2i), so that p + 1 packed products add without a carry between
+    digits, and `UN` (q^2 int16) reads such a sum back to the code of its
+    digits mod p.
 
     `rref` is the one Gaussian elimination: it works on a stack of matrices
     at once and carries the signed pivot product, and `rank`, `det`,
@@ -382,6 +394,14 @@ class FqContext:
             for i in range(e):
                 self.UN += (sums % (p * p) % p).astype(np.int16) * np.int16(p ** i)
                 sums //= p * p
+            tables = [self.PM, self.UN]
+        else:
+            # entry i holds the int16 whose bits are those of i, reduced in place
+            self.RES = np.arange(2 ** 16, dtype=np.uint16).view(np.int16)
+            np.remainder(self.RES, p, out=self.RES)
+            tables = [self.RES]
+        for table in [self.ADD, self.MUL, self.NEG, self.INV, *tables]:
+            table.setflags(write=False)
         self.two_inv = self.gf.inv(2 % q if self.p != 2 else 1)
         self.generator = gf.alpha
         # a product s u of two codes fits int16 below p = 182, and a sum of
@@ -407,19 +427,20 @@ class FqContext:
     # -- vectors (1-d int16 arrays of codes)
     def v_add(self, u, v):
         if self.fast:
-            return (u + v) % self.p
+            w = u + v
+            return self.RES.take(w) if w.dtype == np.int16 else w % self.p
         return self.ADD[u, v]
 
     def v_scale(self, s, u):
         if self.fast:
             if self.int16_products and u.dtype == np.int16 and getattr(s, "dtype", np.int16) == np.int16:
-                return (s * u) % self.p
+                return self.RES.take(s * u)
             return ((s * u.astype(np.int64)) % self.p).astype(np.int16)
         return self.MUL[s, u]
 
     def v_neg(self, u):
         if self.fast:
-            return (-u) % self.p
+            return self.RES.take(-u) if u.dtype == np.int16 else (-u) % self.p
         return self.NEG[u]
 
     def identity(self, n):
@@ -431,8 +452,9 @@ class FqContext:
         """A @ B; stacks of matrices broadcast as in numpy's matmul."""
         if self.fast:
             if A.dtype == B.dtype == np.int16 and A.shape[-1] <= self.int16_width:
-                # every sum of products of codes fits int16, so no widening
-                return (A @ B) % self.p
+                # every sum of products of codes fits int16, so no widening;
+                # `dot` skips the stack dispatch of `@` for one pair
+                return self.RES.take(A.dot(B) if A.ndim == B.ndim == 2 else A @ B)
             return ((A.astype(np.int64) @ B.astype(np.int64)) % self.p).astype(np.int16)
         # each digit of a sum of p + 1 packed products is at most
         # (p + 1)(p - 1) < p^2, so a chunk of p + 1 terms sums without carry
@@ -478,15 +500,15 @@ class FqContext:
         """
         one = np.ndim(A) == 2
         if self.fast:
-            p = self.p
             # below p = 182 every a - f x of codes fits int16
-            R = np.array(A, dtype=np.int16 if self.int16_products else np.int64, ndmin=3) % p
+            red = self.RES.take if self.int16_products else (lambda x: x % self.p)
+            R = red(np.array(A, dtype=np.int16 if self.int16_products else np.int64, ndmin=3))
 
             def mul(s, x):
-                return (s * x) % p
+                return red(s * x)
 
             def axpy(a, f, x):
-                return (a - f * x) % p
+                return red(a - f * x)
         else:
             R = np.array(A, dtype=np.int16, ndmin=3)
 

@@ -568,12 +568,8 @@ class _Plan:
         if A.itemsize < 2:
             A = A.astype(np.int16)
         if A.size and A.view(f"u{A.itemsize}").max() >= q:
-            raise self._code_error()
+            raise CodeError(f"stack has an entry outside the codes 0..{q - 1} of F_{q}")
         return A.astype(np.int16, copy=False)
-
-    def _code_error(self):
-        q = self.fq.q
-        return CodeError(f"stack has an entry outside the codes 0..{q - 1} of F_{q}")
 
     def decode_many(self, A, stats=None):
         """Index vectors of a (k, n, n) stack, as (digits, errors): digits
@@ -594,15 +590,17 @@ class _Plan:
     def decode(self, g: Mat, stats=None):
         """The digits of one element, as a list of ints; raises what
         decode_many names for it.  Without stats, an (n, n) `Mat`, already
-        C-contiguous int16, has only its code range checked before
-        `_decode_one` answers an exact table hit, or a stage path whose
-        every border passes.  A miss, a `Mat` of another size and every
-        call with stats go down decode_many as a one-element stack, which
-        names the error and counts as before."""
+        C-contiguous int16, goes to `_decode_one`, which answers an exact
+        table hit, or a stage path whose every border passes.  A table hit
+        matches a row byte for byte, so its entries are codes already; each
+        stage checks the code range before its first product, which would
+        read any int16 back to a code.  A miss, an entry
+        outside the codes, a `Mat` of another size and every call with
+        stats go down decode_many as a one-element stack, which names the
+        error (a CodeError for an entry outside the codes) and counts as
+        before."""
         a = g.a
         if stats is None and a.shape == (self.n, self.n):
-            if a.view(np.uint16).max() >= self.fq.q:
-                raise self._code_error()
             digits = self._decode_one(a)
             if digits is not None:
                 return digits
@@ -776,6 +774,9 @@ class _StagePlan(_Plan):
         if self.front is not None:
             return self.front._decode_one(Z)
         fq = self.space.fq
+        # the product reads any int16 back to a code, so Z must hold codes
+        if Z.view(np.uint16).max() >= fq.q:
+            return None
         ZT = fq.mat_mul(Z, self.enter)
         pt = self._points.get(ZT[:, 0].tobytes())
         if pt is None:

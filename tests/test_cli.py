@@ -896,3 +896,16 @@ def test_a_loaded_signature_edited_in_place_fails_verification(tmp_path):
     assert not verify_ls(loaded, "exhaustive").valid
     save_ls(loaded, str(path))
     assert run_cli("verify", "--in", str(path), "--mode", "sampled").returncode == 1
+
+
+def test_bench_fields_script_prints_one_row_per_field_and_operation():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, os.path.join(root, "scripts", "bench_fields.py")],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["field", "operation", "µs"]
+    ops = ["mat_mul pair", "mat_mul stack 25", "mat_mul stack 4096", "rref one", "rref stack 4096", "v_scale"]
+    assert [(row.split()[0], " ".join(row.split()[1:-1])) for row in rows] == \
+        [(field, op) for field in ("F_3", "F_5", "F_9") for op in ops]
+    assert all(float(row.split()[-1]) > 0 for row in rows)

@@ -938,3 +938,36 @@ def test_tame_factor_checks_the_codes_once_and_never_hands_them_to_membership(mo
         for stats in (None, {}):
             with pytest.raises(FactorError, match=f"^element has an entry outside the codes 0..{q - 1} of F_{q}$"):
                 tame_factor(Mat(fq_context(p, e), a), ls, stats)
+
+
+@pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("O+", 5, 4), ("O+", 3, 6), ("O-", 9, 4)])
+def test_a_member_with_one_entry_moved_by_q_is_refused_on_every_decode_path(fam, q, n, monkeypatch):
+    # entry + q and entry - q are congruent to the entry mod p, so a product
+    # read back through the residue table would map the matrix onto the
+    # member: the front table (O-4(3)), the stabilizer table (O+4(5)), the
+    # Siegel step (O+6(3)) and the extension-field gathers (O-4(9)) must
+    # each refuse it as a non-code, before any membership test
+    import numpy as np
+
+    from orthosig import factorize
+    from orthosig.lscore import CodeError
+    from orthosig.matgroups import Mat
+
+    def no_membership(*args):
+        raise AssertionError("membership was consulted")
+
+    monkeypatch.setattr(factorize.forms, "membership", no_membership)
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    fq = ls.plan.fq
+    rng = random.Random(f"congruent/{fam}{n}({q})")
+    for _ in range(4):
+        member = compose(unrank(rng.randrange(ls.claimed_order), ls), ls).a
+        i, j = rng.randrange(n), rng.randrange(n)
+        for shift in (q, -q):
+            bad = member.copy()
+            bad[i, j] += shift
+            for stats in (None, {}):
+                with pytest.raises(FactorError, match=f"^element has an entry outside the codes 0..{q - 1} of F_{q}$"):
+                    tame_factor(Mat(fq, bad), ls, stats)
+            with pytest.raises(CodeError):
+                ls.plan.decode_many(bad[None])

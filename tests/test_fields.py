@@ -677,3 +677,113 @@ def test_the_table_budget_bounds_the_top_field_before_any_table_is_built():
                     assert tracemalloc.get_traced_memory()[1] - before < 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (181, 1), (3, 2)])
+def test_shared_field_tables_are_read_only(p, e):
+    # fq_context hands one context to every caller in the process, so a
+    # write into one of its tables would corrupt every later product
+    fq = fq_context(p, e)
+    names = ["ADD", "MUL", "NEG", "INV"] + (["RES"] if e == 1 else ["PM", "UN"])
+    for name in names:
+        table = getattr(fq, name)
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+    assert hasattr(fq, "RES") == (e == 1)
+
+
+EXACT_PRIMES = [3, 5, 7, 73, 79, 181, 191, 4093]
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+def test_every_prime_field_product_path_is_exact(p):
+    # one (n, n) pair, (k, n, n) stacks, a broadcast pair and an empty
+    # stack, at the width where int16 sums stop and one past it (the int64
+    # path), at the largest codes and at seeded ones: every product reads
+    # back to the same codes as object arithmetic
+    from orthosig.fields import FqContext
+
+    fq = FqContext(p, 1)  # not cached: the q x q tables at 4093 take 64 MiB
+    rng = np.random.default_rng(p)
+    width = fq.int16_width
+    for n in sorted({n for n in (min(8, width), width + 1) if 1 <= n <= 8}):
+        for top in (True, False):
+            def codes(*shape):
+                if top:
+                    return np.full(shape, p - 1, dtype=np.int16)
+                return rng.integers(0, p, shape).astype(np.int16)
+
+            B = codes(n, n)
+            pairs = [(codes(n, n), B), (codes(0, n, n), B), (codes(5, n, n)[:, None], codes(7, n, n)[None])]
+            pairs += [(codes(k, n, n), X) for k in (1, 25, 4096) for X in (B, codes(k, n, n))]
+            for A, X in pairs:
+                got = fq.mat_mul(A, X)
+                want = (A.astype(object) @ X.astype(object)) % p
+                assert got.dtype == np.int16 and got.shape == want.shape
+                assert got.tolist() == want.tolist(), (n, top, A.shape, X.shape)
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+def test_prime_field_vector_ops_are_exact_on_int16_and_int64(p):
+    from orthosig.fields import FqContext
+
+    fq = FqContext(p, 1)
+    rng = np.random.default_rng(p)
+    u16 = np.concatenate([[0, 1, p - 1, p - 1], rng.integers(0, p, 60)]).astype(np.int16)
+    v16 = np.concatenate([[p - 1, p - 1, 1, p - 1], rng.integers(0, p, 60)]).astype(np.int16)
+    U, V = u16.astype(object), v16.astype(object)
+    for u, v in ((u16, v16), (u16.astype(np.int64), v16.astype(np.int64))):
+        assert fq.v_add(u, v).tolist() == ((U + V) % p).tolist()
+        assert fq.v_neg(u).tolist() == ((-U) % p).tolist()
+        assert fq.v_scale(u, v).tolist() == ((U * V) % p).tolist()
+        for s in (0, 1, p - 1, np.int16(p - 1)):
+            assert fq.v_scale(s, u).tolist() == ((int(s) * U) % p).tolist()
+    assert fq.v_add(u16, v16).dtype == fq.v_neg(u16).dtype == fq.v_scale(u16, v16).dtype == np.int16
+
+
+def _rref_object(A, p):
+    """Gauss-Jordan elimination of one matrix in Python ints mod p: its
+    reduced row echelon form, rank and, for a square matrix, determinant."""
+    R = [[int(x) % p for x in row] for row in A]
+    rows, cols = len(R), len(R[0])
+    det, r = 1, 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if R[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            R[r], R[pivot] = R[pivot], R[r]
+            det = -det
+        det *= R[r][c]
+        inv = pow(R[r][c], -1, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(rows):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        r += 1
+    return R, r, det % p if r == rows else 0
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+def test_rref_and_det_of_stacks_with_zero_rows_are_exact(p):
+    # zero and repeated rows make a - f x negative before it is reduced
+    from orthosig.fields import FqContext
+
+    fq = FqContext(p, 1)
+    rng = np.random.default_rng(p)
+    for n, cols in ((4, 4), (5, 5), (4, 7)):
+        A = rng.integers(0, p, (40, n, cols)).astype(np.int16)
+        A[::4, 1] = 0
+        A[1::4, -1] = A[1::4, 0]
+        A[2::4] = p - 1
+        A[3::8, 0] = 0
+        R, rank, d = fq.rref(A)
+        for a, r, k, dk in zip(A, R, rank.tolist(), d.tolist()):
+            want_R, want_rank, want_det = _rref_object(a, p)
+            assert (r.tolist(), k) == (want_R, want_rank)
+            if n == cols:
+                assert dk == want_det
+        if n == cols:
+            assert fq.det(A).tolist() == [_rref_object(a, p)[2] for a in A]
+            assert fq.det(A[0]) == _rref_object(A[0], p)[2]
