@@ -60,7 +60,7 @@ def _checked(indices, sizes) -> tuple:
     return tuple(out)
 
 
-def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVector:
+def tame_factor(g: Mat, ls: LogSignature) -> IndexVector:
     """The unique index vector whose block product equals g.
 
     g is decoded first, and group membership is consulted only when the
@@ -72,12 +72,10 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
     block elements its digits index, provided its entries are codes of the
     signature's field: a table hit matches codes byte for byte, and the
     plan checks the code range before its first product, so no other entry
-    reaches the membership test.  Without stats the decode
-    is the plan's one-element path: a few dict lookups on entry bytes and
-    the matrix products of each stage; only an element that path cannot
-    answer goes down the stack decoder, which names its error.  stats gets
-    the stack decoder's counts, except for a non-member, which leaves it as
-    it was."""
+    reaches the membership test.  The decode is the plan's one-element
+    path: a few dict lookups on entry bytes and the matrix products of
+    each stage; only an element that path cannot answer goes down the
+    stack decoder, which names its error."""
     if ls.plan is None:
         raise FactorError("signature carries no decoding tables (not canonical)")
     n, fq = ls.plan.n, ls.plan.fq
@@ -85,16 +83,12 @@ def tame_factor(g: Mat, ls: LogSignature, stats: dict | None = None) -> IndexVec
         raise FactorError(f"element is {g.n}x{g.n}, signature acts on {n}x{n} matrices")
     if g.fq is not fq and (g.fq.p, g.fq.e) != (fq.p, fq.e):
         raise FactorError(f"element is over F_{g.fq.q}, signature is over F_{fq.q}")
-    before = None if stats is None else dict(stats)
     try:
-        digits = ls.plan.decode(g, stats)
+        digits = ls.plan.decode(g)
     except CodeError:
         raise FactorError(f"element has an entry outside the codes 0..{fq.q - 1} of F_{fq.q}") from None
     except (LsError, ValueError):
         if ls.group is not None and not forms.membership(space_for(ls.group), g, ls.group.family):
-            if stats is not None:
-                stats.clear()
-                stats.update(before)
             raise FactorError(f"element is not in {ls.group.family}") from None
         raise
     # a plan's digits index rows of tables built from these blocks: in range

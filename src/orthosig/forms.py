@@ -80,9 +80,11 @@ class QuadraticSpace:
         v[self.witt_index + i] = 1
         return v
 
-    def model_to_witt(self, g: Mat) -> Mat:
+    def model_to_witt(self, g):
+        """C^-1 g C: an (n, n) array in model coordinates moved to the
+        space's Witt coordinates."""
         fq = self.fq
-        return Mat(fq, fq.mat_mul(fq.mat_mul(self.Cinv, g.a), self.C))
+        return fq.mat_mul(fq.mat_mul(self.Cinv, g), self.C)
 
     # -- projective points (canonical reps: first nonzero coordinate is 1)
 
@@ -207,7 +209,7 @@ def build_space(kind: str, fq: FqContext, m: int) -> QuadraticSpace:
     """
     if kind not in KINDS:
         raise GeometryError(f"unknown kind {kind!r}")
-    A = singer_generator(2 * m, fq).a
+    A = singer_generator(2 * m, fq)
     X = powers(fq, A, 2 * m)  # the basis alpha^j
     Xbar = powers(fq, fq.mat_pow(A, fq.q ** m), 2 * m)  # their conjugates
     if kind == "plus":
@@ -275,18 +277,12 @@ def preserves_form(fq: FqContext, G, A):
     return (lhs == G).all(axis=(-2, -1))
 
 
-def is_isometry(space: QuadraticSpace, g: Mat) -> bool:
-    return bool(preserves_form(space.fq, space.gram, g.a))
-
-
-def omega_rank_criterion(space: QuadraticSpace, g):
+def omega_rank_criterion(space: QuadraticSpace, A):
     """Even-rank test for membership in the commutator subgroup: whether
-    I + g has even rank, for a Mat (a bool) or for each matrix of a
-    (k, n, n) stack (a boolean array, from one stacked rank)."""
+    I + g has even rank, for each matrix g of a (k, n, n) stack, as a
+    boolean array from one stacked rank."""
     fq = space.fq
-    one = isinstance(g, Mat)
-    even = fq.rank(fq.v_add(fq.identity(space.n), g.a if one else g)) % 2 == 0
-    return bool(even) if one else even
+    return fq.rank(fq.v_add(fq.identity(space.n), A)) % 2 == 0
 
 
 def membership(space: QuadraticSpace, g: Mat, family: str) -> bool:
@@ -384,21 +380,29 @@ def so_generators(space: QuadraticSpace):
 
 @cache
 def enumerate_isometry_group(space: QuadraticSpace, family="O"):
-    """Full enumeration by closure (desk scale only)."""
+    """Full enumeration by closure (desk scale only), as one read-only
+    (k, n, n) stack in the BFS order of the closure of the reflections; SO
+    keeps the elements of determinant 1 in that order."""
     if family == "O":
-        return mulclose(space.fq, reflections(space))
-    if family == "SO":
+        els = mulclose(space.fq, reflections(space))
+    elif family == "SO":
         els = enumerate_isometry_group(space, "O")
-        return [g for g, d in zip(els, space.fq.det(np.stack([g.a for g in els]))) if d == 1]
-    raise ValueError(family)
+        els = els[space.fq.det(els) == 1]
+    else:
+        raise ValueError(family)
+    els.setflags(write=False)
+    return els
 
 
 @cache
 def omega_oracle(space: QuadraticSpace):
-    """Key set and elements of the commutator subgroup of the full isometry
-    group, computed as a normal closure of generator commutators."""
+    """Key set (entry bytes) and read-only (k, n, n) stack of the elements
+    of the commutator subgroup of the full isometry group, computed as a
+    normal closure of generator commutators; both are shared by every
+    caller."""
     els = derived_subgroup(space.fq, o_generators(space))
-    return {g.key for g in els}, els
+    els.setflags(write=False)
+    return frozenset(g.tobytes() for g in els), els
 
 
 def omega_audit(space: QuadraticSpace):
@@ -407,11 +411,11 @@ def omega_audit(space: QuadraticSpace):
     keys, _ = omega_oracle(space)
     so = enumerate_isometry_group(space, "SO")
     disagreements = []
-    for g, crit in zip(so, omega_rank_criterion(space, np.stack([g.a for g in so]))):
-        truth = g.key in keys
+    for g, crit in zip(so, omega_rank_criterion(space, so)):
+        truth = g.tobytes() in keys
         if crit != truth:
             disagreements.append({
-                "matrix": g.to_json(),
+                "matrix": Mat(space.fq, g).to_json(),
                 "rank_criterion": bool(crit),
                 "commutator_oracle": bool(truth),
             })

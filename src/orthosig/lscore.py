@@ -24,7 +24,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .fields import FqContext, check_tower_size, factorint, fq_context, product_rows
+from .fields import FieldError, FqContext, check_tower_size, factorint, fq_context, product_rows
 from .matgroups import (
     ConstructionMismatch,
     GroupDescriptor,
@@ -33,10 +33,8 @@ from .matgroups import (
     element_order,
     family_of,
     group_order,
-    identity,
     maximal_ts_count,
     mulclose,
-    neg_identity,
     powers,
     singer_generator,
     split_family,
@@ -278,16 +276,18 @@ def _mixed_radices(s: int) -> list[int]:
     return out
 
 
-def cyclic_blocks(x: Mat, s: int) -> tuple[list, list[int]]:
-    """Prime-size blocks {x^(j*M_t)} realizing the cyclic set {x^i : i < s},
-    as (r, n, n) int16 stacks: the rows j*M_t of one table of the running
-    powers of x."""
+def cyclic_blocks(fq: FqContext, x, s: int) -> tuple[list, list[int]]:
+    """Prime-size blocks {x^(j*M_t)} realizing the cyclic set {x^i : i < s}
+    of an (n, n) array x, as (r, n, n) int16 stacks: the rows j*M_t of one
+    table of the running powers of x."""
+    return _power_blocks(powers(fq, x, s), s)
+
+
+def _power_blocks(P, s):
+    """`cyclic_blocks` read off the table P of the powers x^0, .., x^(s-1)."""
     if s <= 0:
         raise LsError("cyclic set size must be positive")
-    if s == 1:
-        return [], []
     radices = _mixed_radices(s)
-    P = powers(x.fq, x.a, s)
     blocks, M = [], 1
     for r in radices:
         blocks.append(P[np.arange(r) * M])
@@ -295,18 +295,24 @@ def cyclic_blocks(x: Mat, s: int) -> tuple[list, list[int]]:
     return blocks, radices
 
 
-def cyclic_set_mls(x: Mat, s: int) -> LogSignature:
-    """A minimal signature of the cyclic set {x^i : 0 <= i < s}.
+def cyclic_set_mls(fq: FqContext, x, s: int) -> LogSignature:
+    """A minimal signature of the cyclic set {x^i : 0 <= i < s} of an
+    (n, n) array x.  The s powers are distinct exactly when x is
+    invertible and no x^i, 0 < i < s, is I, which the table of
+    `cyclic_blocks` shows: FieldError for a singular x, and LsError naming
+    the order when s exceeds it.
 
     Index sums over any block choice stay below s, so products never wrap:
     the set is covered uniquely.
     """
-    cap = s if s > 0 else 1
-    ord_x = element_order(x, max(cap, 1) * 4 + 4)
-    if s > ord_x:
-        raise LsError(f"cyclic set size {s} exceeds element order {ord_x}")
-    blocks, radices = cyclic_blocks(x, s)
-    return LogSignature.from_stacks(None, x.fq, x.n, blocks, s, {"set": "cyclic", "radices": radices})
+    if fq.det(x) == 0:
+        raise FieldError("singular matrix has no order")
+    P = powers(fq, x, s)
+    hit = np.flatnonzero((P[1:] == P[0]).all(axis=(1, 2)))
+    if len(hit):
+        raise LsError(f"cyclic set size {s} exceeds element order {hit[0] + 1}")
+    blocks, radices = _power_blocks(P, s)
+    return LogSignature.from_stacks(None, fq, len(x), blocks, s, {"set": "cyclic", "radices": radices})
 
 
 def digits_of(j: int, radices) -> list[int]:
@@ -337,7 +343,7 @@ class SpreadPlan:
     shape: str                   # empty | literal | cyclic | twisted | transversal
     W0: np.ndarray | None        # the (r, n) echelon basis of the base subspace
     members: PartialSpread | None
-    layers: list                 # [("cyc", Mat gen, size)] or [("trans", [Mat])]
+    layers: list                 # [("cyc", (n, n) gen, size)] or [("trans", (k, n, n) moves)]
     notes: list
     partition: dict | None
 
@@ -418,8 +424,7 @@ def _try_twisted(space, a, i, orbits, L, moves, points):
         sp, rep = _try_partition(space, np.concatenate([orbit1, orbits.walk(j, s)]), L)
         if sp is None:
             continue
-        return SpreadPlan("twisted", orbit1[0], sp, [("cyc", a, s), ("cyc", Mat(space.fq, moves[j]), 2)],
-                          [], rep)
+        return SpreadPlan("twisted", orbit1[0], sp, [("cyc", a, s), ("cyc", moves[j], 2)], [], rep)
     return None
 
 
@@ -430,10 +435,9 @@ def _try_transversal(space, L, det1):
     # are the points in order, from w0 = L[0]
     bases, moves = spr.schreier_transversal(fq, L[:1], gens, len(L))
     at = {B.tobytes(): t for t, B in enumerate(bases)}
-    elems = [Mat(fq, moves[at[v.tobytes()]]) for v in L]
     sp = PartialSpread(L[:, None], fq)
     rep = spr.verify_partition(sp, L, fq)
-    return SpreadPlan("transversal", L[:1], sp, [("trans", elems)], [], rep)
+    return SpreadPlan("transversal", L[:1], sp, [("trans", moves[[at[v.tobytes()] for v in L]])], [], rep)
 
 
 def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
@@ -465,9 +469,8 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     if r >= 1 and n >= 3:
         try:
             desc = GroupDescriptor(family_of("SO" if det1 else "O", kind), q, n)
-            lit_a, gnotes = standard_generators(desc, space)
+            lit, gnotes = standard_generators(desc, space)
             notes.extend(gnotes)
-            lit = lit_a
         except ConstructionMismatch as exc:
             notes.append(f"literal generator construction failed: {exc}")
     elif r >= 1:
@@ -477,7 +480,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
         M = len(L) * (q - 1) // (q ** r - 1)
         if lit is not None:
             bases, moves = ts_subspace_transporters(space, det1)
-            pows = powers(space.fq, lit.a, M + 1)[1:]
+            pows = powers(space.fq, lit, M + 1)[1:]
             orbits = spr.cyclic_orbits(space.fq, pows, bases, PRODUCT_CHUNK)
             for i in _spread_orbits(space.fq, orbits, M):
                 plan = _try_cyclic(space, lit, orbits.walk(i, M), L)
@@ -512,7 +515,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
             back = spr.act_rref(space.fq, gens, img)[0]
             hit = np.flatnonzero((img != W0).any(axis=(1, 2)) & (back == W0).all(axis=(1, 2)))
             if len(hit):
-                plan = _try_cyclic(space, Mat(space.fq, gens[hit[0]]), np.stack([W0, img[hit[0]]]), L)
+                plan = _try_cyclic(space, gens[hit[0]], np.stack([W0, img[hit[0]]]), L)
                 notes.append("sharply transitive cyclic block found by element scan")
         if plan is None:
             notes.append(
@@ -523,6 +526,9 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     if plan is None:
         plan = _try_transversal(space, L, det1)
     plan.notes = notes + plan.notes
+    # the plan is cached, so every caller shares its generators
+    for layer in plan.layers:
+        layer[1].setflags(write=False)
     return plan
 
 
@@ -587,24 +593,22 @@ class _Plan:
         self._decode_into(A, np.arange(len(A)), out, errors, 0, stats)
         return out, errors
 
-    def decode(self, g: Mat, stats=None):
+    def decode(self, g: Mat):
         """The digits of one element, as a list of ints; raises what
-        decode_many names for it.  Without stats, an (n, n) `Mat`, already
-        C-contiguous int16, goes to `_decode_one`, which answers an exact
-        table hit, or a stage path whose every border passes.  A table hit
-        matches a row byte for byte, so its entries are codes already; each
-        stage checks the code range before its first product, which would
-        read any int16 back to a code.  A miss, an entry
-        outside the codes, a `Mat` of another size and every call with
-        stats go down decode_many as a one-element stack, which names the
-        error (a CodeError for an entry outside the codes) and counts as
-        before."""
+        decode_many names for it.  An (n, n) `Mat`, already C-contiguous
+        int16, goes to `_decode_one`, which answers an exact table hit, or
+        a stage path whose every border passes.  A table hit matches a row
+        byte for byte, so its entries are codes already; each stage checks
+        the code range before its first product, which would read any int16
+        back to a code.  A miss, an entry outside the codes and a `Mat` of
+        another size go down decode_many as a one-element stack, which
+        names the error (a CodeError for an entry outside the codes)."""
         a = g.a
-        if stats is None and a.shape == (self.n, self.n):
+        if a.shape == (self.n, self.n):
             digits = self._decode_one(a)
             if digits is not None:
                 return digits
-        out, errors = self.decode_many(a[None], stats)
+        out, errors = self.decode_many(a[None])
         if errors:
             raise errors[0]
         return out[0].tolist()
@@ -908,27 +912,29 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
     fq = space.fq
     base = desc.base_family()
     if desc.n == 1:
-        blocks = [np.stack([fq.identity(1), neg_identity(fq, 1).a])] if base == "O" else []
+        one = fq.identity(1)
+        blocks = [np.stack([one, fq.v_neg(one)])] if base == "O" else []
         claimed = 2 if base == "O" else 1
         return _table_ls(desc, fq, blocks, claimed)
     els = forms.enumerate_isometry_group(space, "O")
-    dets = fq.det(np.stack([g.a for g in els]))
-    so = [g for g, d in zip(els, dets) if d == 1]
+    # in the order of their entry bytes
+    els = els[np.argsort(_keys(els), kind="stable")]
+    det1 = fq.det(els) == 1
+    so = els[det1]
     target = len(so)
     gen = None
-    for g in sorted(so, key=lambda x: x.key):
+    for g in so:
         try:
-            if element_order(g, target) == target:
+            if element_order(fq, g, target) == target:
                 gen = g
                 break
         except OrderNotFound:
             continue
     if gen is None:
         raise LsError("rank-1 special orthogonal group is not cyclic here")  # pragma: no cover
-    blocks = cyclic_blocks(gen, target)[0]
+    blocks = cyclic_blocks(fq, gen, target)[0]
     if base == "O":
-        refl = min((g for g, d in zip(els, dets) if d != 1), key=lambda x: x.key)
-        blocks.append(np.stack([fq.identity(2), refl.a]))
+        blocks.append(np.stack([fq.identity(2), els[~det1][0]]))
     return _table_ls(desc, fq, blocks, target * (2 if base == "O" else 1))
 
 
@@ -952,11 +958,11 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     for layer in sp_plan.layers:
         if layer[0] == "cyc":
             _, gen, size = layer
-            cyc, radices = cyclic_blocks(gen, size)
+            cyc, radices = cyclic_blocks(fq, gen, size)
             stacks.extend(cyc)
             layers_meta.append({"type": "cyclic", "size": size, "radices": radices})
         else:
-            stacks.append(np.asarray(layer[1], dtype=np.int16))
+            stacks.append(layer[1])
             layers_meta.append({"type": "transversal", "size": len(layer[1])})
 
     # adapted frame
@@ -982,18 +988,16 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     if t > 1:
         D = singer_generator(r_dim, fq)
         bw = fq.identity(n)
-        Dti = D.transpose_inv()
-        bw[:r_dim, :r_dim] = D.a
-        bw[Rwork:Rwork + r_dim, Rwork:Rwork + r_dim] = Dti.a
-        bw = np.ascontiguousarray(bw)
+        bw[:r_dim, :r_dim] = D
+        bw[Rwork:Rwork + r_dim, Rwork:Rwork + r_dim] = fq.mat_inv(np.ascontiguousarray(D.T))
         if not np.array_equal(
             fq.mat_mul(fq.mat_mul(np.ascontiguousarray(bw.T), work_gram), bw), work_gram
         ):
             raise LsError("Singer block is not an isometry of the working frame")
-        b_gl = Mat(fq, globalize(bw))
-        if element_order(b_gl, space.q ** r_dim) != space.q ** r_dim - 1:
+        b_gl = globalize(bw)
+        if element_order(fq, b_gl, space.q ** r_dim) != space.q ** r_dim - 1:
             raise LsError("Singer block has the wrong order")
-        stacks.extend(cyclic_blocks(b_gl, t)[0])
+        stacks.extend(cyclic_blocks(fq, b_gl, t)[0])
 
     # the blocks from here on multiply to the stabilizer of the point of w;
     # they are built once, as the working-frame stacks of `work`
@@ -1021,7 +1025,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         raise LsError("Siegel table: E(u) E(-u) is not the identity on every row")  # pragma: no cover
 
     # GL1 block: the powers of d(mu)
-    gcyc, gl1_radices = cyclic_blocks(Mat(fq, _gl1_np(fq, n, Rwork, fq.generator)), space.q - 1)
+    gcyc, gl1_radices = cyclic_blocks(fq, _gl1_np(fq, n, Rwork, fq.generator), space.q - 1)
     work.extend(gcyc)
     # d(mu)^k has corner mu^k, and mu generates F_q^*: k is the log of the corner
     gl1_digits = np.zeros((space.q, len(gl1_radices)), dtype=np.int64)
@@ -1090,8 +1094,10 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
 
 def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignature:
     """[R, Q]: unipotent radical and Levi blocks of the stabilizer of a
-    totally singular k-space.
+    totally singular k-space, in the O or SO family.
     """
+    if family not in ("O", "SO"):
+        raise LsError(f"parabolic signatures cover the O and SO families, not {family}")
     if k < 1:
         raise LsError(f"k = {k} is not in 1..{space.witt_index}, from 1 up to the Witt index")
     if k > space.witt_index:
@@ -1111,8 +1117,7 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
         for a, pos in enumerate(upos):
             U[a, :, pos] = thetas
         gens.append(forms.eichler(fq, space.gram, i, U.reshape(-1, n)))
-    gens = np.concatenate(gens)
-    Rgrp = mulclose(fq, gens) if len(gens) else [identity(fq, n)]
+    Rgrp = mulclose(fq, np.concatenate(gens))
     expected_R = q ** (k * (k - 1) // 2 + k * (n - 2 * k))
     if len(Rgrp) != expected_R:
         raise LsError(f"unipotent radical has size {len(Rgrp)}, expected {expected_R}")
@@ -1123,7 +1128,7 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
     DM[:, :k, :k] = gl
     DM[:, R:R + k, R:R + k] = fq.mat_inv(np.swapaxes(gl, -1, -2))
     if mid_space is not None:
-        mid = np.stack([g.a for g in forms.enumerate_isometry_group(mid_space, "O")])
+        mid = forms.enumerate_isometry_group(mid_space, "O")
     elif mid_pos:  # one middle position, where the isometries are +-1
         mid = np.array([1, fq.neg(1)], dtype=np.int16).reshape(2, 1, 1)
     else:
@@ -1132,16 +1137,12 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
         mid = mid[fq.det(mid) == 1]
     M = np.broadcast_to(fq.identity(n), (len(mid), n, n)).copy()
     M[:, np.array(mid_pos, dtype=np.intp)[:, None], mid_pos] = mid
-    Qblk = [Mat(fq, a) for a in fq.mat_mul(DM[:, None], M[None]).reshape(-1, n, n)]
-    rk = {g.key for g in Rgrp}
-    qk = {g.key for g in Qblk}
-    inter = rk & qk
-    if inter != {identity(fq, n).key}:
+    Qblk = fq.mat_mul(DM[:, None], M[None]).reshape(-1, n, n)
+    if set(_keys(Rgrp).tolist()) & set(_keys(Qblk).tolist()) != {fq.identity(n).tobytes()}:
         raise LsError("R and Q overlap beyond the identity")
-    ls = LogSignature(None, [list(Rgrp), Qblk], len(Rgrp) * len(Qblk),
-                      meta={"shape": "parabolic", "k": k, "family": family,
-                            "R_size": len(Rgrp), "Q_size": len(Qblk)})
-    return ls
+    return LogSignature(None, [[Mat(fq, a) for a in S] for S in (Rgrp, Qblk)], len(Rgrp) * len(Qblk),
+                        meta={"shape": "parabolic", "k": k, "family": family,
+                              "R_size": len(Rgrp), "Q_size": len(Qblk)})
 
 
 @cache
@@ -1282,19 +1283,8 @@ class VerifyReport:
     notes: list
 
     def to_json(self):
-        return {
-            "valid": self.valid,
-            "mode": self.mode,
-            "length": self.length,
-            "bound": self.bound,
-            "mls": self.mls,
-            "claimed_order": self.claimed_order,
-            "products_checked": self.products_checked,
-            "collisions": self.collisions[:3],
-            "not_in_group": self.not_in_group,
-            "seed": self.seed,
-            "notes": self.notes,
-        }
+        # shallow: a long collision list is not copied
+        return {**vars(self), "collisions": self.collisions[:3]}
 
 
 # exhaustive verification walks at most this many products by default

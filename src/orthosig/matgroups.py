@@ -1,8 +1,11 @@
 """Dense matrices over F_q, Singer cycles, the one breadth-first closure,
 and the literal block generator used by the signature constructions.
 
-All matrices are immutable value objects hashed on their entry bytes, so
-they can key dictionaries during closure enumeration and tame decoding.
+Inside the package an element is an (n, n) int16 array of field codes and
+a set of elements is a (k, n, n) stack.  `Mat`, an immutable value object
+hashed on its entry bytes, is the one element a caller hands in or gets
+back: a composed or factored element, a matrix read from a file, and the
+blocks of a signature.
 """
 
 from __future__ import annotations
@@ -174,15 +177,6 @@ class Mat:
     def inv(self):
         return Mat(self.fq, self.fq.mat_inv(self.a))
 
-    def det(self):
-        return self.fq.det(self.a)
-
-    def rank(self):
-        return self.fq.rank(self.a)
-
-    def transpose_inv(self):
-        return Mat(self.fq, self.fq.mat_inv(np.ascontiguousarray(self.a.T)))
-
     def pow(self, k: int):
         if k < 0:
             return self.inv().pow(-k)
@@ -225,26 +219,13 @@ def check_matrix_record(d, n=None):
         raise ValueError(f'"entries" of a record labelled "n": {size} must be {size} lists of {size} entries')
 
 
-def identity(fq: FqContext, n: int) -> Mat:
-    return Mat(fq, fq.identity(n))
-
-
-def neg_identity(fq: FqContext, n: int) -> Mat:
-    return scalar_mat(fq, n, fq.neg(1))
-
-
-def scalar_mat(fq: FqContext, n: int, c: int) -> Mat:
-    m = np.zeros((n, n), dtype=np.int16)
-    np.fill_diagonal(m, c)
-    return Mat(fq, m)
-
-
 # ----------------------------------------------------------------------
 
 
 @cache
-def singer_generator(k: int, fq: FqContext) -> Mat:
-    """A k x k matrix A over F_q of multiplicative order q^k - 1: the map
+def singer_generator(k: int, fq: FqContext) -> np.ndarray:
+    """A read-only k x k array A over F_q of multiplicative order q^k - 1:
+    the map
     x -> alpha x on F_{q^k} in the F_q-basis 1, alpha, .., alpha^(k-1), so
     the companion matrix of the minimal polynomial of alpha over F_q.
 
@@ -259,7 +240,9 @@ def singer_generator(k: int, fq: FqContext) -> Mat:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        return Mat(fq, np.array([[fq.generator]], dtype=np.int16))
+        A = np.array([[fq.generator]], dtype=np.int16)
+        A.setflags(write=False)
+        return A
     p, e = fq.p, fq.e
     d = e * k
     cpow = companion_powers(smallest_irreducible(p, d), p)  # C^0, .., C^(d-1)
@@ -284,7 +267,8 @@ def singer_generator(k: int, fq: FqContext) -> Mat:
     y = fq_context(p, 1).solve(np.array(cols, dtype=np.int16).T, last.astype(np.int16))
     A = np.eye(k, k=-1, dtype=np.int16)
     A[:, -1] = y.reshape(k, e).astype(np.int64) @ p ** np.arange(e)
-    return Mat(fq, A)
+    A.setflags(write=False)
+    return A
 
 
 def powers(fq: FqContext, x, s: int):
@@ -300,15 +284,15 @@ def powers(fq: FqContext, x, s: int):
     return P
 
 
-def element_order(g: Mat, cap: int) -> int:
-    """Least t <= cap with g^t = I, read off the table `powers` of g^0, ..,
-    g^cap; raises OrderNotFound beyond cap, or FieldError when g is
-    singular (no power of it is I, so the determinant is only taken once
-    the table has no hit)."""
-    hit = np.flatnonzero((powers(g.fq, g.a, cap + 1)[1:] == g.fq.identity(g.n)).all(axis=(1, 2)))
+def element_order(fq: FqContext, x, cap: int) -> int:
+    """Least t <= cap with x^t = I for an (n, n) array x, read off the table
+    `powers` of x^0, .., x^cap; raises OrderNotFound beyond cap, or
+    FieldError when x is singular (no power of it is I, so the determinant
+    is only taken once the table has no hit)."""
+    hit = np.flatnonzero((powers(fq, x, cap + 1)[1:] == fq.identity(len(x))).all(axis=(1, 2)))
     if len(hit):
         return int(hit[0]) + 1
-    if g.det() == 0:
+    if fq.det(x) == 0:
         raise FieldError("singular matrix has no order")
     raise OrderNotFound(f"order exceeds cap {cap}")
 
@@ -431,22 +415,21 @@ def closure(starts, images, limit):
 
 
 def mulclose(fq: FqContext, gens):
-    """Multiplicative closure of a (k, n, n) generator stack, BFS order,
-    deterministic."""
-    if not len(gens):
-        return []
+    """Multiplicative closure of a (k, n, n) generator stack, as one stack
+    in BFS order from the identity, deterministic: the identity alone for
+    no generators."""
     nodes = closure([fq.identity(gens.shape[-1])], lambda x: fq.mat_mul(x, gens), _CLOSURE_CAP + 1)[0]
     if len(nodes) > _CLOSURE_CAP:
         raise RuntimeError("closure exceeded cap")
-    return [Mat(fq, a) for a in nodes]
+    return np.stack(nodes)
 
 
 def derived_subgroup(fq: FqContext, gens):
     """Derived subgroup of the group a (k, n, n) generator stack generates:
     the normal closure of the k^2 commutators a b a^-1 b^-1, in (a, b)
-    order, from one stacked inverse and three stacked products."""
-    if not len(gens):
-        return []
+    order, from one stacked inverse and three stacked products, as one
+    stack in BFS order from the identity: the identity alone for no
+    generators."""
     n = gens.shape[-1]
     invs = fq.mat_inv(gens)
     ab = fq.mat_mul(gens[:, None], gens[None])
@@ -459,7 +442,7 @@ def derived_subgroup(fq: FqContext, gens):
     nodes = closure([fq.identity(n), *comms], images, _CLOSURE_CAP + 1)[0]
     if len(nodes) > _CLOSURE_CAP:
         raise RuntimeError("derived subgroup exceeded cap")
-    return [Mat(fq, a) for a in nodes]
+    return np.stack(nodes)
 
 
 # ----------------------------------------------------------------------
@@ -467,8 +450,8 @@ def derived_subgroup(fq: FqContext, gens):
 
 
 def standard_generators(desc: GroupDescriptor, space):
-    """The literal cyclic-block generator a for a staged signature, in the
-    space's Witt coordinates: a torus element of order q^m + 1 (minus, odd)
+    """The literal cyclic-block generator a for a staged signature, an
+    (n, n) array in the space's Witt coordinates: a torus element of order q^m + 1 (minus, odd)
     or q^{m-1} + 1 (plus), checked to be an isometry of determinant 1.
 
     Returns (a, notes).  The B block is built by the stage itself, as
@@ -487,12 +470,12 @@ def standard_generators(desc: GroupDescriptor, space):
     kind, q, m = desc.kind, desc.q, space.m
     a = _literal_a(kind, space)
     expected_a = {"minus": q ** m + 1, "plus": q ** (m - 1) + 1, "odd": q ** m + 1}[kind]
-    ord_a = element_order(a, expected_a + 1)
+    ord_a = element_order(space.fq, a, expected_a + 1)
     if ord_a != expected_a:
         raise ConstructionMismatch(f"a has order {ord_a}, expected {expected_a}")
-    if not forms.is_isometry(space, a):
+    if not forms.preserves_form(space.fq, space.gram, a):
         raise ConstructionMismatch("a is not an isometry")
-    if a.det() != 1:
+    if space.fq.det(a) != 1:
         raise ConstructionMismatch("a has determinant != 1")
     target = q ** space.witt_index - 1
     if base == "SO" and target > 2:
@@ -504,7 +487,7 @@ def standard_generators(desc: GroupDescriptor, space):
     return a, []
 
 
-def _literal_a(kind: str, space) -> Mat:
+def _literal_a(kind: str, space) -> np.ndarray:
     if kind == "plus":
         return _plus_literal_a(space)
     if kind not in ("minus", "odd"):
@@ -512,11 +495,11 @@ def _literal_a(kind: str, space) -> Mat:
     # multiplication by b = alpha^(q^m - 1), of order q^m + 1, on F_{q^2m}
     fq, m, n = space.fq, space.m, space.n
     blk = fq.identity(n)
-    blk[:2 * m, :2 * m] = fq.mat_pow(singer_generator(2 * m, fq).a, space.q ** m - 1)
-    return space.model_to_witt(Mat(fq, blk))
+    blk[:2 * m, :2 * m] = fq.mat_pow(singer_generator(2 * m, fq), space.q ** m - 1)
+    return space.model_to_witt(blk)
 
 
-def _plus_literal_a(space) -> Mat:
+def _plus_literal_a(space) -> np.ndarray:
     """Order q^{m-1}+1 torus on an embedded (2m-2)-dimensional subspace of
     minus type, identity on its 2-dimensional anisotropic complement."""
     from . import forms
@@ -532,8 +515,8 @@ def _plus_literal_a(space) -> Mat:
     phi, lam = forms.align_spaces(model, GU, fq)
     if lam != 1:
         raise ConstructionMismatch("embedded minus subspace is only similar, not isometric")
-    t_model = model.model_to_witt(Mat(fq, fq.mat_pow(singer_generator(2 * m - 2, fq).a, q ** (m - 1) - 1)))
-    t_U = fq.mat_mul(fq.mat_mul(phi, t_model.a), fq.mat_inv(phi))
+    t_model = model.model_to_witt(fq.mat_pow(singer_generator(2 * m - 2, fq), q ** (m - 1) - 1))
+    t_U = fq.mat_mul(fq.mat_mul(phi, t_model), fq.mat_inv(phi))
     # assemble in full-space Witt coordinates: columns describe images of
     # the U-basis and of the complement basis
     C = np.concatenate([Ubasis, U2], axis=0).T.astype(np.int16)  # witt coords of [U | U2]
@@ -541,4 +524,4 @@ def _plus_literal_a(space) -> Mat:
     big = np.zeros((n, n), dtype=np.int16)
     big[:n - 2, :n - 2] = t_U
     big[n - 2:, n - 2:] = fq.identity(2)
-    return Mat(fq, fq.mat_mul(fq.mat_mul(C, big), Cinv))
+    return fq.mat_mul(fq.mat_mul(C, big), Cinv)

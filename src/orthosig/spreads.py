@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from .fields import FqContext, projective_points
-from .matgroups import Mat, closure, powers, singer_generator
+from .matgroups import closure, powers, singer_generator
 
 
 class NotAPartialSpread(ValueError):
@@ -34,9 +34,10 @@ def subspace(fq: FqContext, vectors):
     return R[:rank]
 
 
-def act_subspace(g: Mat, S):
-    """The reduced echelon basis of g(S), S given by its basis."""
-    R, rank, _ = act_rref(g.fq, g.a, S)
+def act_subspace(fq: FqContext, g, S):
+    """The reduced echelon basis of g(S) for an (n, n) array g, S given by
+    its basis."""
+    R, rank, _ = act_rref(fq, g, S)
     return R[:rank]
 
 
@@ -165,7 +166,7 @@ def classical_spread(fq: FqContext, m: int) -> PartialSpread:
     """
     if m < 1:
         raise ValueError(f"the classical spread needs m >= 1, got {m}")
-    A = singer_generator(2 * m, fq).a
+    A = singer_generator(2 * m, fq)
     W = powers(fq, fq.mat_pow(A, fq.q ** m + 1), m)[:, :, 0]
     vecs = fq.mat_mul(W, np.swapaxes(powers(fq, A, fq.q ** m + 1), 1, 2))
     sp = PartialSpread(fq.rref(vecs)[0], fq)

@@ -6,7 +6,7 @@ import itertools
 
 from orthosig import forms
 from orthosig.lscore import space_for
-from orthosig.matgroups import identity, neg_identity
+from orthosig.matgroups import Mat
 
 
 def verify_by_dict_walk(ls):
@@ -16,8 +16,8 @@ def verify_by_dict_walk(ls):
     group the key of g is the smaller of the keys of g and -g."""
     desc = ls.group
     space = space_for(desc)
-    one = identity(space.fq, desc.n)
-    minus = neg_identity(space.fq, desc.n)
+    one = Mat(space.fq, space.fq.identity(desc.n))
+    minus = Mat(space.fq, space.fq.v_neg(space.fq.identity(desc.n)))
     seen, collisions, outside = {}, [], 0
     for iv in itertools.product(*[range(len(b)) for b in ls.blocks]):
         g = one

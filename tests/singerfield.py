@@ -9,6 +9,6 @@ from orthosig.matgroups import powers
 
 def elements(fq, A, coords):
     """The matrices sum_j v_j A^j for the rows v of `coords`, one product
-    with the flattened powers of the Mat A."""
-    k = A.n
-    return fq.mat_mul(np.asarray(coords, dtype=np.int16), powers(fq, A.a, k).reshape(k, k * k)).reshape(-1, k, k)
+    with the flattened powers of the (k, k) array A."""
+    k = len(A)
+    return fq.mat_mul(np.asarray(coords, dtype=np.int16), powers(fq, A, k).reshape(k, k * k)).reshape(-1, k, k)

@@ -34,9 +34,9 @@ from orthosig.lscore import (
     verify_ls,
 )
 from orthosig.matgroups import (
+    Mat,
     descriptor,
     group_order,
-    identity,
     isotropic_point_count,
     order_sp,
 )
@@ -107,15 +107,15 @@ def test_criterion_3_sharp_transitivity():
             details.append(f"{kind}({q},{m}):vacuous")
             continue
         # the A block (product set of its layers) must biject onto the spread
-        one = identity(space.fq, space.n)
+        one = Mat(space.fq, space.fq.identity(space.n))
         elems = [one]
         for layer in plan.layers:
             if layer[0] == "cyc":
                 _, gen, size = layer
-                elems = [x * gen.pow(j) for x in elems for j in range(size)]
+                elems = [x * Mat(space.fq, gen).pow(j) for x in elems for j in range(size)]
             else:
-                elems = [x * t for x in elems for t in layer[1]]
-        images = {act_subspace(g, plan.W0).tobytes() for g in elems}
+                elems = [x * Mat(space.fq, t) for x in elems for t in layer[1]]
+        images = {act_subspace(space.fq, g.a, plan.W0).tobytes() for g in elems}
         a_ok = len(elems) == len(plan.members) and images == {m.tobytes() for m in plan.members.members}
         # the products of the B blocks of the stage must carry the base
         # point to each point of W0 once (the plane has no stage)
@@ -167,7 +167,7 @@ def test_criterion_4_exhaustive_validity_and_minimality():
         # cross-check against the reflection-generated closure oracle
         space = space_for(desc)
         closure = enumerate_isometry_group(space, "O")
-        oracle = len(closure) if fam.startswith("O") else len([g for g in closure if g.det() == 1])
+        oracle = len(closure) if fam.startswith("O") else len([g for g in closure if space.fq.det(g) == 1])
         dt = time.monotonic() - t0
         ok = (
             rep.valid

@@ -274,6 +274,20 @@ def test_parabolic_k_outside_the_witt_range_exits_2_naming_the_range(k, error, c
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("family", ["Omega+", "PSO+", "POmega+"])
+def test_parabolic_of_a_family_past_o_and_so_exits_2_naming_them(family, capsys):
+    # these once ran the O construction: Omega+ and PSO+ exited 1 with the
+    # O stabilizer (72 against 18 at q = 3, m = 2), POmega+ exited 2 with
+    # a group-order error
+    from orthosig.cli import main
+
+    assert main(["parabolic", "--family", family, "--q", "3", "--m", "2"]) == 2
+    out = capsys.readouterr()
+    base = family[:-1]
+    assert parse_stdout(out.out)[0]["error"] == f"parabolic signatures cover the O and SO families, not {base}"
+    assert "Traceback" not in out.err
+
+
 def test_project_command(tmp_path):
     proc = run_cli("project", "--family", "SO-", "--q", "3", "--m", "2")
     assert proc.returncode == 0

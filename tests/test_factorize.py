@@ -13,13 +13,13 @@ from orthosig.factorize import (
     unrank,
 )
 from orthosig.lscore import LogSignature, canonical_ls
-from orthosig.matgroups import descriptor, identity
+from orthosig.matgroups import Mat, descriptor
 
 
 def test_identity_decodes_to_zero():
     ls = canonical_ls(descriptor("O-", 3, n=4))
     fq = ls.blocks[0][0].fq
-    iv = tame_factor(identity(fq, 4), ls)
+    iv = tame_factor(Mat(fq, fq.identity(4)), ls)
     assert all(i == 0 for i in iv)
 
 
@@ -41,7 +41,7 @@ def test_pure_a_block_power():
     ls = canonical_ls(descriptor("O-", 3, n=4))
     layer_kind, gen, size = stage_spread(ls).layers[0]
     assert layer_kind == "cyc" and size == 5 and ls.meta["a_layers"][0]["radices"] == [5]
-    g = gen.pow(3)
+    g = Mat(ls.blocks[0][0].fq, gen).pow(3)
     iv = tame_factor(g, ls)
     assert iv.indices[0] == 3
     assert all(i == 0 for i in iv.indices[1:])
@@ -74,9 +74,7 @@ def test_rank_unrank_bijection_small():
 def test_rank_mixed_radix_example():
     # block sizes (2, 3, 2): rank((1, 2, 1)) = 1 + 2*2 + 1*6 = 11
     fq = canonical_ls(descriptor("O-", 3, n=2)).blocks[0][0].fq
-    from orthosig.matgroups import identity as _id
-
-    I = _id(fq, 2)
+    I = Mat(fq, fq.identity(2))
     ls = LogSignature(None, [[I, I], [I, I, I], [I, I]], 12)
     assert rank(IndexVector((1, 2, 1)), ls) == 11
     assert unrank(11, ls) == IndexVector((1, 2, 1))
@@ -96,13 +94,12 @@ def test_not_in_group():
 
     from orthosig import forms
     from orthosig.lscore import space_for
-    from orthosig.matgroups import Mat
 
     fq = ls.blocks[0][0].fq
     shear = np.eye(4, dtype=np.int16)
     shear[0, 2] = 1
     bad = Mat(fq, shear)
-    assert not forms.is_isometry(space_for(ls.group), bad)
+    assert not forms.preserves_form(fq, space_for(ls.group).gram, bad.a)
     with pytest.raises(FactorError):
         tame_factor(bad, ls)
 
@@ -115,8 +112,10 @@ def test_decode_cost_is_bounded():
     for _ in range(20):
         iv = unrank(rng.randrange(ls.claimed_order), ls)
         g = compose(iv, ls)
+        assert tame_factor(g, ls) == iv
+        # the counts come from the stack decoder
         stats = {}
-        assert tame_factor(g, ls, stats) == iv
+        ls.plan.decode_many(g.a[None], stats)
         # generous bound: a handful of products per stage, depth m
         assert stats.get("mults", 0) <= 12 * 3
 
@@ -130,10 +129,9 @@ def test_hypothesis_rank_unrank_roundtrip(sizes, seedval):
     import numpy as np
 
     from orthosig.fields import fq_context
-    from orthosig.matgroups import identity as _id
 
     fq = fq_context(3, 1)
-    I = _id(fq, 2)
+    I = Mat(fq, fq.identity(2))
     total = 1
     for s in sizes:
         total *= s
@@ -178,12 +176,15 @@ def _mixed_elements(ls, seed, k):
 
 
 def _decode_one(plan, fq, a, stats):
-    """The digits of one element, or the exception decoding it raises."""
+    """The digits of one element, or the exception decoding it raises;
+    stats, when given, gets the counts of the element decoded as a
+    one-element stack."""
     from orthosig.lscore import LsError
-    from orthosig.matgroups import Mat
 
+    if stats is not None:
+        plan.decode_many(a[None], stats)
     try:
-        return plan.decode(Mat(fq, a), stats)
+        return plan.decode(Mat(fq, a))
     except (LsError, ValueError) as exc:
         return exc
 
@@ -284,27 +285,6 @@ def test_tame_factor_results_match_golden_hashes(fam, q, n):
     assert hashlib.sha256(doc).hexdigest() == TAME_FACTOR_SHA256[(fam, q, n)]
 
 
-@pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("O-", 5, 4), ("Oodd", 3, 5), ("SO-", 9, 4)])
-def test_a_rejected_non_member_leaves_stats_as_it_was(fam, q, n):
-    # a non-member is decoded before membership names the failure; the
-    # counts of that decode must not reach the caller's stats
-    from orthosig.matgroups import Mat
-
-    ls = canonical_ls(descriptor(fam, q, n=n))
-    fq = ls.blocks[0][0].fq
-    rejected = 0
-    for g in _mixed_elements(ls, 5, 30):
-        stats = {"mults": 7, "other": 1}
-        try:
-            tame_factor(Mat(fq, g), ls, stats)
-        except FactorError as exc:
-            if str(exc) == f"element is not in {fam}":
-                rejected += 1
-                assert stats == {"mults": 7, "other": 1}
-                assert list(stats) == ["mults", "other"]
-    assert rejected
-
-
 def _without_tables(plan):
     """The plan with the product-table front and stabilizer table of every
     stage taken off, so that every element goes down the stage path."""
@@ -385,8 +365,9 @@ def test_a_member_decode_counts_its_products_and_lookups(fam, q, n, want):
     rng = random.Random(5)
     for _ in range(10):
         iv = unrank(rng.randrange(ls.claimed_order), ls)
+        assert tame_factor(compose(iv, ls), ls) == iv
         stats = {}
-        assert tame_factor(compose(iv, ls), ls, stats) == iv
+        ls.plan.decode_many(compose(iv, ls).a[None], stats)
         assert stats == want
 
 
@@ -695,28 +676,6 @@ def test_one_element_decode_reads_any_layout_of_a_member(fam, q, n):
         assert ls.plan.decode_many(g[None].astype(np.int64))[0][0].tolist() == list(iv)
 
 
-@pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("O-", 5, 4), ("Oodd", 3, 5), ("O-", 9, 4),
-                                     ("O+", 3, 6), ("O-", 25, 2)])
-def test_tame_factor_counts_as_the_one_element_stack(fam, q, n):
-    # with stats, tame_factor decodes down the stack path: the counts of
-    # every element it factors are those of decode_many on that element
-    from orthosig.matgroups import Mat
-
-    ls = canonical_ls(descriptor(fam, q, n=n))
-    fq = ls.blocks[0][0].fq
-    factored = 0
-    for g in _mixed_elements(ls, 13, 30):
-        stats, want = {}, {}
-        try:
-            tame_factor(Mat(fq, g), ls, stats)
-        except FactorError:
-            continue
-        factored += 1
-        ls.plan.decode_many(g[None], want)
-        assert stats == want and stats
-    assert factored >= 6
-
-
 def test_plan_decoders_take_only_codes_of_the_plan_field():
     # 4 I and the float stack 1.7 I used to decode as the identity of
     # O-4(3), and code 200 against O-4(9) ended in a bare numpy IndexError
@@ -776,7 +735,7 @@ def test_compose_is_the_left_to_right_product(fam, q, n):
     rng = random.Random(f"compose/{fam}{n}({q})")
     for _ in range(25):
         iv = unrank(rng.randrange(ls.claimed_order), ls)
-        want = identity(ls.blocks[0][0].fq, n)
+        want = Mat(ls.blocks[0][0].fq, ls.blocks[0][0].fq.identity(n))
         for blk, i in zip(ls.blocks, iv):
             want = want * blk[i]
         assert compose(iv, ls) == want == compose(iv, copy)
@@ -798,7 +757,7 @@ def test_compose_through_seven_segments_over_f1543():
     assert len(ls.product_tables().tables) == 7
     for v in random.Random(1543).sample(range(ls.claimed_order), 200):
         iv = unrank(v, ls)
-        want = identity(fq, 3)
+        want = Mat(fq, fq.identity(3))
         for blk, i in zip(blocks, iv):
             want = want * blk[i]
         assert compose(iv, ls) == want
@@ -854,15 +813,16 @@ def test_plan_decode_of_the_wrong_size_raises_the_stack_message():
     from orthosig.lscore import LsError
 
     ls = canonical_ls(descriptor("O-", 3, n=4))
-    small = identity(ls.blocks[0][0].fq, 3)
+    fq = ls.blocks[0][0].fq
+    small = Mat(fq, fq.identity(3))
     with pytest.raises(LsError) as many:
         ls.plan.decode_many(small.a[None])
     with pytest.raises(LsError) as one:
         ls.plan.decode(small)
     assert str(one.value) == str(many.value) == \
         "expected a stack of 4x4 matrices, got shape (1, 3, 3)"
-    assert np.array_equal(ls.plan.decode_many(np.stack([identity(ls.blocks[0][0].fq, 4).a]))[0],
-                          [ls.plan.decode(identity(ls.blocks[0][0].fq, 4))])
+    assert np.array_equal(ls.plan.decode_many(np.stack([fq.identity(4)]))[0],
+                          [ls.plan.decode(Mat(fq, fq.identity(4)))])
 
 
 def test_indices_and_ranks_must_be_integers():
@@ -913,19 +873,19 @@ def test_tame_factor_takes_only_codes_of_the_signature_field():
     # an equal context built anew is the same field
     from orthosig.fields import FqContext
 
-    assert tame_factor(Mat(FqContext(3, 1), np.eye(4)), ls) == tame_factor(identity(fq_context(3, 1), 4), ls)
+    assert tame_factor(Mat(FqContext(3, 1), np.eye(4)), ls) == \
+        tame_factor(Mat(fq_context(3, 1), fq_context(3, 1).identity(4)), ls)
 
 
 def test_tame_factor_checks_the_codes_once_and_never_hands_them_to_membership(monkeypatch):
     # the plan's decoder reads the entries of an element once, and an
-    # entry that is not a code ends in tame_factor's own error, through
-    # the one-element path and the counted stack path alike, before any
-    # membership test
+    # entry that is not a code ends in tame_factor's own error, before any
+    # membership test, and in a CodeError on the counted stack path
     import numpy as np
 
     from orthosig import factorize
     from orthosig.fields import fq_context
-    from orthosig.matgroups import Mat
+    from orthosig.lscore import CodeError
 
     def no_membership(*args):
         raise AssertionError("membership was consulted")
@@ -935,9 +895,10 @@ def test_tame_factor_checks_the_codes_once_and_never_hands_them_to_membership(mo
         ls = canonical_ls(descriptor(fam, q, n=4))
         a = np.eye(4, dtype=np.int16)
         a[1, 2] = bad
-        for stats in (None, {}):
-            with pytest.raises(FactorError, match=f"^element has an entry outside the codes 0..{q - 1} of F_{q}$"):
-                tame_factor(Mat(fq_context(p, e), a), ls, stats)
+        with pytest.raises(FactorError, match=f"^element has an entry outside the codes 0..{q - 1} of F_{q}$"):
+            tame_factor(Mat(fq_context(p, e), a), ls)
+        with pytest.raises(CodeError):
+            ls.plan.decode_many(a[None], {})
 
 
 @pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("O+", 5, 4), ("O+", 3, 6), ("O-", 9, 4)])
@@ -966,8 +927,7 @@ def test_a_member_with_one_entry_moved_by_q_is_refused_on_every_decode_path(fam,
         for shift in (q, -q):
             bad = member.copy()
             bad[i, j] += shift
-            for stats in (None, {}):
-                with pytest.raises(FactorError, match=f"^element has an entry outside the codes 0..{q - 1} of F_{q}$"):
-                    tame_factor(Mat(fq, bad), ls, stats)
+            with pytest.raises(FactorError, match=f"^element has an entry outside the codes 0..{q - 1} of F_{q}$"):
+                tame_factor(Mat(fq, bad), ls)
             with pytest.raises(CodeError):
-                ls.plan.decode_many(bad[None])
+                ls.plan.decode_many(bad[None], {})

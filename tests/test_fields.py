@@ -111,10 +111,10 @@ def test_exp_table_matches_repeated_multiplication(p, d):
 
 
 def _singer(p, e, k):
-    from orthosig.matgroups import singer_generator
+    from orthosig.matgroups import Mat, singer_generator
 
     fq = fq_context(p, e)
-    return fq, singer_generator(k, fq)
+    return fq, Mat(fq, singer_generator(k, fq))
 
 
 def _conj(fq, X, m):
@@ -136,14 +136,14 @@ def test_tower_deterministic_constants():
     assert first_primitive(3, companion_powers((1, 0, 1), 3)).tolist() == [1, 1]
     fq, A = _singer(3, 1, 2)
     assert A.a.tolist() == [[0, 1], [1, 2]]
-    assert element_order(A, 8) == 8
+    assert element_order(fq, A.a, 8) == 8
 
 
 def test_tower_f81_alpha_order():
     from orthosig.matgroups import element_order
 
     fq, A = _singer(3, 1, 4)
-    assert element_order(A, 80) == 80
+    assert element_order(fq, A.a, 80) == 80
 
 
 def test_tower_rejects_bad_parameters():
@@ -174,14 +174,14 @@ def test_field_arith_examples():
 
 
 def test_field_arith_errors():
-    from orthosig.matgroups import Mat, element_order
+    from orthosig.matgroups import element_order
 
     fq, A = _singer(3, 1, 4)
-    zero = elements(fq, A, [[0, 0, 0, 0]])[0]
+    zero = elements(fq, A.a, [[0, 0, 0, 0]])[0]
     with pytest.raises(FieldError):
         fq.mat_inv(zero)
     with pytest.raises(FieldError):
-        element_order(Mat(fq, zero), 80)
+        element_order(fq, zero, 80)
 
 
 def test_trace_examples():
@@ -211,7 +211,7 @@ def test_bulk_ring_axioms_seeded():
     # F_q[A] is a field: commutative, every nonzero element invertible
     fq, A = _singer(3, 1, 4)
     rng = np.random.default_rng(99)
-    X, Y, Z = (elements(fq, A, rng.integers(0, 3, (1100, 4))) for _ in range(3))
+    X, Y, Z = (elements(fq, A.a, rng.integers(0, 3, (1100, 4))) for _ in range(3))
     XY = fq.mat_mul(X, Y)
     assert (XY == fq.mat_mul(Y, X)).all()
     assert (fq.mat_mul(X, fq.v_add(Y, Z)) == fq.v_add(XY, fq.mat_mul(X, Z))).all()
@@ -225,7 +225,7 @@ def test_trace_linearity_and_bar_automorphism():
     for p, e, m in [(3, 1, 2), (5, 2, 1)]:
         fq, A = _singer(p, e, 2 * m)
         rng = np.random.default_rng(5)
-        X, Y = (elements(fq, A, rng.integers(0, fq.q, (200, 2 * m))) for _ in range(2))
+        X, Y = (elements(fq, A.a, rng.integers(0, fq.q, (200, 2 * m))) for _ in range(2))
         Xb, Yb = _conj(fq, X, m), _conj(fq, Y, m)
         assert (fq.v_add(Xb, Yb) == _conj(fq, fq.v_add(X, Y), m)).all()
         assert (fq.mat_mul(Xb, Yb) == _conj(fq, fq.mat_mul(X, Y), m)).all()
@@ -244,7 +244,7 @@ def test_hypothesis_add_mul_closed_in_levels(a, b):
     fq, A = _singer(3, 1, 4)
     x, y = (A.pow(t).a if t < 80 else 0 * A.a for t in (a, b))
     for z in (fq.v_add(x, y), fq.mat_mul(x, y)):
-        assert (elements(fq, A, [z[:, 0]])[0] == z).all()
+        assert (elements(fq, A.a, [z[:, 0]])[0] == z).all()
     if b < 80:
         assert (fq.mat_mul(fq.mat_mul(x, y), fq.mat_inv(y)) == x).all()
 
@@ -263,7 +263,7 @@ def test_e2_tower():
 
     fq, A = _singer(3, 2, 2)
     assert fq.q == 9
-    assert element_order(A, 80) == 80
+    assert element_order(fq, A.a, 80) == 80
     assert A.a[:, 0].tolist() == [0, 1]  # alpha in the basis 1, alpha
 
 
@@ -281,7 +281,7 @@ def test_top_to_vec_inverts_vec_to_top_on_every_code(p, e, m):
     assert vecs.dtype == np.int16 and vecs.any(axis=1).all()
     assert len({v.tobytes() for v in vecs}) == len(vecs)
     step = max(1, len(P) // 200)
-    assert (elements(fq, A, vecs[::step]) == P[::step]).all()
+    assert (elements(fq, A.a, vecs[::step]) == P[::step]).all()
 
 
 @pytest.mark.parametrize("p,e,m", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2), (5, 2, 1),
@@ -305,7 +305,7 @@ def test_embedding_is_the_sum_of_coefficients_times_powers_of_the_root(p, e, m):
     scalars = np.arange(fq.q, dtype=np.int16)[:, None, None] * np.eye(2 * m, dtype=np.int16)
     assert (_conj(fq, scalars, 1) == scalars).all()
     top = np.array(list(itertools.product(range(fq.q), repeat=2 * m))[::20], dtype=np.int16)
-    X = elements(fq, A, top)
+    X = elements(fq, A.a, top)
     assert (X[:, :, 0] == top).all()
     moved = ~(_conj(fq, X, m) == X).all(axis=(1, 2))
     keys = {y.tobytes() for y in Fqm}
@@ -548,7 +548,7 @@ def test_subfield_root_is_the_lex_smallest_root(p, d, deg):
     roots = [c for c in range(big.order) if value(c) == 0]
     assert len(roots) == deg
     fq, k = fq_context(p, deg), d // deg
-    A = singer_generator(k, fq).a
+    A = singer_generator(k, fq)
     if k == 1:
         assert A.tolist() == [[fq.generator]]
         return

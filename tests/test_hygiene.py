@@ -2,7 +2,8 @@
 in that file, every private function or class of the package is used
 somewhere in it, every public function is used by the program, a script,
 the README or the acceptance tests, only `lscore` attaches product tables
-to a signature, and every trace target of the benchmark names a function
+to a signature, a `Mat` is built only where one element crosses the edge
+of the package, and every trace target of the benchmark names a function
 the package defines."""
 
 import ast
@@ -209,6 +210,61 @@ def test_the_scan_finds_a_signature_finished_by_hand():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_lscore_attaches_tables(path):
     assert hand_finished(path.read_text(), path.name == "lscore.py") == []
+
+
+# the functions where one element crosses the public edge of the package:
+# composed, handed back in a signature, or named in a report
+MAT_EDGES = {"compose", "LogSignature.from_stacks", "parabolic_ls", "project_ls", "omega_audit"}
+
+
+def mats_built_inside(source: str, edges) -> list[str]:
+    """Lines that build a `Mat` (a call of `Mat` or of an attribute named
+    `Mat`) outside the edge functions, their nested functions, and the
+    methods of the `Mat` class itself.  Inside the package an element is
+    an (n, n) int16 array and a set of elements a (k, n, n) stack."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and (getattr(child.func, "id", None) == "Mat"
+                                                 or getattr(child.func, "attr", None) == "Mat"):
+                inside = ".".join(scope)
+                if not (scope[:1] == ["Mat"] or any(inside == e or inside.startswith(e + ".") for e in edges)):
+                    found.append(f"line {child.lineno}: {inside or '<module>'}")
+            walk(child, scope)
+
+    walk(ast.parse(source), [])
+    return found
+
+
+def test_the_scan_finds_a_mat_built_inside_the_package():
+    src = (
+        "class Mat:\n"
+        "    def inv(self):\n"
+        "        return Mat(self.fq, self.a)\n"
+        "def compose(iv, ls):\n"
+        "    def one(a):\n"
+        "        return Mat(fq, a)\n"
+        "    return one(x)\n"
+        "def composed(x):\n"
+        "    return matgroups.Mat(fq, x)\n"
+        "class Plan:\n"
+        "    def decode(self, g):\n"
+        "        return [Mat(fq, a) for a in g]\n"
+        "e = Mat(fq, I)\n"
+        "Mat.from_json(fq, d)\n"
+    )
+    assert mats_built_inside(src, {"compose"}) == [
+        "line 9: composed", "line 12: Plan.decode", "line 13: <module>",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_a_mat_is_built_only_at_the_edge(path):
+    assert mats_built_inside(path.read_text(), MAT_EDGES) == []
 
 
 def test_every_trace_target_resolves():

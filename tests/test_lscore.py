@@ -30,8 +30,6 @@ from orthosig.matgroups import (
     Mat,
     descriptor,
     group_order,
-    identity,
-    neg_identity,
     singer_generator,
 )
 from orthosig.spreads import CyclicOrbits, NotAPartialSpread, PartialSpread, act_rref
@@ -57,15 +55,15 @@ def _cyclic_model(s):
 
 def test_cyclic_set_mls_trivial():
     fq = fq_context(3, 1)
-    ls = cyclic_set_mls(identity(fq, 2), 1)
+    ls = cyclic_set_mls(fq, fq.identity(2), 1)
     assert ls.blocks == [] and ls.claimed_order == 1 and ls.length == 0
 
 
 def test_cyclic_set_mls_6():
     fq = fq_context(5, 1)
     x = singer_generator(1, fq)  # order 4... need order >= 6, use 2x2 singer
-    x = singer_generator(2, fq)  # order 24
-    ls = cyclic_set_mls(x, 6)
+    x = Mat(fq, singer_generator(2, fq))  # order 24
+    ls = cyclic_set_mls(fq, x.a, 6)
     assert sorted(len(b) for b in ls.blocks) == [2, 3]
     assert ls.length == 5
     # exhaustive uniqueness
@@ -82,7 +80,7 @@ def test_cyclic_set_mls_6():
 def test_cyclic_set_mls_4_index_sums():
     fq = fq_context(3, 1)
     x = singer_generator(2, fq)  # order 8
-    ls = cyclic_set_mls(x, 4)
+    ls = cyclic_set_mls(fq, x, 4)
     assert [len(b) for b in ls.blocks] == [2, 2]
     assert ls.length == 4
     # the exponent sums stay below s = 4 for every block choice
@@ -122,8 +120,8 @@ def test_cyclic_set_uniqueness_small_exhaustive():
 
 def _power_cases():
     # the einsum path (q = 3, 5) and the table path (q = 9)
-    return [singer_generator(2, fq_context(3, 1)), singer_generator(3, fq_context(5, 1)),
-            singer_generator(2, fq_context(3, 2))]
+    return [Mat(fq, singer_generator(k, fq))
+            for k, fq in [(2, fq_context(3, 1)), (3, fq_context(5, 1)), (2, fq_context(3, 2))]]
 
 
 def test_running_powers_and_cyclic_blocks_match_pow():
@@ -133,7 +131,7 @@ def test_running_powers_and_cyclic_blocks_match_pow():
     for x in _power_cases():
         for s in [1, 2, 3, 4, 5, 7, 8, 12, 13, 30, 64]:
             assert [a.tobytes() for a in powers(x.fq, x.a, s)] == [x.pow(j).key for j in range(s)]
-            blocks, radices = cyclic_blocks(x, s)
+            blocks, radices = cyclic_blocks(x.fq, x.a, s)
             want, M = [], 1
             for r in radices:
                 step = x.pow(M)
@@ -217,7 +215,32 @@ def test_cyclic_set_rejects_oversize():
     fq = fq_context(3, 1)
     x = singer_generator(2, fq)  # order 8
     with pytest.raises(LsError):
-        cyclic_set_mls(x, 9)
+        cyclic_set_mls(fq, x, 9)
+
+
+def test_cyclic_set_of_an_element_of_large_order():
+    # x of order 124 spans a set of 6; only x^1 .. x^5 need to differ from I,
+    # so no order is searched for
+    fq = fq_context(5, 1)
+    ls = cyclic_set_mls(fq, singer_generator(3, fq), 6)
+    assert [len(b) for b in ls.blocks] == [2, 3]
+    rep = verify_ls(ls, "exhaustive")
+    assert rep.valid and rep.products_checked == 6
+    # the first power that is I names the order
+    minus = fq.v_neg(fq.identity(3))
+    with pytest.raises(LsError, match="^cyclic set size 3 exceeds element order 2$"):
+        cyclic_set_mls(fq, minus, 3)
+    assert cyclic_set_mls(fq, minus, 2).claimed_order == 2
+
+
+def test_cyclic_set_refuses_a_singular_element():
+    from orthosig.fields import FieldError
+
+    fq = fq_context(5, 1)
+    x = np.diag([0, 1, 2]).astype(np.int16)  # distinct powers, but no group element
+    for s in (1, 3):
+        with pytest.raises(FieldError, match="singular"):
+            cyclic_set_mls(fq, x, s)
 
 
 # ---------------------------------------------------------------- semidirect
@@ -357,11 +380,11 @@ def test_only_the_program_finishes_a_signature():
     fq = fq_context(3, 1)
     for field in ("plan", "tables"):
         with pytest.raises(TypeError):
-            LogSignature(None, [[identity(fq, 2)]], 1, {}, **{field: None})
+            LogSignature(None, [[Mat(fq, fq.identity(2))]], 1, {}, **{field: None})
     finished = [canonical_ls(descriptor("O-", 3, n=4)), canonical_ls(descriptor("O+", 3, n=6)),
                 canonical_ls(descriptor("PSO+", 3, n=4)), canonical_ls(descriptor("PSOodd", 3, n=5)),
                 pgm.keygen(descriptor("O+", 5, n=4), seed=3).beta_ls,
-                cyclic_set_mls(singer_generator(2, fq), 6)]
+                cyclic_set_mls(fq, singer_generator(2, fq), 6)]
     for ls in finished:
         assert ls.tables is not None
         g = ls.blocks[0][0]
@@ -396,7 +419,7 @@ def test_spread_construction_a_block_bijects():
     cur = plan.W0
     for j in range(size):
         images.add(cur.tobytes())
-        cur = act_subspace(gen, cur)
+        cur = act_subspace(s.fq, gen, cur)
     assert images == {m.tobytes() for m in plan.members.members}
 
 
@@ -442,8 +465,7 @@ def _every_orbit_tested(fq, orbits, size):
 
 
 def _layer_keys(layers):
-    return [(kind, *[[g.key for g in x] if isinstance(x, list) else getattr(x, "key", x) for x in rest])
-            for kind, *rest in layers]
+    return [(kind, *[x.tobytes() if isinstance(x, np.ndarray) else x for x in rest]) for kind, *rest in layers]
 
 
 @pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("O-", 5, 4), ("O-", 9, 4), ("O+", 5, 4),
@@ -482,12 +504,13 @@ def test_project_aliased_block_is_absorbed():
     # a fully aliased cyclic block is halved by keeping one lift per pair
     fq = fq_context(3, 1)
     space = build_space("minus", fq_context(3, 1), 1)
-    G = enumerate_isometry_group(space, "O")
-    so = [g for g in G if g.det() == 1]  # cyclic of order 4 containing -I
-    gen = next(g for g in so if g != identity(fq, 2) and g * g != identity(fq, 2))
-    aliased = [identity(fq, 2), gen, neg_identity(fq, 2), gen * neg_identity(fq, 2)]
-    refl = next(g for g in G if g.det() != 1)
-    ls = LogSignature(None, [aliased, [identity(fq, 2), refl]], 8)
+    G = [Mat(fq, g) for g in enumerate_isometry_group(space, "O")]
+    one, minus = Mat(fq, fq.identity(2)), Mat(fq, fq.v_neg(fq.identity(2)))
+    so = [g for g in G if fq.det(g.a) == 1]  # cyclic of order 4 containing -I
+    gen = next(g for g in so if g != one and g * g != one)
+    aliased = [one, gen, minus, gen * minus]
+    refl = next(g for g in G if fq.det(g.a) != 1)
+    ls = LogSignature(None, [aliased, [one, refl]], 8)
     pls = project_ls(ls)
     assert pls.claimed_order == 4
 
@@ -495,7 +518,7 @@ def test_project_aliased_block_is_absorbed():
 def test_project_doubly_aliased_fails():
     # aliasing spread over two blocks cannot be absorbed by halving one
     fq = fq_context(3, 1)
-    I, mI = identity(fq, 2), neg_identity(fq, 2)
+    I, mI = Mat(fq, fq.identity(2)), Mat(fq, fq.v_neg(fq.identity(2)))
     ls = LogSignature(None, [[I, mI], [I, mI]], 4)
     with pytest.raises(InjectivityFail, match="multiple blocks identify elements") as exc:
         project_ls(ls)
@@ -528,7 +551,7 @@ def test_a_and_b_blocks_meet_only_in_identity():
     met = 0
     for fam, q, n in [("O+", 3, 4), ("O-", 3, 4), ("Oodd", 3, 3)]:
         ls = canonical_ls(descriptor(fam, q, n=n))
-        one = identity(ls.blocks[0][0].fq, n)
+        one = Mat(ls.blocks[0][0].fq, ls.blocks[0][0].fq.identity(n))
         A, B = head_blocks(ls)
         akeys, bkeys = ({reduce(lambda x, y: x * y, g, one).key for g in itertools.product(*blocks)}
                         for blocks in (A, B))
@@ -711,7 +734,7 @@ def test_product_tables_walk_in_product_order(pe, sizes, chunk, seed):
     assert walked.dtype == np.int16 and len(walked) == len(ivs)
     gathered = tables.products(ivs)
     for iv, g, h in zip(ivs, walked, gathered):
-        want = identity(fq, 3)
+        want = Mat(fq, fq.identity(3))
         for b, i in zip(blocks, iv):
             want = want * b[i]
         assert g.tobytes() == h.tobytes() == want.key
@@ -757,7 +780,7 @@ def test_sampled_digits_are_drawn_as_randrange_draws_them():
     from orthosig import lscore
 
     fq = fq_context(3, 1)
-    ls = LogSignature(None, [[identity(fq, 1)] * s for s in DRAW_SIZES], math.prod(DRAW_SIZES))
+    ls = LogSignature(None, [[Mat(fq, fq.identity(1))] * s for s in DRAW_SIZES], math.prod(DRAW_SIZES))
     rng, ref = random.Random(2024), random.Random(2024)
     rows = [iv for ivs, _ in lscore._sampled_products(rng, ls, 300) for iv in ivs]
     assert rows[:6] == DRAW_ROWS
@@ -919,7 +942,7 @@ def test_verify_rejects_a_group_past_the_envelope_instead_of_skipping_membership
     fq = fq_context(1549, 1)
     shear = np.eye(2, dtype=np.int16)
     shear[0, 1] = 1
-    ls = LogSignature(descriptor("O-", 1549, n=2), [[identity(fq, 2), Mat(fq, shear)]], 2)
+    ls = LogSignature(descriptor("O-", 1549, n=2), [[Mat(fq, fq.identity(2)), Mat(fq, shear)]], 2)
     for mode in ("exhaustive", "sampled"):
         with pytest.raises(FieldError, match="q\\^2m"):
             verify_ls(ls, mode, samples=10)
@@ -933,7 +956,7 @@ def test_verify_compares_the_claimed_order_where_a_closed_form_exists():
         assert not rep.valid and "claimed order 10 is not the group order 1440" in rep.notes
     # POmega has no closed-form order, so the claim stands on the other checks
     fq = fq_context(3, 1)
-    rep = verify_ls(LogSignature(descriptor("POmega-", 3, n=4), [[identity(fq, 4)]], 1), "exhaustive")
+    rep = verify_ls(LogSignature(descriptor("POmega-", 3, n=4), [[Mat(fq, fq.identity(4))]], 1), "exhaustive")
     assert rep.valid and rep.notes == [
         "claimed order not compared with the group order: "
         "POmega order depends on whether -I is in Omega; use enumeration"]
@@ -1075,7 +1098,7 @@ def test_plane_block_is_the_first_swapping_generator(q, capsys):
     plan = spread_construction(s, "O+")
     (kind, gen, size), = plan.layers
     assert (plan.shape, kind, size) == ("cyclic", "cyc", 2)
-    assert gen.key == o_generators(s)[0].tobytes()
+    assert gen.tobytes() == o_generators(s)[0].tobytes()
     assert cli.main(["spread-check", "--kind", "plus", "--q", str(q), "--m", "1"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PLANE_SPREAD_CHECK_SHA256[q]

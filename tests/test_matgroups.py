@@ -6,7 +6,7 @@ from headblocks import singer_b, stage_spread
 from singerfield import elements
 
 from orthosig.fields import FieldError, fq_context
-from orthosig.forms import build_space, is_isometry
+from orthosig.forms import build_space, preserves_form
 from orthosig.lscore import canonical_ls
 from orthosig.matgroups import (
     FAMILIES,
@@ -18,11 +18,8 @@ from orthosig.matgroups import (
     descriptor,
     element_order,
     group_order,
-    identity,
     mulclose,
-    neg_identity,
     order_sp,
-    scalar_mat,
     singer_generator,
     split_family,
     standard_generators,
@@ -31,13 +28,13 @@ from orthosig.matgroups import (
 
 def test_mat_arith_basics():
     fq = fq_context(3, 1)
-    I4 = identity(fq, 4)
+    I4 = Mat(fq, fq.identity(4))
     assert I4.inv() == I4
     Z = Mat(fq, np.zeros((4, 4), dtype=np.int16))
-    assert Z.rank() == 0
+    assert fq.rank(Z.a) == 0
     A = Mat(fq, np.array([[1, 1], [0, 2]], dtype=np.int16))
-    assert A.det() == 2
-    assert A.transpose_inv() == Mat(fq, np.array([[1, 0], [1, 2]], dtype=np.int16)).inv()
+    assert fq.det(A.a) == 2
+    assert Mat(fq, fq.mat_inv(np.ascontiguousarray(A.a.T))) == Mat(fq, np.array([[1, 0], [1, 2]], dtype=np.int16)).inv()
 
 
 def test_mat_errors():
@@ -52,7 +49,7 @@ def test_mult_matrix_identity_and_homomorphism():
     # products to products; the first column of X is x itself
     fq = fq_context(3, 1)
     A = singer_generator(4, fq)
-    assert elements(fq, A, [[1, 0, 0, 0]])[0].tolist() == identity(fq, 4).a.tolist()
+    assert elements(fq, A, [[1, 0, 0, 0]])[0].tolist() == fq.identity(4).tolist()
     rng = np.random.default_rng(11)
     U, V = rng.integers(0, 3, (2, 1000, 4)).astype(np.int16)
     MU, MV = elements(fq, A, U), elements(fq, A, V)
@@ -71,24 +68,24 @@ def test_mult_matrix_determinant_is_norm():
     rng = random.Random(4)
     for p, e, k in [(3, 1, 4), (5, 1, 2), (3, 2, 2), (5, 2, 2), (3, 3, 2)]:
         fq = fq_context(p, e)
-        A = singer_generator(k, fq)
+        A = Mat(fq, singer_generator(k, fq))
         exp = (fq.q ** k - 1) // (fq.q - 1)
         for _ in range(8):
             s = rng.randrange(1, fq.q ** k - 1)
-            assert A.pow(s * exp) == scalar_mat(fq, k, A.pow(s).det())
+            assert A.pow(s * exp) == Mat(fq, fq.v_scale(fq.det(A.pow(s).a), fq.identity(k)))
 
 
 def test_singer_generator():
     fq = fq_context(3, 1)
     s1 = singer_generator(1, fq)
-    assert s1.a.tolist() == [[2]]
-    assert element_order(s1, 2) == 2
+    assert s1.tolist() == [[2]]
+    assert element_order(fq, s1, 2) == 2
     s2 = singer_generator(2, fq)
-    assert element_order(s2, 8) == 8
-    assert s2.pow(8) == identity(fq, 2)
+    assert element_order(fq, s2, 8) == 8
+    assert Mat(fq, s2).pow(8) == Mat(fq, fq.identity(2))
     fq5 = fq_context(5, 1)
     s25 = singer_generator(2, fq5)
-    assert element_order(s25, 24) == 24
+    assert element_order(fq5, s25, 24) == 24
 
 
 # SHA-256 of the entry bytes of singer_generator(k, fq_context(p, e)), keyed
@@ -133,17 +130,17 @@ def test_singer_matrices_match_golden_hashes(p, e, k):
     import hashlib
 
     A = singer_generator(k, fq_context(p, e))
-    assert hashlib.sha256(A.a.tobytes()).hexdigest() == SINGER_SHA256[(p, e, k)]
+    assert hashlib.sha256(A.tobytes()).hexdigest() == SINGER_SHA256[(p, e, k)]
 
 
 def test_element_order():
     fq = fq_context(3, 1)
-    assert element_order(identity(fq, 3), 5) == 1
-    assert element_order(neg_identity(fq, 3), 5) == 2
+    assert element_order(fq, fq.identity(3), 5) == 1
+    assert element_order(fq, fq.v_neg(fq.identity(3)), 5) == 2
     with pytest.raises(OrderNotFound):
-        element_order(singer_generator(2, fq), 7)
+        element_order(fq, singer_generator(2, fq), 7)
     with pytest.raises(FieldError):  # singular: no power is I
-        element_order(Mat(fq, np.array([[1, 1], [2, 2]], dtype=np.int16)), 7)
+        element_order(fq, np.array([[1, 1], [2, 2]], dtype=np.int16), 7)
 
 
 def test_group_orders():
@@ -203,8 +200,8 @@ def test_standard_generator_orders_minus():
     # point, one Singer coset, so the stage has no B block
     space = build_space("minus", fq_context(3, 1), 2)
     a, notes = standard_generators(descriptor("O-", 3, n=4), space)
-    assert element_order(a, 11) == 10
-    assert is_isometry(space, a) and notes == []
+    assert element_order(space.fq, a, 11) == 10
+    assert preserves_form(space.fq, space.gram, a) and notes == []
     ls = canonical_ls(descriptor("O-", 3, n=4))
     assert len(stage_spread(ls).W0) == 1 and singer_b(ls) is None
 
@@ -213,21 +210,21 @@ def test_standard_generator_orders_plus():
     # order of the stage's B block is q^r - 1 = 8, r = 2
     space = build_space("plus", fq_context(3, 1), 2)
     a, notes = standard_generators(descriptor("O+", 3, n=4), space)
-    assert element_order(a, 5) == 4  # q^{m-1} + 1
-    assert is_isometry(space, a) and notes == []
+    assert element_order(space.fq, a, 5) == 4  # q^{m-1} + 1
+    assert preserves_form(space.fq, space.gram, a) and notes == []
     for fam in ("O+", "SO+"):
         ls = canonical_ls(descriptor(fam, 3, n=4))
         assert len(stage_spread(ls).W0) == 2
         b = singer_b(ls)
-        assert element_order(b, 9) == 8
-        assert is_isometry(space, b) and b.det() == 1
+        assert element_order(space.fq, b.a, 9) == 8
+        assert preserves_form(space.fq, space.gram, b.a) and space.fq.det(b.a) == 1
 
 
 def test_standard_generator_orders_odd():
     # order of the a block is q^m + 1 = 4
     space = build_space("odd", fq_context(3, 1), 1)
     a, notes = standard_generators(descriptor("Oodd", 3, n=3), space)
-    assert element_order(a, 5) == 4
+    assert element_order(space.fq, a, 5) == 4
 
 
 def test_standard_generator_notes_of_so():
@@ -278,8 +275,8 @@ def test_mulclose_keeps_bfs_order(kind, p, e, m):
     space = build_space(kind, fq_context(p, e), m)
     gens = reflections(space)
     mats = [Mat(space.fq, a) for a in gens]
-    want = _bfs_one_at_a_time([identity(space.fq, space.n)], lambda x: [x * g for g in mats])
-    assert [g.key for g in mulclose(space.fq, gens)] == [g.key for g in want]
+    want = _bfs_one_at_a_time([Mat(space.fq, space.fq.identity(space.n))], lambda x: [x * g for g in mats])
+    assert [g.tobytes() for g in mulclose(space.fq, gens)] == [g.key for g in want]
 
 
 @pytest.mark.parametrize("kind,p,e,m", CLOSURE_SPACES)
@@ -294,15 +291,15 @@ def test_derived_subgroup_keeps_bfs_order(kind, p, e, m):
         invs = [g.inv() for g in mats]
         comms = [a * b * ai * bi for a, ai in zip(mats, invs) for b, bi in zip(mats, invs)]
         want = _bfs_one_at_a_time(
-            [identity(space.fq, space.n)] + comms,
+            [Mat(space.fq, space.fq.identity(space.n))] + comms,
             lambda x: [x * c for c in comms] + [g * x * gi for g, gi in zip(mats, invs)])
-        assert [g.key for g in derived_subgroup(space.fq, gens)] == [g.key for g in want]
+        assert [g.tobytes() for g in derived_subgroup(space.fq, gens)] == [g.key for g in want]
 
 
 def test_closure_records_parents_and_stops_at_the_limit():
     fq = fq_context(5, 1)
-    S = singer_generator(2, fq)  # order 24, and -I = S^12
-    stack = np.stack([S.a, (S * S).a, neg_identity(fq, 2).a])
+    S = Mat(fq, singer_generator(2, fq))  # order 24, and -I = S^12
+    stack = np.stack([S.a, (S * S).a, fq.v_neg(fq.identity(2))])
 
     def images(x):
         return fq.mat_mul(x, stack)
@@ -355,5 +352,5 @@ def test_matrix_arithmetic_over_f9():
             manual = gf.add(gf.mul(int(A.a[i, 0]), int(B.a[0, j])),
                             gf.mul(int(A.a[i, 1]), int(B.a[1, j])))
             assert int(C.a[i, j]) == manual
-    if A.det() != 0:
-        assert A * A.inv() == identity(fq, 2)
+    if fq.det(A.a) != 0:
+        assert A * A.inv() == Mat(fq, fq.identity(2))

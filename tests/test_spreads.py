@@ -8,7 +8,7 @@ from leibniz import det_by_permutations, rref_by_rows
 
 from orthosig.fields import fq_context, projective_points
 from orthosig.forms import build_space, enumerate_isotropic_points
-from orthosig.matgroups import Mat, descriptor, element_order, identity, powers, standard_generators
+from orthosig.matgroups import Mat, descriptor, element_order, powers, standard_generators
 from orthosig.spreads import (
     NotAPartialSpread,
     PartialSpread,
@@ -93,16 +93,16 @@ def _walked_spread(fq, walk):
     return sp
 
 
-def _orbits(g, bases, steps):
-    """`cyclic_orbits` of a (k, r, n) stack of bases under <g>, walked up
-    to g^steps."""
-    return cyclic_orbits(g.fq, powers(g.fq, g.a, steps + 1)[1:], bases, 4096)
+def _orbits(fq, g, bases, steps):
+    """`cyclic_orbits` of a (k, r, n) stack of bases under <g>, g an
+    (n, n) array, walked up to g^steps."""
+    return cyclic_orbits(fq, powers(fq, g, steps + 1)[1:], bases, 4096)
 
 
 def test_orbit_partial_spread_identity():
     s = build_space("minus", fq_context(3, 1), 2)
     W0 = subspace(s.fq, [s.e_vec(0)])
-    orbits = _orbits(identity(s.fq, 4), W0[None], 1)
+    orbits = _orbits(s.fq, s.fq.identity(4), W0[None], 1)
     assert orbits.ret.tolist() == [1]
     sp = _walked_spread(s.fq, orbits.walk(0, 1))
     assert len(sp) == 1
@@ -115,7 +115,7 @@ def test_orbit_partial_spread_minus_torus_collapses():
     s = build_space("minus", fq_context(3, 1), 2)
     a, _ = standard_generators(descriptor("O-", 3, n=4), s)
     W0 = subspace(s.fq, [enumerate_isotropic_points(s)[0]])
-    orbits = _orbits(a, W0[None], 10)
+    orbits = _orbits(s.fq, a, W0[None], 10)
     assert orbits.ret.tolist() == [5]
     assert len(_walked_spread(s.fq, orbits.walk(0, 5))) == 5
 
@@ -130,9 +130,10 @@ def test_orbit_partial_spread_plus_sharp():
     plan = stage_spread(ls)
     _, gen, size = plan.layers[0]
     W0 = plan.W0
-    orbits = _orbits(gen, W0[None], size)
+    fq = fq_context(3, 1)
+    orbits = _orbits(fq, gen, W0[None], size)
     assert orbits.ret.tolist() == [size] == [4]
-    assert len(_walked_spread(gen.fq, orbits.walk(0, size))) == 4
+    assert len(_walked_spread(fq, orbits.walk(0, size))) == 4
 
 
 def test_overlapping_members_raise():
@@ -173,8 +174,8 @@ def test_partition_violation_report():
 def test_act_subspace():
     s = build_space("plus", fq_context(3, 1), 2)
     W = subspace(s.fq, [s.e_vec(0), s.e_vec(1)])
-    g = identity(s.fq, 4)
-    assert act_subspace(g, W).tobytes() == W.tobytes()
+    g = s.fq.identity(4)
+    assert act_subspace(s.fq, g, W).tobytes() == W.tobytes()
 
 
 # ---------------------------------------------------------------- batched kernel
@@ -198,18 +199,18 @@ def test_hypothesis_batched_act_matches_one_at_a_time(pe, n, r, k, data):
         R1, piv = rref_by_rows(fq, imgs)
         assert np.array_equal(R[i], R1)
         assert rank[i] == len(piv)
-        S = act_subspace(Mat(fq, mats[i]), subspace(fq, rows))
+        S = act_subspace(fq, mats[i], subspace(fq, rows))
         assert S.dtype == np.int16 and S.tolist() == R1[:len(piv)].tolist()
         assert S.tobytes() == R[i, :rank[i]].tobytes()
 
 
-def _reference_orbit(g, W, cap):
+def _reference_orbit(fq, g, W, cap):
     """The orbit of a subspace under <g>, stepped one `act_subspace` at a
     time: W, gW, .. up to the first repeat, or cap + 1 images when no
     image within cap steps repeats."""
     out, cur = [W], W
     for _ in range(cap):
-        cur = act_subspace(g, cur)
+        cur = act_subspace(fq, g, cur)
         if cur.tobytes() in {o.tobytes() for o in out}:
             break
         out.append(cur)
@@ -227,7 +228,7 @@ def test_orbit_precheck_matches_check_pairwise():
         s = build_space(kind, fq_context(3, 1), m)
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
         bases, _ = ts_subspace_transporters(s, False)
-        orbits = _orbits(lit, bases, 12)
+        orbits = _orbits(s.fq, lit, bases, 12)
         for size in set(orbits.ret.tolist()) - {0}:
             idx = np.flatnonzero(orbits.ret == size)
             walks = np.stack([orbits.walk(i, size) for i in idx])
@@ -254,7 +255,7 @@ def test_members_that_meet_never_partition_the_singular_points():
         s = build_space(kind, fq_context(3, 1), m)
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
         bases, _ = ts_subspace_transporters(s, False)
-        orbits = _orbits(lit, bases, element_order(lit, 100))
+        orbits = _orbits(s.fq, lit, bases, element_order(s.fq, lit, 100))
         assert orbits.ret.all()
         walks = orbits.walks
         for i, j in itertools.combinations_with_replacement(range(len(walks)), 2):
@@ -279,11 +280,11 @@ def test_cyclic_orbits_walk_each_orbit_once_with_orbit_walks_images():
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
         bases, _ = ts_subspace_transporters(s, False)
         for steps in (3, 12):
-            want = [_reference_orbit(lit, W, steps) for W in bases]
+            want = [_reference_orbit(s.fq, lit, W, steps) for W in bases]
             ret = [len(o) if len(o) <= steps else 0 for o in want]
             closed = {frozenset(o.tobytes() for o in w) for w, t in zip(want, ret) if t}
             for chunk in (1, 7, 4096):
-                orbits = cyclic_orbits(s.fq, powers(s.fq, lit.a, steps + 1)[1:], bases, chunk)
+                orbits = cyclic_orbits(s.fq, powers(s.fq, lit, steps + 1)[1:], bases, chunk)
                 assert orbits.ret.tolist() == ret
                 for i, (w, t) in enumerate(zip(want, ret)):
                     assert [R.tobytes() for R in orbits.walk(i, t or steps)] == [o.tobytes() for o in w[:steps]]
@@ -301,13 +302,13 @@ def test_schreier_transversal_keeps_bfs_order(kind, p, e, m, r):
     gens = o_generators(s)
     mats = [Mat(s.fq, a) for a in gens]
     W0 = subspace(s.fq, [s.e_vec(i) for i in range(r)])
-    want = {W0.tobytes(): identity(s.fq, s.n)}
+    want = {W0.tobytes(): Mat(s.fq, s.fq.identity(s.n))}
     frontier = [W0]
     while frontier:
         new = []
         for node in frontier:
             for g in mats:
-                img = act_subspace(g, node)
+                img = act_subspace(s.fq, g.a, node)
                 if img.tobytes() not in want:
                     want[img.tobytes()] = g * want[node.tobytes()]
                     new.append(img)
@@ -334,7 +335,7 @@ def test_schreier_transversal_raises_beyond_the_cap(monkeypatch):
 
 def _unbounded_transversal(fq, start, gens):
     # the walk without a size: every node is expanded with every generator
-    want = {start.tobytes(): identity(fq, gens.shape[-1])}
+    want = {start.tobytes(): Mat(fq, fq.identity(gens.shape[-1]))}
     queue = [start]
     for node in queue:
         for g, img in zip(gens, act_rref(fq, gens, node)[0]):
