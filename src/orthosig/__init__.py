@@ -13,4 +13,4 @@ from .lscore import (  # noqa: F401
     project_ls,
     verify_ls,
 )
-from .factorize import IndexVector, rank, tame_factor, unrank  # noqa: F401
+from .factorize import rank, tame_factor, unrank  # noqa: F401

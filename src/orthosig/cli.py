@@ -192,7 +192,7 @@ def cmd_verify(args):
         # a canonical file round-trips through its own tables; any other
         # file is sampled from its own blocks
         ls = canonical_ls(desc)
-        if ls.blocks != ls_file.blocks:
+        if list(map(list, ls.blocks)) != ls_file.blocks:
             notes.append("file does not match the canonical construction")
             ls = ls_file
         rep = verify_ls(ls, mode="sampled", samples=args.samples, seed=args.seed, budget=args.budget)
@@ -217,7 +217,7 @@ def cmd_factor(args):
     if ls_file.claimed_order != ls.claimed_order:
         raise ValueError(f"signature file claims order {ls_file.claimed_order}, but {desc.family} n={desc.n} "
                          f"q={desc.q} has order {ls.claimed_order}")
-    mismatch = ls.blocks != ls_file.blocks
+    mismatch = list(map(list, ls.blocks)) != ls_file.blocks
     if args.rank is None and args.element_file is None:
         return _report(args, {"error": "need --rank or --element-file"}, ["nothing to factor"], 2)
     if args.rank is not None:
@@ -230,7 +230,7 @@ def cmd_factor(args):
     back = compose(got, ls)
     payload = {
         "group": desc.to_json(),
-        "indices": got.to_json(),
+        "indices": list(got),
         "rank": rank(got, ls),
         "recomposes": back.key == g.key,
         "canonical_mismatch": mismatch,

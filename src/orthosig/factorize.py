@@ -9,7 +9,6 @@ linear solve for the unipotent coordinates, recursively down the stages.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from . import forms
 from .lscore import CodeError, LogSignature, LsError, space_for
@@ -20,31 +19,17 @@ class FactorError(LsError):
     pass
 
 
-@dataclass(frozen=True)
-class IndexVector:
-    indices: tuple
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def to_json(self):
-        return list(self.indices)
-
-
-def check_bounds(iv, ls: LogSignature) -> tuple:
-    """The entries of iv, each an integer in the range of its block, as
-    Python ints; FactorError otherwise.  Numpy integers are accepted; a
-    float or any other non-integer is not."""
-    sizes, indices = ls.sizes, iv.indices
+def check_bounds(indices, ls: LogSignature) -> tuple:
+    """The entries of a sequence of indices, each an integer in the range
+    of its block, as a tuple of Python ints; FactorError otherwise.  Numpy
+    integers are accepted; a float or any other non-integer is not."""
+    sizes = ls.sizes
     if len(indices) != len(sizes):
         raise FactorError(f"index vector has {len(indices)} entries, signature has {len(sizes)} blocks")
     for x, s in zip(indices, sizes):
         if type(x) is not int or not 0 <= x < s:
             return _checked(indices, sizes)
-    return indices
+    return tuple(indices)
 
 
 def _checked(indices, sizes) -> tuple:
@@ -60,8 +45,9 @@ def _checked(indices, sizes) -> tuple:
     return tuple(out)
 
 
-def tame_factor(g: Mat, ls: LogSignature) -> IndexVector:
-    """The unique index vector whose block product equals g.
+def tame_factor(g: Mat, ls: LogSignature) -> tuple:
+    """The unique index vector, a tuple of ints, whose block product
+    equals g.
 
     g is decoded first, and group membership is consulted only when the
     decode fails, to choose between "element is not in <family>" and the
@@ -92,29 +78,29 @@ def tame_factor(g: Mat, ls: LogSignature) -> IndexVector:
             raise FactorError(f"element is not in {ls.group.family}") from None
         raise
     # a plan's digits index rows of tables built from these blocks: in range
-    return IndexVector(tuple(digits))
+    return tuple(digits)
 
 
-def compose(iv: IndexVector, ls: LogSignature) -> Mat:
+def compose(indices, ls: LogSignature) -> Mat:
     """Product of the indexed block elements, by the one-element
-    `ProductTables.product`: read-only, and on one segment a table row."""
-    indices = check_bounds(iv, ls)
-    if not ls.blocks:
-        raise FactorError("signature has no blocks")
-    return Mat(ls.blocks[0][0].fq, ls.product_tables().product(indices))
+    `ProductTables.product`: read-only, and on one segment a table row.
+    No blocks make the trivial group, whose one product is I."""
+    indices = check_bounds(indices, ls)
+    tables = ls.product_tables()
+    return Mat(tables.fq, tables.product(indices))
 
 
-def rank(iv: IndexVector, ls: LogSignature) -> int:
+def rank(indices, ls: LogSignature) -> int:
     """Mixed-radix value, first block fastest-varying."""
     out = 0
     mult = 1
-    for x, s in zip(check_bounds(iv, ls), ls.sizes):
+    for x, s in zip(check_bounds(indices, ls), ls.sizes):
         out += x * mult
         mult *= s
     return out
 
 
-def unrank(v: int, ls: LogSignature) -> IndexVector:
+def unrank(v: int, ls: LogSignature) -> tuple:
     try:
         v = operator.index(v)
     except TypeError:
@@ -125,4 +111,4 @@ def unrank(v: int, ls: LogSignature) -> IndexVector:
     for s in ls.sizes:
         v, x = divmod(v, s)
         out.append(x)
-    return IndexVector(tuple(out))
+    return tuple(out)

@@ -90,9 +90,9 @@ class LogSignature:
     claimed_order: int
     meta: dict = dc_field(default_factory=dict)
     # the decoder and the products, neither serialized: set only where the
-    # program finishes a signature (`from_stacks`), as a file or a caller
-    # may still edit the blocks in place
-    plan: object = dc_field(default=None, init=False)
+    # program finishes a signature (`from_stacks`), whose blocks are tuples;
+    # a file's or a caller's blocks are lists, which may be edited in place
+    plan: object = dc_field(default=None, init=False, compare=False, repr=False)
     tables: ProductTables | None = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -107,9 +107,10 @@ class LogSignature:
     @classmethod
     def from_stacks(cls, group, fq: FqContext, n: int, stacks, claimed_order: int, meta: dict) -> LogSignature:
         """A finished signature from its blocks as (k, n, n) int16 stacks:
-        each element wrapped in a `Mat` once, and the product tables built
-        from the stacks, the only place a signature gets its tables."""
-        ls = cls(group, [[Mat(fq, a) for a in S] for S in stacks], claimed_order, meta)
+        each element wrapped in a `Mat` once, in tuples that keep the
+        tables true, and the product tables built from the stacks, the
+        only place a signature gets its tables."""
+        ls = cls(group, tuple(tuple(Mat(fq, a) for a in S) for S in stacks), claimed_order, meta)
         ls.tables = ProductTables.build(fq, n, stacks)
         return ls
 
@@ -338,7 +339,7 @@ def _gl1_np(fq, n, R, lam):
 # the construction ladder for the A part
 
 
-@dataclass
+@dataclass(eq=False)
 class SpreadPlan:
     shape: str                   # empty | literal | cyclic | twisted | transversal
     W0: np.ndarray | None        # the (r, n) echelon basis of the base subspace
@@ -620,7 +621,7 @@ class _Plan:
 FRONT_ORDER = 4096
 
 
-@dataclass
+@dataclass(eq=False)
 class _TablePlan(_Plan):
     """Base-case decoder, and the front or stabilizer table of a stage: the
     full product table (small groups only), keyed by the entry bytes of the
@@ -677,7 +678,7 @@ class _TablePlan(_Plan):
             _reject(errors, rows, miss, LsError, "element is not covered by this signature")
 
 
-@dataclass
+@dataclass(eq=False)
 class _StagePlan(_Plan):
     """Decoder for one geometric stage plus its recursive tail.
 
@@ -898,49 +899,41 @@ def canonical_ls(desc: GroupDescriptor) -> LogSignature:
         raise UnsupportedFamily(
             f"canonical construction covers O, SO and PSO families, not {desc.family}"
         )
+    # each claims the group order, which its constructor checks
     if desc.n <= 2:
-        ls = _base_case_ls(desc)
-    else:
-        ls = _staged_ls(desc)
-    if ls.claimed_order != group_order(desc):
-        raise LsError("constructed signature does not match the group order")  # pragma: no cover
-    return ls
+        return _base_case_ls(desc)
+    return _staged_ls(desc)
 
 
 def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
+    """A signature for n = 1 or 2, decoded by the table of all its products."""
     space = space_for(desc)
     fq = space.fq
     base = desc.base_family()
     if desc.n == 1:
         one = fq.identity(1)
         blocks = [np.stack([one, fq.v_neg(one)])] if base == "O" else []
-        claimed = 2 if base == "O" else 1
-        return _table_ls(desc, fq, blocks, claimed)
-    els = forms.enumerate_isometry_group(space, "O")
-    # in the order of their entry bytes
-    els = els[np.argsort(_keys(els), kind="stable")]
-    det1 = fq.det(els) == 1
-    so = els[det1]
-    target = len(so)
-    gen = None
-    for g in so:
-        try:
-            if element_order(fq, g, target) == target:
-                gen = g
-                break
-        except OrderNotFound:
-            continue
-    if gen is None:
-        raise LsError("rank-1 special orthogonal group is not cyclic here")  # pragma: no cover
-    blocks = cyclic_blocks(fq, gen, target)[0]
-    if base == "O":
-        blocks.append(np.stack([fq.identity(2), els[~det1][0]]))
-    return _table_ls(desc, fq, blocks, target * (2 if base == "O" else 1))
-
-
-def _table_ls(desc, fq, stacks, claimed):
-    """A base-case signature, decoded by the table of all its products."""
-    ls = LogSignature.from_stacks(desc, fq, desc.n, stacks, claimed,
+    else:
+        els = forms.enumerate_isometry_group(space, "O")
+        # in the order of their entry bytes
+        els = els[np.argsort(_keys(els), kind="stable")]
+        det1 = fq.det(els) == 1
+        so = els[det1]
+        target = len(so)
+        gen = None
+        for g in so:
+            try:
+                if element_order(fq, g, target) == target:
+                    gen = g
+                    break
+            except OrderNotFound:
+                continue
+        if gen is None:
+            raise LsError("rank-1 special orthogonal group is not cyclic here")  # pragma: no cover
+        blocks = cyclic_blocks(fq, gen, target)[0]
+        if base == "O":
+            blocks.append(np.stack([fq.identity(2), els[~det1][0]]))
+    ls = LogSignature.from_stacks(desc, fq, desc.n, blocks, group_order(desc),
                                   {"shape": "base", "kind": desc.kind, "minimal": True})
     ls.plan = _TablePlan.build(ls.tables)
     return ls
@@ -978,9 +971,9 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     if not np.array_equal(work_gram[:, [0, Rwork]], fq.identity(n)[:, [Rwork, 0]]):
         raise LsError("working frame: (e_0, f_0) is not a hyperbolic pair apart from the rest")  # pragma: no cover
 
-    def globalize(mw):
-        """T mw T^-1 of one working-frame matrix or of a stack of them."""
-        return fq.mat_mul(fq.mat_mul(T, mw), Tinv)
+    # the blocks after the A layers are built in the working frame, as the
+    # stacks of `work`, and moved to the global frame by one product T X T^-1
+    work = []
 
     # B block: Singer coset representatives acting on W0
     r_dim = len(W0)
@@ -990,18 +983,17 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         bw = fq.identity(n)
         bw[:r_dim, :r_dim] = D
         bw[Rwork:Rwork + r_dim, Rwork:Rwork + r_dim] = fq.mat_inv(np.ascontiguousarray(D.T))
-        if not np.array_equal(
-            fq.mat_mul(fq.mat_mul(np.ascontiguousarray(bw.T), work_gram), bw), work_gram
-        ):
+        if not forms.preserves_form(fq, work_gram, bw):
             raise LsError("Singer block is not an isometry of the working frame")
-        b_gl = globalize(bw)
-        if element_order(fq, b_gl, space.q ** r_dim) != space.q ** r_dim - 1:
+        # conjugation by T keeps the order
+        if element_order(fq, bw, space.q ** r_dim) != space.q ** r_dim - 1:
             raise LsError("Singer block has the wrong order")
-        stacks.extend(cyclic_blocks(fq, b_gl, t)[0])
+        work.extend(cyclic_blocks(fq, bw, t)[0])
 
-    # the blocks from here on multiply to the stabilizer of the point of w;
-    # they are built once, as the working-frame stacks of `work`
-    nhead = len(stacks)
+    # the blocks from here on, work[nb:], multiply to the stabilizer of the
+    # point of w
+    nb = len(work)
+    nhead = len(stacks) + nb
 
     # Siegel blocks
     SP = list(range(1, Rwork)) + list(range(Rwork + 1, 2 * Rwork)) + list(range(2 * Rwork, n))
@@ -1012,13 +1004,13 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     for i, pos in enumerate(SP):
         U[i, :, :, pos] = fq.MUL[np.ix_(theta_codes, range(fq.p))]
     siegel_w = forms.eichler(fq, work_gram, 0, U.reshape(-1, n))
-    work = np.split(siegel_w, len(siegel_w) // fq.p)
+    work.extend(np.split(siegel_w, len(siegel_w) // fq.p))
     # the Siegel table: every product E(u) of the Siegel blocks in the
     # working frame, in itertools.product order, so row by the digits of u.
     # The maps along e_0 form an abelian group, E(u) E(v) = E(u + v), so
     # E(-u) is the row of the negated digits; one stacked product checks
     # every row
-    E = np.concatenate(list(ProductTables.build(fq, n, work).walk()))
+    E = np.concatenate(list(ProductTables.build(fq, n, work[nb:]).walk()))
     digits = product_rows(fq.p, len(SP) * fq.e, 0, len(E))
     E_inv = E[(-digits % fq.p).dot(fq.p ** np.arange(digits.shape[1] - 1, -1, -1))]
     if not (fq.mat_mul(E, E_inv) == fq.identity(n)).all():
@@ -1046,14 +1038,11 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         full[:, np.array(SP)[:, None], SP] = fq.mat_mul(fq.mat_mul(phi, X), phi_inv)
         work.extend(np.split(full, np.cumsum(sub_ls.sizes)[:-1]))
 
-    # the stabilizer blocks in the global frame: one change of frame
-    stacks.extend(np.split(globalize(np.concatenate(work)), np.cumsum([len(S) for S in work])[:-1]))
-    claimed = math.prod(len(S) for S in stacks)
-    expected = group_order(desc)
-    if claimed != expected:
-        raise LsError(f"stage sizes multiply to {claimed}, group order is {expected}")
+    # the B and stabilizer blocks in the global frame: one change of frame
+    glob = fq.mat_mul(fq.mat_mul(T, np.concatenate(work)), Tinv)
+    stacks.extend(np.split(glob, np.cumsum([len(S) for S in work])[:-1]))
 
-    ls = LogSignature.from_stacks(desc, fq, n, stacks, claimed, {
+    ls = LogSignature.from_stacks(desc, fq, n, stacks, group_order(desc), {
         "shape": sp_plan.shape,
         "literal_block_ok": sp_plan.literal_ok,
         "notes": notes,
@@ -1081,9 +1070,9 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         head=ivs[which], enter=T,
         R=Rwork, SP=np.array(SP), work_gram=work_gram, siegel=E, siegel_inv=E_inv, gl1_digits=gl1_digits,
         sub=sub_ls.plan.framed(phi, phi_inv),
-        front=_TablePlan.build(ls.tables) if claimed <= FRONT_ORDER else None,
-        stab=(_TablePlan.build(ProductTables.build(fq, n, work))
-              if claimed > FRONT_ORDER and math.prod(map(len, work)) <= FRONT_ORDER else None),
+        front=_TablePlan.build(ls.tables) if ls.claimed_order <= FRONT_ORDER else None,
+        stab=(_TablePlan.build(ProductTables.build(fq, n, work[nb:]))
+              if ls.claimed_order > FRONT_ORDER and math.prod(map(len, work[nb:])) <= FRONT_ORDER else None),
     )
     return ls
 
@@ -1194,7 +1183,7 @@ def project_ls(ls: LogSignature) -> LogSignature:
         qdesc = ls.group.with_base("PSO")
     n = ls.group.n if ls.group is not None else ls.blocks[0][0].n
     if n % 2 == 1:
-        out = LogSignature(qdesc, [list(b) for b in ls.blocks], ls.claimed_order, dict(ls.meta))
+        out = LogSignature(qdesc, tuple(map(tuple, ls.blocks)), ls.claimed_order, dict(ls.meta))
         out.plan, out.tables = ls.plan, ls.tables
         return out
     fq = ls.blocks[0][0].fq

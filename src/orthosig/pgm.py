@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorize import IndexVector, compose, rank, tame_factor, unrank
+from .factorize import compose, rank, tame_factor, unrank
 from .forms import isometry_inverse
 from .lscore import LogSignature, LsError, canonical_ls, space_for
 from .matgroups import GroupDescriptor, Mat
@@ -78,11 +78,10 @@ def keygen(desc: GroupDescriptor, seed: int) -> PgmKey:
     return PgmKey(desc, alpha, beta, seed, inverse_perms)
 
 
-def _beta_factor(key: PgmKey, g: Mat) -> IndexVector:
+def _beta_factor(key: PgmKey, g: Mat) -> tuple:
     """Tame factorization through beta: beta products with indices j equal
     alpha products with indices perm[j], so decode via alpha and unmap."""
-    alpha_iv = tame_factor(g, key.alpha_ls)
-    return IndexVector(tuple(map(operator.getitem, key.inverse_perms, alpha_iv.indices)))
+    return tuple(map(operator.getitem, key.inverse_perms, tame_factor(g, key.alpha_ls)))
 
 
 def encrypt(key: PgmKey, msg: int) -> int:

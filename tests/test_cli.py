@@ -844,6 +844,16 @@ def test_a_seeded_corpus_of_mutated_signature_files_never_crashes(case, tmp_path
         assert loads or code == 2, (where, value, args)
 
 
+def test_factor_of_the_trivial_group_exits_0(tmp_path):
+    path = tmp_path / "so1.json"
+    assert run_cli("construct", "--family", "SOodd", "--q", "3", "--n", "1", "--out", str(path)).returncode == 0
+    proc = run_cli("factor", "--in", str(path), "--rank", "0")
+    assert proc.returncode == 0, proc.stdout
+    doc, summary = parse_stdout(proc.stdout)
+    assert doc["result"]["indices"] == [] and doc["result"]["recomposes"]
+    assert summary[0] == "# indices [] (rank 0)"
+
+
 def test_factor_exits_2_on_a_file_that_does_not_claim_its_group_order(tmp_path):
     # a file with no blocks that claims order 1, and the O-4(3) blocks
     # relabelled O+ (1,440 elements claimed, |O+4(3)| = 1,152): factor once

@@ -6,7 +6,6 @@ from test_lscore import PLAN_SHA256
 
 from orthosig.factorize import (
     FactorError,
-    IndexVector,
     compose,
     rank,
     tame_factor,
@@ -43,8 +42,8 @@ def test_pure_a_block_power():
     assert layer_kind == "cyc" and size == 5 and ls.meta["a_layers"][0]["radices"] == [5]
     g = Mat(ls.blocks[0][0].fq, gen).pow(3)
     iv = tame_factor(g, ls)
-    assert iv.indices[0] == 3
-    assert all(i == 0 for i in iv.indices[1:])
+    assert iv[0] == 3
+    assert all(i == 0 for i in iv[1:])
 
 
 def test_roundtrip_seeded_bulk():
@@ -66,7 +65,7 @@ def test_roundtrip_every_element_small():
 def test_rank_unrank_bijection_small():
     ls = canonical_ls(descriptor("O-", 3, n=2))
     assert ls.claimed_order == 8
-    assert unrank(0, ls) == IndexVector((0,) * len(ls.blocks))
+    assert unrank(0, ls) == (0,) * len(ls.blocks)
     for v in range(8):
         assert rank(unrank(v, ls), ls) == v
 
@@ -76,8 +75,8 @@ def test_rank_mixed_radix_example():
     fq = canonical_ls(descriptor("O-", 3, n=2)).blocks[0][0].fq
     I = Mat(fq, fq.identity(2))
     ls = LogSignature(None, [[I, I], [I, I, I], [I, I]], 12)
-    assert rank(IndexVector((1, 2, 1)), ls) == 11
-    assert unrank(11, ls) == IndexVector((1, 2, 1))
+    assert rank((1, 2, 1), ls) == 11
+    assert unrank(11, ls) == (1, 2, 1)
 
 
 def test_out_of_range_errors():
@@ -85,7 +84,7 @@ def test_out_of_range_errors():
     with pytest.raises(FactorError):
         unrank(8, ls)
     with pytest.raises(FactorError):
-        rank(IndexVector((9, 0, 0)), ls)
+        rank((9, 0, 0), ls)
 
 
 def test_not_in_group():
@@ -139,7 +138,7 @@ def test_hypothesis_rank_unrank_roundtrip(sizes, seedval):
     v = seedval % total
     iv = unrank(v, ls)
     assert rank(iv, ls) == v
-    assert all(0 <= x < s for x, s in zip(iv.indices, sizes))
+    assert all(0 <= x < s for x, s in zip(iv, sizes))
 
 
 # groups over q = 3, 5, 7, 9, 25 in the O, SO and PSOodd families; O-2(25)
@@ -218,7 +217,7 @@ def test_decode_many_of_members_round_trips():
         ivs = [unrank(rng.randrange(ls.claimed_order), ls) for _ in range(40)]
         digits, errors = ls.plan.decode_many(np.stack([compose(iv, ls).a for iv in ivs]))
         assert not errors
-        assert [tuple(row) for row in digits.tolist()] == [iv.indices for iv in ivs]
+        assert [tuple(row) for row in digits.tolist()] == ivs
 
 
 # SHA-256 of json.dumps of the decode result of each of 60 _mixed_elements
@@ -278,7 +277,7 @@ def test_tame_factor_results_match_golden_hashes(fam, q, n):
     res = []
     for g in _mixed_elements(ls, 2024, 60):
         try:
-            res.append(list(tame_factor(Mat(fq, g), ls).indices))
+            res.append(list(tame_factor(Mat(fq, g), ls)))
         except Exception as exc:
             res.append(f"{type(exc).__name__}: {exc}")
     doc = json.dumps(res).encode()
@@ -590,7 +589,7 @@ def test_one_element_decode_answers_as_the_stack_path_does(fam, q, n):
                 assert one is not None
             if one is not None:
                 assert not errors and one == got
-                assert compose(IndexVector(tuple(one)), ls) == Mat(fq, g)
+                assert compose(tuple(one), ls) == Mat(fq, g)
 
 
 def _stages(plan):
@@ -833,7 +832,7 @@ def test_indices_and_ranks_must_be_integers():
     ls = canonical_ls(descriptor("O-", 3, n=4))
     rest = (0,) * (len(ls.blocks) - 2)
     for bad in (1.5, 1.0, "1", None):
-        iv = IndexVector((bad, 1) + rest)
+        iv = (bad, 1) + rest
         for f in (compose, rank):
             with pytest.raises(FactorError, match="block 0 is not an integer"):
                 f(iv, ls)
@@ -842,13 +841,13 @@ def test_indices_and_ranks_must_be_integers():
             unrank(bad, ls)
     # numpy integers are integers, and what comes out is Python ints
     iv = unrank(700, ls)
-    wide = IndexVector(tuple(np.int64(x) for x in iv))
+    wide = tuple(np.int64(x) for x in iv)
     assert compose(wide, ls) == compose(iv, ls)
     assert rank(wide, ls) == 700 and type(rank(wide, ls)) is int
     assert unrank(np.int64(700), ls) == iv
     assert all(type(x) is int for x in unrank(np.int64(700), ls))
     with pytest.raises(FactorError, match=r"index 7 out of range \[0, 5\) in block 0"):
-        rank(IndexVector((np.int16(7), 1) + rest), ls)
+        rank((np.int16(7), 1) + rest, ls)
 
 
 def test_tame_factor_takes_only_codes_of_the_signature_field():
@@ -931,3 +930,11 @@ def test_a_member_with_one_entry_moved_by_q_is_refused_on_every_decode_path(fam,
                 tame_factor(Mat(fq, bad), ls)
             with pytest.raises(CodeError):
                 ls.plan.decode_many(bad[None], {})
+
+
+def test_the_trivial_group_composes_and_factors_its_one_element():
+    # SO_1 has no blocks: its one index vector is (), whose product is I
+    ls = canonical_ls(descriptor("SOodd", 3, n=1))
+    one = compose((), ls)
+    assert one == Mat(one.fq, one.fq.identity(1))
+    assert tame_factor(one, ls) == () == unrank(0, ls) and rank((), ls) == 0

@@ -3,8 +3,8 @@ in that file, every private function or class of the package is used
 somewhere in it, every public function is used by the program, a script,
 the README or the acceptance tests, only `lscore` attaches product tables
 to a signature, a `Mat` is built only where one element crosses the edge
-of the package, and every trace target of the benchmark names a function
-the package defines."""
+of the package, no dataclass compares arrays in its `==`, and every trace
+target of the benchmark names a function the package defines."""
 
 import ast
 import importlib
@@ -265,6 +265,55 @@ def test_the_scan_finds_a_mat_built_inside_the_package():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_a_mat_is_built_only_at_the_edge(path):
     assert mats_built_inside(path.read_text(), MAT_EDGES) == []
+
+
+def array_comparing_dataclasses(source: str) -> list[str]:
+    """Dataclasses with a field annotated `np.ndarray` (alone or in a
+    union) that are not declared `eq=False`: their generated `==` compares
+    the arrays, whose truth value raises."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            if getattr(func, "id", getattr(func, "attr", None)) != "dataclass":
+                continue
+            if call and any(k.arg == "eq" and getattr(k.value, "value", True) is False for k in call.keywords):
+                continue
+            arrays = [f.target.id for f in node.body
+                      if isinstance(f, ast.AnnAssign) and "ndarray" in ast.unparse(f.annotation)]
+            if arrays:
+                found.append(f"line {node.lineno}: {node.name} ({', '.join(arrays)})")
+    return found
+
+
+def test_the_scan_finds_a_dataclass_that_compares_arrays():
+    src = (
+        "@dataclass\n"
+        "class A:\n"
+        "    x: np.ndarray\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n"
+        "    n: int\n"
+        "    y: np.ndarray | None\n"
+        "    z: 'np.ndarray'\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class C:\n"
+        "    w: np.ndarray\n"
+        "@dataclass\n"
+        "class D:\n"
+        "    v: list\n"
+        "class E:\n"
+        "    u: np.ndarray\n"
+    )
+    assert array_comparing_dataclasses(src) == ["line 2: A (x)", "line 5: B (y, z)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclass_compares_arrays(path):
+    assert array_comparing_dataclasses(path.read_text()) == []
 
 
 def test_every_trace_target_resolves():

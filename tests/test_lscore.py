@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -56,7 +57,7 @@ def _cyclic_model(s):
 def test_cyclic_set_mls_trivial():
     fq = fq_context(3, 1)
     ls = cyclic_set_mls(fq, fq.identity(2), 1)
-    assert ls.blocks == [] and ls.claimed_order == 1 and ls.length == 0
+    assert ls.blocks == () and ls.claimed_order == 1 and ls.length == 0
 
 
 def test_cyclic_set_mls_6():
@@ -747,7 +748,7 @@ def test_compose_is_exact_across_deferred_reductions(p, n, length, monkeypatch):
     # and in int64 past it (p = 191), and every product, from compose and
     # from the sampled products, must agree with exact integers
     from orthosig import lscore
-    from orthosig.factorize import IndexVector, compose
+    from orthosig.factorize import compose
 
     monkeypatch.setattr(lscore, "PRODUCT_CHUNK", 1)
     fq = fq_context(p, 1)
@@ -759,7 +760,7 @@ def test_compose_is_exact_across_deferred_reductions(p, n, length, monkeypatch):
     assert len(ls.product_tables().tables) == length
     samples = [(iv, A) for chunk_ivs, A in lscore._sampled_products(random.Random(p), ls, 20)
                for iv, A in zip(chunk_ivs, A)]
-    for iv, g in [(iv, compose(IndexVector(tuple(iv)), ls).a) for iv in ivs] + samples:
+    for iv, g in [(iv, compose(tuple(iv), ls).a) for iv in ivs] + samples:
         want = np.eye(n, dtype=object)
         for pair, i in zip(mats, iv):
             want = (want @ pair[i].astype(object)) % p
@@ -927,11 +928,31 @@ def test_exhaustive_reports_list_every_collision_as_a_dict_walk_does(fam, q, n, 
 def test_the_no_block_signature_checks_one_product():
     # SO_1 is the trivial group: no blocks, and the one product is I
     ls = canonical_ls(descriptor("SOodd", 3, n=1))
-    assert (ls.blocks, ls.claimed_order) == ([], 1)
+    assert (ls.blocks, ls.claimed_order) == ((), 1)
     for sig in (ls, LogSignature(ls.group, [], 1)):
         rep = verify_ls(sig, "exhaustive")
         assert (rep.valid, rep.mls, rep.products_checked, rep.collisions, rep.not_in_group) == \
             (True, True, 1, [], 0)
+
+
+def test_a_finished_signature_refuses_an_edit_in_place():
+    # its blocks are tuples, so the tables it carries never go stale and
+    # every later caller of canonical_ls gets the signature as built
+    ls = canonical_ls(descriptor("O-", 3, n=4))
+    with pytest.raises(TypeError):
+        ls.blocks[0][1], ls.blocks[1][1] = ls.blocks[1][1], ls.blocks[0][1]
+    assert verify_ls(canonical_ls(descriptor("O-", 3, n=4)), "exhaustive").valid
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_signature_with_a_copy_of_its_plan_compares_equal(n):
+    # the plans hold arrays and take no part in ==; framed by the identity,
+    # a plan holds equal arrays that are new objects
+    a = canonical_ls(descriptor("O-", 3, n=n))
+    b = copy.copy(a)
+    one = a.plan.fq.identity(n)
+    b.plan = a.plan.framed(one, one)
+    assert a == b
 
 
 def test_verify_rejects_a_group_past_the_envelope_instead_of_skipping_membership():
