@@ -19,7 +19,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from orthosig.factorize import compose, tame_factor, unrank  # noqa: E402
-from orthosig.lscore import EXHAUSTIVE_BUDGET, _StagePlan, canonical_ls, min_length_bound, verify_ls  # noqa: E402
+from orthosig.lscore import EXHAUSTIVE_BUDGET, _TablePlan, canonical_ls, min_length_bound, verify_ls  # noqa: E402
 from orthosig.matgroups import descriptor  # noqa: E402
 
 CASES = [
@@ -41,17 +41,16 @@ def timed_us(f, *args):
     return out, (time.perf_counter() - t0) * 1e6
 
 
-def decode_steps(plan):
-    """The decode step of each level of the plan, top first, down to the
-    first table that answers a member: `front` or `stab` for a stage's
-    product table, `siegel` for a stage without one, `table` for a base
-    case; `-` without a plan."""
+def decode_steps(rec):
+    """The decode step of each level record of the plan, top first, down
+    the `sub` chain to the first table that answers a member: `front` or
+    `stab` for a stage's product table, `siegel` for a stage without one,
+    `table` for a base level; `-` without a plan."""
     steps = []
-    while isinstance(plan, _StagePlan) and plan.front is None and plan.stab is None:
-        steps.append("siegel")
-        plan = plan.sub
-    if plan is not None:
-        steps.append("table" if not isinstance(plan, _StagePlan) else "front" if plan.front is not None else "stab")
+    while rec is not None:
+        table = "table" if isinstance(rec, _TablePlan) else "front" if rec.front else "stab" if rec.stab else None
+        steps.append(table or "siegel")
+        rec = None if table else rec.sub
     return ">".join(steps) or "-"
 
 

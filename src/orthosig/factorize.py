@@ -2,8 +2,8 @@
 rank/unrank bijection between Z_|G| and index vectors.
 
 Decoding never searches the group: it is hash lookups on precomputed
-spread and point tables, one discrete logarithm on a tiny table, and a
-linear solve for the unipotent coordinates, recursively down the stages.
+spread and point tables, one discrete logarithm on a tiny table, and one
+Siegel table lookup for the unipotent coordinates, down the stages.
 """
 
 from __future__ import annotations
@@ -49,19 +49,14 @@ def tame_factor(g: Mat, ls: LogSignature) -> tuple:
     """The unique index vector, a tuple of ints, whose block product
     equals g.
 
-    g is decoded first, and group membership is consulted only when the
-    decode fails, to choose between "element is not in <family>" and the
-    decode's own error.  A successful decode proves membership: a table hit
-    matches a product of block elements exactly, and at a stage the border
-    check fixes every entry of the stage matrix hw outside hw[SP, SP],
-    which the sub-plan then matches in turn, so g is the product of the
-    block elements its digits index, provided its entries are codes of the
-    signature's field: a table hit matches codes byte for byte, and the
-    plan checks the code range before its first product, so no other entry
-    reaches the membership test.  The decode is the plan's one-element
-    path: a few dict lookups on entry bytes and the matrix products of
-    each stage; only an element that path cannot answer goes down the
-    stack decoder, which names its error."""
+    g is decoded first (`plan.decode`), and group membership is consulted
+    only when the decode fails, to choose between "element is not in
+    <family>" and the decode's own error.  A successful decode proves
+    membership: a table hit matches a product of block elements byte for
+    byte, and at a stage the border check fixes every entry of the stage
+    matrix hw outside hw[SP, SP], which the sub-plan then matches in turn,
+    so g is the product of the block elements its digits index; the plan
+    checks the code range before its first product."""
     if ls.plan is None:
         raise FactorError("signature carries no decoding tables (not canonical)")
     n, fq = ls.plan.n, ls.plan.fq

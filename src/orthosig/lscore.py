@@ -21,6 +21,7 @@ import operator
 import random
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, cached_property, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .matgroups import (
     ConstructionMismatch,
     GroupDescriptor,
     Mat,
-    OrderNotFound,
     element_order,
     family_of,
     group_order,
@@ -81,7 +81,7 @@ def min_length_bound(order: int) -> LengthBound:
     return LengthBound(order, sum(a * p for p, a in factorint(order).items()) if order > 1 else 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogSignature:
     """Ordered blocks of group elements with unique-product coverage."""
 
@@ -89,15 +89,15 @@ class LogSignature:
     blocks: list
     claimed_order: int
     meta: dict = dc_field(default_factory=dict)
-    # the decoder and the products, neither serialized: set only where the
-    # program finishes a signature (`from_stacks`), whose blocks are tuples;
-    # a file's or a caller's blocks are lists, which may be edited in place
+    # the decoder and the products, neither serialized: set only by
+    # `from_stacks`; a file's or a caller's blocks are lists, which may be
+    # edited in place
     plan: object = dc_field(default=None, init=False, compare=False, repr=False)
     tables: ProductTables | None = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # the sizes, read by every bounds check, rank and unrank
-        self.sizes = tuple(len(b) for b in self.blocks)
+        object.__setattr__(self, "sizes", tuple(len(b) for b in self.blocks))
         if 0 in self.sizes:
             raise LsError("empty block")
         prod = math.prod(self.sizes)
@@ -105,13 +105,18 @@ class LogSignature:
             raise LsError(f"block sizes multiply to {prod}, claimed {self.claimed_order}")
 
     @classmethod
-    def from_stacks(cls, group, fq: FqContext, n: int, stacks, claimed_order: int, meta: dict) -> LogSignature:
-        """A finished signature from its blocks as (k, n, n) int16 stacks:
-        each element wrapped in a `Mat` once, in tuples that keep the
-        tables true, and the product tables built from the stacks, the
-        only place a signature gets its tables."""
-        ls = cls(group, tuple(tuple(Mat(fq, a) for a in S) for S in stacks), claimed_order, meta)
-        ls.tables = ProductTables.build(fq, n, stacks)
+    def from_stacks(cls, group, fq: FqContext, n: int, stacks, claimed_order: int, meta: dict,
+                    plan=None, tables=None) -> LogSignature:
+        """A finished signature from its blocks as (k, n, n) int16 stacks,
+        made read-only: each element wrapped in a `Mat` once, in tuples
+        that keep the tables true, meta frozen (`_recast`), the plan, and
+        the product tables of the stacks, built here unless given."""
+        for S in stacks:
+            S.setflags(write=False)
+        ls = cls(group, tuple(tuple(Mat(fq, a) for a in S) for S in stacks), claimed_order,
+                 _recast(meta, MappingProxyType, tuple))
+        object.__setattr__(ls, "plan", plan)
+        object.__setattr__(ls, "tables", ProductTables.build(fq, n, stacks) if tables is None else tables)
         return ls
 
     @property
@@ -139,12 +144,22 @@ class LogSignature:
             "group": self.group.to_json() if self.group else None,
             "claimed_order": self.claimed_order,
             "blocks": [[m.to_json() for m in b] for b in self.blocks],
-            "meta": {k: v for k, v in self.meta.items() if _jsonable(v)},
+            "meta": {k: _recast(v, dict, list) for k, v in self.meta.items() if _jsonable(v)},
         }
 
 
 def _jsonable(v):
-    return isinstance(v, (str, int, float, bool, list, dict, type(None)))
+    return isinstance(v, (str, int, float, bool, list, tuple, dict, MappingProxyType, type(None)))
+
+
+def _recast(v, mapping, sequence):
+    """A meta value with every mapping in it a `mapping` and every list or
+    tuple a `sequence`: read-only (MappingProxyType, tuple), or JSON types."""
+    if isinstance(v, (dict, MappingProxyType)):
+        return mapping({k: _recast(x, mapping, sequence) for k, x in v.items()})
+    if isinstance(v, (list, tuple)):
+        return sequence(_recast(x, mapping, sequence) for x in v)
+    return v
 
 
 # block products are made and checked in stacks of at most this many
@@ -214,6 +229,13 @@ class ProductTables:
         there is one segment: what `products([indices])[0]` holds."""
         rows = [sum(map(operator.mul, indices[lo:hi], w)) for lo, hi, w in self._segments]
         return reduce(self.fq.mat_mul, [T[r] for T, r in zip(self.tables, rows)])
+
+    def every(self, dtype=np.int64):
+        """Every block product and its index vector, in itertools.product
+        order (the last block varies fastest): an (N, n, n) int16 stack and
+        an (N, blocks) array of the dtype."""
+        mats = np.concatenate(list(self.walk()))
+        return mats, np.indices(self.sizes, dtype=dtype).reshape(len(self.sizes), len(mats)).T
 
     def walk(self):
         """Every block product, in itertools.product order, as consecutive
@@ -325,17 +347,6 @@ def digits_of(j: int, radices) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# stabilizer machinery (working coordinates, standard Witt frame)
-
-
-def _gl1_np(fq, n, R, lam):
-    m = fq.identity(n)
-    m[0, 0] = lam
-    m[R, R] = fq.inv(lam)
-    return np.ascontiguousarray(m)
-
-
-# ----------------------------------------------------------------------
 # the construction ladder for the A part
 
 
@@ -353,24 +364,19 @@ class SpreadPlan:
         return self.shape in ("empty", "literal")
 
 
-def _default_w0(space: QuadraticSpace, r: int):
-    """The span of e_0, .., e_{r-1}; these rows are already reduced."""
-    return np.eye(r, space.n, dtype=np.int16)
-
-
 @cache
 def ts_subspace_transporters(space, det1):
-    """Transporters from the default base to every totally singular r-space
-    reachable in the chosen group, r the Witt index: all of them by Witt
-    transitivity, except that on the plus type SO has two orbits of equal
-    size.  Returns read-only (bases, moves) stacks, as
-    `spreads.schreier_transversal`."""
+    """Transporters from the default base, the span of e_0, .., e_{r-1}
+    (rows already reduced), to every totally singular r-space reachable in
+    the chosen group, r the Witt index: all of them by Witt transitivity,
+    except that on the plus type SO has two orbits of equal size.  Returns
+    read-only (bases, moves) stacks, as `spreads.schreier_transversal`."""
     r = space.witt_index
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
     size = maximal_ts_count(space.kind, space.q, r)
     if det1 and space.kind == "plus":
         size //= 2
-    bases, moves = spr.schreier_transversal(space.fq, _default_w0(space, r), gens, size)
+    bases, moves = spr.schreier_transversal(space.fq, np.eye(r, space.n, dtype=np.int16), gens, size)
     bases.setflags(write=False)
     moves.setflags(write=False)
     return bases, moves
@@ -511,7 +517,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
             # the hyperbolic plane: M = 2, and a generator whose orbit on W0
             # has two members swaps the two singular points
             gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-            W0 = _default_w0(space, r)
+            W0 = np.eye(r, n, dtype=np.int16)
             img = spr.act_rref(space.fq, gens, W0)[0]
             back = spr.act_rref(space.fq, gens, img)[0]
             hit = np.flatnonzero((img != W0).any(axis=(1, 2)) & (back == W0).all(axis=(1, 2)))
@@ -598,12 +604,9 @@ class _Plan:
         """The digits of one element, as a list of ints; raises what
         decode_many names for it.  An (n, n) `Mat`, already C-contiguous
         int16, goes to `_decode_one`, which answers an exact table hit, or
-        a stage path whose every border passes.  A table hit matches a row
-        byte for byte, so its entries are codes already; each stage checks
-        the code range before its first product, which would read any int16
-        back to a code.  A miss, an entry outside the codes and a `Mat` of
-        another size go down decode_many as a one-element stack, which
-        names the error (a CodeError for an entry outside the codes)."""
+        a stage path whose every border passes.  A miss, an entry outside
+        the codes and a `Mat` of another size go down decode_many as a
+        one-element stack, which names the error."""
         a = g.a
         if a.shape == (self.n, self.n):
             digits = self._decode_one(a)
@@ -621,31 +624,35 @@ class _Plan:
 FRONT_ORDER = 4096
 
 
-@dataclass(eq=False)
+# a record holds whole tables, which a generated repr would print
+@dataclass(frozen=True, eq=False, repr=False)
 class _TablePlan(_Plan):
-    """Base-case decoder, and the front or stabilizer table of a stage: the
-    full product table (small groups only), keyed by the entry bytes of the
-    products in the frame they are looked up in."""
+    """The record and decoder of a base level, and the front or stabilizer
+    table of a stage: the blocks and the table of all their products
+    (small groups only), keyed by the entry bytes of the products in the
+    frame they are looked up in."""
 
     fq: FqContext
     n: int
-    width: int
+    blocks: tuple      # the (k, n, n) int16 stacks, in the frame they were built in
     mats: np.ndarray   # (N, n, n) products
     ivs: np.ndarray    # (N, width) their index vectors, int16: no block of a table
                        # has more than max(FRONT_ORDER, q + 1) < 2^15 elements
 
     def __post_init__(self):
-        self._rows = dict(zip(_keys(self.mats).tolist(), range(len(self.mats))))
+        object.__setattr__(self, "_rows", dict(zip(_keys(self.mats).tolist(), range(len(self.mats)))))
+
+    @property
+    def width(self):
+        return len(self.blocks)
 
     @staticmethod
-    def build(tables: ProductTables):
-        """The table of every block product (the identity for no blocks),
-        from the walk of the product tables."""
-        mats = np.concatenate(list(tables.walk()))
-        # itertools.product order: the last block varies fastest
-        sizes = tables.sizes
-        ivs = np.indices(sizes, dtype=np.int16).reshape(len(sizes), len(mats)).T
-        plan = _TablePlan(tables.fq, tables.n, len(sizes), mats, ivs)
+    def build(fq: FqContext, n: int, blocks, tables: ProductTables | None = None):
+        """The table of every product of the blocks (the identity for no
+        blocks), from the walk of their product tables, built here unless
+        given."""
+        mats, ivs = (ProductTables.build(fq, n, blocks) if tables is None else tables).every(np.int16)
+        plan = _TablePlan(fq, n, tuple(blocks), mats, ivs)
         if len(plan._rows) < len(mats):
             raise LsError("base-case products collide")
         return plan
@@ -678,34 +685,35 @@ class _TablePlan(_Plan):
             _reject(errors, rows, miss, LsError, "element is not covered by this signature")
 
 
-@dataclass(eq=False)
+# a record holds whole tables, which a generated repr would print
+@dataclass(frozen=True, eq=False, repr=False)
 class _StagePlan(_Plan):
-    """Decoder for one geometric stage plus its recursive tail.
+    """The record of one level n >= 3 of the construction, built once per
+    descriptor (`_staged_ls`), and its decoder.  The record is the fields
+    up to `phi`, the Siegel and GL1 tables and `sub`: the head blocks (A,
+    which carry the base subspace W0 onto the members of the spread, and
+    the Singer block B) carry w to every singular point, and every block
+    past them fixes the line of w.
 
-    Each singular point p of the space has a strip T^-1 b^-j a^-i C^-1 and
-    the digits (i, j) of the A and B blocks that carry the base point w to
-    p; one dict on entry bytes, read by both decode paths, maps each
-    nonzero vector of the line C p to p.  With `enter` = C T, an element Z
-    for which C^-1 Z C sends w to p becomes
-    strip(p) Z C T = T^-1 (b^-j a^-i C^-1 Z C) T, which fixes the line of
-    e_0 in the working Witt frame T of the stage.  The rest is read off
-    that matrix hw: the GL1 discrete log lam from its corner and the Siegel
-    coordinates u = lam hw[SP, R] from column R, on the span SP of the
-    basis vectors other than e_0 and f_0.  The Siegel table holds every
-    product E(u) of the Siegel blocks in the working frame, a row per u by
-    its digits, and E(-u) on the same row.  hw = E(u) d(lam) (1 + 1 + ysub)
-    exactly when the border (rows and columns 0 and R) of Y = E(-u) hw, one
-    gathered product, is that of d(lam), and ysub = Y[SP, SP] is decoded
-    by `sub` in the frame phi of the model of SP.
+    Each singular point p has a strip T^-1 b^-j a^-i C^-1 and the digits
+    (i, j) of the A and B blocks that carry w to p; one dict on entry
+    bytes, read by both decode paths, maps each nonzero vector of the line
+    C p to p.  With `enter` = C T, an element Z for which C^-1 Z C sends w
+    to p becomes strip(p) Z C T = T^-1 (b^-j a^-i C^-1 Z C) T, which fixes
+    the line of e_0 in the working frame.  The rest is read off that matrix
+    hw: the GL1 discrete log lam from its corner and the Siegel coordinates
+    u = lam hw[SP, R] from column R, on the span SP of the basis vectors
+    other than e_0 and f_0.  The Siegel table holds every product E(u) of
+    the Siegel blocks in the working frame, a row per u by its digits, and
+    E(-u) on the same row.  hw = E(u) d(lam) (1 + 1 + ysub) exactly when the
+    border (rows and columns 0 and R) of Y = E(-u) hw, one gathered
+    product, is that of d(lam), and ysub = Y[SP, SP] is decoded by `sub`.
+    A copy `framed` by C keeps the record's own fields as built.
 
-    A stage whose group has at most FRONT_ORDER elements carries the
-    `front` table of all its products: the elements found there are
-    answered with one lookup each, and the rest go down the stage path, so
-    a non-member fails with the same error as without the table.  A larger
-    stage whose point stabilizer (the Siegel, GL1 and tail blocks) has at
-    most FRONT_ORDER elements carries instead the `stab` table of the
-    stabilizer products in the working frame, which answers hw with one
-    lookup; hw does not depend on the input frame, so neither does `stab`.
+    The `front` table (FRONT_ORDER) answers its elements before the point
+    is found, and the rest go down the stage path, so a non-member fails
+    with the same error as without it; the `stab` table answers hw, which
+    does not depend on the input frame, so neither does `stab`.
 
     One element (`_decode_one`) finds the row of u by the bytes of
     lam hw[:, R], column R of E(u) for a member, and compares border bytes.
@@ -714,6 +722,11 @@ class _StagePlan(_Plan):
     """
 
     space: QuadraticSpace
+    blocks: tuple        # the level's blocks, global frame, read-only stacks
+    bounds: tuple        # (s, g, t): blocks[:s] head, [s:g] Siegel, [g:t] GL1, [t:] tail
+    w: np.ndarray        # the base point, global frame
+    T: np.ndarray        # the working Witt frame, columns in global coordinates
+    phi: np.ndarray      # the frame of the model of SP in which `sub` decodes
     vectors: np.ndarray  # every nonzero vector on a singular line, input frame
     point: np.ndarray    # the index of each vector's line in strips and head
     strips: np.ndarray   # (|L|, n, n)
@@ -721,13 +734,15 @@ class _StagePlan(_Plan):
     enter: np.ndarray    # C T
     R: int               # Witt index; e_0 and f_0 are basis vectors 0 and R
     SP: np.ndarray       # positions of the basis vectors other than e_0 and f_0
-    work_gram: np.ndarray    # G, the form in the working frame: G e_0 = e_R, G e_R = e_0
-    siegel: np.ndarray       # (q^|SP|, n, n) E(u), working frame, row by the digits of u
-    siegel_inv: np.ndarray   # E(-u) on the row of u
-    gl1_digits: np.ndarray   # digits of the discrete log of each unit (row 0 unused)
-    sub: _Plan
-    front: _TablePlan | None  # every product of the stage, for a small group
-    stab: _TablePlan | None   # every stabilizer product, working frame, for a small stabilizer
+    work_gram: np.ndarray       # G, the form in the working frame: G e_0 = e_R, G e_R = e_0
+    siegel: np.ndarray          # (q^|SP|, n, n) E(u), working frame, row by the digits of u
+    siegel_inv: np.ndarray      # E(-u) on the row of u
+    siegel_digits: np.ndarray   # the digits of u on each row, base p, the first most significant
+    siegel_weights: np.ndarray  # the row of u is its digits dot these
+    gl1_digits: np.ndarray      # digits of the discrete log of each unit (row 0 unused)
+    sub: _Plan                  # the record of level n - 2, framed by phi
+    front: _TablePlan | None    # every product of the stage, for a small group
+    stab: _TablePlan | None     # every stabilizer product, working frame, for a small stabilizer
 
     @property
     def n(self):
@@ -739,35 +754,29 @@ class _StagePlan(_Plan):
 
     @cached_property
     def width(self):
-        return self.head.shape[1] + len(self.SP) * self.space.e + self.gl1_digits.shape[1] + self.sub.width
+        return self.bounds[2] + self.sub.width
 
     def __post_init__(self):
         fq, n, R = self.space.fq, self.space.n, self.R
-        self._points = dict(zip(_keys(self.vectors).tolist(), self.point.tolist()))
-        # the row of u in the Siegel table: its digits in base p, the first
-        # most significant, as the walk of the Siegel blocks has them
-        self._siegel_weights = fq.p ** np.arange(len(self.SP) * fq.e - 1, -1, -1)
         # flat positions in hw: the border, column 0 first, and Y[SP, SP]
         rest = np.zeros((n, n), dtype=bool)
         rest[[0, R]] = rest[:, R] = True
         rest[:, 0] = False
-        self._border_pos = np.concatenate([np.arange(0, n * n, n), np.flatnonzero(rest)])
-        self._residue_pos = (self.SP[:, None] * n + self.SP).ravel()
-        # the border of d(lam) = diag(lam at 0, lam^-1 at R) and its bytes,
-        # one row per lam
+        border = np.concatenate([np.arange(0, n * n, n), np.flatnonzero(rest)])
+        # the border of d(lam) = diag(lam at 0, lam^-1 at R), one row per lam
         d = np.tile(fq.identity(n).reshape(1, -1), (fq.q, 1))
         d[:, 0], d[:, R * (n + 1)] = np.arange(fq.q), fq.INV
-        self._d_border = d[:, self._border_pos]
-        self._d_bytes = _keys(self._d_border).tolist()
+        for name, value in {"_points": dict(zip(_keys(self.vectors).tolist(), self.point.tolist())),
+                            "_border_pos": border, "_residue_pos": (self.SP[:, None] * n + self.SP).ravel(),
+                            "_d_border": d[:, border], "_d_bytes": _keys(d[:, border]).tolist()}.items():
+            object.__setattr__(self, name, value)
 
     @cached_property
     def _siegel_rows(self):
-        """The one-element index of the Siegel table, as (rows, digits): a
-        dict from the bytes of column R of each E(u), which is lam hw[:, R]
-        when hw = E(u) d(lam) y, to the row of u, and the digits of u on
-        that row."""
-        rows = dict(zip(_keys(self.siegel[:, :, self.R]).tolist(), range(len(self.siegel))))
-        return rows, product_rows(self.space.fq.p, len(self.SP) * self.space.e, 0, len(self.siegel))
+        """The one-element index of the Siegel table: a dict from the bytes
+        of column R of each E(u), which is lam hw[:, R] when
+        hw = E(u) d(lam) y, to the row of u."""
+        return dict(zip(_keys(self.siegel[:, :, self.R]).tolist(), range(len(self.siegel))))
 
     def framed(self, C, Cinv):
         fq = self.space.fq
@@ -791,8 +800,7 @@ class _StagePlan(_Plan):
             rest = self.stab._decode_one(hw)
             return None if rest is None else self.head[pt].tolist() + rest
         lam = hw[0, 0]
-        rows, digits = self._siegel_rows
-        row = rows.get(fq.v_scale(lam, hw[:, self.R]).tobytes())
+        row = self._siegel_rows.get(fq.v_scale(lam, hw[:, self.R]).tobytes())
         if row is None:
             return None
         Y = fq.mat_mul(self.siegel_inv[row], hw)
@@ -801,7 +809,7 @@ class _StagePlan(_Plan):
         rest = self.sub._decode_one(Y.take(self._residue_pos).reshape(len(self.SP), len(self.SP)))
         if rest is None:
             return None
-        return self.head[pt].tolist() + digits[row].tolist() + self.gl1_digits[lam].tolist() + rest
+        return self.head[pt].tolist() + self.siegel_digits[row].tolist() + self.gl1_digits[lam].tolist() + rest
 
     def _decode_into(self, Z, rows, out, errors, col, stats):
         # a failing row goes on through the arithmetic (every gather stays in
@@ -849,7 +857,7 @@ class _StagePlan(_Plan):
         u = fq.v_scale(lam[:, None], hw[:, self.SP, self.R])
         # over a prime field a code is its one digit
         u_digits = u if fq.fast else fq.gf.digits.take(u, axis=0).reshape(k, -1)
-        Y = fq.mat_mul(self.siegel_inv.take(u_digits.dot(self._siegel_weights), axis=0), hw).reshape(k, n * n)
+        Y = fq.mat_mul(self.siegel_inv.take(u_digits.dot(self.siegel_weights), axis=0), hw).reshape(k, n * n)
         off = Y.take(self._border_pos, axis=1) != self._d_border.take(lam, axis=0)
         out[rows, siegel:gl1] = u_digits
         out[rows, gl1:tail] = self.gl1_digits.take(lam, axis=0)
@@ -907,9 +915,8 @@ def canonical_ls(desc: GroupDescriptor) -> LogSignature:
 
 def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
     """A signature for n = 1 or 2, decoded by the table of all its products."""
-    space = space_for(desc)
+    space, base = space_for(desc), desc.base_family()
     fq = space.fq
-    base = desc.base_family()
     if desc.n == 1:
         one = fq.identity(1)
         blocks = [np.stack([one, fq.v_neg(one)])] if base == "O" else []
@@ -919,33 +926,29 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
         els = els[np.argsort(_keys(els), kind="stable")]
         det1 = fq.det(els) == 1
         so = els[det1]
+        # every element of SO_2 has an order dividing |SO_2|; a generator has
+        # that order
         target = len(so)
-        gen = None
-        for g in so:
-            try:
-                if element_order(fq, g, target) == target:
-                    gen = g
-                    break
-            except OrderNotFound:
-                continue
+        gen = next((g for g in so if element_order(fq, g, target) == target), None)
         if gen is None:
             raise LsError("rank-1 special orthogonal group is not cyclic here")  # pragma: no cover
         blocks = cyclic_blocks(fq, gen, target)[0]
         if base == "O":
             blocks.append(np.stack([fq.identity(2), els[~det1][0]]))
-    ls = LogSignature.from_stacks(desc, fq, desc.n, blocks, group_order(desc),
-                                  {"shape": "base", "kind": desc.kind, "minimal": True})
-    ls.plan = _TablePlan.build(ls.tables)
-    return ls
+    blocks = tuple(blocks)
+    tables = ProductTables.build(fq, desc.n, blocks)
+    return LogSignature.from_stacks(desc, fq, desc.n, blocks, group_order(desc),
+                                    {"shape": "base", "kind": desc.kind, "minimal": True},
+                                    plan=_TablePlan.build(fq, desc.n, blocks, tables), tables=tables)
 
 
 def _staged_ls(desc: GroupDescriptor) -> LogSignature:
+    """The signature of one level n >= 3, finished with its stage record
+    (`_StagePlan`) as the plan."""
     space = space_for(desc)
-    fq = space.fq
+    fq, n, R = space.fq, space.n, space.witt_index
     sp_plan = spread_construction(space, desc.family)
-    notes = list(sp_plan.notes)
-    stacks: list = []
-    layers_meta = []
+    stacks, layers_meta = [], []
 
     # A layers
     for layer in sp_plan.layers:
@@ -961,42 +964,35 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     # adapted frame
     W0 = sp_plan.W0
     T, Tinv, Rw = forms._witt_decompose(fq, space.gram, W0)
-    if Rw != space.witt_index:
+    if Rw != R:
         raise LsError("adapted frame lost hyperbolic pairs")  # pragma: no cover
     work_gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(T.T), space.gram), T)
-    Rwork = space.witt_index
-    n = space.n
     # the decoder reads u off column R and checks the border against d(lam):
     # both rest on G e_0 = e_R and G e_R = e_0
-    if not np.array_equal(work_gram[:, [0, Rwork]], fq.identity(n)[:, [Rwork, 0]]):
+    if not np.array_equal(work_gram[:, [0, R]], fq.identity(n)[:, [R, 0]]):
         raise LsError("working frame: (e_0, f_0) is not a hyperbolic pair apart from the rest")  # pragma: no cover
 
-    # the blocks after the A layers are built in the working frame, as the
-    # stacks of `work`, and moved to the global frame by one product T X T^-1
-    work = []
+    # the blocks after the A layers are built in the working frame and
+    # moved to the global frame together by one product T X T^-1
 
     # B block: Singer coset representatives acting on W0
     r_dim = len(W0)
     t = (space.q ** r_dim - 1) // (space.q - 1)
+    B = []
     if t > 1:
         D = singer_generator(r_dim, fq)
         bw = fq.identity(n)
         bw[:r_dim, :r_dim] = D
-        bw[Rwork:Rwork + r_dim, Rwork:Rwork + r_dim] = fq.mat_inv(np.ascontiguousarray(D.T))
+        bw[R:R + r_dim, R:R + r_dim] = fq.mat_inv(np.ascontiguousarray(D.T))
         if not forms.preserves_form(fq, work_gram, bw):
             raise LsError("Singer block is not an isometry of the working frame")
         # conjugation by T keeps the order
         if element_order(fq, bw, space.q ** r_dim) != space.q ** r_dim - 1:
             raise LsError("Singer block has the wrong order")
-        work.extend(cyclic_blocks(fq, bw, t)[0])
-
-    # the blocks from here on, work[nb:], multiply to the stabilizer of the
-    # point of w
-    nb = len(work)
-    nhead = len(stacks) + nb
+        B = cyclic_blocks(fq, bw, t)[0]
 
     # Siegel blocks
-    SP = list(range(1, Rwork)) + list(range(Rwork + 1, 2 * Rwork)) + list(range(2 * Rwork, n))
+    SP = np.array(list(range(1, R)) + list(range(R + 1, 2 * R)) + list(range(2 * R, n)))
     # block (pos, theta) holds the maps along u = c theta e_pos, c < p; all
     # of them come from one stacked Eichler map
     theta_codes = [fq.gf.from_coeffs([0] * i + [1]) for i in range(fq.e)]
@@ -1004,77 +1000,83 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     for i, pos in enumerate(SP):
         U[i, :, :, pos] = fq.MUL[np.ix_(theta_codes, range(fq.p))]
     siegel_w = forms.eichler(fq, work_gram, 0, U.reshape(-1, n))
-    work.extend(np.split(siegel_w, len(siegel_w) // fq.p))
+    siegel = np.split(siegel_w, len(siegel_w) // fq.p)
     # the Siegel table: every product E(u) of the Siegel blocks in the
     # working frame, in itertools.product order, so row by the digits of u.
     # The maps along e_0 form an abelian group, E(u) E(v) = E(u + v), so
     # E(-u) is the row of the negated digits; one stacked product checks
     # every row
-    E = np.concatenate(list(ProductTables.build(fq, n, work[nb:]).walk()))
-    digits = product_rows(fq.p, len(SP) * fq.e, 0, len(E))
-    E_inv = E[(-digits % fq.p).dot(fq.p ** np.arange(digits.shape[1] - 1, -1, -1))]
+    E, digits = ProductTables.build(fq, n, siegel).every()
+    weights = fq.p ** np.arange(digits.shape[1] - 1, -1, -1)
+    E_inv = E[(-digits % fq.p).dot(weights)]
     if not (fq.mat_mul(E, E_inv) == fq.identity(n)).all():
         raise LsError("Siegel table: E(u) E(-u) is not the identity on every row")  # pragma: no cover
 
-    # GL1 block: the powers of d(mu)
-    gcyc, gl1_radices = cyclic_blocks(fq, _gl1_np(fq, n, Rwork, fq.generator), space.q - 1)
-    work.extend(gcyc)
+    # GL1 block: the powers of d(mu) = diag(mu at 0, mu^-1 at R)
+    d_mu = fq.identity(n)
+    d_mu[0, 0], d_mu[R, R] = fq.generator, fq.inv(fq.generator)
+    gl1, gl1_radices = cyclic_blocks(fq, d_mu, space.q - 1)
     # d(mu)^k has corner mu^k, and mu generates F_q^*: k is the log of the corner
     gl1_digits = np.zeros((space.q, len(gl1_radices)), dtype=np.int64)
     gl1_digits[1:] = [digits_of(int(k), gl1_radices) for k in fq.gf.log[1:]]
 
-    # recursive tail on the model space of dimension n - 2
+    # recursive tail on the model space of dimension n - 2, from the
+    # stacks of its record
     sub_desc = replace(desc, n=desc.n - 2)
     sub_ls = canonical_ls(sub_desc)
-    sub_space = space_for(sub_desc)
     sub_gram = np.ascontiguousarray(work_gram[np.ix_(SP, SP)])
-    phi, lam = forms.align_spaces(sub_space, sub_gram, fq)
+    phi, lam = forms.align_spaces(space_for(sub_desc), sub_gram, fq)
     phi_inv = fq.mat_inv(phi)
     # every element of the tail: phi x phi^-1 on SP, the identity on e_0
     # and f_0, in one stacked product
+    tail = []
     if sub_ls.blocks:
-        X = np.stack([x.a for blk in sub_ls.blocks for x in blk])
+        X = np.concatenate(sub_ls.plan.blocks)
         full = np.broadcast_to(fq.identity(n), (len(X), n, n)).copy()
-        full[:, np.array(SP)[:, None], SP] = fq.mat_mul(fq.mat_mul(phi, X), phi_inv)
-        work.extend(np.split(full, np.cumsum(sub_ls.sizes)[:-1]))
+        full[:, SP[:, None], SP] = fq.mat_mul(fq.mat_mul(phi, X), phi_inv)
+        tail = np.split(full, np.cumsum(sub_ls.sizes)[:-1])
 
-    # the B and stabilizer blocks in the global frame: one change of frame
-    glob = fq.mat_mul(fq.mat_mul(T, np.concatenate(work)), Tinv)
-    stacks.extend(np.split(glob, np.cumsum([len(S) for S in work])[:-1]))
+    # the blocks past the head multiply to the stabilizer of the point of w;
+    # B and they move to the global frame together
+    stab = siegel + gl1 + tail
+    glob = fq.mat_mul(fq.mat_mul(T, np.concatenate(B + stab)), Tinv)
+    blocks = tuple(stacks + np.split(glob, np.cumsum([len(S) for S in B + stab])[:-1]))
+    bounds = tuple(itertools.accumulate(map(len, (stacks + B, siegel, gl1))))
+    order = group_order(desc)
+    tables = ProductTables.build(fq, n, blocks)
 
-    ls = LogSignature.from_stacks(desc, fq, n, stacks, group_order(desc), {
-        "shape": sp_plan.shape,
-        "literal_block_ok": sp_plan.literal_ok,
-        "notes": notes,
-        "a_layers": layers_meta,
-        "similarity_scale": int(lam),
-        "minimal": sp_plan.shape != "transversal" and bool(sub_ls.meta.get("minimal")),
-    })
     # the head table, one row per singular point p: the index vector of the
     # one product h of the A and B blocks whose image of w lies on p, and
     # the strip T^-1 h^-1
+    w = W0[0]
     points = space.isotropic_points()
-    heads = np.concatenate(list(ProductTables.build(fq, n, stacks[:nhead]).walk()))
-    hit = _lookup(dict(zip(_keys(points).tolist(), range(len(points)))), space.canon(fq.mat_vec(heads, W0[0])))
+    heads, ivs = ProductTables.build(fq, n, blocks[:bounds[0]]).every()
+    hit = _lookup(dict(zip(_keys(points).tolist(), range(len(points)))), space.canon(fq.mat_vec(heads, w)))
     if not np.array_equal(np.sort(hit), np.arange(len(points))):
         raise LsError("the A and B blocks do not carry the base point once to each singular point")
     which = np.empty(len(points), dtype=np.intp)
     which[hit] = np.arange(len(heads))
-    # itertools.product order, as the walk
-    ivs = np.indices([len(S) for S in stacks[:nhead]], dtype=np.int64).reshape(nhead, len(heads)).T
-    ls.plan = _StagePlan(
-        space=space,
+    plan = _StagePlan(
+        space=space, blocks=blocks, bounds=bounds, w=w, T=T, phi=phi,
         vectors=np.concatenate([fq.v_scale(c, points) for c in range(1, fq.q)]),
         point=np.tile(np.arange(len(points)), fq.q - 1),
         strips=fq.mat_mul(Tinv, forms.isometry_inverse(space, heads[which])),
         head=ivs[which], enter=T,
-        R=Rwork, SP=np.array(SP), work_gram=work_gram, siegel=E, siegel_inv=E_inv, gl1_digits=gl1_digits,
-        sub=sub_ls.plan.framed(phi, phi_inv),
-        front=_TablePlan.build(ls.tables) if ls.claimed_order <= FRONT_ORDER else None,
-        stab=(_TablePlan.build(ProductTables.build(fq, n, work[nb:]))
-              if ls.claimed_order > FRONT_ORDER and math.prod(map(len, work[nb:])) <= FRONT_ORDER else None),
+        R=R, SP=SP, work_gram=work_gram,
+        siegel=E, siegel_inv=E_inv, siegel_digits=digits, siegel_weights=weights,
+        gl1_digits=gl1_digits, sub=sub_ls.plan.framed(phi, phi_inv),
+        front=_TablePlan.build(fq, n, blocks, tables) if order <= FRONT_ORDER else None,
+        stab=(_TablePlan.build(fq, n, stab)
+              if order > FRONT_ORDER and math.prod(map(len, stab)) <= FRONT_ORDER else None),
     )
-    return ls
+    return LogSignature.from_stacks(desc, fq, n, blocks, order, {
+        "shape": sp_plan.shape,
+        "literal_block_ok": sp_plan.literal_ok,
+        "notes": sp_plan.notes,
+        "a_layers": layers_meta,
+        "similarity_scale": int(lam),
+        "minimal": sp_plan.shape != "transversal" and bool(sub_ls.meta.get("minimal")),
+    }, plan=plan, tables=tables)
 
 
 # ----------------------------------------------------------------------
@@ -1129,9 +1131,9 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
     Qblk = fq.mat_mul(DM[:, None], M[None]).reshape(-1, n, n)
     if set(_keys(Rgrp).tolist()) & set(_keys(Qblk).tolist()) != {fq.identity(n).tobytes()}:
         raise LsError("R and Q overlap beyond the identity")
-    return LogSignature(None, [[Mat(fq, a) for a in S] for S in (Rgrp, Qblk)], len(Rgrp) * len(Qblk),
-                        meta={"shape": "parabolic", "k": k, "family": family,
-                              "R_size": len(Rgrp), "Q_size": len(Qblk)})
+    return LogSignature.from_stacks(None, fq, n, [Rgrp, Qblk], len(Rgrp) * len(Qblk),
+                                    {"shape": "parabolic", "k": k, "family": family,
+                                     "R_size": len(Rgrp), "Q_size": len(Qblk)})
 
 
 @cache
@@ -1182,13 +1184,13 @@ def project_ls(ls: LogSignature) -> LogSignature:
     if ls.group is not None and ls.group.base_family() == "SO":
         qdesc = ls.group.with_base("PSO")
     n = ls.group.n if ls.group is not None else ls.blocks[0][0].n
+    stacks = [np.asarray(b, dtype=np.int16) for b in ls.blocks]
     if n % 2 == 1:
-        out = LogSignature(qdesc, tuple(map(tuple, ls.blocks)), ls.claimed_order, dict(ls.meta))
-        out.plan, out.tables = ls.plan, ls.tables
-        return out
+        tables = ls.product_tables()
+        return LogSignature.from_stacks(qdesc, tables.fq, n, stacks, ls.claimed_order, ls.meta,
+                                        plan=ls.plan, tables=tables)
     fq = ls.blocks[0][0].fq
     target = ls.claimed_order // 2
-    stacks = [np.asarray(b, dtype=np.int16) for b in ls.blocks]
 
     # g and -g both in a block make an aliased pair, named by its lift
     aliased = []

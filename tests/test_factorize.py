@@ -39,7 +39,7 @@ def test_pure_a_block_power():
     # a^3 for the leading cyclic block decodes to (3, 0, 0, ...)
     ls = canonical_ls(descriptor("O-", 3, n=4))
     layer_kind, gen, size = stage_spread(ls).layers[0]
-    assert layer_kind == "cyc" and size == 5 and ls.meta["a_layers"][0]["radices"] == [5]
+    assert layer_kind == "cyc" and size == 5 and ls.meta["a_layers"][0]["radices"] == (5,)
     g = Mat(ls.blocks[0][0].fq, gen).pow(3)
     iv = tame_factor(g, ls)
     assert iv[0] == 3

@@ -1,9 +1,9 @@
 """Every name a module of the package, a test or a script imports is used
 in that file, every private function or class of the package is used
 somewhere in it, every public function is used by the program, a script,
-the README or the acceptance tests, only `lscore` attaches product tables
-to a signature, a `Mat` is built only where one element crosses the edge
-of the package, no dataclass compares arrays in its `==`, and every trace
+the README or the acceptance tests, a signature gets its plan and product
+tables from `LogSignature.from_stacks` alone, a `Mat` is built only where
+one element crosses the edge of the package, no dataclass compares arrays in its `==`, and every trace
 target of the benchmark names a function the package defines."""
 
 import ast
@@ -175,16 +175,15 @@ def test_only_matgroups_parses_family_names(path):
     assert family_name_parsing(path.read_text()) == []
 
 
-def hand_finished(source: str, may_assign_tables: bool) -> list[str]:
+def hand_finished(source: str) -> list[str]:
     """Lines that finish a signature by hand: a `LogSignature(...)` call
-    that passes `plan` or `tables` by keyword, or, unless
-    may_assign_tables, an assignment to a `.tables` attribute.  A finished
-    signature gets its tables in `LogSignature.from_stacks` alone."""
+    that passes `plan` or `tables` by keyword, or an assignment to a
+    `.plan` or `.tables` attribute.  A finished signature gets its plan and
+    its tables in `LogSignature.from_stacks` alone."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "tables" and isinstance(node.ctx, ast.Store) \
-                and not may_assign_tables:
-            found.append((node.lineno, ".tables assigned"))
+        if isinstance(node, ast.Attribute) and node.attr in ("plan", "tables") and isinstance(node.ctx, ast.Store):
+            found.append((node.lineno, f".{node.attr} assigned"))
         elif isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "LogSignature"
                                              or getattr(node.func, "attr", None) == "LogSignature"):
             found.extend((node.lineno, f"{kw.arg}=") for kw in node.keywords if kw.arg in ("plan", "tables"))
@@ -198,23 +197,30 @@ def test_the_scan_finds_a_signature_finished_by_hand():
         "x = ls.tables\n"
         "LogSignature(d, b, 1, meta={}, plan=p)\n"
         "lscore.LogSignature(d, b, 1, tables=t)\n"
-        "LogSignature.from_stacks(d, fq, n, s, 1, {})\n"
+        "LogSignature.from_stacks(d, fq, n, s, 1, {}, plan=p, tables=t)\n"
         "ls.plan = p\n"
+        "y = ls.plan.decode(g)\n"
     )
-    assert hand_finished(src, False) == [
-        "line 1: .tables assigned", "line 2: .tables assigned", "line 4: plan=", "line 5: tables=",
+    assert hand_finished(src) == [
+        "line 1: .tables assigned", "line 2: .plan assigned", "line 2: .tables assigned",
+        "line 4: plan=", "line 5: tables=", "line 7: .plan assigned",
     ]
-    assert hand_finished(src, True) == ["line 4: plan=", "line 5: tables="]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_lscore_attaches_tables(path):
-    assert hand_finished(path.read_text(), path.name == "lscore.py") == []
+    # lscore's `LogSignature.from_stacks` is the one place
+    assert hand_finished(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", IMPORTERS[len(MODULES):], ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_test_or_script_finishes_a_signature_by_hand(path):
+    assert hand_finished(path.read_text()) == []
 
 
 # the functions where one element crosses the public edge of the package:
 # composed, handed back in a signature, or named in a report
-MAT_EDGES = {"compose", "LogSignature.from_stacks", "parabolic_ls", "project_ls", "omega_audit"}
+MAT_EDGES = {"compose", "LogSignature.from_stacks", "project_ls", "omega_audit"}
 
 
 def mats_built_inside(source: str, edges) -> list[str]:

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import math
 import random
@@ -352,23 +351,17 @@ def test_sampled_verify_needs_at_least_one_sample(samples):
 @pytest.mark.parametrize("fam,q,n", [("O+", 3, 6), ("O-", 3, 6), ("Oodd", 3, 5), ("Oodd", 3, 7),
                                      ("O-", 5, 4), ("O-", 9, 4)])
 def test_every_stage_base_point_is_fixed_by_every_later_block(fam, q, n):
-    # down the plan's sub chain, a stage's base point in global coordinates
-    # is M enter[:, 0], where M carries the stage's coordinates to global
-    # ones: the enter of every stage above, each restricted to its SP
-    # positions.  Every block past the stage's head maps that point to a
-    # multiple of itself: the premise of a stabilizer chain
+    # down the sub chain of stage records, every block of a stage past its
+    # head maps the stage's base point to a multiple of itself, in the
+    # stage's own frame: the premise of a stabilizer chain
     from orthosig.lscore import _StagePlan
 
-    ls = canonical_ls(descriptor(fam, q, n=n))
-    space = space_for(ls.group)
-    fq, plan, M, start, stages = space.fq, ls.plan, space.fq.identity(n), 0, 0
-    while isinstance(plan, _StagePlan):
-        M = fq.mat_mul(M, plan.enter)
-        point = space.canon(M[:, 0])
-        later = np.concatenate([np.asarray(b, dtype=np.int16) for b in ls.blocks[start + plan.head.shape[1]:]])
-        assert (space.canon(fq.mat_vec(later, M[:, 0])) == point).all()
-        start += plan.head.shape[1] + len(plan.SP) * fq.e + plan.gl1_digits.shape[1]
-        M, plan, stages = np.ascontiguousarray(M[:, plan.SP]), plan.sub, stages + 1
+    rec, stages = canonical_ls(descriptor(fam, q, n=n)).plan, 0
+    while isinstance(rec, _StagePlan):
+        fq, point = rec.fq, rec.space.canon(rec.w)
+        later = np.concatenate(rec.blocks[rec.bounds[0]:])
+        assert (rec.space.canon(fq.mat_vec(later, rec.w)) == point).all()
+        rec, stages = rec.sub, stages + 1
     assert stages == (n - 1) // 2
 
 
@@ -385,7 +378,7 @@ def test_only_the_program_finishes_a_signature():
     finished = [canonical_ls(descriptor("O-", 3, n=4)), canonical_ls(descriptor("O+", 3, n=6)),
                 canonical_ls(descriptor("PSO+", 3, n=4)), canonical_ls(descriptor("PSOodd", 3, n=5)),
                 pgm.keygen(descriptor("O+", 5, n=4), seed=3).beta_ls,
-                cyclic_set_mls(fq, singer_generator(2, fq), 6)]
+                cyclic_set_mls(fq, singer_generator(2, fq), 6), parabolic_ls(build_space("plus", fq, 2), 1)]
     for ls in finished:
         assert ls.tables is not None
         g = ls.blocks[0][0]
@@ -949,10 +942,55 @@ def test_a_signature_with_a_copy_of_its_plan_compares_equal(n):
     # the plans hold arrays and take no part in ==; framed by the identity,
     # a plan holds equal arrays that are new objects
     a = canonical_ls(descriptor("O-", 3, n=n))
-    b = copy.copy(a)
-    one = a.plan.fq.identity(n)
-    b.plan = a.plan.framed(one, one)
-    assert a == b
+    fq = a.plan.fq
+    one = fq.identity(n)
+    b = LogSignature.from_stacks(a.group, fq, n, a.plan.blocks, a.claimed_order, a.meta,
+                                 plan=a.plan.framed(one, one))
+    assert b.plan is not a.plan and a == b
+
+
+def test_a_finished_signature_refuses_every_edit():
+    # meta is a read-only mapping all the way down and the signature is
+    # frozen, so no caller of canonical_ls edits what the next one reads
+    import dataclasses
+    import json
+
+    desc = descriptor("O-", 3, n=4)
+    ls = canonical_ls(desc)
+    doc, plan, tables = json.dumps(ls.to_json(), sort_keys=True), ls.plan, ls.tables
+    assert ls.meta["notes"]
+    with pytest.raises(TypeError):
+        ls.meta["minimal"] = False
+    with pytest.raises(AttributeError):
+        ls.meta["notes"].append("edited")
+    with pytest.raises(TypeError):
+        ls.meta["a_layers"][0]["size"] = 1
+    for name in ("plan", "tables", "meta", "blocks"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ls, name, None)
+    again = canonical_ls(desc)
+    assert again is ls and again.plan is plan and again.tables is tables
+    assert again.meta["minimal"] is True and json.dumps(again.to_json(), sort_keys=True) == doc
+
+
+@pytest.mark.parametrize("fam,q,n", [("O-", 3, 2), ("SOodd", 3, 1), ("Oodd", 3, 3), ("O-", 3, 4),
+                                     ("Oodd", 3, 5), ("O+", 3, 6), ("O-", 9, 4)])
+def test_every_level_record_holds_its_signature_blocks_read_only(fam, q, n):
+    # down the sub chain, each level's record holds the blocks of the
+    # canonical signature of that level, byte for byte, as read-only stacks
+    from orthosig.lscore import _StagePlan
+
+    rec, levels = canonical_ls(descriptor(fam, q, n=n)).plan, 0
+    while rec is not None:
+        ls = canonical_ls(descriptor(fam, q, n=n - 2 * levels))
+        assert len(rec.blocks) == len(ls.blocks)
+        for S, blk in zip(rec.blocks, ls.blocks):
+            assert S.dtype == np.int16 and not S.flags.writeable
+            assert S.tobytes() == np.stack([g.a for g in blk]).tobytes()
+            with pytest.raises(ValueError):
+                S[0, 0, 0] = 1
+        rec, levels = rec.sub if isinstance(rec, _StagePlan) else None, levels + 1
+    assert levels == (n + 1) // 2
 
 
 def test_verify_rejects_a_group_past_the_envelope_instead_of_skipping_membership():
