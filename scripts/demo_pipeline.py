@@ -19,7 +19,7 @@ desc = descriptor("O-", 3, m=2)
 ls = canonical_ls(desc)
 print(f"group {desc.family} n={desc.n} q={desc.q}: order {ls.claimed_order}")
 print(f"block sizes {ls.block_sizes()}")
-print(f"length {ls.length}, bound {min_length_bound(ls.claimed_order).bound}, shape {ls.meta['shape']}")
+print(f"length {ls.length}, bound {min_length_bound(ls.claimed_order)}, shape {ls.meta['shape']}")
 
 rep = verify_ls(ls, "exhaustive")
 print(f"exhaustive verification: valid={rep.valid}, minimal={rep.mls}")

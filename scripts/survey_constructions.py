@@ -79,7 +79,7 @@ print(f"{'group':>12} {'order':>10} {'len':>5} {'bound':>5} {'shape':>12} {'step
 for fam, q, n in CASES:
     t0 = time.monotonic()
     ls = canonical_ls(descriptor(fam, q, n=n))
-    bound = min_length_bound(ls.claimed_order).bound
+    bound = min_length_bound(ls.claimed_order)
     if ls.claimed_order <= EXHAUSTIVE_BUDGET:
         rep = verify_ls(ls, "exhaustive")
         verdict = "exact" if rep.valid else "INVALID"

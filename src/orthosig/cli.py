@@ -164,7 +164,7 @@ def cmd_construct(args):
     desc = _descriptor(args)
     ls = canonical_ls(desc)
     save_ls(ls, args.out)
-    bound = min_length_bound(ls.claimed_order).bound
+    bound = min_length_bound(ls.claimed_order)
     payload = {
         "group": desc.to_json(),
         "order": ls.claimed_order,

@@ -58,7 +58,7 @@ def tame_factor(g: Mat, ls: LogSignature) -> tuple:
     so g is the product of the block elements its digits index; the plan
     checks the code range before its first product."""
     if ls.plan is None:
-        raise FactorError("signature carries no decoding tables (not canonical)")
+        raise FactorError("signature carries no decoding tables")
     n, fq = ls.plan.n, ls.plan.fq
     if g.n != n:
         raise FactorError(f"element is {g.n}x{g.n}, signature acts on {n}x{n} matrices")

@@ -202,8 +202,9 @@ class GF:
     Every table is linear in the order n = p^d: `digits` (n x d int16, the
     base-p digits of each code), `exp` (n - 1 int64, the powers of the
     primitive element `alpha`), `log` (n int64, -1 at 0) and `neg_table`
-    (n int64).  Addition goes through the digits; multiplication, inversion
-    and powers through `log`/`exp`.
+    (n int64), all read-only, as one `GF` per field is shared (`_gf`).
+    Addition goes through the digits; multiplication, inversion and powers
+    through `log`/`exp`.
     """
 
     def __init__(self, p: int, d: int):
@@ -239,6 +240,7 @@ class GF:
         self.log = np.full(n, -1, dtype=np.int64)
         self.log[self.exp] = np.arange(n - 1)
         self.neg_table = ((p - digs) % p) @ self._pvec
+        read_only((self._pvec, self.digits, self.exp, self.log, self.neg_table))
 
     # -- arithmetic on codes
 
@@ -400,8 +402,7 @@ class FqContext:
             self.RES = np.arange(2 ** 16, dtype=np.uint16).view(np.int16)
             np.remainder(self.RES, p, out=self.RES)
             tables = [self.RES]
-        for table in [self.ADD, self.MUL, self.NEG, self.INV, *tables]:
-            table.setflags(write=False)
+        read_only([self.ADD, self.MUL, self.NEG, self.INV, *tables])
         self.two_inv = self.gf.inv(2 % q if self.p != 2 else 1)
         self.generator = gf.alpha
         # a product s u of two codes fits int16 below p = 182, and a sum of
@@ -599,6 +600,18 @@ class FqContext:
 @cache
 def fq_context(p: int, e: int) -> FqContext:
     return FqContext(p, e)
+
+
+def read_only(v):
+    """v, with every array in it (v itself, or an item of its tuples and
+    lists at any depth) marked read-only: what a cache hands out is shared
+    by every caller, so the code that builds it makes it so."""
+    if isinstance(v, np.ndarray):
+        v.setflags(write=False)
+    elif isinstance(v, (tuple, list)):
+        for x in v:
+            read_only(x)
+    return v
 
 
 def projective_points(fq: FqContext, basis, lead=None):

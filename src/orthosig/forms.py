@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .fields import FieldError, FqContext, fq_context, product_rows, projective_points
+from .fields import FieldError, FqContext, fq_context, product_rows, projective_points, read_only
 from .matgroups import (
     Mat,
     derived_subgroup,
@@ -36,12 +36,14 @@ KINDS = ("minus", "plus", "odd")
 
 
 class QuadraticSpace:
-    """A non-singular quadratic space with a fixed Witt frame."""
+    """A non-singular quadratic space with a fixed Witt frame.  Its forms,
+    frame and point sets are read-only arrays: a space is shared by every
+    caller of the cache that built it."""
 
     def __init__(self, kind, fq, gram_model):
         self.kind = kind
         self.fq: FqContext = fq
-        self.gram_model = np.ascontiguousarray(gram_model, dtype=np.int16)
+        self.gram_model = np.array(gram_model, dtype=np.int16, order="C")
         self.n = self.gram_model.shape[0]
         self.p, self.e, self.q = fq.p, fq.e, fq.q
         if fq.rank(self.gram_model) != self.n:
@@ -55,8 +57,7 @@ class QuadraticSpace:
         expected = {"minus": (self.n - 2) // 2, "plus": self.n // 2, "odd": (self.n - 1) // 2}
         if kind in expected and R != expected[kind]:
             raise GeometryError(f"witt index {R} does not match kind {kind}")
-        self._points = None
-        self._isotropic = None
+        read_only((self.gram_model, self.C, self.Cinv, self.gram, self.anis_gram))
 
     @property
     def m(self):
@@ -98,23 +99,19 @@ class QuadraticSpace:
         lead = np.take_along_axis(v, nz.argmax(axis=-1)[..., None], axis=-1)
         return np.ascontiguousarray(self.fq.v_scale(self.fq.INV[lead], v))
 
+    @cache
     def points(self):
         """Every projective point as a read-only (N, n) array of canonical
         reps, in `projective_points` order of the unit basis."""
-        if self._points is None:
-            check_enumeration_budget(self.q, self.n)
-            self._points = projective_points(self.fq, self.fq.identity(self.n))
-            self._points.setflags(write=False)
-        return self._points
+        check_enumeration_budget(self.q, self.n)
+        return read_only(projective_points(self.fq, self.fq.identity(self.n)))
 
+    @cache
     def isotropic_points(self):
         """The singular points of `points`, in its order, as a read-only
         (N, n) array."""
-        if self._isotropic is None:
-            pts = self.points()
-            self._isotropic = pts[self.Q(pts) == 0]
-            self._isotropic.setflags(write=False)
-        return self._isotropic
+        pts = self.points()
+        return read_only(pts[self.Q(pts) == 0])
 
 
 ENUM_BUDGET = 10 ** 8
@@ -361,9 +358,7 @@ def reflections(space: QuadraticSpace):
     V, qv = V[keep], qv[keep]
     col = fq.v_scale(fq.NEG[fq.INV[qv]][:, None], V)
     row = fq.mat_mul(V, space.gram)
-    R = fq.v_add(fq.identity(space.n), fq.mat_mul(col[:, :, None], row[:, None, :]))
-    R.setflags(write=False)
-    return R
+    return read_only(fq.v_add(fq.identity(space.n), fq.mat_mul(col[:, :, None], row[:, None, :])))
 
 
 def o_generators(space: QuadraticSpace):
@@ -390,8 +385,7 @@ def enumerate_isometry_group(space: QuadraticSpace, family="O"):
         els = els[space.fq.det(els) == 1]
     else:
         raise ValueError(family)
-    els.setflags(write=False)
-    return els
+    return read_only(els)
 
 
 @cache
@@ -400,8 +394,7 @@ def omega_oracle(space: QuadraticSpace):
     of the commutator subgroup of the full isometry group, computed as a
     normal closure of generator commutators; both are shared by every
     caller."""
-    els = derived_subgroup(space.fq, o_generators(space))
-    els.setflags(write=False)
+    els = read_only(derived_subgroup(space.fq, o_generators(space)))
     return frozenset(g.tobytes() for g in els), els
 
 

@@ -19,13 +19,13 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field as dc_field, replace
-from functools import cache, cached_property, reduce
+from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
+from functools import cache, reduce
 from types import MappingProxyType
 
 import numpy as np
 
-from .fields import FieldError, FqContext, check_tower_size, factorint, fq_context, product_rows
+from .fields import FieldError, FqContext, check_tower_size, factorint, fq_context, product_rows, read_only
 from .matgroups import (
     ConstructionMismatch,
     GroupDescriptor,
@@ -67,18 +67,12 @@ class UnsupportedFamily(LsError):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LengthBound:
-    order: int
-    bound: int
-
-
 @cache
-def min_length_bound(order: int) -> LengthBound:
+def min_length_bound(order: int) -> int:
     """Sum of a_j * p_j over the prime factorization of the order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return LengthBound(order, sum(a * p for p, a in factorint(order).items()) if order > 1 else 0)
+    return sum(a * p for p, a in factorint(order).items()) if order > 1 else 0
 
 
 @dataclass(frozen=True)
@@ -111,8 +105,7 @@ class LogSignature:
         made read-only: each element wrapped in a `Mat` once, in tuples
         that keep the tables true, meta frozen (`_recast`), the plan, and
         the product tables of the stacks, built here unless given."""
-        for S in stacks:
-            S.setflags(write=False)
+        read_only(stacks)
         ls = cls(group, tuple(tuple(Mat(fq, a) for a in S) for S in stacks), claimed_order,
                  _recast(meta, MappingProxyType, tuple))
         object.__setattr__(ls, "plan", plan)
@@ -175,13 +168,16 @@ class ProductTables:
     block varies fastest).  No blocks make one empty segment, whose table
     is the identity.  Every product of the signature is one row of each
     table, multiplied across the segments: for a stack (sampled
-    verification) by `products`, for one element (`compose`) by `product`."""
+    verification) by `products`, for one element (`compose`) by `product`.
+    The tables and weights are read-only."""
 
     fq: FqContext
     n: int
     sizes: tuple
-    tables: list           # the (N, n, n) int16 table of each segment, left to right
+    tables: tuple          # the (N, n, n) int16 table of each segment, left to right
     weights: np.ndarray    # (blocks, segments): ivs @ weights are the table rows
+    segments: tuple        # (lo, hi, weights) of each segment: its blocks lo..hi-1 and
+                           # their weights, as Python ints
 
     @staticmethod
     def build(fq: FqContext, n: int, blocks) -> ProductTables:
@@ -197,13 +193,13 @@ class ProductTables:
                 size *= sizes[t]
             bounds.insert(0, (t, stop))
         weights = np.zeros((len(sizes), len(bounds)), dtype=np.int64)
-        tables = []
-        for s, (lo, hi) in enumerate(bounds):
-            weights[lo:hi, s] = [math.prod(sizes[b + 1:hi]) for b in range(lo, hi)]
-            tables.append(reduce(lambda P, X: fq.mat_mul(P[:, None], X[None]).reshape(-1, n, n),
-                                 (np.asarray(blk, dtype=np.int16) for blk in blocks[lo:hi]),
-                                 fq.identity(n)[None]))
-        return ProductTables(fq, n, sizes, tables, weights)
+        segments = tuple((lo, hi, tuple(math.prod(sizes[b + 1:hi]) for b in range(lo, hi))) for lo, hi in bounds)
+        for s, (lo, hi, w) in enumerate(segments):
+            weights[lo:hi, s] = w
+        tables = tuple(reduce(lambda P, X: fq.mat_mul(P[:, None], X[None]).reshape(-1, n, n),
+                              (np.asarray(blk, dtype=np.int16) for blk in blocks[lo:hi]), fq.identity(n)[None])
+                       for lo, hi in bounds)
+        return ProductTables(fq, n, sizes, read_only(tables), read_only(weights), segments)
 
     def products(self, ivs):
         """The left-to-right block products of the index vectors of ivs, a
@@ -212,22 +208,11 @@ class ProductTables:
         rows = np.asarray(ivs, dtype=np.int64).dot(self.weights)
         return reduce(self.fq.mat_mul, [T.take(r, axis=0) for T, r in zip(self.tables, rows.T)])
 
-    @cached_property
-    def _segments(self):
-        """(lo, hi, weights) of each segment: its blocks lo..hi-1 and their
-        weights, as Python ints."""
-        out = []
-        for col in self.weights.T:
-            nz = np.flatnonzero(col)
-            lo, hi = (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0)
-            out.append((lo, hi, col[lo:hi].tolist()))
-        return out
-
     def product(self, indices):
         """The left-to-right block product of one index vector, a tuple of
         Python ints, as an (n, n) int16 array, a view of the table row when
         there is one segment: what `products([indices])[0]` holds."""
-        rows = [sum(map(operator.mul, indices[lo:hi], w)) for lo, hi, w in self._segments]
+        rows = [sum(map(operator.mul, indices[lo:hi], w)) for lo, hi, w in self.segments]
         return reduce(self.fq.mat_mul, [T[r] for T, r in zip(self.tables, rows)])
 
     def every(self, dtype=np.int64):
@@ -350,36 +335,42 @@ def digits_of(j: int, radices) -> list[int]:
 # the construction ladder for the A part
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SpreadPlan:
+    """The A part of a stage, built once per space and determinant
+    condition (`spread_construction`) and shared by every caller: frozen,
+    with read-only arrays, `layers` and `notes` tuples and `partition` a
+    read-only mapping, recast as `LogSignature.meta` is."""
+
     shape: str                   # empty | literal | cyclic | twisted | transversal
     W0: np.ndarray | None        # the (r, n) echelon basis of the base subspace
     members: PartialSpread | None
-    layers: list                 # [("cyc", (n, n) gen, size)] or [("trans", (k, n, n) moves)]
-    notes: list
-    partition: dict | None
+    layers: tuple                # (("cyc", (n, n) gen, size), ..) or (("trans", (k, n, n) moves),)
+    notes: tuple
+    partition: MappingProxyType | None
+
+    def __post_init__(self):
+        for name in ("layers", "notes", "partition"):
+            object.__setattr__(self, name, _recast(getattr(self, name), MappingProxyType, tuple))
+        read_only((self.W0, self.layers))
 
     @property
     def literal_ok(self):
         return self.shape in ("empty", "literal")
 
 
-@cache
 def ts_subspace_transporters(space, det1):
     """Transporters from the default base, the span of e_0, .., e_{r-1}
     (rows already reduced), to every totally singular r-space reachable in
     the chosen group, r the Witt index: all of them by Witt transitivity,
     except that on the plus type SO has two orbits of equal size.  Returns
-    read-only (bases, moves) stacks, as `spreads.schreier_transversal`."""
+    the (bases, moves) stacks of `spreads.schreier_transversal`."""
     r = space.witt_index
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
     size = maximal_ts_count(space.kind, space.q, r)
     if det1 and space.kind == "plus":
         size //= 2
-    bases, moves = spr.schreier_transversal(space.fq, np.eye(r, space.n, dtype=np.int16), gens, size)
-    bases.setflags(write=False)
-    moves.setflags(write=False)
-    return bases, moves
+    return spr.schreier_transversal(space.fq, np.eye(r, space.n, dtype=np.int16), gens, size)
 
 
 def _try_partition(space, members, L):
@@ -408,14 +399,14 @@ def _spread_orbits(fq, orbits, size):
     return full[ok[orbits.orbit[full]]]
 
 
-def _try_cyclic(space, g, orbit, L):
+def _try_cyclic(space, shape, g, orbit, L, notes):
     sp, rep = _try_partition(space, orbit, L)
     if sp is None:
         return None
-    return SpreadPlan("cyclic", orbit[0], sp, [("cyc", g, len(orbit))], [], rep)
+    return SpreadPlan(shape, orbit[0], sp, (("cyc", g, len(orbit)),), notes, rep)
 
 
-def _try_twisted(space, a, i, orbits, L, moves, points):
+def _try_twisted(space, a, i, orbits, L, moves, points, notes):
     """Layers the half orbit of base i under `a` with a second one: the
     transporter bases, in order, are walked under `a` into `orbits`,
     `moves` are their transporters, and points[j] holds the keys of the
@@ -431,11 +422,11 @@ def _try_twisted(space, a, i, orbits, L, moves, points):
         sp, rep = _try_partition(space, np.concatenate([orbit1, orbits.walk(j, s)]), L)
         if sp is None:
             continue
-        return SpreadPlan("twisted", orbit1[0], sp, [("cyc", a, s), ("cyc", moves[j], 2)], [], rep)
+        return SpreadPlan("twisted", orbit1[0], sp, (("cyc", a, s), ("cyc", moves[j], 2)), notes, rep)
     return None
 
 
-def _try_transversal(space, L, det1):
+def _try_transversal(space, L, det1, notes):
     fq = space.fq
     gens = forms.so_generators(space) if det1 else forms.o_generators(space)
     # a canonical point is the echelon basis of its 1-space; the members
@@ -444,7 +435,7 @@ def _try_transversal(space, L, det1):
     at = {B.tobytes(): t for t, B in enumerate(bases)}
     sp = PartialSpread(L[:, None], fq)
     rep = spr.verify_partition(sp, L, fq)
-    return SpreadPlan("transversal", L[:1], sp, [("trans", moves[[at[v.tobytes()] for v in L]])], [], rep)
+    return SpreadPlan("transversal", L[:1], sp, (("trans", moves[[at[v.tobytes()] for v in L]]),), notes, rep)
 
 
 def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
@@ -465,78 +456,63 @@ def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
 
 @cache
 def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
-    kind = space.kind
-    q, n = space.q, space.n
+    # each rung builds the plan with the notes of the rungs before it
     L = space.isotropic_points()
-    notes = []
     if not len(L):
-        return SpreadPlan("empty", None, None, [], notes, None)
-    r = space.witt_index
-    lit = None
-    if r >= 1 and n >= 3:
+        return SpreadPlan("empty", None, None, (), (), None)
+    # a singular point makes the Witt index r at least 1
+    fq, q, n, r = space.fq, space.q, space.n, space.witt_index
+    M = len(L) * (q - 1) // (q ** r - 1)
+    notes = []
+    if n < 3:
+        notes.append("no literal cyclic recipe applies at this rank; block found by search")
+        # the hyperbolic plane: M = 2, and a generator whose orbit on W0
+        # has two members swaps the two singular points
+        gens = forms.so_generators(space) if det1 else forms.o_generators(space)
+        W0 = np.eye(r, n, dtype=np.int16)
+        img = spr.act_rref(fq, gens, W0)[0]
+        back = spr.act_rref(fq, gens, img)[0]
+        hit = np.flatnonzero((img != W0).any(axis=(1, 2)) & (back == W0).all(axis=(1, 2)))
+        if len(hit):
+            notes.append("sharply transitive cyclic block found by element scan")
+            plan = _try_cyclic(space, "cyclic", gens[hit[0]], np.stack([W0, img[hit[0]]]), L, notes)
+            if plan:
+                return plan
+    else:
         try:
-            desc = GroupDescriptor(family_of("SO" if det1 else "O", kind), q, n)
+            desc = GroupDescriptor(family_of("SO" if det1 else "O", space.kind), q, n)
             lit, gnotes = standard_generators(desc, space)
-            notes.extend(gnotes)
         except ConstructionMismatch as exc:
             notes.append(f"literal generator construction failed: {exc}")
-    elif r >= 1:
-        notes.append("no literal cyclic recipe applies at this rank; block found by search")
-    plan = None
-    if r >= 1:
-        M = len(L) * (q - 1) // (q ** r - 1)
-        if lit is not None:
+        else:
+            notes.extend(gnotes)
             bases, moves = ts_subspace_transporters(space, det1)
-            pows = powers(space.fq, lit, M + 1)[1:]
-            orbits = spr.cyclic_orbits(space.fq, pows, bases, PRODUCT_CHUNK)
-            for i in _spread_orbits(space.fq, orbits, M):
-                plan = _try_cyclic(space, lit, orbits.walk(i, M), L)
+            orbits = spr.cyclic_orbits(fq, powers(fq, lit, M + 1)[1:], bases, PRODUCT_CHUNK)
+            for i in _spread_orbits(fq, orbits, M):
+                plan = _try_cyclic(space, "literal", lit, orbits.walk(i, M), L, notes)
                 if plan:
-                    plan.shape = "literal"
-                    break
-            if plan is None:
-                notes.append(
-                    "literal cyclic block is not sharply transitive on any "
-                    "totally singular base orbit (construction mismatch)"
-                )
-                # M = q^k + 1 is even; a twisted layering starts from a base
-                # whose orbit is a partial spread of M / 2 members
-                halves = _spread_orbits(space.fq, orbits, M // 2)
-                if len(halves):
-                    # every point of a totally singular base is singular
-                    points = [{v.tobytes() for v in P} for P in spr.span_points(space.fq, bases)]
-                for i in halves:
-                    plan = _try_twisted(space, lit, i, orbits, L, moves, points)
-                    if plan:
-                        notes.append(
-                            "using twisted layering: half torus orbit times an "
-                            "orbit-moving twist element"
-                        )
-                        break
-        elif n < 3:
-            # the hyperbolic plane: M = 2, and a generator whose orbit on W0
-            # has two members swaps the two singular points
-            gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-            W0 = np.eye(r, n, dtype=np.int16)
-            img = spr.act_rref(space.fq, gens, W0)[0]
-            back = spr.act_rref(space.fq, gens, img)[0]
-            hit = np.flatnonzero((img != W0).any(axis=(1, 2)) & (back == W0).all(axis=(1, 2)))
-            if len(hit):
-                plan = _try_cyclic(space, gens[hit[0]], np.stack([W0, img[hit[0]]]), L)
-                notes.append("sharply transitive cyclic block found by element scan")
-        if plan is None:
+                    return plan
             notes.append(
-                f"no {M}-member spread of {r}-dimensional totally singular "
-                "subspaces admits a layered block here; degrading to the "
-                "trivial point spread with a transversal block"
+                "literal cyclic block is not sharply transitive on any "
+                "totally singular base orbit (construction mismatch)"
             )
-    if plan is None:
-        plan = _try_transversal(space, L, det1)
-    plan.notes = notes + plan.notes
-    # the plan is cached, so every caller shares its generators
-    for layer in plan.layers:
-        layer[1].setflags(write=False)
-    return plan
+            # M = q^k + 1 is even; a twisted layering starts from a base
+            # whose orbit is a partial spread of M / 2 members
+            halves = _spread_orbits(fq, orbits, M // 2)
+            if len(halves):
+                # every point of a totally singular base is singular
+                points = [{v.tobytes() for v in P} for P in spr.span_points(fq, bases)]
+            twisted = notes + ["using twisted layering: half torus orbit times an orbit-moving twist element"]
+            for i in halves:
+                plan = _try_twisted(space, lit, i, orbits, L, moves, points, twisted)
+                if plan:
+                    return plan
+    notes.append(
+        f"no {M}-member spread of {r}-dimensional totally singular "
+        "subspaces admits a layered block here; degrading to the "
+        "trivial point spread with a transversal block"
+    )
+    return _try_transversal(space, L, det1, notes)
 
 
 # ----------------------------------------------------------------------
@@ -630,7 +606,7 @@ class _TablePlan(_Plan):
     """The record and decoder of a base level, and the front or stabilizer
     table of a stage: the blocks and the table of all their products
     (small groups only), keyed by the entry bytes of the products in the
-    frame they are looked up in."""
+    frame they are looked up in.  Its arrays are read-only."""
 
     fq: FqContext
     n: int
@@ -640,6 +616,7 @@ class _TablePlan(_Plan):
                        # has more than max(FRONT_ORDER, q + 1) < 2^15 elements
 
     def __post_init__(self):
+        read_only((self.blocks, self.mats, self.ivs))
         object.__setattr__(self, "_rows", dict(zip(_keys(self.mats).tolist(), range(len(self.mats)))))
 
     @property
@@ -708,7 +685,10 @@ class _StagePlan(_Plan):
     E(-u) on the same row.  hw = E(u) d(lam) (1 + 1 + ysub) exactly when the
     border (rows and columns 0 and R) of Y = E(-u) hw, one gathered
     product, is that of d(lam), and ysub = Y[SP, SP] is decoded by `sub`.
-    A copy `framed` by C keeps the record's own fields as built.
+    A copy `framed` by C keeps the record's own fields as built.  Every
+    array of the record, and of each framed copy, is read-only; so are its
+    derived arrays, set with the dicts the one-element path reads in
+    `__post_init__`.
 
     The `front` table (FRONT_ORDER) answers its elements before the point
     is found, and the rest go down the stage path, so a non-member fails
@@ -752,10 +732,6 @@ class _StagePlan(_Plan):
     def fq(self):
         return self.space.fq
 
-    @cached_property
-    def width(self):
-        return self.bounds[2] + self.sub.width
-
     def __post_init__(self):
         fq, n, R = self.space.fq, self.space.n, self.R
         # flat positions in hw: the border, column 0 first, and Y[SP, SP]
@@ -766,17 +742,19 @@ class _StagePlan(_Plan):
         # the border of d(lam) = diag(lam at 0, lam^-1 at R), one row per lam
         d = np.tile(fq.identity(n).reshape(1, -1), (fq.q, 1))
         d[:, 0], d[:, R * (n + 1)] = np.arange(fq.q), fq.INV
-        for name, value in {"_points": dict(zip(_keys(self.vectors).tolist(), self.point.tolist())),
-                            "_border_pos": border, "_residue_pos": (self.SP[:, None] * n + self.SP).ravel(),
-                            "_d_border": d[:, border], "_d_bytes": _keys(d[:, border]).tolist()}.items():
+        # _siegel_rows, the one-element index of the Siegel table, maps the
+        # bytes of column R of each E(u), which is lam hw[:, R] when
+        # hw = E(u) d(lam) y, to the row of u
+        derived = {"width": self.bounds[2] + self.sub.width,
+                   "_points": dict(zip(_keys(self.vectors).tolist(), self.point.tolist())),
+                   "_siegel_rows": dict(zip(_keys(self.siegel[:, :, R]).tolist(), range(len(self.siegel)))),
+                   "_border_pos": border, "_residue_pos": (self.SP[:, None] * n + self.SP).ravel(),
+                   "_d_border": d[:, border], "_d_bytes": tuple(_keys(d[:, border]).tolist())}
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-    @cached_property
-    def _siegel_rows(self):
-        """The one-element index of the Siegel table: a dict from the bytes
-        of column R of each E(u), which is lam hw[:, R] when
-        hw = E(u) d(lam) y, to the row of u."""
-        return dict(zip(_keys(self.siegel[:, :, self.R]).tolist(), range(len(self.siegel))))
+        # not through vars(self), which would materialise the instance dict
+        # and slow every later attribute read
+        read_only([*(getattr(self, f.name) for f in dc_fields(self)), *derived.values()])
 
     def framed(self, C, Cinv):
         fq = self.space.fq
@@ -1103,7 +1081,7 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
     mid_pos, mid_space = _middle_space(space, k)
     thetas = [fq.gf.from_coeffs([0] * t + [1]) for t in range(fq.e)]
     for i in range(k):
-        upos = [j for j in range(k) if j != i] + mid_pos
+        upos = [j for j in range(k) if j != i] + list(mid_pos)
         U = np.zeros((len(upos), fq.e, n), dtype=np.int16)
         for a, pos in enumerate(upos):
             U[a, :, pos] = thetas
@@ -1139,10 +1117,10 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
 @cache
 def _middle_space(space: QuadraticSpace, k: int):
     """The positions of the Witt vectors outside the first k hyperbolic
-    pairs and the space they span (None below dimension 2), built once per
-    space and k so that its isometry group is enumerated once."""
+    pairs, a tuple, and the space they span (None below dimension 2), built
+    once per space and k so that its isometry group is enumerated once."""
     R, n = space.witt_index, space.n
-    mid_pos = list(range(k, R)) + list(range(R + k, 2 * R)) + list(range(2 * R, n))
+    mid_pos = (*range(k, R), *range(R + k, 2 * R), *range(2 * R, n))
     if len(mid_pos) < 2:
         return mid_pos, None
     mid_gram = np.ascontiguousarray(space.gram[np.ix_(mid_pos, mid_pos)])
@@ -1294,7 +1272,7 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
     factorization.  In both modes a signature that names a group of
     closed-form order must claim that order.
     """
-    bound = min_length_bound(ls.claimed_order).bound
+    bound = min_length_bound(ls.claimed_order)
     length = ls.length
     notes = []
     projective = ls.group is not None and ls.group.projective
@@ -1423,6 +1401,6 @@ def _sampled_through_canonical(ls, samples, seed, rng, space, notes):
             if other != iv:
                 collisions.append({"iv": iv, "other": other})
     valid = not collisions and bad == 0 and order_ok
-    bound = min_length_bound(ls.claimed_order).bound
+    bound = min_length_bound(ls.claimed_order)
     return VerifyReport(valid, "sampled", ls.length, bound, valid and ls.length == bound,
                         ls.claimed_order, samples, collisions, bad, seed, notes)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import (
     FieldError, FqContext, _mat_pow, check_field_size, companion_powers, first_primitive, fq_context, is_int,
-    product_rows, smallest_irreducible, split_prime_power,
+    product_rows, read_only, smallest_irreducible, split_prime_power,
 )
 
 
@@ -240,9 +240,7 @@ def singer_generator(k: int, fq: FqContext) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        A = np.array([[fq.generator]], dtype=np.int16)
-        A.setflags(write=False)
-        return A
+        return read_only(np.array([[fq.generator]], dtype=np.int16))
     p, e = fq.p, fq.e
     d = e * k
     cpow = companion_powers(smallest_irreducible(p, d), p)  # C^0, .., C^(d-1)
@@ -267,8 +265,7 @@ def singer_generator(k: int, fq: FqContext) -> np.ndarray:
     y = fq_context(p, 1).solve(np.array(cols, dtype=np.int16).T, last.astype(np.int16))
     A = np.eye(k, k=-1, dtype=np.int16)
     A[:, -1] = y.reshape(k, e).astype(np.int64) @ p ** np.arange(e)
-    A.setflags(write=False)
-    return A
+    return read_only(A)
 
 
 def powers(fq: FqContext, x, s: int):

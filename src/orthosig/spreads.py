@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from .fields import FqContext, projective_points
+from .fields import FqContext, projective_points, read_only
 from .matgroups import closure, powers, singer_generator
 
 
@@ -107,11 +107,12 @@ _PAIR_CHUNK = 4096
 
 
 class PartialSpread:
-    """r-spaces that pairwise meet trivially, as one (s, r, n) int16 stack
-    `members` of their echelon bases; duplicate members are rejected."""
+    """r-spaces that pairwise meet trivially, as one read-only (s, r, n)
+    int16 stack `members` of their echelon bases, a copy of those given;
+    duplicate members are rejected."""
 
     def __init__(self, members, fq: FqContext):
-        self.members = np.asarray(members, dtype=np.int16)
+        self.members = read_only(np.array(members, dtype=np.int16, order="C"))
         self.fq = fq
         keys = [B.tobytes() for B in self.members]
         if len(set(keys)) != len(keys):

@@ -163,7 +163,7 @@ def test_criterion_4_exhaustive_validity_and_minimality():
         desc = descriptor(fam, q, n=n)
         ls = canonical_ls(desc)
         rep = verify_ls(ls, "exhaustive")
-        bound = min_length_bound(order).bound
+        bound = min_length_bound(order)
         # cross-check against the reflection-generated closure oracle
         space = space_for(desc)
         closure = enumerate_isometry_group(space, "O")
@@ -208,7 +208,7 @@ def test_criterion_6_quotients():
         ls = canonical_ls(descriptor(fam, 3, n=4))
         pls = project_ls(ls)
         rep = verify_ls(pls, "exhaustive")
-        bound = min_length_bound(target).bound
+        bound = min_length_bound(target)
         ok = rep.valid and pls.claimed_order == target and pls.length == bound
         all_ok &= ok
         details.append(f"P{fam}4(3): order {pls.claimed_order}, length {pls.length} = bound {bound}")

@@ -933,3 +933,18 @@ def test_bench_fields_script_prints_one_row_per_field_and_operation():
     assert [(row.split()[0], " ".join(row.split()[1:-1])) for row in rows] == \
         [(field, op) for field in ("F_3", "F_5", "F_9") for op in ops]
     assert all(float(row.split()[-1]) > 0 for row in rows)
+
+
+def test_a_signature_without_decoding_tables_is_named_as_such(tmp_path, capsys):
+    # the canonical even-n PSO signature has no decoder: factor and
+    # pgm-demo exit 2 and say so, without calling it non-canonical
+    from orthosig.cli import main
+
+    path = tmp_path / "PSO-4(3).json"
+    assert main(["construct", "--family", "PSO-", "--q", "3", "--m", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["factor", "--in", str(path), "--rank", "5"], ["pgm-demo", "--family", "PSO+", "--q", "3", "--n", "4"]):
+        assert main(argv) == 2
+        doc, summary = parse_stdout(capsys.readouterr().out)
+        assert doc["error"] == "signature carries no decoding tables"
+        assert summary == ["# error: signature carries no decoding tables"]

@@ -3,8 +3,8 @@ in that file, every private function or class of the package is used
 somewhere in it, every public function is used by the program, a script,
 the README or the acceptance tests, a signature gets its plan and product
 tables from `LogSignature.from_stacks` alone, a `Mat` is built only where
-one element crosses the edge of the package, no dataclass compares arrays in its `==`, and every trace
-target of the benchmark names a function the package defines."""
+one element crosses the edge of the package, no dataclass compares arrays in its `==`, the package
+caches by one rule, and every trace target of the benchmark names a function the package defines."""
 
 import ast
 import importlib
@@ -320,6 +320,71 @@ def test_the_scan_finds_a_dataclass_that_compares_arrays():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dataclass_compares_arrays(path):
     assert array_comparing_dataclasses(path.read_text()) == []
+
+
+AD_HOC_CACHES = {"cached_property", "lru_cache"}
+
+
+def caches_outside_the_rule(source: str) -> list[str]:
+    """Lines that cache outside the package's one rule: an import or a use
+    of `cached_property` or `lru_cache`, and a store to an attribute of
+    `self` (assigned, augmented, or by `setattr` or `object.__setattr__`)
+    in a method other than `__init__` and `__post_init__`.  A value of
+    hashable inputs is a `functools.cache` function or method, and a value
+    derived from a record's fields is set once where the record is made."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        used = node.name if isinstance(node, ast.alias) else getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, (ast.alias, ast.Name, ast.Attribute)) and used in AD_HOC_CACHES:
+            found.append((node.lineno, used))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.args.args \
+                and node.args.args[0].arg == "self" and node.name not in ("__init__", "__post_init__"):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) \
+                        and getattr(sub.value, "id", None) == "self":
+                    found.append((sub.lineno, f"self.{sub.attr} set in {node.name}"))
+                elif isinstance(sub, ast.Call) and ast.unparse(sub.func) in ("setattr", "object.__setattr__") \
+                        and sub.args and getattr(sub.args[0], "id", None) == "self":
+                    found.append((sub.lineno, f"{ast.unparse(sub.func)}(self, ..) in {node.name}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_scan_finds_a_cache_outside_the_rule():
+    src = (
+        "from functools import cached_property, lru_cache as lc, cache\n"
+        "import functools\n"
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.x = 1\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'y', 2)\n"
+        "    @cached_property\n"
+        "    def z(self):\n"
+        "        return 3\n"
+        "    @functools.lru_cache\n"
+        "    def w(self):\n"
+        "        self._memo = 4\n"
+        "        self.n += 1\n"
+        "        setattr(self, 'v', 5)\n"
+        "        object.__setattr__(self, 'u', 6)\n"
+        "        other.t = self.table[0] = 7\n"
+        "        return self._memo\n"
+        "    @cache\n"
+        "    def points(self):\n"
+        "        return make(self.n)\n"
+        "def build(ls, plan):\n"
+        "    object.__setattr__(ls, 'plan', plan)\n"
+    )
+    assert caches_outside_the_rule(src) == [
+        "line 1: cached_property", "line 1: lru_cache", "line 8: cached_property", "line 11: lru_cache",
+        "line 13: self._memo set in w", "line 14: self.n set in w", "line 15: setattr(self, ..) in w",
+        "line 16: object.__setattr__(self, ..) in w",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_package_caches_by_one_rule(path):
+    assert caches_outside_the_rule(path.read_text()) == []
 
 
 def test_every_trace_target_resolves():

@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 from functools import reduce
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -36,11 +37,11 @@ from orthosig.spreads import CyclicOrbits, NotAPartialSpread, PartialSpread, act
 
 
 def test_min_length_bound():
-    assert min_length_bound(1).bound == 0
-    assert min_length_bound(8).bound == 6
-    assert min_length_bound(1440).bound == 21
-    assert min_length_bound(48).bound == 11
-    assert min_length_bound(1152).bound == 20
+    assert min_length_bound(1) == 0
+    assert min_length_bound(8) == 6
+    assert min_length_bound(1440) == 21
+    assert min_length_bound(48) == 11
+    assert min_length_bound(1152) == 20
 
 
 # ---------------------------------------------------------------- cyclic sets
@@ -191,7 +192,7 @@ def test_stage_assembly_inverts_once_per_cyclic_generator(monkeypatch):
     # built cold, a stage inverts no generator and takes no powers one at a
     # time: the strips come from one stacked isometry inverse of the head
     # products, and the cyclic blocks from running powers
-    from orthosig.lscore import _spread_construction, ts_subspace_transporters
+    from orthosig.lscore import _spread_construction
 
     calls = {"inv": 0, "pow": 0}
 
@@ -204,7 +205,7 @@ def test_stage_assembly_inverts_once_per_cyclic_generator(monkeypatch):
     monkeypatch.setattr(Mat, "inv", counted("inv", Mat.inv))
     monkeypatch.setattr(Mat, "pow", counted("pow", Mat.pow))
     for fam, q, n in [("O+", 3, 6), ("Oodd", 3, 5), ("O+", 5, 4), ("O-", 9, 4)]:
-        for cached in (canonical_ls, _spread_construction, ts_subspace_transporters):
+        for cached in (canonical_ls, _spread_construction):
             cached.cache_clear()
         calls.update(inv=0, pow=0)
         canonical_ls(descriptor(fam, q, n=n))
@@ -304,7 +305,7 @@ def test_canonical_orders_and_lengths(fam, q, n, order, length):
     ls = canonical_ls(descriptor(fam, q, n=n))
     assert ls.claimed_order == order
     assert ls.length == length
-    assert length == min_length_bound(order).bound
+    assert length == min_length_bound(order)
 
 
 def test_canonical_exhaustive_o2minus():
@@ -527,7 +528,7 @@ def test_bound_additivity(s):
     # the bound is additive over factorizations: bound(a*b) = bound(a) + bound(b)
     a = s
     b = 2 * s + 1
-    assert min_length_bound(a * b).bound == min_length_bound(a).bound + min_length_bound(b).bound
+    assert min_length_bound(a * b) == min_length_bound(a) + min_length_bound(b)
 
 
 def test_parabolic_so_variant():
@@ -991,6 +992,105 @@ def test_every_level_record_holds_its_signature_blocks_read_only(fam, q, n):
                 S[0, 0, 0] = 1
         rec, levels = rec.sub if isinstance(rec, _StagePlan) else None, levels + 1
     assert levels == (n + 1) // 2
+
+
+def test_a_cached_stage_record_cannot_be_edited():
+    # canonical_ls hands every caller one record: a zeroed head table once
+    # sent the element of rank 1234 to the wrong digits, with no error
+    from orthosig.factorize import compose, tame_factor, unrank
+
+    ls = canonical_ls(descriptor("O+", 5, n=4))
+    iv = unrank(1234, ls)
+    g = compose(iv, ls)
+    with pytest.raises(ValueError, match="read-only"):
+        ls.plan.head[:] = 0
+    assert tame_factor(g, ls) == iv == (0, 2, 1, 0, 4, 1, 1, 0, 0, 0, 0)
+
+
+def test_cached_product_tables_cannot_be_edited():
+    # one written row of a cached table once turned exhaustive verification
+    # of the canonical signature from VALID to INVALID
+    ls = canonical_ls(descriptor("O-", 3, n=4))
+    tables = ls.tables.tables
+    with pytest.raises(ValueError, match="read-only"):
+        tables[0][1] = tables[0][0]
+    with pytest.raises(TypeError):
+        tables[0] = tables[0][:1]
+    assert verify_ls(ls, "exhaustive").valid
+
+
+def mutable_parts(root, path):
+    """Where something reachable from root can be edited in place: each
+    writable array, and each list, dict or set that a public attribute, a
+    tuple or a read-only mapping holds.  The walk enters tuples,
+    frozensets, read-only mappings and the objects of the package (their
+    attributes and slots); a private list or dict of an object, which only
+    its own methods read, is not entered."""
+    found, seen = [], set()
+
+    def visit(v, path):
+        if id(v) in seen:
+            return
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            if v.flags.writeable:
+                found.append(path)
+        elif isinstance(v, (list, dict, set)):
+            found.append(path)
+        elif isinstance(v, (tuple, frozenset)):
+            for i, x in enumerate(v):
+                visit(x, f"{path}[{i}]")
+        elif isinstance(v, MappingProxyType):
+            for k, x in v.items():
+                visit(x, f"{path}[{k!r}]")
+        elif type(v).__module__.startswith("orthosig."):
+            for name in [*getattr(v, "__dict__", ()), *getattr(type(v), "__slots__", ())]:
+                x = getattr(v, name)
+                if not (name.startswith("_") and isinstance(x, (list, dict))):
+                    visit(x, f"{path}.{name}")
+
+    visit(root, path)
+    return found
+
+
+def test_the_walk_finds_what_can_be_edited():
+    fq = fq_context(3, 1)
+    sp = PartialSpread([[[1, 0]]], fq)
+    sp.members, sp.notes, sp._index = np.zeros(2), ("a", ["b"]), {}
+    ls = LogSignature(None, [(Mat(fq, np.eye(2)),)], 1, {"k": 1})
+    assert mutable_parts((sp, ls), "x") == ["x[0].members", "x[0].notes[1]", "x[1].blocks", "x[1].meta"]
+
+
+# (family, q, n), the shape of the signature and the table its record
+# holds: the front table of a small group, the stabilizer table, the Siegel
+# path alone, a base case's table, or no record (a projected signature)
+WALKED = [("O-", 3, 4, "twisted", "front"), ("O+", 5, 4, "literal", "stab"), ("O-", 9, 4, "twisted", "siegel"),
+          ("O+", 3, 6, "transversal", "siegel"), ("Oodd", 3, 5, "transversal", "stab"),
+          ("O-", 3, 2, "base", "table"), ("PSO-", 3, 4, "twisted", None)]
+
+
+@pytest.mark.parametrize("fam,q,n,shape,table", WALKED)
+def test_what_the_caches_hand_out_is_read_only(fam, q, n, shape, table):
+    # every cache hands out what every later caller shares: no writable
+    # array and no public list or dict is reachable from any of it
+    from orthosig.forms import omega_oracle, reflections
+    from orthosig.lscore import _StagePlan
+
+    desc = descriptor(fam, q, n=n)
+    space, ls = space_for(desc), canonical_ls(desc)
+    fq = space.fq
+    handed = {"fq_context": fq_context(fq.p, fq.e), "space_for": space, "reflections": reflections(space),
+              "singer_generator": [singer_generator(k, fq) for k in (1, 2, n)],
+              "spread_construction": spread_construction(space, fam), "canonical_ls": ls}
+    if group_order(desc.with_base("O")) <= 1440:
+        handed.update(enumerate_isometry_group=[enumerate_isometry_group(space, f) for f in ("O", "SO")],
+                      omega_oracle=omega_oracle(space))
+    for name, value in handed.items():
+        assert mutable_parts(tuple(value) if isinstance(value, list) else value, name) == []
+    plan = ls.plan
+    held = (None if plan is None else "table" if not isinstance(plan, _StagePlan)
+            else "front" if plan.front is not None else "stab" if plan.stab is not None else "siegel")
+    assert (ls.meta["shape"], held) == (shape, table)
 
 
 def test_verify_rejects_a_group_past_the_envelope_instead_of_skipping_membership():

@@ -378,19 +378,31 @@ def test_schreier_transversal_stops_at_the_closed_form_size(kind, q, m, det1):
     assert [M.tobytes() for M in moves] == [g.key for g in want.values()]
 
 
-def test_ts_subspace_transporters_are_read_only_stacks():
-    # the cached transversal is shared by every caller: the orbit bases and
-    # their transporters are two stacks that cannot be edited in place
-    from orthosig.lscore import ts_subspace_transporters
+def test_a_cached_spread_plan_is_frozen(capsys):
+    # spread_construction hands every caller the one plan of the space: a
+    # note appended to it once reached the stdout of the next spread-check
+    # in the same process
+    from dataclasses import FrozenInstanceError
 
-    s = build_space("plus", fq_context(3, 1), 2)
-    bases, moves = ts_subspace_transporters(s, False)
-    assert bases is ts_subspace_transporters(s, False)[0]
-    assert bases.dtype == moves.dtype == np.int16
-    assert bases.shape == (len(moves), 2, 4) and moves.shape[1:] == (4, 4)
-    for X in (bases, moves):
-        with pytest.raises(ValueError):
-            X[0, 0, 0] = 2
+    from orthosig.cli import main
+    from orthosig.lscore import space_for, spread_construction
+
+    argv = ["spread-check", "--kind", "minus", "--q", "3", "--m", "2"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    plan = spread_construction(space_for(descriptor("O-", 3, m=2)), "O-")
+    with pytest.raises(AttributeError):
+        plan.notes.append("edited")
+    with pytest.raises(FrozenInstanceError):
+        plan.notes += ("edited",)
+    with pytest.raises(TypeError):
+        plan.partition["ok"] = False
+    # the twisted layers of O-4(3): the literal generator and a transporter
+    for X in (plan.W0, plan.members.members, *(layer[1] for layer in plan.layers)):
+        with pytest.raises(ValueError, match="read-only"):
+            X[(0,) * X.ndim] = 2
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 def _pairwise_reference(fq, members):
