@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
 """Time the field arithmetic that the decoder and the builders lean on:
+the cold construction of the field (`FqContext(p, e)` outside the
+`fq_context` cache: its primitive element and every table, the modulus
+coming from the `smallest_irreducible` cache),
 `FqContext.mat_mul` on one pair of 6x6 matrices, on a stack of 25 and on
 a stack of 4096 (each times one matrix), `rref` of one 6x12 matrix and of
 a stack of 4096, and `v_scale` of one 6-vector, over F_3, F_5 and F_9.
@@ -16,7 +19,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from orthosig.fields import fq_context  # noqa: E402
+from orthosig.fields import FqContext, fq_context  # noqa: E402
 
 FIELDS = [(3, 1), (5, 1), (3, 2)]
 N = 6
@@ -33,6 +36,7 @@ def rows(fq, rng):
     def codes(*shape):
         return rng.integers(0, fq.q, shape).astype(np.int16)
 
+    yield "FqContext cold", best_us(lambda: FqContext(fq.p, fq.e), 20)
     B = codes(N, N)
     for name, A, number in [("mat_mul pair", codes(N, N), 4000), ("mat_mul stack 25", codes(25, N, N), 1000),
                             ("mat_mul stack 4096", codes(4096, N, N), 4)]:

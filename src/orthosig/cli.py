@@ -22,6 +22,7 @@ from .fields import fq_context, projective_points
 from .lscore import (
     EXHAUSTIVE_BUDGET,
     canonical_ls,
+    check_exhaustive_budget,
     min_length_bound,
     parabolic_ls,
     space_for,
@@ -293,7 +294,11 @@ def cmd_project(args):
     desc = _descriptor(args)
     if desc.base_family() != "SO":
         return _report(args, {"error": "project starts from an SO family"}, ["unsupported"], 2)
-    pls = canonical_ls(desc.with_base("PSO"))
+    pdesc = desc.with_base("PSO")
+    # refused before the build as verify_ls refuses: envelope, then budget
+    space_for(pdesc)
+    check_exhaustive_budget(group_order(pdesc), args.budget)
+    pls = canonical_ls(pdesc)
     rep = verify_ls(pls, mode="exhaustive", budget=args.budget)
     if args.out:
         save_ls(pls, args.out)

@@ -8,7 +8,7 @@ serialized artifacts reproduce across runs and machines; a candidate
 modulus or primitive element is tested by matrix powers in F_p[C], C the
 companion matrix of a modulus.  Larger fields are never tabulated: the
 geometry works in F_q[A], A a Singer matrix (`matgroups.singer_generator`).
-Every Gaussian elimination over F_q is `FqContext.rref`, stacked.
+Each F_q is one `FqContext`, whose `rref` is every Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -194,102 +194,6 @@ def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------
-
-
-class GF:
-    """F_{p^d} with elements as integer codes.
-
-    Every table is linear in the order n = p^d: `digits` (n x d int16, the
-    base-p digits of each code), `exp` (n - 1 int64, the powers of the
-    primitive element `alpha`), `log` (n int64, -1 at 0) and `neg_table`
-    (n int64), all read-only, as one `GF` per field is shared (`_gf`).
-    Addition goes through the digits; multiplication, inversion and powers
-    through `log`/`exp`.
-    """
-
-    def __init__(self, p: int, d: int):
-        if not is_prime(p):
-            raise FieldError(f"p = {p} is not prime")
-        self.p = p
-        self.d = d
-        self.order = p ** d
-        self.modulus = smallest_irreducible(p, d)
-        n = self.order
-        self._pvec = np.array([p ** i for i in range(d)], dtype=np.int64)
-        digs = np.empty((n, d), dtype=np.int16)
-        tmp = np.arange(n, dtype=np.int64)
-        for i in range(d):
-            digs[:, i] = tmp % p
-            tmp //= p
-        self.digits = digs
-        powers = companion_powers(self.modulus, p)
-        self.alpha = int(first_primitive(p, powers) @ self._pvec)
-        # exp[k] = code of alpha^k ; log[code] = k.  The coefficient vectors
-        # of alpha^0..alpha^(n-1) come from M_alpha, the F_p matrix of
-        # x -> alpha x, doubling the computed run with each matrix power.
-        A = np.tensordot(digs[self.alpha], powers, 1) % p
-        vecs = np.zeros((1, d), dtype=np.int64)
-        vecs[0, 0] = 1
-        while len(vecs) < n:
-            vecs = np.concatenate([vecs, (vecs @ A.T) % p])
-            A = (A @ A) % p
-        codes = vecs[:n] @ self._pvec
-        if codes[n - 1] != 1:
-            raise FieldError("primitive element scan failed")  # pragma: no cover
-        self.exp = codes[:n - 1]
-        self.log = np.full(n, -1, dtype=np.int64)
-        self.log[self.exp] = np.arange(n - 1)
-        self.neg_table = ((p - digs) % p) @ self._pvec
-        read_only((self._pvec, self.digits, self.exp, self.log, self.neg_table))
-
-    # -- arithmetic on codes
-
-    def add(self, a, b):
-        return int(((self.digits[a] + self.digits[b]) % self.p) @ self._pvec)
-
-    def neg(self, a):
-        return int(self.neg_table[a])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(self.log[a] + self.log[b]) % (self.order - 1)])
-
-    def inv(self, a):
-        if a == 0:
-            raise FieldError("inversion of zero")
-        return int(self.exp[(-self.log[a]) % (self.order - 1)])
-
-    def pow(self, a, k):
-        if a == 0:
-            if k == 0:
-                return 1
-            if k < 0:
-                raise FieldError("inversion of zero")
-            return 0
-        return int(self.exp[(self.log[a] * k) % (self.order - 1)])
-
-    def coeffs(self, a) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.digits[a])
-
-    def from_coeffs(self, coeffs) -> int:
-        """The code of sum c_i x^i; every c_i must be an int in [0, p)."""
-        if len(coeffs) > self.d:
-            raise FieldError("coefficient vector too long")
-        if not all(is_int(c) and 0 <= c < self.p for c in coeffs):
-            raise FieldError(f"coefficients must lie in [0, {self.p}), got {list(coeffs)}")
-        return int(sum(c * self.p ** i for i, c in enumerate(coeffs)))
-
-
-@cache
-def _gf(p: int, d: int) -> GF:
-    return GF(p, d)
-
-
-# ----------------------------------------------------------------------
 # the parameter envelope: F_q, and the dimension of V = F_q^2m
 
 def table_bytes_per_entry(e: int) -> int:
@@ -339,13 +243,19 @@ def check_tower_size(q: int, m: int) -> tuple[int, int]:
 
 
 class FqContext:
-    """Matrix/vector arithmetic context over F_q = F_{p^e}.
+    """The field F_q = F_{p^e} and its matrix/vector arithmetic.
 
-    Entry codes are ints in [0, q).  The gather tables are int16: `ADD` and
-    `MUL` are q x q, `NEG` and `INV` (0 at 0) have q entries; all four are
-    built with numpy from the digits and log/exp tables of `gf`.  Every
-    table is read-only, as the context is shared by every caller in the
-    process (`fq_context`).
+    Entry codes are ints in [0, q): the base-p digits of a code, low degree
+    first, are its coefficients in the power basis of `modulus`, the
+    lex-smallest monic irreducible of degree e (`smallest_irreducible`).
+    `generator` is the code of the first primitive element alpha
+    (`first_primitive`).  The context holds `digits` (q x e int16, the
+    digits of each code), `exp` (q - 1 int64, the codes of alpha^k) and
+    `log` (q int64, -1 at 0), and from them the int16 gather tables: `ADD`
+    and `MUL` are q x q, `NEG` and `INV` (0 at 0) have q entries.  `add`,
+    `mul`, `neg` and `inv` read one entry each; they are the scalar
+    arithmetic of the package.  Every table is read-only, as the context is
+    shared by every caller in the process (`fq_context`).
 
     For e = 1 vectors and matrices are plain numpy integers read back
     through `RES`, RES[v] = v mod p for every int16 v (2^16 entries, a
@@ -370,22 +280,47 @@ class FqContext:
 
     def __init__(self, p: int, e: int):
         check_field_size(p ** e)
+        if not is_prime(p):
+            raise FieldError(f"p = {p} is not prime")
         self.p = p
         self.e = e
-        self.q = p ** e
-        self.gf = gf = _gf(p, e)
+        self.q = q = p ** e
         self.fast = (e == 1)
-        q = self.q
-        digs = gf.digits
+        self.modulus = smallest_irreducible(p, e)
+        pvec = p ** np.arange(e, dtype=np.int64)
+        digs = np.empty((q, e), dtype=np.int16)
+        tmp = np.arange(q, dtype=np.int64)
+        for i in range(e):
+            digs[:, i] = tmp % p
+            tmp //= p
+        self.digits = digs
+        powers = companion_powers(self.modulus, p)
+        alpha = first_primitive(p, powers)
+        self.generator = int(alpha @ pvec)
+        # exp[k] = code of alpha^k ; log[code] = k.  The coefficient vectors
+        # of alpha^0..alpha^(q-1) come from M_alpha, the F_p matrix of
+        # x -> alpha x, doubling the computed run with each matrix power.
+        A = np.tensordot(alpha, powers, 1) % p
+        vecs = np.zeros((1, e), dtype=np.int64)
+        vecs[0, 0] = 1
+        while len(vecs) < q:
+            vecs = np.concatenate([vecs, (vecs @ A.T) % p])
+            A = (A @ A) % p
+        codes = vecs[:q] @ pvec
+        if codes[q - 1] != 1:
+            raise FieldError("primitive element scan failed")  # pragma: no cover
+        self.exp = codes[:q - 1]
+        self.log = np.full(q, -1, dtype=np.int64)
+        self.log[self.exp] = np.arange(q - 1)
         # digit by digit, so no (q, q, e) temporary is built
         self.ADD = np.zeros((q, q), dtype=np.int16)
         for i in range(e):
             self.ADD += ((digs[:, None, i] + digs[None, :, i]) % p) * np.int16(p ** i)
-        log = gf.log.astype(np.int32)
-        exp = gf.exp.astype(np.int16)
+        log = self.log.astype(np.int32)
+        exp = self.exp.astype(np.int16)
         self.MUL = exp[(log[:, None] + log[None, :]) % (q - 1)]
         self.MUL[0] = self.MUL[:, 0] = 0
-        self.NEG = gf.neg_table.astype(np.int16)
+        self.NEG = (p - digs) % p @ pvec.astype(np.int16)
         self.INV = exp[-log % (q - 1)]
         self.INV[0] = 0
         if e > 1:
@@ -402,9 +337,8 @@ class FqContext:
             self.RES = np.arange(2 ** 16, dtype=np.uint16).view(np.int16)
             np.remainder(self.RES, p, out=self.RES)
             tables = [self.RES]
-        read_only([self.ADD, self.MUL, self.NEG, self.INV, *tables])
-        self.two_inv = self.gf.inv(2 % q if self.p != 2 else 1)
-        self.generator = gf.alpha
+        read_only([self.digits, self.exp, self.log, self.ADD, self.MUL, self.NEG, self.INV, *tables])
+        self.two_inv = self.inv(2 % q if p != 2 else 1)
         # a product s u of two codes fits int16 below p = 182, and a sum of
         # n of them for n up to `int16_width`: n (p - 1)^2 < 2^15
         self.int16_products = p <= 181
@@ -424,6 +358,17 @@ class FqContext:
         if a == 0:
             raise FieldError("inversion of zero")
         return int(self.INV[a])
+
+    def coeffs(self, a) -> tuple[int, ...]:
+        return tuple(self.digits[a].tolist())
+
+    def from_coeffs(self, coeffs) -> int:
+        """The code of sum c_i x^i; every c_i must be an int in [0, p)."""
+        if len(coeffs) > self.e:
+            raise FieldError("coefficient vector too long")
+        if not all(is_int(c) and 0 <= c < self.p for c in coeffs):
+            raise FieldError(f"coefficients must lie in [0, {self.p}), got {list(coeffs)}")
+        return int(sum(c * self.p ** i for i, c in enumerate(coeffs)))
 
     # -- vectors (1-d int16 arrays of codes)
     def v_add(self, u, v):

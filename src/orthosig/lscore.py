@@ -447,9 +447,10 @@ def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
     that walk are tried as twisted layerings, and finally the always-valid
     transversal over the trivial point spread is taken.  On the hyperbolic
     plane, where no literal recipe applies, the first generator of the
-    family that swaps the two singular points is the cyclic block.  Only
-    the determinant condition of the family matters, so the plan is built
-    once per space for O and once for SO.
+    family that swaps the two singular points is the cyclic block; SO
+    fixes both, so there it raises LsError.  Only the determinant
+    condition of the family matters, so the plan is built once per space
+    for O and once for SO.
     """
     return _spread_construction(space, split_family(family)[1] == "SO")
 
@@ -473,11 +474,14 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
         img = spr.act_rref(fq, gens, W0)[0]
         back = spr.act_rref(fq, gens, img)[0]
         hit = np.flatnonzero((img != W0).any(axis=(1, 2)) & (back == W0).all(axis=(1, 2)))
-        if len(hit):
-            notes.append("sharply transitive cyclic block found by element scan")
-            plan = _try_cyclic(space, "cyclic", gens[hit[0]], np.stack([W0, img[hit[0]]]), L, notes)
-            if plan:
-                return plan
+        if not len(hit):
+            # nor a point transversal: the group is not transitive on L
+            raise LsError(f"{'SO' if det1 else 'O'} of the hyperbolic plane fixes both singular points, "
+                          "so no block moves one onto the other")
+        notes.append("sharply transitive cyclic block found by element scan")
+        plan = _try_cyclic(space, "cyclic", gens[hit[0]], np.stack([W0, img[hit[0]]]), L, notes)
+        if plan:
+            return plan
     else:
         try:
             desc = GroupDescriptor(family_of("SO" if det1 else "O", space.kind), q, n)
@@ -834,7 +838,7 @@ class _StagePlan(_Plan):
         lam = hw[:, 0, 0]
         u = fq.v_scale(lam[:, None], hw[:, self.SP, self.R])
         # over a prime field a code is its one digit
-        u_digits = u if fq.fast else fq.gf.digits.take(u, axis=0).reshape(k, -1)
+        u_digits = u if fq.fast else fq.digits.take(u, axis=0).reshape(k, -1)
         Y = fq.mat_mul(self.siegel_inv.take(u_digits.dot(self.siegel_weights), axis=0), hw).reshape(k, n * n)
         off = Y.take(self._border_pos, axis=1) != self._d_border.take(lam, axis=0)
         out[rows, siegel:gl1] = u_digits
@@ -973,7 +977,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     SP = np.array(list(range(1, R)) + list(range(R + 1, 2 * R)) + list(range(2 * R, n)))
     # block (pos, theta) holds the maps along u = c theta e_pos, c < p; all
     # of them come from one stacked Eichler map
-    theta_codes = [fq.gf.from_coeffs([0] * i + [1]) for i in range(fq.e)]
+    theta_codes = [fq.from_coeffs([0] * i + [1]) for i in range(fq.e)]
     U = np.zeros((len(SP), fq.e, fq.p, n), dtype=np.int16)
     for i, pos in enumerate(SP):
         U[i, :, :, pos] = fq.MUL[np.ix_(theta_codes, range(fq.p))]
@@ -996,7 +1000,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     gl1, gl1_radices = cyclic_blocks(fq, d_mu, space.q - 1)
     # d(mu)^k has corner mu^k, and mu generates F_q^*: k is the log of the corner
     gl1_digits = np.zeros((space.q, len(gl1_radices)), dtype=np.int64)
-    gl1_digits[1:] = [digits_of(int(k), gl1_radices) for k in fq.gf.log[1:]]
+    gl1_digits[1:] = [digits_of(int(k), gl1_radices) for k in fq.log[1:]]
 
     # recursive tail on the model space of dimension n - 2, from the
     # stacks of its record
@@ -1079,7 +1083,7 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
     # element theta of F_q over F_p, one stacked Eichler map per pair
     gens = []
     mid_pos, mid_space = _middle_space(space, k)
-    thetas = [fq.gf.from_coeffs([0] * t + [1]) for t in range(fq.e)]
+    thetas = [fq.from_coeffs([0] * t + [1]) for t in range(fq.e)]
     for i in range(k):
         upos = [j for j in range(k) if j != i] + list(mid_pos)
         U = np.zeros((len(upos), fq.e, n), dtype=np.int16)
@@ -1260,6 +1264,13 @@ class VerifyReport:
 EXHAUSTIVE_BUDGET = 1_000_000
 
 
+def check_exhaustive_budget(order: int, budget: int) -> None:
+    """Raises LsError when exhaustive verification of a signature of this
+    order would walk more than `budget` products, before it is built."""
+    if order > budget:
+        raise LsError(f"exhaustive verification needs claimed_order <= {budget}")
+
+
 def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
               budget=EXHAUSTIVE_BUDGET) -> VerifyReport:
     """Exhaustive: every index-vector product is distinct, lies in the
@@ -1279,8 +1290,7 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
     # a group past the parameter envelope raises here, before any check
     space = space_for(ls.group) if ls.group is not None else None
     if mode == "exhaustive":
-        if ls.claimed_order > budget:
-            raise LsError(f"exhaustive verification needs claimed_order <= {budget}")
+        check_exhaustive_budget(ls.claimed_order, budget)
         tables = ls.product_tables()
         keys = []
         bad = 0

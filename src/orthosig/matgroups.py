@@ -183,10 +183,9 @@ class Mat:
         return Mat(self.fq, self.fq.mat_pow(self.a, k))
 
     def to_json(self):
-        gf = self.fq.gf
         return {
             "n": self.n,
-            "entries": [[list(gf.coeffs(int(c))) for c in row] for row in self.a],
+            "entries": [[list(self.fq.coeffs(c)) for c in row] for row in self.a],
         }
 
     @staticmethod
@@ -195,10 +194,9 @@ class Mat:
         (`check_matrix_record`) whose every entry is a list of e
         coefficients in [0, p), FieldError otherwise."""
         check_matrix_record(d)
-        gf = fq.gf
-        if any(not isinstance(c, list) or len(c) != gf.d for row in d["entries"] for c in row):
-            raise FieldError(f"every entry needs a list of {gf.d} coefficients")
-        a = [[gf.from_coeffs(c) for c in row] for row in d["entries"]]
+        if any(not isinstance(c, list) or len(c) != fq.e for row in d["entries"] for c in row):
+            raise FieldError(f"every entry needs a list of {fq.e} coefficients")
+        a = [[fq.from_coeffs(c) for c in row] for row in d["entries"]]
         return Mat(fq, np.array(a, dtype=np.int16))
 
 
@@ -252,7 +250,7 @@ def singer_generator(k: int, fq: FqContext) -> np.ndarray:
     sub = product_rows(p, e, 0, fq.q) @ np.array(basis) % p  # the elements of F_q
     mult = np.tensordot(sub, cpow, 1) % p
     value = np.zeros_like(sub)
-    for c in fq.gf.modulus[::-1]:  # Horner, the leading coefficient first
+    for c in fq.modulus[::-1]:  # Horner, the leading coefficient first
         value = (mult @ value[:, :, None])[:, :, 0] % p
         value[:, 0] = (value[:, 0] + c) % p
     theta = np.tensordot(min(sub[~value.any(axis=1)].tolist()), cpow, 1) % p

@@ -378,6 +378,26 @@ def test_project_writes_the_signature_construct_writes(family, q, m, tmp_path, c
     assert projected.read_bytes() == constructed.read_bytes()
 
 
+@pytest.mark.parametrize("argv,budget", [
+    (["--family", "SO+", "--q", "3", "--m", "3"], 1_000_000),
+    (["--family", "SO-", "--q", "3", "--m", "2", "--budget", "359"], 359),
+])
+def test_project_past_the_budget_exits_2_before_building(argv, budget, monkeypatch, capsys):
+    # PSO+6(3) has order 6,065,280 and PSO-4(3) 360: the order is checked
+    # against --budget first, with the message exhaustive verify gives
+    from orthosig import cli
+
+    def build(desc):
+        raise AssertionError(f"{desc.family} was built")
+
+    monkeypatch.setattr(cli, "canonical_ls", build)
+    assert cli.main(["project", *argv]) == 2
+    out = capsys.readouterr().out
+    error = f"exhaustive verification needs claimed_order <= {budget}"
+    assert parse_stdout(out) == ({"command": "project", "error": error, "tool": "orthosig",
+                                  "version": orthosig.__version__}, [f"# error: {error}"])
+
+
 def _swapped_o4_3(tmp_path):
     """The O-4(3) signature with element 1 of blocks 0 and 1 swapped."""
     out = tmp_path / "ls.json"
@@ -929,7 +949,8 @@ def test_bench_fields_script_prints_one_row_per_field_and_operation():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["field", "operation", "µs"]
-    ops = ["mat_mul pair", "mat_mul stack 25", "mat_mul stack 4096", "rref one", "rref stack 4096", "v_scale"]
+    ops = ["FqContext cold", "mat_mul pair", "mat_mul stack 25", "mat_mul stack 4096", "rref one",
+           "rref stack 4096", "v_scale"]
     assert [(row.split()[0], " ".join(row.split()[1:-1])) for row in rows] == \
         [(field, op) for field in ("F_3", "F_5", "F_9") for op in ops]
     assert all(float(row.split()[-1]) > 0 for row in rows)

@@ -402,7 +402,7 @@ def _matrix_path_decode_into(plan, Z, rows, out, errors, col, stats):
     u = fq.v_scale(lam[:, None], hw[:, :, R])
     u[:, [0, R]] = 0
     digits = np.concatenate(
-        [plan.head[pt], fq.gf.digits[u[:, SP]].reshape(len(rows), -1), plan.gl1_digits[lam]], axis=1)
+        [plan.head[pt], fq.digits[u[:, SP]].reshape(len(rows), -1), plan.gl1_digits[lam]], axis=1)
     out[rows, col:col + digits.shape[1]] = digits
     yw = fq.mat_mul(forms.eichler(fq, plan.work_gram, 0, fq.v_neg(u)), hw)
     d = np.broadcast_to(fq.identity(n), yw.shape).copy()

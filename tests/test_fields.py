@@ -67,11 +67,19 @@ def test_moduli_match_their_pins():
 
 
 def test_primitive_elements_and_exp_tables_match_their_pins():
-    from orthosig.fields import GF
+    # alpha of every pinned field through the scan `singer_generator` runs
+    # for F_(q^k); the exp table of every field `fq_context` builds
+    from orthosig.fields import check_field_size, companion_powers, first_primitive
 
     for (p, d), pin in GF_PINS.items():
-        gf = GF(p, d)
-        assert (gf.alpha, hashlib.sha256(gf.exp.tobytes()).hexdigest()) == pin, (p, d)
+        alpha = first_primitive(p, companion_powers(smallest_irreducible(p, d), p))
+        assert int(alpha @ p ** np.arange(d)) == pin[0], (p, d)
+        try:
+            check_field_size(p ** d)
+        except FieldError:
+            continue
+        fq = fq_context(p, d)
+        assert (fq.generator, hashlib.sha256(fq.exp.tobytes()).hexdigest()) == pin, (p, d)
 
 
 def test_smallest_irreducible_does_not_depend_on_the_root_test_stack(monkeypatch):
@@ -86,24 +94,22 @@ def test_smallest_irreducible_does_not_depend_on_the_root_test_stack(monkeypatch
             assert smallest_irreducible.__wrapped__(p, d) == want
 
 
-@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (3, 4), (3, 8)])
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (3, 4), (3, 6)])
 def test_exp_table_matches_repeated_multiplication(p, d):
-    from orthosig.fields import GF
-
-    gf = GF(p, d)
+    fq = fq_context(p, d)
     rng = random.Random(p * 100 + d)
-    alpha = list(gf.coeffs(gf.alpha))
-    for k in [0, 1, 2, gf.order - 2] + [rng.randrange(gf.order - 1) for _ in range(20)]:
+    alpha = list(fq.coeffs(fq.generator))
+    for k in [0, 1, 2, fq.q - 2] + [rng.randrange(fq.q - 1) for _ in range(20)]:
         x, base, e = [1] + [0] * (d - 1), alpha, k
         while e:  # alpha^k by square-and-multiply in coefficient arithmetic
             if e & 1:
-                x = _coeff_mul(p, gf.modulus, x, base)
-            base = _coeff_mul(p, gf.modulus, base, base)
+                x = _coeff_mul(p, fq.modulus, x, base)
+            base = _coeff_mul(p, fq.modulus, base, base)
             e >>= 1
-        code = gf.from_coeffs(x)
-        assert gf.exp[k] == code
-        assert gf.log[code] == k
-    assert sorted(gf.exp.tolist()) == list(range(1, gf.order))
+        code = fq.from_coeffs(x)
+        assert fq.exp[k] == code
+        assert fq.log[code] == k
+    assert sorted(fq.exp.tolist()) == list(range(1, fq.q))
 
 
 # F_{q^k} is F_q[A], A = singer_generator(k, fq): an element x is the
@@ -322,26 +328,37 @@ def test_fq_context_tables():
         assert fq9.mul(a, fq9.inv(a)) == 1
 
 
-def _assert_tables_match_gf(fq, rows):
-    gf = fq.gf
+def _assert_tables_match_coeffs(fq, rows):
+    # against schoolbook arithmetic on coefficient lists (`_coeff_add`,
+    # `_coeff_mul`), which reads none of the tables
+    p, q = fq.p, fq.q
     for t in (fq.ADD, fq.MUL, fq.NEG, fq.INV):
         assert t.dtype.name == "int16"
-    assert fq.NEG.tolist() == [gf.neg(a) for a in range(fq.q)]
-    assert fq.INV.tolist() == [0] + [gf.inv(a) for a in range(1, fq.q)]
+    coeffs = [list(fq.coeffs(a)) for a in range(q)]
+    code = {tuple(c): a for a, c in enumerate(coeffs)}
+    assert fq.NEG.tolist() == [code[tuple((-c) % p for c in x)] for x in coeffs]
     for a in rows:
-        assert fq.ADD[a].tolist() == [gf.add(a, b) for b in range(fq.q)]
-        assert fq.MUL[a].tolist() == [gf.mul(a, b) for b in range(fq.q)]
+        assert fq.ADD[a].tolist() == [code[tuple(_coeff_add(p, coeffs[a], y))] for y in coeffs]
+        assert fq.MUL[a].tolist() == [code[tuple(_coeff_mul(p, fq.modulus, coeffs[a], y))] for y in coeffs]
+    one = [1] + [0] * (fq.e - 1)
+    assert fq.INV[0] == 0
+    assert all(_coeff_mul(p, fq.modulus, x, coeffs[fq.INV[a]]) == one for a, x in enumerate(coeffs) if a)
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+# q = 9, 25, 27, 49, 81, 121, 125: chunks of p + 1 terms, so n > p + 1
+# combines chunks for p = 3, 5, 7
+PACKED_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1)] + PACKED_FIELDS)
 def test_fq_context_tables_match_scalar_gf_on_every_pair(p, e):
     fq = fq_context(p, e)
-    _assert_tables_match_gf(fq, range(fq.q))
+    _assert_tables_match_coeffs(fq, range(fq.q))
 
 
 def test_fq_context_tables_match_scalar_gf_on_sampled_rows_at_191():
     rng = random.Random(191)
-    _assert_tables_match_gf(fq_context(191, 1), [0, 1, 190] + rng.sample(range(2, 190), 12))
+    _assert_tables_match_coeffs(fq_context(191, 1), [0, 1, 190] + rng.sample(range(2, 190), 12))
 
 
 def _coeff_add(p, x, y):
@@ -363,31 +380,17 @@ def _coeff_mul(p, modulus, x, y):
     return prod[:d]
 
 
-@given(st.sampled_from([(3, 2), (3, 4), (3, 6), (5, 4), (7, 2), (3, 8)]),
+@given(st.sampled_from([(3, 2), (3, 4), (3, 6), (5, 4), (7, 2), (3, 5)]),
        st.integers(min_value=0), st.integers(min_value=0))
 def test_gf_scalar_ops_match_coefficient_arithmetic(pd, a, b):
-    from orthosig.fields import _gf
-
     p, d = pd
-    gf = _gf(p, d)
-    a, b = a % gf.order, b % gf.order
-    x, y = list(gf.coeffs(a)), list(gf.coeffs(b))
-    assert list(gf.coeffs(gf.add(a, b))) == _coeff_add(p, x, y)
-    assert list(gf.coeffs(gf.neg(a))) == [(-c) % p for c in x]
-    assert list(gf.coeffs(gf.sub(a, b))) == _coeff_add(p, x, [(-c) % p for c in y])
-    assert list(gf.coeffs(gf.mul(a, b))) == _coeff_mul(p, gf.modulus, x, y)
-
-
-@pytest.mark.parametrize("p,d", [(3, 6), (5, 4)])
-def test_gf_holds_no_table_beyond_order_times_degree(p, d):
-    import numpy as np
-
-    from orthosig.fields import GF
-
-    gf = GF(p, d)
-    arrays = [v for v in vars(gf).values() if isinstance(v, np.ndarray)]
-    assert arrays
-    assert max(a.size for a in arrays) <= gf.order * d
+    fq = fq_context(p, d)
+    a, b = a % fq.q, b % fq.q
+    x, y = list(fq.coeffs(a)), list(fq.coeffs(b))
+    assert list(fq.coeffs(fq.add(a, b))) == _coeff_add(p, x, y)
+    assert list(fq.coeffs(fq.neg(a))) == [(-c) % p for c in x]
+    assert list(fq.coeffs(fq.add(a, fq.neg(b)))) == _coeff_add(p, x, [(-c) % p for c in y])
+    assert list(fq.coeffs(fq.mul(a, b))) == _coeff_mul(p, fq.modulus, x, y)
 
 
 @pytest.mark.parametrize("p", [181, 191, 193])
@@ -531,49 +534,54 @@ def test_mat_mul_is_exact_at_the_largest_codes(p, n):
 def test_subfield_root_is_the_lex_smallest_root(p, d, deg):
     # singer_generator(d / deg, F_(p^deg)) reads F_q codes through theta,
     # the lex-smallest root in F_(p^d) of the modulus of F_q: rebuilt here
-    # from the tables of F_(p^d), its last column holds the coordinates of
-    # alpha^k in the F_p-basis alpha^j theta^i
-    from orthosig.fields import _gf
+    # by a scan of every element of F_(p^d), its last column holds the
+    # coordinates of alpha^k in the F_p-basis alpha^j theta^i.  F_(p^d) is
+    # F_p[C], C the companion matrix of its modulus, so that no table of
+    # it is built: the element with coefficients c acts as M_c = sum c_i C^i,
+    # and c is the first column of M_c
+    from orthosig.fields import companion_powers, first_primitive
     from orthosig.matgroups import singer_generator
 
-    big = _gf(p, d)
-    modulus = smallest_irreducible(p, deg)
-
-    def value(c):  # Horner's rule over every code of the field
-        acc = 0
-        for co in reversed(modulus):
-            acc = big.add(big.mul(acc, c), co)
-        return acc
-
-    roots = [c for c in range(big.order) if value(c) == 0]
+    powers = companion_powers(smallest_irreducible(p, d), p)
+    every = np.array(list(itertools.product(range(p), repeat=d)))
+    M = np.tensordot(every, powers, 1) % p
+    value = np.zeros_like(M)
+    for co in reversed(smallest_irreducible(p, deg)):  # Horner's rule on every element
+        value = (value @ M + co * powers[0]) % p
+    roots = every[~value.any(axis=(1, 2))].tolist()
     assert len(roots) == deg
     fq, k = fq_context(p, deg), d // deg
     A = singer_generator(k, fq)
     if k == 1:
         assert A.tolist() == [[fq.generator]]
         return
-    theta = min(roots, key=big.coeffs)
-    basis = np.array([big.digits[big.mul(big.pow(big.alpha, j), big.pow(theta, i))]
+    theta = np.tensordot(min(roots), powers, 1) % p
+    alpha = np.tensordot(first_primitive(p, powers), powers, 1) % p
+
+    def power(X, j):
+        out = powers[0]
+        for _ in range(j):
+            out = out @ X % p
+        return out
+
+    basis = np.array([(power(alpha, j) @ power(theta, i))[:, 0] % p
                       for j in range(k) for i in range(deg)], dtype=np.int16).T
-    y = fq_context(p, 1).solve(basis, big.digits[big.pow(big.alpha, k)])
+    y = fq_context(p, 1).solve(basis, power(alpha, k)[:, 0].astype(np.int16))
     assert A[:, -1].tolist() == (y.reshape(k, deg) @ (p ** np.arange(deg))).tolist()
     assert (A[:, :-1] == np.eye(k, k - 1, -1)).all()
 
 
-# q = 9, 25, 27, 49, 81, 121, 125: chunks of p + 1 terms, so n > p + 1
-# combines chunks for p = 3, 5, 7
-PACKED_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3)]
-
-
-def _gf_mat_mul(gf, A, B):
-    """A @ B of two matrices, entry by entry in the scalar arithmetic of gf."""
+def _coeff_mat_mul(fq, A, B):
+    """A @ B of two matrices, entry by entry in schoolbook arithmetic on the
+    coefficient lists of the codes (`_coeff_add`, `_coeff_mul`)."""
+    p = fq.p
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int16)
     for i in range(A.shape[0]):
         for j in range(B.shape[1]):
-            acc = 0
+            acc = [0] * fq.e
             for k in range(A.shape[1]):
-                acc = gf.add(acc, gf.mul(int(A[i, k]), int(B[k, j])))
-            out[i, j] = acc
+                acc = _coeff_add(p, acc, _coeff_mul(p, fq.modulus, fq.coeffs(A[i, k]), fq.coeffs(B[k, j])))
+            out[i, j] = fq.from_coeffs(acc)
     return out
 
 
@@ -586,12 +594,12 @@ def test_packed_mat_mul_matches_the_gf_reference(pe, n, k, seed):
     B = rng.integers(0, fq.q, (k, n, n)).astype(np.int16)
     A[0, 0] = B[0, :, 0] = fq.q - 1  # the largest codes meet in entry (0, 0)
     # one matrix, (k, 1, n) @ (n, n) and (k, n, n) @ (k, n, n)
-    assert fq.mat_mul(A[0], B[0]).tolist() == _gf_mat_mul(fq.gf, A[0], B[0]).tolist()
+    assert fq.mat_mul(A[0], B[0]).tolist() == _coeff_mat_mul(fq, A[0], B[0]).tolist()
     rows = fq.mat_mul(A[:, :1], B[0])
     assert rows.shape == (k, 1, n) and rows.dtype == np.int16
-    assert rows.tolist() == [_gf_mat_mul(fq.gf, a[:1], B[0]).tolist() for a in A]
-    assert fq.mat_mul(A, B).tolist() == [_gf_mat_mul(fq.gf, a, b).tolist() for a, b in zip(A, B)]
-    assert fq.mat_vec(A[0], B[0, :, 0]).tolist() == _gf_mat_mul(fq.gf, A[0], B[0, :, :1])[:, 0].tolist()
+    assert rows.tolist() == [_coeff_mat_mul(fq, a[:1], B[0]).tolist() for a in A]
+    assert fq.mat_mul(A, B).tolist() == [_coeff_mat_mul(fq, a, b).tolist() for a, b in zip(A, B)]
+    assert fq.mat_vec(A[0], B[0, :, 0]).tolist() == _coeff_mat_mul(fq, A[0], B[0, :, :1])[:, 0].tolist()
 
 
 @pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
@@ -603,7 +611,7 @@ def test_mat_vec_of_a_stack_is_a_stack_of_vectors(p, e):
     v = rng.integers(0, fq.q, 3).astype(np.int16)
     got = fq.mat_vec(A, v)
     assert got.shape == (4, 3) and got.dtype == np.int16
-    assert got.tolist() == [_gf_mat_mul(fq.gf, a, v[:, None])[:, 0].tolist() for a in A]
+    assert got.tolist() == [_coeff_mat_mul(fq, a, v[:, None])[:, 0].tolist() for a in A]
     assert fq.mat_vec(A[1], v).tolist() == got[1].tolist()
 
 
@@ -615,7 +623,7 @@ def test_packed_tables_have_q_squared_entries_and_only_for_e_above_1(p, e):
         return
     assert fq.PM.size == fq.UN.size == fq.q ** 2
     assert fq.PM.dtype == np.int32 and fq.UN.dtype == np.int16
-    digits = fq.gf.digits[fq.MUL].astype(np.int64)
+    digits = fq.digits[fq.MUL].astype(np.int64)
     assert (fq.PM == digits @ (p ** (2 * np.arange(e)))).all()
 
 

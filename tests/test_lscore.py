@@ -1265,10 +1265,12 @@ def test_plane_block_is_the_first_swapping_generator(q, capsys):
 
 def test_plane_so_has_no_transitive_block():
     # SO fixes both singular points of the plane, so even the point
-    # transversal cannot be built
-    s = build_space("plus", fq_context(3, 1), 1)
-    with pytest.raises(RuntimeError, match="^orbit has 1 members, expected 2$"):
-        spread_construction(s, "SO+")
+    # transversal cannot be built: the ladder says so
+    for q in (3, 5, 7):
+        s = space_for(descriptor("SO+", q, m=1))
+        with pytest.raises(LsError, match="^SO of the hyperbolic plane fixes both singular points, "
+                                          "so no block moves one onto the other$"):
+            spread_construction(s, "SO+")
 
 
 def test_all_gl_weights_stay_below_2_63_inside_the_envelope():
