@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 
@@ -119,11 +120,7 @@ def build_parser():
 
 
 def _descriptor(args, family=None):
-    fam = family or args.family
-    q = args.q
-    if args.n is not None:
-        return descriptor(fam, q, n=args.n)
-    return descriptor(fam, q, m=args.m)
+    return descriptor(family or args.family, args.q, m=args.m, n=args.n)
 
 
 def _report(args, payload, summary_lines, code):
@@ -332,9 +329,7 @@ def cmd_pgm_demo(args):
             seen.add(ct)
         bij = ok and len(seen) == order
     else:
-        import random as _r
-
-        rng = _r.Random(args.seed)
+        rng = random.Random(args.seed)
         bij = True
         for _ in range(min(args.samples, 2000)):
             msg = rng.randrange(order)
@@ -357,6 +352,14 @@ def cmd_pgm_demo(args):
 def cmd_omega_check(args):
     desc = _descriptor(args)
     space = space_for(desc)
+    # the audit closes O under its k reflections, and Omega under k^2
+    # commutators and k conjugations; Omega has no closed order for n <= 2,
+    # where SO stands in
+    k = (desc.q ** desc.n - 1) // (desc.q - 1) - isotropic_point_count(desc.kind, desc.q, desc.m)
+    omega = group_order(desc.with_base("Omega" if desc.n > 2 else "SO"))
+    products = group_order(desc.with_base("O")) * k + omega * (k * k + k)
+    if products > args.budget:
+        raise ValueError(f"omega-check forms {products} products, past --budget {args.budget}")
     audit = forms.omega_audit(space)
     payload = {
         "group": desc.to_json(),

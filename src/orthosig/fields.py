@@ -30,18 +30,7 @@ def is_int(value) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and factorint(n) == {n: 1}
 
 
 def factorint(n: int) -> dict[int, int]:

@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .fields import FieldError, FqContext, fq_context, product_rows, projective_points, read_only
+from .fields import FieldError, FqContext, product_rows, projective_points, read_only
 from .matgroups import (
     Mat,
     derived_subgroup,
@@ -46,8 +46,6 @@ class QuadraticSpace:
         self.gram_model = np.array(gram_model, dtype=np.int16, order="C")
         self.n = self.gram_model.shape[0]
         self.p, self.e, self.q = fq.p, fq.e, fq.q
-        if fq.rank(self.gram_model) != self.n:
-            raise GeometryError("bilinear form is singular")
         C, self.Cinv, R = _witt_decompose(fq, self.gram_model)
         self.C = C  # columns: witt vectors in model coordinates
         self.gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(C.T), self.gram_model), C)
@@ -155,7 +153,8 @@ def _witt_decompose(fq, G, prescribed=()):
                 break
         partner = _first_point(fq, comp, lambda V: fq.bil(G, V, sing) != 0)
         if partner is None:
-            raise GeometryError("degenerate complement during Witt decomposition")
+            # a radical vector is singular and stays in the complement
+            raise GeometryError("bilinear form is singular")
         partner = fq.v_scale(fq.inv(fq.bil(G, sing, partner)), partner)
         qq = fq.quad(G, partner)
         if qq:
@@ -202,33 +201,30 @@ def build_space(kind: str, fq: FqContext, m: int) -> QuadraticSpace:
     plus:  with b = alpha^(q^m - 1), coordinates x = x1 + x2 b over F_{q^m},
            f(x,y) = tr(X1 Y2 + X2 Y1) / 2, Q(x) = tr(X1 X2) / 2.
     odd:   the minus geometry of rank 2m orthogonally extended by an
-           anisotropic line with Q(z) = 1 (dimension 2m + 1).
+           anisotropic line with Q(z) = 1 (dimension 2m + 1); for m = 0
+           the line alone, the space of O_1.
     """
     if kind not in KINDS:
         raise GeometryError(f"unknown kind {kind!r}")
-    A = singer_generator(2 * m, fq)
-    X = powers(fq, A, 2 * m)  # the basis alpha^j
-    Xbar = powers(fq, fq.mat_pow(A, fq.q ** m), 2 * m)  # their conjugates
-    if kind == "plus":
-        B = fq.mat_pow(A, fq.q ** m - 1)
-        # bbar = b^-1, so x2 = (x - xbar) / (b - b^-1) and x1 = x - x2 b
-        X2 = fq.mat_mul(fq.v_add(X, fq.v_neg(Xbar)), fq.mat_inv(fq.v_add(B, fq.v_neg(fq.mat_inv(B)))))
-        T = _trace_pairing(fq, fq.v_add(X, fq.v_neg(fq.mat_mul(X2, B))), X2)
-        gram = fq.v_scale(fq.two_inv, fq.v_add(T, T.T))
-    else:
-        gram = _trace_pairing(fq, X, Xbar)
+    gram = np.zeros((0, 0), dtype=np.int16)
+    if m or kind != "odd":  # the line of O_1 has no trace part
+        A = singer_generator(2 * m, fq)
+        X = powers(fq, A, 2 * m)  # the basis alpha^j
+        Xbar = powers(fq, fq.mat_pow(A, fq.q ** m), 2 * m)  # their conjugates
+        if kind == "plus":
+            B = fq.mat_pow(A, fq.q ** m - 1)
+            # bbar = b^-1, so x2 = (x - xbar) / (b - b^-1) and x1 = x - x2 b
+            X2 = fq.mat_mul(fq.v_add(X, fq.v_neg(Xbar)), fq.mat_inv(fq.v_add(B, fq.v_neg(fq.mat_inv(B)))))
+            T = _trace_pairing(fq, fq.v_add(X, fq.v_neg(fq.mat_mul(X2, B))), X2)
+            gram = fq.v_scale(fq.two_inv, fq.v_add(T, T.T))
+        else:
+            gram = _trace_pairing(fq, X, Xbar)
     if kind == "odd":
         gram = np.pad(gram, (0, 1))
         gram[-1, -1] = 2 % fq.q
     space = QuadraticSpace(kind, fq, gram)
     _spot_check_quadratic_law(space)
     return space
-
-
-def build_line_space(p: int, e: int) -> QuadraticSpace:
-    """The 1-dimensional space with Q(z) = z^2 (for the O_1 base case)."""
-    fq = fq_context(p, e)
-    return QuadraticSpace("odd", fq, np.array([[2 % fq.q]], dtype=np.int16))
 
 
 def _trace_pairing(fq, X, Y):
@@ -453,22 +449,12 @@ def perp_basis(space: QuadraticSpace, rows):
 
 
 def nullspace(fq: FqContext, M):
-    """Reduced basis (rows) of the vectors v with M v = 0: one per free
-    column of the echelon form of M, set to 1, with the pivot columns read
-    off the first `rank` rows."""
-    cols = M.shape[1]
-    R, rank, _ = fq.rref(M)
-    lead = (R[:rank] != 0).argmax(axis=1)
-    free = np.ones(cols, dtype=bool)
-    free[lead] = False
-    free = np.flatnonzero(free)
-    if not len(free):
-        return np.zeros((0, cols), dtype=np.int16)
-    base = np.zeros((len(free), cols), dtype=np.int16)
-    base[np.arange(len(free)), free] = 1
-    base[:, lead] = fq.v_neg(R[:rank, free].T)
-    B, rank, _ = fq.rref(base)
-    return np.ascontiguousarray(B[:rank])
+    """Reduced basis (rows) of the vectors v with M v = 0: the right parts
+    of the rows of the reduced [M^T | I] whose left part is zero, which
+    that form leaves reduced."""
+    r, cols = M.shape
+    R, _, _ = fq.rref(np.concatenate([M.T, fq.identity(cols)], axis=1))
+    return np.ascontiguousarray(R[~R[:, :r].any(axis=1), r:])
 
 
 def gram_restriction(space: QuadraticSpace, rows):

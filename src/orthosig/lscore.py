@@ -41,7 +41,7 @@ from .matgroups import (
     standard_generators,
 )
 from . import forms
-from .forms import GeometryError, QuadraticSpace, build_line_space, build_space
+from .forms import GeometryError, QuadraticSpace, build_space
 from . import spreads as spr
 from .spreads import PartialSpread
 
@@ -321,14 +321,6 @@ def cyclic_set_mls(fq: FqContext, x, s: int) -> LogSignature:
         raise LsError(f"cyclic set size {s} exceeds element order {hit[0] + 1}")
     blocks, radices = _power_blocks(P, s)
     return LogSignature.from_stacks(None, fq, len(x), blocks, s, {"set": "cyclic", "radices": radices})
-
-
-def digits_of(j: int, radices) -> list[int]:
-    out = []
-    for r in radices:
-        out.append(j % r)
-        j //= r
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -867,8 +859,6 @@ def space_for(desc: GroupDescriptor) -> QuadraticSpace:
     decoding and verification look it up for every element.  Every command
     comes through here, so this is where a space past the envelope
     (`check_tower_size`) is turned away, before anything is built."""
-    if desc.n == 1:
-        return build_line_space(desc.p, desc.e)
     check_tower_size(desc.q, desc.m)
     return build_space(desc.kind, fq_context(desc.p, desc.e), desc.m)
 
@@ -973,23 +963,20 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
             raise LsError("Singer block has the wrong order")
         B = cyclic_blocks(fq, bw, t)[0]
 
-    # Siegel blocks
+    # the Siegel table: the maps E(u) along every u on SP in the working
+    # frame, one stacked Eichler map, row by the base-p digits of u in
+    # itertools.product order (digit i e + j the coefficient of x^j in the
+    # entry at SP[i]).  The maps along e_0 form an abelian group, E(u) E(v)
+    # = E(u + v): the Siegel block (pos, theta) is the rows of one nonzero
+    # digit, each product of the blocks the row of its digits, and E(-u)
+    # the row of the negated digits; one stacked product checks every row
     SP = np.array(list(range(1, R)) + list(range(R + 1, 2 * R)) + list(range(2 * R, n)))
-    # block (pos, theta) holds the maps along u = c theta e_pos, c < p; all
-    # of them come from one stacked Eichler map
-    theta_codes = [fq.from_coeffs([0] * i + [1]) for i in range(fq.e)]
-    U = np.zeros((len(SP), fq.e, fq.p, n), dtype=np.int16)
-    for i, pos in enumerate(SP):
-        U[i, :, :, pos] = fq.MUL[np.ix_(theta_codes, range(fq.p))]
-    siegel_w = forms.eichler(fq, work_gram, 0, U.reshape(-1, n))
-    siegel = np.split(siegel_w, len(siegel_w) // fq.p)
-    # the Siegel table: every product E(u) of the Siegel blocks in the
-    # working frame, in itertools.product order, so row by the digits of u.
-    # The maps along e_0 form an abelian group, E(u) E(v) = E(u + v), so
-    # E(-u) is the row of the negated digits; one stacked product checks
-    # every row
-    E, digits = ProductTables.build(fq, n, siegel).every()
+    digits = product_rows(fq.p, len(SP) * fq.e, 0, fq.p ** (len(SP) * fq.e))
     weights = fq.p ** np.arange(digits.shape[1] - 1, -1, -1)
+    U = np.zeros((len(digits), n), dtype=np.int16)
+    U[:, SP] = digits.reshape(len(digits), len(SP), fq.e).dot(fq.p ** np.arange(fq.e))
+    E = forms.eichler(fq, work_gram, 0, U)
+    siegel = [E[np.arange(fq.p) * w] for w in weights]
     E_inv = E[(-digits % fq.p).dot(weights)]
     if not (fq.mat_mul(E, E_inv) == fq.identity(n)).all():
         raise LsError("Siegel table: E(u) E(-u) is not the identity on every row")  # pragma: no cover
@@ -998,9 +985,10 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     d_mu = fq.identity(n)
     d_mu[0, 0], d_mu[R, R] = fq.generator, fq.inv(fq.generator)
     gl1, gl1_radices = cyclic_blocks(fq, d_mu, space.q - 1)
-    # d(mu)^k has corner mu^k, and mu generates F_q^*: k is the log of the corner
+    # d(mu)^k has corner mu^k, and mu generates F_q^*: k is the log of the
+    # corner, and its digits are low radix first
     gl1_digits = np.zeros((space.q, len(gl1_radices)), dtype=np.int64)
-    gl1_digits[1:] = [digits_of(int(k), gl1_radices) for k in fq.log[1:]]
+    gl1_digits[1:] = np.transpose(np.unravel_index(fq.log[1:], gl1_radices[::-1]))[:, ::-1]
 
     # recursive tail on the model space of dimension n - 2, from the
     # stacks of its record

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import (
     FieldError, FqContext, _mat_pow, check_field_size, companion_powers, first_primitive, fq_context, is_int,
-    product_rows, read_only, smallest_irreducible, split_prime_power,
+    product_rows, read_only, smallest_irreducible,
 )
 
 
@@ -59,48 +59,37 @@ def family_of(base: str, kind: str) -> str:
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """Which group: family name, field size q = p^e, matrix dimension n."""
+    """Which group: family name, field size q = p^e, matrix dimension n.
+    p, e, kind and whether the group is projective are set once here, from
+    the values its checks compute; they are not fields, so `==`, the hash
+    and `replace` see family, q and n alone."""
 
     family: str
     q: int
     n: int
 
     def __post_init__(self):
-        split_family(self.family)
+        projective, _, kind = split_family(self.family)
         for name, value in (("q", self.q), ("n", self.n)):
             if not is_int(value):
                 raise ValueError(f"{name} must be an int, got {value!r}")
         p, e = check_field_size(self.q)
         if p == 2:
             raise ValueError("q must be odd")
-        if self.kind != "odd":
+        if kind != "odd":
             if self.n % 2 != 0 or self.n < 2:
                 raise ValueError(f"family {self.family} needs even n >= 2, got {self.n}")
         elif self.n % 2 != 1:
             raise ValueError(f"odd-dimension family needs odd n, got {self.n}")
         elif self.n < 1:
             raise ValueError(f"odd-dimension family needs n >= 1, got {self.n}")
-
-    @property
-    def p(self):
-        return split_prime_power(self.q)[0]
-
-    @property
-    def e(self):
-        return split_prime_power(self.q)[1]
+        for name, value in (("p", p), ("e", e), ("kind", kind), ("projective", projective)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self):
         """The rank: n = 2m, or 2m + 1 for the odd kind."""
         return self.n // 2
-
-    @property
-    def kind(self):
-        return split_family(self.family)[2]
-
-    @property
-    def projective(self):
-        return split_family(self.family)[0]
 
     def base_family(self):
         """The family name without its kind suffix, one of BASES."""
@@ -157,9 +146,6 @@ class Mat:
 
     def __mul__(self, other):
         return Mat(self.fq, self.fq.mat_mul(self.a, other.a))
-
-    def __matmul__(self, other):
-        return self.__mul__(other)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self._key == other._key

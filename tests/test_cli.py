@@ -312,6 +312,26 @@ def test_omega_check_command():
     assert doc["result"]["agreement"] is False
 
 
+@pytest.mark.parametrize("argv,products,budget", [
+    (["--family", "SO-", "--q", "9", "--m", "2"], 145_681_377_120, 1_000_000),
+    (["--family", "SO-", "--q", "3", "--m", "2", "--budget", "377999"], 378_000, 377_999),
+])
+def test_omega_check_past_the_budget_exits_2_before_the_audit(argv, products, budget, monkeypatch, capsys):
+    # |O| k + |Omega| (k^2 + k) products, k the reflections: for SO-4(3),
+    # 1,440 * 30 + 360 * 930 = 378,000
+    from orthosig import cli
+
+    def audit(space):
+        raise AssertionError("omega_audit was called")
+
+    monkeypatch.setattr(cli.forms, "omega_audit", audit)
+    assert cli.main(["omega-check", *argv]) == 2
+    error = f"omega-check forms {products} products, past --budget {budget}"
+    assert parse_stdout(capsys.readouterr().out) == (
+        {"command": "omega-check", "error": error, "tool": "orthosig", "version": orthosig.__version__},
+        [f"# error: {error}"])
+
+
 def test_unknown_family_exits_2():
     proc = run_cli("construct", "--family", "Omega-", "--q", "3", "--m", "2", "--out", "/tmp/x.json")
     assert proc.returncode == 2

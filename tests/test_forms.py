@@ -9,7 +9,7 @@ from leibniz import det_by_permutations
 from orthosig.fields import fq_context, projective_points
 from orthosig.forms import (
     GeometryError,
-    build_line_space,
+    QuadraticSpace,
     build_space,
     eichler,
     enumerate_isotropic_points,
@@ -233,9 +233,19 @@ def test_anisotropic_plane_and_perp(plus32):
 
 
 def test_line_space():
-    s = build_line_space(3, 1)
+    s = build_space("odd", fq_context(3, 1), 0)
     assert s.n == 1 and s.witt_index == 0
     assert s.Q(np.array([1], dtype=np.int16)) == 1
+
+
+@pytest.mark.parametrize("p,gram", [
+    (7, [[0]]),
+    (3, [[1, 1], [1, 1]]),
+    (5, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),  # a hyperbolic pair, then the radical
+])
+def test_a_singular_form_is_refused(p, gram):
+    with pytest.raises(GeometryError, match="bilinear form is singular"):
+        QuadraticSpace("odd", fq_context(p, 1), gram)
 
 
 def test_enumeration_budget_guard():
@@ -449,7 +459,7 @@ def test_so_generators_are_the_first_reflection_times_each_other():
     R = [Mat(s.fq, a) for a in reflections(s)]
     assert [a.tobytes() for a in so_generators(s)] == [(R[0] * r).key for r in R[1:]]
     # the line has one reflection, -1, and SO_1 is trivial
-    assert so_generators(build_line_space(3, 1)).shape == (0, 1, 1)
+    assert so_generators(build_space("odd", fq_context(3, 1), 0)).shape == (0, 1, 1)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])

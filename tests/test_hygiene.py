@@ -4,7 +4,8 @@ somewhere in it, every public function is used by the program, a script,
 the README or the acceptance tests, a signature gets its plan and product
 tables from `LogSignature.from_stacks` alone, a `Mat` is built only where
 one element crosses the edge of the package, no dataclass compares arrays in its `==`, the package
-caches by one rule, and every trace target of the benchmark names a function the package defines."""
+caches by one rule, no function of the package imports a module but matgroups' deferred `forms`, and
+every trace target of the benchmark names a function the package defines."""
 
 import ast
 import importlib
@@ -385,6 +386,44 @@ def test_the_scan_finds_a_cache_outside_the_rule():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_the_package_caches_by_one_rule(path):
     assert caches_outside_the_rule(path.read_text()) == []
+
+
+def imports_inside_functions(source: str) -> list[str]:
+    """Import statements inside a function or method, nested ones
+    included: the imports at the top of the modules are the module graph."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update((sub.lineno, ast.unparse(sub)) for sub in ast.walk(node)
+                         if isinstance(sub, (ast.Import, ast.ImportFrom)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_the_scan_finds_an_import_inside_a_function():
+    src = (
+        "import os\n"
+        "def f():\n"
+        "    import json\n"
+        "    def g():\n"
+        "        from . import forms\n"
+        "    return json\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        from a import b as c\n"
+    )
+    assert imports_inside_functions(src) == [
+        "line 3: import json", "line 5: from . import forms", "line 9: from a import b as c",
+    ]
+
+
+# the one deferred import: forms imports matgroups
+DEFERRED = {"matgroups.py": "from . import forms"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_inside_a_function_of_the_package(path):
+    found = imports_inside_functions(path.read_text())
+    assert [f for f in found if not f.endswith(f": {DEFERRED.get(path.name)}")] == []
 
 
 def test_every_trace_target_resolves():

@@ -11,12 +11,13 @@ from hypothesis import given, strategies as st
 
 from headblocks import head_blocks, stage_spread
 from orthosig.fields import fq_context
-from orthosig.forms import build_space, enumerate_isometry_group
+from orthosig.forms import build_space, enumerate_isometry_group, isometry_inverse
 from orthosig.lscore import (
     InjectivityFail,
     LogSignature,
     LsError,
     UnsupportedFamily,
+    canonical_lift,
     canonical_ls,
     cyclic_set_mls,
     min_length_bound,
@@ -107,14 +108,18 @@ def test_cyclic_set_index_sum_property_bulk():
 
 def test_cyclic_set_uniqueness_small_exhaustive():
     # integer model: digits map bijectively onto {0..s-1}
-    from orthosig.lscore import _mixed_radices, digits_of
+    from orthosig.lscore import _mixed_radices
 
     for s in range(1, 65):
         radices = _mixed_radices(s) if s > 1 else []
         seen = set()
         for iv in itertools.product(*[range(r) for r in radices]):
             val = sum(d * math.prod(radices[:i]) for i, d in enumerate(iv))
-            assert val not in seen and digits_of(val, radices) == list(iv)
+            digits, j = [], val
+            for r in radices:
+                j, d = divmod(j, r)
+                digits.append(d)
+            assert val not in seen and digits == list(iv)
             seen.add(val)
         assert len(seen) == (s if s > 1 else 1)
 
@@ -518,6 +523,33 @@ def test_project_doubly_aliased_fails():
     with pytest.raises(InjectivityFail, match="multiple blocks identify elements") as exc:
         project_ls(ls)
     assert exc.value.witnesses == [(0, [I.to_json()]), (1, [I.to_json()])]
+
+
+@pytest.mark.parametrize("q,order,last", [(3, 360, True), (5, 7800, False)])
+def test_project_folds_a_nonidentity_singleton_into_its_neighbour(q, order, last):
+    # the halved block, left-translated by h and its left neighbour
+    # right-translated by h^-1 (as `pgm.keygen` translates), halves to the
+    # singleton of h g != +-I: SO-4(3) halves its last block, so it folds
+    # into the block before; SO-4(5) folds it into the next block
+    desc = descriptor("SO-", q, m=2)
+    ls = canonical_ls(desc)
+    t = canonical_ls(desc.with_base("PSO")).meta["halved_block"]
+    fq = fq_context(q, 1)
+    stacks = [np.asarray(b, dtype=np.int16) for b in ls.blocks]
+    h = stacks[0][1]
+    stacks[t] = fq.mat_mul(h, stacks[t])
+    stacks[t - 1] = fq.mat_mul(stacks[t - 1], isometry_inverse(space_for(desc), h[None])[0])
+    pls = project_ls(LogSignature.from_stacks(desc, fq, 4, stacks, ls.claimed_order, {}))
+    g = stacks[t][0]
+    assert (t == len(stacks) - 1) == last
+    if last:
+        where, folded = t - 1, fq.mat_mul(stacks[t - 1], g)
+    else:
+        where, folded = t, fq.mat_mul(g, stacks[t + 1])
+    assert pls.meta["halved_block"] == t and len(pls.blocks) == len(stacks) - 1
+    assert np.array_equal(np.asarray(pls.blocks[where]), canonical_lift(fq, folded))
+    rep = verify_ls(pls)
+    assert pls.claimed_order == rep.products_checked == order and rep.valid
 
 
 # ---------------------------------------------------------------- hypothesis
