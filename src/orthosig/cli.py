@@ -11,6 +11,7 @@ Exit codes: 0 all checks pass, 1 a verification found violations,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -24,6 +25,7 @@ from .lscore import (
     EXHAUSTIVE_BUDGET,
     canonical_ls,
     check_exhaustive_budget,
+    check_projection_budget,
     min_length_bound,
     parabolic_ls,
     space_for,
@@ -160,6 +162,7 @@ def cmd_counts(args):
 
 def cmd_construct(args):
     desc = _descriptor(args)
+    check_projection_budget(desc, args.budget)
     ls = canonical_ls(desc)
     save_ls(ls, args.out)
     bound = min_length_bound(ls.claimed_order)
@@ -189,6 +192,7 @@ def cmd_verify(args):
     if args.mode == "sampled":
         # a canonical file round-trips through its own tables; any other
         # file is sampled from its own blocks
+        check_projection_budget(desc, args.budget)
         ls = canonical_ls(desc)
         if list(map(list, ls.blocks)) != ls_file.blocks:
             notes.append("file does not match the canonical construction")
@@ -211,6 +215,7 @@ def cmd_verify(args):
 def cmd_factor(args):
     ls_file = load_ls(args.infile)
     desc = ls_file.group
+    check_projection_budget(desc, args.budget)
     ls = canonical_ls(desc)
     if ls_file.claimed_order != ls.claimed_order:
         raise ValueError(f"signature file claims order {ls_file.claimed_order}, but {desc.family} n={desc.n} "
@@ -315,6 +320,7 @@ def cmd_project(args):
 
 def cmd_pgm_demo(args):
     desc = _descriptor(args)
+    check_projection_budget(desc, args.budget)
     key = pgm.keygen(desc, args.seed)
     order = key.order
     exhaustive = order <= 5000
@@ -398,9 +404,10 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         code = COMMANDS[args.command](args)
-    except (RuntimeError, ValueError, KeyError, OSError) as exc:
+    except (RuntimeError, ValueError, KeyError, OSError, MemoryError) as exc:
         # construction failures (LsError, OrderNotFound, ConstructionMismatch,
-        # closure caps) and unreadable or malformed input files
+        # closure caps, a build that outgrows memory) and unreadable or
+        # malformed input files
         doc = {"tool": "orthosig", "version": __version__, "command": args.command,
                "error": str(exc)}
         print(json.dumps(doc, sort_keys=True, indent=2))
@@ -410,5 +417,11 @@ def main(argv=None):
     return code
 
 
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+def entry():
+    """The process entry of both launchers, `python -m orthosig` and the
+    `orthosig` script.  Once the imports are done it freezes what they
+    made into the collector's permanent generation, so neither `main` nor
+    the interpreter's exit walks that graph again.  In-process callers call
+    `main`, which leaves their heap alone."""
+    gc.freeze()
+    return main()

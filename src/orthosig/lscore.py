@@ -1259,6 +1259,17 @@ def check_exhaustive_budget(order: int, budget: int) -> None:
         raise LsError(f"exhaustive verification needs claimed_order <= {budget}")
 
 
+def check_projection_budget(desc: GroupDescriptor, budget: int) -> None:
+    """Raises LsError before `canonical_ls` builds a projective group in
+    even dimension past `budget`: there `project_ls` keeps a key for each
+    of the group_order(desc) products of the halved SO signature.  In odd
+    dimension the quotient is the SO signature relabelled and walks
+    nothing.  A space past the envelope is refused first, as in `verify_ls`."""
+    if desc.projective and desc.n % 2 == 0:
+        space_for(desc)
+        check_exhaustive_budget(group_order(desc), budget)
+
+
 def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
               budget=EXHAUSTIVE_BUDGET) -> VerifyReport:
     """Exhaustive: every index-vector product is distinct, lies in the

@@ -418,6 +418,51 @@ def test_project_past_the_budget_exits_2_before_building(argv, budget, monkeypat
                                   "version": orthosig.__version__}, [f"# error: {error}"])
 
 
+def test_a_projective_construct_past_the_budget_exits_2_before_building(tmp_path, monkeypatch, capsys):
+    # PSO-6(5) has order 1.47e10, inside the envelope: its quotient once
+    # walked every product of SO-6(5) and died of a MemoryError
+    from orthosig import cli
+
+    def build(desc):
+        raise AssertionError(f"{desc.family} was built")
+
+    monkeypatch.setattr(cli, "canonical_ls", build)
+    argv = ["construct", "--family", "PSO-", "--q", "5", "--m", "3", "--out", str(tmp_path / "ls.json")]
+    assert cli.main(argv) == 2
+    doc, _ = parse_stdout(capsys.readouterr().out)
+    assert doc["error"] == "exhaustive verification needs claimed_order <= 1000000"
+    assert not (tmp_path / "ls.json").exists()
+
+
+def test_an_odd_dimension_projective_construct_past_the_budget_keeps_its_bytes(tmp_path, monkeypatch, capsys):
+    # in odd dimension the quotient is the SO signature relabelled, with no
+    # product walk, so PSOodd5(5) (order 9,360,000) builds at the default
+    # budget; the digests of stdout and the file were recorded at 1ec3a8c
+    import hashlib
+    from orthosig import cli
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["construct", "--family", "PSOodd", "--q", "5", "--n", "5", "--out", "PSOodd5(5).json"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "ebe1b438220a2fd35a8aa5918f278b54ffbdd71e7e1dc09957af866e0c552590")
+    assert hashlib.sha256((tmp_path / "PSOodd5(5).json").read_bytes()).hexdigest() == (
+        "c9da9adf1ae75d9c3a38f304a38b5508e21f33f4a44d5ab086ff3f1a8aca0f99")
+
+
+def test_a_command_out_of_memory_exits_2_with_the_error_report(monkeypatch, capsys):
+    from orthosig import cli
+
+    def command(args):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setitem(cli.COMMANDS, "counts", command)
+    assert cli.main(["counts", "--kind", "minus", "--q", "3", "--m", "2"]) == 2
+    assert parse_stdout(capsys.readouterr().out) == (
+        {"command": "counts", "error": "out of memory", "tool": "orthosig", "version": orthosig.__version__},
+        ["# error: out of memory"])
+
+
 def _swapped_o4_3(tmp_path):
     """The O-4(3) signature with element 1 of blocks 0 and 1 swapped."""
     out = tmp_path / "ls.json"

@@ -4,8 +4,9 @@ somewhere in it, every public function is used by the program, a script,
 the README or the acceptance tests, a signature gets its plan and product
 tables from `LogSignature.from_stacks` alone, a `Mat` is built only where
 one element crosses the edge of the package, no dataclass compares arrays in its `==`, the package
-caches by one rule, no function of the package imports a module but matgroups' deferred `forms`, and
-every trace target of the benchmark names a function the package defines."""
+caches by one rule, no function of the package imports a module but matgroups' deferred `forms`, only
+the process entry touches the collector, and every trace target of the benchmark names a function the
+package defines."""
 
 import ast
 import importlib
@@ -424,6 +425,50 @@ DEFERRED = {"matgroups.py": "from . import forms"}
 def test_no_import_inside_a_function_of_the_package(path):
     found = imports_inside_functions(path.read_text())
     assert [f for f in found if not f.endswith(f": {DEFERRED.get(path.name)}")] == []
+
+
+def collector_uses(source: str, allowed=()) -> list[str]:
+    """Uses of the `gc` module, or of a name imported from it, outside the
+    functions named in `allowed`; the import statements are not uses."""
+    tree = ast.parse(source)
+    bound = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names if a.name == "gc"}
+    bound |= {a.asname or a.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "gc" for a in node.names}
+    inside = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in allowed
+              for sub in ast.walk(node)}
+    found = {(node.lineno, node.id) for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in bound and id(node) not in inside}
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_scan_finds_the_collector_outside_the_entry():
+    src = (
+        "import gc\n"
+        "import gc as collector\n"
+        "from gc import freeze, collect as c\n"
+        "def entry():\n"
+        "    gc.freeze()\n"
+        "    freeze()\n"
+        "def main():\n"
+        "    gc.collect()\n"
+        "    collector.disable()\n"
+        "    c()\n"
+        "    f = gc.freeze\n"
+        "collect = gc.get_count()\n"
+    )
+    assert collector_uses(src, allowed=("entry",)) == [
+        "line 8: gc", "line 9: collector", "line 10: c", "line 11: gc", "line 12: gc",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_process_entry_touches_the_collector(path):
+    # the tests call cli.main hundreds of times in one process: a freeze
+    # anywhere else would move their pending garbage into the permanent
+    # generation on every call
+    assert collector_uses(path.read_text(), allowed=("entry",) if path.name == "cli.py" else ()) == []
 
 
 def test_every_trace_target_resolves():
