@@ -130,7 +130,7 @@ def _report(args, payload, summary_lines, code):
         "tool": "orthosig",
         "version": __version__,
         "command": args.command,
-        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func" and _namable(v)},
+        "config": dict(sorted(vars(args).items())),
         "seed": getattr(args, "seed", None),
         "budgets": {
             "samples": getattr(args, "samples", None),
@@ -142,10 +142,6 @@ def _report(args, payload, summary_lines, code):
     for line in summary_lines:
         print(f"# {line}")
     return code
-
-
-def _namable(v):
-    return isinstance(v, (str, int, float, bool, type(None)))
 
 
 def cmd_counts(args):

@@ -19,6 +19,13 @@ from functools import cache, reduce
 import numpy as np
 
 
+# the largest stack the package builds in one piece: product segments and
+# walks, decode tables, sampled batches and candidate scans; each use reads
+# it at call time as `fields.CHUNK`.  Below 2^15, so the digits of a table
+# of at most CHUNK products fit int16
+CHUNK = 4096
+
+
 class FieldError(ValueError):
     pass
 
@@ -152,10 +159,6 @@ def first_primitive(p: int, powers) -> np.ndarray:
     raise FieldError("no primitive element found")  # pragma: no cover
 
 
-# candidates times points of F_p in one stacked root test
-_ROOT_CHUNK = 4096
-
-
 @cache
 def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree d over F_p.
@@ -170,7 +173,7 @@ def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
     X = np.ones((d + 1, p), dtype=np.int64)  # X[i] = x^i mod p
     for i in range(1, d + 1):
         X[i] = X[i - 1] * x % p
-    total, step = p ** d, max(1, _ROOT_CHUNK // p)
+    total, step = p ** d, max(1, CHUNK // p)
     for lo in range(0, total, step):
         tails = product_rows(p, d, lo, min(lo + step, total))
         if d >= 2:

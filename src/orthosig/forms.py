@@ -15,6 +15,7 @@ from functools import cache
 
 import numpy as np
 
+from . import fields
 from .fields import FieldError, FqContext, product_rows, projective_points, read_only
 from .matgroups import (
     Mat,
@@ -493,23 +494,18 @@ def align_spaces(model: QuadraticSpace, gram_target, fq: FqContext):
     return np.ascontiguousarray(phi), lam
 
 
-# the anisotropic match tries its candidate matrices in stacks of at most
-# this many
-_MATCH_CHUNK = 4096
-
-
 def _match_anisotropic(fq, At, Am, ad):
     """The first (lam, M) with M^T At M = lam Am and det M != 0, lam in
     1, .., q - 1 and, for each lam, M in itertools.product order of its
-    entries; None when there is none.  Each stack of at most _MATCH_CHUNK
+    entries; None when there is none.  Each stack of at most fields.CHUNK
     candidates takes one stacked product M^T At M."""
     if ad == 0:
         return 1, np.zeros((0, 0), dtype=np.int16)
     total = fq.q ** (ad * ad)
     for lam in range(1, fq.q):
         target = fq.v_scale(lam, Am)
-        for lo in range(0, total, _MATCH_CHUNK):
-            M = product_rows(fq.q, ad * ad, lo, min(lo + _MATCH_CHUNK, total))
+        for lo in range(0, total, fields.CHUNK):
+            M = product_rows(fq.q, ad * ad, lo, min(lo + fields.CHUNK, total))
             M = M.astype(np.int16).reshape(-1, ad, ad)
             hit = M[(fq.mat_mul(fq.mat_mul(np.swapaxes(M, 1, 2), At), M) == target).all(axis=(1, 2))]
             hit = hit[fq.det(hit) != 0] if len(hit) else hit

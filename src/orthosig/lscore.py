@@ -25,6 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import fields
 from .fields import FieldError, FqContext, check_tower_size, factorint, fq_context, product_rows, read_only
 from .matgroups import (
     ConstructionMismatch,
@@ -155,14 +156,10 @@ def _recast(v, mapping, sequence):
     return v
 
 
-# block products are made and checked in stacks of at most this many
-PRODUCT_CHUNK = 4096
-
-
 @dataclass(frozen=True, eq=False)
 class ProductTables:
     """The block products of a signature, by segments.  From the end, each
-    run of blocks whose sizes multiply to at most PRODUCT_CHUNK (one block
+    run of blocks whose sizes multiply to at most fields.CHUNK (one block
     at least) is a segment, and its table holds every product of one
     element per block of the run, in itertools.product order (the last
     block varies fastest).  No blocks make one empty segment, whose table
@@ -188,7 +185,7 @@ class ProductTables:
         bounds, t = [], len(sizes)
         while t or not bounds:
             stop, size = t, 1
-            while t and (t == stop or size * sizes[t - 1] <= PRODUCT_CHUNK):
+            while t and (t == stop or size * sizes[t - 1] <= fields.CHUNK):
                 t -= 1
                 size *= sizes[t]
             bounds.insert(0, (t, stop))
@@ -226,7 +223,7 @@ class ProductTables:
         """Every block product, in itertools.product order, as consecutive
         (k, n, n) stacks.  Each stack is a run of the products of the
         segments before the last, walked the same way, times the last
-        table, so it holds at most PRODUCT_CHUNK products, or the last
+        table, so it holds at most fields.CHUNK products, or the last
         table alone when that is larger; the first segment's table is the
         first stack."""
         chunks = iter(self.tables[:1])
@@ -235,7 +232,7 @@ class ProductTables:
         return chunks
 
     def _times(self, chunks, T):
-        step = max(1, PRODUCT_CHUNK // len(T))
+        step = max(1, fields.CHUNK // len(T))
         for L in chunks:
             for lo in range(0, len(L), step):
                 yield self.fq.mat_mul(L[lo:lo + step, None], T[None]).reshape(-1, self.n, self.n)
@@ -483,7 +480,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
         else:
             notes.extend(gnotes)
             bases, moves = ts_subspace_transporters(space, det1)
-            orbits = spr.cyclic_orbits(fq, powers(fq, lit, M + 1)[1:], bases, PRODUCT_CHUNK)
+            orbits = spr.cyclic_orbits(fq, powers(fq, lit, M + 1)[1:], bases)
             for i in _spread_orbits(fq, orbits, M):
                 plan = _try_cyclic(space, "literal", lit, orbits.walk(i, M), L, notes)
                 if plan:
@@ -590,12 +587,6 @@ class _Plan:
         return out[0].tolist()
 
 
-# a stage whose group has at most this many elements also keeps the table
-# of all its products, which answers a member with one lookup; a larger
-# stage whose point stabilizer has at most this many keeps that table
-FRONT_ORDER = 4096
-
-
 # a record holds whole tables, which a generated repr would print
 @dataclass(frozen=True, eq=False, repr=False)
 class _TablePlan(_Plan):
@@ -609,7 +600,7 @@ class _TablePlan(_Plan):
     blocks: tuple      # the (k, n, n) int16 stacks, in the frame they were built in
     mats: np.ndarray   # (N, n, n) products
     ivs: np.ndarray    # (N, width) their index vectors, int16: no block of a table
-                       # has more than max(FRONT_ORDER, q + 1) < 2^15 elements
+                       # has more than max(fields.CHUNK, q + 1) < 2^15 elements
 
     def __post_init__(self):
         read_only((self.blocks, self.mats, self.ivs))
@@ -686,10 +677,12 @@ class _StagePlan(_Plan):
     derived arrays, set with the dicts the one-element path reads in
     `__post_init__`.
 
-    The `front` table (FRONT_ORDER) answers its elements before the point
+    A stage whose products are one segment (order <= fields.CHUNK) keeps
+    them as the `front` table, which answers its elements before the point
     is found, and the rest go down the stage path, so a non-member fails
-    with the same error as without it; the `stab` table answers hw, which
-    does not depend on the input frame, so neither does `stab`.
+    with the same error as without it.  A larger stage whose stabilizer
+    products fit one batch keeps them as the `stab` table, which answers
+    hw; hw does not depend on the input frame, so neither does `stab`.
 
     One element (`_decode_one`) finds the row of u by the bytes of
     lam hw[:, R], column R of E(u) for a member, and compares border bytes.
@@ -1035,9 +1028,9 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
         R=R, SP=SP, work_gram=work_gram,
         siegel=E, siegel_inv=E_inv, siegel_digits=digits, siegel_weights=weights,
         gl1_digits=gl1_digits, sub=sub_ls.plan.framed(phi, phi_inv),
-        front=_TablePlan.build(fq, n, blocks, tables) if order <= FRONT_ORDER else None,
+        front=_TablePlan.build(fq, n, blocks, tables) if order <= fields.CHUNK else None,
         stab=(_TablePlan.build(fq, n, stab)
-              if order > FRONT_ORDER and math.prod(map(len, stab)) <= FRONT_ORDER else None),
+              if order > fields.CHUNK and math.prod(map(len, stab)) <= fields.CHUNK else None),
     )
     return LogSignature.from_stacks(desc, fq, n, blocks, order, {
         "shape": sp_plan.shape,
@@ -1121,10 +1114,11 @@ def _middle_space(space: QuadraticSpace, k: int):
 
 def _all_gl(fq, k):
     """Every invertible k x k matrix, in lexicographic order of entries, as
-    a (g, k, k) stack, tested 4096 at a time with one stacked determinant."""
-    total = fq.q ** (k * k)
-    mats = (product_rows(fq.q, k * k, lo, min(lo + 4096, total)).astype(np.int16).reshape(-1, k, k)
-            for lo in range(0, total, 4096))
+    a (g, k, k) stack, tested fields.CHUNK at a time with one stacked
+    determinant."""
+    total, step = fq.q ** (k * k), fields.CHUNK
+    mats = (product_rows(fq.q, k * k, lo, min(lo + step, total)).astype(np.int16).reshape(-1, k, k)
+            for lo in range(0, total, step))
     return np.concatenate([X[fq.det(X) != 0] for X in mats])
 
 
@@ -1148,11 +1142,14 @@ def project_ls(ls: LogSignature) -> LogSignature:
     scalars of SO, relabelled PSO.  In odd dimension -I is not in SO, so
     the image is the signature itself with its plan and tables.  In even
     dimension the quotient is by {I, -I}, and one block is halved so the
-    sizes match the quotient order.
+    sizes match the quotient order.  A signature labelled with another
+    family raises UnsupportedFamily; an unlabelled one needs a block.
     """
-    qdesc = None
-    if ls.group is not None and ls.group.base_family() == "SO":
-        qdesc = ls.group.with_base("PSO")
+    if ls.group is not None and ls.group.base_family() != "SO":
+        raise UnsupportedFamily(f"projection covers the SO families, not {ls.group.family}")
+    if ls.group is None and not ls.blocks:
+        raise LsError("an unlabelled signature with no blocks has no dimension to project in")
+    qdesc = ls.group.with_base("PSO") if ls.group is not None else None
     n = ls.group.n if ls.group is not None else ls.blocks[0][0].n
     stacks = [np.asarray(b, dtype=np.int16) for b in ls.blocks]
     if n % 2 == 1:
@@ -1353,22 +1350,17 @@ def _claims_group_order(ls, notes):
     return True
 
 
-# sampled index vectors are multiplied, tested and decoded in stacks of
-# this many
-_CHUNK = 256
-
-
 def _sampled_products(rng, ls, samples):
-    """Uniform index vectors and their products, in chunks of _CHUNK; rng
-    is drawn one vector at a time, in sample order.  Each digit below s is
+    """Uniform index vectors and their products, in chunks of fields.CHUNK;
+    rng is drawn one vector at a time, in sample order.  Each digit below s is
     drawn as `rng.randrange(s)` draws it, getrandbits(s.bit_length()) again
     while it is at least s, without its two calls per digit."""
     tables = ls.product_tables()
     draw = rng.getrandbits
     radices = [(s, s.bit_length()) for s in tables.sizes]
-    for start in range(0, samples, _CHUNK):
+    for start in range(0, samples, fields.CHUNK):
         ivs = []
-        for _ in range(min(_CHUNK, samples - start)):
+        for _ in range(min(fields.CHUNK, samples - start)):
             iv = []
             for s, k in radices:
                 x = draw(k)

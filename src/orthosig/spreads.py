@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from . import fields
 from .fields import FqContext, projective_points, read_only
 from .matgroups import closure, powers, singer_generator
 
@@ -59,12 +60,12 @@ class CyclicOrbits:
         return np.roll(self.walks[self.orbit[i]], -int(self.shift[i]), axis=0)[:size]
 
 
-def cyclic_orbits(fq: FqContext, pows, bases, chunk) -> CyclicOrbits:
+def cyclic_orbits(fq: FqContext, pows, bases) -> CyclicOrbits:
     """The orbits of the distinct echelon bases of a (k, r, n) stack under
     <a>, from the (steps, n, n) stack a^1, .., a^steps.
 
     The next bases on no walk yet, in order, are moved by every power at
-    once, at most `chunk` images to one `act_rref`.  The orbit of a base
+    once, at most fields.CHUNK images to one `act_rref`.  The orbit of a base
     that returns home within `steps` is the walk of each of its members
     among the bases, at its position; one that does not is the walk of that
     base alone.  A base that an earlier one's orbit reached in the same
@@ -76,6 +77,7 @@ def cyclic_orbits(fq: FqContext, pows, bases, chunk) -> CyclicOrbits:
     orbit = np.full(k, -1, dtype=np.intp)
     shift = np.zeros(k, dtype=np.intp)
     walks = []
+    chunk = fields.CHUNK
     per = max(1, chunk // steps)  # bases one call walks
     while len(todo := np.flatnonzero(orbit < 0)[:per]):
         mats = np.tile(pows, (len(todo), 1, 1))
@@ -103,9 +105,6 @@ def span_points(fq: FqContext, S):
     return projective_points(fq, S)
 
 
-_PAIR_CHUNK = 4096
-
-
 class PartialSpread:
     """r-spaces that pairwise meet trivially, as one read-only (s, r, n)
     int16 stack `members` of their echelon bases, a copy of those given;
@@ -125,11 +124,11 @@ class PartialSpread:
         """Raises NotAPartialSpread at the first pair (i, j), i < j in
         row-major order, whose members meet nontrivially: the bases of all
         pairs are stacked and ranked against 2r by `FqContext.rank` in
-        chunks of _PAIR_CHUNK pairs."""
+        chunks of fields.CHUNK pairs."""
         B = self.members
         I, J = np.triu_indices(len(B), 1)
-        for lo in range(0, len(I), _PAIR_CHUNK):
-            i, j = I[lo:lo + _PAIR_CHUNK], J[lo:lo + _PAIR_CHUNK]
+        for lo in range(0, len(I), fields.CHUNK):
+            i, j = I[lo:lo + fields.CHUNK], J[lo:lo + fields.CHUNK]
             bad = np.flatnonzero(self.fq.rank(np.concatenate([B[i], B[j]], axis=1)) != 2 * B.shape[1])
             if len(bad):
                 i, j = int(i[bad[0]]), int(j[bad[0]])
@@ -145,14 +144,14 @@ def orbits_are_partial_spreads(fq: FqContext, orbits):
 
     g^iW and g^jW meet as g^i(W ∩ g^{j-i}W), so an orbit is one exactly
     when W meets no g^tW, t = 1..s-1; those k(s-1) pairs are ranked in
-    stacks of _PAIR_CHUNK pairs.
+    stacks of fields.CHUNK pairs.
     """
     k, s, r, n = orbits.shape
     pairs = np.concatenate([np.broadcast_to(orbits[:, :1], (k, s - 1, r, n)), orbits[:, 1:]],
                            axis=2).reshape(-1, 2 * r, n)
     ok = np.empty(len(pairs), dtype=bool)
-    for lo in range(0, len(pairs), _PAIR_CHUNK):
-        ok[lo:lo + _PAIR_CHUNK] = fq.rank(pairs[lo:lo + _PAIR_CHUNK]) == 2 * r
+    for lo in range(0, len(pairs), fields.CHUNK):
+        ok[lo:lo + fields.CHUNK] = fq.rank(pairs[lo:lo + fields.CHUNK]) == 2 * r
     return ok.reshape(k, s - 1).all(axis=1)
 
 

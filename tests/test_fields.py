@@ -90,7 +90,7 @@ def test_smallest_irreducible_does_not_depend_on_the_root_test_stack(monkeypatch
     for p, d in [(3, 4), (3, 8), (5, 3), (7, 2)]:
         want = smallest_irreducible(p, d)
         for chunk in (1, 7, 50):
-            monkeypatch.setattr(fields, "_ROOT_CHUNK", chunk)
+            monkeypatch.setattr(fields, "CHUNK", chunk)
             assert smallest_irreducible.__wrapped__(p, d) == want
 
 

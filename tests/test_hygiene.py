@@ -5,8 +5,8 @@ the README or the acceptance tests, a signature gets its plan and product
 tables from `LogSignature.from_stacks` alone, a `Mat` is built only where
 one element crosses the edge of the package, no dataclass compares arrays in its `==`, the package
 caches by one rule, no function of the package imports a module but matgroups' deferred `forms`, only
-the process entry touches the collector, and every trace target of the benchmark names a function the
-package defines."""
+the process entry touches the collector, every trace target of the benchmark names a function the
+package defines, and the package has one batch size, `fields.CHUNK`."""
 
 import ast
 import importlib
@@ -484,3 +484,53 @@ def test_every_trace_target_resolves():
         assert owners, (mod_name, path)
         for owner, attr in owners:
             assert attr in vars(owner), (mod_name, path)
+
+
+
+def batch_sizes(source: str, allowed=()) -> list[str]:
+    """Module-level constants made of int literals alone, other than those
+    `allowed` and the budgets and caps on work (named *_BUDGET or *_CAP),
+    and int literals past 1 that step a `range`: each is a batch size,
+    which the package sets once, as `fields.CHUNK`."""
+    def is_int(node):
+        return all(isinstance(sub, (ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop))
+                   or isinstance(sub, ast.Constant) and type(sub.value) is int for sub in ast.walk(node))
+
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and is_int(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)
+                      and t.id not in allowed and not t.id.endswith(("_BUDGET", "_CAP"))]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range" and len(node.args) == 3 \
+                and isinstance(step := node.args[2], ast.Constant) and type(step.value) is int and step.value > 1:
+            found.append((node.lineno, f"range step {step.value}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_scan_finds_a_batch_size_outside_fields():
+    src = (
+        "PRODUCT_CHUNK = 4096\n"
+        "_PAIR_CHUNK: int = 2 ** 12\n"
+        "EXHAUSTIVE_BUDGET = 1_000_000\n"
+        "_CLOSURE_CAP = 2_000_000\n"
+        "CHUNK = 4096\n"
+        "FLAG = True\n"
+        "NAME = 'x'\n"
+        "SIZES = (1, 2)\n"
+        "def f(total, fields):\n"
+        "    FRONT_ORDER = 4096\n"
+        "    for lo in range(0, total, 4096):\n"
+        "        pass\n"
+        "    return range(0, total, 1), range(0, total, fields.CHUNK), range(total)\n"
+    )
+    assert batch_sizes(src, allowed=("CHUNK",)) == ["line 1: PRODUCT_CHUNK", "line 2: _PAIR_CHUNK",
+                                                    "line 11: range step 4096"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_batch_size(path):
+    # every stack the package builds in one piece is bounded by fields.CHUNK
+    assert batch_sizes(path.read_text(), allowed=("CHUNK",) if path.name == "fields.py" else ()) == []

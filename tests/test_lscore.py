@@ -437,7 +437,7 @@ def test_spread_empty_for_anisotropic():
     assert plan.shape == "empty"
 
 
-def _per_base_orbits(fq, pows, bases, chunk):
+def _per_base_orbits(fq, pows, bases):
     """Reference for `spreads.cyclic_orbits`: every base stepped on its own
     walk with `act_rref`, one power of the generator at a time."""
     steps, a = len(pows), np.broadcast_to(pows[0], (len(bases),) + pows[0].shape)
@@ -550,6 +550,54 @@ def test_project_folds_a_nonidentity_singleton_into_its_neighbour(q, order, last
     assert np.array_equal(np.asarray(pls.blocks[where]), canonical_lift(fq, folded))
     rep = verify_ls(pls)
     assert pls.claimed_order == rep.products_checked == order and rep.valid
+
+
+def test_project_refuses_a_projective_signature():
+    # PSO is already the quotient: halving it again would be no signature of it
+    with pytest.raises(UnsupportedFamily, match="not PSO-$"):
+        project_ls(canonical_ls(descriptor("PSO-", 3, m=2)))
+
+
+def test_project_refuses_a_signature_of_o():
+    with pytest.raises(UnsupportedFamily, match="not O-$"):
+        project_ls(canonical_ls(descriptor("O-", 3, n=4)))
+
+
+def test_project_refuses_an_unlabelled_signature_with_no_blocks():
+    # neither a group nor a block gives the dimension
+    with pytest.raises(LsError, match="no blocks"):
+        project_ls(LogSignature(None, [], 1))
+
+
+def _hand_mats(fq, *rows):
+    return [Mat(fq, np.array(a, dtype=np.int16)) for a in rows]
+
+
+def test_project_refuses_an_aliased_block_it_cannot_halve_cleanly():
+    # I and -I pair up in the block and the swap does not, so one lift per
+    # pair keeps two of its three elements
+    fq = fq_context(3, 1)
+    I, mI, swap = _hand_mats(fq, [[1, 0], [0, 1]], [[2, 0], [0, 2]], [[0, 1], [1, 0]])
+    with pytest.raises(InjectivityFail, match="cannot be halved cleanly") as exc:
+        project_ls(LogSignature(None, [[I, mI, swap]], 3))
+    assert exc.value.witnesses == [(0, [I.to_json()])]
+
+
+def test_project_refuses_when_no_halving_is_a_transversal():
+    # the one even block halves to [I, I], whose products repeat
+    fq = fq_context(3, 1)
+    I, swap, diag = _hand_mats(fq, [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 2]])
+    with pytest.raises(InjectivityFail, match="no single-block halving"):
+        project_ls(LogSignature(None, [[I, I, swap, diag]], 4))
+
+
+def test_project_keeps_a_lone_nonidentity_singleton_as_a_block():
+    # the block halves to the singleton [swap], with no block to fold into
+    fq = fq_context(3, 1)
+    swap, diag = _hand_mats(fq, [[0, 1], [1, 0]], [[1, 0], [0, 2]])
+    pls = project_ls(LogSignature(None, [[swap, diag]], 2))
+    assert pls.claimed_order == 1 and pls.group is None
+    assert [[g.key for g in b] for b in pls.blocks] == [[swap.key]]
 
 
 # ---------------------------------------------------------------- hypothesis
@@ -741,17 +789,17 @@ def test_parabolic_signatures_match_golden_hashes(kind, p, m, k):
 def test_product_tables_walk_in_product_order(pe, sizes, chunk, seed):
     # small chunk sizes put segment and chunk boundaries inside every block
     # and split the last table from the leading walk at every position
-    from orthosig import lscore
+    from orthosig import fields
 
     fq = fq_context(*pe)
     rng = np.random.default_rng(seed)
     blocks = [[Mat(fq, rng.integers(0, fq.q, (3, 3))) for _ in range(s)] for s in sizes]
-    old, lscore.PRODUCT_CHUNK = lscore.PRODUCT_CHUNK, chunk
+    old, fields.CHUNK = fields.CHUNK, chunk
     try:
         tables = ProductTables.build(fq, 3, blocks)
         chunks = list(tables.walk())
     finally:
-        lscore.PRODUCT_CHUNK = old
+        fields.CHUNK = old
     # a segment is one block or has at most chunk products
     assert math.prod(len(T) for T in tables.tables) == math.prod(sizes)
     assert all(len(T) <= chunk or len(T) in sizes for T in tables.tables)
@@ -773,10 +821,10 @@ def test_compose_is_exact_across_deferred_reductions(p, n, length, monkeypatch):
     # through one `mat_mul` per block, in int16 where n (p - 1)^2 < 2^15
     # and in int64 past it (p = 191), and every product, from compose and
     # from the sampled products, must agree with exact integers
-    from orthosig import lscore
+    from orthosig import fields, lscore
     from orthosig.factorize import compose
 
-    monkeypatch.setattr(lscore, "PRODUCT_CHUNK", 1)
+    monkeypatch.setattr(fields, "CHUNK", 1)
     fq = fq_context(p, 1)
     rng = np.random.default_rng(p * n)
     mats = rng.integers(0, p, (length, 2, n, n)).astype(np.int16)
@@ -801,11 +849,12 @@ DRAW_ROWS = [[0, 0, 2, 2, 1, 6, 4, 62, 1020, 725], [0, 0, 1, 2, 4, 1, 3, 119, 30
              [0, 0, 0, 2, 4, 5, 6, 28, 678, 472], [0, 1, 1, 1, 1, 5, 7, 36, 536, 793]]
 
 
-def test_sampled_digits_are_drawn_as_randrange_draws_them():
+def test_sampled_digits_are_drawn_as_randrange_draws_them(monkeypatch):
     # 300 samples cross a chunk boundary; the generator must end where the
     # same randrange calls leave it
-    from orthosig import lscore
+    from orthosig import fields, lscore
 
+    monkeypatch.setattr(fields, "CHUNK", 256)
     fq = fq_context(3, 1)
     ls = LogSignature(None, [[Mat(fq, fq.identity(1))] * s for s in DRAW_SIZES], math.prod(DRAW_SIZES))
     rng, ref = random.Random(2024), random.Random(2024)
@@ -833,6 +882,41 @@ def test_sampled_reports_of_o6_3_match_golden_hashes(seed):
     rep = verify_ls(canonical_ls(descriptor("O+", 3, n=6)), "sampled", samples=25, seed=seed)
     doc = json.dumps(rep.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == SAMPLED_O6_SHA256[seed]
+
+
+def _misdecoding(monkeypatch, errors):
+    """Makes every stage plan decode a stack with its last digit one more
+    and the given errors, and returns canonical O-4(3), whose plan is one."""
+    from orthosig.lscore import _StagePlan
+
+    decode_many = _StagePlan.decode_many
+
+    def wrong(self, A, stats=None):
+        digits, _ = decode_many(self, A, stats)
+        digits = digits.copy()
+        digits[:, -1] += 1
+        return digits, dict(errors)
+
+    monkeypatch.setattr(_StagePlan, "decode_many", wrong)
+    return canonical_ls(descriptor("O-", 3, n=4))
+
+
+def test_sampled_verify_lists_the_first_six_failures_in_sample_order(monkeypatch):
+    # batches of 4 put the sixth failure in the second batch
+    from orthosig import fields, lscore
+
+    ls = _misdecoding(monkeypatch, {})
+    monkeypatch.setattr(fields, "CHUNK", 4)
+    rep = verify_ls(ls, "sampled", samples=50, seed=3)
+    ivs = [iv for ivs, _ in lscore._sampled_products(random.Random(3), ls, 6) for iv in ivs]
+    assert not rep.valid and not rep.mls
+    assert rep.collisions == [{"iv": iv, "got": iv[:-1] + [iv[-1] + 1]} for iv in ivs]
+
+
+def test_sampled_verify_raises_the_first_decode_error_in_row_order(monkeypatch):
+    ls = _misdecoding(monkeypatch, {2: LsError("row 2"), 1: LsError("row 1")})
+    with pytest.raises(LsError, match="row 1"):
+        verify_ls(ls, "sampled", samples=10, seed=3)
 
 
 def _report_variants(fam, q, n):
@@ -936,12 +1020,15 @@ def test_verify_reports_match_golden_hashes(fam, q, n, variant, mode, seed):
 def test_exhaustive_reports_list_every_collision_as_a_dict_walk_does(fam, q, n, chunk, monkeypatch):
     # the golden report hashes see only the first three collisions; the
     # whole list, in product order with the first index vector of each key,
-    # comes from the reference walk (chunk 100 splits the walk mid-block)
-    from orthosig import lscore
+    # comes from the reference walk (chunk 100 splits the walk mid-block);
+    # the canonical signature is built at the default chunk, so the cache
+    # keeps the plan it holds at the default
+    from orthosig import fields
     from dictwalk import verify_by_dict_walk
 
-    monkeypatch.setattr(lscore, "PRODUCT_CHUNK", chunk)
-    for name, ls in _report_variants(fam, q, n).items():
+    variants = _report_variants(fam, q, n)
+    monkeypatch.setattr(fields, "CHUNK", chunk)
+    for name, ls in variants.items():
         rep = verify_ls(ls, "exhaustive")
         collisions, outside, distinct = verify_by_dict_walk(ls)
         assert (rep.collisions, rep.not_in_group) == (collisions, outside)

@@ -96,7 +96,7 @@ def _walked_spread(fq, walk):
 def _orbits(fq, g, bases, steps):
     """`cyclic_orbits` of a (k, r, n) stack of bases under <g>, g an
     (n, n) array, walked up to g^steps."""
-    return cyclic_orbits(fq, powers(fq, g, steps + 1)[1:], bases, 4096)
+    return cyclic_orbits(fq, powers(fq, g, steps + 1)[1:], bases)
 
 
 def test_orbit_partial_spread_identity():
@@ -268,11 +268,12 @@ def test_members_that_meet_never_partition_the_singular_points():
     assert raised
 
 
-def test_cyclic_orbits_walk_each_orbit_once_with_orbit_walks_images():
+def test_cyclic_orbits_walk_each_orbit_once_with_orbit_walks_images(monkeypatch):
     # every base of the literal rung: the return time and images that the
     # per-base reference walk gives, for orbits that close within the
     # steps and ones that do not, with chunks from one image up; a closed
     # orbit is one walk for all its members
+    from orthosig import fields
     from orthosig.lscore import ts_subspace_transporters
 
     for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 3), ("odd", "Oodd", 2)]:
@@ -284,7 +285,8 @@ def test_cyclic_orbits_walk_each_orbit_once_with_orbit_walks_images():
             ret = [len(o) if len(o) <= steps else 0 for o in want]
             closed = {frozenset(o.tobytes() for o in w) for w, t in zip(want, ret) if t}
             for chunk in (1, 7, 4096):
-                orbits = cyclic_orbits(s.fq, powers(s.fq, lit, steps + 1)[1:], bases, chunk)
+                monkeypatch.setattr(fields, "CHUNK", chunk)
+                orbits = cyclic_orbits(s.fq, powers(s.fq, lit, steps + 1)[1:], bases)
                 assert orbits.ret.tolist() == ret
                 for i, (w, t) in enumerate(zip(want, ret)):
                     assert [R.tobytes() for R in orbits.walk(i, t or steps)] == [o.tobytes() for o in w[:steps]]
@@ -420,7 +422,7 @@ def _pairwise_reference(fq, members):
 @given(st.sampled_from([(3, 1), (5, 1), (3, 2)]), st.integers(min_value=2, max_value=5),
        st.integers(min_value=0, max_value=7), st.sampled_from([1, 2, 5, 4096]), st.data())
 def test_hypothesis_stacked_check_pairwise_matches_the_pair_loop(pe, n, count, chunk, data):
-    from orthosig import spreads
+    from orthosig import fields
 
     # one dimension r per spread; drawn rows of lower rank are dropped
     fq = fq_context(*pe)
@@ -434,14 +436,14 @@ def test_hypothesis_stacked_check_pairwise_matches_the_pair_loop(pe, n, count, c
             members.setdefault(S.tobytes(), S)
     members = np.array(list(members.values()), dtype=np.int16).reshape(-1, r, n)
     want = _pairwise_reference(fq, members)
-    old, spreads._PAIR_CHUNK = spreads._PAIR_CHUNK, chunk
+    old, fields.CHUNK = fields.CHUNK, chunk
     try:
         PartialSpread(members, fq).check_pairwise()
         got = None
     except NotAPartialSpread as exc:
         got = str(exc), exc.witness
     finally:
-        spreads._PAIR_CHUNK = old
+        fields.CHUNK = old
     assert got == want
 
 
