@@ -210,6 +210,8 @@ def cmd_verify(args):
 
 def cmd_factor(args):
     ls_file = load_ls(args.infile)
+    if args.rank is None and args.element_file is None:
+        return _report(args, {"error": "need --rank or --element-file"}, ["nothing to factor"], 2)
     desc = ls_file.group
     check_projection_budget(desc, args.budget)
     ls = canonical_ls(desc)
@@ -217,8 +219,6 @@ def cmd_factor(args):
         raise ValueError(f"signature file claims order {ls_file.claimed_order}, but {desc.family} n={desc.n} "
                          f"q={desc.q} has order {ls.claimed_order}")
     mismatch = list(map(list, ls.blocks)) != ls_file.blocks
-    if args.rank is None and args.element_file is None:
-        return _report(args, {"error": "need --rank or --element-file"}, ["nothing to factor"], 2)
     if args.rank is not None:
         iv = unrank(args.rank, ls)
         g = compose(iv, ls)

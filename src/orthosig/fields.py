@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -549,6 +550,27 @@ def read_only(v):
         for x in v:
             read_only(x)
     return v
+
+
+def keys(A):
+    """The key of each row of a stack, the bytes of that row as a C-order
+    int16 array: one numpy void scalar each (`.tolist()` gives the bytes),
+    so keys sort and compare as those bytes.  The package's one key."""
+    A = np.ascontiguousarray(A, dtype=np.int16)
+    A = A.reshape(len(A), math.prod(A.shape[1:]))
+    return A.view(np.dtype((np.void, A.shape[1] * A.itemsize)))[:, 0]
+
+
+def row_index(A, values=None):
+    """The dict from the key of each row of A to its position, or to the
+    matching item of `values`; a repeated row maps to its last position."""
+    return dict(zip(keys(A).tolist(), range(len(A)) if values is None else values))
+
+
+def lookup(index, A):
+    """What the dict index maps the key of each row of A to, as an intp
+    array; -1 where a row's key is not in it."""
+    return np.fromiter(map(index.get, keys(A).tolist(), repeat(-1)), dtype=np.intp, count=len(A))
 
 
 def projective_points(fq: FqContext, basis, lead=None):

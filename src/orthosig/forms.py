@@ -387,31 +387,26 @@ def enumerate_isometry_group(space: QuadraticSpace, family="O"):
 
 @cache
 def omega_oracle(space: QuadraticSpace):
-    """Key set (entry bytes) and read-only (k, n, n) stack of the elements
+    """Key set (`fields.keys`) and read-only (k, n, n) stack of the elements
     of the commutator subgroup of the full isometry group, computed as a
     normal closure of generator commutators; both are shared by every
     caller."""
     els = read_only(derived_subgroup(space.fq, o_generators(space)))
-    return frozenset(g.tobytes() for g in els), els
+    return frozenset(fields.keys(els).tolist()), els
 
 
 def omega_audit(space: QuadraticSpace):
     """Element-by-element comparison of the even-rank criterion with the
     commutator-closure oracle over the special isometry group."""
-    keys, _ = omega_oracle(space)
+    oracle, _ = omega_oracle(space)
     so = enumerate_isometry_group(space, "SO")
-    disagreements = []
-    for g, crit in zip(so, omega_rank_criterion(space, so)):
-        truth = g.tobytes() in keys
-        if crit != truth:
-            disagreements.append({
-                "matrix": Mat(space.fq, g).to_json(),
-                "rank_criterion": bool(crit),
-                "commutator_oracle": bool(truth),
-            })
+    truths = map(oracle.__contains__, fields.keys(so).tolist())
+    disagreements = [{"matrix": Mat(space.fq, g).to_json(), "rank_criterion": bool(crit),
+                      "commutator_oracle": bool(truth)}
+                     for g, crit, truth in zip(so, omega_rank_criterion(space, so), truths) if crit != truth]
     return {
         "group_size": len(so),
-        "omega_size": len(keys),
+        "omega_size": len(oracle),
         "agreement": not disagreements,
         "disagreements": disagreements,
     }

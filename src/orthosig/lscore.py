@@ -238,19 +238,6 @@ class ProductTables:
                 yield self.fq.mat_mul(L[lo:lo + step, None], T[None]).reshape(-1, self.n, self.n)
 
 
-def _keys(A):
-    """The entry bytes (`Mat.key`) of each matrix of a stack, as one numpy
-    void scalar each, which sort and compare as those bytes."""
-    A = np.ascontiguousarray(A, dtype=np.int16).reshape(len(A), -1)
-    return A.view(np.dtype((np.void, A.shape[1] * A.itemsize)))[:, 0]
-
-
-def _lookup(index, A):
-    """What the dict index maps the entry bytes of each matrix (or vector)
-    of the stack A to, as an intp array; -1 where A's bytes are no key."""
-    return np.fromiter(map(index.get, _keys(A).tolist(), itertools.repeat(-1)), dtype=np.intp, count=len(A))
-
-
 def _first_indices(keys):
     """For each key of a 1-d array, the index of its first occurrence, from
     one stable argsort: what np.unique gives, but np.unique imports numpy.ma
@@ -265,7 +252,7 @@ def _first_indices(keys):
 
 def _distinct_products(fq, blocks, n):
     """How many distinct canonical lifts the block products make."""
-    keys = [_keys(canonical_lift(fq, A)) for A in ProductTables.build(fq, n, blocks).walk()]
+    keys = [fields.keys(canonical_lift(fq, A)) for A in ProductTables.build(fq, n, blocks).walk()]
     first = _first_indices(np.concatenate(keys))
     return int((first == np.arange(len(first))).sum())
 
@@ -398,15 +385,16 @@ def _try_cyclic(space, shape, g, orbit, L, notes):
 def _try_twisted(space, a, i, orbits, L, moves, points, notes):
     """Layers the half orbit of base i under `a` with a second one: the
     transporter bases, in order, are walked under `a` into `orbits`,
-    `moves` are their transporters, and points[j] holds the keys of the
-    singular points of base j."""
+    `moves` are their transporters, and row j of `points` holds the
+    positions in L of the singular points of base j."""
     s = int(orbits.ret[i])
     orbit1 = orbits.walk(i, s)
     in1 = orbits.orbit == orbits.orbit[i]
-    uncovered = {v.tobytes() for v in L}.difference(*(points[j] for j in np.flatnonzero(in1)))
+    covered = np.zeros(len(L), dtype=bool)
+    covered[points[in1]] = True
     # the orbits of <a> are disjoint, so no X outside orbit1 moves into it
     for j in range(len(moves)):
-        if in1[j] or orbits.ret[j] != s or not points[j] <= uncovered:
+        if in1[j] or orbits.ret[j] != s or covered[points[j]].any():
             continue
         sp, rep = _try_partition(space, np.concatenate([orbit1, orbits.walk(j, s)]), L)
         if sp is None:
@@ -421,10 +409,11 @@ def _try_transversal(space, L, det1, notes):
     # a canonical point is the echelon basis of its 1-space; the members
     # are the points in order, from w0 = L[0]
     bases, moves = spr.schreier_transversal(fq, L[:1], gens, len(L))
-    at = {B.tobytes(): t for t, B in enumerate(bases)}
+    at = fields.row_index(bases)
+    moves = moves[[at[k] for k in fields.keys(L).tolist()]]
     sp = PartialSpread(L[:, None], fq)
     rep = spr.verify_partition(sp, L, fq)
-    return SpreadPlan("transversal", L[:1], sp, (("trans", moves[[at[v.tobytes()] for v in L]]),), notes, rep)
+    return SpreadPlan("transversal", L[:1], sp, (("trans", moves),), notes, rep)
 
 
 def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
@@ -494,7 +483,8 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
             halves = _spread_orbits(fq, orbits, M // 2)
             if len(halves):
                 # every point of a totally singular base is singular
-                points = [{v.tobytes() for v in P} for P in spr.span_points(fq, bases)]
+                points = fields.lookup(fields.row_index(L), spr.span_points(fq, bases).reshape(-1, n))
+                points = points.reshape(len(bases), -1)
             twisted = notes + ["using twisted layering: half torus orbit times an orbit-moving twist element"]
             for i in halves:
                 plan = _try_twisted(space, lit, i, orbits, L, moves, points, twisted)
@@ -604,7 +594,7 @@ class _TablePlan(_Plan):
 
     def __post_init__(self):
         read_only((self.blocks, self.mats, self.ivs))
-        object.__setattr__(self, "_rows", dict(zip(_keys(self.mats).tolist(), range(len(self.mats)))))
+        object.__setattr__(self, "_rows", fields.row_index(self.mats))
 
     @property
     def width(self):
@@ -631,7 +621,7 @@ class _TablePlan(_Plan):
     def _answer(self, Z, rows, out, col):
         """Writes the index vectors of the rows of Z found in the table;
         returns which were not found, or None when every row was."""
-        at = _lookup(self._rows, Z)
+        at = fields.lookup(self._rows, Z)
         miss = at < 0
         if not miss.any():
             out[rows, col:col + self.width] = self.ivs.take(at, axis=0)
@@ -735,10 +725,10 @@ class _StagePlan(_Plan):
         # bytes of column R of each E(u), which is lam hw[:, R] when
         # hw = E(u) d(lam) y, to the row of u
         derived = {"width": self.bounds[2] + self.sub.width,
-                   "_points": dict(zip(_keys(self.vectors).tolist(), self.point.tolist())),
-                   "_siegel_rows": dict(zip(_keys(self.siegel[:, :, R]).tolist(), range(len(self.siegel)))),
+                   "_points": fields.row_index(self.vectors, self.point.tolist()),
+                   "_siegel_rows": fields.row_index(self.siegel[:, :, R]),
                    "_border_pos": border, "_residue_pos": (self.SP[:, None] * n + self.SP).ravel(),
-                   "_d_border": d[:, border], "_d_bytes": tuple(_keys(d[:, border]).tolist())}
+                   "_d_border": d[:, border], "_d_bytes": tuple(fields.keys(d[:, border]).tolist())}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
         # not through vars(self), which would materialise the instance dict
@@ -792,7 +782,7 @@ class _StagePlan(_Plan):
             Z, rows = Z[miss], rows[miss]
         fq, n = self.space.fq, self.n
         ZT = fq.mat_mul(Z, self.enter)
-        pt = _lookup(self._points, ZT[:, :, 0])
+        pt = fields.lookup(self._points, ZT[:, :, 0])
         alive = pt >= 0
         failed = not alive.all()
         if failed:
@@ -888,7 +878,7 @@ def _base_case_ls(desc: GroupDescriptor) -> LogSignature:
     else:
         els = forms.enumerate_isometry_group(space, "O")
         # in the order of their entry bytes
-        els = els[np.argsort(_keys(els), kind="stable")]
+        els = els[np.argsort(fields.keys(els), kind="stable")]
         det1 = fq.det(els) == 1
         so = els[det1]
         # every element of SO_2 has an order dividing |SO_2|; a generator has
@@ -1014,7 +1004,7 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
     w = W0[0]
     points = space.isotropic_points()
     heads, ivs = ProductTables.build(fq, n, blocks[:bounds[0]]).every()
-    hit = _lookup(dict(zip(_keys(points).tolist(), range(len(points)))), space.canon(fq.mat_vec(heads, w)))
+    hit = fields.lookup(fields.row_index(points), space.canon(fq.mat_vec(heads, w)))
     if not np.array_equal(np.sort(hit), np.arange(len(points))):
         raise LsError("the A and B blocks do not carry the base point once to each singular point")
     which = np.empty(len(points), dtype=np.intp)
@@ -1092,7 +1082,8 @@ def parabolic_ls(space: QuadraticSpace, k: int, family: str = "O") -> LogSignatu
     M = np.broadcast_to(fq.identity(n), (len(mid), n, n)).copy()
     M[:, np.array(mid_pos, dtype=np.intp)[:, None], mid_pos] = mid
     Qblk = fq.mat_mul(DM[:, None], M[None]).reshape(-1, n, n)
-    if set(_keys(Rgrp).tolist()) & set(_keys(Qblk).tolist()) != {fq.identity(n).tobytes()}:
+    common = Qblk[fields.lookup(fields.row_index(Rgrp), Qblk) >= 0]
+    if not len(common) or (common != fq.identity(n)).any():
         raise LsError("R and Q overlap beyond the identity")
     return LogSignature.from_stacks(None, fq, n, [Rgrp, Qblk], len(Rgrp) * len(Qblk),
                                     {"shape": "parabolic", "k": k, "family": family,
@@ -1162,8 +1153,7 @@ def project_ls(ls: LogSignature) -> LogSignature:
     # g and -g both in a block make an aliased pair, named by its lift
     aliased = []
     for t, A in enumerate(stacks):
-        first = _first_indices(np.concatenate([_keys(A), _keys(fq.v_neg(A))]))
-        paired = first[len(A):] < len(A)  # -g lies in the block
+        paired = fields.lookup(fields.row_index(A), fq.v_neg(A)) >= 0  # -g lies in the block
         lifted = (canonical_lift(fq, A) == A).all(axis=(1, 2))
         if paired.any():
             aliased.append((t, paired & lifted, paired & ~lifted))
@@ -1264,7 +1254,9 @@ def check_projection_budget(desc: GroupDescriptor, budget: int) -> None:
     nothing.  A space past the envelope is refused first, as in `verify_ls`."""
     if desc.projective and desc.n % 2 == 0:
         space_for(desc)
-        check_exhaustive_budget(group_order(desc), budget)
+        if (order := group_order(desc)) > budget:
+            raise LsError(f"projection walks the {order} products of the halved SO signature, "
+                          f"past --budget {budget}")
 
 
 def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
@@ -1293,7 +1285,7 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         for A in tables.walk():
             if space is not None:
                 bad += len(A) - int(forms.membership_many(space, A, ls.group.family).sum())
-            keys.append(_keys(canonical_lift(tables.fq, A) if projective else A))
+            keys.append(fields.keys(canonical_lift(tables.fq, A) if projective else A))
         first = _first_indices(np.concatenate(keys))
         # every product whose key came earlier, in product order, with the
         # first index vector of that key
@@ -1313,9 +1305,10 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         rng = random.Random(seed)
         if ls.plan is None:
             return _sampled_through_canonical(ls, samples, seed, rng, space, notes)
-        failures = []
+        failures, checked = [], 0
         for ivs, A in _sampled_products(rng, ls, samples):
             digits, errors = ls.plan.decode_many(A)
+            checked += len(A)
             for r, (iv, got) in enumerate(zip(ivs, digits.tolist())):
                 if r in errors:
                     raise errors[r]
@@ -1328,7 +1321,7 @@ def verify_ls(ls: LogSignature, mode="exhaustive", samples=10_000, seed=42,
         order_ok = _claims_group_order(ls, notes)
         valid = not failures and order_ok
         return VerifyReport(valid, mode, length, bound, valid and length == bound,
-                            ls.claimed_order, samples, failures, 0, seed, notes)
+                            ls.claimed_order, checked, failures, 0, seed, notes)
     raise LsError(f"unknown mode {mode!r}")
 
 

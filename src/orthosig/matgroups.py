@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import (
     FieldError, FqContext, _mat_pow, check_field_size, companion_powers, first_primitive, fq_context, is_int,
-    product_rows, read_only, smallest_irreducible,
+    keys, product_rows, read_only, smallest_irreducible,
 )
 
 
@@ -364,34 +364,28 @@ def closure(starts, images, limit):
     """Breadth-first closure of the arrays `starts` under `images`, the one
     BFS of the package.
 
-    `images(x)` gives the images of node x as a sequence of arrays.  Nodes
-    are deduplicated by their bytes and kept in first-seen order, and the
-    walk stops once `limit` nodes are known.  Returns (nodes, parent, via):
-    node t is images(nodes[parent[t]])[via[t]], and a start node has
-    parent and via -1.  Nodes found as images are copies, so they do not
-    keep their image stacks alive.
+    `images(x)` gives the images of node x as one stack.  Nodes are
+    deduplicated by their keys (`fields.keys`, one call per stack) and kept
+    in first-seen order, and the walk stops once `limit` nodes are known.
+    Returns (nodes, parent, via): node t is images(nodes[parent[t]])[via[t]],
+    and a start node has parent and via -1.  Nodes are copies, so they do
+    not keep their stacks alive.
     """
     nodes, seen = [], set()
     parent, via = array("l"), array("l")
-    for x in starts:
-        key = x.tobytes()
-        if key not in seen and len(nodes) < limit:
-            seen.add(key)
-            nodes.append(x)
-            parent.append(-1)
-            via.append(-1)
-    t = 0
-    while t < len(nodes) < limit:
-        for i, y in enumerate(images(nodes[t])):
-            key = y.tobytes()
+    # the starts, then the images of each node in turn
+    t, stack = -1, starts
+    while stack is not None:
+        for i, key in enumerate(keys(stack).tolist()):
+            if len(nodes) == limit:
+                break
             if key not in seen:
                 seen.add(key)
-                nodes.append(y.copy())
+                nodes.append(np.array(stack[i]))
                 parent.append(t)
-                via.append(i)
-                if len(nodes) == limit:
-                    break
+                via.append(-1 if t < 0 else i)
         t += 1
+        stack = images(nodes[t]) if t < len(nodes) < limit else None
     return nodes, parent, via
 
 

@@ -72,7 +72,7 @@ def cyclic_orbits(fq: FqContext, pows, bases) -> CyclicOrbits:
     call is skipped.
     """
     steps, (k, r, n) = len(pows), bases.shape
-    index = {B.tobytes(): i for i, B in enumerate(bases)}
+    index = fields.row_index(bases)
     ret = np.zeros(k, dtype=np.intp)
     orbit = np.full(k, -1, dtype=np.intp)
     shift = np.zeros(k, dtype=np.intp)
@@ -90,10 +90,9 @@ def cyclic_orbits(fq: FqContext, pows, bases) -> CyclicOrbits:
             back = (I == bases[i]).all(axis=(1, 2))
             t = int(back.argmax()) + 1 if back.any() else 0
             walk = np.concatenate([bases[i][None], I[:(t or steps) - 1]])
-            for s, X in enumerate(walk if t else walk[:1]):
-                j = index.get(X.tobytes())
-                if j is not None:
-                    ret[j], orbit[j], shift[j] = t, len(walks), s
+            j = fields.lookup(index, walk if t else walk[:1])
+            s = np.flatnonzero(j >= 0)
+            ret[j[s]], orbit[j[s]], shift[j[s]] = t, len(walks), s
             walks.append(walk)
     return CyclicOrbits(ret, orbit, shift, walks)
 
@@ -113,9 +112,8 @@ class PartialSpread:
     def __init__(self, members, fq: FqContext):
         self.members = read_only(np.array(members, dtype=np.int16, order="C"))
         self.fq = fq
-        keys = [B.tobytes() for B in self.members]
-        if len(set(keys)) != len(keys):
-            raise NotAPartialSpread("duplicate members", witness=keys)
+        if len(fields.row_index(self.members)) != len(self.members):
+            raise NotAPartialSpread("duplicate members", witness=fields.keys(self.members).tolist())
 
     def __len__(self):
         return len(self.members)
@@ -178,33 +176,29 @@ def verify_partition(spread: PartialSpread, points, fq: FqContext):
     """Checks every point lies in exactly one member and the members carry
     equally many points.  Violations are report content, not exceptions.
     """
-    point_keys = [np.asarray(p, dtype=np.int16).tobytes() for p in points]
-    pt_set = set(point_keys)
-    owner: dict[bytes, int] = {}
+    index = fields.row_index(points)  # each distinct point, at its last position
+    owner: dict[int, int] = {}
     counts = [0] * len(spread)
     violations = []
     for i, span in enumerate(projective_points(fq, spread.members)):
-        for v in span:
-            k = v.tobytes()
-            if k not in pt_set:
+        for t, p in enumerate(fields.lookup(index, span).tolist()):
+            if p < 0:
                 continue
-            if k in owner:
-                violations.append({"kind": "double_cover", "point": v.tolist(), "members": [owner[k], i]})
+            if p in owner:
+                violations.append({"kind": "double_cover", "point": span[t].tolist(), "members": [owner[p], i]})
             else:
-                owner[k] = i
+                owner[p] = i
                 counts[i] += 1
-    uncovered = len(pt_set) - len(owner)
+    uncovered = len(index) - len(owner)
     if uncovered:
-        for k in point_keys:
-            if k not in owner:
-                violations.append({"kind": "uncovered", "point": np.frombuffer(k, dtype=np.int16).tolist()})
-                break
+        p = next(p for p in index.values() if p not in owner)
+        violations.append({"kind": "uncovered", "point": np.asarray(points[p], dtype=np.int16).tolist()})
     equal = len(set(counts)) <= 1 and (not counts or counts[0] > 0)
     ok = not violations and equal and uncovered == 0
     return {
         "ok": bool(ok),
         "members": len(spread),
-        "points": len(pt_set),
+        "points": len(index),
         "points_per_member": counts[0] if counts and equal else counts,
         "uncovered": uncovered,
         "violations": violations[:5],

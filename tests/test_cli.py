@@ -112,6 +112,27 @@ def test_factor_takes_a_rank_or_an_element_file_not_both(tmp_path):
     assert summary == ["# nothing to factor"]
 
 
+def test_factor_with_nothing_to_factor_answers_before_building(tmp_path, monkeypatch, capsys):
+    # the arguments are checked right after the file is read: the budget
+    # check and the canonical build once ran first, for an answer that
+    # needs neither
+    from orthosig import cli
+
+    out = tmp_path / "ls.json"
+    assert cli.main(["construct", "--family", "O-", "--q", "3", "--m", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def fail(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(cli, "canonical_ls", fail)
+    monkeypatch.setattr(cli, "check_projection_budget", fail)
+    assert cli.main(["factor", "--in", str(out)]) == 2
+    doc, summary = parse_stdout(capsys.readouterr().out)
+    assert doc["result"] == {"error": "need --rank or --element-file"}
+    assert summary == ["# nothing to factor"]
+
+
 def test_factor_rejects_an_element_of_the_wrong_size(tmp_path):
     out = tmp_path / "ls.json"
     run_cli("construct", "--family", "O-", "--q", "3", "--m", "2", "--out", str(out))
@@ -430,7 +451,8 @@ def test_a_projective_construct_past_the_budget_exits_2_before_building(tmp_path
     argv = ["construct", "--family", "PSO-", "--q", "5", "--m", "3", "--out", str(tmp_path / "ls.json")]
     assert cli.main(argv) == 2
     doc, _ = parse_stdout(capsys.readouterr().out)
-    assert doc["error"] == "exhaustive verification needs claimed_order <= 1000000"
+    assert doc["error"] == ("projection walks the 14742000000 products of the halved SO signature, "
+                            "past --budget 1000000")
     assert not (tmp_path / "ls.json").exists()
 
 

@@ -14,6 +14,9 @@ from orthosig.fields import (
     FieldError,
     factorint,
     fq_context,
+    keys,
+    lookup,
+    row_index,
     smallest_irreducible,
     split_prime_power,
 )
@@ -795,3 +798,30 @@ def test_rref_and_det_of_stacks_with_zero_rows_are_exact(p):
         if n == cols:
             assert fq.det(A).tolist() == [_rref_object(a, p)[2] for a in A]
             assert fq.det(A[0]) == _rref_object(A[0], p)[2]
+
+
+def test_keys_are_the_bytes_of_each_row_as_one_c_order_int16_array():
+    # the one key of the package: whatever the layout or the integer type
+    # of a stack, the key of row i is the bytes of A[i] as C-order int16
+    rng = np.random.default_rng(5)
+    A = rng.integers(0, 9, (6, 3, 4)).astype(np.int16)
+    stacks = [A, np.asfortranarray(A), A[::2], A[:, ::-1, 1:3], A.astype(np.int64),
+              A[:0], A.reshape(6, 12), A.reshape(6, 12).T]
+    for S in stacks:
+        want = [a.tobytes() for a in np.ascontiguousarray(S, np.int16)]
+        assert keys(S).tolist() == want
+    # sorted keys order the rows by those bytes
+    rows = A.reshape(6, 12)
+    assert [rows[i].tobytes() for i in np.argsort(keys(rows), kind="stable")] == \
+        sorted(r.tobytes() for r in rows)
+
+
+def test_row_index_keeps_the_last_repeated_row_and_lookup_misses_with_minus_1():
+    A = np.array([[1, 2], [3, 4], [1, 2], [5, 6]], dtype=np.int16)
+    assert row_index(A) == {A[0].tobytes(): 2, A[1].tobytes(): 1, A[3].tobytes(): 3}
+    assert row_index(A, "abcd") == {A[0].tobytes(): "c", A[1].tobytes(): "b", A[3].tobytes(): "d"}
+    B = np.array([[3, 4], [0, 0], [1, 2], [2, 1]], dtype=np.int64)
+    got = lookup(row_index(A), B)
+    assert got.dtype == np.intp and got.tolist() == [1, -1, 2, -1]
+    assert lookup(row_index(A), B[:0]).tolist() == []
+    assert lookup({}, A).tolist() == [-1] * 4

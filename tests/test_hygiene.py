@@ -6,7 +6,8 @@ tables from `LogSignature.from_stacks` alone, a `Mat` is built only where
 one element crosses the edge of the package, no dataclass compares arrays in its `==`, the package
 caches by one rule, no function of the package imports a module but matgroups' deferred `forms`, only
 the process entry touches the collector, every trace target of the benchmark names a function the
-package defines, and the package has one batch size, `fields.CHUNK`."""
+package defines, the package has one batch size, `fields.CHUNK`, and every key of a stack's rows
+comes from `fields.keys`."""
 
 import ast
 import importlib
@@ -534,3 +535,83 @@ def test_the_scan_finds_a_batch_size_outside_fields():
 def test_one_batch_size(path):
     # every stack the package builds in one piece is bounded by fields.CHUNK
     assert batch_sizes(path.read_text(), allowed=("CHUNK",) if path.name == "fields.py" else ()) == []
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def keys_made_by_hand(source: str, dicts_allowed=False) -> list[str]:
+    """Keys of a stack's rows made outside `fields`: a `.tobytes()` call
+    inside a loop or a comprehension, which keys the rows one by one, and,
+    unless `dicts_allowed`, a dict built by hand (a `dict(..)` call or a
+    dict comprehension) around a call of `keys` or `_keys`, which is what
+    `fields.row_index` builds.  One array keyed once (`Mat`, the
+    one-element decode) keeps its `tobytes()`."""
+    def calls(node, names, least_args=0):
+        return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call) and len(sub.args) >= least_args
+                and getattr(sub.func, "attr", getattr(sub.func, "id", None)) in names]
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, LOOPS):
+            found.update((sub.lineno, "tobytes() in a loop") for sub in calls(node, ("tobytes",)))
+        is_dict = isinstance(node, ast.DictComp) or isinstance(node, ast.Call) \
+            and getattr(node.func, "id", None) == "dict"
+        if is_dict and not dicts_allowed and calls(node, ("keys", "_keys"), least_args=1):
+            found.add((node.lineno, "key dict built by hand"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_scan_finds_the_keys_made_row_by_row():
+    # the 13 row-by-row keys and 4 hand-built indexes the package once had,
+    # as they were written, then what one array and `fields` may do
+    src = (
+        "def closure(starts, images, limit):\n"
+        "    for x in starts:\n"
+        "        key = x.tobytes()\n"
+        "    while t < len(nodes) < limit:\n"
+        "        for i, y in enumerate(images(nodes[t])):\n"
+        "            key = y.tobytes()\n"
+        "def spreads(fq, bases, walk, members, points, spread):\n"
+        "    index = {B.tobytes(): i for i, B in enumerate(bases)}\n"
+        "    for s, X in enumerate(walk):\n"
+        "        j = index.get(X.tobytes())\n"
+        "    keys = [B.tobytes() for B in members]\n"
+        "    point_keys = [np.asarray(p, dtype=np.int16).tobytes() for p in points]\n"
+        "    for i, span in enumerate(projective_points(fq, spread.members)):\n"
+        "        for v in span:\n"
+        "            k = v.tobytes()\n"
+        "def forms(els, so, keys):\n"
+        "    oracle = frozenset(g.tobytes() for g in els)\n"
+        "    for g in so:\n"
+        "        truth = g.tobytes() in keys\n"
+        "def ladder(L, points, bases, moves, spans):\n"
+        "    uncovered = {v.tobytes() for v in L}.difference(*points)\n"
+        "    at = {B.tobytes(): t for t, B in enumerate(bases)}\n"
+        "    moves = moves[[at[v.tobytes()] for v in L]]\n"
+        "    points = [{v.tobytes() for v in P} for P in spans]\n"
+        "def indexes(self, points, heads, R):\n"
+        "    rows = dict(zip(_keys(self.mats).tolist(), range(len(self.mats))))\n"
+        "    pts = dict(zip(_keys(self.vectors).tolist(), self.point.tolist()))\n"
+        "    siegel = dict(zip(_keys(self.siegel[:, :, R]).tolist(), range(len(self.siegel))))\n"
+        "    hit = _lookup(dict(zip(_keys(points).tolist(), range(len(points)))), heads)\n"
+        "    by_key = {k: i for i, k in enumerate(fields.keys(heads).tolist())}\n"
+        "def kept(self, Z, arr, A, names):\n"
+        "    self._key = arr.tobytes()\n"
+        "    row = self._rows.get(Z.tobytes())\n"
+        "    index, sizes = fields.row_index(A), dict(zip(names, A.shape))\n"
+        "    labels = {k: 1 for k in self.meta.keys()}\n"
+        "    for S in A:\n"
+        "        at = fields.lookup(index, S)\n"
+    )
+    loops = [3, 6, 8, 10, 11, 12, 15, 17, 19, 21, 22, 23, 24]
+    hand = [26, 27, 28, 29, 30]
+    assert keys_made_by_hand(src) == [f"line {line}: tobytes() in a loop" if line in loops
+                                      else f"line {line}: key dict built by hand" for line in loops + hand]
+    assert keys_made_by_hand(src, dicts_allowed=True) == [f"line {line}: tobytes() in a loop" for line in loops]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_key(path):
+    # `fields.keys`, `row_index` and `lookup` key every stack in one call
+    assert keys_made_by_hand(path.read_text(), dicts_allowed=path.name == "fields.py") == []

@@ -902,14 +902,15 @@ def _misdecoding(monkeypatch, errors):
 
 
 def test_sampled_verify_lists_the_first_six_failures_in_sample_order(monkeypatch):
-    # batches of 4 put the sixth failure in the second batch
+    # batches of 4 put the sixth failure in the second batch, so the check
+    # decodes 8 products; the report once counted all 50 samples as checked
     from orthosig import fields, lscore
 
     ls = _misdecoding(monkeypatch, {})
     monkeypatch.setattr(fields, "CHUNK", 4)
     rep = verify_ls(ls, "sampled", samples=50, seed=3)
     ivs = [iv for ivs, _ in lscore._sampled_products(random.Random(3), ls, 6) for iv in ivs]
-    assert not rep.valid and not rep.mls
+    assert not rep.valid and not rep.mls and rep.products_checked == 8
     assert rep.collisions == [{"iv": iv, "got": iv[:-1] + [iv[-1] + 1]} for iv in ivs]
 
 
