@@ -552,6 +552,74 @@ def read_only(v):
     return v
 
 
+class FrozenInstanceError(AttributeError):
+    """An attempt to rebind or delete an attribute of a `Record`."""
+
+
+class Record:
+    """The package's one record type: a frozen value with named fields.
+
+    A subclass's fields are its annotated names and those of its bases, in
+    MRO order, read once when the class is made; no code is generated, as
+    a dataclass would at every import.  `__init__` binds its arguments by
+    position or name; a field not given takes the class attribute of its
+    name, a fresh copy when that is a dict or list, and a field with
+    neither, or an argument that names no field, raises TypeError.  Each
+    field is set through `object.__setattr__`, in field order, and then
+    `__post_init__` runs if the class has one.  Nothing goes through
+    `vars(self)`: a materialised instance dict slows every later attribute
+    read.  Any other store or delete raises FrozenInstanceError.  A record
+    compares by identity unless its class defines `__eq__`."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = {}
+        for klass in reversed(cls.__mro__):
+            names.update(dict.fromkeys(klass.__dict__.get("__annotations__", ())))
+        cls._fields = tuple(names)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}")
+        values = dict(zip(cls._fields, args))
+        for name, value in kwargs.items():
+            if name not in cls._fields:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__} got field {name!r} twice")
+            values[name] = value
+        for name in cls._fields:
+            if name in values:
+                value = values[name]
+            elif hasattr(cls, name):
+                value = getattr(cls, name)
+                if isinstance(value, (dict, list)):
+                    value = value.copy()
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+            object.__setattr__(self, name, value)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A new record of the same class, with the fields of `record` but
+    for `changes`; `__post_init__` runs again."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
+
+
 def keys(A):
     """The key of each row of a stack, the bytes of that row as a C-order
     int16 array: one numpy void scalar each (`.tolist()` gives the bytes),

@@ -19,14 +19,15 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
 from functools import cache, reduce
 from types import MappingProxyType
 
 import numpy as np
 
 from . import fields
-from .fields import FieldError, FqContext, check_tower_size, factorint, fq_context, product_rows, read_only
+from .fields import (
+    FieldError, FqContext, Record, check_tower_size, factorint, fq_context, product_rows, read_only, replace,
+)
 from .matgroups import (
     ConstructionMismatch,
     GroupDescriptor,
@@ -76,19 +77,24 @@ def min_length_bound(order: int) -> int:
     return sum(a * p for p, a in factorint(order).items()) if order > 1 else 0
 
 
-@dataclass(frozen=True)
-class LogSignature:
+class LogSignature(Record):
     """Ordered blocks of group elements with unique-product coverage."""
 
     group: GroupDescriptor | None
     blocks: list
     claimed_order: int
-    meta: dict = dc_field(default_factory=dict)
-    # the decoder and the products, neither serialized: set only by
-    # `from_stacks`; a file's or a caller's blocks are lists, which may be
-    # edited in place
-    plan: object = dc_field(default=None, init=False, compare=False, repr=False)
-    tables: ProductTables | None = dc_field(default=None, init=False, compare=False, repr=False)
+    meta: dict = {}
+    # the decoder (a _Plan) and the ProductTables, not fields, so neither
+    # serialized nor compared: set only by `from_stacks`; a file's or a
+    # caller's blocks are lists, which may be edited in place
+    plan = None
+    tables = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.group, self.blocks, self.claimed_order, self.meta)
+                == (other.group, other.blocks, other.claimed_order, other.meta))
 
     def __post_init__(self):
         # the sizes, read by every bounds check, rank and unrank
@@ -156,8 +162,7 @@ def _recast(v, mapping, sequence):
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class ProductTables:
+class ProductTables(Record):
     """The block products of a signature, by segments.  From the end, each
     run of blocks whose sizes multiply to at most fields.CHUNK (one block
     at least) is a segment, and its table holds every product of one
@@ -311,8 +316,7 @@ def cyclic_set_mls(fq: FqContext, x, s: int) -> LogSignature:
 # the construction ladder for the A part
 
 
-@dataclass(frozen=True, eq=False)
-class SpreadPlan:
+class SpreadPlan(Record):
     """The A part of a stage, built once per space and determinant
     condition (`spread_construction`) and shared by every caller: frozen,
     with read-only arrays, `layers` and `notes` tuples and `partition` a
@@ -526,6 +530,9 @@ class _Plan:
     Plans are framed: a plan for the input frame C decodes Z where C^-1 Z C
     is the element in the coordinates of its own space."""
 
+    # a plan holds whole tables, which the field repr of a record would print
+    __repr__ = object.__repr__
+
     def _codes(self, A):
         """A as a (k, n, n) int16 stack of codes of the plan's field; an
         LsError for any other shape, a dtype that is not an integer one, or
@@ -577,9 +584,7 @@ class _Plan:
         return out[0].tolist()
 
 
-# a record holds whole tables, which a generated repr would print
-@dataclass(frozen=True, eq=False, repr=False)
-class _TablePlan(_Plan):
+class _TablePlan(_Plan, Record):
     """The record and decoder of a base level, and the front or stabilizer
     table of a stage: the blocks and the table of all their products
     (small groups only), keyed by the entry bytes of the products in the
@@ -639,9 +644,7 @@ class _TablePlan(_Plan):
             _reject(errors, rows, miss, LsError, "element is not covered by this signature")
 
 
-# a record holds whole tables, which a generated repr would print
-@dataclass(frozen=True, eq=False, repr=False)
-class _StagePlan(_Plan):
+class _StagePlan(_Plan, Record):
     """The record of one level n >= 3 of the construction, built once per
     descriptor (`_staged_ls`), and its decoder.  The record is the fields
     up to `phi`, the Siegel and GL1 tables and `sub`: the head blocks (A,
@@ -733,7 +736,7 @@ class _StagePlan(_Plan):
             object.__setattr__(self, name, value)
         # not through vars(self), which would materialise the instance dict
         # and slow every later attribute read
-        read_only([*(getattr(self, f.name) for f in dc_fields(self)), *derived.values()])
+        read_only([*(getattr(self, name) for name in self._fields), *derived.values()])
 
     def framed(self, C, Cinv):
         fq = self.space.fq
@@ -1216,8 +1219,7 @@ def _fold_singletons(blocks, fq, n):
 # verification
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(Record):
     valid: bool
     mode: str
     length: int

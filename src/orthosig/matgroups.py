@@ -11,14 +11,13 @@ blocks of a signature.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .fields import (
-    FieldError, FqContext, _mat_pow, check_field_size, companion_powers, first_primitive, fq_context, is_int,
-    keys, product_rows, read_only, smallest_irreducible,
+    FieldError, FqContext, Record, _mat_pow, check_field_size, companion_powers, first_primitive, fq_context,
+    is_int, keys, product_rows, read_only, smallest_irreducible,
 )
 
 
@@ -57,8 +56,7 @@ def family_of(base: str, kind: str) -> str:
     return base + SUFFIXES[kind]
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     """Which group: family name, field size q = p^e, matrix dimension n.
     p, e, kind and whether the group is projective are set once here, from
     the values its checks compute; they are not fields, so `==`, the hash
@@ -67,6 +65,14 @@ class GroupDescriptor:
     family: str
     q: int
     n: int
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.q, self.n) == (other.family, other.q, other.n)
+
+    def __hash__(self):
+        return hash((self.family, self.q, self.n))
 
     def __post_init__(self):
         projective, _, kind = split_family(self.family)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .factorize import compose, rank, tame_factor, unrank
+from .fields import Record
 from .forms import isometry_inverse
 from .lscore import LogSignature, LsError, canonical_ls, space_for
 from .matgroups import GroupDescriptor, Mat
@@ -27,8 +27,7 @@ class PgmError(LsError):
     pass
 
 
-@dataclass
-class PgmKey:
+class PgmKey(Record):
     group: GroupDescriptor
     alpha_ls: LogSignature
     beta_ls: LogSignature

@@ -10,9 +10,10 @@ from .matgroups import GroupDescriptor, Mat, check_matrix_record
 
 
 def save_ls(ls: LogSignature, path: str):
+    # dumps runs the C encoder; json.dump streams through the pure-Python one
+    text = json.dumps(ls.to_json(), sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(ls.to_json(), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_ls(path: str) -> LogSignature:

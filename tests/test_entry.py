@@ -65,3 +65,22 @@ def test_main_leaves_the_collector_alone(capsys):
     before = gc.get_freeze_count()
     assert cli.main(["counts", "--kind", "minus", "--q", "3", "--m", "2"]) == 0
     assert gc.get_freeze_count() == before
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # the package's records are `fields.Record`s, which compile nothing at
+    # import; `dataclasses` and the `copy` it pulls in stay unloaded
+    probe = "import sys, orthosig.cli\nprint(sorted({'dataclasses', 'copy'} & set(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_bench_startup_prints_one_row_per_command(capsys):
+    script = runpy.run_path(str(ROOT / "scripts" / "bench_startup.py"))
+    script["main"](1)
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["command", "best", "ms", "+ms"]
+    assert [" ".join(row.split()[:-2]) for row in rows] == \
+        ["python -c pass", "import numpy", "import orthosig.cli", "construct, exits 2"]
+    assert all(float(row.split()[-2]) > 0 for row in rows)

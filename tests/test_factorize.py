@@ -287,8 +287,7 @@ def test_tame_factor_results_match_golden_hashes(fam, q, n):
 def _without_tables(plan):
     """The plan with the product-table front and stabilizer table of every
     stage taken off, so that every element goes down the stage path."""
-    from dataclasses import replace
-
+    from orthosig.fields import replace
     from orthosig.lscore import _StagePlan
 
     if not isinstance(plan, _StagePlan):
@@ -442,9 +441,9 @@ def _mislabeled_points(plan):
     next line: a stage matrix read through the wrong strip moves the line
     of e_0, which no element does through a consistent table, so this is
     the one way to fail column 0 alone."""
-    from dataclasses import replace
-
     import numpy as np
+
+    from orthosig.fields import replace
 
     lines = plan.strips.shape[0]
     return replace(plan, point=np.where(plan.point % 2 == 0, (plan.point + 1) % lines, plan.point))
@@ -621,10 +620,9 @@ def test_a_wrong_siegel_table_only_fails_to_decode(fam, q, n):
     # with the E(-u) rows of every stage rotated by one, no member decodes
     # to wrong digits: each one that reaches a Siegel step fails, on both
     # paths, with the error the stack path names
-    from dataclasses import replace
-
     import numpy as np
 
+    from orthosig.fields import replace
     from orthosig.lscore import LsError, _StagePlan
     from orthosig.matgroups import Mat
 

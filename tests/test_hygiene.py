@@ -3,11 +3,13 @@ in that file, every private function or class of the package is used
 somewhere in it, every public function is used by the program, a script,
 the README or the acceptance tests, a signature gets its plan and product
 tables from `LogSignature.from_stacks` alone, a `Mat` is built only where
-one element crosses the edge of the package, no dataclass compares arrays in its `==`, the package
-caches by one rule, no function of the package imports a module but matgroups' deferred `forms`, only
-the process entry touches the collector, every trace target of the benchmark names a function the
-package defines, the package has one batch size, `fields.CHUNK`, and every key of a stack's rows
-comes from `fields.keys`."""
+one element crosses the edge of the package, no class compares arrays in
+its `==`, no module of the package imports `dataclasses`, the package
+caches by one rule, no function of the package imports a module but
+matgroups' deferred `forms`, only the process entry touches the collector,
+every trace target of the benchmark names a function the package defines,
+the package has one batch size, `fields.CHUNK`, and every key of a stack's
+rows comes from `fields.keys`."""
 
 import ast
 import importlib
@@ -276,53 +278,87 @@ def test_a_mat_is_built_only_at_the_edge(path):
     assert mats_built_inside(path.read_text(), MAT_EDGES) == []
 
 
-def array_comparing_dataclasses(source: str) -> list[str]:
-    """Dataclasses with a field annotated `np.ndarray` (alone or in a
-    union) that are not declared `eq=False`: their generated `==` compares
-    the arrays, whose truth value raises."""
+def array_comparing_records(source: str) -> list[str]:
+    """Classes that define `__eq__` and read in it a field annotated
+    `np.ndarray` (alone or in a union): the comparison of two arrays is an
+    array, whose truth value raises."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
             continue
-        for dec in node.decorator_list:
-            call = dec if isinstance(dec, ast.Call) else None
-            func = call.func if call else dec
-            if getattr(func, "id", getattr(func, "attr", None)) != "dataclass":
-                continue
-            if call and any(k.arg == "eq" and getattr(k.value, "value", True) is False for k in call.keywords):
-                continue
-            arrays = [f.target.id for f in node.body
-                      if isinstance(f, ast.AnnAssign) and "ndarray" in ast.unparse(f.annotation)]
-            if arrays:
-                found.append(f"line {node.lineno}: {node.name} ({', '.join(arrays)})")
+        eq = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__eq__"]
+        if not eq:
+            continue
+        read = {sub.attr for sub in ast.walk(eq[0]) if isinstance(sub, ast.Attribute)}
+        arrays = [f.target.id for f in node.body if isinstance(f, ast.AnnAssign)
+                  and "ndarray" in ast.unparse(f.annotation) and f.target.id in read]
+        if arrays:
+            found.append(f"line {node.lineno}: {node.name} ({', '.join(arrays)})")
     return found
 
 
 def test_the_scan_finds_a_dataclass_that_compares_arrays():
     src = (
-        "@dataclass\n"
-        "class A:\n"
+        "class A(Record):\n"
         "    x: np.ndarray\n"
-        "@dataclasses.dataclass(frozen=True)\n"
-        "class B:\n"
+        "    def __eq__(self, other):\n"
+        "        return self.x == other.x\n"
+        "class B(Record):\n"
         "    n: int\n"
         "    y: np.ndarray | None\n"
         "    z: 'np.ndarray'\n"
-        "@dataclass(frozen=True, eq=False)\n"
-        "class C:\n"
+        "    def __eq__(self, other):\n"
+        "        return (self.n, self.y, self.z) == (other.n, other.y, other.z)\n"
+        "class C(Record):\n"
         "    w: np.ndarray\n"
-        "@dataclass\n"
-        "class D:\n"
+        "class D(Record):\n"
         "    v: list\n"
-        "class E:\n"
+        "    def __eq__(self, other):\n"
+        "        return self.v == other.v\n"
+        "class E(Record):\n"
+        "    n: int\n"
         "    u: np.ndarray\n"
+        "    def __eq__(self, other):\n"
+        "        return self.n == other.n\n"
     )
-    assert array_comparing_dataclasses(src) == ["line 2: A (x)", "line 5: B (y, z)"]
+    assert array_comparing_records(src) == ["line 1: A (x)", "line 5: B (y, z)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dataclass_compares_arrays(path):
-    assert array_comparing_dataclasses(path.read_text()) == []
+    assert array_comparing_records(path.read_text()) == []
+
+
+def dataclass_imports(source: str) -> list[str]:
+    """Imports of `dataclasses`: its decorator compiles the methods of
+    every class it builds when the module is imported, where a
+    `fields.Record` compiles nothing."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+            [node.module] if isinstance(node, ast.ImportFrom) else []
+        found += [f"line {node.lineno}: {name}" for name in names if name and name.split(".")[0] == "dataclasses"]
+    return found
+
+
+def test_the_scan_finds_an_import_of_dataclasses():
+    src = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, replace\n"
+        "import json, dataclasses as dc\n"
+        "from .fields import Record, replace\n"
+        "def f():\n"
+        "    from dataclasses import fields\n"
+        "    import mydataclasses\n"
+    )
+    assert dataclass_imports(src) == [
+        "line 1: dataclasses", "line 2: dataclasses", "line 3: dataclasses", "line 6: dataclasses",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_of_the_package_imports_dataclasses(path):
+    assert dataclass_imports(path.read_text()) == []
 
 
 AD_HOC_CACHES = {"cached_property", "lru_cache"}

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from functools import reduce
 from types import MappingProxyType
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from headblocks import head_blocks, stage_spread
-from orthosig.fields import fq_context
+from orthosig.fields import FrozenInstanceError, fq_context, replace
 from orthosig.forms import build_space, enumerate_isometry_group, isometry_inverse
 from orthosig.lscore import (
     InjectivityFail,
@@ -1073,7 +1072,6 @@ def test_a_signature_with_a_copy_of_its_plan_compares_equal(n):
 def test_a_finished_signature_refuses_every_edit():
     # meta is a read-only mapping all the way down and the signature is
     # frozen, so no caller of canonical_ls edits what the next one reads
-    import dataclasses
     import json
 
     desc = descriptor("O-", 3, n=4)
@@ -1087,7 +1085,7 @@ def test_a_finished_signature_refuses_every_edit():
     with pytest.raises(TypeError):
         ls.meta["a_layers"][0]["size"] = 1
     for name in ("plan", "tables", "meta", "blocks"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             setattr(ls, name, None)
     again = canonical_ls(desc)
     assert again is ls and again.plan is plan and again.tables is tables

@@ -384,9 +384,8 @@ def test_a_cached_spread_plan_is_frozen(capsys):
     # spread_construction hands every caller the one plan of the space: a
     # note appended to it once reached the stdout of the next spread-check
     # in the same process
-    from dataclasses import FrozenInstanceError
-
     from orthosig.cli import main
+    from orthosig.fields import FrozenInstanceError
     from orthosig.lscore import space_for, spread_construction
 
     argv = ["spread-check", "--kind", "minus", "--q", "3", "--m", "2"]
