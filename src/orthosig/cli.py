@@ -5,7 +5,8 @@ Every command prints a stable JSON report to stdout followed by
 human-readable summary lines prefixed with '#'.  Identical command lines
 produce byte-identical stdout; wall-clock timing goes to stderr only.
 Exit codes: 0 all checks pass, 1 a verification found violations,
-2 usage or construction error.
+2 usage or construction error, 141 stdout closed before the report was
+written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import random
 import sys
 import time
@@ -418,6 +420,14 @@ def entry():
     `orthosig` script.  Once the imports are done it freezes what they
     made into the collector's permanent generation, so neither `main` nor
     the interpreter's exit walks that graph again.  In-process callers call
-    `main`, which leaves their heap alone."""
+    `main`, which leaves their heap alone.  A closed stdout, which `main`'s
+    error report cannot reach either, exits 141 as SIGPIPE would (128 +
+    13), with no traceback: the null device takes what stdout buffers."""
     gc.freeze()
-    return main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code

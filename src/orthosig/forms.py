@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from . import fields
-from .fields import FieldError, FqContext, product_rows, projective_points, read_only
+from .fields import FqContext, product_rows, projective_points, read_only
 from .matgroups import (
     Mat,
     derived_subgroup,
@@ -47,8 +47,9 @@ class QuadraticSpace:
         self.gram_model = np.array(gram_model, dtype=np.int16, order="C")
         self.n = self.gram_model.shape[0]
         self.p, self.e, self.q = fq.p, fq.e, fq.q
-        C, self.Cinv, R = _witt_decompose(fq, self.gram_model)
+        C, R = _witt_decompose(fq, self.gram_model)
         self.C = C  # columns: witt vectors in model coordinates
+        self.Cinv = fq.mat_inv(C)
         self.gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(C.T), self.gram_model), C)
         self.witt_index = R
         self.anis_dim = self.n - 2 * R
@@ -99,6 +100,11 @@ class QuadraticSpace:
         return np.ascontiguousarray(self.fq.v_scale(self.fq.INV[lead], v))
 
     @cache
+    def gram_inv(self):
+        """The inverse of the Witt form, a read-only (n, n) array."""
+        return read_only(self.fq.mat_inv(self.gram))
+
+    @cache
     def points(self):
         """Every projective point as a read-only (N, n) array of canonical
         reps, in `projective_points` order of the unit basis."""
@@ -124,8 +130,8 @@ def check_enumeration_budget(q, n):
 
 
 def _witt_decompose(fq, G, prescribed=()):
-    """Greedy hyperbolic-pair extraction; returns (C, C^-1, witt_index),
-    C with the Witt vectors as columns.
+    """Greedy hyperbolic-pair extraction; returns (C, witt_index), C with
+    the Witt vectors as columns.
 
     The singular vectors of the leading pairs are the prescribed rows, in
     order (they must span a totally singular subspace); the remaining pairs
@@ -165,12 +171,8 @@ def _witt_decompose(fq, G, prescribed=()):
         R, rank, _ = fq.rref(project(comp, sing, partner))
         comp = R[:rank]
         pres = project(pres, sing, partner)
-    C = np.ascontiguousarray(np.concatenate([np.array(sings + partners, dtype=np.int16).reshape(-1, n),
-                                             comp]).T)
-    try:
-        return C, fq.mat_inv(C), len(sings)
-    except FieldError:
-        raise GeometryError("witt basis is not a basis")  # pragma: no cover
+    C = np.concatenate([np.array(sings + partners, dtype=np.int16).reshape(-1, n), comp]).T
+    return np.ascontiguousarray(C), len(sings)
 
 
 def _first_point(fq, basis, hit):
@@ -328,12 +330,12 @@ def eichler(fq: FqContext, gram, i, u):
 
 def isometry_inverse(space: QuadraticSpace, A):
     """The inverses G^-1 A^T G of a (k, n, n) stack of isometries A of the
-    Witt form G of the space, with one elimination (G^-1) for the stack.
-    One stacked product A A^-1 = I checks them; raises GeometryError when
-    some A is not an isometry."""
+    Witt form G of the space, with no elimination: G^-1 is the space's
+    `gram_inv`.  One stacked product A A^-1 = I checks them; raises
+    GeometryError when some A is not an isometry."""
     fq = space.fq
     A = np.asarray(A, dtype=np.int16)
-    Ainv = fq.mat_mul(fq.mat_mul(fq.mat_inv(space.gram), np.swapaxes(A, -1, -2)), space.gram)
+    Ainv = fq.mat_mul(fq.mat_mul(space.gram_inv(), np.swapaxes(A, -1, -2)), space.gram)
     if not (fq.mat_mul(A, Ainv) == fq.identity(space.n)).all():
         raise GeometryError("matrix is not an isometry of the form")
     return Ainv
@@ -467,7 +469,7 @@ def align_spaces(model: QuadraticSpace, gram_target, fq: FqContext):
     Returns (phi, lam).
     """
     gram_target = np.ascontiguousarray(gram_target, dtype=np.int16)
-    Ct, _, R = _witt_decompose(fq, gram_target)
+    Ct, R = _witt_decompose(fq, gram_target)
     std = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(Ct.T), gram_target), Ct)
     At = np.ascontiguousarray(std[2 * R:, 2 * R:])
     Am = model.anis_gram

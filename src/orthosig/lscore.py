@@ -353,71 +353,21 @@ def ts_subspace_transporters(space, det1):
     return spr.schreier_transversal(space.fq, np.eye(r, space.n, dtype=np.int16), gens, size)
 
 
-def _try_partition(space, members, L):
-    # members are images of a totally singular subspace under isometries,
-    # so two that meet share a singular point, which the partition check
-    # reports as covered twice: it also checks that they meet trivially
-    try:
-        sp = PartialSpread(members, space.fq)
-    except spr.NotAPartialSpread:
-        return None, None
-    rep = spr.verify_partition(sp, L, space.fq)
-    if not rep["ok"]:
-        return None, None
-    return sp, rep
+def _try_layers(fq, shape, layers, members, at, L, notes):
+    # the members are images of a totally singular subspace under
+    # isometries, so two that meet share a singular point, which the
+    # partition report (of their points' positions `at` in L) covers twice
+    rep = spr.partition_report(at, L)
+    return SpreadPlan(shape, members[0], PartialSpread(members, fq), layers, notes, rep) if rep["ok"] else None
 
 
-def _spread_orbits(fq, orbits, size):
-    """Indices, in walk order, of the bases whose orbit has `size` members
-    and is a partial spread: one test for each such orbit, which holds for
-    all its members alike."""
+def _spread_orbits(orbits, at, size):
+    """The bases, in order, whose orbit has `size` members and is a partial
+    spread, row j of `at` the positions in L of the points of base j: one
+    test for each such orbit, which holds for all its members alike."""
     full = np.flatnonzero(orbits.ret == size)
-    walks = sorted(set(orbits.orbit[full].tolist()))
-    ok = np.zeros(len(orbits.walks), dtype=bool)
-    if walks:
-        ok[walks] = spr.orbits_are_partial_spreads(fq, np.stack([orbits.walks[w] for w in walks]))
-    return full[ok[orbits.orbit[full]]]
-
-
-def _try_cyclic(space, shape, g, orbit, L, notes):
-    sp, rep = _try_partition(space, orbit, L)
-    if sp is None:
-        return None
-    return SpreadPlan(shape, orbit[0], sp, (("cyc", g, len(orbit)),), notes, rep)
-
-
-def _try_twisted(space, a, i, orbits, L, moves, points, notes):
-    """Layers the half orbit of base i under `a` with a second one: the
-    transporter bases, in order, are walked under `a` into `orbits`,
-    `moves` are their transporters, and row j of `points` holds the
-    positions in L of the singular points of base j."""
-    s = int(orbits.ret[i])
-    orbit1 = orbits.walk(i, s)
-    in1 = orbits.orbit == orbits.orbit[i]
-    covered = np.zeros(len(L), dtype=bool)
-    covered[points[in1]] = True
-    # the orbits of <a> are disjoint, so no X outside orbit1 moves into it
-    for j in range(len(moves)):
-        if in1[j] or orbits.ret[j] != s or covered[points[j]].any():
-            continue
-        sp, rep = _try_partition(space, np.concatenate([orbit1, orbits.walk(j, s)]), L)
-        if sp is None:
-            continue
-        return SpreadPlan("twisted", orbit1[0], sp, (("cyc", a, s), ("cyc", moves[j], 2)), notes, rep)
-    return None
-
-
-def _try_transversal(space, L, det1, notes):
-    fq = space.fq
-    gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-    # a canonical point is the echelon basis of its 1-space; the members
-    # are the points in order, from w0 = L[0]
-    bases, moves = spr.schreier_transversal(fq, L[:1], gens, len(L))
-    at = fields.row_index(bases)
-    moves = moves[[at[k] for k in fields.keys(L).tolist()]]
-    sp = PartialSpread(L[:, None], fq)
-    rep = spr.verify_partition(sp, L, fq)
-    return SpreadPlan("transversal", L[:1], sp, (("trans", moves),), notes, rep)
+    meet = {w: spr.first_meeting(at[orbits.rows[w]]) for w in set(orbits.orbit[full].tolist())}
+    return full[[meet[w] is None for w in orbits.orbit[full].tolist()]]
 
 
 def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
@@ -427,12 +377,13 @@ def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
     cyclic block.  The first base whose orbit is a partition of the
     singular points gives the literal plan; otherwise the half orbits of
     that walk are tried as twisted layerings, and finally the always-valid
-    transversal over the trivial point spread is taken.  On the hyperbolic
-    plane, where no literal recipe applies, the first generator of the
-    family that swaps the two singular points is the cyclic block; SO
-    fixes both, so there it raises LsError.  Only the determinant
-    condition of the family matters, so the plan is built once per space
-    for O and once for SO.
+    transversal over the trivial point spread is taken, at once on the
+    plus type of odd Witt index, which has no spread of generators.  On
+    the hyperbolic plane, where no literal recipe applies, the first
+    generator of the family that swaps the two singular points is the
+    cyclic block; SO fixes both, so there it raises LsError.  Only the
+    determinant condition of the family matters, so the plan is built
+    once per space for O and once for SO.
     """
     return _spread_construction(space, split_family(family)[1] == "SO")
 
@@ -461,7 +412,9 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
             raise LsError(f"{'SO' if det1 else 'O'} of the hyperbolic plane fixes both singular points, "
                           "so no block moves one onto the other")
         notes.append("sharply transitive cyclic block found by element scan")
-        plan = _try_cyclic(space, "cyclic", gens[hit[0]], np.stack([W0, img[hit[0]]]), L, notes)
+        members = np.stack([W0, img[hit[0]]])
+        plan = _try_layers(fq, "cyclic", (("cyc", gens[hit[0]], 2),), members, spr.point_positions(fq, members, L),
+                           L, notes)
         if plan:
             return plan
     else:
@@ -472,34 +425,53 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
             notes.append(f"literal generator construction failed: {exc}")
         else:
             notes.extend(gnotes)
-            bases, moves = ts_subspace_transporters(space, det1)
-            orbits = spr.cyclic_orbits(fq, powers(fq, lit, M + 1)[1:], bases)
-            for i in _spread_orbits(fq, orbits, M):
-                plan = _try_cyclic(space, "literal", lit, orbits.walk(i, M), L, notes)
+            literal = halves = ()
+            # two generators of one family of the plus-type quadric meet in
+            # a dimension of the parity of r: for odd r at most 2 < M of
+            # them are pairwise disjoint, and no orbit is walked
+            if space.kind != "plus" or r % 2 == 0:
+                bases, moves = ts_subspace_transporters(space, det1)
+                # every point of a totally singular base is singular: row j
+                # holds the positions in L of the points of base j
+                at = spr.point_positions(fq, bases, L)
+                orbits = spr.cyclic_orbits(fq, powers(fq, lit, M + 1)[1:], bases)
+                # M = q^k + 1 is even; a twisted layering starts from a base
+                # whose orbit is a partial spread of M / 2 members
+                literal, halves = _spread_orbits(orbits, at, M), _spread_orbits(orbits, at, M // 2)
+            for i in literal:
+                on = orbits.rows_on(i, M)
+                plan = _try_layers(fq, "literal", (("cyc", lit, M),), bases[on], at[on], L, notes)
                 if plan:
                     return plan
             notes.append(
                 "literal cyclic block is not sharply transitive on any "
                 "totally singular base orbit (construction mismatch)"
             )
-            # M = q^k + 1 is even; a twisted layering starts from a base
-            # whose orbit is a partial spread of M / 2 members
-            halves = _spread_orbits(fq, orbits, M // 2)
-            if len(halves):
-                # every point of a totally singular base is singular
-                points = fields.lookup(fields.row_index(L), spr.span_points(fq, bases).reshape(-1, n))
-                points = points.reshape(len(bases), -1)
+            # a twisted layering: the half orbit of base i and that of a base
+            # j, moved onto it by the transporter of j; the orbits of <a> are
+            # disjoint, so j's orbit misses the points of i's when j does
             twisted = notes + ["using twisted layering: half torus orbit times an orbit-moving twist element"]
             for i in halves:
-                plan = _try_twisted(space, lit, i, orbits, L, moves, points, twisted)
-                if plan:
-                    return plan
+                on = orbits.rows_on(i, M // 2)
+                covered = np.zeros(len(L), dtype=bool)
+                covered[at[on]] = True
+                for j in halves[~covered[at[halves]].any(axis=1)]:
+                    both = np.concatenate([on, orbits.rows_on(j, M // 2)])
+                    layers = (("cyc", lit, M // 2), ("cyc", moves[j], 2))
+                    plan = _try_layers(fq, "twisted", layers, bases[both], at[both], L, twisted)
+                    if plan:
+                        return plan
     notes.append(
         f"no {M}-member spread of {r}-dimensional totally singular "
         "subspaces admits a layered block here; degrading to the "
         "trivial point spread with a transversal block"
     )
-    return _try_transversal(space, L, det1, notes)
+    # a canonical point is the echelon basis of its 1-space; the members
+    # are the points in order, from w0 = L[0], member t holding L[t] alone
+    gens = forms.so_generators(space) if det1 else forms.o_generators(space)
+    bases, moves = spr.schreier_transversal(fq, L[:1], gens, len(L))
+    layers = (("trans", moves[fields.lookup(fields.row_index(bases), L)]),)
+    return _try_layers(fq, "transversal", layers, L[:, None], np.arange(len(L))[:, None], L, notes)
 
 
 # ----------------------------------------------------------------------
@@ -921,7 +893,8 @@ def _staged_ls(desc: GroupDescriptor) -> LogSignature:
 
     # adapted frame
     W0 = sp_plan.W0
-    T, Tinv, Rw = forms._witt_decompose(fq, space.gram, W0)
+    T, Rw = forms._witt_decompose(fq, space.gram, W0)
+    Tinv = fq.mat_inv(T)
     if Rw != R:
         raise LsError("adapted frame lost hyperbolic pairs")  # pragma: no cover
     work_gram = fq.mat_mul(fq.mat_mul(np.ascontiguousarray(T.T), space.gram), T)

@@ -2,7 +2,8 @@
 walks under cyclic groups and partition verification against point sets.
 
 A subspace is its reduced echelon basis, an (r, n) int16 array whose bytes
-are its key; a set of r-spaces is an (s, r, n) stack of such bases."""
+are its key; a set of r-spaces is an (s, r, n) stack of such bases.  Two
+subspaces meet exactly when they share a canonical point."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import itertools
 import numpy as np
 
 from . import fields
-from .fields import FqContext, projective_points, read_only
+from .fields import FqContext, Record, projective_points, read_only
 from .matgroups import closure, powers, singer_generator
 
 
@@ -42,22 +43,28 @@ def act_subspace(fq: FqContext, g, S):
     return R[:rank]
 
 
-# a plain class: as a dataclass it would add about 0.3 ms to the import of
-# every command
-class CyclicOrbits:
+class CyclicOrbits(Record):
     """The orbits of k distinct echelon bases under one cyclic group <a>,
     each walked once: base i lies at position shift[i] of walks[orbit[i]],
-    an (s, r, n) stack [W, aW, .., a^(s-1)W].  ret[i] is the size of the
-    orbit of base i, or 0 when it exceeds the steps walked; then the walk
-    is base i's alone, starts there and holds as many images as steps."""
+    an (s, r, n) stack [W, aW, .., a^(s-1)W] whose images are the bases
+    rows[orbit[i]] (-1 for none).  ret[i] is the size of the orbit of base
+    i, or 0 when it exceeds the steps walked; then the walk is base i's
+    alone, starts there and holds as many images as steps."""
 
-    def __init__(self, ret, orbit, shift, walks):
-        self.ret, self.orbit, self.shift, self.walks = ret, orbit, shift, walks
+    ret: np.ndarray
+    orbit: np.ndarray
+    shift: np.ndarray
+    walks: list
+    rows: list
 
     def walk(self, i, size):
         """The images a^t(B_i), t < size, of base i, as a (size, r, n)
         stack: its orbit's walk, rotated to start at B_i."""
         return np.roll(self.walks[self.orbit[i]], -int(self.shift[i]), axis=0)[:size]
+
+    def rows_on(self, i, size):
+        """The bases that `walk` gives, by position (-1 for none)."""
+        return np.roll(self.rows[self.orbit[i]], -int(self.shift[i]))[:size]
 
 
 def cyclic_orbits(fq: FqContext, pows, bases) -> CyclicOrbits:
@@ -76,7 +83,7 @@ def cyclic_orbits(fq: FqContext, pows, bases) -> CyclicOrbits:
     ret = np.zeros(k, dtype=np.intp)
     orbit = np.full(k, -1, dtype=np.intp)
     shift = np.zeros(k, dtype=np.intp)
-    walks = []
+    walks, rows = [], []
     chunk = fields.CHUNK
     per = max(1, chunk // steps)  # bases one call walks
     while len(todo := np.flatnonzero(orbit < 0)[:per]):
@@ -90,11 +97,12 @@ def cyclic_orbits(fq: FqContext, pows, bases) -> CyclicOrbits:
             back = (I == bases[i]).all(axis=(1, 2))
             t = int(back.argmax()) + 1 if back.any() else 0
             walk = np.concatenate([bases[i][None], I[:(t or steps) - 1]])
-            j = fields.lookup(index, walk if t else walk[:1])
-            s = np.flatnonzero(j >= 0)
+            j = fields.lookup(index, walk)
+            s = np.flatnonzero(j >= 0) if t else [0]
             ret[j[s]], orbit[j[s]], shift[j[s]] = t, len(walks), s
             walks.append(walk)
-    return CyclicOrbits(ret, orbit, shift, walks)
+            rows.append(j)
+    return CyclicOrbits(ret, orbit, shift, walks, rows)
 
 
 def span_points(fq: FqContext, S):
@@ -102,6 +110,37 @@ def span_points(fq: FqContext, S):
     (N, n) array in `fields.projective_points` order of its reduced basis,
     or inside each of an (s, r, n) stack of them, as an (s, N, n) array."""
     return projective_points(fq, S)
+
+
+def point_positions(fq: FqContext, members, points):
+    """The (s, N) positions in `points`, distinct canonical points, of the
+    `span_points` of an (s, r, n) stack of bases; -1 for one not there."""
+    spans = span_points(fq, members)
+    return fields.lookup(fields.row_index(points), spans.reshape(-1, spans.shape[-1])).reshape(spans.shape[:2])
+
+
+def _first_holders(ids):
+    """The one partial-spread rule: two subspaces meet exactly when they
+    share a canonical point.  For an (s, N) array of ids of the points of
+    s members (positions or `fields.keys`; equal ids, one point), the first
+    member holding each; rows i < j meet exactly when j holds a point that
+    i holds first."""
+    order = np.argsort(ids, axis=None, kind="stable")
+    flat = ids.reshape(-1)[order]
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    held = np.empty_like(order)
+    held[order] = order[first][np.cumsum(first) - 1] // ids.shape[1]
+    return held.reshape(ids.shape)
+
+
+def first_meeting(ids):
+    """The first pair (i, j), i < j in row-major order, of members that
+    share a point of the (s, N) ids (see `_first_holders`), or None."""
+    held = _first_holders(ids)
+    j, t = np.nonzero(held != np.arange(len(ids))[:, None])
+    i = held[j, t]
+    return (int(i.min()), int(j[i == i.min()].min())) if len(j) else None
 
 
 class PartialSpread:
@@ -120,37 +159,11 @@ class PartialSpread:
 
     def check_pairwise(self):
         """Raises NotAPartialSpread at the first pair (i, j), i < j in
-        row-major order, whose members meet nontrivially: the bases of all
-        pairs are stacked and ranked against 2r by `FqContext.rank` in
-        chunks of fields.CHUNK pairs."""
-        B = self.members
-        I, J = np.triu_indices(len(B), 1)
-        for lo in range(0, len(I), fields.CHUNK):
-            i, j = I[lo:lo + fields.CHUNK], J[lo:lo + fields.CHUNK]
-            bad = np.flatnonzero(self.fq.rank(np.concatenate([B[i], B[j]], axis=1)) != 2 * B.shape[1])
-            if len(bad):
-                i, j = int(i[bad[0]]), int(j[bad[0]])
-                raise NotAPartialSpread(
-                    f"members {i} and {j} intersect nontrivially",
-                    witness=(i, j),
-                )
-
-
-def orbits_are_partial_spreads(fq: FqContext, orbits):
-    """For a (k, s, r, n) stack of orbits [W, gW, .., g^{s-1}W] of
-    r-spaces, each of s members, whether each orbit is a partial spread.
-
-    g^iW and g^jW meet as g^i(W ∩ g^{j-i}W), so an orbit is one exactly
-    when W meets no g^tW, t = 1..s-1; those k(s-1) pairs are ranked in
-    stacks of fields.CHUNK pairs.
-    """
-    k, s, r, n = orbits.shape
-    pairs = np.concatenate([np.broadcast_to(orbits[:, :1], (k, s - 1, r, n)), orbits[:, 1:]],
-                           axis=2).reshape(-1, 2 * r, n)
-    ok = np.empty(len(pairs), dtype=bool)
-    for lo in range(0, len(pairs), fields.CHUNK):
-        ok[lo:lo + fields.CHUNK] = fq.rank(pairs[lo:lo + fields.CHUNK]) == 2 * r
-    return ok.reshape(k, s - 1).all(axis=1)
+        row-major order, whose members share a canonical point."""
+        spans = span_points(self.fq, self.members)
+        pair = first_meeting(fields.keys(spans.reshape(-1, spans.shape[-1])).reshape(spans.shape[:2]))
+        if pair:
+            raise NotAPartialSpread(f"members {pair[0]} and {pair[1]} intersect nontrivially", witness=pair)
 
 
 def classical_spread(fq: FqContext, m: int) -> PartialSpread:
@@ -172,37 +185,33 @@ def classical_spread(fq: FqContext, m: int) -> PartialSpread:
     return sp
 
 
-def verify_partition(spread: PartialSpread, points, fq: FqContext):
-    """Checks every point lies in exactly one member and the members carry
-    equally many points.  Violations are report content, not exceptions.
-    """
-    index = fields.row_index(points)  # each distinct point, at its last position
-    owner: dict[int, int] = {}
-    counts = [0] * len(spread)
-    violations = []
-    for i, span in enumerate(projective_points(fq, spread.members)):
-        for t, p in enumerate(fields.lookup(index, span).tolist()):
-            if p < 0:
-                continue
-            if p in owner:
-                violations.append({"kind": "double_cover", "point": span[t].tolist(), "members": [owner[p], i]})
-            else:
-                owner[p] = i
-                counts[i] += 1
-    uncovered = len(index) - len(owner)
+def partition_report(at, points):
+    """Whether the members whose points sit at the (s, N) positions `at`
+    (-1 for none) in the distinct `points` partition them, each carrying
+    equally many; violations, the points covered again in row-major order
+    and then the first point left uncovered, are report content."""
+    held = _first_holders(at)
+    own = (at >= 0) & (held == np.arange(len(at))[:, None])
+    violations = [{"kind": "double_cover", "point": points[at[i, t]].tolist(), "members": [int(held[i, t]), i]}
+                  for i, t in np.argwhere((at >= 0) & ~own)[:5].tolist()]
+    covered = np.zeros(len(points), dtype=bool)
+    covered[at[own]] = True
+    uncovered = len(points) - int(covered.sum())
     if uncovered:
-        p = next(p for p in index.values() if p not in owner)
-        violations.append({"kind": "uncovered", "point": np.asarray(points[p], dtype=np.int16).tolist()})
+        violations.append({"kind": "uncovered", "point": points[covered.argmin()].tolist()})
+    counts = own.sum(axis=1).tolist()
     equal = len(set(counts)) <= 1 and (not counts or counts[0] > 0)
-    ok = not violations and equal and uncovered == 0
-    return {
-        "ok": bool(ok),
-        "members": len(spread),
-        "points": len(index),
-        "points_per_member": counts[0] if counts and equal else counts,
-        "uncovered": uncovered,
-        "violations": violations[:5],
-    }
+    return {"ok": not violations and equal, "members": len(at), "points": len(points),
+            "points_per_member": counts[0] if counts and equal else counts, "uncovered": uncovered,
+            "violations": violations[:5]}
+
+
+def verify_partition(spread: PartialSpread, points, fq: FqContext):
+    """`partition_report` of a spread against a point set, each distinct
+    point once, in the order it first appears."""
+    points = np.asarray(points, dtype=np.int16)
+    points = points[list(fields.row_index(points).values())]
+    return partition_report(point_positions(fq, spread.members, points), points)
 
 
 _TRANSVERSAL_CAP = 200_000

@@ -50,6 +50,20 @@ def test_the_launcher_prints_and_exits_as_main_does(tmp_path, capsys):
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out.encode())
 
 
+@pytest.mark.parametrize("argv", [["counts", "--kind", "minus", "--q", "3", "--m", "2"],
+                                  ["construct", "--family", "O-", "--q", "4", "--m", "2", "--out", "x.json"]])
+def test_a_closed_stdout_ends_the_command_with_141_and_no_traceback(argv, tmp_path):
+    # the reader of the pipe is gone before the command writes its report,
+    # or its error report (q = 4 exits 2 before anything is built)
+    proc = subprocess.Popen([sys.executable, "-m", "orthosig", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=ENV, cwd=tmp_path)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def test_the_launcher_freezes_the_import_graph():
     probe = ("import atexit, gc, runpy, sys\n"
              "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"

@@ -564,3 +564,27 @@ def test_model_grams_and_witt_bases_match_golden_hashes(fam, q, n):
     space = space_for(descriptor(fam, q, n=n))
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (space.gram_model, space.C))
     assert got == MODEL_SHA256[(fam, q, n)]
+
+
+def test_no_frame_or_form_is_inverted_for_nothing(monkeypatch):
+    # a space inverts its frame once and its Witt form on the first
+    # isometry inverse only; aligning two spaces inverts no frame
+    from orthosig.fields import FqContext
+    from orthosig.forms import align_spaces, isometry_inverse
+
+    fq = fq_context(3, 1)
+    model = build_space("minus", fq, 2).gram_model
+    calls = []
+    mat_inv = FqContext.mat_inv
+    monkeypatch.setattr(FqContext, "mat_inv", lambda self, A: calls.append(len(A)) or mat_inv(self, A))
+    space = QuadraticSpace("minus", fq, model)
+    assert calls == [4]
+    A = reflections(space)
+    for _ in range(3):
+        assert (fq.mat_mul(A, isometry_inverse(space, A)) == fq.identity(4)).all()
+    assert calls == [4, 4]
+    G_inv = space.gram_inv()
+    assert G_inv is space.gram_inv() and not G_inv.flags.writeable
+    assert (fq.mat_mul(space.gram, G_inv) == fq.identity(4)).all()
+    align_spaces(space, model, fq)
+    assert calls == [4, 4]

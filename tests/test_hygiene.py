@@ -8,8 +8,9 @@ its `==`, no module of the package imports `dataclasses`, the package
 caches by one rule, no function of the package imports a module but
 matgroups' deferred `forms`, only the process entry touches the collector,
 every trace target of the benchmark names a function the package defines,
-the package has one batch size, `fields.CHUNK`, and every key of a stack's
-rows comes from `fields.keys`."""
+the package has one batch size, `fields.CHUNK`, every key of a stack's
+rows comes from `fields.keys`, and no partial-spread test ranks stacked
+pairs of members."""
 
 import ast
 import importlib
@@ -651,3 +652,47 @@ def test_the_scan_finds_the_keys_made_row_by_row():
 def test_one_key(path):
     # `fields.keys`, `row_index` and `lookup` key every stack in one call
     assert keys_made_by_hand(path.read_text(), dicts_allowed=path.name == "fields.py") == []
+
+
+def pair_ranks(source: str) -> list[str]:
+    """Calls that tell whether subspaces meet by a rank: a call of `rank`,
+    and a call of `rref` on an argument that concatenates or stacks bases.
+    Two members meet exactly when they share a canonical point, and
+    `spreads` compares their points for every partial-spread test."""
+    def name(call):
+        return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        stacked = any(isinstance(sub, ast.Call) and name(sub) in ("concatenate", "stack", "vstack", "hstack")
+                      for arg in node.args for sub in ast.walk(arg))
+        if name(node) == "rank" or name(node) == "rref" and stacked:
+            found.append((node.lineno, name(node)))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_scan_finds_a_rank_of_stacked_member_pairs():
+    # the pair ranks of `check_pairwise` and `orbits_are_partial_spreads`
+    # as they were written, one pair of bases by rows, then what may stay
+    src = (
+        "def check_pairwise(self, B, I, J, lo):\n"
+        "    i, j = I[lo:lo + fields.CHUNK], J[lo:lo + fields.CHUNK]\n"
+        "    bad = np.flatnonzero(self.fq.rank(np.concatenate([B[i], B[j]], axis=1)) != 2 * B.shape[1])\n"
+        "def orbits_are_partial_spreads(fq, pairs, ok, lo, r):\n"
+        "    ok[lo:lo + fields.CHUNK] = fq.rank(pairs[lo:lo + fields.CHUNK]) == 2 * r\n"
+        "def meets(fq, A, B):\n"
+        "    return fq.rref(np.concatenate([A, B]))[1] < len(A) + len(B)\n"
+        "def kept(fq, bases, mats, vectors, g, S):\n"
+        "    R, rank, _ = fq.rref(np.atleast_2d(np.asarray(vectors, dtype=np.int16)))\n"
+        "    imgs = np.concatenate([act_rref(fq, mats, bases)[0], fq.rref(fq.mat_mul(bases, mats))[0]])\n"
+        "    return R[:rank], act_rref(fq, g, S)\n"
+    )
+    assert pair_ranks(src) == ["line 3: rank", "line 5: rank", "line 7: rref"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name in ("spreads.py", "lscore.py")], ids=lambda p: p.name)
+def test_no_partial_spread_test_ranks_member_pairs(path):
+    # one partial-spread rule: members meet exactly when they share a point
+    assert pair_ranks(path.read_text()) == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from headblocks import head_blocks, stage_spread
-from orthosig.fields import FrozenInstanceError, fq_context, replace
+from orthosig.fields import FrozenInstanceError, fq_context, lookup, replace, row_index
 from orthosig.forms import build_space, enumerate_isometry_group, isometry_inverse
 from orthosig.lscore import (
     InjectivityFail,
@@ -32,6 +32,7 @@ from orthosig.matgroups import (
     descriptor,
     group_order,
     singer_generator,
+    standard_generators,
 )
 from orthosig.spreads import CyclicOrbits, NotAPartialSpread, PartialSpread, act_rref
 
@@ -436,6 +437,32 @@ def test_spread_empty_for_anisotropic():
     assert plan.shape == "empty"
 
 
+def test_plus_type_of_odd_witt_index_walks_no_orbit(monkeypatch):
+    # every two generators of one family of Q+(5, 3) share a point, so no
+    # spread of q^2 + 1 = 10 of them exists: the ladder goes to the
+    # transversal without the transporters of the bases, with the notes the
+    # failed literal rung gave
+    from orthosig import lscore
+    from orthosig.spreads import point_positions
+
+    space = build_space("plus", fq_context(3, 1), 3)
+    bases, _ = lscore.ts_subspace_transporters(space, True)  # one family
+    at = point_positions(space.fq, bases, space.isotropic_points())
+    assert all(set(at[i]) & set(at[j]) for i, j in itertools.combinations(range(len(bases)), 2))
+    for det1, fam in [(False, "O+"), (True, "SO+")]:
+        lit_notes = standard_generators(descriptor(fam, 3, n=6), space)[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(lscore, "ts_subspace_transporters", None)
+            plan = lscore._spread_construction.__wrapped__(space, det1)
+        assert plan.shape == "transversal" and plan.partition["ok"] and len(plan.members) == 130
+        assert plan.notes == (*lit_notes,
+                              "literal cyclic block is not sharply transitive on any totally singular base "
+                              "orbit (construction mismatch)",
+                              "no 10-member spread of 3-dimensional totally singular subspaces admits a "
+                              "layered block here; degrading to the trivial point spread with a transversal "
+                              "block")
+
+
 def _per_base_orbits(fq, pows, bases):
     """Reference for `spreads.cyclic_orbits`: every base stepped on its own
     walk with `act_rref`, one power of the generator at a time."""
@@ -446,8 +473,10 @@ def _per_base_orbits(fq, pows, bases):
     imgs = np.stack(imgs, axis=1)
     home = (imgs[:, 1:] == bases[:, None]).all(axis=(2, 3))
     ret = np.where(home.any(axis=1), home.argmax(axis=1) + 1, 0)
-    return CyclicOrbits(ret, np.arange(len(bases)), np.zeros(len(bases), dtype=np.intp),
-                        [imgs[i, :t or steps] for i, t in enumerate(ret)])
+    walks = [imgs[i, :t or steps] for i, t in enumerate(ret)]
+    index = row_index(bases)
+    return CyclicOrbits(ret, np.arange(len(bases)), np.zeros(len(bases), dtype=np.intp), walks,
+                        [lookup(index, W) for W in walks])
 
 
 def _every_orbit_tested(fq, orbits, size):
@@ -478,7 +507,7 @@ def test_ladder_walks_each_orbit_once_to_the_plan_a_per_base_walk_gives(fam, q, 
     space = space_for(descriptor(fam, q, n=n))
     got = spread_construction(space, fam)
     monkeypatch.setattr(spreads, "cyclic_orbits", _per_base_orbits)
-    monkeypatch.setattr(lscore, "_spread_orbits", _every_orbit_tested)
+    monkeypatch.setattr(lscore, "_spread_orbits", lambda orbits, at, size: _every_orbit_tested(space.fq, orbits, size))
     want = lscore._spread_construction.__wrapped__(space, False)
     assert got.shape == want.shape
     assert got.notes == want.notes

@@ -12,23 +12,28 @@ from orthosig.lscore import (
     LogSignature, ProductTables, SpreadPlan, VerifyReport, _StagePlan, _TablePlan, canonical_ls, space_for,
     spread_construction, verify_ls,
 )
-from orthosig.matgroups import GroupDescriptor, descriptor
+from orthosig.forms import reflections
+from orthosig.matgroups import GroupDescriptor, descriptor, powers
 from orthosig.pgm import PgmKey, keygen
+from orthosig.spreads import CyclicOrbits, cyclic_orbits
 
 DESC = descriptor("O-", 3, m=2)
 
 
 def _records():
     ls = canonical_ls(DESC)
+    space = space_for(DESC)
     return {
         GroupDescriptor: DESC,
         LogSignature: ls,
         ProductTables: ls.tables,
-        SpreadPlan: spread_construction(space_for(DESC), DESC.family),
+        SpreadPlan: spread_construction(space, DESC.family),
         _TablePlan: ls.plan.front,
         _StagePlan: ls.plan,
         VerifyReport: verify_ls(ls),
         PgmKey: keygen(DESC, 7),
+        CyclicOrbits: cyclic_orbits(space.fq, powers(space.fq, reflections(space)[0], 3)[1:],
+                                    space.isotropic_points()[:, None]),
     }
 
 
@@ -129,6 +134,6 @@ def test_plans_and_tables_compare_by_identity():
     assert ProductTables.build(fq, n, ls.plan.blocks) != ProductTables.build(fq, n, ls.plan.blocks)
     front = RECORDS[_TablePlan]
     assert _TablePlan.build(fq, n, front.blocks) != _TablePlan.build(fq, n, front.blocks)
-    for cls in (_StagePlan, SpreadPlan, VerifyReport, PgmKey):
+    for cls in (_StagePlan, SpreadPlan, VerifyReport, PgmKey, CyclicOrbits):
         record = RECORDS[cls]
         assert record == record and replace(record) != record

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from orthosig.spreads import (
     act_rref,
     act_subspace,
     cyclic_orbits,
-    orbits_are_partial_spreads,
+    point_positions,
     schreier_transversal,
     span_points,
     subspace,
@@ -218,23 +219,24 @@ def _reference_orbit(fq, g, W, cap):
 
 
 def test_orbit_precheck_matches_check_pairwise():
-    # every base of the literal rung's walk: the stacked test of W against
-    # its images agrees with the full pairwise check of the orbit (whole
-    # orbits on O-4(3), none on O+6(3) or Oodd5(3))
-    from orthosig.lscore import ts_subspace_transporters
+    # every base of the literal rung's walk: the ladder's one test of each
+    # orbit, on the positions of the bases' points in L, agrees with the
+    # full pairwise check of the orbit (whole orbits on O-4(3), none on
+    # O+6(3) or Oodd5(3))
+    from orthosig.lscore import _spread_orbits, ts_subspace_transporters
 
     seen = set()
     for kind, fam, m in [("minus", "O-", 2), ("plus", "O+", 3), ("odd", "Oodd", 2)]:
         s = build_space(kind, fq_context(3, 1), m)
         lit, _ = standard_generators(descriptor(fam, 3, n=s.n), s)
         bases, _ = ts_subspace_transporters(s, False)
+        at = point_positions(s.fq, bases, s.isotropic_points())
         orbits = _orbits(s.fq, lit, bases, 12)
         for size in set(orbits.ret.tolist()) - {0}:
             idx = np.flatnonzero(orbits.ret == size)
-            walks = np.stack([orbits.walk(i, size) for i in idx])
-            for walk, ok in zip(walks, orbits_are_partial_spreads(s.fq, walks)):
+            for i, ok in zip(idx, np.isin(idx, _spread_orbits(orbits, at, size))):
                 try:
-                    _walked_spread(s.fq, walk)
+                    _walked_spread(s.fq, orbits.walk(i, size))
                     want = True
                 except NotAPartialSpread:
                     want = False
@@ -444,6 +446,57 @@ def test_hypothesis_stacked_check_pairwise_matches_the_pair_loop(pe, n, count, c
     finally:
         fields.CHUNK = old
     assert got == want
+
+
+def _partition_reference(members, points, fq):
+    # the owner loop, one member and one point at a time: each distinct
+    # point, at its last position, owned by the first member that holds it
+    index = {}
+    for p, v in enumerate(points):
+        index[v.tobytes()] = p
+    owner, counts, violations = {}, [0] * len(members), []
+    for i, span in enumerate(span_points(fq, members)):
+        for v in span:
+            p = index.get(v.tobytes())
+            if p is None:
+                continue
+            if p in owner:
+                violations.append({"kind": "double_cover", "point": v.tolist(), "members": [owner[p], i]})
+            else:
+                owner[p] = i
+                counts[i] += 1
+    uncovered = len(index) - len(owner)
+    if uncovered:
+        p = next(p for p in index.values() if p not in owner)
+        violations.append({"kind": "uncovered", "point": points[p].tolist()})
+    equal = len(set(counts)) <= 1 and (not counts or counts[0] > 0)
+    return {"ok": not violations and equal and uncovered == 0, "members": len(members), "points": len(index),
+            "points_per_member": counts[0] if counts and equal else counts, "uncovered": uncovered,
+            "violations": violations[:5]}
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([(3, 1), (5, 1), (3, 2)]), st.integers(min_value=2, max_value=4),
+       st.integers(min_value=0, max_value=8), st.data())
+def test_hypothesis_partition_report_matches_the_owner_loop(pe, n, count, data):
+    # members that meet, miss points or cover points outside the set, and
+    # point sets with repeats, in any order: the same report, violations,
+    # witnesses and order included
+    fq = fq_context(*pe)
+    entries = st.integers(min_value=0, max_value=fq.q - 1)
+    r = data.draw(st.integers(min_value=1, max_value=n - 1))
+    members = {}
+    for _ in range(count):
+        S = subspace(fq, np.array(data.draw(st.lists(entries, min_size=r * n, max_size=r * n)),
+                                  dtype=np.int16).reshape(r, n))
+        if len(S) == r:
+            members.setdefault(S.tobytes(), S)
+    members = np.array(list(members.values()), dtype=np.int16).reshape(-1, r, n)
+    every = all_points(fq, n)
+    picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(every) - 1), max_size=2 * len(every)))
+    points = every[np.array(picks, dtype=np.intp)]
+    rep, want = verify_partition(PartialSpread(members, fq), points, fq), _partition_reference(members, points, fq)
+    assert rep == want and json.dumps(rep) == json.dumps(want)
 
 
 @settings(max_examples=80)
