@@ -56,16 +56,18 @@ def tame_factor(g: Mat, ls: LogSignature) -> tuple:
     byte, and at a stage the border check fixes every entry of the stage
     matrix hw outside hw[SP, SP], which the sub-plan then matches in turn,
     so g is the product of the block elements its digits index; the plan
-    checks the code range before its first product."""
-    if ls.plan is None:
+    checks the code range before its first product, once, on the bytes of
+    g (`Mat.key`), and its lower levels take products of codes."""
+    plan = ls.plan
+    if plan is None:
         raise FactorError("signature carries no decoding tables")
-    n, fq = ls.plan.n, ls.plan.fq
+    n, fq = plan.n, plan.fq
     if g.n != n:
         raise FactorError(f"element is {g.n}x{g.n}, signature acts on {n}x{n} matrices")
     if g.fq is not fq and (g.fq.p, g.fq.e) != (fq.p, fq.e):
         raise FactorError(f"element is over F_{g.fq.q}, signature is over F_{fq.q}")
     try:
-        digits = ls.plan.decode(g)
+        digits = plan.decode(g)
     except CodeError:
         raise FactorError(f"element has an entry outside the codes 0..{fq.q - 1} of F_{fq.q}") from None
     except (LsError, ValueError):
@@ -86,13 +88,21 @@ def compose(indices, ls: LogSignature) -> Mat:
 
 
 def rank(indices, ls: LogSignature) -> int:
-    """Mixed-radix value, first block fastest-varying."""
-    out = 0
-    mult = 1
-    for x, s in zip(check_bounds(indices, ls), ls.sizes):
-        out += x * mult
-        mult *= s
-    return out
+    """Mixed-radix value, first block fastest-varying.  The pass that
+    accumulates it checks each index as `check_bounds` does, and hands
+    anything but an in-range Python int to `check_bounds`, which raises or
+    returns the indices as Python ints."""
+    sizes = ls.sizes
+    if len(indices) == len(sizes):
+        out, mult = 0, 1
+        for x, s in zip(indices, sizes):
+            if type(x) is not int or not 0 <= x < s:
+                break
+            out += x * mult
+            mult *= s
+        else:
+            return out
+    return rank(check_bounds(indices, ls), ls)
 
 
 def unrank(v: int, ls: LogSignature) -> tuple:

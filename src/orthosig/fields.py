@@ -14,6 +14,7 @@ Each F_q is one `FqContext`, whose `rref` is every Gaussian elimination.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache, reduce
 from itertools import repeat
 
@@ -25,6 +26,13 @@ import numpy as np
 # it at call time as `fields.CHUNK`.  Below 2^15, so the digits of a table
 # of at most CHUNK products fit int16
 CHUNK = 4096
+
+# the dtype of field codes, which `mat_mul` compares by identity: numpy
+# hands out one native int16 dtype, and an equality test of two dtypes
+# costs about a tenth of a 4x4 product; and the offset of the high byte of
+# a native int16 in memory
+_INT16 = np.dtype(np.int16)
+_HIGH = 1 if sys.byteorder == "little" else 0
 
 
 class FieldError(ValueError):
@@ -336,6 +344,7 @@ class FqContext:
         # n of them for n up to `int16_width`: n (p - 1)^2 < 2^15
         self.int16_products = p <= 181
         self.int16_width = (2 ** 15 - 1) // (p - 1) ** 2
+        self._low_codes = bytes(range(min(q, 256)))
 
     # -- scalars
     def add(self, a, b):
@@ -390,19 +399,29 @@ class FqContext:
     def mat_mul(self, A, B):
         """A @ B; stacks of matrices broadcast as in numpy's matmul."""
         if self.fast:
-            if A.dtype == B.dtype == np.int16 and A.shape[-1] <= self.int16_width:
+            if A.dtype is _INT16 and B.dtype is _INT16 and A.shape[-1] <= self.int16_width:
                 # every sum of products of codes fits int16, so no widening;
                 # `dot` skips the stack dispatch of `@` for one pair
                 return self.RES.take(A.dot(B) if A.ndim == B.ndim == 2 else A @ B)
             return ((A.astype(np.int64) @ B.astype(np.int64)) % self.p).astype(np.int16)
         # each digit of a sum of p + 1 packed products is at most
-        # (p + 1)(p - 1) < p^2, so a chunk of p + 1 terms sums without carry
-        G = self.PM[A[..., :, :, None], B[..., None, :, :]]  # G[..., i, k, j]
+        # (p + 1)(p - 1) < p^2, so a chunk of p + 1 terms sums without carry;
+        # one matrix B broadcasts against A[..., :, :, None] as it stands
+        G = self.PM[A[..., :, :, None], B if B.ndim == 2 else B[..., None, :, :]]  # G[..., i, k, j]
         c = self.p + 1
         if A.shape[-1] <= c:
             return self.UN[G.sum(axis=-2)]
         chunks = (self.UN[G[..., k:k + c, :].sum(axis=-2)] for k in range(0, A.shape[-1], c))
         return reduce(lambda X, Y: self.ADD[X, Y], chunks)
+
+    def holds_codes(self, b):
+        """Whether b, the bytes of an int16 array in native order, holds
+        codes of the field only: each entry, read unsigned, below q.  For
+        q < 256 that is every high byte zero and no byte at q or above,
+        two deletions on the bytes; a wider field reads the entries."""
+        if self.q < 256:
+            return not b[_HIGH::2].strip(b"\0") and not b.translate(None, self._low_codes)
+        return max(memoryview(b).cast("H"), default=0) < self.q
 
     def mat_pow(self, A, k):
         """A^k for k >= 0, of a matrix or of each matrix of a stack, by

@@ -214,8 +214,11 @@ class ProductTables(Record):
         """The left-to-right block product of one index vector, a tuple of
         Python ints, as an (n, n) int16 array, a view of the table row when
         there is one segment: what `products([indices])[0]` holds."""
-        rows = [sum(map(operator.mul, indices[lo:hi], w)) for lo, hi, w in self.segments]
-        return reduce(self.fq.mat_mul, [T[r] for T, r in zip(self.tables, rows)])
+        P = None
+        for T, (lo, hi, w) in zip(self.tables, self.segments):
+            X = T[sum(map(operator.mul, indices[lo:hi], w))]
+            P = X if P is None else self.fq.mat_mul(P, X)
+        return P
 
     def every(self, dtype=np.int64):
         """Every block product and its index vector, in itertools.product
@@ -346,11 +349,20 @@ def ts_subspace_transporters(space, det1):
     except that on the plus type SO has two orbits of equal size.  Returns
     the (bases, moves) stacks of `spreads.schreier_transversal`."""
     r = space.witt_index
-    gens = forms.so_generators(space) if det1 else forms.o_generators(space)
     size = maximal_ts_count(space.kind, space.q, r)
     if det1 and space.kind == "plus":
         size //= 2
+    gens = _walk_generators(space, det1, size)
     return spr.schreier_transversal(space.fq, np.eye(r, space.n, dtype=np.int16), gens, size)
+
+
+def _walk_generators(space, det1, size):
+    """The generators of a transversal walk of `size` subspaces: every
+    reflection for O, r_0 r_i for SO.  The walk's caps are checked on the
+    count of the reflections, one per non-singular point, before any is
+    built (`spreads.check_walk`)."""
+    spr.check_walk(size, len(space.points()) - len(space.isotropic_points()) - det1)
+    return forms.so_generators(space) if det1 else forms.o_generators(space)
 
 
 def _try_layers(fq, shape, layers, members, at, L, notes):
@@ -468,8 +480,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
     )
     # a canonical point is the echelon basis of its 1-space; the members
     # are the points in order, from w0 = L[0], member t holding L[t] alone
-    gens = forms.so_generators(space) if det1 else forms.o_generators(space)
-    bases, moves = spr.schreier_transversal(fq, L[:1], gens, len(L))
+    bases, moves = spr.schreier_transversal(fq, L[:1], _walk_generators(space, det1, len(L)), len(L))
     layers = (("trans", moves[fields.lookup(fields.row_index(bases), L)]),)
     return _try_layers(fq, "transversal", layers, L[:, None], np.arange(len(L))[:, None], L, notes)
 
@@ -481,6 +492,11 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
 def _count(mask):
     """The rows a mask flags; None flags none."""
     return 0 if mask is None else int(mask.sum())
+
+
+def _tuples(A):
+    """The rows of a 2-d array as a tuple of tuples of ints."""
+    return tuple(map(tuple, A.tolist()))
 
 
 def _reject(errors, rows, bad, exc_type, msg):
@@ -495,10 +511,13 @@ class _Plan:
     dict on the entry bytes (`Mat.key`) of its rows.  `decode_many` decodes
     a whole (k, n, n) stack at once, one vectorized stage step at a time,
     and names the error of each element that fails.  `decode` serves one
-    element: `_decode_one(Z)` takes one (n, n) int16 array (`tobytes` reads
-    it in C order whatever its layout) and returns its digits as a list, or
-    None where the stack path would fail; `decode` then goes down that path
-    to name the error.
+    element: `_decode_one(Z)` takes one (n, n) int16 array of codes
+    (`tobytes` reads it in C order whatever its layout) and returns its
+    digits as a list, or None where the stack path would fail; `decode`
+    then goes down that path to name the error.  Each path checks the code
+    range once, at its top: `decode_many` in `_codes`, `decode` on the
+    element's bytes before `_decode_one`, whose every lower level is handed
+    a product of codes.
     Plans are framed: a plan for the input frame C decodes Z where C^-1 Z C
     is the element in the coordinates of its own space."""
 
@@ -541,12 +560,14 @@ class _Plan:
     def decode(self, g: Mat):
         """The digits of one element, as a list of ints; raises what
         decode_many names for it.  An (n, n) `Mat`, already C-contiguous
-        int16, goes to `_decode_one`, which answers an exact table hit, or
-        a stage path whose every border passes.  A miss, an entry outside
-        the codes and a `Mat` of another size go down decode_many as a
-        one-element stack, which names the error."""
+        int16, whose bytes (`Mat.key`) hold codes of the field only, goes
+        to `_decode_one`, which answers an exact table hit, or a stage path
+        whose every border passes: the plan checks the code range before
+        its first product.  A miss, an entry outside the codes and a `Mat`
+        of another size go down decode_many as a one-element stack, which
+        names the error."""
         a = g.a
-        if a.shape == (self.n, self.n):
+        if a.shape == (self.n, self.n) and self.fq.holds_codes(g.key):
             digits = self._decode_one(a)
             if digits is not None:
                 return digits
@@ -652,7 +673,11 @@ class _StagePlan(_Plan, Record):
     One element (`_decode_one`) finds the row of u by the bytes of
     lam hw[:, R], column R of E(u) for a member, and compares border bytes.
     It ends at once on a table miss or a failed border: a miss is no
-    member, and the stack path names the error.
+    member, and the stack path names the error.  It checks no code range:
+    `decode` has checked the element's before the first product, and
+    every array a lower level gets is a product of codes.  The digits of
+    each head, Siegel and GL1 row are tuples, made once in
+    `__post_init__`.
     """
 
     space: QuadraticSpace
@@ -678,14 +703,6 @@ class _StagePlan(_Plan, Record):
     front: _TablePlan | None    # every product of the stage, for a small group
     stab: _TablePlan | None     # every stabilizer product, working frame, for a small stabilizer
 
-    @property
-    def n(self):
-        return self.space.n
-
-    @property
-    def fq(self):
-        return self.space.fq
-
     def __post_init__(self):
         fq, n, R = self.space.fq, self.space.n, self.R
         # flat positions in hw: the border, column 0 first, and Y[SP, SP]
@@ -698,12 +715,15 @@ class _StagePlan(_Plan, Record):
         d[:, 0], d[:, R * (n + 1)] = np.arange(fq.q), fq.INV
         # _siegel_rows, the one-element index of the Siegel table, maps the
         # bytes of column R of each E(u), which is lam hw[:, R] when
-        # hw = E(u) d(lam) y, to the row of u
-        derived = {"width": self.bounds[2] + self.sub.width,
+        # hw = E(u) d(lam) y, to the row of u; the residue positions are a
+        # (|SP|, |SP|) array, so that a `take` gives Y[SP, SP] in its shape
+        derived = {"n": n, "fq": fq, "width": self.bounds[2] + self.sub.width,
                    "_points": fields.row_index(self.vectors, self.point.tolist()),
                    "_siegel_rows": fields.row_index(self.siegel[:, :, R]),
-                   "_border_pos": border, "_residue_pos": (self.SP[:, None] * n + self.SP).ravel(),
-                   "_d_border": d[:, border], "_d_bytes": tuple(fields.keys(d[:, border]).tolist())}
+                   "_border_pos": border, "_residue_pos": self.SP[:, None] * n + self.SP,
+                   "_d_border": d[:, border], "_d_bytes": tuple(fields.keys(d[:, border]).tolist()),
+                   "_head_digits": _tuples(self.head), "_siegel_row_digits": _tuples(self.siegel_digits),
+                   "_gl1_row_digits": _tuples(self.gl1_digits)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
         # not through vars(self), which would materialise the instance dict
@@ -711,7 +731,7 @@ class _StagePlan(_Plan, Record):
         read_only([*(getattr(self, name) for name in self._fields), *derived.values()])
 
     def framed(self, C, Cinv):
-        fq = self.space.fq
+        fq = self.fq
         return replace(self, vectors=fq.mat_mul(self.vectors, np.ascontiguousarray(C.T)),
                        strips=fq.mat_mul(self.strips, Cinv), enter=fq.mat_mul(C, self.enter),
                        front=self.front.framed(C, Cinv) if self.front else None)
@@ -719,10 +739,8 @@ class _StagePlan(_Plan, Record):
     def _decode_one(self, Z):
         if self.front is not None:
             return self.front._decode_one(Z)
-        fq = self.space.fq
-        # the product reads any int16 back to a code, so Z must hold codes
-        if Z.view(np.uint16).max() >= fq.q:
-            return None
+        # Z holds codes (`decode`), so every product below does too
+        fq = self.fq
         ZT = fq.mat_mul(Z, self.enter)
         pt = self._points.get(ZT[:, 0].tobytes())
         if pt is None:
@@ -730,18 +748,20 @@ class _StagePlan(_Plan, Record):
         hw = fq.mat_mul(self.strips[pt], ZT)
         if self.stab is not None:
             rest = self.stab._decode_one(hw)
-            return None if rest is None else self.head[pt].tolist() + rest
+            return None if rest is None else [*self._head_digits[pt], *rest]
         lam = hw[0, 0]
-        row = self._siegel_rows.get(fq.v_scale(lam, hw[:, self.R]).tobytes())
+        # lam hw[:, R] is a row of the MUL table read at codes, one `take`
+        # over any field
+        row = self._siegel_rows.get(fq.MUL[lam].take(hw[:, self.R]).tobytes())
         if row is None:
             return None
         Y = fq.mat_mul(self.siegel_inv[row], hw)
         if Y.take(self._border_pos).tobytes() != self._d_bytes[lam]:
             return None
-        rest = self.sub._decode_one(Y.take(self._residue_pos).reshape(len(self.SP), len(self.SP)))
+        rest = self.sub._decode_one(Y.take(self._residue_pos))
         if rest is None:
             return None
-        return self.head[pt].tolist() + self.siegel_digits[row].tolist() + self.gl1_digits[lam].tolist() + rest
+        return [*self._head_digits[pt], *self._siegel_row_digits[row], *self._gl1_row_digits[lam], *rest]
 
     def _decode_into(self, Z, rows, out, errors, col, stats):
         # a failing row goes on through the arithmetic (every gather stays in
@@ -755,7 +775,7 @@ class _StagePlan(_Plan, Record):
             if miss is None:
                 return
             Z, rows = Z[miss], rows[miss]
-        fq, n = self.space.fq, self.n
+        fq, n = self.fq, self.n
         ZT = fq.mat_mul(Z, self.enter)
         pt = fields.lookup(self._points, ZT[:, :, 0])
         alive = pt >= 0
@@ -807,7 +827,7 @@ class _StagePlan(_Plan, Record):
             stats["mults"] += 2 * int(fixes.sum())
         if failed:
             Y, rows = Y[alive], rows[alive]
-        ysub = Y.take(self._residue_pos, axis=1).reshape(len(Y), len(self.SP), len(self.SP))
+        ysub = Y.take(self._residue_pos, axis=1)
         self.sub._decode_into(ysub, rows, out, errors, tail, stats)
 
 

@@ -215,6 +215,24 @@ def verify_partition(spread: PartialSpread, points, fq: FqContext):
 
 
 _TRANSVERSAL_CAP = 200_000
+# a walk may meet each subspace it reaches with every generator: the most
+# images one walk may compute.  O+6(9) may take 4.4e8 and builds in about
+# 45 s on a 2-core host; O-6(9), Oodd5(23) and Oodd7(7), at 3.5e9 to 1.6e10,
+# had not built after 100 s
+_WALK_CAP = 10 ** 9
+
+
+def check_walk(size, gens):
+    """RuntimeError unless a transversal walk of an orbit of `size`
+    subspaces under `gens` generators fits its caps: `size` at most
+    _TRANSVERSAL_CAP, and size * gens, the images it may compute, at most
+    _WALK_CAP.  It takes the count, so a caller checks before it builds the
+    generators."""
+    if size > _TRANSVERSAL_CAP:
+        raise RuntimeError("transversal exceeded cap")
+    if size * gens > _WALK_CAP:
+        raise RuntimeError(f"transversal walk past its limit of {_WALK_CAP:,} images: {size:,} subspaces "
+                           f"under {gens:,} generators may take {size * gens:,}")
 
 
 def schreier_transversal(fq: FqContext, start, gens, size):
@@ -230,11 +248,10 @@ def schreier_transversal(fq: FqContext, start, gens, size):
     found last.  The transporter of a node is the generator that found it
     times the transporter of its parent, one stacked product per parent.
     The result is deterministic for a fixed generator order.  Raises
-    RuntimeError when `size` exceeds _TRANSVERSAL_CAP or the orbit is
-    smaller than `size`.
+    RuntimeError when the walk is past its caps (`check_walk`) or the
+    orbit is smaller than `size`.
     """
-    if size > _TRANSVERSAL_CAP:
-        raise RuntimeError("transversal exceeded cap")
+    check_walk(size, len(gens))
     nodes, parent, via = closure([np.ascontiguousarray(start, dtype=np.int16)],
                                  lambda x: act_rref(fq, gens, x)[0], size)
     if len(nodes) < size:

@@ -1043,6 +1043,38 @@ def test_bench_fields_script_prints_one_row_per_field_and_operation():
     assert all(float(row.split()[-1]) > 0 for row in rows)
 
 
+def test_bench_decode_script_prints_one_row_per_group_and_operation():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, os.path.join(root, "scripts", "bench_decode.py")],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["group", "operation", "µs"]
+    chain = ["unrank", "compose", "tame_factor", "rank"]
+    assert [(row.split()[0], " ".join(row.split()[1:-1])) for row in rows] == \
+        [(group, op) for group in ("O-4(5)", "O-4(9)", "Oodd5(3)", "O+6(3)") for op in chain] + \
+        [("O+6(3)", "sampled verify 25"), ("O-4(3)", "pgm round trip"), ("O+4(5)", "pgm round trip")]
+    assert all(float(row.split()[-1]) > 0 for row in rows)
+
+
+@pytest.mark.parametrize("args", [["spread-check", "--kind", "odd", "--q", "37", "--m", "2"],
+                                  ["construct", "--family", "Oodd", "--q", "37", "--m", "2", "--out", "never.json"]],
+                         ids=["spread-check", "construct"])
+def test_a_transversal_walk_past_its_limit_exits_2_before_any_reflection_is_built(args, tmp_path):
+    # Oodd5(37) would walk its 52,060 totally singular lines meeting each
+    # with all 1,874,161 reflections, and used to run without end; the
+    # count of the reflections is checked before any is built
+    from orthosig.spreads import _WALK_CAP
+
+    proc = subprocess.run([sys.executable, "-m", "orthosig", *args], capture_output=True, text=True, env=ENV,
+                          cwd=tmp_path, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    doc, _ = parse_stdout(proc.stdout)
+    assert doc["error"].startswith(f"transversal walk past its limit of {_WALK_CAP:,} images")
+    assert "1,874,161 generators" in doc["error"]
+    assert not (tmp_path / "never.json").exists()
+
+
 def test_a_signature_without_decoding_tables_is_named_as_such(tmp_path, capsys):
     # the canonical even-n PSO signature has no decoder: factor and
     # pgm-demo exit 2 and say so, without calling it non-canonical

@@ -673,6 +673,115 @@ def test_one_element_decode_reads_any_layout_of_a_member(fam, q, n):
         assert ls.plan.decode_many(g[None].astype(np.int64))[0][0].tolist() == list(iv)
 
 
+# the groups whose one-element steps skip the per-level code check, take
+# their digit rows from tuples and gather Y[SP, SP] in its shape: stages
+# without a front or stab table (O-4(9), O+6(3)), with a stab table
+# (Oodd5(3), O-4(5), O+4(5)) and with a front table (O-4(3)); and a base
+# case past q = 256, whose code check reads the entries
+TRIMMED_GROUPS = [("O-", 9, 4), ("O+", 3, 6), ("Oodd", 3, 5), ("O-", 5, 4), ("O+", 5, 4), ("O-", 3, 4),
+                  ("O-", 257, 2)]
+
+# SHA-256 of json.dumps of _one_and_many of each group's _trimmed_inputs
+# (seed 49), recorded while every stage level still checked the code range
+TRIMMED_SHA256 = {
+    ("O-", 9, 4): "316c3b740aeac552f4d6322b7123646c120e132ed59627da6e8866783cd17707",
+    ("O+", 3, 6): "f7621e472ad798283ef02184324ab113a20118dd560ed0db94ae873536ea33d7",
+    ("Oodd", 3, 5): "e9d4b1f11dd2d25eb76b99b0d18807a2f24dad0362dc81f7d0d580c2795c7882",
+    ("O-", 5, 4): "1823367d317b1e582298624eaeb3bca23cd488163b94ae8ce2addb5877556e9c",
+    ("O+", 5, 4): "2217f1fa76c28ed547badec9c8886e27931794ac4195922463a31744d54afc2d",
+    ("O-", 3, 4): "a9cd125136ad23fd41b3df9731f99165986e0170305b6b38a00cc4b8bdd6ffcf",
+    ("O-", 257, 2): "b8cae0d8ff478b466d97671bd774737047c550712f07ff17531f2c217f4aa92b",
+}
+
+
+def _trimmed_inputs(ls, seed):
+    """Seeded members, the same members with one entry changed, and
+    members holding the code q, 255, 0x7fff or -1 at one position, each
+    code at every position; every array also as a Fortran-ordered copy and
+    as a strided view."""
+    import numpy as np
+
+    fq, n = ls.plan.fq, ls.plan.n
+    rng = random.Random(seed)
+    members = [compose(unrank(rng.randrange(ls.claimed_order), ls), ls).a for _ in range(6)]
+    out = list(members)
+    for g in members:
+        t = g.copy()
+        r, c = rng.randrange(n), rng.randrange(n)
+        t[r, c] = fq.add(int(t[r, c]), rng.randrange(1, fq.q))
+        out.append(t)
+    for code in (fq.q, 255, 0x7FFF, -1):
+        for pos in range(n * n):
+            t = members[pos % len(members)].copy()
+            t.flat[pos] = code
+            out.append(t)
+    views = []
+    for g in out:
+        wide = np.zeros((n, 2 * n), dtype=np.int16)
+        wide[:, ::2] = g
+        views += [g, np.asfortranarray(g), wide[:, ::2]]
+    return views
+
+
+def _one_and_many(ls, g):
+    """What decode_many, plan.decode and tame_factor give for the array g:
+    the digits as a list, or "<exception type>: <message>"."""
+    from orthosig.lscore import LsError
+
+    def named(exc):
+        return f"{type(exc).__name__}: {exc}"
+
+    def outcome(f):
+        try:
+            return list(f())
+        except (LsError, ValueError) as exc:
+            return named(exc)
+
+    def many():
+        # a code outside the field fails the whole stack; any other error
+        # is named for its element
+        digits, errors = ls.plan.decode_many(g[None])
+        if errors:
+            raise errors[0]
+        return digits[0].tolist()
+
+    fq = ls.plan.fq
+    return [outcome(many), outcome(lambda: ls.plan.decode(Mat(fq, g))), outcome(lambda: tame_factor(Mat(fq, g), ls))]
+
+
+@pytest.mark.parametrize("fam,q,n", TRIMMED_GROUPS)
+def test_the_one_element_path_answers_as_the_stack_path_on_every_input(fam, q, n):
+    # decode names what decode_many names, digits or error, on members,
+    # tampered members and every misplaced code, in any layout; tame_factor
+    # gives the same digits or raises, a code outside the field as a
+    # FactorError; _decode_one, handed codes only, answers a subset; and
+    # all of it is what the plan gave while every level checked the codes
+    import hashlib
+    import json
+
+    import numpy as np
+
+    ls = canonical_ls(descriptor(fam, q, n=n))
+    fq = ls.plan.fq
+    res = []
+    for g in _trimmed_inputs(ls, 49):
+        many, one, tame = got = _one_and_many(ls, g)
+        res.append(got)
+        assert one == many
+        if isinstance(many, list):
+            assert tame == many
+            assert compose(tuple(many), ls) == Mat(fq, g)
+        else:
+            assert isinstance(tame, str)
+            codes = bool(((g >= 0) & (g < q)).all())
+            assert tame.startswith("FactorError: element has an entry outside the codes") == (not codes)
+        if ((g >= 0) & (g < q)).all():
+            direct = ls.plan._decode_one(np.ascontiguousarray(g))
+            assert direct is None or direct == many
+    doc = json.dumps(res).encode()
+    assert hashlib.sha256(doc).hexdigest() == TRIMMED_SHA256[(fam, q, n)]
+
+
 def test_plan_decoders_take_only_codes_of_the_plan_field():
     # 4 I and the float stack 1.7 I used to decode as the identity of
     # O-4(3), and code 200 against O-4(9) ended in a bare numpy IndexError
@@ -846,6 +955,35 @@ def test_indices_and_ranks_must_be_integers():
     assert all(type(x) is int for x in unrank(np.int64(700), ls))
     with pytest.raises(FactorError, match=r"index 7 out of range \[0, 5\) in block 0"):
         rank((np.int16(7), 1) + rest, ls)
+
+
+def test_rank_and_compose_check_each_index_as_check_bounds_does():
+    # rank accumulates and checks in one pass: at every position a numpy
+    # integer or a bool ranks as its value, and an index out of range, of
+    # another type or in a vector of another length raises the FactorError
+    # check_bounds raises, from rank and compose alike
+    import numpy as np
+
+    from orthosig.factorize import check_bounds
+
+    ls = canonical_ls(descriptor("O-", 5, n=4))
+    iv = unrank(12345, ls)
+    cases = [iv[:-1], iv + (0,), ()]
+    for pos, (x, s) in enumerate(zip(iv, ls.sizes)):
+        cases += [iv[:pos] + (bad,) + iv[pos + 1:]
+                  for bad in (np.int64(x), np.int16(s - 1), x == 1, -1, s, 2 ** 70, float(x), str(x), None)]
+    for case in cases:
+        try:
+            want = check_bounds(case, ls)
+        except FactorError as exc:
+            for f in (rank, compose):
+                with pytest.raises(FactorError) as got:
+                    f(case, ls)
+                assert str(got.value) == str(exc)
+        else:
+            assert rank(case, ls) == rank(want, ls) == sum(
+                x * int(np.prod(ls.sizes[:b])) for b, x in enumerate(want))
+            assert compose(case, ls) == compose(want, ls)
 
 
 def test_tame_factor_takes_only_codes_of_the_signature_field():

@@ -825,3 +825,20 @@ def test_row_index_keeps_the_last_repeated_row_and_lookup_misses_with_minus_1():
     assert got.dtype == np.intp and got.tolist() == [1, -1, 2, -1]
     assert lookup(row_index(A), B[:0]).tolist() == []
     assert lookup({}, A).tolist() == [-1] * 4
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (131, 1), (251, 1), (257, 1), (17, 2)])
+def test_holds_codes_reads_the_bytes_as_the_stack_check_reads_the_entries(p, e):
+    # below q = 256 two byte deletions, above it the entries read unsigned:
+    # either way what `_codes` tests, every entry in 0..q-1, at any position
+    fq = fq_context(p, e)
+    rng = np.random.default_rng(fq.q)
+    assert fq.holds_codes(b"")
+    for n in (1, 2, 4, 6):
+        A = rng.integers(0, fq.q, (n, n)).astype(np.int16)
+        assert fq.holds_codes(A.tobytes())
+        for code in (fq.q, fq.q - 1, 255, 256, 0x100 + fq.q - 1, 0x7FFF, -1, -fq.q, -256):
+            for pos in range(n * n):
+                B = A.copy()
+                B.flat[pos] = code
+                assert fq.holds_codes(B.tobytes()) == (0 <= code < fq.q), (code, pos)

@@ -9,8 +9,8 @@ caches by one rule, no function of the package imports a module but
 matgroups' deferred `forms`, only the process entry touches the collector,
 every trace target of the benchmark names a function the package defines,
 the package has one batch size, `fields.CHUNK`, every key of a stack's
-rows comes from `fields.keys`, and no partial-spread test ranks stacked
-pairs of members."""
+rows comes from `fields.keys`, no partial-spread test ranks stacked
+pairs of members, and no one-element decoder calls a numpy reduction."""
 
 import ast
 import importlib
@@ -696,3 +696,46 @@ def test_the_scan_finds_a_rank_of_stacked_member_pairs():
 def test_no_partial_spread_test_ranks_member_pairs(path):
     # one partial-spread rule: members meet exactly when they share a point
     assert pair_ranks(path.read_text()) == []
+
+
+REDUCTIONS = {"max", "min", "any", "all", "sum"}
+
+
+def reductions_in_decode_one(source: str) -> list[str]:
+    """Calls of a reduction method (`.max(`, `.min(`, `.any(`, `.all(`,
+    `.sum(`, numpy's or an array's) inside a `_decode_one`.  The
+    one-element decoder checks the code range once, on the element's bytes
+    in `_Plan.decode`, and a numpy reduction of a 4x4 array costs about as
+    much as a product of two."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_decode_one":
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) \
+                        and sub.func.attr in REDUCTIONS:
+                    found.append((sub.lineno, sub.func.attr))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_scan_finds_a_reduction_in_a_one_element_decoder():
+    # the per-level code check of `_StagePlan._decode_one` as it was
+    # written, then reductions that may stay
+    src = (
+        "class _StagePlan:\n"
+        "    def _decode_one(self, Z):\n"
+        "        if Z.view(np.uint16).max() >= fq.q:\n"
+        "            return None\n"
+        "        if np.any(Z < 0) or (Z == 0).all():\n"
+        "            return None\n"
+        "        return max(Z.tobytes()), np.maximum(Z, 0)\n"
+        "    def _decode_into(self, Z, rows, out, errors, col, stats):\n"
+        "        off = Y.any(axis=1).sum()\n"
+        "def holds_codes(b):\n"
+        "    return max(memoryview(b).cast('H'))\n"
+    )
+    assert reductions_in_decode_one(src) == ["line 3: max", "line 5: all", "line 5: any"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_one_element_decoder_calls_a_reduction(path):
+    assert reductions_in_decode_one(path.read_text()) == []

@@ -463,6 +463,42 @@ def test_plus_type_of_odd_witt_index_walks_no_orbit(monkeypatch):
                               "block")
 
 
+def test_a_walk_is_checked_on_the_count_of_its_reflections_before_any_is_built(monkeypatch):
+    # both walks count the reflections, one per non-singular point, and
+    # refuse a walk past spreads._WALK_CAP without building them: a space
+    # with the point counts of Oodd5(37) raises before `reflections` runs;
+    # under the cap the generators are the ones the walk has always taken
+    from orthosig import forms, lscore, spreads
+
+    class Counts:
+        def __init__(self, points, singular):
+            self.n_points, self.n_singular = points, singular
+
+        def points(self):
+            return range(self.n_points)
+
+        def isotropic_points(self):
+            return range(self.n_singular)
+
+    monkeypatch.setattr(forms, "reflections", None)
+    for det1 in (False, True):
+        with pytest.raises(RuntimeError, match=r"past its limit of 1,000,000,000 images: 52,060 subspaces under "
+                                               rf"{1874161 - det1:,} generators"):
+            lscore._walk_generators(Counts(1926221, 52060), det1, 52060)
+        # the cap on the orbit comes first, with its own message
+        with pytest.raises(RuntimeError, match="^transversal exceeded cap$"):
+            lscore._walk_generators(Counts(1926221, 52060), det1, spreads._TRANSVERSAL_CAP + 1)
+    monkeypatch.undo()
+    space = build_space("minus", fq_context(3, 1), 2)
+    assert lscore._walk_generators(space, False, 10) is forms.o_generators(space)
+    assert np.array_equal(lscore._walk_generators(space, True, 10), forms.so_generators(space))
+    # the largest walk built, O+6(9), sits under the cap: 7,462 points
+    # under 58,968 reflections
+    spreads.check_walk(7462, 58968)
+    with pytest.raises(RuntimeError):
+        spreads.check_walk(12720, 279841)  # Oodd5(23)
+
+
 def _per_base_orbits(fq, pows, bases):
     """Reference for `spreads.cyclic_orbits`: every base stepped on its own
     walk with `act_rref`, one power of the generator at a time."""
