@@ -10,7 +10,9 @@ acting on the base subspace, and the point stabilizer expanded as
 verified at construction time; when a literal cyclic block fails its
 sharp-transitivity assertions the construction falls back, first to a
 twisted torus layering and finally to a Schreier transversal over the
-point set (always valid and tame, no longer minimal).
+point set (always valid and tame, no longer minimal).  The literal and
+twisted rungs are tried only up to n = 4; from n = 5 the point
+transversal is taken at once.
 """
 
 from __future__ import annotations
@@ -385,17 +387,17 @@ def _spread_orbits(orbits, at, size):
 def spread_construction(space: QuadraticSpace, family: str) -> SpreadPlan:
     """Verified partial-spread layer for the given family on this space.
 
-    One walk moves every totally singular base subspace under the literal
-    cyclic block.  The first base whose orbit is a partition of the
-    singular points gives the literal plan; otherwise the half orbits of
-    that walk are tried as twisted layerings, and finally the always-valid
-    transversal over the trivial point spread is taken, at once on the
-    plus type of odd Witt index, which has no spread of generators.  On
-    the hyperbolic plane, where no literal recipe applies, the first
-    generator of the family that swaps the two singular points is the
-    cyclic block; SO fixes both, so there it raises LsError.  Only the
-    determinant condition of the family matters, so the plan is built
-    once per space for O and once for SO.
+    For n = 3 and 4, one walk moves every totally singular base subspace
+    under the literal cyclic block.  The first base whose orbit is a
+    partition of the singular points gives the literal plan; otherwise the
+    half orbits of that walk are tried as twisted layerings, and finally
+    the always-valid transversal over the trivial point spread is taken.
+    From n = 5 that transversal is taken at once.  On the hyperbolic
+    plane, where no literal recipe applies, the first generator of the
+    family that swaps the two singular points is the cyclic block; SO
+    fixes both, so there it raises LsError.  Only the determinant
+    condition of the family matters, so the plan is built once per space
+    for O and once for SO.
     """
     return _spread_construction(space, split_family(family)[1] == "SO")
 
@@ -429,7 +431,7 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
                            L, notes)
         if plan:
             return plan
-    else:
+    elif n <= 4:
         try:
             desc = GroupDescriptor(family_of("SO" if det1 else "O", space.kind), q, n)
             lit, gnotes = standard_generators(desc, space)
@@ -437,19 +439,14 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
             notes.append(f"literal generator construction failed: {exc}")
         else:
             notes.extend(gnotes)
-            literal = halves = ()
-            # two generators of one family of the plus-type quadric meet in
-            # a dimension of the parity of r: for odd r at most 2 < M of
-            # them are pairwise disjoint, and no orbit is walked
-            if space.kind != "plus" or r % 2 == 0:
-                bases, moves = ts_subspace_transporters(space, det1)
-                # every point of a totally singular base is singular: row j
-                # holds the positions in L of the points of base j
-                at = spr.point_positions(fq, bases, L)
-                orbits = spr.cyclic_orbits(fq, powers(fq, lit, M + 1)[1:], bases)
-                # M = q^k + 1 is even; a twisted layering starts from a base
-                # whose orbit is a partial spread of M / 2 members
-                literal, halves = _spread_orbits(orbits, at, M), _spread_orbits(orbits, at, M // 2)
+            bases, moves = ts_subspace_transporters(space, det1)
+            # every point of a totally singular base is singular: row j
+            # holds the positions in L of the points of base j
+            at = spr.point_positions(fq, bases, L)
+            orbits = spr.cyclic_orbits(fq, powers(fq, lit, M + 1)[1:], bases)
+            # M = q^k + 1 is even; a twisted layering starts from a base
+            # whose orbit is a partial spread of M / 2 members
+            literal, halves = _spread_orbits(orbits, at, M), _spread_orbits(orbits, at, M // 2)
             for i in literal:
                 on = orbits.rows_on(i, M)
                 plan = _try_layers(fq, "literal", (("cyc", lit, M),), bases[on], at[on], L, notes)
@@ -473,11 +470,9 @@ def _spread_construction(space: QuadraticSpace, det1: bool) -> SpreadPlan:
                     plan = _try_layers(fq, "twisted", layers, bases[both], at[both], L, twisted)
                     if plan:
                         return plan
-    notes.append(
-        f"no {M}-member spread of {r}-dimensional totally singular "
-        "subspaces admits a layered block here; degrading to the "
-        "trivial point spread with a transversal block"
-    )
+    why = (f"no {M}-member spread of {r}-dimensional totally singular subspaces admits a layered block here"
+           if n <= 4 else "the layered rungs are tried only up to n = 4")
+    notes.append(f"{why}; degrading to the trivial point spread with a transversal block")
     # a canonical point is the echelon basis of its 1-space; the members
     # are the points in order, from w0 = L[0], member t holding L[t] alone
     bases, moves = spr.schreier_transversal(fq, L[:1], _walk_generators(space, det1, len(L)), len(L))

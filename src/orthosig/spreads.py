@@ -216,9 +216,9 @@ def verify_partition(spread: PartialSpread, points, fq: FqContext):
 
 _TRANSVERSAL_CAP = 200_000
 # a walk may meet each subspace it reaches with every generator: the most
-# images one walk may compute.  O+6(9) may take 4.4e8 and builds in about
-# 45 s on a 2-core host; O-6(9), Oodd5(23) and Oodd7(7), at 3.5e9 to 1.6e10,
-# had not built after 100 s
+# images one walk may compute.  The point walks of O+6(9) and O-6(9) may
+# take 4.4e8 and 4.3e8 and build in about 45 s each on a 2-core host;
+# Oodd5(23), at 3.6e9, had not built after 100 s
 _WALK_CAP = 10 ** 9
 
 

@@ -459,7 +459,9 @@ def test_a_projective_construct_past_the_budget_exits_2_before_building(tmp_path
 def test_an_odd_dimension_projective_construct_past_the_budget_keeps_its_bytes(tmp_path, monkeypatch, capsys):
     # in odd dimension the quotient is the SO signature relabelled, with no
     # product walk, so PSOodd5(5) (order 9,360,000) builds at the default
-    # budget; the digests of stdout and the file were recorded at 1ec3a8c
+    # budget; the digests of stdout and the file were recorded at 1ec3a8c,
+    # and again when the layered rungs stopped above n = 4, which left the
+    # blocks as they were and made meta.notes the one transversal note
     import hashlib
     from orthosig import cli
 
@@ -467,9 +469,9 @@ def test_an_odd_dimension_projective_construct_past_the_budget_keeps_its_bytes(t
     argv = ["construct", "--family", "PSOodd", "--q", "5", "--n", "5", "--out", "PSOodd5(5).json"]
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-        "ebe1b438220a2fd35a8aa5918f278b54ffbdd71e7e1dc09957af866e0c552590")
+        "156009fb5d786c74a1d043b2b00e46cbf17c274f3d8b8267cdf684de9748605e")
     assert hashlib.sha256((tmp_path / "PSOodd5(5).json").read_bytes()).hexdigest() == (
-        "c9da9adf1ae75d9c3a38f304a38b5508e21f33f4a44d5ab086ff3f1a8aca0f99")
+        "5b23bd814b58cb5bba528f53bd5e41590360e72711120a8a121eed68604d3d6a")
 
 
 def test_a_command_out_of_memory_exits_2_with_the_error_report(monkeypatch, capsys):

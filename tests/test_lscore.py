@@ -32,7 +32,6 @@ from orthosig.matgroups import (
     descriptor,
     group_order,
     singer_generator,
-    standard_generators,
 )
 from orthosig.spreads import CyclicOrbits, NotAPartialSpread, PartialSpread, act_rref
 
@@ -437,11 +436,10 @@ def test_spread_empty_for_anisotropic():
     assert plan.shape == "empty"
 
 
-def test_plus_type_of_odd_witt_index_walks_no_orbit(monkeypatch):
+def test_plus_type_of_odd_witt_index_walks_no_orbit():
     # every two generators of one family of Q+(5, 3) share a point, so no
-    # spread of q^2 + 1 = 10 of them exists: the ladder goes to the
-    # transversal without the transporters of the bases, with the notes the
-    # failed literal rung gave
+    # spread of q^2 + 1 = 10 of them exists, and no orbit of them would
+    # give a layered block even if the rungs ran at n = 6
     from orthosig import lscore
     from orthosig.spreads import point_positions
 
@@ -449,18 +447,35 @@ def test_plus_type_of_odd_witt_index_walks_no_orbit(monkeypatch):
     bases, _ = lscore.ts_subspace_transporters(space, True)  # one family
     at = point_positions(space.fq, bases, space.isotropic_points())
     assert all(set(at[i]) & set(at[j]) for i, j in itertools.combinations(range(len(bases)), 2))
-    for det1, fam in [(False, "O+"), (True, "SO+")]:
-        lit_notes = standard_generators(descriptor(fam, 3, n=6), space)[1]
-        with monkeypatch.context() as patch:
-            patch.setattr(lscore, "ts_subspace_transporters", None)
-            plan = lscore._spread_construction.__wrapped__(space, det1)
-        assert plan.shape == "transversal" and plan.partition["ok"] and len(plan.members) == 130
-        assert plan.notes == (*lit_notes,
-                              "literal cyclic block is not sharply transitive on any totally singular base "
-                              "orbit (construction mismatch)",
-                              "no 10-member spread of 3-dimensional totally singular subspaces admits a "
-                              "layered block here; degrading to the trivial point spread with a transversal "
-                              "block")
+
+
+def test_the_layered_rungs_run_only_up_to_n_4(monkeypatch):
+    # from n = 5 the ladder builds no literal generator, walks no totally
+    # singular subspace and steps no torus orbit: it takes the point
+    # transversal at once, with one note; at n = 4 the rungs still run, and
+    # still give the twisted O-4(3) and the literal O+4(3)
+    from orthosig import lscore, spreads
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a layered rung ran")
+
+    four = {fam: space_for(descriptor(fam, 3, n=4)) for fam in ("O-", "O+")}
+    assert lscore._spread_construction.__wrapped__(four["O-"], False).shape == "twisted"
+    assert lscore._spread_construction.__wrapped__(four["O+"], False).shape == "literal"
+    for name in ("ts_subspace_transporters", "standard_generators"):
+        monkeypatch.setattr(lscore, name, refuse)
+    monkeypatch.setattr(spreads, "cyclic_orbits", refuse)
+    for fam, n, det1 in [("Oodd", 5, False), ("Oodd", 5, True), ("O-", 6, False), ("O-", 6, True),
+                         ("O+", 6, False)]:
+        space = space_for(descriptor(fam, 3, n=n))
+        plan = lscore._spread_construction.__wrapped__(space, det1)
+        assert plan.shape == "transversal" and plan.partition["ok"]
+        assert len(plan.members) == len(space.isotropic_points())
+        assert plan.notes == ("the layered rungs are tried only up to n = 4; degrading to the trivial point "
+                              "spread with a transversal block",)
+    for space in four.values():
+        with pytest.raises(AssertionError, match="a layered rung ran"):
+            lscore._spread_construction.__wrapped__(space, False)
 
 
 def test_a_walk_is_checked_on_the_count_of_its_reflections_before_any_is_built(monkeypatch):
@@ -532,8 +547,7 @@ def _layer_keys(layers):
     return [(kind, *[x.tobytes() if isinstance(x, np.ndarray) else x for x in rest]) for kind, *rest in layers]
 
 
-@pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("O-", 5, 4), ("O-", 9, 4), ("O+", 5, 4),
-                                     ("Oodd", 3, 5), ("O-", 3, 6), ("O+", 3, 6)])
+@pytest.mark.parametrize("fam,q,n", [("O-", 3, 4), ("O-", 5, 4), ("O-", 9, 4), ("O+", 5, 4)])
 def test_ladder_walks_each_orbit_once_to_the_plan_a_per_base_walk_gives(fam, q, n, monkeypatch):
     # the literal, twisted and transversal rungs: the same plan, notes and
     # member order as when every base walks its own orbit and every orbit
@@ -726,7 +740,10 @@ def test_so5_transversal_valid():
 # anisotropic match was stacked (O-4(7) and O-4(25), whose match scans run
 # far past the others'), and before `project_ls` worked on block stacks
 # (the last ten, PSO): every rung of the construction ladder must keep
-# producing the same blocks, in the same order.
+# producing the same blocks, in the same order.  The n >= 5 hashes
+# (Oodd5(3), SOodd5(3), O-6(3), O+6(3)) were recorded again when the
+# layered rungs stopped above n = 4: their blocks and every other key kept
+# their bytes, and meta.notes became the one note of the point transversal.
 GOLDEN_SHA256 = {
     ("O-", 3, 4): "9746ebc30dd2c080e75d247b2b620904e5c3f02f2bbbe1ac070e10cfeb319f8b",
     ("O+", 3, 4): "b02c4e3eaf63cfa9898a88f00cf52a07fe4dae484776b452654fdd9df7797fe0",
@@ -734,16 +751,16 @@ GOLDEN_SHA256 = {
     ("O-", 5, 4): "39d8e6e148d6a689208bca5377c527d5e2e142167d866a82b5c476ec641f6b3f",
     ("O+", 5, 4): "70691c476877a7d0951e0718868053c1d037ea13cbf1ac47e9cbd422ee0fca49",
     ("O-", 9, 4): "72256145b42c38963c607b5175e59225f06905a7e1b9221832ce2f6bda6c3561",
-    ("Oodd", 3, 5): "a1d34687e2de5560e4a2d52d3833b17aad79f2acdb8cd4412e408e3b85921191",
-    ("O+", 3, 6): "b50b3d9ca445bb5a5cc3a6f74880425317220f408b7517564a7b83fc7f28317e",
+    ("Oodd", 3, 5): "33e93893a9777c2d40aceca93627099dd9fb983173997ceba3febd734db68b34",
+    ("O+", 3, 6): "d435ac0fabb33aa675b87c494701d662d9a28acf4a4e6ba8c96a079bf3cce634",
     ("PSO-", 3, 4): "d4f731d12d165b1a4e7db3c497045cbf0d5a66f67d075c4ca36a91c56bd4ef90",
     ("SO-", 5, 4): "3b31476699de4b35aeffb1239d69232eb04ed46ce32e0210af0e114d25f309ae",
     ("PSO+", 5, 4): "486476f4e0da7d9d0368f6c56cc7f5b6a0ec807966929818cd22489f8ba2ece7",
     ("Oodd", 5, 3): "452b1905ea1cfbc840e68e552758b245a1ecdeeb15d090dafaade80c3d209264",
     ("SO+", 3, 4): "e1e3b6c350bc710e112376fb3d4a2464c40e68cd8a84e77626482804eb011a7e",
-    ("SOodd", 3, 5): "f831af935425a27c270b1b82b9864cd2645e995d451f680ffd803aa3ec2375e2",
+    ("SOodd", 3, 5): "e1cdf2ee0b1cabe7ee50477234ec1ffa99e2970a5ce0a16aabca5079572f7ee6",
     ("SOodd", 3, 3): "33ec9f7f48ce7c32dbb5283867911ecefab57fb0273367fb5b84a47ded6beff3",
-    ("O-", 3, 6): "0d7d60918774df77473f495a7a9c28d49c4688f103ad8969c2622be4a7ecc6c6",
+    ("O-", 3, 6): "03a4a98744d79a72963f6d789946e0844da6373c09327b52e06c2e9202818e45",
     ("O-", 7, 4): "1398ce6543be2faf02ea4d649cde8d2f2f2f36415ae5c73c91098491928ff3bd",
     ("O-", 25, 4): "ea07905be8ccc9241d6b17bcbc68831f1ef93c9ef8b0115b4f3099a21a58509f",
     ("PSO+", 3, 4): "2b90154d7fe74827b159d0d0310de675c38e4bbd01d5c54e823594d10cffb641",
